@@ -8,8 +8,10 @@
 //                          --benchmark_out=BENCH_ml_hotpath.json
 //
 // The headline series tracked across PRs: BM_SingleInference,
-// BM_CompileTuningTable/threads:1, BM_TrainFramework/threads:1 (shared with
-// bench/inference_latency.cpp), plus the ML-layer BM_* kernels below.
+// BM_CompileTuningTable/threads:1, BM_TrainFramework/threads:1, plus the
+// ML-layer BM_* kernels below. BM_ForestPredictProba (model-only time) and
+// BM_RuntimeTableLookup (one application-runtime lookup) complete the
+// paper's online-stage picture.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -19,6 +21,7 @@
 #include <new>
 
 #include "bench_util.hpp"
+#include "core/features.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
 #include "ml/tree.hpp"
@@ -277,7 +280,7 @@ void BM_BatchCompileSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchCompileSweep);
 
-// ---- framework-level headline series (shared with inference_latency) -------
+// ---- framework-level headline series --------------------------------------
 
 void BM_SingleInference(benchmark::State& state) {
   auto& fw = framework();
@@ -330,6 +333,43 @@ BENCHMARK(BM_TrainFramework)
     ->Arg(0)
     ->ArgName("threads")
     ->Unit(benchmark::kSecond);
+
+void BM_ForestPredictProba(benchmark::State& state) {
+  // The trained alltoall forest on a real feature row, separating model
+  // time from the feature-extraction + ranking work BM_SingleInference
+  // also includes (BM_ForestPredictFlat walks a synthetic forest instead).
+  auto& fw = framework();
+  const auto& forest = fw.model(coll::Collective::kAlltoall);
+  const auto& columns = fw.selected_columns(coll::Collective::kAlltoall);
+  const auto& frontera = sim::cluster_by_name("Frontera");
+  const auto full = core::extract_features(frontera, 16, 56, 1u << 16);
+  const auto row = core::project_features(full, columns);
+  std::vector<double> proba(static_cast<std::size_t>(forest.num_classes()));
+  for (auto _ : state) {
+    forest.predict_proba_into(row, proba);
+    benchmark::DoNotOptimize(proba.data());
+  }
+}
+BENCHMARK(BM_ForestPredictProba);
+
+void BM_RuntimeTableLookup(benchmark::State& state) {
+  // The application-runtime side of the online stage: one lookup in a
+  // compiled table, no inference.
+  auto& fw = framework();
+  const auto& frontera = sim::cluster_by_name("Frontera");
+  const std::vector<int> nodes = {1, 2, 4, 8, 16};
+  const std::vector<int> ppns = {28, 56};
+  const auto sizes = sim::power_of_two_sizes(21);
+  const core::TuningTable table =
+      fw.compile_for(frontera, core::CompileOptions::sweep(nodes, ppns, sizes));
+  std::uint64_t msg = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        table.lookup(coll::Collective::kAllgather, 16, 56, msg));
+    msg = msg >= (1u << 20) ? 1 : msg << 1;
+  }
+}
+BENCHMARK(BM_RuntimeTableLookup);
 
 }  // namespace
 

@@ -301,13 +301,4 @@ std::size_t request_estimate(const Selection& selection, sim::Topology topo,
   return total;
 }
 
-RunResult run_collective(const sim::ClusterSpec& cluster, sim::Topology topo,
-                         Algorithm algorithm, std::uint64_t block_bytes,
-                         sim::SimOptions opts) {
-  return run_collective(
-      cluster, topo, algorithm, block_bytes,
-      sim::RunOptions{opts.payload, opts.noise_sigma, opts.seed,
-                      opts.eager_threshold, {}, opts.faults});
-}
-
 }  // namespace pml::coll

@@ -48,13 +48,6 @@ RunResult run_selection(const sim::ClusterSpec& cluster, sim::Topology topo,
                         const Selection& selection, std::uint64_t block_bytes,
                         const sim::RunOptions& opts = {});
 
-/// Transitional overload for the pre-RunOptions signature; forwards to the
-/// RunOptions form (without trace capture). Removed after one release.
-[[deprecated("pass sim::RunOptions instead of sim::SimOptions")]]
-RunResult run_collective(const sim::ClusterSpec& cluster, sim::Topology topo,
-                         Algorithm algorithm, std::uint64_t block_bytes,
-                         sim::SimOptions opts);
-
 /// Upper-bound estimate of the requests (isend/irecv posts) `algorithm`
 /// issues across all ranks for a per-block payload of `block_bytes` on `p`
 /// ranks. Used to pre-size engine storage; exact for the regular schedules,

@@ -161,6 +161,8 @@ void ThreadPool::parallel_for(int threads, std::size_t n, const Body& body) {
 ThreadPool& ThreadPool::shared() {
   // hardware-1 workers so pool + caller saturate the machine; at least one
   // worker so parallel paths are exercised (and testable) even on one core.
+  // Destroyed at exit, joining the workers: anything they touch while
+  // exiting must outlive it (hence obs::registry() is immortal).
   static ThreadPool pool(std::max(1, hardware_threads() - 1));
   return pool;
 }

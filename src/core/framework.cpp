@@ -449,28 +449,6 @@ TuningTable PmlFramework::compile_or_cached(const sim::ClusterSpec& cluster,
   return table;
 }
 
-TuningTable PmlFramework::compile_for(
-    const sim::ClusterSpec& cluster, std::span<const int> node_counts,
-    std::span<const int> ppn_values,
-    std::span<const std::uint64_t> msg_sizes) {
-  CompileOptions options;
-  options.node_counts.assign(node_counts.begin(), node_counts.end());
-  options.ppn_values.assign(ppn_values.begin(), ppn_values.end());
-  options.message_sizes.assign(msg_sizes.begin(), msg_sizes.end());
-  return compile_for(cluster, options);
-}
-
-const TuningTable& PmlFramework::compile_or_cached(
-    const sim::ClusterSpec& cluster, std::span<const int> node_counts,
-    std::span<const int> ppn_values, std::span<const std::uint64_t> msg_sizes,
-    TuningTable& cache) {
-  CompileOptions options;
-  options.node_counts.assign(node_counts.begin(), node_counts.end());
-  options.ppn_values.assign(ppn_values.begin(), ppn_values.end());
-  options.message_sizes.assign(msg_sizes.begin(), msg_sizes.end());
-  return compile_or_cached(cluster, options, cache);
-}
-
 const ml::RandomForest& PmlFramework::model(Collective collective) const {
   return part(collective).forest;
 }

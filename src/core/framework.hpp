@@ -212,20 +212,6 @@ class PmlFramework final : public Selector {
   TuningTable compile_or_cached(const sim::ClusterSpec& cluster,
                                 const CompileOptions& options = {});
 
-  /// Transitional overloads for the pre-CompileOptions positional
-  /// signatures; forwarded. Removed after one release.
-  [[deprecated("pass core::CompileOptions instead of positional spans")]]
-  TuningTable compile_for(const sim::ClusterSpec& cluster,
-                          std::span<const int> node_counts,
-                          std::span<const int> ppn_values,
-                          std::span<const std::uint64_t> msg_sizes);
-  [[deprecated("pass core::CompileOptions instead of positional spans")]]
-  const TuningTable& compile_or_cached(const sim::ClusterSpec& cluster,
-                                       std::span<const int> node_counts,
-                                       std::span<const int> ppn_values,
-                                       std::span<const std::uint64_t> msg_sizes,
-                                       TuningTable& cache);
-
   /// Wall-clock seconds of the most recent compile_for call on any thread
   /// (the paper's "less than a second of model inference overhead"). With
   /// concurrent compiles this is a last-writer-wins convenience for the

@@ -49,16 +49,6 @@ class Selector {
                            const sim::ClusterSpec& cluster, sim::Topology topo,
                            std::span<const std::uint64_t> msg_sizes,
                            std::span<coll::Selection> out);
-
-  /// Transitional raw-label accessor for callers not yet migrated to
-  /// Selection; flattens a hierarchical choice to its inter algorithm.
-  /// Removed after one release.
-  [[deprecated("call select() and use the structured coll::Selection")]]
-  coll::Algorithm select_algorithm(coll::Collective collective,
-                                   const sim::ClusterSpec& cluster,
-                                   sim::Topology topo, std::uint64_t msg_bytes) {
-    return select(collective, cluster, topo, msg_bytes).algorithm;
-  }
 };
 
 class MvapichDefaultSelector final : public Selector {

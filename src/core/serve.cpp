@@ -108,12 +108,14 @@ void apply_sweep_overrides(const Json& request, CompileOptions& options) {
   }
 }
 
-std::string error_reply(const std::string& what, ErrorCode code) {
+std::string error_reply(const std::string& what, ErrorCode code,
+                        bool draining = false) {
   Json j = Json::object();
   j["ok"] = false;
   j["error"] = what;
   j["code"] = std::string(to_string(code));
   j["status"] = exit_status(code);
+  if (draining) j["draining"] = true;
   return j.dump();
 }
 
@@ -258,37 +260,16 @@ bool ModelHost::load_locked() {
 
 // --- ServeEngine ------------------------------------------------------------
 
-ServeEngine::LatencyRecorder::LatencyRecorder()
-    : p50_("serve.latency.p50_ns"), p99_("serve.latency.p99_ns") {
-  ring_.resize(kWindow, 0);
-}
-
-void ServeEngine::LatencyRecorder::record(std::uint64_t ns) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_[count_ % kWindow] = ns;
-  ++count_;
-  if (count_ % kUpdateEvery != 0 && count_ != 1) return;
-  std::vector<std::uint64_t> window(
-      ring_.begin(),
-      ring_.begin() + static_cast<std::ptrdiff_t>(std::min(count_, kWindow)));
-  const auto nth = [&window](double q) {
-    const std::size_t i = static_cast<std::size_t>(
-        q * static_cast<double>(window.size() - 1) + 0.5);
-    std::nth_element(window.begin(),
-                     window.begin() + static_cast<std::ptrdiff_t>(i),
-                     window.end());
-    return static_cast<std::int64_t>(window[i]);
-  };
-  p50_.set(nth(0.50));
-  p99_.set(nth(0.99));
-}
-
 ServeEngine::ServeEngine(ServeOptions options)
     : options_(std::move(options)),
       model_(options_.model_path),
       cache_(options_.shards, options_.shard_capacity),
       breaker_(options_.breaker) {
   options_.validate();
+  event_counters_.reserve(kEvents);
+  for (const ServeEventRow& row : kServeEvents) {
+    event_counters_.emplace_back(row.counter);
+  }
 }
 
 ServeEngine::~ServeEngine() { drain(); }
@@ -316,38 +297,17 @@ void ServeEngine::add_connection(int delta) {
   gauge.set(now);
 }
 
-void ServeEngine::note_evicted() {
-  evicted_.fetch_add(1);
-  static obs::Counter evicted("serve.evicted");
-  evicted.increment();
-}
-
-void ServeEngine::note_overloaded() {
-  overloaded_.fetch_add(1);
-  static obs::Counter overloaded("serve.overloaded");
-  overloaded.increment();
-}
-
-void ServeEngine::note_overlong() {
-  overlong_.fetch_add(1);
-  static obs::Counter overlong("serve.overlong_line");
-  overlong.increment();
+void ServeEngine::note(Event event) {
+  const auto i = static_cast<std::size_t>(event);
+  events_[i].fetch_add(1);
+  event_counters_[i].increment();
 }
 
 ServeEngine::Stats ServeEngine::stats() const {
   Stats s;
-  s.requests = requests_.load();
-  s.cache_hits = cache_hits_.load();
-  s.cache_misses = cache_misses_.load();
-  s.compiles = compiles_.load();
-  s.degraded = degraded_.load();
-  s.errors = errors_.load();
-  s.shed = shed_.load();
-  s.deadline_expired = deadline_expired_.load();
-  s.compile_failures = compile_failures_.load();
-  s.evicted = evicted_.load();
-  s.overloaded = overloaded_.load();
-  s.overlong = overlong_.load();
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    s.*kServeEvents[i].field = events_[i].load();
+  }
   return s;
 }
 
@@ -387,9 +347,7 @@ ServeEngine::AdmitResult ServeEngine::admit_compile(
       return {it->second, Admission::kAdmitted};
     }
     if (in_flight_ >= options_.queue_limit) {
-      shed_.fetch_add(1);
-      static obs::Counter shed("serve.shed");
-      shed.increment();
+      note(Event::kShed);
       return {nullptr, Admission::kShed};
     }
     // Breaker checked after the queue-limit gate so a request that would
@@ -446,16 +404,12 @@ void ServeEngine::run_compile(const std::shared_ptr<CompileJob>& job,
       // swapped while this job sat in the queue, cache under the new
       // checksum so the next request (which recomputes the key) hits.
       cache_.put(cache_key(model_.checksum(), cluster, resolved), entry);
-      compiles_.fetch_add(1);
-      static obs::Counter compiled("serve.compiles");
-      compiled.increment();
+      note(Event::kCompile);
       result = std::move(entry);
     }
   } catch (const std::exception& err) {
     failed = true;
-    compile_failures_.fetch_add(1);
-    static obs::Counter failed_counter("serve.compile_failed");
-    failed_counter.increment();
+    note(Event::kCompileFailure);
     warn("serve: recompile failed (" + std::string(err.what()) +
          "); waiters fall back to heuristics");
   }
@@ -507,9 +461,7 @@ std::shared_ptr<const ServedTable> ServeEngine::wait_for(
     // Deadline lapsed: the compile keeps running (the next request will
     // hit its cached result); this reply degrades to the current rung.
     timed_out = true;
-    deadline_expired_.fetch_add(1);
-    static obs::Counter expired("serve.deadline.expired");
-    expired.increment();
+    note(Event::kDeadlineExpired);
     return nullptr;
   }
   return job.result;
@@ -612,6 +564,38 @@ coll::Selection ServeEngine::batched_model_select(PmlFramework& framework,
   return pending.result;
 }
 
+template <class Resolve>
+ServeEngine::CacheProbe ServeEngine::probe_cache(const std::string& key,
+                                                 const Json& request,
+                                                 Resolve&& resolve) {
+  CacheProbe probe;
+  probe.entry = cache_.get(key);
+  if (probe.entry != nullptr) {
+    note(Event::kCacheHit);
+    return probe;
+  }
+  note(Event::kCacheMiss);
+  probe.cache = "miss";
+  const auto [cluster, resolved] = resolve();
+  const AdmitResult admitted = admit_compile(key, cluster, resolved);
+  probe.admission = admitted.admission;
+  if (admitted.job != nullptr && truthy_flag(request, "wait")) {
+    probe.entry =
+        wait_for(*admitted.job, deadline_ms_of(request), probe.timed_out);
+    if (probe.entry != nullptr) probe.cache = "compiled";
+  }
+  return probe;
+}
+
+const char* ServeEngine::degrade(Admission admission) {
+  // Same counter the batch online stage uses, so dashboards see one
+  // ladder.
+  static obs::Counter fallback("online.fallback.heuristic");
+  fallback.increment();
+  note(Event::kDegraded);
+  return admission == Admission::kShed ? "shed" : "heuristic";
+}
+
 std::string ServeEngine::handle_select(const Json& request) {
   const coll::Collective collective = coll::collective_from_string(
       require_field(request, "collective").as_string());
@@ -650,73 +634,34 @@ std::string ServeEngine::handle_select(const Json& request) {
     }
   }
 
-  std::string cache_state = "hit";
-  std::string source = "table";
+  const CacheProbe probe = probe_cache(key, request, [&]() -> Target {
+    materialize();
+    return {*cluster, *resolved};
+  });
+
+  const sim::Topology topo{nodes, ppn};
+  const char* source = "table";
   bool degraded = false;
-  bool timed_out = false;
-  Admission admission = Admission::kAdmitted;
   coll::Selection selection = coll::Selection::flat(coll::Algorithm::kAgRing);
-
-  std::shared_ptr<const ServedTable> entry = cache_.get(key);
-  if (entry != nullptr) {
-    cache_hits_.fetch_add(1);
-    static obs::Counter hits("serve.cache.hit");
-    hits.increment();
-  } else {
-    cache_misses_.fetch_add(1);
-    static obs::Counter misses("serve.cache.miss");
-    misses.increment();
-    materialize();
-    const AdmitResult admitted = admit_compile(key, *cluster, *resolved);
-    admission = admitted.admission;
-    if (admitted.job != nullptr && truthy_flag(request, "wait")) {
-      entry = wait_for(*admitted.job, deadline_ms_of(request), timed_out);
-      if (entry != nullptr) cache_state = "compiled";
-    }
-  }
-
-  if (entry != nullptr) {
-    selection = entry->table.lookup(collective, nodes, ppn, msg_bytes);
-  } else if (admission != Admission::kAdmitted) {
-    // Shed (queue full) and breaker-open misses skip even direct model
-    // inference — the point of both is to spend nothing extra on this
-    // request. The reply is still a valid selection, one rung down.
-    cache_state = "miss";
-    source = admission == Admission::kShed ? "shed" : "heuristic";
-    degraded = true;
-    degraded_.fetch_add(1);
-    static obs::Counter fallback("online.fallback.heuristic");
-    fallback.increment();
-    static obs::Counter served_degraded("serve.degraded");
-    served_degraded.increment();
-    selection = HeuristicSelector().select(collective, *cluster,
-                                           sim::Topology{nodes, ppn},
-                                           msg_bytes);
-  } else if (const std::shared_ptr<PmlFramework> framework =
-                 model_.framework()) {
-    // Miss, not waiting, model healthy: answer by direct inference while
-    // the table compiles in the background. Same model, same quality —
-    // not a degraded reply.
-    cache_state = "miss";
+  std::shared_ptr<PmlFramework> framework;
+  if (probe.entry != nullptr) {
+    selection = probe.entry->table.lookup(collective, nodes, ppn, msg_bytes);
+  } else if (probe.admission == Admission::kAdmitted &&
+             (framework = model_.framework()) != nullptr) {
+    // Miss, model healthy: answer by direct inference while the table
+    // compiles in the background. Same model, same quality — not a
+    // degraded reply.
     source = "model";
-    materialize();
-    selection = batched_model_select(*framework, *cluster, collective,
-                                     sim::Topology{nodes, ppn}, msg_bytes);
+    selection =
+        batched_model_select(*framework, *cluster, collective, topo, msg_bytes);
   } else {
-    // Bottom rung: no table, no model. Same counter the batch online
-    // stage uses, so dashboards see one ladder.
-    cache_state = "miss";
-    source = "heuristic";
+    // Heuristic rung: no model, or a shed / breaker-open miss (both exist
+    // to spend nothing extra on this request, so they skip even direct
+    // inference). The reply is still a valid selection, one rung down.
+    source = degrade(probe.admission);
     degraded = true;
-    degraded_.fetch_add(1);
-    static obs::Counter fallback("online.fallback.heuristic");
-    fallback.increment();
-    static obs::Counter served_degraded("serve.degraded");
-    served_degraded.increment();
-    materialize();
-    selection = HeuristicSelector().select(collective, *cluster,
-                                           sim::Topology{nodes, ppn},
-                                           msg_bytes);
+    selection =
+        HeuristicSelector().select(collective, *cluster, topo, msg_bytes);
   }
 
   Json reply = Json::object();
@@ -733,11 +678,11 @@ std::string ServeEngine::handle_select(const Json& request) {
   sel["intra"] = coll::to_string(selection.intra);
   sel["encoded"] = selection.encode();
   reply["selection"] = std::move(sel);
-  reply["cache"] = cache_state;
-  reply["source"] = source;
+  reply["cache"] = std::string(probe.cache);
+  reply["source"] = std::string(source);
   reply["degraded"] = degraded;
-  if (timed_out) reply["deadline"] = std::string("expired");
-  if (admission == Admission::kBreakerOpen) {
+  if (probe.timed_out) reply["deadline"] = std::string("expired");
+  if (probe.admission == Admission::kBreakerOpen) {
     reply["breaker"] = std::string("open");
   }
   return reply.dump();
@@ -749,34 +694,16 @@ std::string ServeEngine::handle_table(const Json& request) {
   apply_sweep_overrides(request, options);
   const CompileOptions resolved = resolve_compile_sweep(cluster, options);
   const std::string key = cache_key(model_.checksum(), cluster, resolved);
+  const CacheProbe probe = probe_cache(
+      key, request, [&]() -> Target { return {cluster, resolved}; });
 
-  std::string cache_state = "hit";
-  bool timed_out = false;
-  Admission admission = Admission::kAdmitted;
-  std::shared_ptr<const ServedTable> entry = cache_.get(key);
-  if (entry != nullptr) {
-    cache_hits_.fetch_add(1);
-    static obs::Counter hits("serve.cache.hit");
-    hits.increment();
-  } else {
-    cache_misses_.fetch_add(1);
-    static obs::Counter misses("serve.cache.miss");
-    misses.increment();
-    const AdmitResult admitted = admit_compile(key, cluster, resolved);
-    admission = admitted.admission;
-    if (admitted.job != nullptr && truthy_flag(request, "wait")) {
-      entry = wait_for(*admitted.job, deadline_ms_of(request), timed_out);
-      if (entry != nullptr) cache_state = "compiled";
-    }
-  }
-
-  if (entry != nullptr) {
+  if (probe.entry != nullptr) {
     // Splice the pre-serialized table in verbatim: replies for one cache
     // entry are byte-identical, request after request.
     std::string reply = "{\"ok\":true,\"op\":\"table\",\"cache\":\"";
-    reply += cache_state;
+    reply += probe.cache;
     reply += "\",\"source\":\"model\",\"degraded\":false,\"table\":";
-    reply += entry->json;
+    reply += probe.entry->json;
     reply += "}";
     return reply;
   }
@@ -785,18 +712,16 @@ std::string ServeEngine::handle_table(const Json& request) {
   // this, and the ladder contract is that heuristic output is transient).
   // Shed misses carry source:"shed" so clients can tell overload apart
   // from an absent model.
-  degraded_.fetch_add(1);
-  static obs::Counter fallback("online.fallback.heuristic");
-  fallback.increment();
-  static obs::Counter served_degraded("serve.degraded");
-  served_degraded.increment();
+  const char* source = degrade(probe.admission);
   const TuningTable table = heuristic_table(cluster, resolved);
   std::string reply = "{\"ok\":true,\"op\":\"table\",\"cache\":\"miss\","
                       "\"source\":\"";
-  reply += admission == Admission::kShed ? "shed" : "heuristic";
+  reply += source;
   reply += "\",\"degraded\":true,";
-  if (timed_out) reply += "\"deadline\":\"expired\",";
-  if (admission == Admission::kBreakerOpen) reply += "\"breaker\":\"open\",";
+  if (probe.timed_out) reply += "\"deadline\":\"expired\",";
+  if (probe.admission == Admission::kBreakerOpen) {
+    reply += "\"breaker\":\"open\",";
+  }
   reply += "\"table\":";
   reply += table.to_json().dump();
   reply += "}";
@@ -809,18 +734,9 @@ std::string ServeEngine::handle_stats() {
   reply["ok"] = true;
   reply["op"] = std::string("stats");
   reply["version"] = std::string(kPmlVersion);
-  reply["requests"] = static_cast<std::int64_t>(s.requests);
-  reply["cache_hits"] = static_cast<std::int64_t>(s.cache_hits);
-  reply["cache_misses"] = static_cast<std::int64_t>(s.cache_misses);
-  reply["compiles"] = static_cast<std::int64_t>(s.compiles);
-  reply["degraded"] = static_cast<std::int64_t>(s.degraded);
-  reply["errors"] = static_cast<std::int64_t>(s.errors);
-  reply["shed"] = static_cast<std::int64_t>(s.shed);
-  reply["deadline_expired"] = static_cast<std::int64_t>(s.deadline_expired);
-  reply["compile_failures"] = static_cast<std::int64_t>(s.compile_failures);
-  reply["evicted"] = static_cast<std::int64_t>(s.evicted);
-  reply["overloaded"] = static_cast<std::int64_t>(s.overloaded);
-  reply["overlong"] = static_cast<std::int64_t>(s.overlong);
+  for (const ServeEventRow& row : kServeEvents) {
+    reply[row.reply_key] = static_cast<std::int64_t>(s.*row.field);
+  }
   reply["queue_depth"] = queue_depth();
   reply["connections"] = connections();
   reply["breaker"] = std::string(to_string(breaker_state()));
@@ -859,61 +775,40 @@ std::string ServeEngine::handle_health() {
 }
 
 std::string ServeEngine::handle_line(const std::string& line) {
-  static obs::Counter requests("serve.requests");
-  requests.increment();
-  requests_.fetch_add(1);
+  note(Event::kRequest);
   obs::Span span("serve.request");
-  const std::uint64_t start_ns = obs::now_ns();
-  std::string reply;
   try {
     const Json request = Json::parse(line);
     const std::string op = require_field(request, "op").as_string();
-    if (op == "select" || op == "table") {
-      if (draining()) {
-        // Reject new work with an identifiable error; ping/stats/health
-        // below keep answering so ops can watch the drain complete.
-        errors_.fetch_add(1);
-        static obs::Counter rejected("serve.rejected.draining");
-        rejected.increment();
-        Json j = Json::object();
-        j["ok"] = false;
-        j["error"] = std::string("serve: draining; not accepting new work");
-        j["code"] = std::string(to_string(ErrorCode::kConfig));
-        j["status"] = exit_status(ErrorCode::kConfig);
-        j["draining"] = true;
-        reply = j.dump();
-      } else if (op == "select") {
-        reply = handle_select(request);
-      } else {
-        reply = handle_table(request);
-      }
-    } else if (op == "stats") {
-      reply = handle_stats();
-    } else if (op == "health") {
-      reply = handle_health();
-    } else if (op == "ping") {
+    if ((op == "select" || op == "table") && draining()) {
+      // Reject new work with an identifiable error; ping/stats/health
+      // below keep answering so ops can watch the drain complete.
+      static obs::Counter rejected("serve.rejected.draining");
+      rejected.increment();
+      note(Event::kError);
+      return error_reply("serve: draining; not accepting new work",
+                         ErrorCode::kConfig, /*draining=*/true);
+    }
+    if (op == "select") return handle_select(request);
+    if (op == "table") return handle_table(request);
+    if (op == "stats") return handle_stats();
+    if (op == "health") return handle_health();
+    if (op == "ping") {
       Json pong = Json::object();
       pong["ok"] = true;
       pong["op"] = std::string("ping");
       pong["version"] = std::string(kPmlVersion);
       pong["model_loaded"] = model_loaded();
-      reply = pong.dump();
-    } else {
-      throw ConfigError("serve: unknown op \"" + op + "\"");
+      return pong.dump();
     }
+    throw ConfigError("serve: unknown op \"" + op + "\"");
   } catch (const Error& err) {
-    errors_.fetch_add(1);
-    static obs::Counter errors("serve.errors");
-    errors.increment();
-    reply = error_reply(err.what(), err.code());
+    note(Event::kError);
+    return error_reply(err.what(), err.code());
   } catch (const std::exception& err) {
-    errors_.fetch_add(1);
-    static obs::Counter errors("serve.errors");
-    errors.increment();
-    reply = error_reply(err.what(), ErrorCode::kUnknown);
+    note(Event::kError);
+    return error_reply(err.what(), ErrorCode::kUnknown);
   }
-  latency_.record(obs::now_ns() - start_ns);
-  return reply;
 }
 
 // --- stdio transport --------------------------------------------------------
@@ -993,7 +888,7 @@ void TcpServer::accept_loop() {
     if (engine_.connections() >= options.max_connections) {
       // Over the cap: one structured line, then close. Best effort — a
       // peer that already hung up just loses the courtesy reply.
-      engine_.note_overloaded();
+      engine_.note(ServeEngine::Event::kOverloaded);
       std::string line = serve_error_line("overloaded", ErrorCode::kConfig);
       line.push_back('\n');
       send_all(fd, line);
@@ -1041,7 +936,7 @@ void TcpServer::client_loop(Client* client) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         // SO_RCVTIMEO fired: nothing at all for read_timeout_ms.
-        engine_.note_evicted();
+        engine_.note(ServeEngine::Event::kEvicted);
         close_reason = serve_error_line(
             "serve: read deadline exceeded; closing connection",
             ErrorCode::kIo);
@@ -1072,7 +967,7 @@ void TcpServer::client_loop(Client* client) {
     if (peer_gone) break;
     if (!buffer.empty()) {
       if (buffer.size() > options.max_line_bytes) {
-        engine_.note_overlong();
+        engine_.note(ServeEngine::Event::kOverlong);
         close_reason = serve_error_line(
             "serve: request line exceeds max_line_bytes (" +
                 std::to_string(options.max_line_bytes) +
@@ -1088,7 +983,7 @@ void TcpServer::client_loop(Client* client) {
                  std::chrono::steady_clock::now() > line_deadline) {
         // Slow loris: bytes keep trickling in but no line ever completes,
         // so SO_RCVTIMEO alone would never fire.
-        engine_.note_evicted();
+        engine_.note(ServeEngine::Event::kEvicted);
         close_reason = serve_error_line(
             "serve: read deadline exceeded; closing connection",
             ErrorCode::kIo);

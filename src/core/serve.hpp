@@ -35,6 +35,7 @@
 // every rejection is a structured one-line error, never a silent drop.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -226,6 +227,29 @@ class ServeEngine {
   /// exit status `pml <verb>` would have returned for the same failure.
   std::string handle_line(const std::string& line);
 
+  /// Every event the engine counts, one kServeEvents row each. note()
+  /// bumps the engine's count and the row's obs counter together, so the
+  /// `stats` reply and `--metrics` always agree.
+  enum class Event {
+    kRequest,
+    kCacheHit,
+    kCacheMiss,
+    kCompile,
+    kDegraded,
+    kError,
+    kShed,
+    kDeadlineExpired,
+    kCompileFailure,
+    kEvicted,     ///< transport: read-deadline evictions
+    kOverloaded,  ///< transport: accepts rejected at the cap
+    kOverlong,    ///< transport: lines over max_line_bytes
+    kCount,
+  };
+  static constexpr std::size_t kEvents = static_cast<std::size_t>(Event::kCount);
+  /// Thread-safe; transports call it for their own rejections so the
+  /// stats/health replies report one truth whichever transport saw them.
+  void note(Event event);
+
   struct Stats {
     std::uint64_t requests = 0;
     std::uint64_t cache_hits = 0;
@@ -262,13 +286,8 @@ class ServeEngine {
     return connections_.load(std::memory_order_relaxed);
   }
 
-  /// Transport hooks: connection counts and rejection tallies live on
-  /// the engine so stats/health replies report one truth regardless of
-  /// which transport produced them.
+  /// Transport hook: the live connection count.
   void add_connection(int delta);
-  void note_evicted();
-  void note_overloaded();
-  void note_overlong();
 
   /// Block until no async recompiles are in flight (tests).
   void drain();
@@ -325,6 +344,32 @@ class ServeEngine {
     Admission admission = Admission::kAdmitted;
   };
 
+  /// The cluster and resolved sweep a cache miss compiles for.
+  using Target = std::pair<const sim::ClusterSpec&, const CompileOptions&>;
+
+  /// What probe_cache found for one select/table request.
+  struct CacheProbe {
+    /// Cached or freshly waited-for table; null when the reply must come
+    /// from a lower rung.
+    std::shared_ptr<const ServedTable> entry;
+    const char* cache = "hit";  ///< "hit", "compiled" or "miss"
+    Admission admission = Admission::kAdmitted;
+    bool timed_out = false;  ///< a waited compile hit deadline_ms
+  };
+
+  /// The one cache lookup of select and table: hit/miss accounting, and
+  /// on a miss admit_compile plus the optional "wait" for it.
+  /// `resolve()` returns the (cluster, resolved sweep) pair and is only
+  /// called on a miss, so a cached select never materializes them.
+  template <class Resolve>
+  CacheProbe probe_cache(const std::string& key, const Json& request,
+                         Resolve&& resolve);
+
+  /// The heuristic rung's accounting (serve.degraded and the batch online
+  /// stage's online.fallback.heuristic); returns the reply `source`:
+  /// "shed" when admission shed the miss, else "heuristic".
+  const char* degrade(Admission admission);
+
   /// Find-or-start the compile job for `key`, subject to admission
   /// control. Joining an existing job always succeeds (no new queue
   /// pressure); starting a fresh one is shed when the pending-compile
@@ -358,28 +403,9 @@ class ServeEngine {
   std::unordered_map<std::string, std::pair<std::string, std::string>>
       select_keys_;
 
-  /// Rolling reply-latency percentiles, exported as the
-  /// serve.latency.p50_ns / p99_ns gauges.
-  class LatencyRecorder {
-   public:
-    LatencyRecorder();
-    void record(std::uint64_t ns);
-
-   private:
-    static constexpr std::size_t kWindow = 1024;
-    static constexpr std::size_t kUpdateEvery = 64;
-
-    std::mutex mutex_;
-    std::vector<std::uint64_t> ring_;
-    std::size_t count_ = 0;
-    obs::Gauge p50_;
-    obs::Gauge p99_;
-  };
-
   ServeOptions options_;
   ModelHost model_;
   ServeCache cache_;
-  LatencyRecorder latency_;
 
   mutable std::mutex jobs_mutex_;
   std::condition_variable idle_cv_;
@@ -396,19 +422,36 @@ class ServeEngine {
   std::atomic<bool> draining_{false};
   std::atomic<int> connections_{0};
 
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> cache_misses_{0};
-  std::atomic<std::uint64_t> compiles_{0};
-  std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> deadline_expired_{0};
-  std::atomic<std::uint64_t> compile_failures_{0};
-  std::atomic<std::uint64_t> evicted_{0};
-  std::atomic<std::uint64_t> overloaded_{0};
-  std::atomic<std::uint64_t> overlong_{0};
+  /// Indexed by Event; note() is the only writer.
+  std::array<std::atomic<std::uint64_t>, kEvents> events_{};
+  std::vector<obs::Counter> event_counters_;
 };
+
+/// One row per ServeEngine::Event, in enum order (also the `stats` reply's
+/// key order): the reply key, the obs counter note() bumps with it, and
+/// the Stats field stats() copies it into.
+struct ServeEventRow {
+  const char* reply_key;
+  const char* counter;
+  std::uint64_t ServeEngine::Stats::*field;
+};
+
+inline constexpr std::array<ServeEventRow, ServeEngine::kEvents> kServeEvents{{
+    {"requests", "serve.requests", &ServeEngine::Stats::requests},
+    {"cache_hits", "serve.cache.hit", &ServeEngine::Stats::cache_hits},
+    {"cache_misses", "serve.cache.miss", &ServeEngine::Stats::cache_misses},
+    {"compiles", "serve.compiles", &ServeEngine::Stats::compiles},
+    {"degraded", "serve.degraded", &ServeEngine::Stats::degraded},
+    {"errors", "serve.errors", &ServeEngine::Stats::errors},
+    {"shed", "serve.shed", &ServeEngine::Stats::shed},
+    {"deadline_expired", "serve.deadline.expired",
+     &ServeEngine::Stats::deadline_expired},
+    {"compile_failures", "serve.compile_failed",
+     &ServeEngine::Stats::compile_failures},
+    {"evicted", "serve.evicted", &ServeEngine::Stats::evicted},
+    {"overloaded", "serve.overloaded", &ServeEngine::Stats::overloaded},
+    {"overlong", "serve.overlong_line", &ServeEngine::Stats::overlong},
+}};
 
 /// One structured {"ok":false,...} error line (no trailing newline) in
 /// the engine's reply format, for transports that must reject before a

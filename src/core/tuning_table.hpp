@@ -65,14 +65,6 @@ class TuningTable {
   coll::Selection lookup(coll::Collective collective, int nodes, int ppn,
                          std::uint64_t msg_bytes) const;
 
-  /// Transitional raw-label lookup; flattens a hierarchical entry to its
-  /// inter algorithm. Removed after one release.
-  [[deprecated("call lookup() and use the structured coll::Selection")]]
-  coll::Algorithm lookup_algorithm(coll::Collective collective, int nodes,
-                                   int ppn, std::uint64_t msg_bytes) const {
-    return lookup(collective, nodes, ppn, msg_bytes).algorithm;
-  }
-
   /// Build a table by querying a selector over a sweep (used both for the
   /// ML path and for baking baseline heuristics into table form).
   /// `collectives` defaults to the two the paper evaluates. With

@@ -35,10 +35,7 @@ struct GaugeCell {
 struct ThreadState;
 
 /// Process-wide registry: name interning plus the set of live per-thread
-/// buffers and the folded-in data of exited threads. Function-local
-/// static, constructed before any ThreadState (whose constructor calls
-/// registry()), hence destroyed after every ThreadState on the main
-/// thread's exit path.
+/// buffers and the folded-in data of exited threads.
 struct Registry {
   std::mutex mutex;
   std::deque<std::string> name_store;  // stable addresses for id -> name
@@ -52,9 +49,13 @@ struct Registry {
   std::vector<SpanSample> retired_spans;
 };
 
+/// Immortal (leaked on purpose). ThreadPool::shared() is usually built
+/// before the registry is first touched, so a function-local static
+/// Registry would be destroyed first; the pool then joins its workers at
+/// exit and their ThreadState destructors would write the dead registry.
 Registry& registry() {
-  static Registry r;
-  return r;
+  static Registry* const r = new Registry;
+  return *r;
 }
 
 /// Per-thread recording buffers. The mutex exists only for snapshot()
@@ -131,6 +132,8 @@ bool set_enabled(bool on) noexcept {
 }
 
 std::uint64_t now_ns() noexcept {
+  // Trivially destructible, so safe to read from threads exiting during
+  // static destruction.
   static const auto epoch = std::chrono::steady_clock::now();
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -16,7 +16,9 @@ namespace {
 
 /// Size-bucketed free lists of coroutine frames. A rank program has a small
 /// number of distinct frame sizes, so a linear bucket scan is cheap. Each
-/// block stores its size in a max_align_t-sized header.
+/// block stores its size in a max_align_t-sized header. thread_local and
+/// touched only by its own thread's engine runs, so its destruction at
+/// thread exit (pool workers included) is order-independent.
 struct FramePool {
   struct Bucket {
     std::size_t size = 0;

@@ -12,6 +12,7 @@
 #include "coll/runner.hpp"
 #include "common/error.hpp"
 #include "sim/hardware.hpp"
+#include "supported_sweep.hpp"
 
 namespace pml::coll {
 namespace {
@@ -27,15 +28,10 @@ TEST(CombineBytes, WrappingSum) {
   EXPECT_THROW(combine_bytes(dst, std::vector<std::byte>(1)), SimError);
 }
 
-using ExtCase = std::tuple<Algorithm, int /*nodes*/, int /*ppn*/, int /*bytes*/>;
-
-class ExtensionCorrectness : public ::testing::TestWithParam<ExtCase> {};
+class ExtensionCorrectness : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(ExtensionCorrectness, PayloadVerified) {
   const auto [algo, nodes, ppn, bytes] = GetParam();
-  if (!algorithm_supports(algo, nodes * ppn)) {
-    GTEST_SKIP() << "unsupported world size";
-  }
   const RunResult r = run_collective(frontera(), sim::Topology{nodes, ppn},
                                      algo, static_cast<std::uint64_t>(bytes));
   EXPECT_TRUE(r.verified);
@@ -44,16 +40,12 @@ TEST_P(ExtensionCorrectness, PayloadVerified) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ExtensionCorrectness,
-    ::testing::Combine(
-        ::testing::Values(Algorithm::kArRecursiveDoubling,
-                          Algorithm::kArRabenseifner, Algorithm::kArRing,
-                          Algorithm::kBcBinomial,
-                          Algorithm::kBcScatterAllgather,
-                          Algorithm::kBcPipelinedRing),
-        ::testing::Values(1, 2, 3),
-        ::testing::Values(1, 2, 4, 5),
-        ::testing::Values(1, 16, 1024, 100000)),
-    [](const ::testing::TestParamInfo<ExtCase>& param_info) {
+    ::testing::ValuesIn(supported_sweep(
+        {Algorithm::kArRecursiveDoubling, Algorithm::kArRabenseifner,
+         Algorithm::kArRing, Algorithm::kBcBinomial,
+         Algorithm::kBcScatterAllgather, Algorithm::kBcPipelinedRing},
+        {1, 2, 3}, {1, 2, 4, 5}, {1, 16, 1024, 100000})),
+    [](const ::testing::TestParamInfo<SweepCase>& param_info) {
       return to_string(collective_of(std::get<0>(param_info.param))) + "_" +
              to_string(std::get<0>(param_info.param)) + "_n" +
              std::to_string(std::get<1>(param_info.param)) + "_p" +

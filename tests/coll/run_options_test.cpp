@@ -1,8 +1,7 @@
 // sim::RunOptions — the options struct that replaced the positional
 // run_collective(..., SimOptions{..., bool copy_data}) signature. Pins the
-// documented defaults, the RunOptions -> SimOptions projection, the
-// equivalence of the deprecated transitional overload, and the trace_sink
-// capture path.
+// documented defaults, the RunOptions -> SimOptions projection, and the
+// trace_sink capture path.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -59,22 +58,6 @@ TEST(RunOptionsTest, DefaultRunVerifiesPayload) {
       run_collective(cluster, Topology{2, 4}, Algorithm::kAgRing, 1024);
   EXPECT_TRUE(result.verified);
   EXPECT_GT(result.seconds, 0.0);
-}
-
-TEST(RunOptionsTest, DeprecatedSimOptionsOverloadMatchesRunOptions) {
-  const auto& cluster = sim::cluster_by_name("Frontera");
-  const Topology topo{4, 8};
-  const RunOptions run{PayloadMode::kTimingOnly, 0.1, 55};
-  const SimOptions legacy{0.1, 55, PayloadMode::kTimingOnly};
-  const double current =
-      run_collective(cluster, topo, Algorithm::kAaPairwise, 2048, run).seconds;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const double deprecated =
-      run_collective(cluster, topo, Algorithm::kAaPairwise, 2048, legacy)
-          .seconds;
-#pragma GCC diagnostic pop
-  EXPECT_EQ(current, deprecated);
 }
 
 TEST(RunOptionsTest, TraceSinkWritesMetricsWithSimCounters) {

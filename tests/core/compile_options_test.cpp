@@ -1,8 +1,7 @@
 // core::CompileOptions — the single options struct that replaced the
 // positional (nodes, ppn, sizes) span triple across the online stage.
 // Pins defaults, validation, the empty-grid fallback to the cluster's own
-// benchmarked sweep, the filesystem cache behaviour, and the deprecated
-// transitional overloads.
+// benchmarked sweep, and the filesystem cache behaviour.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -95,21 +94,6 @@ TEST(CompileOptionsTest, FilesystemCacheWritesAndReloadsTheTable) {
   const TuningTable cached = fw.compile_or_cached(cluster, options);
   EXPECT_EQ(cached.to_json().dump(), fresh.to_json().dump());
   fs::remove_all(dir);
-}
-
-TEST(CompileOptionsTest, DeprecatedSpanOverloadMatchesCompileOptions) {
-  auto& fw = shared_framework();
-  const auto& cluster = sim::cluster_by_name("MRI");
-  const std::vector<int> nodes{2, 4};
-  const std::vector<int> ppn{16};
-  const std::vector<std::uint64_t> sizes{1024, 65536};
-  const TuningTable current =
-      fw.compile_for(cluster, CompileOptions::sweep(nodes, ppn, sizes));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const TuningTable legacy = fw.compile_for(cluster, nodes, ppn, sizes);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(current.to_json().dump(), legacy.to_json().dump());
 }
 
 TEST(CompileOptionsTest, ThreadCountDoesNotChangeTheTable) {

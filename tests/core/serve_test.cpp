@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "common/strings.hpp"
 #include "common/version.hpp"
 #include "core/framework.hpp"
+#include "obs/obs.hpp"
 
 namespace pml::core {
 namespace {
@@ -485,6 +487,76 @@ TEST_F(ServeTest, DrainingRejectsNewWorkButKeepsHealthOps) {
   const Json health = reply_of(engine, R"({"op":"health"})");
   EXPECT_TRUE(health.at("ok").as_bool());
   EXPECT_TRUE(health.at("draining").as_bool());
+}
+
+TEST_F(ServeTest, StatsReplyAndObsCountersAgreeOnEveryEvent) {
+  const bool was = obs::set_enabled(true);
+  obs::reset();
+  ServeOptions o = options();
+  o.async_compile = true;
+  o.queue_limit = 1;
+  std::atomic<bool> release{false};
+  o.compile_fault = [&release] {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  const std::string mri =
+      R"({"op":"select","cluster":"MRI","collective":"allgather",)"
+      R"("nodes":2,"ppn":16,"msg_bytes":1024)";
+  Json stats;
+  {
+    ServeEngine engine(o);
+    // Miss: the compile parks on compile_fault, the model answers.
+    EXPECT_EQ(reply_of(engine, mri + "}").at("source").as_string(), "model");
+    // Waited miss joining the parked compile: its deadline expires.
+    EXPECT_EQ(reply_of(engine, mri + R"(,"wait":true,"deadline_ms":0})")
+                  .at("deadline")
+                  .as_string(),
+              "expired");
+    // Miss needing a second job while the queue is full: shed.
+    EXPECT_EQ(reply_of(engine,
+                       R"({"op":"select","cluster":"RI","collective":)"
+                       R"("allgather","nodes":2,"ppn":16,"msg_bytes":1024})")
+                  .at("source")
+                  .as_string(),
+              "shed");
+    release.store(true);
+    engine.drain();
+    // Hit on the now-compiled table.
+    EXPECT_EQ(reply_of(engine, mri + "}").at("cache").as_string(), "hit");
+    // Model gone: a waited miss lands on the heuristic rung.
+    std::filesystem::remove(model_path());
+    EXPECT_EQ(reply_of(engine,
+                       R"({"op":"select","cluster":"Rome","collective":)"
+                       R"("alltoall","nodes":2,"ppn":16,"msg_bytes":1024,)"
+                       R"("wait":true})")
+                  .at("source")
+                  .as_string(),
+              "heuristic");
+    // Parse error, then a draining rejection: both are errors.
+    EXPECT_FALSE(reply_of(engine, "{not json").at("ok").as_bool());
+    engine.begin_drain();
+    EXPECT_TRUE(reply_of(engine, mri + "}").at("draining").as_bool());
+    stats = reply_of(engine, R"({"op":"stats"})");
+  }
+  EXPECT_EQ(stats.at("cache_hits").as_int(), 1);
+  EXPECT_EQ(stats.at("shed").as_int(), 1);
+  EXPECT_EQ(stats.at("deadline_expired").as_int(), 1);
+  EXPECT_EQ(stats.at("degraded").as_int(), 2);
+  EXPECT_EQ(stats.at("errors").as_int(), 2);
+
+  std::map<std::string, std::uint64_t> counters;
+  for (const obs::CounterSample& c : obs::snapshot().counters) {
+    counters[c.name] = c.value;
+  }
+  for (const ServeEventRow& row : kServeEvents) {
+    EXPECT_EQ(static_cast<std::uint64_t>(stats.at(row.reply_key).as_int()),
+              counters[row.counter])
+        << row.reply_key << " vs " << row.counter;
+  }
+  obs::reset();
+  obs::set_enabled(was);
 }
 
 TEST_F(ServeTest, StdioTransportRoundTrips) {
