@@ -30,22 +30,39 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept {
   return hash;
 }
 
-std::string payload_checksum(const Json& payload) {
+namespace {
+
+std::string checksum_of_dump(std::string_view payload_dump) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "fnv1a64:%016llx",
-                static_cast<unsigned long long>(fnv1a64(payload.dump())));
+                static_cast<unsigned long long>(fnv1a64(payload_dump)));
   return buf;
+}
+
+}  // namespace
+
+std::string payload_checksum(const Json& payload) {
+  return checksum_of_dump(payload.dump());
 }
 
 void write_artifact(const std::string& path, const Json& payload,
                     std::string_view kind, int schema_version) {
-  Json envelope = Json::object();
-  envelope["format"] = std::string(kArtifactFormat);
-  envelope["kind"] = std::string(kind);
-  envelope["schema"] = schema_version;
-  envelope["checksum"] = payload_checksum(payload);
-  envelope["payload"] = payload;
-  write_file_atomic(path, envelope.dump(2) + "\n");
+  // The envelope's compact dump(), spliced by hand: the payload is dumped
+  // once (that text is also what the checksum covers) and never
+  // deep-copied into an envelope Json.
+  const std::string body = payload.dump();
+  Json head = Json::object();
+  head["format"] = std::string(kArtifactFormat);
+  head["kind"] = std::string(kind);
+  head["schema"] = schema_version;
+  head["checksum"] = checksum_of_dump(body);
+  std::string text = head.dump();
+  text.pop_back();  // reopen the object: "payload" is its last key
+  text.reserve(text.size() + body.size() + 14);
+  text += ",\"payload\":";
+  text += body;
+  text += "}\n";
+  write_file_atomic(path, text);
 }
 
 bool is_artifact_envelope(const Json& doc) noexcept {
@@ -54,7 +71,7 @@ bool is_artifact_envelope(const Json& doc) noexcept {
   return format.is_string() && format.as_string() == kArtifactFormat;
 }
 
-Json artifact_payload(const Json& doc, std::string_view kind,
+Json artifact_payload(Json doc, std::string_view kind,
                       int schema_version, bool allow_legacy) {
   if (!is_artifact_envelope(doc)) {
     if (allow_legacy) return doc;
@@ -74,14 +91,13 @@ Json artifact_payload(const Json& doc, std::string_view kind,
   if (!doc.contains("payload")) {
     throw JsonError("artifact envelope has no payload");
   }
-  const Json& payload = doc.at("payload");
-  const std::string expected = payload_checksum(payload);
+  const std::string expected = payload_checksum(doc.at("payload"));
   if (!doc.contains("checksum") || !doc.at("checksum").is_string() ||
       doc.at("checksum").as_string() != expected) {
     throw JsonError("artifact checksum mismatch for kind '" +
                     std::string(kind) + "' (content corrupt?)");
   }
-  return payload;
+  return std::move(doc["payload"]);
 }
 
 const char* to_string(ArtifactStatus status) noexcept {

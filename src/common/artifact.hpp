@@ -44,7 +44,9 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 std::string payload_checksum(const Json& payload);
 
 /// Wrap `payload` in a pml-artifact-v1 envelope and write it atomically
-/// (write_file_atomic). Throws IoError on filesystem failure.
+/// (write_file_atomic) as compact single-line JSON plus a newline. Readers
+/// accept any JSON whitespace, so pretty-printed artifacts from earlier
+/// releases load and verify unchanged. Throws IoError on filesystem failure.
 void write_artifact(const std::string& path, const Json& payload,
                     std::string_view kind, int schema_version = 1);
 
@@ -55,8 +57,9 @@ bool is_artifact_envelope(const Json& doc) noexcept;
 /// payload; throws JsonError on any mismatch (a checksum mismatch means the
 /// content is corrupt). A document without the envelope is returned
 /// unchanged when `allow_legacy` (pre-envelope artifacts stay loadable) and
-/// rejected otherwise.
-Json artifact_payload(const Json& doc, std::string_view kind,
+/// rejected otherwise. Pass the document as an rvalue to move the payload
+/// out instead of copying it.
+Json artifact_payload(Json doc, std::string_view kind,
                       int schema_version = 1, bool allow_legacy = true);
 
 /// `pml doctor` verdict for one on-disk artifact.

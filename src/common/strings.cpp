@@ -1,15 +1,14 @@
 #include "common/strings.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
 
@@ -73,16 +72,47 @@ std::string format_double(double value, int precision) {
 }
 
 std::string read_file(const std::string& path) {
-  // Opening a directory "succeeds" on Linux and reads silently yield
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw IoError("cannot open file for reading: " + path);
+  const struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    throw IoError("cannot stat file: " + path + ": " + std::strerror(errno));
+  }
+  // Opening a directory "succeeds" on Linux and reads fail or yield
   // nothing; surface it as the IO failure it is.
-  if (std::filesystem::is_directory(path)) {
+  if (S_ISDIR(st.st_mode)) {
     throw IoError("cannot read a directory: " + path);
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open file for reading: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  const auto read_some = [&](char* into, std::size_t len) -> std::size_t {
+    while (true) {
+      const ::ssize_t n = ::read(fd, into, len);
+      if (n >= 0) return static_cast<std::size_t>(n);
+      if (errno != EINTR) {
+        throw IoError("read failed: " + path + ": " + std::strerror(errno));
+      }
+    }
+  };
+  // Size the buffer from fstat and read straight into it: one allocation,
+  // one copy. Multi-MB model artifacts are re-read on every serve compile.
+  std::string out(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t used = 0;
+  while (used < out.size()) {
+    const std::size_t n = read_some(out.data() + used, out.size() - used);
+    if (n == 0) break;  // shrank since fstat
+    used += n;
+  }
+  out.resize(used);
+  // Whatever lies past the fstat size: a file still growing, or one that
+  // reports no size at all (pipes, /proc).
+  char chunk[16384];
+  while (const std::size_t n = read_some(chunk, sizeof chunk)) {
+    out.append(chunk, n);
+  }
+  return out;
 }
 
 void write_file(const std::string& path, std::string_view contents) {

@@ -151,7 +151,7 @@ std::optional<TuningTable> load_cached_table(const std::filesystem::path& path,
   }
 
   try {
-    const Json doc = Json::parse(text);
+    Json doc = Json::parse(text);
     if (!is_artifact_envelope(doc)) {
       // Pre-envelope cache entries carry no checksum, so a silent
       // corruption would be served as-is: recompile and rewrite them in
@@ -163,7 +163,8 @@ std::optional<TuningTable> load_cached_table(const std::filesystem::path& path,
       return std::nullopt;
     }
     return TuningTable::from_json(
-        artifact_payload(doc, kTableArtifactKind, 1, /*allow_legacy=*/false));
+        artifact_payload(std::move(doc), kTableArtifactKind, 1,
+                         /*allow_legacy=*/false));
   } catch (const Error& err) {
     static obs::Counter corrupt("online.fallback.cache_corrupt");
     corrupt.increment();
@@ -509,8 +510,7 @@ PmlFramework PmlFramework::load(const Json& j) {
 }
 
 PmlFramework PmlFramework::load_file(const std::string& path) {
-  const Json doc = Json::parse(read_file(path));
-  return load(artifact_payload(doc, "model"));
+  return load(artifact_payload(Json::parse(read_file(path)), "model"));
 }
 
 CompileOptions resolve_compile_sweep(const sim::ClusterSpec& cluster,

@@ -194,68 +194,82 @@ std::size_t ServeCache::size() const {
 
 // --- ModelHost --------------------------------------------------------------
 
-ModelHost::ModelHost(std::string path) : path_(std::move(path)) {
-  if (path_.empty()) return;
+ModelHost::ModelHost(std::string path)
+    : path_(std::move(path)), snapshot_(std::make_shared<const Snapshot>()) {
+  if (!path_.empty()) revalidate();
+}
+
+std::shared_ptr<const ModelHost::Snapshot> ModelHost::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  load_locked();
+  return snapshot_;
 }
 
 std::shared_ptr<PmlFramework> ModelHost::framework() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return framework_;
+  return snapshot_->framework;
 }
 
 std::string ModelHost::checksum() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return checksum_;
+  return snapshot_->checksum;
 }
 
 bool ModelHost::revalidate() {
   if (path_.empty()) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  return load_locked();
-}
-
-bool ModelHost::load_locked() {
+  static obs::Counter unusable("serve.model.unusable");
+  // Ticket first: a revalidation that read the file earlier must never
+  // overwrite what a later reading published.
+  const std::uint64_t ticket = tickets_.fetch_add(1) + 1;
   std::string bytes;
   try {
     bytes = read_file(path_);
   } catch (const Error& err) {
-    if (framework_ != nullptr) {
-      static obs::Counter unusable("serve.model.unusable");
+    if (snapshot()->framework != nullptr) {
       unusable.increment();
       warn("serve: model artifact became unreadable (" +
            std::string(err.what()) + "); degrading to heuristic serving");
     }
-    framework_.reset();
-    checksum_.clear();
-    return false;
+    return publish(ticket, std::make_shared<const Snapshot>());
   }
-  const std::string sum = "fnv1a64:" + hex16(fnv1a64(bytes));
-  if (sum == checksum_ && framework_ != nullptr) return true;  // unchanged
+  std::string sum = "fnv1a64:" + hex16(fnv1a64(bytes));
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (ticket < published_ticket_) return snapshot_->framework != nullptr;
+    if (snapshot_->framework != nullptr && snapshot_->checksum == sum) {
+      published_ticket_ = ticket;  // unchanged: confirm, don't reload
+      return true;
+    }
+  }
+  auto next = std::make_shared<Snapshot>();
   try {
-    const Json doc = Json::parse(bytes);
-    auto loaded = std::make_shared<PmlFramework>(
-        PmlFramework::load(artifact_payload(doc, "model")));
-    framework_ = std::move(loaded);
-    checksum_ = sum;
+    next->framework = std::make_shared<PmlFramework>(
+        PmlFramework::load(artifact_payload(Json::parse(bytes), "model")));
+    next->checksum = std::move(sum);
     static obs::Counter reloaded("serve.model.loaded");
     reloaded.increment();
-    return true;
   } catch (const Error& err) {
     // The artifact on disk is the model's source of truth: once its
     // bytes no longer validate, keep serving heuristics rather than
     // answers from a bundle we can no longer vouch for. Tables already
     // cached under the old checksum stay servable (they were compiled
     // from a then-valid model), so established clients see no errors.
-    static obs::Counter unusable("serve.model.unusable");
     unusable.increment();
     warn("serve: model artifact failed to load (" + std::string(err.what()) +
          "); degrading to heuristic serving");
-    framework_.reset();
-    checksum_.clear();
-    return false;
   }
+  return publish(ticket, std::move(next));
+}
+
+bool ModelHost::publish(std::uint64_t ticket,
+                        std::shared_ptr<const Snapshot> next) {
+  // Declared before the lock so a replaced model is freed after unlock.
+  std::shared_ptr<const Snapshot> replaced;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (ticket > published_ticket_) {
+    published_ticket_ = ticket;
+    replaced = std::exchange(snapshot_, std::move(next));
+  }
+  return snapshot_->framework != nullptr;
 }
 
 // --- ServeEngine ------------------------------------------------------------
@@ -396,14 +410,18 @@ void ServeEngine::run_compile(const std::shared_ptr<CompileJob>& job,
     // Re-read the artifact first: this is both how a redeployed model is
     // picked up and how a corrupted one drops the ladder to heuristics.
     model_.revalidate();
-    if (const std::shared_ptr<PmlFramework> framework = model_.framework()) {
+    const std::shared_ptr<const ModelHost::Snapshot> model = model_.snapshot();
+    if (model->framework != nullptr) {
       auto entry = std::make_shared<ServedTable>();
-      entry->table = framework->compile_for(cluster, resolved);
+      entry->table = model->framework->compile_for(cluster, resolved);
       entry->json = entry->table.to_json().dump();
-      // Key under the model's *current* identity: if the artifact was
-      // swapped while this job sat in the queue, cache under the new
-      // checksum so the next request (which recomputes the key) hits.
-      cache_.put(cache_key(model_.checksum(), cluster, resolved), entry);
+      // Key under the checksum of the model that compiled the table: both
+      // come from one snapshot, so a reload landing mid-compile cannot
+      // file model A's table under model B's key. The snapshot postdates
+      // the revalidation, so if the artifact was swapped while this job
+      // sat in the queue the table lands under the new checksum, which
+      // the next request recomputes and hits.
+      cache_.put(cache_key(model->checksum, cluster, resolved), entry);
       note(Event::kCompile);
       result = std::move(entry);
     }
@@ -650,7 +668,10 @@ std::string ServeEngine::handle_select(const Json& request) {
              (framework = model_.framework()) != nullptr) {
     // Miss, model healthy: answer by direct inference while the table
     // compiles in the background. Same model, same quality — not a
-    // degraded reply.
+    // degraded reply. The model is read after the probe, not with the
+    // keying checksum: a waited compile may just have found the artifact
+    // corrupt, and then this reply must degrade too. Nothing is cached
+    // from it, so no checksum is paired with this framework.
     source = "model";
     selection =
         batched_model_select(*framework, *cluster, collective, topo, msg_bytes);
@@ -742,9 +763,9 @@ std::string ServeEngine::handle_stats() {
   reply["breaker"] = std::string(to_string(breaker_state()));
   reply["draining"] = draining();
   reply["tables_cached"] = static_cast<std::int64_t>(cache_.size());
-  reply["model_loaded"] = model_loaded();
-  const std::string checksum = model_.checksum();
-  if (!checksum.empty()) reply["model_checksum"] = checksum;
+  const std::shared_ptr<const ModelHost::Snapshot> model = model_.snapshot();
+  reply["model_loaded"] = model->framework != nullptr;
+  if (!model->checksum.empty()) reply["model_checksum"] = model->checksum;
   return reply.dump();
 }
 
@@ -761,14 +782,14 @@ std::string ServeEngine::handle_health() {
   reply["max_connections"] = options_.max_connections;
   reply["draining"] = draining();
   reply["tables_cached"] = static_cast<std::int64_t>(cache_.size());
-  reply["model_loaded"] = model_loaded();
-  const std::string checksum = model_.checksum();
-  if (!checksum.empty()) reply["model_checksum"] = checksum;
+  const std::shared_ptr<const ModelHost::Snapshot> model = model_.snapshot();
+  reply["model_loaded"] = model->framework != nullptr;
+  if (!model->checksum.empty()) reply["model_checksum"] = model->checksum;
   // Which degradation-ladder rungs can answer right now. "heuristic" is
   // definitionally always available — that is the ladder's floor.
   Json rungs = Json::object();
   rungs["table"] = cache_.size() > 0;
-  rungs["model"] = model_loaded();
+  rungs["model"] = model->framework != nullptr;
   rungs["heuristic"] = true;
   reply["rungs"] = std::move(rungs);
   return reply.dump();

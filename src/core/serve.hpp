@@ -181,32 +181,52 @@ class ServeCache {
 /// the engine to heuristic-only serving (the file on disk is the source
 /// of truth — the in-memory copy is not kept once it can no longer be
 /// vouched for).
+///
+/// The model and its checksum are published together as one immutable
+/// Snapshot, so no reader can pair one model with another's identity.
+/// revalidate() reads, hashes and parses without holding any lock; the
+/// lock covers only the snapshot pointer, so selects never wait behind a
+/// compile's I/O and concurrent revalidations do not queue.
 class ModelHost {
  public:
+  /// One published model state; never mutated after publication.
+  struct Snapshot {
+    /// The model, or nullptr while degraded. Safe for concurrent
+    /// select()/compile_for() (see framework.hpp).
+    std::shared_ptr<PmlFramework> framework;
+    /// "fnv1a64:<16 hex>" over the artifact file bytes; "" while degraded.
+    std::string checksum;
+  };
+
   /// Lenient: a missing/corrupt artifact logs a warning and starts
   /// degraded instead of throwing. An empty path never loads.
   explicit ModelHost(std::string path);
 
   bool has_path() const noexcept { return !path_.empty(); }
 
-  /// Current model, or nullptr while degraded. The framework is safe
-  /// for concurrent select()/compile_for() (see framework.hpp).
+  /// The current snapshot; never null.
+  std::shared_ptr<const Snapshot> snapshot() const;
+  /// One field of the current snapshot, without taking a reference to
+  /// the snapshot itself (the cached-select path reads only the checksum).
   std::shared_ptr<PmlFramework> framework() const;
-
-  /// "fnv1a64:<16 hex>" over the artifact file bytes; "" while degraded.
   std::string checksum() const;
 
-  /// Re-read the artifact; reload if its bytes changed. Returns true
-  /// when a usable model is loaded afterwards.
+  /// Re-read and re-hash the whole artifact; reload if its bytes changed.
+  /// Returns true when a usable model is loaded afterwards.
   bool revalidate();
 
  private:
-  bool load_locked();
+  /// Publish `next` unless a revalidation that took a later ticket has
+  /// already published (or confirmed) its own reading of the file.
+  /// Returns whether the published snapshot then holds a model.
+  bool publish(std::uint64_t ticket, std::shared_ptr<const Snapshot> next);
 
-  mutable std::mutex mutex_;
   std::string path_;
-  std::shared_ptr<PmlFramework> framework_;
-  std::string checksum_;
+  /// Handed out before each read, so results publish in read order.
+  std::atomic<std::uint64_t> tickets_{0};
+  mutable std::mutex mutex_;  ///< guards snapshot_ and published_ticket_
+  std::shared_ptr<const Snapshot> snapshot_;
+  std::uint64_t published_ticket_ = 0;
 };
 
 /// The transport-independent request handler. Thread-safe: handle_line

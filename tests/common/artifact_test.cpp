@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -55,6 +56,36 @@ TEST(Fnv1a64, ChecksumSurvivesParseDumpRoundTrip) {
   const std::string checksum = payload_checksum(payload);
   const Json reparsed = Json::parse(payload.dump(2));
   EXPECT_EQ(payload_checksum(reparsed), checksum);
+}
+
+/// The envelope exactly as write_artifact lays it out, as a Json value.
+Json envelope_of(const Json& payload, std::string_view kind) {
+  Json envelope = Json::object();
+  envelope["format"] = std::string(kArtifactFormat);
+  envelope["kind"] = std::string(kind);
+  envelope["schema"] = 1;
+  envelope["checksum"] = payload_checksum(payload);
+  envelope["payload"] = payload;
+  return envelope;
+}
+
+TEST_F(ArtifactTest, WritesCompactSingleLineEnvelope) {
+  const std::string file = path("compact.json");
+  write_artifact(file, sample_payload(), "sample");
+  const std::string bytes = read_file(file);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes.find('\n'), bytes.size() - 1);  // one line plus "\n"
+  EXPECT_EQ(bytes, envelope_of(sample_payload(), "sample").dump() + "\n");
+  EXPECT_EQ(Json::parse(bytes).at("checksum").as_string(),
+            payload_checksum(sample_payload()));
+}
+
+TEST_F(ArtifactTest, PrettyPrintedEnvelopeFromEarlierReleasesStillVerifies) {
+  const std::string file = path("pretty.json");
+  write_file(file, envelope_of(sample_payload(), "sample").dump(2) + "\n");
+  EXPECT_EQ(inspect_artifact(file).status, ArtifactStatus::kOk);
+  EXPECT_EQ(artifact_payload(Json::parse(read_file(file)), "sample"),
+            sample_payload());
 }
 
 TEST_F(ArtifactTest, WriteAndLoadRoundTrip) {
@@ -119,9 +150,11 @@ TEST_F(ArtifactTest, InspectClassifiesEveryVerdict) {
 
   const std::string flipped = path("flipped.json");
   std::string bytes = read_file(ok);
-  const std::size_t value_at = bytes.find("\"value\": 42");
+  const std::size_t key_at = bytes.find("\"value\"");
+  ASSERT_NE(key_at, std::string::npos);
+  const std::size_t value_at = bytes.find("42", key_at);
   ASSERT_NE(value_at, std::string::npos);
-  bytes[value_at + 10] = '9';  // payload changed under the checksum
+  bytes[value_at + 1] = '9';  // payload changed under the checksum
   write_file(flipped, bytes);
   EXPECT_EQ(inspect_artifact(flipped).status, ArtifactStatus::kCorrupt);
 

@@ -139,6 +139,27 @@ TEST_F(DoctorRepairTest, HealthyEnvelopeUntouched) {
   EXPECT_EQ(read_file(file), before);
 }
 
+TEST_F(DoctorRepairTest, PrettyPrintedEnvelopeFromEarlierReleasesUntouched) {
+  // Earlier releases wrote envelopes with dump(2); the layout changed to
+  // compact, but a valid old file is not damage and must not be rewritten.
+  Json payload = Json::object();
+  payload["value"] = 42;
+  Json envelope = Json::object();
+  envelope["format"] = std::string(kArtifactFormat);
+  envelope["kind"] = std::string("model");
+  envelope["schema"] = 1;
+  envelope["checksum"] = payload_checksum(payload);
+  envelope["payload"] = payload;
+  const std::string file = path("pretty.json");
+  write_file(file, envelope.dump(2) + "\n");
+  const std::string before = read_file(file);
+
+  const RepairResult result = repair_artifact(file);
+  EXPECT_EQ(result.info.status, ArtifactStatus::kOk);
+  EXPECT_EQ(result.action, RepairAction::kNone);
+  EXPECT_EQ(read_file(file), before);
+}
+
 TEST_F(DoctorRepairTest, StaleSchemaUntouched) {
   Json payload = Json::object();
   payload["value"] = 7;

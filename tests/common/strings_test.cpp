@@ -71,6 +71,38 @@ TEST(Strings, FileRoundTrip) {
   std::filesystem::remove(path);
 }
 
+TEST(Strings, ReadFileIsByteExactForMultiMegabyteBinary) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "pml_strings_test_big.bin")
+          .string();
+  std::string contents(3 * 1024 * 1024 + 17, '\0');
+  for (std::size_t i = 0; i < contents.size(); ++i) {
+    contents[i] = static_cast<char>((i * 131) % 256);  // NULs every 256 bytes
+  }
+  write_file(path, contents);
+  EXPECT_EQ(read_file(path), contents);
+  std::filesystem::remove(path);
+}
+
+TEST(Strings, ReadEmptyFileIsEmpty) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "pml_strings_test_empty.txt")
+          .string();
+  write_file(path, "");
+  EXPECT_EQ(read_file(path), "");
+  std::filesystem::remove(path);
+}
+
+TEST(Strings, ReadFileWithoutAReportedSizeReadsToEnd) {
+  // procfs reports size 0; the contents must still come back whole.
+  EXPECT_NE(read_file("/proc/self/status").find("Name:"), std::string::npos);
+}
+
+TEST(Strings, ReadDirectoryThrowsIoError) {
+  EXPECT_THROW(
+      read_file(std::filesystem::temp_directory_path().string()), IoError);
+}
+
 TEST(Strings, ReadMissingFileThrows) {
   EXPECT_THROW(read_file("/nonexistent/path/file.txt"), Error);
 }

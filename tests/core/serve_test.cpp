@@ -11,8 +11,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -237,6 +239,113 @@ TEST_F(ServeTest, TableRepliesAreByteStableAcrossRequests) {
             trained().compile_for(sim::cluster_by_name("MRI"),
                                   options().compile)
                 .lookup(coll::Collective::kAllgather, 2, 16, 1024));
+}
+
+/// "fnv1a64:<16 hex>" over a file's bytes: the identity ModelHost reports.
+std::string file_checksum(const std::string& path) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "fnv1a64:%016llx",
+                static_cast<unsigned long long>(fnv1a64(read_file(path))));
+  return buf;
+}
+
+TEST_F(ServeTest, SameLengthCorruptionIsCaughtOnTheNextWaitedMiss) {
+  ServeEngine engine(options());
+  const auto waited_select = [&](const std::string& cluster) {
+    return reply_of(engine, R"({"op":"select","cluster":")" + cluster +
+                                R"(","collective":"allgather","nodes":2,)"
+                                R"("ppn":16,"msg_bytes":1024,"wait":true})");
+  };
+  EXPECT_EQ(waited_select("MRI").at("source").as_string(), "table");
+
+  // Flip one threshold digit in place: same size, and the old mtime put
+  // back, so only hashing the full bytes can tell the files apart.
+  const std::string pristine = read_file(model_path());
+  const auto mtime = std::filesystem::last_write_time(model_path());
+  std::string corrupt = pristine;
+  const std::size_t key_at = corrupt.find("\"threshold\":");
+  ASSERT_NE(key_at, std::string::npos);
+  const std::size_t digit = corrupt.find_first_of("0123456789", key_at);
+  ASSERT_NE(digit, std::string::npos);
+  corrupt[digit] = corrupt[digit] == '9' ? '8' : '9';
+  write_file(model_path(), corrupt);
+  std::filesystem::last_write_time(model_path(), mtime);
+  ASSERT_EQ(std::filesystem::file_size(model_path()), pristine.size());
+
+  const Json degraded = waited_select("RI");
+  ASSERT_TRUE(degraded.at("ok").as_bool());
+  EXPECT_TRUE(degraded.at("degraded").as_bool());
+  EXPECT_EQ(degraded.at("source").as_string(), "heuristic");
+  const Json degraded_table =
+      reply_of(engine, R"({"op":"table","cluster":"Rome","wait":true})");
+  EXPECT_TRUE(degraded_table.at("degraded").as_bool());
+  EXPECT_EQ(degraded_table.at("source").as_string(), "heuristic");
+  EXPECT_FALSE(engine.model_loaded());
+
+  // Restoring the pristine bytes restores full-quality serving.
+  write_file(model_path(), pristine);
+  const Json recovered = waited_select("Frontera");
+  ASSERT_TRUE(recovered.at("ok").as_bool());
+  EXPECT_FALSE(recovered.at("degraded").as_bool());
+  EXPECT_EQ(recovered.at("source").as_string(), "table");
+}
+
+TEST_F(ServeTest, ConcurrentRevalidationsOfAnUnchangedArtifactAgree) {
+  ModelHost host(model_path());
+  const std::shared_ptr<const ModelHost::Snapshot> before = host.snapshot();
+  ASSERT_NE(before->framework, nullptr);
+
+  std::atomic<int> ready{0};
+  std::array<bool, 2> results{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      results[t] = host.revalidate();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_TRUE(results[0]);
+  EXPECT_TRUE(results[1]);
+  EXPECT_EQ(host.snapshot()->checksum, file_checksum(model_path()));
+  // Unchanged bytes confirm the snapshot; nothing is re-parsed.
+  EXPECT_EQ(host.snapshot(), before);
+}
+
+TEST_F(ServeTest, PrettyPrintedModelFromEarlierReleasesStillLoads) {
+  // Earlier releases wrote the same envelope with dump(2).
+  const Json payload = trained().to_json();
+  Json envelope = Json::object();
+  envelope["format"] = std::string(kArtifactFormat);
+  envelope["kind"] = std::string("model");
+  envelope["schema"] = 1;
+  envelope["checksum"] = payload_checksum(payload);
+  envelope["payload"] = payload;
+  const std::string pretty = (dir_ / "pretty.json").string();
+  write_file(pretty, envelope.dump(2) + "\n");
+  const std::string before = read_file(pretty);
+
+  const sim::ClusterSpec& mri = sim::cluster_by_name("MRI");
+  const std::string expected =
+      trained().compile_for(mri, options().compile).to_json().dump();
+  EXPECT_EQ(inspect_artifact(pretty).status, ArtifactStatus::kOk);
+  EXPECT_EQ(PmlFramework::load_file(pretty)
+                .compile_for(mri, options().compile)
+                .to_json()
+                .dump(),
+            expected);
+
+  ModelHost host(pretty);
+  ASSERT_NE(host.framework(), nullptr);
+  EXPECT_EQ(host.checksum(), file_checksum(pretty));
+  EXPECT_EQ(
+      host.framework()->compile_for(mri, options().compile).to_json().dump(),
+      expected);
+
+  EXPECT_EQ(repair_artifact(pretty).action, RepairAction::kNone);
+  EXPECT_EQ(read_file(pretty), before);
 }
 
 TEST_F(ServeTest, NoModelServesHeuristicsMarkedDegraded) {
