@@ -9,9 +9,10 @@
 //
 // The headline series tracked across PRs: BM_SingleInference,
 // BM_CompileTuningTable/threads:1, BM_TrainFramework/threads:1, plus the
-// ML-layer BM_* kernels below. BM_ForestPredictProba (model-only time) and
-// BM_RuntimeTableLookup (one application-runtime lookup) complete the
-// paper's online-stage picture.
+// ML-layer BM_* kernels below (BM_TreeFitPml is the split finder on the
+// real training matrix; BM_TreeFit's synthetic data is mostly continuous).
+// BM_ForestPredictProba (model-only time) and BM_RuntimeTableLookup (one
+// application-runtime lookup) complete the paper's online-stage picture.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -21,6 +22,7 @@
 #include <new>
 
 #include "bench_util.hpp"
+#include "core/dataset_builder.hpp"
 #include "core/features.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
@@ -109,6 +111,39 @@ void BM_TreeFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TreeFit)->Arg(0)->Arg(1)->ArgName("reference")
+    ->Unit(benchmark::kMillisecond);
+
+// One tree fit on the real allgather training matrix (the `pml train
+// --exclude Frontera,MRI` table): discrete hardware columns and small
+// message/node/ppn grids, the shape the rank-histogram finder targets.
+// Ranks are built once outside the loop, as RandomForest::fit does, so the
+// timed loop is the split finder alone.
+void BM_TreeFitPml(benchmark::State& state) {
+  static const ml::Dataset d = [] {
+    const auto options = bench::default_train_options();
+    const auto records = core::build_records(
+        bench::clusters_except({"Frontera", "MRI"}),
+        coll::Collective::kAllgather, options.build);
+    return core::to_ml_dataset(records, coll::Collective::kAllgather);
+  }();
+  static const ml::ColumnRanks ranks(d.x);
+  Rng sample_rng(3);
+  std::vector<std::size_t> sample(d.size());
+  for (auto& s : sample) {
+    s = static_cast<std::size_t>(sample_rng.uniform_index(d.size()));
+  }
+  ml::TreeParams tp;
+  tp.max_features = 6;  // TrainOptions::forest default
+  tp.reference_splitter = state.range(0) != 0;
+  for (auto _ : state) {
+    ml::DecisionTree tree(tp);
+    Rng rng(7);
+    tree.fit(d.x, ranks, d.y, d.num_classes, rng, sample);
+    benchmark::DoNotOptimize(tree.node_count());
+  }
+  state.counters["rows"] = static_cast<double>(d.size());
+}
+BENCHMARK(BM_TreeFitPml)->Arg(0)->Arg(1)->ArgName("reference")
     ->Unit(benchmark::kMillisecond);
 
 void BM_ForestFit(benchmark::State& state) {

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "obs/export.hpp"
 
@@ -25,22 +24,17 @@ bool probes_features(const TrainOptions& options) {
          static_cast<std::size_t>(options.top_features) < feature_count();
 }
 
-/// The RNG streams one collective's training consumes. Split off the master
-/// RNG sequentially, in collective order, before any parallel dispatch —
-/// this reproduces the serial split() sequence exactly, so the trained
-/// bundle is bit-identical at any thread count.
+/// The RNG streams one collective's training consumes, split off the master
+/// RNG in collective order.
 struct PartSeeds {
   Rng probe;
   Rng fit;
 };
 
-std::vector<PartSeeds> split_seeds(Rng& rng, std::size_t parts,
-                                   const TrainOptions& options) {
-  std::vector<PartSeeds> seeds(parts);
-  for (PartSeeds& s : seeds) {
-    if (probes_features(options)) s.probe = rng.split();
-    s.fit = rng.split();
-  }
+PartSeeds split_seeds(Rng& rng, const TrainOptions& options) {
+  PartSeeds seeds;
+  if (probes_features(options)) seeds.probe = rng.split();
+  seeds.fit = rng.split();
   return seeds;
 }
 
@@ -75,9 +69,11 @@ PmlFramework::PerCollective train_part(std::span<const TuningRecord> records,
 }
 
 /// Propagate the framework-level threads knob down to the forest fits and
-/// the dataset sweep. Nested parallel_for calls fall back to serial, so the
-/// knob is safe to forward into every layer unconditionally: whichever layer
-/// reaches the pool first wins, the rest run inline.
+/// the dataset sweep. The collectives are trained one after another from the
+/// calling thread, so every dataset build and every forest fit reaches the
+/// pool itself and fans out over all of its workers. (A parallel_for issued
+/// from a pool worker runs inline, so fanning out over the collectives too
+/// would leave each forest fit serial on one worker.)
 TrainOptions with_forest_threads(const TrainOptions& options) {
   TrainOptions local = options;
   local.forest.threads = options.threads;
@@ -217,19 +213,11 @@ PmlFramework PmlFramework::train(std::span<const sim::ClusterSpec> clusters,
   fw.threads_ = options.threads;
   const TrainOptions local = with_forest_threads(options);
   Rng rng(options.seed);
-  auto seeds = split_seeds(rng, options.collectives.size(), options);
-
-  // Per-collective dataset builds and probe/final fits run concurrently;
-  // results land in pre-sized slots and are registered in collective order.
-  std::vector<PerCollective> parts(options.collectives.size());
-  parallel_for(options.threads, parts.size(), [&](std::size_t i) {
-    const Collective collective = options.collectives[i];
+  for (const Collective collective : options.collectives) {
     obs::Span part_span("train.collective");
     const auto records = build_records(clusters, collective, local.build);
-    parts[i] = train_part(records, collective, local, std::move(seeds[i]));
-  });
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    fw.parts_.emplace(options.collectives[i], std::move(parts[i]));
+    fw.parts_.emplace(collective, train_part(records, collective, local,
+                                             split_seeds(rng, options)));
   }
   if (fw.parts_.empty()) throw TuningError("train: no collectives requested");
   return fw;
@@ -243,19 +231,14 @@ PmlFramework PmlFramework::train_on_records(
   fw.threads_ = options.threads;
   const TrainOptions local = with_forest_threads(options);
   Rng rng(options.seed);
-  auto seeds = split_seeds(rng, 2, options);
-
   const Collective collectives[2] = {Collective::kAllgather,
                                      Collective::kAlltoall};
   const std::span<const TuningRecord> records[2] = {allgather_records,
                                                     alltoall_records};
-  std::vector<PerCollective> parts(2);
-  parallel_for(options.threads, 2, [&](std::size_t i) {
-    parts[i] =
-        train_part(records[i], collectives[i], local, std::move(seeds[i]));
-  });
   for (std::size_t i = 0; i < 2; ++i) {
-    fw.parts_.emplace(collectives[i], std::move(parts[i]));
+    fw.parts_.emplace(collectives[i],
+                      train_part(records[i], collectives[i], local,
+                                 split_seeds(rng, options)));
   }
   return fw;
 }

@@ -35,6 +35,9 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
   tree_rngs.reserve(n_trees);
   for (std::size_t t = 0; t < n_trees; ++t) tree_rngs.push_back(rng.split());
 
+  // Ranked once, shared read-only by every tree fit; also where a
+  // non-finite feature value is rejected.
+  const ColumnRanks ranks(train.x);
   trees_.assign(n_trees, DecisionTree(tp));
   // Per-tree OOB contributions (row index, span into the fitted tree's leaf
   // distribution — no copies), merged in tree order after the barrier so the
@@ -53,13 +56,13 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
         sample[i] = static_cast<std::size_t>(tree_rng.uniform_index(n));
         in_bag[sample[i]] = 1;
       }
-      trees_[t].fit(train.x, train.y, num_classes_, tree_rng, sample);
+      trees_[t].fit(train.x, ranks, train.y, num_classes_, tree_rng, sample);
       for (std::size_t i = 0; i < n; ++i) {
         if (in_bag[i]) continue;
         oob_parts[t].emplace_back(i, trees_[t].leaf_proba_for(train.x.row(i)));
       }
     } else {
-      trees_[t].fit(train.x, train.y, num_classes_, tree_rng);
+      trees_[t].fit(train.x, ranks, train.y, num_classes_, tree_rng, {});
     }
   });
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "ml/flat_forest.hpp"
 #include "obs/obs.hpp"
@@ -60,13 +61,59 @@ struct SplitResult {
 
 }  // namespace
 
+// ---- ColumnRanks -----------------------------------------------------------
+
+ColumnRanks::ColumnRanks(const Matrix& x) : rows_(x.rows()) {
+  if (rows_ > std::numeric_limits<std::uint32_t>::max()) {
+    throw MlError("tree: " + std::to_string(rows_) +
+                  " rows exceed the 32-bit rank range");
+  }
+  const std::size_t cols = x.cols();
+  offsets_.reserve(cols + 1);
+  offsets_.push_back(0);
+  ranks_.resize(rows_ * cols);
+  std::vector<std::pair<double, std::uint32_t>> sorted(rows_);
+  for (std::size_t f = 0; f < cols; ++f) {
+    for (std::size_t r = 0; r < rows_; ++r) {
+      const double v = x.at(r, f);
+      if (!std::isfinite(v)) {
+        throw MlError("tree: non-finite feature value at row " +
+                      std::to_string(r) + ", column " + std::to_string(f));
+      }
+      sorted[r] = {v, static_cast<std::uint32_t>(r)};
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::uint32_t* rank = ranks_.data() + f * rows_;
+    for (std::size_t i = 0; i < rows_; ++i) {
+      // Strict >, so -0.0 and 0.0 share a rank (they compare equal, and the
+      // midpoints they form with any other value are the same).
+      if (i == 0 || sorted[i].first > values_.back()) {
+        values_.push_back(sorted[i].first);
+      }
+      rank[sorted[i].second] =
+          static_cast<std::uint32_t>(values_.size() - 1 - offsets_.back());
+    }
+    offsets_.push_back(values_.size());
+  }
+}
+
 // ---- DecisionTree ----------------------------------------------------------
 
 void DecisionTree::fit(const Matrix& x, std::span<const int> y,
                        int num_classes, Rng& rng,
                        std::span<const std::size_t> samples) {
+  fit(x, ColumnRanks(x), y, num_classes, rng, samples);
+}
+
+void DecisionTree::fit(const Matrix& x, const ColumnRanks& ranks,
+                       std::span<const int> y, int num_classes, Rng& rng,
+                       std::span<const std::size_t> samples) {
   if (x.rows() == 0 || x.rows() != y.size()) {
     throw MlError("tree: bad training shape");
+  }
+  if (ranks.rows() != x.rows() || ranks.cols() != x.cols()) {
+    throw MlError("tree: column ranks do not match the training matrix");
   }
   if (num_classes < 1) throw MlError("tree: num_classes must be >= 1");
   for (std::size_t i = 0; i < y.size(); ++i) {
@@ -94,13 +141,13 @@ void DecisionTree::fit(const Matrix& x, std::span<const int> y,
     return;
   }
   FitWorkspace ws;
-  ws.order.reserve(idx.size());
   ws.features.reserve(x.cols());
+  ws.labels.reserve(idx.size());
   ws.counts.resize(static_cast<std::size_t>(num_classes));
   ws.left.resize(static_cast<std::size_t>(num_classes));
   ws.right.resize(static_cast<std::size_t>(num_classes));
   ws.best_left.resize(static_cast<std::size_t>(num_classes));
-  build(x, y, num_classes, idx, 0, idx.size(), 0,
+  build(x, ranks, y, num_classes, idx, 0, idx.size(), 0,
         static_cast<double>(idx.size()), rng, ws);
   if (obs::enabled()) {
     // Accumulated branchlessly in the split loop; flushed once per fit.
@@ -109,27 +156,38 @@ void DecisionTree::fit(const Matrix& x, std::span<const int> y,
   }
 }
 
-// Optimised split finder. Scores every candidate threshold in O(1) via
-// incrementally-maintained sums of squared class counts instead of two full
-// gini_impurity passes, and draws all scratch from the per-fit workspace.
-// Class counts are integers held exactly in doubles, so the running
-// sum-of-squares updates are exact; the winning split's impurity decrease is
-// then recomputed with gini_impurity from the snapshotted winning histogram,
-// which makes serialized trees (thresholds, leaf distributions AND
-// importances) bit-identical to build_reference.
-int DecisionTree::build(const Matrix& x, std::span<const int> y,
-                        int num_classes, std::vector<std::size_t>& samples,
-                        std::size_t begin, std::size_t end, int level,
-                        double total_samples, Rng& rng, FitWorkspace& ws) {
+// Optimised split finder. Nothing is sorted by value: each candidate
+// feature's class counts per distinct value come from the shared
+// ColumnRanks, by one counting pass into a bins x classes histogram when the
+// column has no more distinct values than the node has samples, else by
+// sorting packed (rank << 32 | class) keys. Candidates are the midpoints of
+// adjacent present values, visited in ascending order as the reference's
+// sorted scan visits them, and each is scored in O(1) from incrementally
+// maintained sums of squared class counts. Class counts are integers held
+// exactly in doubles, so adding a whole bin of m samples of a class
+// (sumsq += 2*l*m + m*m) lands on exactly the value m single-sample steps
+// reach; the winning split's impurity decrease is then recomputed with
+// gini_impurity from the snapshotted winning histogram. Serialized trees
+// (thresholds, leaf distributions AND importances) are therefore
+// bit-identical to build_reference.
+int DecisionTree::build(const Matrix& x, const ColumnRanks& ranks,
+                        std::span<const int> y, int num_classes,
+                        std::vector<std::size_t>& samples, std::size_t begin,
+                        std::size_t end, int level, double total_samples,
+                        Rng& rng, FitWorkspace& ws) {
   depth_ = std::max(depth_, level);
   const std::size_t n = end - begin;
   const auto k = static_cast<std::size_t>(num_classes);
+  const std::span<const std::size_t> node(samples.data() + begin, n);
 
-  // ws.counts/left/right/best_left are only read between here and the
-  // recursive calls below, so one workspace serves every node of the tree.
+  // The workspace is only read between here and the recursive calls below,
+  // so one workspace serves every node of the tree.
   std::fill(ws.counts.begin(), ws.counts.end(), 0.0);
-  for (std::size_t i = begin; i < end; ++i) {
-    ws.counts[static_cast<std::size_t>(y[samples[i]])] += 1.0;
+  ws.labels.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int cls = y[node[i]];
+    ws.labels[i] = static_cast<std::uint32_t>(cls);
+    ws.counts[static_cast<std::size_t>(cls)] += 1.0;
   }
   const double node_gini = gini_impurity(ws.counts);
 
@@ -159,43 +217,82 @@ int DecisionTree::build(const Matrix& x, std::span<const int> y,
       static_cast<double>(n) * (1.0 - node_gini);  // parent impurity baseline
   const double score_tol = static_cast<double>(n) * 1e-15;
   std::size_t best_nl = 0;
+  double sumsq_l = 0.0;
+  double sumsq_r = 0.0;
+
+  // Move m samples of class c from the right child to the left one.
+  auto shift = [&](std::size_t c, double m) {
+    sumsq_l += 2.0 * ws.left[c] * m + m * m;
+    sumsq_r -= 2.0 * ws.right[c] * m - m * m;
+    ws.left[c] += m;
+    ws.right[c] -= m;
+  };
+  // Score the threshold between adjacent present values lo < hi, with the
+  // nl samples valued <= lo on the left.
+  auto consider = [&](std::size_t f, double lo, double hi, std::size_t nl) {
+    ++ws.split_candidates;
+    const auto dl = static_cast<double>(nl);
+    const auto dr = static_cast<double>(n - nl);
+    if (dl < params_.min_samples_leaf || dr < params_.min_samples_leaf) return;
+    const double score = sumsq_l / dl + sumsq_r / dr;
+    if (score > best_score + score_tol) {
+      best.found = true;
+      best.feature = f;
+      best.threshold = 0.5 * (lo + hi);
+      best_score = score;
+      best_nl = nl;
+      std::copy(ws.left.begin(), ws.left.end(), ws.best_left.begin());
+    }
+  };
 
   sample_features_into(x.cols(), params_.max_features, rng, ws.features);
-  ws.order.assign(samples.begin() + static_cast<long>(begin),
-                  samples.begin() + static_cast<long>(end));
-  const std::span<std::size_t> order(ws.order.data(), n);
   for (const std::size_t f : ws.features) {
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return x.at(a, f) < x.at(b, f);
-    });
+    const std::span<const double> values = ranks.values(f);
+    const std::span<const std::uint32_t> rank = ranks.ranks(f);
     std::fill(ws.left.begin(), ws.left.end(), 0.0);
     std::copy(ws.counts.begin(), ws.counts.end(), ws.right.begin());
-    double sumsq_l = 0.0;
-    double sumsq_r = 0.0;
+    sumsq_l = 0.0;
+    sumsq_r = 0.0;
     for (const double c : ws.counts) sumsq_r += c * c;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      const auto cls = static_cast<std::size_t>(y[order[i]]);
-      sumsq_l += 2.0 * ws.left[cls] + 1.0;
-      sumsq_r -= 2.0 * ws.right[cls] - 1.0;
-      ws.left[cls] += 1.0;
-      ws.right[cls] -= 1.0;
-      const double lo = x.at(order[i], f);
-      const double hi = x.at(order[i + 1], f);
-      if (hi <= lo) continue;  // no threshold separates equal values
-      ++ws.split_candidates;
-      const auto nl = static_cast<double>(i + 1);
-      const auto nr = static_cast<double>(n - i - 1);
-      if (nl < params_.min_samples_leaf || nr < params_.min_samples_leaf) {
-        continue;
+    std::size_t nl = 0;
+
+    if (values.size() <= n) {
+      // Counting pass, then the non-empty bins in ascending value order.
+      ws.hist.assign(values.size() * k, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        ++ws.hist[rank[node[i]] * k + ws.labels[i]];
       }
-      const double score = sumsq_l / nl + sumsq_r / nr;
-      if (score > best_score + score_tol) {
-        best.found = true;
-        best.feature = f;
-        best.threshold = 0.5 * (lo + hi);
-        best_score = score;
-        best_nl = i + 1;
-        std::copy(ws.left.begin(), ws.left.end(), ws.best_left.begin());
+      std::size_t prev = 0;
+      for (std::size_t b = 0; nl < n; ++b) {
+        const std::uint32_t* bin = ws.hist.data() + b * k;
+        std::uint32_t in_bin = 0;
+        for (std::size_t c = 0; c < k; ++c) in_bin += bin[c];
+        if (in_bin == 0) continue;
+        if (nl > 0) consider(f, values[prev], values[b], nl);
+        for (std::size_t c = 0; c < k; ++c) {
+          if (bin[c] != 0) shift(c, static_cast<double>(bin[c]));
+        }
+        nl += in_bin;
+        prev = b;
+      }
+    } else {
+      // More distinct values than samples: sort packed keys, so each run of
+      // equal keys is one (value, class) count.
+      ws.keys.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ws.keys[i] = std::uint64_t{rank[node[i]]} << 32 | ws.labels[i];
+      }
+      std::sort(ws.keys.begin(), ws.keys.end());
+      for (std::size_t i = 0; i < n;) {
+        std::size_t j = i + 1;
+        while (j < n && ws.keys[j] == ws.keys[i]) ++j;
+        shift(static_cast<std::size_t>(ws.keys[i] & 0xffffffffu),
+              static_cast<double>(j - i));
+        nl = j;
+        if (j < n && ws.keys[j] >> 32 != ws.keys[i] >> 32) {
+          consider(f, values[ws.keys[i] >> 32], values[ws.keys[j] >> 32], nl);
+        }
+        i = j;
       }
     }
   }
@@ -219,6 +316,8 @@ int DecisionTree::build(const Matrix& x, std::span<const int> y,
   importances_[best.feature] +=
       (static_cast<double>(n) / total_samples) * best.decrease;
 
+  // The exact value test, not a rank test: a midpoint of two adjacent
+  // doubles can round up to the upper value, which then goes left too.
   const auto mid_it = std::partition(
       samples.begin() + static_cast<long>(begin),
       samples.begin() + static_cast<long>(end), [&](std::size_t s) {
@@ -232,10 +331,10 @@ int DecisionTree::build(const Matrix& x, std::span<const int> y,
   nodes_[static_cast<std::size_t>(node_id)].feature =
       static_cast<int>(best.feature);
   nodes_[static_cast<std::size_t>(node_id)].threshold = best.threshold;
-  const int left_id = build(x, y, num_classes, samples, begin, mid, level + 1,
-                            total_samples, rng, ws);
-  const int right_id = build(x, y, num_classes, samples, mid, end, level + 1,
-                             total_samples, rng, ws);
+  const int left_id = build(x, ranks, y, num_classes, samples, begin, mid,
+                            level + 1, total_samples, rng, ws);
+  const int right_id = build(x, ranks, y, num_classes, samples, mid, end,
+                             level + 1, total_samples, rng, ws);
   nodes_[static_cast<std::size_t>(node_id)].left = left_id;
   nodes_[static_cast<std::size_t>(node_id)].right = right_id;
   return node_id;

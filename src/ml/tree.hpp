@@ -19,10 +19,39 @@ struct TreeParams {
   int min_samples_leaf = 1;
   int min_samples_split = 2;
   int max_features = -1;     ///< features tried per split; -1 = all
-  /// Use the retained O(classes)-per-candidate reference split finder
-  /// instead of the incremental-Gini one. Both must produce byte-identical
-  /// trees; the flag exists so tests and benches can compare them.
+  /// Use the retained sort-per-node reference split finder instead of the
+  /// rank-histogram one. Both must produce byte-identical trees; the flag
+  /// exists so tests and benches can compare them.
   bool reference_splitter = false;
+};
+
+/// Per-column value ranks of a feature matrix: column f's distinct values in
+/// ascending order (-0.0 and 0.0 are one value) and, for every row, the
+/// index of its value among them. Built once per forest fit and shared
+/// read-only by every tree fit, so no node ever sorts feature values.
+class ColumnRanks {
+ public:
+  /// Throws MlError naming the row and column of the first non-finite value
+  /// (a NaN has no rank; the check rides along the ranking pass).
+  explicit ColumnRanks(const Matrix& x);
+
+  std::size_t rows() const noexcept { return rows_; }
+  std::size_t cols() const noexcept { return offsets_.size() - 1; }
+
+  /// Distinct values of column `col`, ascending.
+  std::span<const double> values(std::size_t col) const noexcept {
+    return {values_.data() + offsets_[col], offsets_[col + 1] - offsets_[col]};
+  }
+  /// Rank of every row's value in values(col).
+  std::span<const std::uint32_t> ranks(std::size_t col) const noexcept {
+    return {ranks_.data() + col * rows_, rows_};
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::vector<std::size_t> offsets_;  ///< cols + 1 offsets into values_
+  std::vector<double> values_;
+  std::vector<std::uint32_t> ranks_;  ///< column-major, rows_ per column
 };
 
 /// Gini impurity of a class-count histogram (paper Eq. 1).
@@ -37,8 +66,13 @@ class DecisionTree {
 
   /// Fit on the rows of `x` selected by `samples` (possibly with
   /// repetitions, enabling bootstrap); empty `samples` means all rows.
+  /// Throws MlError on a non-finite feature value.
   void fit(const Matrix& x, std::span<const int> y, int num_classes, Rng& rng,
            std::span<const std::size_t> samples = {});
+
+  /// As above, with the ranks of `x` precomputed (must be ColumnRanks(x)).
+  void fit(const Matrix& x, const ColumnRanks& ranks, std::span<const int> y,
+           int num_classes, Rng& rng, std::span<const std::size_t> samples);
 
   std::vector<double> predict_proba(std::span<const double> row) const;
   int predict(std::span<const double> row) const;
@@ -80,8 +114,10 @@ class DecisionTree {
   /// Per-fit scratch shared by every node of one tree, so build() performs
   /// no per-node or per-candidate heap allocations.
   struct FitWorkspace {
-    std::vector<std::size_t> order;     ///< sort buffer, sized to the sample count
     std::vector<std::size_t> features;  ///< candidate feature subset
+    std::vector<std::uint32_t> labels;  ///< node labels, in sample order
+    std::vector<std::uint32_t> hist;    ///< bins x classes counts
+    std::vector<std::uint64_t> keys;    ///< (rank << 32 | class), sort branch
     std::vector<double> counts;         ///< node class histogram
     std::vector<double> left;           ///< running left-child histogram
     std::vector<double> right;          ///< running right-child histogram
@@ -89,14 +125,14 @@ class DecisionTree {
     std::uint64_t split_candidates = 0; ///< thresholds scored this fit
   };
 
-  int build(const Matrix& x, std::span<const int> y, int num_classes,
-            std::vector<std::size_t>& samples, std::size_t begin,
-            std::size_t end, int level, double total_samples, Rng& rng,
-            FitWorkspace& ws);
+  int build(const Matrix& x, const ColumnRanks& ranks, std::span<const int> y,
+            int num_classes, std::vector<std::size_t>& samples,
+            std::size_t begin, std::size_t end, int level,
+            double total_samples, Rng& rng, FitWorkspace& ws);
 
   /// Retained pre-optimisation split finder (re-sorts per feature and scores
   /// every candidate with two full gini_impurity passes). Kept as the
-  /// correctness oracle for the incremental path.
+  /// correctness oracle for the rank-histogram path.
   int build_reference(const Matrix& x, std::span<const int> y, int num_classes,
                       std::vector<std::size_t>& samples, std::size_t begin,
                       std::size_t end, int level, double total_samples,

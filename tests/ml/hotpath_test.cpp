@@ -1,6 +1,7 @@
 // Regression guards for the ML hot-path optimisations:
-//  - the incremental-Gini split finder must produce byte-identical trees to
-//    the retained reference implementation,
+//  - the rank-histogram split finder must produce byte-identical trees to
+//    the retained reference implementation, on both of its branches
+//    (counting pass and packed-key sort) and on the real feature matrix,
 //  - flattened (structure-of-arrays) inference must be bit-identical to the
 //    per-tree node walk, for every model family the factory can build,
 //  - fitted forests must stay bit-identical across thread counts and across
@@ -8,14 +9,18 @@
 //  - corrupt serialized bundles must fail loudly at load time.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/dataset_builder.hpp"
 #include "ml/factory.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
 #include "ml/tree.hpp"
+#include "obs/obs.hpp"
+#include "sim/hardware.hpp"
 
 namespace pml::ml {
 namespace {
@@ -102,6 +107,240 @@ TEST(SplitFinder, OptimisedMatchesReferenceOnBootstrapSamples) {
   EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
 }
 
+/// Fit the optimised and the reference split finder on the same input and
+/// require byte-identical trees. Returns the optimised tree's node count so
+/// callers can check the case actually split.
+std::size_t expect_matches_reference(const Matrix& x, std::span<const int> y,
+                                     int classes, TreeParams params,
+                                     std::span<const std::size_t> samples = {},
+                                     std::uint64_t seed = 1) {
+  TreeParams slow = params;
+  slow.reference_splitter = true;
+  params.reference_splitter = false;
+  DecisionTree a(params);
+  DecisionTree b(slow);
+  Rng rng_a(seed);
+  Rng rng_b(seed);
+  a.fit(x, y, classes, rng_a, samples);
+  b.fit(x, y, classes, rng_b, samples);
+  EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+  return a.node_count();
+}
+
+/// Every column drawn from `levels` integer values: few distinct values per
+/// column, so nodes larger than `levels` take the counting-pass branch.
+Dataset coarse(std::size_t n, std::size_t cols, int levels, int classes,
+               std::uint64_t seed) {
+  Dataset d;
+  d.num_classes = classes;
+  Rng rng(seed);
+  d.x = Matrix(n, cols);
+  for (std::size_t r = 0; r < n; ++r) {
+    long long s = 0;
+    for (std::size_t c = 0; c < cols; ++c) {
+      const auto v = static_cast<long long>(
+          rng.uniform_index(static_cast<std::uint64_t>(levels)));
+      d.x.at(r, c) = static_cast<double>(v);
+      s += (c % 2 ? 1 : 2) * v;
+    }
+    if (rng.uniform_index(8) == 0) s += 1;  // label noise
+    d.y.push_back(static_cast<int>(s % classes));
+  }
+  return d;
+}
+
+TEST(SplitFinder, HistogramBranchMatchesReference) {
+  const TreeParams grids[] = {
+      {},
+      {.max_features = 2},
+      {.max_depth = 3},
+      {.min_samples_leaf = 4},
+      {.max_depth = 5, .min_samples_leaf = 3, .max_features = 3},
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Dataset d = coarse(300, 6, 4 + static_cast<int>(seed), 3, seed);
+    for (const TreeParams& p : grids) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " max_depth " +
+                   std::to_string(p.max_depth));
+      EXPECT_GT(expect_matches_reference(d.x, d.y, 3, p, {}, seed), 1u);
+    }
+  }
+}
+
+TEST(SplitFinder, SortBranchMatchesReference) {
+  // Continuous columns fitted on every other row: each column has more
+  // distinct values than any node has samples, so every node sorts keys.
+  const Dataset d = synthetic(240, 5, 3, 17);
+  std::vector<std::size_t> half;
+  for (std::size_t r = 0; r < d.size(); r += 2) half.push_back(r);
+  for (const TreeParams& p :
+       {TreeParams{}, TreeParams{.min_samples_leaf = 3, .max_features = 2}}) {
+    EXPECT_GT(expect_matches_reference(d.x, d.y, 3, p, half, 5), 1u);
+  }
+}
+
+TEST(SplitFinder, BinsEqualToNodeSizeMatchesReference) {
+  // Column 0 holds every value 0..n-1 once: at the root, bins == n.
+  const std::size_t n = 64;
+  Dataset d = coarse(n, 3, 3, 2, 29);
+  std::vector<std::size_t> perm(n);
+  for (std::size_t r = 0; r < n; ++r) perm[r] = r;
+  Rng rng(31);
+  rng.shuffle(perm);
+  for (std::size_t r = 0; r < n; ++r) {
+    d.x.at(r, 0) = static_cast<double>(perm[r]);
+    d.y[r] = (perm[r] % 7 < 3) ? 1 : 0;
+  }
+  EXPECT_GT(expect_matches_reference(d.x, d.y, 2, {}), 1u);
+  EXPECT_GT(expect_matches_reference(d.x, d.y, 2, {.max_depth = 2}), 1u);
+}
+
+TEST(SplitFinder, ConstantColumnMatchesReference) {
+  Dataset d = coarse(120, 4, 5, 3, 37);
+  for (std::size_t r = 0; r < d.size(); ++r) d.x.at(r, 2) = 3.0;
+  EXPECT_GT(expect_matches_reference(d.x, d.y, 3, {}), 1u);
+  // Only the constant column: no candidate anywhere, a single leaf.
+  Matrix only(d.size(), 1);
+  for (std::size_t r = 0; r < d.size(); ++r) only.at(r, 0) = 3.0;
+  EXPECT_EQ(expect_matches_reference(only, d.y, 3, {}), 1u);
+}
+
+TEST(SplitFinder, SignedZerosAreOneValue) {
+  // -0.0 and 0.0 compare equal: no threshold may separate them, and the
+  // midpoints they form with a neighbour are the same either way.
+  const double values[] = {-1.0, -0.0, 0.0, 2.0};
+  Dataset d;
+  d.num_classes = 3;
+  d.x = Matrix(160, 2);
+  Rng rng(41);
+  for (std::size_t r = 0; r < 160; ++r) {
+    const auto v = rng.uniform_index(4);
+    d.x.at(r, 0) = values[v];
+    d.x.at(r, 1) = static_cast<double>(rng.uniform_index(3));
+    d.y.push_back(v == 0 ? 0 : (v == 3 ? 2 : static_cast<int>(r % 2)));
+  }
+  EXPECT_GT(expect_matches_reference(d.x, d.y, 3, {}), 1u);
+  const ColumnRanks ranks(d.x);
+  ASSERT_EQ(ranks.values(0).size(), 3u);
+  EXPECT_EQ(ranks.values(0)[1], 0.0);
+}
+
+TEST(SplitFinder, AdjacentDoublesKeepTheValueTest) {
+  // lo = nextafter(1, 0) and hi = 1: their midpoint rounds up to hi, so the
+  // root split sends the hi rows left as well. A partition by rank would
+  // send them right and grow a different tree.
+  const double lo = std::nextafter(1.0, 0.0);
+  const double hi = 1.0;
+  ASSERT_EQ(0.5 * (lo + hi), hi);
+  Dataset d;
+  d.num_classes = 2;
+  d.x = Matrix(16, 2);
+  const double col1[] = {lo, hi, 5.0, 5.0};
+  const int label[] = {0, 1, 1, 1};
+  for (std::size_t r = 0; r < 16; ++r) {
+    const std::size_t g = r / 4;
+    d.x.at(r, 0) = static_cast<double>(g % 2);
+    d.x.at(r, 1) = col1[g];
+    d.y.push_back(label[g]);
+  }
+  EXPECT_GT(expect_matches_reference(d.x, d.y, 2, {}), 1u);
+  DecisionTree tree;
+  Rng rng(1);
+  tree.fit(d.x, d.y, 2, rng);
+  const Json root = tree.to_json().at("nodes").as_array()[0];
+  EXPECT_EQ(root.at("feature").as_int(), 1);
+  EXPECT_EQ(root.at("threshold").as_number(), hi);
+
+  // x, nextafter(x) pairs at several scales. Each base has an even
+  // significand, so the pair's midpoint rounds down to x: a pair whose
+  // midpoint rounds up to the upper value cannot be separated by any
+  // threshold, and both finders would recurse on it without end.
+  Dataset e;
+  e.num_classes = 2;
+  e.x = Matrix(120, 1);
+  Rng data_rng(43);
+  const double bases[] = {0.75, 1.0, 1024.0};
+  for (const double base : bases) {
+    ASSERT_EQ(0.5 * (base + std::nextafter(base, 2.0 * base)), base);
+  }
+  for (std::size_t r = 0; r < 120; ++r) {
+    const double base = bases[r % 3];
+    const bool up = data_rng.uniform_index(2) == 1;
+    e.x.at(r, 0) = up ? std::nextafter(base, 2.0 * base) : base;
+    e.y.push_back(up ? 1 : 0);
+  }
+  EXPECT_GT(expect_matches_reference(e.x, e.y, 2, {}), 1u);
+}
+
+TEST(SplitFinder, DuplicatedRowsAndBootstrapRepeatsMatchReference) {
+  const Dataset base = coarse(60, 4, 6, 3, 47);
+  Dataset d;
+  d.num_classes = 3;
+  for (std::size_t copy = 0; copy < 3; ++copy) {
+    for (std::size_t r = 0; r < base.size(); ++r) {
+      d.x.push_row(base.x.row(r));
+      d.y.push_back(base.y[r]);
+    }
+  }
+  EXPECT_GT(expect_matches_reference(d.x, d.y, 3, {}), 1u);
+  Rng sample_rng(53);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<std::size_t> sample(d.size());
+    for (auto& s : sample) {
+      s = static_cast<std::size_t>(sample_rng.uniform_index(d.size()));
+    }
+    EXPECT_GT(expect_matches_reference(
+                  d.x, d.y, 3, {.min_samples_leaf = 2, .max_features = 2},
+                  sample, static_cast<std::uint64_t>(trial)),
+              1u);
+  }
+}
+
+TEST(SplitFinder, RealFeatureMatrixMatchesReference) {
+  // The paper's training table: discrete hardware columns, a message-size
+  // grid, node and ppn grids — the shape the counting pass targets.
+  const std::vector<sim::ClusterSpec> clusters = {
+      sim::cluster_by_name("RI"), sim::cluster_by_name("Rome"),
+      sim::cluster_by_name("Spock")};
+  for (const auto collective :
+       {coll::Collective::kAllgather, coll::Collective::kAlltoall}) {
+    const auto records = core::build_records(clusters, collective, {});
+    const Dataset d = core::to_ml_dataset(records, collective);
+    Rng sample_rng(59);
+    for (const int max_features : {-1, 3}) {
+      std::vector<std::size_t> sample(d.size());
+      for (auto& s : sample) {
+        s = static_cast<std::size_t>(sample_rng.uniform_index(d.size()));
+      }
+      SCOPED_TRACE(coll::to_string(collective) + " max_features " +
+                   std::to_string(max_features));
+      EXPECT_GT(expect_matches_reference(d.x, d.y, d.num_classes,
+                                         {.max_features = max_features},
+                                         sample, 61),
+                1u);
+    }
+  }
+}
+
+TEST(SplitFinder, ColumnRanksHoldSortedDistinctValues) {
+  Matrix x(5, 2);
+  const double col0[] = {3.0, -1.0, 3.0, 0.5, -1.0};
+  for (std::size_t r = 0; r < 5; ++r) {
+    x.at(r, 0) = col0[r];
+    x.at(r, 1) = 7.0;
+  }
+  const ColumnRanks ranks(x);
+  ASSERT_EQ(ranks.rows(), 5u);
+  ASSERT_EQ(ranks.cols(), 2u);
+  EXPECT_EQ(std::vector<double>(ranks.values(0).begin(), ranks.values(0).end()),
+            (std::vector<double>{-1.0, 0.5, 3.0}));
+  EXPECT_EQ(std::vector<std::uint32_t>(ranks.ranks(0).begin(),
+                                       ranks.ranks(0).end()),
+            (std::vector<std::uint32_t>{2, 0, 2, 1, 0}));
+  EXPECT_EQ(ranks.values(1).size(), 1u);
+  EXPECT_EQ(ranks.ranks(1)[4], 0u);
+}
+
 // ---- golden hashes: serialized output is frozen across releases ------------
 
 TEST(Golden, TreeSerializationUnchangedSinceOptimisation) {
@@ -111,6 +350,32 @@ TEST(Golden, TreeSerializationUnchangedSinceOptimisation) {
   tree.fit(d.x, d.y, d.num_classes, rng);
   // Captured from the pre-optimisation implementation (PR 1 state).
   EXPECT_EQ(fnv1a(tree.to_json().dump()), 7370512707017712398ULL);
+}
+
+TEST(Golden, TreeFitScoresTheSameSplitCandidates) {
+  // The rank-histogram finder visits exactly the candidates the sorted scan
+  // visited, including those min_samples_leaf then rules out:
+  // ml.split_candidates for the golden fit (and for the same fit with
+  // min_samples_leaf = 5) is pinned to the count the sort-per-node
+  // implementation reported.
+  const Dataset d = synthetic(300, 8, 4, 42);
+  const bool was_enabled = obs::set_enabled(true);
+  const auto candidates = [&](int min_samples_leaf) {
+    obs::reset();
+    DecisionTree tree(
+        TreeParams{.min_samples_leaf = min_samples_leaf, .max_features = 3});
+    Rng rng(7);
+    tree.fit(d.x, d.y, d.num_classes, rng);
+    std::uint64_t count = 0;
+    for (const auto& c : obs::snapshot().counters) {
+      if (c.name == "ml.split_candidates") count = c.value;
+    }
+    return count;
+  };
+  EXPECT_EQ(candidates(1), 6826u);
+  EXPECT_EQ(candidates(5), 4274u);
+  obs::reset();
+  obs::set_enabled(was_enabled);
 }
 
 TEST(Golden, ForestSerializationAndOobUnchangedSinceOptimisation) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+
+#include "ml/forest.hpp"
 
 namespace pml::ml {
 namespace {
@@ -239,6 +243,33 @@ TEST(DecisionTree, FitRejectsOutOfRangeLabels) {
   std::vector<int> negative = d.y;
   negative[0] = -1;
   EXPECT_THROW(tree.fit(d.x, negative, 2, rng), MlError);
+}
+
+TEST(DecisionTree, FitRejectsNonFiniteFeatures) {
+  // A NaN has no place in a value order (under a sort it broke strict weak
+  // ordering; under ranks it would get a bogus bin): the fit names the cell.
+  const Dataset d = blobs(10, 5.0, 27);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Dataset broken = d;
+    broken.x.at(7, 1) = bad;
+    for (const bool reference : {false, true}) {
+      DecisionTree tree(TreeParams{.reference_splitter = reference});
+      Rng rng(28);
+      try {
+        tree.fit(broken.x, broken.y, 2, rng);
+        ADD_FAILURE() << "fit accepted " << bad;
+      } catch (const MlError& err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("row 7"), std::string::npos) << what;
+        EXPECT_NE(what.find("column 1"), std::string::npos) << what;
+      }
+    }
+    RandomForest forest(RandomForestParams{.n_trees = 3});
+    Rng rng(29);
+    EXPECT_THROW(forest.fit(broken, rng), MlError) << bad;
+  }
 }
 
 TEST(RegressionTree, FitsStepFunction) {
