@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -832,25 +833,118 @@ std::string ServeEngine::handle_line(const std::string& line) {
   }
 }
 
+// --- Line framing (both transports) -----------------------------------------
+
+namespace {
+
+/// Bytes read per recv/read call.
+constexpr std::size_t kReadChunk = 4096;
+
+/// Replies pending past this many bytes are sent before the rest of the
+/// read is answered, so one read full of "table" requests cannot grow a
+/// connection's output without bound.
+constexpr std::size_t kFlushBytes = 64 * 1024;
+
+/// Whether a request may block on a compile. With async compiles (the
+/// default) only a request that asks to "wait" can; the synchronous test
+/// mode compiles every miss inline. Any mention of wait, or any \u escape
+/// that could spell it, counts: a false positive only sends early.
+bool may_wait(const std::string& line) {
+  return line.find("wait") != std::string::npos ||
+         line.find("\\u") != std::string::npos;
+}
+
+/// One connection's request framing and reply batching, shared by the
+/// stdio and TCP transports. Bytes go in with append(); answer() runs
+/// every complete line through the engine, in order, and hands the
+/// replies to the transport's sink in one call per read. A trailing '\r'
+/// is stripped and blank lines are skipped. Lines are cut at a head
+/// offset, the consumed prefix is dropped once per read, and the '\n'
+/// scan never revisits a byte: the cost is linear in the bytes read.
+class LineFramer {
+ public:
+  void append(const char* data, std::size_t n) { buffer_.append(data, n); }
+
+  /// Answer every complete line. Replies are sent once at the end, and
+  /// early before a request that may wait on a compile (a computed reply
+  /// never waits behind one) or once kFlushBytes are pending. `send`
+  /// takes the bytes and returns false when the peer is gone; answer()
+  /// then stops and returns false.
+  template <class Send>
+  bool answer(ServeEngine& engine, Send&& send) {
+    bool sent = true;
+    const auto flush = [&] {
+      if (!replies_.empty()) sent = send(replies_);
+      replies_.clear();
+      return sent;
+    };
+    while (sent && next()) {
+      if (!replies_.empty() && may_wait(line_) && !flush()) break;
+      replies_ += engine.handle_line(line_);
+      replies_.push_back('\n');
+      if (replies_.size() >= kFlushBytes) flush();
+    }
+    if (sent) flush();
+    buffer_.erase(0, head_);
+    scan_ -= head_;
+    head_ = 0;
+    return sent;
+  }
+
+  /// Bytes after the last complete line: the unterminated partial line.
+  std::size_t partial() const noexcept { return buffer_.size() - head_; }
+
+ private:
+  /// Cut the next complete non-blank line into line_; false once only a
+  /// partial line, or nothing, is left.
+  bool next() {
+    for (;;) {
+      const std::size_t end = buffer_.find('\n', scan_);
+      if (end == std::string::npos) {
+        scan_ = buffer_.size();
+        return false;
+      }
+      std::size_t length = end - head_;
+      if (length > 0 && buffer_[end - 1] == '\r') --length;
+      const std::size_t start = head_;
+      head_ = scan_ = end + 1;
+      if (length > 0) {
+        line_.assign(buffer_, start, length);
+        return true;
+      }
+    }
+  }
+
+  std::string buffer_;
+  std::size_t head_ = 0;  ///< first byte not yet answered
+  std::size_t scan_ = 0;  ///< no '\n' in [head_, scan_)
+  std::string line_;      ///< the line being answered (capacity reused)
+  std::string replies_;   ///< replies not yet sent
+};
+
+}  // namespace
+
 // --- stdio transport --------------------------------------------------------
 
 void serve_stdio(ServeEngine& engine, std::FILE* in, std::FILE* out) {
-  std::string line;
-  for (int c = std::fgetc(in);; c = std::fgetc(in)) {
-    if (c != EOF && c != '\n') {
-      line.push_back(static_cast<char>(c));
-      continue;
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (!line.empty()) {
-      const std::string reply = engine.handle_line(line);
-      std::fwrite(reply.data(), 1, reply.size(), out);
-      std::fputc('\n', out);
-      std::fflush(out);
-      line.clear();
-    }
-    if (c == EOF) return;
+  const int fd = ::fileno(in);
+  LineFramer framer;
+  const auto write = [out](const std::string& replies) {
+    std::fwrite(replies.data(), 1, replies.size(), out);
+    std::fflush(out);
+    return true;
+  };
+  char chunk[kReadChunk];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF, or a read error that ends input the same way
+    framer.append(chunk, static_cast<std::size_t>(n));
+    framer.answer(engine, write);
   }
+  // A final line without its newline is still a request.
+  framer.append("\n", 1);
+  framer.answer(engine, write);
 }
 
 // --- TCP transport ----------------------------------------------------------
@@ -930,6 +1024,11 @@ void TcpServer::accept_loop() {
           (options.read_timeout_ms % 1000) * 1000);
       ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
     }
+    // Send each reply as soon as it exists. Under Nagle a reply waits for
+    // the ACK of the previous one, which a delayed-ACK client sends only
+    // with its next request: every reply would lag one request period.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     auto client = std::make_unique<Client>();
     client->fd = fd;
     Client* raw = client.get();
@@ -944,8 +1043,11 @@ void TcpServer::accept_loop() {
 void TcpServer::client_loop(Client* client) {
   const ServeOptions& options = engine_.options();
   const int fd = client->fd;
-  std::string buffer;
-  char chunk[4096];
+  LineFramer framer;
+  const auto send = [fd](const std::string& replies) {
+    return send_all(fd, replies);
+  };
+  char chunk[kReadChunk];
   // Structured error to send before disconnecting, when the connection
   // itself (not a request) breaks a limit.
   std::string close_reason;
@@ -964,30 +1066,16 @@ void TcpServer::client_loop(Client* client) {
       }
       break;
     }
-    if (buffer.empty()) {
+    const std::size_t carried = framer.partial();
+    if (carried == 0) {
       line_deadline = std::chrono::steady_clock::now() +
                       std::chrono::milliseconds(options.read_timeout_ms);
     }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos;
-    bool completed_line = false;
-    bool peer_gone = false;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      completed_line = true;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      std::string reply = engine_.handle_line(line);
-      reply.push_back('\n');
-      if (!send_all(fd, reply)) {
-        peer_gone = true;
-        break;
-      }
-    }
-    if (peer_gone) break;
-    if (!buffer.empty()) {
-      if (buffer.size() > options.max_line_bytes) {
+    framer.append(chunk, static_cast<std::size_t>(n));
+    if (!framer.answer(engine_, send)) break;  // peer gone
+    const std::size_t partial = framer.partial();
+    if (partial > 0) {
+      if (partial > options.max_line_bytes) {
         engine_.note(ServeEngine::Event::kOverlong);
         close_reason = serve_error_line(
             "serve: request line exceeds max_line_bytes (" +
@@ -996,8 +1084,8 @@ void TcpServer::client_loop(Client* client) {
             ErrorCode::kConfig);
         break;
       }
-      if (completed_line) {
-        // Progress was made this round; restart the partial line's clock.
+      if (partial < carried + static_cast<std::size_t>(n)) {
+        // A line completed this round; restart the partial line's clock.
         line_deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options.read_timeout_ms);
       } else if (options.read_timeout_ms > 0 &&

@@ -480,7 +480,10 @@ std::string serve_error_line(const std::string& what, ErrorCode code);
 
 /// Serve newline-delimited requests from `in` to `out` until EOF (the
 /// `pml serve --stdio` transport; also what the protocol round-trip
-/// tests drive through a shell pipe). Blank lines are ignored.
+/// tests drive through a shell pipe). Blank lines are ignored, a trailing
+/// '\r' is stripped, and a last line without '\n' is still answered.
+/// `in` is read with read(2) on its descriptor; each read's replies are
+/// written with one fwrite and one fflush.
 void serve_stdio(ServeEngine& engine, std::FILE* in, std::FILE* out);
 
 /// Minimal TCP transport: accepts loopback connections and runs one
@@ -488,9 +491,12 @@ void serve_stdio(ServeEngine& engine, std::FILE* in, std::FILE* out);
 /// POSIX sockets only — no new dependencies. Enforces the engine's
 /// ServeOptions transport limits: connection cap (excess accepts get
 /// one {"error":"overloaded"} line), bounded line buffers, and read/
-/// slow-loris deadlines via SO_RCVTIMEO. Finished connection threads
-/// are reaped continuously (each accept sweeps them), not only at
-/// stop(), so long-lived daemons don't accumulate dead threads or fds.
+/// slow-loris deadlines via SO_RCVTIMEO. Sockets run with TCP_NODELAY;
+/// the replies to one read go out in one send, in request order, sent
+/// early only before a request that may wait on a compile or past 64 KiB.
+/// Finished connection threads are reaped continuously (each accept
+/// sweeps them), not only at stop(), so long-lived daemons don't
+/// accumulate dead threads or fds.
 class TcpServer {
  public:
   explicit TcpServer(ServeEngine& engine) : engine_(engine) {}

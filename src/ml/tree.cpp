@@ -59,6 +59,14 @@ struct SplitResult {
   double decrease = 0.0;  // impurity decrease, unweighted by node share
 };
 
+/// Threshold between adjacent present values lo < hi: their midpoint, or lo
+/// when the midpoint rounds up to hi (adjacent doubles) or overflows (both
+/// near DBL_MAX). Either way `x <= threshold` separates lo from hi.
+double split_threshold(double lo, double hi) {
+  const double mid = 0.5 * (lo + hi);
+  return lo <= mid && mid < hi ? mid : lo;
+}
+
 }  // namespace
 
 // ---- ColumnRanks -----------------------------------------------------------
@@ -238,7 +246,7 @@ int DecisionTree::build(const Matrix& x, const ColumnRanks& ranks,
     if (score > best_score + score_tol) {
       best.found = true;
       best.feature = f;
-      best.threshold = 0.5 * (lo + hi);
+      best.threshold = split_threshold(lo, hi);
       best_score = score;
       best_nl = nl;
       std::copy(ws.left.begin(), ws.left.end(), ws.best_left.begin());
@@ -316,8 +324,8 @@ int DecisionTree::build(const Matrix& x, const ColumnRanks& ranks,
   importances_[best.feature] +=
       (static_cast<double>(n) / total_samples) * best.decrease;
 
-  // The exact value test, not a rank test: a midpoint of two adjacent
-  // doubles can round up to the upper value, which then goes left too.
+  // The value test predict() applies. split_threshold() keeps it equal to
+  // the rank split counted above: exactly the rows valued <= lo go left.
   const auto mid_it = std::partition(
       samples.begin() + static_cast<long>(begin),
       samples.begin() + static_cast<long>(end), [&](std::size_t s) {
@@ -403,7 +411,7 @@ int DecisionTree::build_reference(const Matrix& x, std::span<const int> y,
       if (decrease > best.decrease + 1e-15) {
         best.found = true;
         best.feature = f;
-        best.threshold = 0.5 * (lo + hi);
+        best.threshold = split_threshold(lo, hi);
         best.decrease = decrease;
       }
     }
@@ -659,7 +667,7 @@ int RegressionTree::build(const Matrix& x, std::span<const double> targets,
       if (decrease > best.decrease + 1e-15) {
         best.found = true;
         best.feature = f;
-        best.threshold = 0.5 * (lo + hi);
+        best.threshold = split_threshold(lo, hi);
         best.decrease = decrease;
       }
     }

@@ -9,6 +9,7 @@
 #include "coll/runner.hpp"
 #include "common/error.hpp"
 #include "sim/hardware.hpp"
+#include "supported_sweep.hpp"
 
 namespace pml::coll {
 namespace {
@@ -17,15 +18,10 @@ const sim::ClusterSpec& frontera() { return sim::cluster_by_name("Frontera"); }
 
 // ---- Correctness sweep over (algorithm, nodes, ppn, message size) ---------
 
-using AgCase = std::tuple<Algorithm, int /*nodes*/, int /*ppn*/, int /*bytes*/>;
-
-class AllgatherCorrectness : public ::testing::TestWithParam<AgCase> {};
+class AllgatherCorrectness : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(AllgatherCorrectness, DeliversEveryBlockEverywhere) {
   const auto [algo, nodes, ppn, bytes] = GetParam();
-  if (!algorithm_supports(algo, nodes * ppn)) {
-    GTEST_SKIP() << "unsupported world size";
-  }
   const RunResult r = run_collective(
       frontera(), sim::Topology{nodes, ppn}, algo,
       static_cast<std::uint64_t>(bytes));
@@ -35,13 +31,11 @@ TEST_P(AllgatherCorrectness, DeliversEveryBlockEverywhere) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AllgatherCorrectness,
-    ::testing::Combine(
-        ::testing::Values(Algorithm::kAgRecursiveDoubling, Algorithm::kAgRing,
-                          Algorithm::kAgBruck, Algorithm::kAgRdComm),
-        ::testing::Values(1, 2, 3),
-        ::testing::Values(1, 2, 4, 5),
-        ::testing::Values(1, 16, 1024)),
-    [](const ::testing::TestParamInfo<AgCase>& param_info) {
+    ::testing::ValuesIn(supported_sweep(
+        {Algorithm::kAgRecursiveDoubling, Algorithm::kAgRing,
+         Algorithm::kAgBruck, Algorithm::kAgRdComm},
+        {1, 2, 3}, {1, 2, 4, 5}, {1, 16, 1024})),
+    [](const ::testing::TestParamInfo<SweepCase>& param_info) {
       return to_string(std::get<0>(param_info.param)) + "_n" +
              std::to_string(std::get<1>(param_info.param)) + "_p" +
              std::to_string(std::get<2>(param_info.param)) + "_b" +

@@ -9,6 +9,7 @@
 #include "coll/runner.hpp"
 #include "common/error.hpp"
 #include "sim/hardware.hpp"
+#include "supported_sweep.hpp"
 
 namespace pml::coll {
 namespace {
@@ -18,15 +19,10 @@ const sim::ClusterSpec& mri() { return sim::cluster_by_name("MRI"); }
 
 // ---- Correctness sweep ------------------------------------------------------
 
-using AaCase = std::tuple<Algorithm, int /*nodes*/, int /*ppn*/, int /*bytes*/>;
-
-class AlltoallCorrectness : public ::testing::TestWithParam<AaCase> {};
+class AlltoallCorrectness : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(AlltoallCorrectness, RoutesEveryBlockToItsDestination) {
   const auto [algo, nodes, ppn, bytes] = GetParam();
-  if (!algorithm_supports(algo, nodes * ppn)) {
-    GTEST_SKIP() << "unsupported world size";
-  }
   const RunResult r = run_collective(
       frontera(), sim::Topology{nodes, ppn}, algo,
       static_cast<std::uint64_t>(bytes));
@@ -36,15 +32,11 @@ TEST_P(AlltoallCorrectness, RoutesEveryBlockToItsDestination) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AlltoallCorrectness,
-    ::testing::Combine(
-        ::testing::Values(Algorithm::kAaBruck, Algorithm::kAaScatterDest,
-                          Algorithm::kAaPairwise,
-                          Algorithm::kAaRecursiveDoubling,
-                          Algorithm::kAaInplace),
-        ::testing::Values(1, 2, 3),
-        ::testing::Values(1, 2, 4, 5),
-        ::testing::Values(1, 16, 512)),
-    [](const ::testing::TestParamInfo<AaCase>& param_info) {
+    ::testing::ValuesIn(supported_sweep(
+        {Algorithm::kAaBruck, Algorithm::kAaScatterDest, Algorithm::kAaPairwise,
+         Algorithm::kAaRecursiveDoubling, Algorithm::kAaInplace},
+        {1, 2, 3}, {1, 2, 4, 5}, {1, 16, 512})),
+    [](const ::testing::TestParamInfo<SweepCase>& param_info) {
       return to_string(std::get<0>(param_info.param)) + "_n" +
              std::to_string(std::get<1>(param_info.param)) + "_p" +
              std::to_string(std::get<2>(param_info.param)) + "_b" +

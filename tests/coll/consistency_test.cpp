@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "coll/cost.hpp"
@@ -25,6 +26,12 @@ struct ConsistencyCase {
   int ppn;
   std::uint64_t bytes;
 };
+
+// gtest would otherwise print the case as raw bytes, pointer included, and
+// that text is part of each ctest name.
+void PrintTo(const ConsistencyCase& c, std::ostream* os) {
+  *os << c.cluster << ':' << c.nodes << 'x' << c.ppn << ':' << c.bytes << 'B';
+}
 
 class CostConsistency : public ::testing::TestWithParam<ConsistencyCase> {};
 

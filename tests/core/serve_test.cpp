@@ -8,9 +8,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -690,40 +693,215 @@ TEST_F(ServeTest, StdioTransportRoundTrips) {
   EXPECT_EQ(stats.at("requests").as_int(), 2);
 }
 
+TEST_F(ServeTest, StdioTransportStripsCrlfAndAnswersAnUnterminatedLastLine) {
+  ServeEngine engine(options());
+  const std::string in_path = (dir_ / "in.txt").string();
+  const std::string out_path = (dir_ / "out.txt").string();
+  write_file(in_path,  // CRLF, a blank line, and no final newline
+             "{\"op\":\"ping\"}\r\n\r\n{\"op\":\"ping\"}\r\n"
+             "{\"op\":\"stats\"}");
+  std::FILE* in = std::fopen(in_path.c_str(), "r");
+  std::FILE* out = std::fopen(out_path.c_str(), "w");
+  ASSERT_NE(in, nullptr);
+  ASSERT_NE(out, nullptr);
+  serve_stdio(engine, in, out);
+  std::fclose(in);
+  std::fclose(out);
+
+  const std::string written = read_file(out_path);
+  ASSERT_FALSE(written.empty());
+  EXPECT_EQ(written.back(), '\n');
+  const std::vector<std::string> lines = split(written, '\n');
+  ASSERT_GE(lines.size(), 3u);
+  EXPECT_TRUE(Json::parse(lines[0]).at("ok").as_bool());
+  EXPECT_TRUE(Json::parse(lines[1]).at("ok").as_bool());
+  const Json stats = Json::parse(lines[2]);
+  EXPECT_EQ(stats.at("requests").as_int(), 3);
+}
+
+/// Loopback line client for the transport tests. It sets TCP_NODELAY on
+/// its own sends, as a job launcher would, and keeps Linux's delayed ACKs
+/// on its reads; a read gives up after 10 s instead of hanging the suite.
+class LineClient {
+ public:
+  explicit LineClient(int port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    EXPECT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    EXPECT_EQ(
+        ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+        0);
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    timeval tv{};
+    tv.tv_sec = 10;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  }
+  ~LineClient() { ::close(fd_); }
+  LineClient(const LineClient&) = delete;
+  LineClient& operator=(const LineClient&) = delete;
+
+  void send(const std::string& bytes) {
+    EXPECT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  /// The next reply line without its '\n'; "" on timeout or EOF.
+  std::string read_line() {
+    for (;;) {
+      const std::size_t end = buffer_.find('\n');
+      if (end != std::string::npos) {
+        std::string line = buffer_.substr(0, end);
+        buffer_.erase(0, end + 1);
+        return line;
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (n <= 0) return "";
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+  std::string buffer_;
+};
+
+std::string select_line(const std::string& cluster, const char* collective,
+                        int nodes, std::uint64_t msg_bytes,
+                        const char* extra = "") {
+  return R"({"op":"select","cluster":")" + cluster + R"(","collective":")" +
+         collective + R"(","nodes":)" + std::to_string(nodes) +
+         R"(,"ppn":16,"msg_bytes":)" + std::to_string(msg_bytes) + extra + "}";
+}
+
 TEST_F(ServeTest, TcpTransportServesConcurrentConnections) {
   ServeEngine engine(options());
   TcpServer server(engine);
   const int port = server.start(0);
   ASSERT_GT(port, 0);
 
-  // Raw-socket client kept local to the test: the protocol is plain
-  // newline-delimited JSON over TCP, nothing more.
   const auto query = [port](const std::string& line) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    EXPECT_EQ(
-        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
-        0);
-    const std::string payload = line + "\n";
-    EXPECT_EQ(::send(fd, payload.data(), payload.size(), 0),
-              static_cast<ssize_t>(payload.size()));
-    std::string reply;
-    char c;
-    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') reply.push_back(c);
-    ::close(fd);
-    return reply;
+    LineClient client(port);
+    client.send(line + "\n");
+    return client.read_line();
   };
-
   const Json pong = Json::parse(query(R"({"op":"ping"})"));
   EXPECT_TRUE(pong.at("ok").as_bool());
   const Json select = Json::parse(
-      query(R"({"op":"select","cluster":"MRI","collective":"allgather",)"
-            R"("nodes":2,"ppn":16,"msg_bytes":1024,"wait":true})"));
+      query(select_line("MRI", "allgather", 2, 1024, R"(,"wait":true)")));
   EXPECT_TRUE(select.at("ok").as_bool());
+  server.stop();
+}
+
+TEST_F(ServeTest, TcpPipelinedBurstIsAnsweredInOrderAsTheEngineWould) {
+  // 200 requests in one write: the server reads them in several chunks,
+  // with lines cut at chunk edges, and batches each read's replies.
+  const char* clusters[] = {"MRI", "RI", "Rome", "Frontera"};
+  const char* collectives[] = {"allgather", "alltoall"};
+  std::vector<std::string> lines;
+  std::string burst;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    lines.push_back(i % 5 == 0 ? R"({"op":"ping"})"
+                               : select_line(clusters[i % 4],
+                                             collectives[i % 3 % 2],
+                                             2 << (i % 2), 1024 << (i % 7)));
+    burst += lines.back() + "\n";
+  }
+  ServeEngine reference(options());
+  ServeEngine engine(options());
+  TcpServer server(engine);
+  LineClient client(server.start(0));
+  client.send(burst);
+  for (const std::string& line : lines) {
+    EXPECT_EQ(client.read_line(), reference.handle_line(line)) << line;
+  }
+  server.stop();
+}
+
+TEST_F(ServeTest, TcpRepliesDoNotDependOnWhereTheStreamSplits) {
+  ServeEngine engine(options());
+  const std::string a = select_line("MRI", "allgather", 2, 1024);
+  const std::string b = select_line("MRI", "alltoall", 4, 65536);
+  engine.handle_line(
+      select_line("MRI", "allgather", 2, 1024, R"(,"wait":true)"));
+  const std::vector<std::string> expected = {
+      engine.handle_line(R"({"op":"ping"})"), engine.handle_line(a),
+      engine.handle_line(b)};
+  const std::string script =
+      "{\"op\":\"ping\"}\r\n\r\n" + a + "\n" + b + "\r\n";
+
+  TcpServer server(engine);
+  LineClient client(server.start(0));
+  for (std::size_t cut = 1; cut < script.size(); ++cut) {
+    client.send(script.substr(0, cut));
+    // Give the first part time to arrive as a read of its own.
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    client.send(script.substr(cut));
+    for (const std::string& reply : expected) {
+      EXPECT_EQ(client.read_line(), reply) << "cut at byte " << cut;
+    }
+  }
+  server.stop();
+}
+
+TEST_F(ServeTest, TcpSecondReplyIsNotHeldByNagle) {
+  // Two requests in two writes, then silence. Under Nagle the second
+  // reply waits for the ACK of the first, which a delayed-ACK client only
+  // sends after Linux's 40 ms floor.
+  ServeEngine engine(options());
+  TcpServer server(engine);
+  LineClient client(server.start(0));
+  const std::string ping = "{\"op\":\"ping\"}\n";
+  for (int i = 0; i < 20; ++i) {
+    client.send(ping);
+    ASSERT_FALSE(client.read_line().empty());
+  }
+  std::vector<double> ms;
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto start = std::chrono::steady_clock::now();
+    client.send(ping);
+    client.send(ping);
+    ASSERT_FALSE(client.read_line().empty());
+    ASSERT_FALSE(client.read_line().empty());
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  std::nth_element(ms.begin(), ms.begin() + 10, ms.end());
+  EXPECT_LT(ms[10], 20.0);
+  server.stop();
+}
+
+TEST_F(ServeTest, TcpComputedReplyIsNotHeldBehindAWaitedCompile) {
+  ServeOptions o = options();
+  o.async_compile = true;
+  std::atomic<bool> park{false};
+  std::atomic<bool> released{false};
+  o.compile_fault = [&park, &released] {
+    if (!park.load()) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    released.store(true);
+  };
+  ServeEngine engine(o);
+  const std::string cached = select_line("MRI", "allgather", 2, 1024);
+  engine.handle_line(
+      select_line("MRI", "allgather", 2, 1024, R"(,"wait":true)"));
+  park.store(true);
+
+  TcpServer server(engine);
+  LineClient client(server.start(0));
+  client.send(cached + "\n" + R"({"op":"table","cluster":"Rome","wait":true})" +
+              "\n");
+  const Json select = Json::parse(client.read_line());
+  EXPECT_FALSE(released.load());
+  EXPECT_EQ(select.at("op").as_string(), "select");
+  EXPECT_EQ(select.at("cache").as_string(), "hit");
+  const Json table = Json::parse(client.read_line());
+  EXPECT_TRUE(released.load());
+  EXPECT_EQ(table.at("cache").as_string(), "compiled");
   server.stop();
 }
 

@@ -11,7 +11,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dataset_builder.hpp"
@@ -227,8 +229,7 @@ TEST(SplitFinder, SignedZerosAreOneValue) {
 
 TEST(SplitFinder, AdjacentDoublesKeepTheValueTest) {
   // lo = nextafter(1, 0) and hi = 1: their midpoint rounds up to hi, so the
-  // root split sends the hi rows left as well. A partition by rank would
-  // send them right and grow a different tree.
+  // threshold falls back to lo and the root split still separates them.
   const double lo = std::nextafter(1.0, 0.0);
   const double hi = 1.0;
   ASSERT_EQ(0.5 * (lo + hi), hi);
@@ -249,27 +250,55 @@ TEST(SplitFinder, AdjacentDoublesKeepTheValueTest) {
   tree.fit(d.x, d.y, 2, rng);
   const Json root = tree.to_json().at("nodes").as_array()[0];
   EXPECT_EQ(root.at("feature").as_int(), 1);
-  EXPECT_EQ(root.at("threshold").as_number(), hi);
+  EXPECT_EQ(root.at("threshold").as_number(), lo);
 
-  // x, nextafter(x) pairs at several scales. Each base has an even
-  // significand, so the pair's midpoint rounds down to x: a pair whose
-  // midpoint rounds up to the upper value cannot be separated by any
-  // threshold, and both finders would recurse on it without end.
+  // Disjoint (lo, hi) pairs of adjacent doubles whose midpoint rounds down
+  // to lo, rounds up to hi, or overflows to +-inf. Every pair must still be
+  // separated: both finders terminate, agree, and fit the labels exactly.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  std::vector<std::pair<double, double>> pairs;
+  for (const double base : {0.75, 1.0, 1024.0}) {
+    // base has an even significand, so base + ulp has an odd one.
+    pairs.emplace_back(base, std::nextafter(base, 2.0 * base));
+    const double odd = std::nextafter(3.0 * base, 4.0 * base);
+    pairs.emplace_back(odd, std::nextafter(odd, 4.0 * base));
+  }
+  pairs.emplace_back(std::nextafter(0.5, 0.0), 0.5);
+  pairs.emplace_back(std::nextafter(kMax, 0.0), kMax);
+  pairs.emplace_back(-kMax, std::nextafter(-kMax, 0.0));
+  int rounds_up = 0;
+  int overflows = 0;
+  for (const auto& [a, b] : pairs) {
+    ASSERT_LT(a, b);
+    const double mid = 0.5 * (a + b);
+    rounds_up += mid == b;
+    overflows += std::isinf(mid);
+  }
+  ASSERT_EQ(rounds_up, 4);
+  ASSERT_EQ(overflows, 2);
+
   Dataset e;
   e.num_classes = 2;
-  e.x = Matrix(120, 1);
+  e.x = Matrix(40 * pairs.size(), 1);
+  std::vector<double> targets;
   Rng data_rng(43);
-  const double bases[] = {0.75, 1.0, 1024.0};
-  for (const double base : bases) {
-    ASSERT_EQ(0.5 * (base + std::nextafter(base, 2.0 * base)), base);
-  }
-  for (std::size_t r = 0; r < 120; ++r) {
-    const double base = bases[r % 3];
+  for (std::size_t r = 0; r < e.x.rows(); ++r) {
+    const auto& [a, b] = pairs[r % pairs.size()];
     const bool up = data_rng.uniform_index(2) == 1;
-    e.x.at(r, 0) = up ? std::nextafter(base, 2.0 * base) : base;
+    e.x.at(r, 0) = up ? b : a;
     e.y.push_back(up ? 1 : 0);
+    targets.push_back(up ? 1.0 : 0.0);
   }
   EXPECT_GT(expect_matches_reference(e.x, e.y, 2, {}), 1u);
+  DecisionTree classifier;
+  RegressionTree regressor;
+  Rng fit_rng(5);
+  classifier.fit(e.x, e.y, 2, fit_rng);
+  regressor.fit(e.x, targets, fit_rng);
+  for (std::size_t r = 0; r < e.x.rows(); ++r) {
+    EXPECT_EQ(classifier.predict(e.x.row(r)), e.y[r]) << e.x.at(r, 0);
+    EXPECT_EQ(regressor.predict(e.x.row(r)), targets[r]) << e.x.at(r, 0);
+  }
 }
 
 TEST(SplitFinder, DuplicatedRowsAndBootstrapRepeatsMatchReference) {
