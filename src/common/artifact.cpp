@@ -1,7 +1,10 @@
 #include "common/artifact.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <thread>
 
@@ -28,6 +31,100 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept {
     hash *= 0x100000001b3ULL;
   }
   return hash;
+}
+
+// XXH64 from the public specification (github.com/Cyan4973/xxHash,
+// doc/xxhash_spec.md): four lanes over 32-byte stripes, then the tail
+// in 8-, 4- and 1-byte steps, then the avalanche.
+namespace {
+
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ULL;
+
+template <typename T>
+T read_le(const unsigned char* p) noexcept {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof v == 8) v = __builtin_bswap64(v);
+    else v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
+std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t input) noexcept {
+  return std::rotl(acc + input * kP2, 31) * kP1;
+}
+
+std::uint64_t xxh_merge(std::uint64_t acc, std::uint64_t lane) noexcept {
+  return (acc ^ xxh_round(0, lane)) * kP1 + kP4;
+}
+
+}  // namespace
+
+Xxh64::Xxh64() noexcept : lanes_{kP1 + kP2, kP2, 0, 0 - kP1} {}
+
+void Xxh64::update(std::string_view bytes) noexcept {
+  auto p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t len = bytes.size();
+  total_ += len;
+  const auto consume = [this](const unsigned char* stripe) {
+    for (int i = 0; i < 4; ++i) {
+      lanes_[i] = xxh_round(lanes_[i], read_le<std::uint64_t>(stripe + 8 * i));
+    }
+  };
+  if (buffered_ > 0) {
+    const std::size_t take = std::min(len, sizeof stripe_ - buffered_);
+    std::memcpy(stripe_ + buffered_, p, take);
+    buffered_ += take;
+    p += take;
+    len -= take;
+    if (buffered_ < sizeof stripe_) return;
+    consume(stripe_);
+    buffered_ = 0;
+  }
+  for (; len >= sizeof stripe_; p += sizeof stripe_, len -= sizeof stripe_) {
+    consume(p);
+  }
+  std::memcpy(stripe_, p, len);
+  buffered_ = len;
+}
+
+std::uint64_t Xxh64::digest() const noexcept {
+  std::uint64_t h;
+  if (total_ >= sizeof stripe_) {
+    h = std::rotl(lanes_[0], 1) + std::rotl(lanes_[1], 7) +
+        std::rotl(lanes_[2], 12) + std::rotl(lanes_[3], 18);
+    for (const std::uint64_t lane : lanes_) h = xxh_merge(h, lane);
+  } else {
+    h = kP5;  // seed + PRIME64_5
+  }
+  h += total_;
+  const unsigned char* p = stripe_;
+  std::size_t len = buffered_;
+  for (; len >= 8; p += 8, len -= 8) {
+    h = std::rotl(h ^ xxh_round(0, read_le<std::uint64_t>(p)), 27) * kP1 + kP4;
+  }
+  if (len >= 4) {
+    h = std::rotl(h ^ read_le<std::uint32_t>(p) * kP1, 23) * kP2 + kP3;
+    p += 4;
+    len -= 4;
+  }
+  for (; len > 0; ++p, --len) h = std::rotl(h ^ *p * kP5, 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  return h ^ (h >> 32);
+}
+
+std::uint64_t xxh64(std::string_view bytes) noexcept {
+  Xxh64 state;
+  state.update(bytes);
+  return state.digest();
 }
 
 namespace {

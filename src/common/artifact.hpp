@@ -21,6 +21,7 @@
 // "Fault injection & degradation policy").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -36,6 +37,27 @@ inline constexpr std::string_view kArtifactFormat = "pml-artifact-v1";
 
 /// FNV-1a 64-bit hash of a byte string.
 std::uint64_t fnv1a64(std::string_view bytes) noexcept;
+
+/// Streaming XXH64 (seed 0): feed bytes through update() in any split,
+/// then digest(). Digests equal stock `xxhsum -H1` output. Unlike
+/// fnv1a64 it consumes 32-byte stripes on four independent lanes, so it
+/// hashes multi-MB files at memory speed.
+class Xxh64 {
+ public:
+  Xxh64() noexcept;
+  void update(std::string_view bytes) noexcept;
+  /// Hash of everything fed so far; does not consume the state.
+  std::uint64_t digest() const noexcept;
+
+ private:
+  std::uint64_t lanes_[4];
+  std::uint64_t total_ = 0;
+  unsigned char stripe_[32] = {};  ///< a partial stripe awaiting bytes
+  std::size_t buffered_ = 0;
+};
+
+/// One-shot XXH64 (seed 0) of a byte string.
+std::uint64_t xxh64(std::string_view bytes) noexcept;
 
 /// Canonical checksum string for an artifact payload: "fnv1a64:" plus 16
 /// hex digits over the payload's compact dump(). Json objects preserve

@@ -4,12 +4,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 
+#include "common/artifact.hpp"
 #include "common/error.hpp"
 
 namespace pml {
@@ -71,7 +74,14 @@ std::string format_double(double value, int precision) {
   return buf;
 }
 
-std::string read_file(const std::string& path) {
+namespace {
+
+/// Open `path` for reading and call `body(fstat_size, read_some)`, where
+/// read_some(into, len) returns the bytes read and 0 at end of file. The
+/// error handling read_file and hash_file share: IoError on open, stat
+/// and read failures, directories rejected, reads retried on EINTR.
+template <typename Body>
+auto with_input_file(const std::string& path, Body&& body) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) throw IoError("cannot open file for reading: " + path);
   const struct Closer {
@@ -96,23 +106,45 @@ std::string read_file(const std::string& path) {
       }
     }
   };
-  // Size the buffer from fstat and read straight into it: one allocation,
-  // one copy. Multi-MB model artifacts are re-read on every serve compile.
-  std::string out(static_cast<std::size_t>(st.st_size), '\0');
-  std::size_t used = 0;
-  while (used < out.size()) {
-    const std::size_t n = read_some(out.data() + used, out.size() - used);
-    if (n == 0) break;  // shrank since fstat
-    used += n;
-  }
-  out.resize(used);
-  // Whatever lies past the fstat size: a file still growing, or one that
-  // reports no size at all (pipes, /proc).
-  char chunk[16384];
-  while (const std::size_t n = read_some(chunk, sizeof chunk)) {
-    out.append(chunk, n);
-  }
-  return out;
+  return body(static_cast<std::size_t>(st.st_size), read_some);
+}
+
+}  // namespace
+
+std::string read_file(const std::string& path) {
+  return with_input_file(path, [](std::size_t size, const auto& read_some) {
+    // Size the buffer from fstat and read straight into it: one
+    // allocation, one copy.
+    std::string out(size, '\0');
+    std::size_t used = 0;
+    while (used < out.size()) {
+      const std::size_t n = read_some(out.data() + used, out.size() - used);
+      if (n == 0) break;  // shrank since fstat
+      used += n;
+    }
+    out.resize(used);
+    // Whatever lies past the fstat size: a file still growing, or one
+    // that reports no size at all (pipes, /proc).
+    char chunk[16384];
+    while (const std::size_t n = read_some(chunk, sizeof chunk)) {
+      out.append(chunk, n);
+    }
+    return out;
+  });
+}
+
+std::uint64_t hash_file(const std::string& path) {
+  return with_input_file(path, [](std::size_t, const auto& read_some) {
+    // One fixed buffer, however large the file: each chunk is hashed
+    // while still in cache, and nothing file-sized is allocated.
+    constexpr std::size_t kBuffer = 256 * 1024;
+    const auto buffer = std::make_unique_for_overwrite<char[]>(kBuffer);
+    Xxh64 state;
+    while (const std::size_t n = read_some(buffer.get(), kBuffer)) {
+      state.update(std::string_view(buffer.get(), n));
+    }
+    return state.digest();
+  });
 }
 
 void write_file(const std::string& path, std::string_view contents) {
@@ -123,18 +155,28 @@ void write_file(const std::string& path, std::string_view contents) {
 }
 
 void write_file_atomic(const std::string& path, std::string_view contents) {
-  const std::string tmp = path + ".tmp";
+  // A temp name of our own: concurrent writers of one path each write
+  // their own inode, so the rename publishes exactly one writer's bytes
+  // and no writer can unlink another's temp file. O_EXCL refuses a stale
+  // name left by a crashed process whose pid was reused; take the next.
+  static std::atomic<std::uint64_t> counter{0};
+  const std::string stem = path + ".tmp." + std::to_string(::getpid()) + ".";
+  std::string tmp;
+  int fd = -1;
+  do {
+    tmp = stem + std::to_string(counter.fetch_add(1));
+    fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  } while (fd < 0 && errno == EEXIST);
+  if (fd < 0) {
+    throw IoError("cannot open file for writing: " + tmp + ": " +
+                  std::strerror(errno));
+  }
   const auto fail = [&tmp](const std::string& what) -> IoError {
     IoError err(what + ": " + tmp + ": " + std::strerror(errno));
     ::unlink(tmp.c_str());
     return err;
   };
 
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw IoError("cannot open file for writing: " + tmp + ": " +
-                  std::strerror(errno));
-  }
   const char* data = contents.data();
   std::size_t left = contents.size();
   while (left > 0) {

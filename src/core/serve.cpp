@@ -221,18 +221,23 @@ bool ModelHost::revalidate() {
   // Ticket first: a revalidation that read the file earlier must never
   // overwrite what a later reading published.
   const std::uint64_t ticket = tickets_.fetch_add(1) + 1;
-  std::string bytes;
-  try {
-    bytes = read_file(path_);
-  } catch (const Error& err) {
+  const auto unreadable = [&](const Error& err) {
     if (snapshot()->framework != nullptr) {
       unusable.increment();
       warn("serve: model artifact became unreadable (" +
            std::string(err.what()) + "); degrading to heuristic serving");
     }
     return publish(ticket, std::make_shared<const Snapshot>());
+  };
+  // Every call hashes every byte of the file (no size or mtime shortcut:
+  // a same-length in-place edit must be caught), streamed, so the common
+  // unchanged case never holds the artifact in memory.
+  std::string sum;
+  try {
+    sum = "xxh64:" + hex16(hash_file(path_));
+  } catch (const Error& err) {
+    return unreadable(err);
   }
-  std::string sum = "fnv1a64:" + hex16(fnv1a64(bytes));
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (ticket < published_ticket_) return snapshot_->framework != nullptr;
@@ -241,6 +246,15 @@ bool ModelHost::revalidate() {
       return true;
     }
   }
+  // Changed: read the bytes to parse, and take the identity from exactly
+  // those bytes, since the file may have changed again since the hash.
+  std::string bytes;
+  try {
+    bytes = read_file(path_);
+  } catch (const Error& err) {
+    return unreadable(err);
+  }
+  sum = "xxh64:" + hex16(xxh64(bytes));
   auto next = std::make_shared<Snapshot>();
   try {
     next->framework = std::make_shared<PmlFramework>(

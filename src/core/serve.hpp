@@ -173,17 +173,18 @@ class ServeCache {
   std::size_t capacity_;
 };
 
-/// Owns the loaded model and its identity. The identity is the FNV-1a
-/// checksum of the artifact's file bytes: cache keys embed it, so a
-/// model redeploy (new bytes) naturally invalidates every cached table
-/// without an explicit flush. revalidate() re-reads the file and
-/// reloads only when the bytes changed; a now-corrupt artifact drops
+/// Owns the loaded model and its identity. The identity is the XXH64 of
+/// the artifact's file bytes: cache keys embed it, so a model redeploy
+/// (new bytes) naturally invalidates every cached table without an
+/// explicit flush. revalidate() streams the whole file through the hash
+/// and reloads only when the bytes changed; a now-corrupt artifact drops
 /// the engine to heuristic-only serving (the file on disk is the source
 /// of truth — the in-memory copy is not kept once it can no longer be
 /// vouched for).
 ///
 /// The model and its checksum are published together as one immutable
-/// Snapshot, so no reader can pair one model with another's identity.
+/// Snapshot, so no reader can pair one model with another's identity: a
+/// reload re-reads the file and hashes exactly the bytes it parses.
 /// revalidate() reads, hashes and parses without holding any lock; the
 /// lock covers only the snapshot pointer, so selects never wait behind a
 /// compile's I/O and concurrent revalidations do not queue.
@@ -194,7 +195,8 @@ class ModelHost {
     /// The model, or nullptr while degraded. Safe for concurrent
     /// select()/compile_for() (see framework.hpp).
     std::shared_ptr<PmlFramework> framework;
-    /// "fnv1a64:<16 hex>" over the artifact file bytes; "" while degraded.
+    /// "xxh64:<16 hex>" over the artifact file bytes (the digest
+    /// `xxhsum -H1` prints); "" while degraded.
     std::string checksum;
   };
 
@@ -211,7 +213,7 @@ class ModelHost {
   std::shared_ptr<PmlFramework> framework() const;
   std::string checksum() const;
 
-  /// Re-read and re-hash the whole artifact; reload if its bytes changed.
+  /// Re-hash every byte of the artifact; reload if its bytes changed.
   /// Returns true when a usable model is loaded afterwards.
   bool revalidate();
 

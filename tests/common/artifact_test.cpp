@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <string_view>
@@ -49,6 +50,64 @@ TEST(Fnv1a64, KnownVectors) {
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
   EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
   EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
+TEST(Xxh64, KnownVectors) {
+  // Seed-0 digests as printed by `xxhsum -H1`.
+  EXPECT_EQ(xxh64(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(xxh64("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(xxh64("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(xxh64("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
+  // Three stripes, then a 21-byte tail: two 8-byte, one 4- and one 1-byte step.
+  std::string thrice;
+  for (int i = 0; i < 3; ++i) thrice += "Nobody inspects the spammish repetition";
+  EXPECT_EQ(xxh64(thrice), 0x03672e8d89443a6fULL);
+}
+
+/// Streams `bytes` through Xxh64 in chunks whose sizes cycle through
+/// `splits`, so partial stripes are carried across update() calls.
+std::uint64_t streamed(std::string_view bytes,
+                       const std::vector<std::size_t>& splits) {
+  Xxh64 state;
+  for (std::size_t i = 0; !bytes.empty(); ++i) {
+    const std::size_t n = std::min(bytes.size(), splits[i % splits.size()]);
+    state.update(bytes.substr(0, n));
+    bytes.remove_prefix(n);
+  }
+  return state.digest();
+}
+
+std::string patterned(std::size_t size) {
+  std::string bytes(size, '\0');
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<char>((i * 2654435761u) >> 13);
+  }
+  return bytes;
+}
+
+TEST(Xxh64, StreamingInAnySplitEqualsOneShot) {
+  const std::vector<std::vector<std::size_t>> splittings = {
+      {1}, {3, 5}, {7, 31, 1}, {32}, {33, 2}, {64, 17}, {4096}};
+  for (std::size_t len = 0; len <= 100; ++len) {
+    const std::string bytes = patterned(len);
+    const std::uint64_t whole = xxh64(bytes);
+    for (const auto& splits : splittings) {
+      EXPECT_EQ(streamed(bytes, splits), whole) << "len " << len;
+    }
+  }
+  const std::string big = patterned(100 * 1000);
+  const std::uint64_t whole = xxh64(big);
+  for (const auto& splits : splittings) {
+    EXPECT_EQ(streamed(big, splits), whole);
+  }
+  // An empty update anywhere is a no-op, and digest() does not consume.
+  Xxh64 state;
+  state.update(std::string_view(big).substr(0, 50));
+  state.update("");
+  EXPECT_EQ(state.digest(), state.digest());
+  state.update(std::string_view(big).substr(50));
+  EXPECT_EQ(state.digest(), whole);
 }
 
 TEST(Fnv1a64, ChecksumSurvivesParseDumpRoundTrip) {
@@ -96,8 +155,11 @@ TEST_F(ArtifactTest, WriteAndLoadRoundTrip) {
   EXPECT_TRUE(is_artifact_envelope(doc));
   const Json back = artifact_payload(doc, "sample");
   EXPECT_EQ(back, sample_payload());
-  // The atomic write must not leave its temp file behind.
-  EXPECT_FALSE(std::filesystem::exists(file + ".tmp"));
+  // The atomic write must not leave any temp file behind.
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    EXPECT_NE(entry.path().filename().string().rfind("sample.json.tmp", 0), 0u)
+        << "leftover temp file " << entry.path();
+  }
 }
 
 TEST_F(ArtifactTest, AtomicWriteReplacesExistingFile) {

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
+#include "common/artifact.hpp"
 #include "common/error.hpp"
 
 namespace pml {
@@ -101,6 +108,77 @@ TEST(Strings, ReadFileWithoutAReportedSizeReadsToEnd) {
 TEST(Strings, ReadDirectoryThrowsIoError) {
   EXPECT_THROW(
       read_file(std::filesystem::temp_directory_path().string()), IoError);
+}
+
+/// A fresh per-test directory under the system temp dir.
+class FileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("pml_strings_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+  std::filesystem::path dir_;
+};
+
+using HashFile = FileTest;
+
+TEST_F(HashFile, EqualsOneShotHashOfReadFile) {
+  std::string with_nuls(3 * 1024 * 1024, '\0');
+  for (std::size_t i = 0; i < with_nuls.size(); ++i) {
+    with_nuls[i] = static_cast<char>((i * 131) % 256);  // NULs every 256 bytes
+  }
+  // Larger than the stream buffer, and not a whole number of stripes.
+  const std::string past_buffer(256 * 1024 * 3 + 37, 'x');
+  for (const std::string& contents : {std::string(), with_nuls, past_buffer}) {
+    const std::string file = path("f.bin");
+    write_file(file, contents);
+    EXPECT_EQ(hash_file(file), xxh64(read_file(file)));
+  }
+}
+
+TEST_F(HashFile, DirectoryOrMissingPathThrowsIoError) {
+  EXPECT_THROW(hash_file(dir_.string()), IoError);
+  EXPECT_THROW(hash_file(path("missing.bin")), IoError);
+}
+
+using WriteFileAtomic = FileTest;
+
+TEST_F(WriteFileAtomic, ConcurrentWritersPublishExactlyOneWritersBytes) {
+  // Distinct lengths and fills: a torn or interleaved file matches none.
+  constexpr std::size_t kWriters = 8;
+  std::vector<std::string> contents;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    contents.emplace_back(64 * 1024 + 977 * w, static_cast<char>('a' + w));
+  }
+  const std::string file = path("model.json");
+  for (int round = 0; round < 5; ++round) {
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        ready.fetch_add(1);
+        while (ready.load() < kWriters) std::this_thread::yield();
+        EXPECT_NO_THROW(write_file_atomic(file, contents[w]));
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_NE(std::find(contents.begin(), contents.end(), read_file(file)),
+              contents.end())
+        << "round " << round;
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().filename().string(), "model.json")
+        << "leftover temp file " << entry.path();
+  }
 }
 
 TEST(Strings, ReadMissingFileThrows) {

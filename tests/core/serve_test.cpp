@@ -21,6 +21,8 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -244,11 +246,11 @@ TEST_F(ServeTest, TableRepliesAreByteStableAcrossRequests) {
                 .lookup(coll::Collective::kAllgather, 2, 16, 1024));
 }
 
-/// "fnv1a64:<16 hex>" over a file's bytes: the identity ModelHost reports.
+/// "xxh64:<16 hex>" over a file's bytes: the identity ModelHost reports.
 std::string file_checksum(const std::string& path) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "fnv1a64:%016llx",
-                static_cast<unsigned long long>(fnv1a64(read_file(path))));
+  std::snprintf(buf, sizeof buf, "xxh64:%016llx",
+                static_cast<unsigned long long>(xxh64(read_file(path))));
   return buf;
 }
 
@@ -315,6 +317,69 @@ TEST_F(ServeTest, ConcurrentRevalidationsOfAnUnchangedArtifactAgree) {
   EXPECT_EQ(host.snapshot()->checksum, file_checksum(model_path()));
   // Unchanged bytes confirm the snapshot; nothing is re-parsed.
   EXPECT_EQ(host.snapshot(), before);
+}
+
+TEST_F(ServeTest, RedeployRaceNeverPairsAModelWithTheOtherIdentity) {
+  // A revalidation can hash model A's file and then read model B's, when
+  // a redeploy lands between its two reads; the snapshot it publishes
+  // must still carry the hash of the bytes it parsed. The window is
+  // narrow, so the writers redeploy many times.
+  static const PmlFramework other = [] {
+    TrainOptions options;
+    options.forest.n_trees = 4;
+    options.seed = 14;
+    const std::vector<sim::ClusterSpec> clusters = {sim::cluster_by_name("RI")};
+    return PmlFramework::train(clusters, options);
+  }();
+  const std::array<Json, 2> payloads = {trained().to_json(), other.to_json()};
+  std::array<std::string, 2> dumps;
+  std::array<std::string, 2> identities;
+  for (std::size_t m = 0; m < 2; ++m) {
+    dumps[m] = payloads[m].dump();
+    write_artifact(model_path(), payloads[m], "model");
+    identities[m] = file_checksum(model_path());
+  }
+  ASSERT_NE(dumps[0], dumps[1]);
+
+  ModelHost host(model_path());
+  std::atomic<bool> writing{true};
+  std::mutex seen_mutex;
+  std::vector<std::shared_ptr<const ModelHost::Snapshot>> seen;
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::size_t i = 0; i < 100; ++i) {
+        EXPECT_NO_THROW(
+            write_artifact(model_path(), payloads[(i + w) % 2], "model"));
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      do {
+        host.revalidate();
+        std::lock_guard<std::mutex> lock(seen_mutex);
+        seen.push_back(host.snapshot());
+      } while (writing.load());
+    });
+  }
+  threads[0].join();
+  threads[1].join();
+  writing.store(false);
+  threads[2].join();
+  threads[3].join();
+
+  // Renames publish whole files, so no reading is ever degraded, and each
+  // model must carry the identity of the bytes it was parsed from.
+  std::set<const ModelHost::Snapshot*> checked;
+  for (const auto& snapshot : seen) {
+    if (!checked.insert(snapshot.get()).second) continue;
+    ASSERT_NE(snapshot->framework, nullptr);
+    const std::string dump = snapshot->framework->to_json().dump();
+    const std::size_t m = dump == dumps[0] ? 0 : 1;
+    EXPECT_EQ(dump, dumps[m]);
+    EXPECT_EQ(snapshot->checksum, identities[m]);
+  }
 }
 
 TEST_F(ServeTest, PrettyPrintedModelFromEarlierReleasesStillLoads) {
