@@ -260,7 +260,7 @@ namespace {
 /// power-of-two-only recursive doubling, or a leader schedule on a
 /// single-node job). Classes index coll::selection_space(collective), whose
 /// flat prefix matches the v1 label space — so a v1 bundle's classes map
-/// unchanged. Shared by select() and select_batch() so the two paths break
+/// unchanged. Shared by select() and select_many() so the two paths break
 /// probability ties identically — that is what makes batched table compiles
 /// bit-identical to scalar ones.
 coll::Selection pick_ranked(std::span<const double> proba,
@@ -313,22 +313,22 @@ coll::Selection PmlFramework::select(Collective collective,
   return pick_ranked(proba, coll::selection_space(collective), order, topo);
 }
 
-void PmlFramework::select_batch(Collective collective,
-                                const sim::ClusterSpec& cluster,
-                                std::span<const SelectQuery> queries,
-                                std::span<coll::Selection> out) {
-  if (queries.size() != out.size()) {
-    throw TuningError("select_batch: " + std::to_string(queries.size()) +
-                      " queries but " + std::to_string(out.size()) +
+void PmlFramework::select_many(Collective collective,
+                               const sim::ClusterSpec& cluster,
+                               sim::Topology topo,
+                               std::span<const std::uint64_t> msg_sizes,
+                               std::span<coll::Selection> out) {
+  if (msg_sizes.size() != out.size()) {
+    throw TuningError("select_many: " + std::to_string(msg_sizes.size()) +
+                      " sizes but " + std::to_string(out.size()) +
                       " output slots");
   }
-  if (queries.empty()) return;
+  if (msg_sizes.empty()) return;
   const PerCollective& p = part(collective);
 
-  // The compile/serve hot path: one call per tuning-table cell (or serve
-  // micro-batch), from many threads. Same thread_local scratch discipline
-  // as select() — the matrices only ever grow, so steady-state batches
-  // allocate nothing.
+  // The compile hot path: one call per tuning-table cell, from many
+  // threads. Same thread_local scratch discipline as select() — the
+  // matrices only ever grow, so steady-state batches allocate nothing.
   thread_local std::vector<double> full;
   thread_local std::vector<double> row;
   thread_local std::vector<std::size_t> order;
@@ -337,35 +337,22 @@ void PmlFramework::select_batch(Collective collective,
 
   {
     obs::Span span("online.feature_extraction");
-    features.resize(queries.size(), p.columns.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      extract_features_into(cluster, queries[i].topo.nodes, queries[i].topo.ppn,
-                            queries[i].msg_bytes, full);
+    features.resize(msg_sizes.size(), p.columns.size());
+    for (std::size_t i = 0; i < msg_sizes.size(); ++i) {
+      extract_features_into(cluster, topo.nodes, topo.ppn, msg_sizes[i], full);
       project_features_into(full, p.columns, row);
       std::ranges::copy(row, features.row(i).begin());
     }
   }
   obs::Span span("online.inference");
-  proba.resize(queries.size(), static_cast<std::size_t>(p.forest.num_classes()));
+  proba.resize(msg_sizes.size(),
+               static_cast<std::size_t>(p.forest.num_classes()));
   p.forest.predict_batch(features, proba);
 
   const auto& space = coll::selection_space(collective);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    out[i] = pick_ranked(proba.row(i), space, order, queries[i].topo);
-  }
-}
-
-void PmlFramework::select_many(Collective collective,
-                               const sim::ClusterSpec& cluster,
-                               sim::Topology topo,
-                               std::span<const std::uint64_t> msg_sizes,
-                               std::span<coll::Selection> out) {
-  thread_local std::vector<SelectQuery> queries;
-  queries.resize(msg_sizes.size());
   for (std::size_t i = 0; i < msg_sizes.size(); ++i) {
-    queries[i] = SelectQuery{topo, msg_sizes[i]};
+    out[i] = pick_ranked(proba.row(i), space, order, topo);
   }
-  select_batch(collective, cluster, queries, out);
 }
 
 TuningTable PmlFramework::compile_for(const sim::ClusterSpec& cluster,

@@ -168,26 +168,13 @@ class PmlFramework final : public Selector {
                          const sim::ClusterSpec& cluster, sim::Topology topo,
                          std::uint64_t msg_bytes) override;
 
-  /// One query of a batched selection: a topology and message size against
-  /// one (collective, cluster).
-  struct SelectQuery {
-    sim::Topology topo;
-    std::uint64_t msg_bytes = 0;
-  };
-
-  /// Batched select(): assembles every query's feature row into a reused
-  /// thread_local Matrix, runs one FlatForest predict_batch (the tree-major
-  /// blocked kernel), and ranks each row with the same tie-breaking as
-  /// select() — so out[i] is exactly what select() would return for
-  /// queries[i], with zero steady-state allocations. Thread-safe under the
-  /// same contract as select().
-  void select_batch(coll::Collective collective,
-                    const sim::ClusterSpec& cluster,
-                    std::span<const SelectQuery> queries,
-                    std::span<coll::Selection> out);
-
-  /// Selector::select_many through select_batch (fixed topology, varying
-  /// message size) — the tuning-table compile hot path.
+  /// Batched select() at one topology, the tuning-table compile hot path:
+  /// assembles every message size's feature row into a reused thread_local
+  /// Matrix, runs one FlatForest predict_batch (the tree-major blocked
+  /// kernel), and ranks each row with the same tie-breaking as select() —
+  /// so out[i] is exactly what select() would return for msg_sizes[i],
+  /// with zero steady-state allocations. Throws TuningError when the spans
+  /// differ in length. Thread-safe under the same contract as select().
   void select_many(coll::Collective collective,
                    const sim::ClusterSpec& cluster, sim::Topology topo,
                    std::span<const std::uint64_t> msg_sizes,

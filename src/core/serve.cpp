@@ -47,8 +47,10 @@ const Json& require_field(const Json& request, const char* key) {
   return request.at(key);
 }
 
-int require_positive_int(const Json& request, const char* key) {
-  const std::int64_t v = require_field(request, key).as_int();
+/// `value` (the request's `key` field, or one entry of that array) as a
+/// positive 32-bit integer.
+int require_positive_int(const Json& value, const char* key) {
+  const std::int64_t v = value.as_int();
   if (v < 1 || v > std::numeric_limits<int>::max()) {
     throw ConfigError(std::string("serve: \"") + key +
                       "\" must be a positive 32-bit integer");
@@ -56,8 +58,10 @@ int require_positive_int(const Json& request, const char* key) {
   return static_cast<int>(v);
 }
 
-std::uint64_t require_nonneg_u64(const Json& request, const char* key) {
-  const std::int64_t v = require_field(request, key).as_int();
+/// `value` (the request's `key` field, or one entry of that array) as a
+/// non-negative byte count.
+std::uint64_t require_nonneg_u64(const Json& value, const char* key) {
+  const std::int64_t v = value.as_int();
   if (v < 0) {
     throw ConfigError(std::string("serve: \"") + key + "\" must be >= 0");
   }
@@ -92,19 +96,19 @@ void apply_sweep_overrides(const Json& request, CompileOptions& options) {
   if (request.contains("node_counts")) {
     options.node_counts.clear();
     for (const Json& n : request.at("node_counts").as_array()) {
-      options.node_counts.push_back(static_cast<int>(n.as_int()));
+      options.node_counts.push_back(require_positive_int(n, "node_counts"));
     }
   }
   if (request.contains("ppn_values")) {
     options.ppn_values.clear();
     for (const Json& p : request.at("ppn_values").as_array()) {
-      options.ppn_values.push_back(static_cast<int>(p.as_int()));
+      options.ppn_values.push_back(require_positive_int(p, "ppn_values"));
     }
   }
   if (request.contains("msg_sizes")) {
     options.message_sizes.clear();
     for (const Json& m : request.at("msg_sizes").as_array()) {
-      options.message_sizes.push_back(static_cast<std::uint64_t>(m.as_int()));
+      options.message_sizes.push_back(require_nonneg_u64(m, "msg_sizes"));
     }
   }
 }
@@ -133,7 +137,6 @@ void ServeOptions::validate() const {
   if (shard_capacity < 1) {
     throw ConfigError("serve: shard_capacity must be >= 1");
   }
-  if (micro_batch < 1) throw ConfigError("serve: micro_batch must be >= 1");
   if (max_line_bytes < 64) {
     throw ConfigError("serve: max_line_bytes must be >= 64");
   }
@@ -484,8 +487,15 @@ void ServeEngine::run_compile(const std::shared_ptr<CompileJob>& job,
 std::shared_ptr<const ServedTable> ServeEngine::wait_for(
     CompileJob& job, std::int64_t deadline_ms, bool& timed_out) {
   timed_out = false;
+  // A deadline too far out for the steady clock (now + deadline would
+  // overflow it) bounds nothing: wait as if none was given.
+  const std::int64_t headroom_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::time_point::max() -
+          std::chrono::steady_clock::now())
+          .count();
   std::unique_lock<std::mutex> lock(job.mutex);
-  if (deadline_ms < 0) {
+  if (deadline_ms < 0 || deadline_ms >= headroom_ms) {
     job.cv.wait(lock, [&job] { return job.done; });
     return job.result;
   }
@@ -498,103 +508,6 @@ std::shared_ptr<const ServedTable> ServeEngine::wait_for(
     return nullptr;
   }
   return job.result;
-}
-
-// --- Select micro-batching ----------------------------------------------------
-//
-// Uncached selects answered by direct model inference are the one serve
-// path that still ran one forest sweep per request. Under concurrent
-// traffic those requests now coalesce: the first arrival becomes the
-// *leader* and drains the queue in groups of up to micro_batch compatible
-// requests — same model instance, same cluster hardware fingerprint
-// (the equivalence the cache key already relies on), same collective —
-// answering each group with one PmlFramework::select_batch call, i.e. one
-// tree-major blocked FlatForest sweep. Followers just block on their
-// stack-owned PendingSelect until the leader marks it done. Results and
-// errors are written under batch_mutex_, so the handoff is a plain
-// happens-before; the kernel itself is bit-identical to per-request
-// select(), so replies do not depend on who shared a batch with whom.
-
-void ServeEngine::drain_select_batches(std::unique_lock<std::mutex>& lock) {
-  static obs::Gauge batch_size("serve.batch.size");
-  thread_local std::vector<PendingSelect*> group;
-  thread_local std::vector<PmlFramework::SelectQuery> queries;
-  thread_local std::vector<coll::Selection> results;
-  while (!batch_queue_.empty()) {
-    // Peel the oldest request plus everything compatible with it, up to
-    // the micro_batch cap, preserving arrival order.
-    const PendingSelect* const head = batch_queue_.front();
-    const std::size_t cap = static_cast<std::size_t>(options_.micro_batch);
-    group.clear();
-    std::erase_if(batch_queue_, [&](PendingSelect* p) {
-      if (group.size() >= cap) return false;
-      if (p->framework != head->framework ||
-          p->fingerprint != head->fingerprint ||
-          p->collective != head->collective) {
-        return false;
-      }
-      group.push_back(p);
-      return true;
-    });
-
-    queries.resize(group.size());
-    results.resize(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      queries[i] = group[i]->query;
-    }
-    PmlFramework& framework = *group.front()->framework;
-    const sim::ClusterSpec& cluster = *group.front()->cluster;
-
-    lock.unlock();
-    batch_size.set(static_cast<std::int64_t>(group.size()));
-    std::exception_ptr error;
-    try {
-      framework.select_batch(head->collective, cluster, queries, results);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      group[i]->result = results[i];
-      group[i]->error = error;
-      group[i]->done = true;
-    }
-    batch_cv_.notify_all();
-  }
-}
-
-coll::Selection ServeEngine::batched_model_select(PmlFramework& framework,
-                                                  const sim::ClusterSpec& cluster,
-                                                  coll::Collective collective,
-                                                  sim::Topology topo,
-                                                  std::uint64_t msg_bytes) {
-  if (options_.micro_batch <= 1) {
-    return framework.select(collective, cluster, topo, msg_bytes);
-  }
-  PendingSelect pending;
-  pending.framework = &framework;
-  pending.cluster = &cluster;
-  pending.fingerprint = cluster.hardware_fingerprint();
-  pending.collective = collective;
-  pending.query = PmlFramework::SelectQuery{topo, msg_bytes};
-
-  std::unique_lock<std::mutex> lock(batch_mutex_);
-  batch_queue_.push_back(&pending);
-  while (!pending.done) {
-    if (!batch_leader_active_) {
-      // Become the leader; draining runs until the queue is empty, which
-      // necessarily answers our own request too.
-      batch_leader_active_ = true;
-      drain_select_batches(lock);
-      batch_leader_active_ = false;
-      batch_cv_.notify_all();
-    } else {
-      batch_cv_.wait(lock,
-                     [&] { return pending.done || !batch_leader_active_; });
-    }
-  }
-  if (pending.error != nullptr) std::rethrow_exception(pending.error);
-  return pending.result;
 }
 
 template <class Resolve>
@@ -632,9 +545,11 @@ const char* ServeEngine::degrade(Admission admission) {
 std::string ServeEngine::handle_select(const Json& request) {
   const coll::Collective collective = coll::collective_from_string(
       require_field(request, "collective").as_string());
-  const int nodes = require_positive_int(request, "nodes");
-  const int ppn = require_positive_int(request, "ppn");
-  const std::uint64_t msg_bytes = require_nonneg_u64(request, "msg_bytes");
+  const int nodes =
+      require_positive_int(require_field(request, "nodes"), "nodes");
+  const int ppn = require_positive_int(require_field(request, "ppn"), "ppn");
+  const std::uint64_t msg_bytes =
+      require_nonneg_u64(require_field(request, "msg_bytes"), "msg_bytes");
   const std::string checksum = model_.checksum();
 
   // A cached select must not pay for what only a miss needs: for a named
@@ -681,15 +596,14 @@ std::string ServeEngine::handle_select(const Json& request) {
     selection = probe.entry->table.lookup(collective, nodes, ppn, msg_bytes);
   } else if (probe.admission == Admission::kAdmitted &&
              (framework = model_.framework()) != nullptr) {
-    // Miss, model healthy: answer by direct inference while the table
-    // compiles in the background. Same model, same quality — not a
-    // degraded reply. The model is read after the probe, not with the
-    // keying checksum: a waited compile may just have found the artifact
-    // corrupt, and then this reply must degrade too. Nothing is cached
-    // from it, so no checksum is paired with this framework.
+    // Miss, model healthy: answer by one direct select() on this thread
+    // while the table compiles in the background. Same model, same
+    // quality — not a degraded reply. The model is read after the probe,
+    // not with the keying checksum: a waited compile may just have found
+    // the artifact corrupt, and then this reply must degrade too. Nothing
+    // is cached from it, so no checksum is paired with this framework.
     source = "model";
-    selection =
-        batched_model_select(*framework, *cluster, collective, topo, msg_bytes);
+    selection = framework->select(collective, *cluster, topo, msg_bytes);
   } else {
     // Heuristic rung: no model, or a shed / breaker-open miss (both exist
     // to spend nothing extra on this request, so they skip even direct

@@ -19,10 +19,11 @@
 // a recompile is posted to ThreadPool::shared() — whose workers also
 // batch the FlatForest inference inside each compile via parallel_for —
 // and the miss is answered immediately one rung down the degradation
-// ladder: direct model inference for "select", HeuristicSelector for
-// "table". Heuristic answers are marked "degraded" and are never cached,
-// and each one bumps the same online.fallback.* counters as the batch
-// online stage.
+// ladder: direct model inference for "select" (one scalar
+// PmlFramework::select on the request thread, lock-free against the
+// shared framework), HeuristicSelector for "table". Heuristic answers are
+// marked "degraded" and are never cached, and each one bumps the same
+// online.fallback.* counters as the batch online stage.
 //
 // The stack is overload-safe by construction (docs/API.md, "Serve
 // protocol > Limits"): the engine sheds misses past a bounded pending-
@@ -77,14 +78,6 @@ struct ServeOptions {
   /// When false, cache misses compile synchronously on the request
   /// thread (deterministic tests); the reply still reports its rung.
   bool async_compile = true;
-  /// Upper bound on the select micro-batch (>= 1). Concurrent uncached
-  /// "select" requests answered by direct model inference coalesce — per
-  /// (model instance, cluster hardware fingerprint, collective) — into
-  /// one batched FlatForest sweep, amortizing node-array traffic across
-  /// requests exactly like a tuning-table cell compile. 1 disables
-  /// coalescing. Replies are unchanged either way: the batched kernel is
-  /// bit-identical to per-request select().
-  int micro_batch = 16;
 
   // --- Transport limits (TcpServer) ---
 
@@ -327,34 +320,6 @@ class ServeEngine {
   std::string handle_stats();
   std::string handle_health();
 
-  /// One uncached select waiting for a model micro-batch. Stack-owned by
-  /// its blocked request thread (so the cluster pointer stays valid);
-  /// every field after `query` is written by the draining leader under
-  /// batch_mutex_.
-  struct PendingSelect {
-    PmlFramework* framework = nullptr;
-    const sim::ClusterSpec* cluster = nullptr;
-    std::uint64_t fingerprint = 0;
-    coll::Collective collective{};
-    PmlFramework::SelectQuery query;
-    coll::Selection result = coll::Selection::flat(coll::Algorithm::kAgRing);
-    std::exception_ptr error;
-    bool done = false;
-  };
-
-  /// Leader/follower micro-batching around PmlFramework::select_batch
-  /// (serve.cpp comment). Returns what framework->select(...) would, or
-  /// rethrows its error.
-  coll::Selection batched_model_select(PmlFramework& framework,
-                                       const sim::ClusterSpec& cluster,
-                                       coll::Collective collective,
-                                       sim::Topology topo,
-                                       std::uint64_t msg_bytes);
-
-  /// Drain batch_queue_ until empty, one compatible group at a time.
-  /// Pre: `lock` holds batch_mutex_ and this thread is the leader.
-  void drain_select_batches(std::unique_lock<std::mutex>& lock);
-
   /// How admit_compile disposed of a cache miss.
   enum class Admission {
     kAdmitted,     ///< a compile job exists (joined or freshly started)
@@ -404,8 +369,9 @@ class ServeEngine {
                    const std::string& requested_key,
                    const sim::ClusterSpec& cluster,
                    const CompileOptions& resolved) noexcept;
-  /// Wait for `job`, or for `deadline_ms` milliseconds when >= 0
-  /// (sets `timed_out` and returns nullptr on expiry).
+  /// Wait for `job`, or for `deadline_ms` milliseconds when >= 0 and
+  /// within the steady clock's range (sets `timed_out` and returns
+  /// nullptr on expiry); a larger deadline waits unbounded.
   std::shared_ptr<const ServedTable> wait_for(CompileJob& job,
                                               std::int64_t deadline_ms,
                                               bool& timed_out);
@@ -433,12 +399,6 @@ class ServeEngine {
   std::condition_variable idle_cv_;
   std::unordered_map<std::string, std::shared_ptr<CompileJob>> jobs_;
   int in_flight_ = 0;
-
-  /// Select micro-batcher state (batched_model_select).
-  std::mutex batch_mutex_;
-  std::condition_variable batch_cv_;
-  std::vector<PendingSelect*> batch_queue_;
-  bool batch_leader_active_ = false;
 
   CircuitBreaker breaker_;
   std::atomic<bool> draining_{false};

@@ -76,30 +76,11 @@ TEST(Framework, SelectManyAndSelectBatchMatchScalarSelect) {
     }
   }
 
-  // select_batch: mixed topologies in one micro-batch (the serve
-  // coalescer's shape) must also match query-by-query inference.
-  std::vector<PmlFramework::SelectQuery> queries;
-  for (const int nodes : {2, 3, 4}) {
-    for (const int ppn : {7, 16}) {
-      for (const std::uint64_t msg : {1u, 4096u, 1u << 20}) {
-        queries.push_back(
-            PmlFramework::SelectQuery{sim::Topology{nodes, ppn}, msg});
-      }
-    }
-  }
-  std::vector<coll::Selection> out(queries.size());
-  fw.select_batch(coll::Collective::kAlltoall, mri, queries, out);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(out[i], fw.select(coll::Collective::kAlltoall, mri,
-                                queries[i].topo, queries[i].msg_bytes))
-        << "query " << i;
-  }
-
   // Shape mismatches fail loudly.
-  std::vector<coll::Selection> wrong(queries.size() + 1);
-  EXPECT_THROW(
-      fw.select_batch(coll::Collective::kAlltoall, mri, queries, wrong),
-      TuningError);
+  std::vector<coll::Selection> wrong(sizes.size() + 1);
+  EXPECT_THROW(fw.select_many(coll::Collective::kAlltoall, mri,
+                              sim::Topology{3, 16}, sizes, wrong),
+               TuningError);
 }
 
 TEST(Framework, BeatsRandomSelectionOnUnseenCluster) {

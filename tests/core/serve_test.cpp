@@ -83,8 +83,7 @@ TEST(ServeOptions, ValidateRejectsBadShapes) {
   options.shard_capacity = 0;
   EXPECT_THROW(options.validate(), ConfigError);
   options.shard_capacity = 1;
-  options.micro_batch = 0;
-  EXPECT_THROW(options.validate(), ConfigError);
+  EXPECT_NO_THROW(options.validate());
 }
 
 TEST(ServeOptions, ValidateRejectsBadLimits) {
@@ -166,6 +165,30 @@ TEST_F(ServeTest, UnknownOpAndMissingFieldsMapToConfigError) {
   }
 }
 
+TEST_F(ServeTest, OutOfRangeSweepOverridesAreConfigErrors) {
+  // Each override entry is held to the bounds of a select's nodes/ppn/
+  // msg_bytes: narrowing 2^32 + 2 to int gives 2, and -1 to uint64 gives
+  // 2^64 - 1, both valid-looking sweeps.
+  ServeEngine engine(options());
+  const std::string base = R"({"op":"table","cluster":"MRI",)";
+  for (const char* sweep :
+       {R"("node_counts":[4294967298],"ppn_values":[16],"msg_sizes":[1024]})",
+        R"("node_counts":[2,0],"ppn_values":[16],"msg_sizes":[1024]})",
+        R"("node_counts":[2],"ppn_values":[4294967312],"msg_sizes":[1024]})",
+        R"("node_counts":[2],"ppn_values":[-16],"msg_sizes":[1024]})",
+        R"("node_counts":[2],"ppn_values":[16],"msg_sizes":[-1]})",
+        R"("node_counts":[2],"ppn_values":[16],"msg_sizes":[1024,-4096]})"}) {
+    const Json reply = reply_of(engine, base + sweep);
+    EXPECT_FALSE(reply.at("ok").as_bool()) << sweep;
+    EXPECT_EQ(reply.at("code").as_string(), "config") << sweep;
+    EXPECT_EQ(reply.at("status").as_int(), exit_status(ErrorCode::kConfig));
+  }
+  // In-range overrides still compile.
+  const Json ok = reply_of(
+      engine, base + R"("node_counts":[2],"ppn_values":[16],"msg_sizes":[0]})");
+  EXPECT_TRUE(ok.at("ok").as_bool());
+}
+
 TEST_F(ServeTest, SelectMissAnswersFromModelThenHitsTheCompiledTable) {
   ServeEngine engine(options());
   const std::string request =
@@ -191,28 +214,6 @@ TEST_F(ServeTest, SelectMissAnswersFromModelThenHitsTheCompiledTable) {
   EXPECT_EQ(stats.at("cache_misses").as_int(), 1);
   EXPECT_EQ(stats.at("compiles").as_int(), 1);
   EXPECT_EQ(stats.at("tables_cached").as_int(), 1);
-}
-
-TEST_F(ServeTest, MicroBatchKnobDoesNotChangeAnswers) {
-  // micro_batch=1 bypasses the coalescer entirely; the default routes
-  // every uncached model answer through select_batch (a batch of one when
-  // traffic is serial). The batched kernel is bit-identical to scalar
-  // inference, so the two engines must produce identical replies,
-  // request for request.
-  ServeOptions scalar_options = options();
-  scalar_options.micro_batch = 1;
-  ServeEngine batched(options());
-  ServeEngine scalar(scalar_options);
-  for (const char* collective : {"allgather", "alltoall"}) {
-    for (const std::uint64_t msg : {1024u, 65536u}) {
-      const std::string request =
-          std::string(R"({"op":"select","cluster":"MRI","collective":")") +
-          collective + R"(","nodes":4,"ppn":16,"msg_bytes":)" +
-          std::to_string(msg) + "}";
-      EXPECT_EQ(batched.handle_line(request), scalar.handle_line(request))
-          << request;
-    }
-  }
 }
 
 TEST_F(ServeTest, SelectWithWaitReturnsTheCompiledAnswer) {
@@ -581,6 +582,37 @@ TEST_F(ServeTest, WaitDeadlineExpiresToTheCurrentRung) {
     engine.drain();
     const Json after = reply_of(engine, request + "}");
     EXPECT_EQ(after.at("cache").as_string(), "hit");
+  }
+}
+
+TEST_F(ServeTest, DeadlineBeyondTheClockRangeWaitsUnbounded) {
+  // now + 9e15 ms overflows the steady clock; such a deadline must wait
+  // like no deadline at all, not expire at once.
+  ServeOptions o = options();
+  o.async_compile = true;
+  std::atomic<bool> release{false};
+  o.compile_fault = [&release] {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  {
+    ServeEngine engine(o);
+    std::thread releaser([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      release.store(true);
+    });
+    const Json reply = reply_of(
+        engine,
+        R"({"op":"table","cluster":"MRI","wait":true,)"
+        R"("deadline_ms":9000000000000000})");
+    releaser.join();
+    ASSERT_TRUE(reply.at("ok").as_bool());
+    EXPECT_EQ(reply.at("cache").as_string(), "compiled");
+    EXPECT_FALSE(reply.contains("deadline"));
+    EXPECT_FALSE(reply.at("degraded").as_bool());
+    engine.drain();
+    EXPECT_EQ(engine.stats().deadline_expired, 0u);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -190,17 +191,31 @@ TEST_F(ServeHammerTest, ModelCorruptionMidServeDegradesWithoutDroppedRequests) {
   EXPECT_EQ(recovered.at("source").as_string(), "table");
 }
 
-// Micro-batch witness: many threads issue uncached selects against ONE
-// cluster, so the leader/follower coalescer actually groups them into
-// shared FlatForest sweeps (unique-fingerprint hammers above mostly batch
-// alone). Every query sticks to the engine's sweep grid, where the
-// model-inference rung and the compiled-table rung provably agree — so
-// every reply, whichever rung and whatever batch it rode, must equal
-// direct single-query inference on the same trained model.
+// Model-rung witness: many threads issue uncached selects against ONE
+// cluster while its compile is held, so the model rung runs concurrent,
+// lock-free PmlFramework::select() calls on one shared framework (TSan
+// checks this through the serve label). The hold lasts until every thread
+// has had a model reply. Every query sticks to the engine's sweep grid,
+// where the model-inference rung and the compiled-table rung provably
+// agree — so every reply, whichever rung answered it, must equal direct
+// single-query inference on the same trained model.
 TEST_F(ServeHammerTest, CoalescedSelectsMatchDirectInference) {
-  ServeEngine engine(options());
   constexpr int kThreads = 8;
   constexpr int kRequestsPerThread = 50;
+  std::atomic<int> threads_with_model_reply{0};
+  ServeOptions o = options();
+  o.compile_fault = [&threads_with_model_reply] {
+    // Every thread's first request misses while this holds, and a miss
+    // without "wait" never blocks on the compile. The cap only turns a
+    // broken model rung into a failed assertion below instead of a hang.
+    const auto cap =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (threads_with_model_reply.load() < kThreads &&
+           std::chrono::steady_clock::now() < cap) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  ServeEngine engine(o);
 
   struct Query {
     coll::Collective collective;
@@ -219,6 +234,7 @@ TEST_F(ServeHammerTest, CoalescedSelectsMatchDirectInference) {
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
+      bool had_model_reply = false;
       for (int i = 0; i < kRequestsPerThread; ++i) {
         const Query q = query_for(t, i);
         const std::string request =
@@ -231,6 +247,10 @@ TEST_F(ServeHammerTest, CoalescedSelectsMatchDirectInference) {
         if (!reply.at("ok").as_bool()) {
           mismatches.fetch_add(1);
           continue;
+        }
+        if (!had_model_reply && reply.at("source").as_string() == "model") {
+          had_model_reply = true;
+          threads_with_model_reply.fetch_add(1);
         }
         const coll::Selection expected = trained().select(
             q.collective, sim::cluster_by_name("Frontera"),
@@ -247,6 +267,7 @@ TEST_F(ServeHammerTest, CoalescedSelectsMatchDirectInference) {
   for (std::thread& c : clients) c.join();
   engine.drain();
   EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(threads_with_model_reply.load(), kThreads);
   EXPECT_EQ(engine.stats().errors, 0u);
 }
 

@@ -56,13 +56,15 @@
 //       files are never touched.
 //
 //   pml serve   [--model model.json] [--port N | --stdio] [--shards N]
-//               [--capacity N] [--threads N] [--micro-batch N]
+//               [--capacity N] [--threads N]
 //               [--max-connections N] [--max-line-bytes N]
 //               [--read-timeout-ms N] [--queue-limit N]
 //       Selector-as-a-service: answer newline-delimited JSON requests
 //       (ops: select, table, ping, stats, health — see docs/API.md,
 //       "Serve protocol") over TCP on 127.0.0.1:N (0 = ephemeral,
-//       printed on stdout) or over stdin/stdout with --stdio. Without
+//       printed on stdout) or over stdin/stdout with --stdio. A select
+//       whose table is still compiling is answered by one direct model
+//       inference on the request thread. Without
 //       --model, or when the artifact is corrupt, serves heuristic
 //       answers marked "degraded" and keeps re-checking the artifact on
 //       cache misses. The --max-*/--read-timeout-ms/--queue-limit flags
@@ -582,8 +584,6 @@ int cmd_serve(int argc, char** argv) {
           static_cast<std::size_t>(parse_int(value(), "--capacity"));
     } else if (arg == "--threads") {
       options.compile.threads = parse_int(value(), "--threads");
-    } else if (arg == "--micro-batch") {
-      options.micro_batch = parse_int(value(), "--micro-batch");
     } else if (arg == "--max-connections") {
       options.max_connections = parse_int(value(), "--max-connections");
     } else if (arg == "--max-line-bytes") {
