@@ -5,15 +5,6 @@
 
 namespace pml {
 
-namespace {
-
-/// Set while a pool worker executes job bodies: nested parallel_for calls
-/// from inside a worker degrade to the serial loop, which bounds the total
-/// thread count at the pool size and makes nesting deadlock-free.
-thread_local bool tls_in_pool_worker = false;
-
-}  // namespace
-
 int hardware_threads() noexcept {
   static const int n =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
@@ -41,7 +32,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  tls_in_pool_worker = true;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     // post()ed tasks first: they are rare (async recompiles) and small in
@@ -128,7 +118,7 @@ void ThreadPool::post(std::function<void()> task) {
 void ThreadPool::parallel_for(int threads, std::size_t n, const Body& body) {
   if (n == 0) return;
   const int want = resolve_threads(threads);
-  if (want <= 1 || n <= 1 || workers_.empty() || tls_in_pool_worker) {
+  if (want <= 1 || n <= 1 || workers_.empty()) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }

@@ -4,20 +4,39 @@
 // table compilation) are embarrassingly parallel but must stay bit-for-bit
 // deterministic: callers pre-split RNG streams and pre-size output slots, so
 // the pool only has to distribute independent indices. The design is
-// deliberately work-stealing-free: one shared index counter per job, caller
-// participation, and serial fallback for nested calls.
+// deliberately work-stealing-free: one shared index counter per job and
+// caller participation.
 //
 // Semantics:
 //  - parallel_for(threads, n, body) runs body(i) for every i in [0, n) and
 //    blocks until all iterations finished. `threads` caps the concurrency of
 //    this call (caller included); <= 0 means hardware_threads().
-//  - threads == 1 (or n <= 1, or a nested call from inside a pool worker)
-//    executes the plain serial loop on the calling thread — exactly the
-//    historical code path.
+//  - threads == 1 (or n <= 1, or a pool with no workers) executes the plain
+//    serial loop on the calling thread — exactly the historical code path.
+//  - Otherwise the job is queued and the caller runs indices itself; idle
+//    workers join it. This holds for a call made from inside a pool worker
+//    (a post()ed task or another job's body) too: a nested call fans out
+//    over whichever workers are idle, and runs alone on the caller when
+//    none are.
 //  - The first exception thrown by any iteration is re-thrown in the caller;
 //    iterations not yet started are skipped after a failure.
 //  - With threads > 1 the iteration bodies run concurrently, so they must
 //    not mutate shared state without synchronisation.
+//
+// Nesting is deadlock-free. A thread blocks only at the end of its own
+// parallel_for, waiting for the workers running indices of that job, and:
+//  - the caller always takes part in its own job, so every index is claimed
+//    even when no worker is free;
+//  - a worker joins a job only from its idle top-level loop, so it is
+//    running indices of at most one job it did not start itself;
+//  - a waiting caller runs nothing else, and waits only on workers that
+//    already hold indices it handed out.
+// So each worker is waited on by at most one caller: the one whose job it
+// joined. A cycle would need that caller to be waiting, directly or through
+// other workers, on a job the worker started after joining; but the caller
+// is busy inside its own job from before the join until the wait ends, and
+// joins nothing. The wait-for graph is therefore a forest, and every chain
+// ends at a thread that is running a body.
 #pragma once
 
 #include <atomic>
@@ -64,7 +83,7 @@ class ThreadPool {
   /// the pool) track it themselves. Tasks must not throw; an escaped
   /// exception is swallowed after a stderr warning. Tasks still queued
   /// when the pool is destroyed are discarded. A task may call
-  /// parallel_for, which then runs serially (nested-call rule).
+  /// parallel_for, which fans out over the workers idle at that moment.
   void post(std::function<void()> task);
 
   /// Process-wide pool shared by all library hot paths. Sized so that the

@@ -71,9 +71,9 @@ PmlFramework::PerCollective train_part(std::span<const TuningRecord> records,
 /// Propagate the framework-level threads knob down to the forest fits and
 /// the dataset sweep. The collectives are trained one after another from the
 /// calling thread, so every dataset build and every forest fit reaches the
-/// pool itself and fans out over all of its workers. (A parallel_for issued
-/// from a pool worker runs inline, so fanning out over the collectives too
-/// would leave each forest fit serial on one worker.)
+/// pool itself and fans out over all of its workers. (Fanning out over the
+/// collectives as well would gain little: the nested dataset builds and
+/// forest fits would only compete for the same workers.)
 TrainOptions with_forest_threads(const TrainOptions& options) {
   TrainOptions local = options;
   local.forest.threads = options.threads;

@@ -425,13 +425,39 @@ void ServeEngine::run_compile(const std::shared_ptr<CompileJob>& job,
   try {
     obs::Span span("serve.compile");
     if (options_.compile_fault) options_.compile_fault();
-    // Re-read the artifact first: this is both how a redeployed model is
-    // picked up and how a corrupted one drops the ladder to heuristics.
-    model_.revalidate();
+    // Re-read the artifact: this is both how a redeployed model is picked
+    // up and how a corrupted one drops the ladder to heuristics. The read
+    // hashes every byte, so overlap it with a speculative compile on the
+    // model served before it, which an unchanged artifact then confirms.
+    const std::shared_ptr<const ModelHost::Snapshot> before =
+        model_.snapshot();
+    std::optional<TuningTable> table;
+    std::exception_ptr compile_error;
+    parallel_for(2, 2, [&](std::size_t i) {
+      if (i == 1) {
+        model_.revalidate();
+      } else if (before->framework != nullptr) {
+        try {
+          table = before->framework->compile_for(cluster, resolved);
+        } catch (...) {
+          compile_error = std::current_exception();
+        }
+      }
+    });
     const std::shared_ptr<const ModelHost::Snapshot> model = model_.snapshot();
-    if (model->framework != nullptr) {
+    if (model != before) {
+      // The artifact changed (or became unusable): the speculative table,
+      // or its failure, belongs to a model that is no longer served.
+      table.reset();
+      compile_error = nullptr;
+      if (model->framework != nullptr) {
+        table = model->framework->compile_for(cluster, resolved);
+      }
+    }
+    if (compile_error) std::rethrow_exception(compile_error);
+    if (table.has_value()) {
       auto entry = std::make_shared<ServedTable>();
-      entry->table = model->framework->compile_for(cluster, resolved);
+      entry->table = std::move(*table);
       entry->json = entry->table.to_json().dump();
       // Key under the checksum of the model that compiled the table: both
       // come from one snapshot, so a reload landing mid-compile cannot

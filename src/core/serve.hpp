@@ -16,9 +16,11 @@
 // a respec'd cluster can never be answered from a stale table.
 //
 // Cache misses never block the reply (unless the client asks to "wait"):
-// a recompile is posted to ThreadPool::shared() — whose workers also
-// batch the FlatForest inference inside each compile via parallel_for —
-// and the miss is answered immediately one rung down the degradation
+// a recompile is posted to ThreadPool::shared(). The compile job
+// re-hashes the model artifact while it compiles speculatively on the
+// model it last served, and its sweep of cells fans out over whichever
+// pool workers are idle (nested parallel_for, see common/parallel.hpp).
+// The miss is answered immediately one rung down the degradation
 // ladder: direct model inference for "select" (one scalar
 // PmlFramework::select on the request thread, lock-free against the
 // shared framework), HeuristicSelector for "table". Heuristic answers are

@@ -247,6 +247,35 @@ TEST_F(ServeTest, TableRepliesAreByteStableAcrossRequests) {
                 .lookup(coll::Collective::kAllgather, 2, 16, 1024));
 }
 
+/// The table bytes a "table" reply splices in verbatim.
+std::string table_bytes(const std::string& reply) {
+  const std::string field = R"("table":)";
+  const std::size_t at = reply.find(field);
+  if (at == std::string::npos || reply.back() != '}') return {};
+  return reply.substr(at + field.size(),
+                      reply.size() - at - field.size() - 1);
+}
+
+TEST_F(ServeTest, AsyncCompiledTableMatchesASerialCompileByteForByte) {
+  // A pool-posted compile fans its sweep out over idle workers and
+  // overlaps it with the artifact hash; the table must not depend on how
+  // the cells were scheduled.
+  ServeOptions o = options();
+  o.async_compile = true;
+  o.compile = CompileOptions{};  // Frontera's full benchmarked sweep
+  const sim::ClusterSpec frontera = sim::cluster_by_name("Frontera");
+  CompileOptions serial;
+  serial.threads = 1;
+  const std::string expected =
+      trained().compile_for(frontera, serial).to_json().dump();
+  ServeEngine engine(o);
+  const std::string reply =
+      engine.handle_line(R"({"op":"table","cluster":"Frontera","wait":true})");
+  EXPECT_EQ(Json::parse(reply).at("cache").as_string(), "compiled");
+  EXPECT_EQ(table_bytes(reply), expected);
+  engine.drain();
+}
+
 /// "xxh64:<16 hex>" over a file's bytes: the identity ModelHost reports.
 std::string file_checksum(const std::string& path) {
   char buf[32];
@@ -381,6 +410,54 @@ TEST_F(ServeTest, RedeployRaceNeverPairsAModelWithTheOtherIdentity) {
     EXPECT_EQ(dump, dumps[m]);
     EXPECT_EQ(snapshot->checksum, identities[m]);
   }
+}
+
+TEST_F(ServeTest, RedeployDuringAQueuedCompileCachesOnlyTheNewModel) {
+  // The compile starts from the model served before its revalidation and
+  // compiles speculatively while the artifact is re-hashed. Here model B
+  // lands on disk just before that, so the speculative table is model A's
+  // and must be dropped: the reply, the cache entry and its key all belong
+  // to B.
+  TrainOptions train;
+  train.forest.n_trees = 4;
+  train.seed = 14;
+  const std::vector<sim::ClusterSpec> clusters = {
+      sim::cluster_by_name("Rome")};
+  PmlFramework other = PmlFramework::train(clusters, train);
+  const sim::ClusterSpec mri = sim::cluster_by_name("MRI");
+  const std::string a_table =
+      trained().compile_for(mri, options().compile).to_json().dump();
+  const std::string b_table =
+      other.compile_for(mri, options().compile).to_json().dump();
+  ASSERT_NE(a_table, b_table);
+  const std::string a_sum = file_checksum(model_path());
+
+  ServeOptions o = options();
+  o.async_compile = true;
+  std::atomic<bool> redeployed{false};
+  o.compile_fault = [&] {
+    if (!redeployed.exchange(true)) {
+      write_artifact(model_path(), other.to_json(), "model");
+    }
+  };
+  ServeEngine engine(o);
+  const std::string request = R"({"op":"table","cluster":"MRI","wait":true})";
+  const std::string compiled = engine.handle_line(request);
+  EXPECT_EQ(Json::parse(compiled).at("cache").as_string(), "compiled");
+  EXPECT_EQ(table_bytes(compiled), b_table);
+
+  const std::string b_sum = file_checksum(model_path());
+  ASSERT_NE(a_sum, b_sum);
+  const Json stats = reply_of(engine, R"({"op":"stats"})");
+  EXPECT_EQ(stats.at("model_checksum").as_string(), b_sum);
+  EXPECT_EQ(stats.at("tables_cached").as_int(), 1);
+  // Keyed under B's checksum: the next request, keyed by the now-current
+  // model, hits B's table without compiling again.
+  const std::string hit = engine.handle_line(request);
+  EXPECT_EQ(Json::parse(hit).at("cache").as_string(), "hit");
+  EXPECT_EQ(table_bytes(hit), b_table);
+  engine.drain();
+  EXPECT_EQ(engine.stats().compiles, 1u);
 }
 
 TEST_F(ServeTest, PrettyPrintedModelFromEarlierReleasesStillLoads) {
