@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "common/parallel.hpp"
 #include "common/strings.hpp"
 
 namespace pml {
@@ -129,6 +130,53 @@ std::uint64_t xxh64(std::string_view bytes) noexcept {
 
 namespace {
 
+/// Arrays of at least this many arrays or objects (a forest's trees, a
+/// table's jobs) are written on the shared pool.
+constexpr std::size_t kFanOutMin = 16;
+
+/// Append exactly v.dump() to `out`. The elements of each large array of
+/// containers are written in parallel and joined in order, so the bytes
+/// are those of the serial dump.
+void dump_compact(const Json& v, std::string& out) {
+  if (v.is_object() && !v.as_object().empty()) {
+    char sep = '{';
+    for (const auto& [key, value] : v.as_object()) {
+      out += sep;
+      sep = ',';
+      out += Json(key).dump();
+      out += ':';
+      dump_compact(value, out);
+    }
+    out += '}';
+    return;
+  }
+  if (!v.is_array() || v.as_array().size() < kFanOutMin ||
+      !(v.as_array().front().is_array() || v.as_array().front().is_object())) {
+    out += v.dump();
+    return;
+  }
+  const Json::Array& items = v.as_array();
+  std::vector<std::string> text(items.size());
+  parallel_for(0, items.size(), [&](std::size_t i) { text[i] = items[i].dump(); });
+  std::size_t size = out.size() + items.size() + 1;
+  for (const std::string& item : text) size += item.size();
+  out.reserve(size);
+  char sep = '[';
+  for (const std::string& item : text) {
+    out += sep;
+    sep = ',';
+    out += item;
+  }
+  out += ']';
+}
+
+/// The payload's compact dump, the text the envelope checksum covers.
+std::string compact_dump(const Json& payload) {
+  std::string out;
+  dump_compact(payload, out);
+  return out;
+}
+
 std::string checksum_of_dump(std::string_view payload_dump) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "fnv1a64:%016llx",
@@ -139,7 +187,7 @@ std::string checksum_of_dump(std::string_view payload_dump) {
 }  // namespace
 
 std::string payload_checksum(const Json& payload) {
-  return checksum_of_dump(payload.dump());
+  return checksum_of_dump(compact_dump(payload));
 }
 
 void write_artifact(const std::string& path, const Json& payload,
@@ -147,7 +195,7 @@ void write_artifact(const std::string& path, const Json& payload,
   // The envelope's compact dump(), spliced by hand: the payload is dumped
   // once (that text is also what the checksum covers) and never
   // deep-copied into an envelope Json.
-  const std::string body = payload.dump();
+  const std::string body = compact_dump(payload);
   Json head = Json::object();
   head["format"] = std::string(kArtifactFormat);
   head["kind"] = std::string(kind);

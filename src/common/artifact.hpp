@@ -62,7 +62,9 @@ std::uint64_t xxh64(std::string_view bytes) noexcept;
 /// Canonical checksum string for an artifact payload: "fnv1a64:" plus 16
 /// hex digits over the payload's compact dump(). Json objects preserve
 /// insertion order, so a parse -> dump round-trip reproduces the bytes and
-/// the checksum can be re-validated after loading.
+/// the checksum can be re-validated after loading. Arrays of 16 or more
+/// containers (a forest's trees) are dumped on the shared thread pool and
+/// joined in order, so the text is exactly payload.dump().
 std::string payload_checksum(const Json& payload);
 
 /// Wrap `payload` in a pml-artifact-v1 envelope and write it atomically

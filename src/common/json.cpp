@@ -1,6 +1,6 @@
 #include "common/json.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -65,15 +65,18 @@ void dump_string(const std::string& s, std::string& out) {
 
 void dump_number(double d, std::string& out) {
   if (!std::isfinite(d)) throw JsonError("cannot serialize non-finite number");
+  // std::to_chars with a precision formats exactly as printf does in the
+  // "C" locale, so these are the bytes of "%lld" and "%.17g", at several
+  // times their speed.
+  char buf[32];
+  std::to_chars_result res;
   if (d == std::floor(d) && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
-    out += buf;
+    res = std::to_chars(buf, buf + sizeof buf, static_cast<long long>(d));
   } else {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    out += buf;
+    res = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general,
+                        17);
   }
+  out.append(buf, res.ptr);
 }
 
 void indent_to(std::string& out, int indent, int depth) {
@@ -136,10 +139,31 @@ void dump_value(const Json& v, std::string& out, int indent, int depth) {
   }
 }
 
-/// Recursive-descent JSON parser over a string_view.
-class Parser {
+}  // namespace
+
+namespace detail {
+
+/// Recursive-descent JSON parser over a string_view. Elements of the open
+/// arrays and objects collect on two scratch stacks shared by every
+/// nesting level; each container is then built at its exact size when its
+/// closing bracket is read, instead of growing one push_back at a time.
+/// The stacks belong to the thread and outlive the parse, so a parse
+/// allocates only the containers it returns.
+class JsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
+
+  ~JsonParser() {
+    // A failed parse leaves its open elements behind; and one huge
+    // document must not pin its stack memory to the thread.
+    values_.clear();
+    members_.clear();
+    if (values_.capacity() > kStackKeep) values_.shrink_to_fit();
+    if (members_.capacity() > kStackKeep) members_.shrink_to_fit();
+  }
+
+  JsonParser(const JsonParser&) = delete;
+  JsonParser& operator=(const JsonParser&) = delete;
 
   Json parse_document() {
     Json v = parse_value();
@@ -185,6 +209,9 @@ class Parser {
   /// artifact or protocol document this library exchanges.
   static constexpr int kMaxDepth = 192;
 
+  /// Largest scratch stack capacity kept for the thread's next parse.
+  static constexpr std::size_t kStackKeep = 4096;
+
   Json parse_value() {
     if (depth_ >= kMaxDepth) fail("nesting deeper than 192 levels");
     skip_ws();
@@ -216,18 +243,33 @@ class Parser {
       --depth_;
       return Json(std::move(obj));
     }
+    const std::size_t base = members_.size();
     while (true) {
       skip_ws();
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj[key] = parse_value();
+      Json value = parse_value();
+      // A repeated key keeps its first position and takes the last value.
+      const auto open = members_.begin() + static_cast<std::ptrdiff_t>(base);
+      const auto dup = std::find_if(open, members_.end(), [&](const auto& m) {
+        return m.first == key;
+      });
+      if (dup != members_.end()) {
+        dup->second = std::move(value);
+      } else {
+        members_.emplace_back(std::move(key), std::move(value));
+      }
       skip_ws();
       const char c = peek();
       ++pos_;
       if (c == '}') break;
       if (c != ',') fail("expected ',' or '}' in object");
     }
+    const auto open = members_.begin() + static_cast<std::ptrdiff_t>(base);
+    obj.entries_.assign(std::make_move_iterator(open),
+                        std::make_move_iterator(members_.end()));
+    members_.erase(open, members_.end());
     --depth_;
     return Json(std::move(obj));
   }
@@ -235,21 +277,25 @@ class Parser {
   Json parse_array() {
     ++depth_;
     expect('[');
-    Json::Array arr;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
       --depth_;
-      return Json(std::move(arr));
+      return Json(Json::Array());
     }
+    const std::size_t base = values_.size();
     while (true) {
-      arr.push_back(parse_value());
+      values_.push_back(parse_value());
       skip_ws();
       const char c = peek();
       ++pos_;
       if (c == ']') break;
       if (c != ',') fail("expected ',' or ']' in array");
     }
+    const auto open = values_.begin() + static_cast<std::ptrdiff_t>(base);
+    Json::Array arr(std::make_move_iterator(open),
+                    std::make_move_iterator(values_.end()));
+    values_.erase(open, values_.end());
     --depth_;
     return Json(std::move(arr));
   }
@@ -258,63 +304,81 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run up to the next quote or backslash in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("invalid hex digit in \\u escape");
-            }
-            // Encode BMP code point as UTF-8 (surrogate pairs not needed for
-            // the artefacts this library writes).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xc0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3f));
-            } else {
-              out += static_cast<char>(0xe0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-              out += static_cast<char>(0x80 | (code & 0x3f));
-            }
-            break;
+      if (text_[pos_++] == '"') break;
+      if (pos_ >= text_.size()) fail("unterminated escape");
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+            else fail("invalid hex digit in \\u escape");
           }
-          default: fail("invalid escape character");
+          // Encode BMP code point as UTF-8 (surrogate pairs not needed for
+          // the artefacts this library writes).
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xc0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+          } else {
+            out += static_cast<char>(0xe0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+          }
+          break;
         }
-      } else {
-        out += c;
+        default: fail("invalid escape character");
       }
     }
     return out;
   }
 
+  static bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+
   Json parse_number() {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    const std::size_t digits = pos_;
+    std::uint64_t magnitude = 0;  // wraps past 19 digits; used only for <= 15
+    while (pos_ < text_.size() && is_digit(text_[pos_])) {
+      magnitude = magnitude * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
       ++pos_;
+    }
+    const std::size_t digit_count = pos_ - digits;
+    while (pos_ < text_.size() &&
+           (is_digit(text_[pos_]) || text_[pos_] == '.' || text_[pos_] == 'e' ||
+            text_[pos_] == 'E' || text_[pos_] == '+' || text_[pos_] == '-')) {
+      ++pos_;
+    }
+    // Fast path: the token is an optional '-' and 1 to 15 digits without a
+    // leading zero (a lone "0" included). Such an integer is below 2^53, so
+    // the conversion is exact and equals what from_chars returns.
+    if (pos_ == digits + digit_count && digit_count >= 1 &&
+        digit_count <= 15 && text_[start] != '+' &&
+        (digit_count == 1 || text_[digits] != '0')) {
+      const double value = static_cast<double>(magnitude);
+      return Json(digits != start ? -value : value);
     }
     double value = 0.0;
     const auto* first = text_.data() + start;
@@ -327,12 +391,24 @@ class Parser {
     return Json(value);
   }
 
+  static thread_local std::vector<Json> thread_values_;
+  static thread_local std::vector<std::pair<std::string, Json>>
+      thread_members_;
+
   std::string_view text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
+  /// Elements of the open arrays, innermost array last.
+  std::vector<Json>& values_ = thread_values_;
+  /// Members of the open objects, innermost object last.
+  std::vector<std::pair<std::string, Json>>& members_ = thread_members_;
 };
 
-}  // namespace
+thread_local std::vector<Json> JsonParser::thread_values_;
+thread_local std::vector<std::pair<std::string, Json>>
+    JsonParser::thread_members_;
+
+}  // namespace detail
 
 std::string Json::dump(int indent) const {
   std::string out;
@@ -341,7 +417,7 @@ std::string Json::dump(int indent) const {
 }
 
 Json Json::parse(std::string_view text) {
-  return Parser(text).parse_document();
+  return detail::JsonParser(text).parse_document();
 }
 
 }  // namespace pml

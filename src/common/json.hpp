@@ -23,6 +23,10 @@ namespace pml {
 
 class Json;
 
+namespace detail {
+class JsonParser;
+}  // namespace detail
+
 /// Order-preserving string->Json map (insertion order kept for stable dumps).
 class JsonObject {
  public:
@@ -38,6 +42,8 @@ class JsonObject {
   auto end() noexcept { return entries_.end(); }
 
  private:
+  friend class detail::JsonParser;  // builds entries_ at their exact size
+
   std::vector<std::pair<std::string, Json>> entries_;
 };
 

@@ -232,16 +232,17 @@ bool ModelHost::revalidate() {
     }
     return publish(ticket, std::make_shared<const Snapshot>());
   };
-  // Every call hashes every byte of the file (no size or mtime shortcut:
-  // a same-length in-place edit must be caught), streamed, so the common
-  // unchanged case never holds the artifact in memory.
-  std::string sum;
-  try {
-    sum = "xxh64:" + hex16(hash_file(path_));
-  } catch (const Error& err) {
-    return unreadable(err);
-  }
-  {
+  // With a model loaded, every call hashes every byte of the file (no
+  // size or mtime shortcut: a same-length in-place edit must be caught),
+  // streamed, so the common unchanged case never holds the artifact in
+  // memory. With none loaded nothing can match, so go straight to the read.
+  if (snapshot()->framework != nullptr) {
+    std::string sum;
+    try {
+      sum = "xxh64:" + hex16(hash_file(path_));
+    } catch (const Error& err) {
+      return unreadable(err);
+    }
     std::lock_guard<std::mutex> lock(mutex_);
     if (ticket < published_ticket_) return snapshot_->framework != nullptr;
     if (snapshot_->framework != nullptr && snapshot_->checksum == sum) {
@@ -249,15 +250,16 @@ bool ModelHost::revalidate() {
       return true;
     }
   }
-  // Changed: read the bytes to parse, and take the identity from exactly
-  // those bytes, since the file may have changed again since the hash.
+  // Changed or not yet loaded: read the bytes to parse, and take the
+  // identity from exactly those bytes, since the file may have changed
+  // again since the hash.
   std::string bytes;
   try {
     bytes = read_file(path_);
   } catch (const Error& err) {
     return unreadable(err);
   }
-  sum = "xxh64:" + hex16(xxh64(bytes));
+  std::string sum = "xxh64:" + hex16(xxh64(bytes));
   auto next = std::make_shared<Snapshot>();
   try {
     next->framework = std::make_shared<PmlFramework>(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <utility>
 
 #include "common/parallel.hpp"
@@ -176,15 +177,27 @@ RandomForest RandomForest::from_json(const Json& j) {
   }
   forest.n_features_ =
       static_cast<std::size_t>(j.at("n_features").as_int());
-  for (const Json& tj : j.at("trees").as_array()) {
-    forest.trees_.push_back(DecisionTree::from_json(tj));
+  // Trees decode independently into pre-sized slots on the pool; a failed
+  // decode is parked in its slot. The checks then run in tree order, so
+  // the error raised is the one the serial loop would raise first.
+  const Json::Array& tree_docs = j.at("trees").as_array();
+  forest.trees_.resize(tree_docs.size());
+  std::vector<std::exception_ptr> decode_errors(tree_docs.size());
+  parallel_for(0, tree_docs.size(), [&](std::size_t t) {
+    try {
+      forest.trees_[t] = DecisionTree::from_json(tree_docs[t]);
+    } catch (...) {
+      decode_errors[t] = std::current_exception();
+    }
+  });
+  for (std::size_t t = 0; t < tree_docs.size(); ++t) {
+    if (decode_errors[t]) std::rethrow_exception(decode_errors[t]);
     // A corrupt or hand-edited bundle must fail here with a clean MlError,
     // not as an out-of-bounds read at inference time: every split must
     // reference a feature the forest's rows actually have, and every leaf
     // distribution must match the forest's class count (the tree-level
     // loader already checks proba sizes against the tree's own num_classes).
-    const DecisionTree& tree = forest.trees_.back();
-    const std::size_t t = forest.trees_.size() - 1;
+    const DecisionTree& tree = forest.trees_[t];
     if (tree.num_classes() != forest.num_classes_) {
       throw MlError("from_json: tree " + std::to_string(t) + " has " +
                     std::to_string(tree.num_classes()) +

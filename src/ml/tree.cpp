@@ -520,7 +520,9 @@ DecisionTree DecisionTree::from_json(const Json& j) {
     throw MlError("tree: serialized num_classes must be >= 1");
   }
   tree.depth_ = static_cast<int>(j.at("depth").as_int());
-  for (const Json& nj : j.at("nodes").as_array()) {
+  const Json::Array& node_docs = j.at("nodes").as_array();
+  tree.nodes_.reserve(node_docs.size());
+  for (const Json& nj : node_docs) {
     Node n;
     n.feature = static_cast<int>(nj.at("feature").as_int());
     if (n.feature >= 0) {
@@ -528,9 +530,9 @@ DecisionTree DecisionTree::from_json(const Json& j) {
       n.left = static_cast<int>(nj.at("left").as_int());
       n.right = static_cast<int>(nj.at("right").as_int());
     } else {
-      for (const Json& p : nj.at("proba").as_array()) {
-        n.proba.push_back(p.as_number());
-      }
+      const Json::Array& proba = nj.at("proba").as_array();
+      n.proba.reserve(proba.size());
+      for (const Json& p : proba) n.proba.push_back(p.as_number());
     }
     tree.nodes_.push_back(std::move(n));
   }

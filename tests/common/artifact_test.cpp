@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <string_view>
@@ -13,6 +14,8 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "core/framework.hpp"
+#include "sim/hardware.hpp"
 
 namespace pml {
 namespace {
@@ -168,6 +171,57 @@ TEST_F(ArtifactTest, AtomicWriteReplacesExistingFile) {
   write_artifact(file, sample_payload(), "sample");
   const Json doc = Json::parse(read_file(file));
   EXPECT_EQ(artifact_payload(doc, "sample"), sample_payload());
+}
+
+/// A trained model bundle whose forests have 16 trees each, the smallest
+/// tree array the checksum dump writes on the pool.
+core::PmlFramework trained_bundle(int threads) {
+  core::TrainOptions options;
+  options.forest.n_trees = 16;
+  options.threads = threads;
+  const std::vector<sim::ClusterSpec> clusters = {
+      sim::cluster_by_name("RI"), sim::cluster_by_name("Rome")};
+  return core::PmlFramework::train(clusters, options);
+}
+
+TEST_F(ArtifactTest, TrainedBundleWritesLoadsAndRewritesByteIdentical) {
+  std::string first;
+  for (const int threads : {1, 0}) {
+    const std::string file = path("model.json");
+    write_artifact(file, trained_bundle(threads).to_json(), "model");
+    const std::string bytes = read_file(file);
+    if (first.empty()) first = bytes;
+    EXPECT_EQ(bytes, first) << "threads " << threads;
+
+    const std::string rewritten = path("rewritten.json");
+    write_artifact(rewritten, core::PmlFramework::load_file(file).to_json(),
+                   "model");
+    EXPECT_EQ(read_file(rewritten), bytes) << "threads " << threads;
+  }
+}
+
+TEST_F(ArtifactTest, TrainedBundleChecksumIsFnvOfTheSerialDump) {
+  const Json payload = trained_bundle(0).to_json();
+  for (const auto& [name, part] : payload.at("collectives").as_object()) {
+    EXPECT_GE(part.at("forest").at("trees").as_array().size(), 16u) << name;
+  }
+  char expected[32];
+  std::snprintf(expected, sizeof expected, "fnv1a64:%016llx",
+                static_cast<unsigned long long>(fnv1a64(payload.dump())));
+  EXPECT_EQ(payload_checksum(payload), expected);
+}
+
+TEST_F(ArtifactTest, PrettyPrintedTrainedBundleStillLoads) {
+  const std::string compact = path("model.json");
+  write_artifact(compact, trained_bundle(0).to_json(), "model");
+  const std::string pretty = path("pretty.json");
+  write_file(pretty, Json::parse(read_file(compact)).dump(2) + "\n");
+  EXPECT_EQ(inspect_artifact(pretty).status, ArtifactStatus::kOk);
+
+  const std::string rewritten = path("rewritten.json");
+  write_artifact(rewritten, core::PmlFramework::load_file(pretty).to_json(),
+                 "model");
+  EXPECT_EQ(read_file(rewritten), read_file(compact));
 }
 
 TEST(ArtifactPayload, LegacyDocumentPassesThroughByDefault) {

@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace pml {
 namespace {
@@ -155,6 +166,115 @@ TEST(Json, PrettyPrintIndents) {
 TEST(Json, EqualityIsStructural) {
   EXPECT_EQ(Json::parse("[1,2]"), Json::parse("[1, 2]"));
   EXPECT_FALSE(Json::parse("[1,2]") == Json::parse("[2,1]"));
+}
+
+/// What dump() printed before it moved to std::to_chars, kept here as the
+/// oracle: "%lld" for integral values below 1e15, "%.17g" otherwise.
+std::string printf_number(double d) {
+  char buf[48];
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
+  } else {
+    std::snprintf(buf, sizeof buf, "%.17g", d);
+  }
+  return buf;
+}
+
+TEST(Json, NumberDumpMatchesPrintfOracle) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1.0 / 3.0, 2.0 / 3.0, 72.55, 19.32,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon(),
+      9007199254740991.0, 9007199254740992.0, 9007199254740994.0,
+      -9007199254740991.0, -9007199254740992.0,
+      1e15, -1e15, 999999999999999.0, -999999999999999.0,
+      std::nextafter(1e15, 0.0), std::nextafter(-1e15, 0.0),
+      std::nextafter(1e15, 2e15), 1e15 - 0.5, 1e15 + 1.0,
+      9223372036854775807.0, -9223372036854775808.0, 1e300, -1e-300};
+  Rng rng(2024);
+  for (int i = 0; i < 50'000; ++i) {
+    // Any finite bit pattern: covers every exponent, subnormals included.
+    const double any = std::bit_cast<double>(rng());
+    if (std::isfinite(any)) values.push_back(any);
+    // A uniform mantissa at a uniform binary exponent in [-1074, 1023].
+    const int exponent = static_cast<int>(rng.uniform_index(2098)) - 1074;
+    values.push_back(std::ldexp(rng.uniform(1.0, 2.0), exponent));
+    // Integers around the 1e15 switch and the 2^53 exactness limit.
+    const auto near = static_cast<double>(rng.uniform_index(1ULL << 54));
+    values.push_back(rng() & 1 ? near : -near);
+    values.push_back(std::floor(rng.uniform(-2e15, 2e15)));
+    // Probabilities like the ones forest leaves carry.
+    values.push_back(static_cast<double>(rng.uniform_index(50)) /
+                     static_cast<double>(1 + rng.uniform_index(200)));
+  }
+  for (const double d : values) {
+    ASSERT_EQ(Json(d).dump(), printf_number(d)) << std::hexfloat << d;
+  }
+}
+
+/// The number grammar before the integer fast path: the token's
+/// characters, all of them converted by std::from_chars.
+std::optional<double> from_chars_number(std::string_view token) {
+  double value = 0.0;
+  const char* first = token.data();
+  const char* last = first + token.size();
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || ptr != last || first == last) return std::nullopt;
+  return value;
+}
+
+TEST(Json, IntegerFastPathMatchesFromChars) {
+  std::vector<std::string> tokens = {
+      "0", "-0", "00", "-00", "007", "-007", "1", "-1", "9", "10",
+      "123456789012345", "-123456789012345", "999999999999999",
+      "1000000000000000", "9007199254740993", "-9007199254740993",
+      "12345678901234567890", "-12345678901234567890",
+      "99999999999999999999", "+1", "+0", "-", "+", "--1", "-+1", "1-",
+      "1+", "1.", "-1.", "1e", "1e+", "1e5", "1E5", "-0e0", "1.0", "0.5",
+      ".5", "-.5", "1.5e", "1..2", "1e5e5", "1-2"};
+  Rng rng(7);
+  for (int digits = 1; digits <= 20; ++digits) {
+    for (int k = 0; k < 200; ++k) {
+      std::string token;
+      for (int i = 0; i < digits; ++i) {
+        token += static_cast<char>('0' + rng.uniform_index(10));
+      }
+      tokens.push_back(token);
+      tokens.push_back("-" + token);
+    }
+  }
+  for (const std::string& token : tokens) {
+    const std::optional<double> want = from_chars_number(token);
+    // Bare, and as the second element of an array: the same value or the
+    // same error at the same offset.
+    for (const auto& [text, offset] :
+         {std::pair{token, 0}, std::pair{"[1, " + token + "]", 4}}) {
+      std::optional<double> got;
+      std::string error;
+      try {
+        const Json doc = Json::parse(text);
+        got = (doc.is_array() ? doc.as_array().back() : doc).as_number();
+      } catch (const JsonError& err) {
+        error = err.what();
+      }
+      ASSERT_EQ(got.has_value(), want.has_value()) << text;
+      if (want) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(*got),
+                  std::bit_cast<std::uint64_t>(*want))
+            << text;
+      } else {
+        EXPECT_NE(error.find("invalid number at offset " +
+                             std::to_string(offset)),
+                  std::string::npos)
+            << text << ": " << error;
+      }
+    }
+  }
 }
 
 }  // namespace

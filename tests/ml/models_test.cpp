@@ -5,6 +5,9 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "ml/boosting.hpp"
 #include "ml/factory.hpp"
@@ -181,6 +184,57 @@ TEST(RandomForestModel, FromJsonRejectsWrongModel) {
   Json j = Json::object();
   j["model"] = "linear_svm";
   EXPECT_THROW(RandomForest::from_json(j), MlError);
+}
+
+TEST(RandomForestModel, FromJsonReportsTheFirstCorruptTree) {
+  // Trees decode in parallel, but the error raised must be the one a
+  // serial pass in tree order meets first, whichever tree fails soonest.
+  const Dataset d = three_blobs(40, 47);
+  RandomForest rf(RandomForestParams{.n_trees = 16});
+  Rng rng(48);
+  rf.fit(d, rng);
+  const Json good = rf.to_json();
+
+  // Tree 3 decodes fine but claims a fourth class, which only the
+  // forest-level check in tree order rejects.
+  Json bad = good;
+  Json& tree3 = bad["trees"].as_array()[3];
+  tree3["num_classes"] = 4;
+  for (Json& node : tree3["nodes"].as_array()) {
+    if (node.contains("proba")) node["proba"].push_back(0.0);
+  }
+  // Tree 7 fails inside its own decode: its root points back at itself.
+  Json& tree7 = bad["trees"].as_array()[7];
+  ASSERT_GE(tree7.at("nodes").as_array()[0].at("feature").as_int(), 0);
+  tree7["nodes"].as_array()[0]["left"] = 0;
+
+  // Concurrent loads leave each one a different number of idle workers,
+  // from none to all of them.
+  std::vector<std::string> errors(8);
+  std::vector<std::thread> loaders;
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    loaders.emplace_back([&, i] {
+      for (int k = 0; k < 5; ++k) {
+        try {
+          RandomForest::from_json(bad);
+          errors[i] = "no error";
+        } catch (const MlError& err) {
+          if (errors[i].empty() || errors[i] == err.what()) {
+            errors[i] = err.what();
+          } else {
+            errors[i] = "varying errors";
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : loaders) t.join();
+  for (const std::string& error : errors) {
+    EXPECT_NE(error.find("tree 3 has 4 classes, forest has 3"),
+              std::string::npos)
+        << error;
+  }
+  EXPECT_EQ(RandomForest::from_json(good).to_json().dump(), good.dump());
 }
 
 // ---- GradientBoosting specifics ---------------------------------------------
