@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <string_view>
 
 #include "common/artifact.hpp"
 #include "common/error.hpp"
@@ -20,6 +21,7 @@
 #include "common/strings.hpp"
 #include "common/version.hpp"
 #include "core/selectors.hpp"
+#include "core/serve_internal.hpp"
 #include "sim/hardware.hpp"
 
 namespace pml::core {
@@ -47,10 +49,20 @@ const Json& require_field(const Json& request, const char* key) {
   return request.at(key);
 }
 
-/// `value` (the request's `key` field, or one entry of that array) as a
-/// positive 32-bit integer.
-int require_positive_int(const Json& value, const char* key) {
+/// `value` (the request's `key` field, or one entry of that array) as an
+/// integer. A fraction is rejected, not truncated: 4.9 nodes is no request
+/// for 4. Integral spellings such as 1e3 stay valid.
+std::int64_t require_integer(const Json& value, const char* key) {
   const std::int64_t v = value.as_int();
+  if (static_cast<double>(v) != value.as_number()) {
+    throw ConfigError(std::string("serve: \"") + key +
+                      "\" must be an integer");
+  }
+  return v;
+}
+
+/// `v` (the request's `key` field) as a positive 32-bit integer.
+int positive_int(std::int64_t v, const char* key) {
   if (v < 1 || v > std::numeric_limits<int>::max()) {
     throw ConfigError(std::string("serve: \"") + key +
                       "\" must be a positive 32-bit integer");
@@ -58,20 +70,27 @@ int require_positive_int(const Json& value, const char* key) {
   return static_cast<int>(v);
 }
 
-/// `value` (the request's `key` field, or one entry of that array) as a
-/// non-negative byte count.
-std::uint64_t require_nonneg_u64(const Json& value, const char* key) {
-  const std::int64_t v = value.as_int();
+/// `v` (the request's `key` field) as a non-negative byte count.
+std::uint64_t nonneg_u64(std::int64_t v, const char* key) {
   if (v < 0) {
     throw ConfigError(std::string("serve: \"") + key + "\" must be >= 0");
   }
   return static_cast<std::uint64_t>(v);
 }
 
+int require_positive_int(const Json& value, const char* key) {
+  return positive_int(require_integer(value, key), key);
+}
+
+std::uint64_t require_nonneg_u64(const Json& value, const char* key) {
+  return nonneg_u64(require_integer(value, key), key);
+}
+
 /// Optional "deadline_ms" on waited requests; -1 = wait forever.
 std::int64_t deadline_ms_of(const Json& request) {
   if (!request.contains("deadline_ms")) return -1;
-  const std::int64_t v = request.at("deadline_ms").as_int();
+  const std::int64_t v =
+      require_integer(request.at("deadline_ms"), "deadline_ms");
   if (v < 0) throw ConfigError("serve: \"deadline_ms\" must be >= 0");
   return v;
 }
@@ -81,10 +100,9 @@ bool truthy_flag(const Json& request, const char* key) {
          request.at(key).as_bool();
 }
 
-/// "cluster" is either a builtin cluster name or an inline ClusterSpec
-/// document — the same shapes `pml compile --cluster` accepts.
-sim::ClusterSpec parse_cluster(const Json& request) {
-  const Json& c = require_field(request, "cluster");
+/// The "cluster" field `c` is either a builtin cluster name or an inline
+/// ClusterSpec document — the same shapes `pml compile --cluster` accepts.
+sim::ClusterSpec parse_cluster(const Json& c) {
   if (c.is_string()) return sim::cluster_by_name(c.as_string());
   if (c.is_object()) return sim::ClusterSpec::from_json(c);
   throw ConfigError(
@@ -113,6 +131,39 @@ void apply_sweep_overrides(const Json& request, CompileOptions& options) {
   }
 }
 
+/// A select read through the Json DOM. Checks run in protocol order, and
+/// the scanned overload below keeps that order and every error text.
+detail::SelectQuery select_query(const Json& request) {
+  detail::SelectQuery query;
+  query.collective = coll::collective_from_string(
+      require_field(request, "collective").as_string());
+  query.nodes = require_positive_int(require_field(request, "nodes"), "nodes");
+  query.ppn = require_positive_int(require_field(request, "ppn"), "ppn");
+  query.msg_bytes =
+      require_nonneg_u64(require_field(request, "msg_bytes"), "msg_bytes");
+  const Json& cluster = require_field(request, "cluster");
+  if (cluster.is_string()) {
+    query.cluster_name = cluster.as_string();
+  } else {
+    query.cluster_spec = &cluster;
+  }
+  query.request = &request;
+  return query;
+}
+
+/// A select read by scan_select: every field is present and well typed,
+/// and the integer tokens are below 10^15, so only the range checks remain.
+detail::SelectQuery select_query(const detail::ScannedSelect& scanned) {
+  detail::SelectQuery query;
+  query.collective =
+      coll::collective_from_string(std::string(scanned.collective));
+  query.nodes = positive_int(static_cast<std::int64_t>(scanned.nodes), "nodes");
+  query.ppn = positive_int(static_cast<std::int64_t>(scanned.ppn), "ppn");
+  query.msg_bytes = scanned.msg_bytes;
+  query.cluster_name = scanned.cluster;
+  return query;
+}
+
 std::string error_reply(const std::string& what, ErrorCode code,
                         bool draining = false) {
   Json j = Json::object();
@@ -128,6 +179,168 @@ std::string error_reply(const std::string& what, ErrorCode code,
 
 std::string serve_error_line(const std::string& what, ErrorCode code) {
   return error_reply(what, code);
+}
+
+// --- select fast path -------------------------------------------------------
+
+namespace detail {
+
+namespace {
+
+bool json_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+/// Cursor over one line for scan_select; every step skips leading JSON
+/// whitespace and returns false on anything outside the plain-select shape.
+class SelectScanner {
+ public:
+  explicit SelectScanner(std::string_view line) : line_(line) {}
+
+  bool take(char c) noexcept {
+    skip_space();
+    if (pos_ == line_.size() || line_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  /// A string without escapes; `out` views its bytes.
+  bool string(std::string_view& out) noexcept {
+    if (!take('"')) return false;
+    const std::size_t start = pos_;
+    while (pos_ < line_.size() && line_[pos_] != '"' && line_[pos_] != '\\') {
+      ++pos_;
+    }
+    if (pos_ == line_.size() || line_[pos_] != '"') return false;
+    out = line_.substr(start, pos_ - start);
+    ++pos_;
+    return true;
+  }
+
+  /// 1-15 digits without a leading zero (a lone "0" included): the tokens
+  /// Json::parse converts exactly. A sign, fraction or exponent fails at
+  /// the ',' or '}' that must follow.
+  bool integer(std::uint64_t& out) noexcept {
+    skip_space();
+    const std::size_t start = pos_;
+    std::uint64_t value = 0;
+    while (pos_ < line_.size() && line_[pos_] >= '0' && line_[pos_] <= '9' &&
+           pos_ - start < 16) {
+      value = value * 10 + static_cast<std::uint64_t>(line_[pos_] - '0');
+      ++pos_;
+    }
+    const std::size_t digits = pos_ - start;
+    if (digits == 0 || digits > 15 || (digits > 1 && line_[start] == '0')) {
+      return false;
+    }
+    out = value;
+    return true;
+  }
+
+  bool at_end() noexcept {
+    skip_space();
+    return pos_ == line_.size();
+  }
+
+ private:
+  void skip_space() noexcept {
+    while (pos_ < line_.size() && json_space(line_[pos_])) ++pos_;
+  }
+
+  std::string_view line_;
+  std::size_t pos_ = 0;
+};
+
+}  // namespace
+
+bool scan_select(std::string_view line, ScannedSelect& out) {
+  static constexpr std::string_view kKeys[] = {"op",    "cluster", "collective",
+                                               "nodes", "ppn",     "msg_bytes"};
+  SelectScanner scan(line);
+  if (!scan.take('{')) return false;
+  unsigned seen = 0;
+  do {
+    std::string_view key;
+    if (!scan.string(key) || !scan.take(':')) return false;
+    const auto index = static_cast<std::size_t>(
+        std::find(std::begin(kKeys), std::end(kKeys), key) - std::begin(kKeys));
+    if (index == std::size(kKeys) || ((seen >> index) & 1u) != 0) return false;
+    seen |= 1u << index;
+    std::string_view op;
+    switch (index) {
+      case 0:
+        if (!scan.string(op) || op != "select") return false;
+        break;
+      case 1:
+        if (!scan.string(out.cluster)) return false;
+        break;
+      case 2:
+        if (!scan.string(out.collective)) return false;
+        break;
+      case 3:
+        if (!scan.integer(out.nodes)) return false;
+        break;
+      case 4:
+        if (!scan.integer(out.ppn)) return false;
+        break;
+      default:
+        if (!scan.integer(out.msg_bytes)) return false;
+        break;
+    }
+  } while (scan.take(','));
+  return seen == (1u << std::size(kKeys)) - 1 && scan.take('}') &&
+         scan.at_end();
+}
+
+std::string select_reply(const coll::Selection& selection, const char* cache,
+                         const char* source, bool degraded, bool timed_out,
+                         bool breaker_open) {
+  Json reply = Json::object();
+  reply["ok"] = true;
+  reply["op"] = std::string("select");
+  // Protocol v2: the structured selection rides alongside the legacy
+  // `algorithm` field (which flattens a hierarchical choice to its inter
+  // algorithm) so v1 clients keep parsing replies for one release.
+  reply["algorithm"] = coll::to_string(selection.algorithm);
+  reply["display_name"] = selection.display();
+  Json sel = Json::object();
+  sel["kind"] = coll::to_string(selection.kind);
+  sel["algorithm"] = coll::to_string(selection.algorithm);
+  sel["intra"] = coll::to_string(selection.intra);
+  sel["encoded"] = selection.encode();
+  reply["selection"] = std::move(sel);
+  reply["cache"] = std::string(cache);
+  reply["source"] = std::string(source);
+  reply["degraded"] = degraded;
+  if (timed_out) reply["deadline"] = std::string("expired");
+  if (breaker_open) reply["breaker"] = std::string("open");
+  return reply.dump();
+}
+
+}  // namespace detail
+
+// --- ServedTable ------------------------------------------------------------
+
+ServedTable::ServedTable(TuningTable compiled)
+    : table(std::move(compiled)), json(table.to_json().dump()) {
+  for (const JobTable& job : table.jobs()) {
+    for (const TuningEntry& entry : job.entries) {
+      if (hit_reply(entry.selection) != nullptr) continue;
+      hit_replies.emplace_back(
+          entry.selection,
+          detail::select_reply(entry.selection, "hit", "table",
+                               /*degraded=*/false, /*timed_out=*/false,
+                               /*breaker_open=*/false));
+    }
+  }
+}
+
+const std::string* ServedTable::hit_reply(
+    const coll::Selection& selection) const {
+  for (const auto& [candidate, reply] : hit_replies) {
+    if (candidate == selection) return &reply;
+  }
+  return nullptr;
 }
 
 // --- ServeOptions -----------------------------------------------------------
@@ -458,9 +671,7 @@ void ServeEngine::run_compile(const std::shared_ptr<CompileJob>& job,
     }
     if (compile_error) std::rethrow_exception(compile_error);
     if (table.has_value()) {
-      auto entry = std::make_shared<ServedTable>();
-      entry->table = std::move(*table);
-      entry->json = entry->table.to_json().dump();
+      auto entry = std::make_shared<const ServedTable>(std::move(*table));
       // Key under the checksum of the model that compiled the table: both
       // come from one snapshot, so a reload landing mid-compile cannot
       // file model A's table under model B's key. The snapshot postdates
@@ -540,7 +751,7 @@ std::shared_ptr<const ServedTable> ServeEngine::wait_for(
 
 template <class Resolve>
 ServeEngine::CacheProbe ServeEngine::probe_cache(const std::string& key,
-                                                 const Json& request,
+                                                 const Json* request,
                                                  Resolve&& resolve) {
   CacheProbe probe;
   probe.entry = cache_.get(key);
@@ -553,9 +764,10 @@ ServeEngine::CacheProbe ServeEngine::probe_cache(const std::string& key,
   const auto [cluster, resolved] = resolve();
   const AdmitResult admitted = admit_compile(key, cluster, resolved);
   probe.admission = admitted.admission;
-  if (admitted.job != nullptr && truthy_flag(request, "wait")) {
+  if (admitted.job != nullptr && request != nullptr &&
+      truthy_flag(*request, "wait")) {
     probe.entry =
-        wait_for(*admitted.job, deadline_ms_of(request), probe.timed_out);
+        wait_for(*admitted.job, deadline_ms_of(*request), probe.timed_out);
     if (probe.entry != nullptr) probe.cache = "compiled";
   }
   return probe;
@@ -570,25 +782,18 @@ const char* ServeEngine::degrade(Admission admission) {
   return admission == Admission::kShed ? "shed" : "heuristic";
 }
 
-std::string ServeEngine::handle_select(const Json& request) {
-  const coll::Collective collective = coll::collective_from_string(
-      require_field(request, "collective").as_string());
-  const int nodes =
-      require_positive_int(require_field(request, "nodes"), "nodes");
-  const int ppn = require_positive_int(require_field(request, "ppn"), "ppn");
-  const std::uint64_t msg_bytes =
-      require_nonneg_u64(require_field(request, "msg_bytes"), "msg_bytes");
+std::string ServeEngine::handle_select(const detail::SelectQuery& query) {
   const std::string checksum = model_.checksum();
 
   // A cached select must not pay for what only a miss needs: for a named
   // cluster under the default sweep the cache key is a pure function of
   // (model checksum, name), so probe the memo first and materialize the
   // ClusterSpec + resolved sweep lazily, on the slow paths only.
-  const Json& cluster_field = require_field(request, "cluster");
+  const bool named = query.cluster_spec == nullptr;
   std::string key;
-  if (cluster_field.is_string()) {
+  if (named) {
     std::lock_guard<std::mutex> lock(select_keys_mutex_);
-    const auto it = select_keys_.find(cluster_field.as_string());
+    const auto it = select_keys_.find(std::string(query.cluster_name));
     if (it != select_keys_.end() && it->second.first == checksum) {
       key = it->second.second;
     }
@@ -597,31 +802,45 @@ std::string ServeEngine::handle_select(const Json& request) {
   std::optional<CompileOptions> resolved;
   const auto materialize = [&] {
     if (!cluster.has_value()) {
-      cluster = parse_cluster(request);
+      cluster = named ? sim::cluster_by_name(std::string(query.cluster_name))
+                      : parse_cluster(*query.cluster_spec);
       resolved = resolve_compile_sweep(*cluster, options_.compile);
     }
   };
   if (key.empty()) {
     materialize();
     key = cache_key(checksum, *cluster, *resolved);
-    if (cluster_field.is_string()) {
+    if (named) {
       std::lock_guard<std::mutex> lock(select_keys_mutex_);
-      select_keys_[cluster_field.as_string()] = {checksum, key};
+      select_keys_[std::string(query.cluster_name)] = {checksum, key};
     }
   }
 
-  const CacheProbe probe = probe_cache(key, request, [&]() -> Target {
+  const CacheProbe probe = probe_cache(key, query.request, [&]() -> Target {
     materialize();
     return {*cluster, *resolved};
   });
 
-  const sim::Topology topo{nodes, ppn};
+  const sim::Topology topo{query.nodes, query.ppn};
   const char* source = "table";
   bool degraded = false;
   coll::Selection selection = coll::Selection::flat(coll::Algorithm::kAgRing);
   std::shared_ptr<PmlFramework> framework;
   if (probe.entry != nullptr) {
-    selection = probe.entry->table.lookup(collective, nodes, ppn, msg_bytes);
+    selection = probe.entry->table.lookup(query.collective, query.nodes,
+                                          query.ppn, query.msg_bytes);
+    // A hit's reply was rendered when the table was cached.
+    if (std::string_view(probe.cache) == "hit") {
+      if (const std::string* reply = probe.entry->hit_reply(selection)) {
+        return *reply;
+      }
+    }
+  } else if (static_cast<std::int64_t>(query.nodes) * query.ppn >
+             std::numeric_limits<int>::max()) {
+    // The lower rungs rank the job shape by its rank count, an int; a
+    // table hit above needs no rank count and answers any such shape.
+    throw ConfigError(
+        "serve: \"nodes\" * \"ppn\" must be at most 2147483647 ranks");
   } else if (probe.admission == Admission::kAdmitted &&
              (framework = model_.framework()) != nullptr) {
     // Miss, model healthy: answer by one direct select() on this thread
@@ -631,49 +850,31 @@ std::string ServeEngine::handle_select(const Json& request) {
     // the artifact corrupt, and then this reply must degrade too. Nothing
     // is cached from it, so no checksum is paired with this framework.
     source = "model";
-    selection = framework->select(collective, *cluster, topo, msg_bytes);
+    selection = framework->select(query.collective, *cluster, topo,
+                                  query.msg_bytes);
   } else {
     // Heuristic rung: no model, or a shed / breaker-open miss (both exist
     // to spend nothing extra on this request, so they skip even direct
     // inference). The reply is still a valid selection, one rung down.
     source = degrade(probe.admission);
     degraded = true;
-    selection =
-        HeuristicSelector().select(collective, *cluster, topo, msg_bytes);
+    selection = HeuristicSelector().select(query.collective, *cluster, topo,
+                                           query.msg_bytes);
   }
-
-  Json reply = Json::object();
-  reply["ok"] = true;
-  reply["op"] = std::string("select");
-  // Protocol v2: the structured selection rides alongside the legacy
-  // `algorithm` field (which flattens a hierarchical choice to its inter
-  // algorithm) so v1 clients keep parsing replies for one release.
-  reply["algorithm"] = coll::to_string(selection.algorithm);
-  reply["display_name"] = selection.display();
-  Json sel = Json::object();
-  sel["kind"] = coll::to_string(selection.kind);
-  sel["algorithm"] = coll::to_string(selection.algorithm);
-  sel["intra"] = coll::to_string(selection.intra);
-  sel["encoded"] = selection.encode();
-  reply["selection"] = std::move(sel);
-  reply["cache"] = std::string(probe.cache);
-  reply["source"] = std::string(source);
-  reply["degraded"] = degraded;
-  if (probe.timed_out) reply["deadline"] = std::string("expired");
-  if (probe.admission == Admission::kBreakerOpen) {
-    reply["breaker"] = std::string("open");
-  }
-  return reply.dump();
+  return detail::select_reply(selection, probe.cache, source, degraded,
+                              probe.timed_out,
+                              probe.admission == Admission::kBreakerOpen);
 }
 
 std::string ServeEngine::handle_table(const Json& request) {
-  const sim::ClusterSpec cluster = parse_cluster(request);
+  const sim::ClusterSpec cluster =
+      parse_cluster(require_field(request, "cluster"));
   CompileOptions options = options_.compile;
   apply_sweep_overrides(request, options);
   const CompileOptions resolved = resolve_compile_sweep(cluster, options);
   const std::string key = cache_key(model_.checksum(), cluster, resolved);
   const CacheProbe probe = probe_cache(
-      key, request, [&]() -> Target { return {cluster, resolved}; });
+      key, &request, [&]() -> Target { return {cluster, resolved}; });
 
   if (probe.entry != nullptr) {
     // Splice the pre-serialized table in verbatim: replies for one cache
@@ -755,19 +956,28 @@ std::string ServeEngine::handle_health() {
 std::string ServeEngine::handle_line(const std::string& line) {
   note(Event::kRequest);
   obs::Span span("serve.request");
+  // Reject new work with an identifiable error; ping/stats/health keep
+  // answering so ops can watch the drain complete.
+  const auto reject_draining = [this] {
+    static obs::Counter rejected("serve.rejected.draining");
+    rejected.increment();
+    note(Event::kError);
+    return error_reply("serve: draining; not accepting new work",
+                       ErrorCode::kConfig, /*draining=*/true);
+  };
   try {
+    // A plain select (the hot path) is read in one scan, with no DOM.
+    detail::ScannedSelect scanned;
+    if (detail::scan_select(line, scanned)) {
+      if (draining()) return reject_draining();
+      return handle_select(select_query(scanned));
+    }
     const Json request = Json::parse(line);
     const std::string op = require_field(request, "op").as_string();
     if ((op == "select" || op == "table") && draining()) {
-      // Reject new work with an identifiable error; ping/stats/health
-      // below keep answering so ops can watch the drain complete.
-      static obs::Counter rejected("serve.rejected.draining");
-      rejected.increment();
-      note(Event::kError);
-      return error_reply("serve: draining; not accepting new work",
-                         ErrorCode::kConfig, /*draining=*/true);
+      return reject_draining();
     }
-    if (op == "select") return handle_select(request);
+    if (op == "select") return handle_select(select_query(request));
     if (op == "table") return handle_table(request);
     if (op == "stats") return handle_stats();
     if (op == "health") return handle_health();

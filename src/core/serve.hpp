@@ -60,6 +60,10 @@
 
 namespace pml::core {
 
+namespace detail {
+struct SelectQuery;  // serve_internal.hpp
+}  // namespace detail
+
 struct ServeOptions {
   /// Model bundle path (pml-artifact-v1 "model" envelope or legacy
   /// bundle). Empty, unreadable, or corrupt => the engine starts in (or
@@ -121,12 +125,24 @@ struct ServeOptions {
 };
 
 /// One cached compile result: the table plus its pre-serialized compact
-/// JSON, so "table" replies are built once and byte-stable across
-/// requests, shards, and runs (lookup tie-breaks are deterministic too;
-/// see TuningTable::lookup).
+/// JSON and its cache-hit select replies, so "table" and hit "select"
+/// replies are built once and byte-stable across requests, shards, and
+/// runs (lookup tie-breaks are deterministic too; see TuningTable::lookup).
 struct ServedTable {
+  ServedTable() = default;
+  /// Serializes `compiled` and renders one cache-hit select reply per
+  /// distinct selection in it, with the renderer every select reply uses.
+  explicit ServedTable(TuningTable compiled);
+
   TuningTable table;
   std::string json;
+  /// (selection, its {"cache":"hit"} select reply), one per distinct
+  /// selection of `table`, in first-occurrence order.
+  std::vector<std::pair<coll::Selection, std::string>> hit_replies;
+
+  /// The pre-rendered hit reply for `selection`; null when none was
+  /// rendered for it.
+  const std::string* hit_reply(const coll::Selection& selection) const;
 };
 
 /// Sharded LRU map: cache key -> immutable ServedTable. Each shard has
@@ -317,7 +333,9 @@ class ServeEngine {
     std::shared_ptr<const ServedTable> result;  ///< nullptr on failure
   };
 
-  std::string handle_select(const Json& request);
+  /// The select body both request readers feed (the single-pass scanner
+  /// for plain selects, the Json DOM for the rest).
+  std::string handle_select(const detail::SelectQuery& query);
   std::string handle_table(const Json& request);
   std::string handle_stats();
   std::string handle_health();
@@ -347,11 +365,12 @@ class ServeEngine {
   };
 
   /// The one cache lookup of select and table: hit/miss accounting, and
-  /// on a miss admit_compile plus the optional "wait" for it.
-  /// `resolve()` returns the (cluster, resolved sweep) pair and is only
-  /// called on a miss, so a cached select never materializes them.
+  /// on a miss admit_compile plus the optional "wait" for it (read from
+  /// `request`; a null request never waits). `resolve()` returns the
+  /// (cluster, resolved sweep) pair and is only called on a miss, so a
+  /// cached select never materializes them.
   template <class Resolve>
-  CacheProbe probe_cache(const std::string& key, const Json& request,
+  CacheProbe probe_cache(const std::string& key, const Json* request,
                          Resolve&& resolve);
 
   /// The heuristic rung's accounting (serve.degraded and the batch online

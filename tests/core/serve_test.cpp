@@ -32,6 +32,7 @@
 #include "common/strings.hpp"
 #include "common/version.hpp"
 #include "core/framework.hpp"
+#include "core/serve_internal.hpp"
 #include "obs/obs.hpp"
 
 namespace pml::core {
@@ -187,6 +188,78 @@ TEST_F(ServeTest, OutOfRangeSweepOverridesAreConfigErrors) {
   const Json ok = reply_of(
       engine, base + R"("node_counts":[2],"ppn_values":[16],"msg_sizes":[0]})");
   EXPECT_TRUE(ok.at("ok").as_bool());
+}
+
+TEST_F(ServeTest, FractionalIntegerFieldsAreRejected) {
+  // Integer fields used to truncate: nodes 4.9 was served as 4 nodes and
+  // msg_bytes -0.5 as 0 bytes. A fraction is now a config error naming
+  // its field; integral spellings (1e3, 2.0) stay valid.
+  ServeEngine engine(options());
+  const auto select = [](const std::string& nodes, const std::string& ppn,
+                         const std::string& msg_bytes) {
+    return R"({"op":"select","cluster":"MRI","collective":"allgather",)"
+           R"("nodes":)" + nodes + R"(,"ppn":)" + ppn +
+           R"(,"msg_bytes":)" + msg_bytes + "}";
+  };
+  const std::string table = R"({"op":"table","cluster":"MRI",)";
+  const std::vector<std::pair<std::string, const char*>> rejected = {
+      {select("4.9", "16", "1024"), "nodes"},
+      {select("2", "16.5", "1024"), "ppn"},
+      {select("2", "16", "-0.5"), "msg_bytes"},
+      {select("2", "16", "1024.25"), "msg_bytes"},
+      // deadline_ms is read when a waited request misses.
+      {R"({"op":"select","cluster":"RI","collective":"allgather","nodes":2,)"
+       R"("ppn":16,"msg_bytes":1024,"wait":true,"deadline_ms":2.5})",
+       "deadline_ms"},
+      {R"({"op":"table","cluster":"Rome","wait":true,"deadline_ms":0.5})",
+       "deadline_ms"},
+      {table + R"("node_counts":[1.5,2]})", "node_counts"},
+      {table + R"("ppn_values":[16,16.5]})", "ppn_values"},
+      {table + R"("msg_sizes":[1024,4096.5]})", "msg_sizes"},
+  };
+  for (const auto& [request, field] : rejected) {
+    const Json reply = reply_of(engine, request);
+    EXPECT_FALSE(reply.at("ok").as_bool()) << request;
+    EXPECT_EQ(reply.at("code").as_string(), "config") << request;
+    EXPECT_EQ(reply.at("status").as_int(), exit_status(ErrorCode::kConfig));
+    EXPECT_EQ(reply.at("error").as_string(),
+              std::string("config: serve: \"") + field +
+                  "\" must be an integer")
+        << request;
+  }
+  for (const std::string& request :
+       {select("2.0", "16", "1e3"), select("2", "1.6e1", "65536.0"),
+        std::string(R"({"op":"select","cluster":"MRI","collective":"alltoall",)"
+                    R"("nodes":2,"ppn":16,"msg_bytes":1024,"wait":true,)"
+                    R"("deadline_ms":1e3})"),
+        table + R"("node_counts":[2e0],"ppn_values":[16],"msg_sizes":[1e3]})"}) {
+    EXPECT_TRUE(reply_of(engine, request).at("ok").as_bool()) << request;
+  }
+}
+
+TEST_F(ServeTest, RankCountPastIntIsAConfigErrorBelowTheTableRung) {
+  // nodes and ppn each fit an int but their product does not. The model
+  // and heuristic rungs rank the job by that product, so they refuse it;
+  // a table hit only looks up the nearest tuned shape and still answers.
+  const std::string huge =
+      R"({"op":"select","cluster":"MRI","collective":"allgather",)"
+      R"("nodes":1073741824,"ppn":4,"msg_bytes":1024})";
+  ServeOptions heuristic_only = options();
+  heuristic_only.model_path.clear();
+  for (ServeOptions o : {options(), heuristic_only}) {
+    ServeEngine engine(std::move(o));
+    const Json reply = reply_of(engine, huge);  // a miss
+    EXPECT_FALSE(reply.at("ok").as_bool());
+    EXPECT_EQ(reply.at("code").as_string(), "config");
+    EXPECT_EQ(reply.at("error").as_string(),
+              "config: serve: \"nodes\" * \"ppn\" must be at most "
+              "2147483647 ranks");
+  }
+  ServeEngine engine(options());
+  engine.handle_line(R"({"op":"table","cluster":"MRI","wait":true})");
+  const Json hit = reply_of(engine, huge);
+  EXPECT_TRUE(hit.at("ok").as_bool());
+  EXPECT_EQ(hit.at("cache").as_string(), "hit");
 }
 
 TEST_F(ServeTest, SelectMissAnswersFromModelThenHitsTheCompiledTable) {
@@ -754,6 +827,126 @@ TEST_F(ServeTest, CompileBreakerOpensServesHeuristicAndProbesBack) {
   EXPECT_EQ(probed.at("cache").as_string(), "compiled");
   EXPECT_EQ(engine.breaker_state(), BreakerState::kClosed);
   EXPECT_EQ(attempts.load(), 3);
+}
+
+/// A select reply rendered the way the engine rendered every select reply
+/// before hit replies were pre-rendered: one Json DOM, dumped.
+std::string dom_select_reply(const coll::Selection& selection,
+                             const std::string& cache,
+                             const std::string& source, bool degraded,
+                             bool timed_out, bool breaker_open) {
+  Json reply = Json::object();
+  reply["ok"] = true;
+  reply["op"] = std::string("select");
+  reply["algorithm"] = coll::to_string(selection.algorithm);
+  reply["display_name"] = selection.display();
+  Json sel = Json::object();
+  sel["kind"] = coll::to_string(selection.kind);
+  sel["algorithm"] = coll::to_string(selection.algorithm);
+  sel["intra"] = coll::to_string(selection.intra);
+  sel["encoded"] = selection.encode();
+  reply["selection"] = std::move(sel);
+  reply["cache"] = cache;
+  reply["source"] = source;
+  reply["degraded"] = degraded;
+  if (timed_out) reply["deadline"] = std::string("expired");
+  if (breaker_open) reply["breaker"] = std::string("open");
+  return reply.dump();
+}
+
+TEST(ServedTable, HitRepliesMatchTheDomReplyForEverySelection) {
+  // One job per paper collective holding its whole label space, flat and
+  // leader, plus a repeat that must not render a second reply.
+  TuningTable table("every-selection");
+  std::size_t distinct = 0;
+  bool leader = false;
+  for (const coll::Collective c :
+       {coll::Collective::kAllgather, coll::Collective::kAlltoall}) {
+    JobTable job;
+    job.collective = c;
+    job.nodes = 2;
+    job.ppn = 16;
+    const std::vector<coll::Selection>& space = coll::selection_space(c);
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      job.entries.push_back({i + 1, space[i]});
+      leader = leader || space[i].hierarchical();
+    }
+    job.entries.push_back({space.size() + 1, space.front()});
+    distinct += space.size();
+    table.add(std::move(job));
+  }
+  ASSERT_TRUE(leader);
+  const ServedTable served(table);
+  EXPECT_EQ(served.json, table.to_json().dump());
+  EXPECT_EQ(served.hit_replies.size(), distinct);
+  for (const JobTable& job : table.jobs()) {
+    for (const TuningEntry& entry : job.entries) {
+      const std::string* hit = served.hit_reply(entry.selection);
+      ASSERT_NE(hit, nullptr) << entry.selection.encode();
+      EXPECT_EQ(*hit, dom_select_reply(entry.selection, "hit", "table", false,
+                                       false, false));
+      // The other rungs render through the same helper, per request.
+      EXPECT_EQ(detail::select_reply(entry.selection, "miss", "shed", true,
+                                     true, true),
+                dom_select_reply(entry.selection, "miss", "shed", true, true,
+                                 true));
+    }
+  }
+  EXPECT_EQ(ServedTable().hit_reply(coll::selection_space(
+                coll::Collective::kAllgather)[0]),
+            nullptr);
+}
+
+const std::string kPlainSelect =
+    R"({"op":"select","cluster":"MRI","collective":"allgather",)"
+    R"("nodes":2,"ppn":16,"msg_bytes":1024})";
+/// kPlainSelect with a member the scanner does not read: the DOM path.
+const std::string kDomSelect =
+    R"({"op":"select","cluster":"MRI","collective":"allgather",)"
+    R"("nodes":2,"ppn":16,"msg_bytes":1024,"wait":false})";
+
+TEST_F(ServeTest, ScannedHitsCountAndReplyLikeDomHits) {
+  ServeEngine engine(options());
+  engine.handle_line(R"({"op":"table","cluster":"MRI","wait":true})");
+  detail::ScannedSelect scanned;
+  ASSERT_TRUE(detail::scan_select(kPlainSelect, scanned));
+  ASSERT_FALSE(detail::scan_select(kDomSelect, scanned));
+  const ServeEngine::Stats before = engine.stats();
+  for (int i = 0; i < 5; ++i) {
+    const std::string reply = engine.handle_line(kPlainSelect);
+    EXPECT_EQ(reply, engine.handle_line(kDomSelect));
+    EXPECT_NE(reply.find(R"("cache":"hit","source":"table")"),
+              std::string::npos)
+        << reply;
+  }
+  const ServeEngine::Stats after = engine.stats();
+  EXPECT_EQ(after.requests - before.requests, 10u);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 10u);
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
+  EXPECT_EQ(after.compiles, before.compiles);
+  EXPECT_EQ(after.degraded, before.degraded);
+  EXPECT_EQ(after.errors, before.errors);
+  const Json stats = reply_of(engine, R"({"op":"stats"})");
+  EXPECT_EQ(stats.at("requests").as_int(),
+            static_cast<std::int64_t>(after.requests + 1));
+  EXPECT_EQ(stats.at("cache_hits").as_int(),
+            static_cast<std::int64_t>(after.cache_hits));
+}
+
+TEST_F(ServeTest, ScannedSelectWhileDrainingGetsTheDrainError) {
+  ServeEngine engine(options());
+  engine.handle_line(R"({"op":"table","cluster":"MRI","wait":true})");
+  engine.begin_drain();
+  const std::string expected =
+      R"({"ok":false,"error":"serve: draining; not accepting new work",)"
+      R"("code":"config","status":3,"draining":true})";
+  const ServeEngine::Stats before = engine.stats();
+  EXPECT_EQ(engine.handle_line(kPlainSelect), expected);
+  EXPECT_EQ(engine.handle_line(kDomSelect), expected);
+  const ServeEngine::Stats after = engine.stats();
+  EXPECT_EQ(after.requests - before.requests, 2u);
+  EXPECT_EQ(after.errors - before.errors, 2u);
+  EXPECT_EQ(after.cache_hits, before.cache_hits);
 }
 
 TEST_F(ServeTest, DrainingRejectsNewWorkButKeepsHealthOps) {
