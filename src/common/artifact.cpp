@@ -328,10 +328,8 @@ const char* to_string(RepairAction action) noexcept {
 
 std::string legacy_kind_for_format(std::string_view format) noexcept {
   if (format == "pml-mpi-model-v1") return "model";
-  if (format == "pml-mpi-tuning-table-v1") return "tuning-table";
   if (format == "pml-mpi-tuning-table-v2") return "tuning-table";
   if (format == "pml-fault-plan-v1") return "fault-plan";
-  if (format == "pml-dataset-v1") return "dataset";
   if (format == "pml-dataset-v2") return "dataset";
   return {};
 }

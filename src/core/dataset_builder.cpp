@@ -413,33 +413,26 @@ Json records_to_json(std::span<const TuningRecord> records,
 }
 
 std::vector<TuningRecord> records_from_json(const Json& j) {
-  if (!j.contains("format") || !j.at("format").is_string()) {
-    throw TuningError("not a pml-dataset document");
-  }
-  const std::string format = j.at("format").as_string();
-  if (format != "pml-dataset-v2" && format != "pml-dataset-v1") {
-    throw TuningError("not a pml-dataset-v1/v2 document");
+  if (!j.contains("format") || !j.at("format").is_string() ||
+      j.at("format").as_string() != "pml-dataset-v2") {
+    throw TuningError("not a pml-dataset-v2 document");
   }
   const auto collective =
       coll::collective_from_string(j.at("collective").as_string());
   const auto& space = coll::selection_space(collective);
-  // v1 documents predate the selections array and always carried the flat
-  // label space; v2 names its space, which must be a selection_space prefix.
-  std::size_t width = coll::algorithms_for(collective).size();
-  if (format == "pml-dataset-v2") {
-    const auto& sels = j.at("selections").as_array();
-    if (sels.size() > space.size()) {
-      throw TuningError("dataset label space wider than selection_space");
-    }
-    for (std::size_t i = 0; i < sels.size(); ++i) {
-      if (sels[i].as_string() != space[i].encode()) {
-        throw TuningError("dataset label space mismatch at index " +
-                          std::to_string(i) + ": '" + sels[i].as_string() +
-                          "' != '" + space[i].encode() + "'");
-      }
-    }
-    width = sels.size();
+  // The document's named label space must be a selection_space prefix.
+  const auto& sels = j.at("selections").as_array();
+  if (sels.size() > space.size()) {
+    throw TuningError("dataset label space wider than selection_space");
   }
+  for (std::size_t i = 0; i < sels.size(); ++i) {
+    if (sels[i].as_string() != space[i].encode()) {
+      throw TuningError("dataset label space mismatch at index " +
+                        std::to_string(i) + ": '" + sels[i].as_string() +
+                        "' != '" + space[i].encode() + "'");
+    }
+  }
+  const std::size_t width = sels.size();
   std::vector<TuningRecord> records;
   for (const Json& row : j.at("records").as_array()) {
     TuningRecord rec;

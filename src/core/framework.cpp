@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -102,6 +104,18 @@ ResolvedSweep resolve_sweep(const sim::ClusterSpec& cluster,
                                    ? sim::power_of_two_sizes(21)
                                    : cluster.message_sizes)
                             : options.message_sizes;
+  // Each axis is bounded on its own, but sim::Topology::world_size() is an
+  // int product of the pair.
+  if (!sweep.node_counts.empty() && !sweep.ppn_values.empty()) {
+    const std::int64_t nodes = std::ranges::max(sweep.node_counts);
+    const std::int64_t ppn = std::ranges::max(sweep.ppn_values);
+    if (nodes * ppn > std::numeric_limits<int>::max()) {
+      throw ConfigError("sweep: " + std::to_string(nodes) + " nodes * " +
+                        std::to_string(ppn) + " ppn exceeds " +
+                        std::to_string(std::numeric_limits<int>::max()) +
+                        " ranks");
+    }
+  }
   return sweep;
 }
 

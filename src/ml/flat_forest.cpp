@@ -9,22 +9,15 @@
 
 namespace pml::ml {
 
-void FlatForest::clear() {
-  nodes_.clear();
-  roots_.clear();
-  leaf_proba_.clear();
-  build_left_.clear();
-  n_leaves_ = 0;
-  build_base_ = 0;
-  min_row_length_ = 0;
-  num_classes_ = 0;
-  sealed_ = false;
+void FlatForest::reserve(std::size_t nodes, std::size_t leaf_values) {
+  nodes_.reserve(nodes);
+  build_left_.reserve(nodes);
+  leaf_proba_.reserve(leaf_values);
 }
 
 void FlatForest::begin_tree() {
   if (sealed_) throw MlError("flat forest: append after finish");
-  build_base_ = nodes_.size();
-  roots_.push_back(build_base_);
+  roots_.push_back(nodes_.size());
 }
 
 void FlatForest::add_split(int feature, double threshold, int left,
@@ -33,9 +26,9 @@ void FlatForest::add_split(int feature, double threshold, int left,
   Node node;
   node.threshold = threshold;
   node.feature = static_cast<std::int32_t>(feature);
-  node.slot = static_cast<std::int32_t>(build_base_) + right;
+  node.slot = right;
   nodes_.push_back(node);
-  build_left_.push_back(static_cast<std::int32_t>(build_base_) + left);
+  build_left_.push_back(left);
 }
 
 void FlatForest::add_leaf(std::span<const double> proba) {
@@ -60,40 +53,76 @@ void FlatForest::finish(int num_classes) {
                   std::to_string(n_leaves_) + " leaves of " +
                   std::to_string(num_classes) + " classes");
   }
-  const auto n_leaves = static_cast<std::int32_t>(n_leaves_);
-  const auto n_nodes = static_cast<std::int32_t>(nodes_.size());
   min_row_length_ = 0;
-  for (std::int32_t i = 0; i < n_nodes; ++i) {
-    const Node& node = nodes_[static_cast<std::size_t>(i)];
-    if (node.feature >= 0) {
+  for (std::size_t t = 0; t < roots_.size(); ++t) {
+    const std::size_t base = roots_[t];
+    const auto size = static_cast<std::int32_t>(tree_end(t) - base);
+    if (size == 0) {
+      throw MlError("flat forest: tree " + std::to_string(t) + " has no nodes");
+    }
+    for (std::int32_t i = 0; i < size; ++i) {
+      Node& node = nodes_[base + static_cast<std::size_t>(i)];
+      if (node.feature < 0) continue;  // leaf slots are add_leaf ordinals
       const auto f = static_cast<std::size_t>(node.feature);
       min_row_length_ = std::max(min_row_length_, f + 1);
       // Trees serialize in pre-order: a split's left subtree follows it
       // immediately, so left == i + 1 (which the packed record relies on)
-      // and the right child points strictly forward; that also proves
-      // every walk terminates.
-      const std::int32_t l = build_left_[static_cast<std::size_t>(i)];
+      // and the right child points strictly forward inside the tree; that
+      // also proves every walk terminates in its own tree.
+      const std::int32_t l = build_left_[base + static_cast<std::size_t>(i)];
       if (l != i + 1) {
-        throw MlError("flat forest: split node " + std::to_string(i) +
-                      " has left child " + std::to_string(l) +
-                      ", pre-order requires " + std::to_string(i + 1));
+        throw MlError("flat forest: tree " + std::to_string(t) + " node " +
+                      std::to_string(i) + " has left child " +
+                      std::to_string(l) + ", pre-order requires " +
+                      std::to_string(i + 1));
       }
-      if (node.slot <= i || node.slot >= n_nodes) {
-        throw MlError("flat forest: split node " + std::to_string(i) +
-                      " has child outside (" + std::to_string(i) + ", " +
-                      std::to_string(n_nodes) + ")");
+      if (node.slot <= i || node.slot >= size) {
+        throw MlError("flat forest: tree " + std::to_string(t) + " node " +
+                      std::to_string(i) + " has right child " +
+                      std::to_string(node.slot) + " outside (" +
+                      std::to_string(i) + ", " + std::to_string(size) + ")");
       }
-    } else {
-      if (node.slot < 0 || node.slot >= n_leaves) {
-        throw MlError("flat forest: leaf node " + std::to_string(i) +
-                      " references pooled slot " + std::to_string(node.slot) +
-                      " of " + std::to_string(n_leaves));
-      }
+      node.slot += static_cast<std::int32_t>(base);
     }
   }
   build_left_.clear();
   build_left_.shrink_to_fit();
   sealed_ = true;
+}
+
+Json FlatForest::tree_json(std::size_t tree, int depth,
+                           std::span<const double> importances) const {
+  if (!sealed_) throw MlError("flat forest: serialize before finish");
+  if (tree >= roots_.size()) throw MlError("flat forest: tree out of range");
+  const std::size_t base = roots_[tree];
+  const auto k = static_cast<std::size_t>(num_classes_);
+  Json j = Json::object();
+  j["num_classes"] = num_classes_;
+  j["depth"] = depth;
+  Json imp = Json::array();
+  for (const double v : importances) imp.push_back(v);
+  j["importances"] = std::move(imp);
+  Json nodes = Json::array();
+  for (std::size_t i = base; i < tree_end(tree); ++i) {
+    const Node& n = nodes_[i];
+    Json nj = Json::object();
+    nj["feature"] = n.feature;
+    if (n.feature >= 0) {
+      nj["threshold"] = n.threshold;
+      nj["left"] = i + 1 - base;
+      nj["right"] = static_cast<std::size_t>(n.slot) - base;
+    } else {
+      Json proba = Json::array();
+      const auto first = static_cast<std::size_t>(n.slot) * k;
+      for (std::size_t c = 0; c < k; ++c) {
+        proba.push_back(leaf_proba_[first + c]);
+      }
+      nj["proba"] = std::move(proba);
+    }
+    nodes.push_back(std::move(nj));
+  }
+  j["nodes"] = std::move(nodes);
+  return j;
 }
 
 std::span<const double> FlatForest::walk(std::size_t root,

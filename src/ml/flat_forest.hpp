@@ -1,12 +1,12 @@
-// Packed decision-forest representation for the inference hot path.
+// Packed decision-forest representation: the one form a fitted or loaded
+// RandomForest holds.
 //
-// DecisionTree keeps one heap-allocated Node (with its own proba vector) per
-// tree node, which is convenient for growth and serialization but walks
-// scattered memory at predict time and forces an allocation per call.
 // FlatForest packs every tree of a forest into one contiguous array of
 // 16-byte node records plus one pooled leaf-probability buffer, so a forest
 // prediction is a handful of linear array walks and predict_proba_into()
-// touches no allocator at all.
+// touches no allocator at all. DecisionTree is only the fitting tool: a
+// fit appends each grown tree here, and a model file decodes straight into
+// the builder below.
 //
 // Node layout. Trees serialize their nodes in pre-order (DecisionTree::build
 // emits a split node immediately followed by its entire left subtree), so a
@@ -39,6 +39,7 @@
 #include <span>
 #include <vector>
 
+#include "common/json.hpp"
 #include "ml/dataset.hpp"
 
 namespace pml::ml {
@@ -54,21 +55,30 @@ class FlatForest {
   /// (largest referenced feature index + 1).
   std::size_t min_row_length() const noexcept { return min_row_length_; }
 
-  void clear();
-
-  // --- Builder interface (used by DecisionTree::append_flat) ----------------
+  // --- Builder interface (DecisionTree::append_flat, RandomForest::from_json)
 
   /// Start appending one tree; its nodes arrive in the tree's own node-id
   /// order, so child ids passed to add_split are tree-local.
+  /// Size the arrays for `nodes` nodes whose leaves hold `leaf_values`
+  /// probabilities in total, so appending them never reallocates.
+  void reserve(std::size_t nodes, std::size_t leaf_values);
   void begin_tree();
   void add_split(int feature, double threshold, int left, int right);
   void add_leaf(std::span<const double> proba);
 
-  /// Validate and seal after all trees are appended: every leaf must carry
-  /// `num_classes` probabilities, every split must reference a feature and
-  /// children inside bounds, and nodes must be in pre-order (each split's
-  /// left child immediately follows it). Throws MlError otherwise.
+  /// Validate and seal after all trees are appended: the pooled leaf buffer
+  /// must hold `num_classes` probabilities per leaf, and each tree must be
+  /// non-empty and in pre-order, with children inside that tree (each
+  /// split's left child immediately follows it). Throws MlError otherwise.
   void finish(int num_classes);
+
+  // --- Serialization ---------------------------------------------------------
+
+  /// The model file's document for tree `tree` of a sealed forest:
+  /// {"num_classes", "depth", "importances", "nodes"}, nodes in pre-order
+  /// with tree-local child ids. RandomForest::from_json is its reader.
+  Json tree_json(std::size_t tree, int depth,
+                 std::span<const double> importances) const;
 
   // --- Inference -------------------------------------------------------------
 
@@ -104,14 +114,19 @@ class FlatForest {
   std::span<const double> walk(std::size_t root,
                                std::span<const double> row) const;
 
+  /// One past the last node of tree `tree`.
+  std::size_t tree_end(std::size_t tree) const noexcept {
+    return tree + 1 < roots_.size() ? roots_[tree + 1] : nodes_.size();
+  }
+
   std::vector<Node> nodes_;           ///< all trees' packed records
   std::vector<std::size_t> roots_;    ///< global index of each tree's root
   std::vector<double> leaf_proba_;    ///< pooled leaf distributions
-  /// Build-time staging: left-child index per node (validated against the
-  /// pre-order invariant, then discarded by finish()).
+  /// Build-time staging: tree-local left-child id per node (validated
+  /// against the pre-order invariant, then discarded by finish()). Until
+  /// finish() a split's `slot` is its tree-local right-child id.
   std::vector<std::int32_t> build_left_;
   std::size_t n_leaves_ = 0;
-  std::size_t build_base_ = 0;        ///< first node of the tree being built
   std::size_t min_row_length_ = 0;
   int num_classes_ = 0;
   bool sealed_ = false;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
+#include <string>
 #include <utility>
 
 #include "common/parallel.hpp"
@@ -39,11 +39,11 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
   // Ranked once, shared read-only by every tree fit; also where a
   // non-finite feature value is rejected.
   const ColumnRanks ranks(train.x);
-  trees_.assign(n_trees, DecisionTree(tp));
+  std::vector<DecisionTree> trees(n_trees, DecisionTree(tp));
   // Per-tree OOB contributions (row index, span into the fitted tree's leaf
   // distribution — no copies), merged in tree order after the barrier so the
   // floating-point accumulation order matches the serial loop exactly. The
-  // spans stay valid because trees_ is not resized after this point.
+  // spans stay valid because `trees` is not resized after this point.
   std::vector<std::vector<std::pair<std::size_t, std::span<const double>>>>
       oob_parts(params_.bootstrap ? n_trees : 0);
 
@@ -57,13 +57,13 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
         sample[i] = static_cast<std::size_t>(tree_rng.uniform_index(n));
         in_bag[sample[i]] = 1;
       }
-      trees_[t].fit(train.x, ranks, train.y, num_classes_, tree_rng, sample);
+      trees[t].fit(train.x, ranks, train.y, num_classes_, tree_rng, sample);
       for (std::size_t i = 0; i < n; ++i) {
         if (in_bag[i]) continue;
-        oob_parts[t].emplace_back(i, trees_[t].leaf_proba_for(train.x.row(i)));
+        oob_parts[t].emplace_back(i, trees[t].leaf_proba_for(train.x.row(i)));
       }
     } else {
-      trees_[t].fit(train.x, ranks, train.y, num_classes_, tree_rng, {});
+      trees[t].fit(train.x, ranks, train.y, num_classes_, tree_rng, {});
     }
   });
 
@@ -92,12 +92,15 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
       oob_score_ = static_cast<double>(correct) / static_cast<double>(scored);
     }
   }
-  rebuild_flat();
-}
-
-void RandomForest::rebuild_flat() {
-  flat_.clear();
-  for (const DecisionTree& tree : trees_) tree.append_flat(flat_);
+  flat_ = FlatForest{};
+  depths_.clear();
+  importances_.clear();
+  for (const DecisionTree& tree : trees) {
+    tree.append_flat(flat_);
+    depths_.push_back(tree.depth());
+    const auto imp = tree.feature_importances();
+    importances_.emplace_back(imp.begin(), imp.end());
+  }
   flat_.finish(num_classes_);
 }
 
@@ -123,8 +126,7 @@ void RandomForest::predict_batch(const Matrix& rows, Matrix& out) const {
 std::vector<double> RandomForest::feature_importances() const {
   require_fitted();
   std::vector<double> total(n_features_, 0.0);
-  for (const DecisionTree& tree : trees_) {
-    const auto imp = tree.feature_importances();
+  for (const std::vector<double>& imp : importances_) {
     // Loaded pre-importances bundles may carry fewer entries than
     // n_features_ (trailing unused features): missing entries are zero.
     const std::size_t m = std::min(total.size(), imp.size());
@@ -152,7 +154,9 @@ Json RandomForest::to_json() const {
   params["bootstrap"] = params_.bootstrap;
   j["params"] = std::move(params);
   Json trees = Json::array();
-  for (const DecisionTree& t : trees_) trees.push_back(t.to_json());
+  for (std::size_t t = 0; t < flat_.tree_count(); ++t) {
+    trees.push_back(flat_.tree_json(t, depths_[t], importances_[t]));
+  }
   j["trees"] = std::move(trees);
   return j;
 }
@@ -177,45 +181,90 @@ RandomForest RandomForest::from_json(const Json& j) {
   }
   forest.n_features_ =
       static_cast<std::size_t>(j.at("n_features").as_int());
-  // Trees decode independently into pre-sized slots on the pool; a failed
-  // decode is parked in its slot. The checks then run in tree order, so
-  // the error raised is the one the serial loop would raise first.
   const Json::Array& tree_docs = j.at("trees").as_array();
-  forest.trees_.resize(tree_docs.size());
-  std::vector<std::exception_ptr> decode_errors(tree_docs.size());
-  parallel_for(0, tree_docs.size(), [&](std::size_t t) {
-    try {
-      forest.trees_[t] = DecisionTree::from_json(tree_docs[t]);
-    } catch (...) {
-      decode_errors[t] = std::current_exception();
-    }
-  });
-  for (std::size_t t = 0; t < tree_docs.size(); ++t) {
-    if (decode_errors[t]) std::rethrow_exception(decode_errors[t]);
-    // A corrupt or hand-edited bundle must fail here with a clean MlError,
-    // not as an out-of-bounds read at inference time: every split must
-    // reference a feature the forest's rows actually have, and every leaf
-    // distribution must match the forest's class count (the tree-level
-    // loader already checks proba sizes against the tree's own num_classes).
-    const DecisionTree& tree = forest.trees_[t];
-    if (tree.num_classes() != forest.num_classes_) {
-      throw MlError("from_json: tree " + std::to_string(t) + " has " +
-                    std::to_string(tree.num_classes()) +
-                    " classes, forest has " +
-                    std::to_string(forest.num_classes_));
-    }
-    const int max_feature = tree.max_feature_index();
-    if (max_feature >= 0 &&
-        static_cast<std::size_t>(max_feature) >= forest.n_features_) {
-      throw MlError("from_json: tree " + std::to_string(t) +
-                    " splits on feature " + std::to_string(max_feature) +
-                    " but the forest has " +
-                    std::to_string(forest.n_features_) + " features");
+  if (tree_docs.empty()) throw MlError("from_json: forest has no trees");
+  // Size the packed arrays once (doubling growth touches twice the pages a
+  // daemon start faults in); a full binary tree of n nodes has (n + 1) / 2
+  // leaves. Malformed trees are left to the per-tree checks.
+  std::size_t nodes = 0;
+  for (const Json& doc : tree_docs) {
+    if (doc.contains("nodes") && doc.at("nodes").is_array()) {
+      nodes += doc.at("nodes").as_array().size();
     }
   }
-  if (forest.trees_.empty()) throw MlError("from_json: forest has no trees");
-  forest.rebuild_flat();
+  const auto leaves = (nodes + tree_docs.size()) / 2;
+  forest.flat_.reserve(nodes,
+                       leaves * static_cast<std::size_t>(forest.num_classes_));
+  for (std::size_t t = 0; t < tree_docs.size(); ++t) {
+    forest.append_tree_json(t, tree_docs[t]);
+  }
+  forest.flat_.finish(forest.num_classes_);
   return forest;
+}
+
+void RandomForest::append_tree_json(std::size_t t, const Json& doc) {
+  // A corrupt or hand-edited bundle must fail here with a clean MlError,
+  // not as an out-of-bounds read at inference time. Trees decode in order,
+  // so the error raised names the first bad tree; finish() then checks
+  // each tree's child ids and pre-order.
+  const std::string tree = "from_json: tree " + std::to_string(t);
+  const auto classes = doc.at("num_classes").as_int();
+  if (classes != num_classes_) {
+    throw MlError(tree + " has " + std::to_string(classes) +
+                  " classes, forest has " + std::to_string(num_classes_));
+  }
+  depths_.push_back(static_cast<int>(doc.at("depth").as_int()));
+  const auto k = static_cast<std::size_t>(num_classes_);
+  std::vector<double> proba;
+  proba.reserve(k);
+  int max_feature = -1;
+  flat_.begin_tree();
+  const Json::Array& nodes = doc.at("nodes").as_array();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const Json& nj = nodes[i];
+    const int feature = static_cast<int>(nj.at("feature").as_int());
+    if (feature >= 0) {
+      if (static_cast<std::size_t>(feature) >= n_features_) {
+        throw MlError(tree + " splits on feature " + std::to_string(feature) +
+                      " but the forest has " + std::to_string(n_features_) +
+                      " features");
+      }
+      max_feature = std::max(max_feature, feature);
+      flat_.add_split(feature, nj.at("threshold").as_number(),
+                      static_cast<int>(nj.at("left").as_int()),
+                      static_cast<int>(nj.at("right").as_int()));
+    } else {
+      // finish() only checks the pooled total, which a leaf one value
+      // short and another one value long would still meet.
+      const Json::Array& pj = nj.at("proba").as_array();
+      if (pj.size() != k) {
+        throw MlError(tree + " leaf node " + std::to_string(i) + " has " +
+                      std::to_string(pj.size()) + " probabilities, want " +
+                      std::to_string(k));
+      }
+      proba.clear();
+      for (const Json& p : pj) proba.push_back(p.as_number());
+      flat_.add_leaf(proba);
+    }
+  }
+  std::vector<double> importances;
+  const auto needed = static_cast<std::size_t>(max_feature + 1);
+  if (doc.contains("importances")) {
+    for (const Json& v : doc.at("importances").as_array()) {
+      importances.push_back(v.as_number());
+    }
+    if (importances.size() < needed) {
+      throw MlError(tree + " importances cover " +
+                    std::to_string(importances.size()) +
+                    " features but splits reference feature " +
+                    std::to_string(max_feature));
+    }
+  } else {
+    // Pre-importances bundles: zeros wide enough for every feature the
+    // splits reference.
+    importances.assign(needed, 0.0);
+  }
+  importances_.push_back(std::move(importances));
 }
 
 }  // namespace pml::ml

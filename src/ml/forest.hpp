@@ -45,8 +45,8 @@ class RandomForest final : public Classifier {
   /// predict_proba_into row by row.
   void predict_batch(const Matrix& rows, Matrix& out) const override;
 
-  /// The structure-of-arrays representation used for inference (rebuilt by
-  /// fit() and from_json()).
+  /// The forest's only stored form: fit() appends each grown tree to it and
+  /// from_json() decodes each tree document straight into it.
   const FlatForest& flat() const noexcept { return flat_; }
 
   /// Normalised Gini-decrease feature importances (sum to 1): per-feature
@@ -58,18 +58,22 @@ class RandomForest final : public Classifier {
   std::optional<double> oob_score() const noexcept { return oob_score_; }
 
   const RandomForestParams& params() const noexcept { return params_; }
-  std::size_t tree_count() const noexcept { return trees_.size(); }
+  std::size_t tree_count() const noexcept { return flat_.tree_count(); }
 
   Json to_json() const;
   static RandomForest from_json(const Json& j);
 
  private:
-  /// Rebuild flat_ from trees_ (after fit or deserialization).
-  void rebuild_flat();
+  /// Decode tree document `t` of a model file into flat_, depths_ and
+  /// importances_.
+  void append_tree_json(std::size_t t, const Json& doc);
 
   RandomForestParams params_;
-  std::vector<DecisionTree> trees_;
   FlatForest flat_;
+  /// Per-tree depth and unnormalised importances, for to_json() and
+  /// feature_importances().
+  std::vector<int> depths_;
+  std::vector<std::vector<double>> importances_;
   std::size_t n_features_ = 0;
   std::optional<double> oob_score_;
 };

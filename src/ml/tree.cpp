@@ -469,12 +469,6 @@ int DecisionTree::predict(std::span<const double> row) const {
   return static_cast<int>(std::max_element(p.begin(), p.end()) - p.begin());
 }
 
-int DecisionTree::max_feature_index() const noexcept {
-  int max_feature = -1;
-  for (const Node& n : nodes_) max_feature = std::max(max_feature, n.feature);
-  return max_feature;
-}
-
 void DecisionTree::append_flat(FlatForest& flat) const {
   if (nodes_.empty()) throw MlError("tree: flatten before fit");
   flat.begin_tree();
@@ -488,97 +482,11 @@ void DecisionTree::append_flat(FlatForest& flat) const {
 }
 
 Json DecisionTree::to_json() const {
-  Json j = Json::object();
-  j["num_classes"] = num_classes_;
-  j["depth"] = depth_;
-  Json importances = Json::array();
-  for (const double v : importances_) importances.push_back(v);
-  j["importances"] = std::move(importances);
-  Json nodes = Json::array();
-  for (const Node& n : nodes_) {
-    Json nj = Json::object();
-    nj["feature"] = n.feature;
-    if (n.feature >= 0) {
-      nj["threshold"] = n.threshold;
-      nj["left"] = n.left;
-      nj["right"] = n.right;
-    } else {
-      Json proba = Json::array();
-      for (const double p : n.proba) proba.push_back(p);
-      nj["proba"] = std::move(proba);
-    }
-    nodes.push_back(std::move(nj));
-  }
-  j["nodes"] = std::move(nodes);
-  return j;
-}
-
-DecisionTree DecisionTree::from_json(const Json& j) {
-  DecisionTree tree;
-  tree.num_classes_ = static_cast<int>(j.at("num_classes").as_int());
-  if (tree.num_classes_ < 1) {
-    throw MlError("tree: serialized num_classes must be >= 1");
-  }
-  tree.depth_ = static_cast<int>(j.at("depth").as_int());
-  const Json::Array& node_docs = j.at("nodes").as_array();
-  tree.nodes_.reserve(node_docs.size());
-  for (const Json& nj : node_docs) {
-    Node n;
-    n.feature = static_cast<int>(nj.at("feature").as_int());
-    if (n.feature >= 0) {
-      n.threshold = nj.at("threshold").as_number();
-      n.left = static_cast<int>(nj.at("left").as_int());
-      n.right = static_cast<int>(nj.at("right").as_int());
-    } else {
-      const Json::Array& proba = nj.at("proba").as_array();
-      n.proba.reserve(proba.size());
-      for (const Json& p : proba) n.proba.push_back(p.as_number());
-    }
-    tree.nodes_.push_back(std::move(n));
-  }
-  if (tree.nodes_.empty()) throw MlError("tree: empty serialized model");
-
-  // A hand-edited or truncated bundle must fail loudly, not crash
-  // predict_proba. The serializer allocates node ids in pre-order, so every
-  // child index points strictly forward — enforcing that also guarantees
-  // the node graph terminates (no cycles are reachable).
-  const int count = static_cast<int>(tree.nodes_.size());
-  std::size_t max_feature = 0;
-  bool any_split = false;
-  for (int k = 0; k < count; ++k) {
-    const Node& n = tree.nodes_[static_cast<std::size_t>(k)];
-    if (n.feature >= 0) {
-      any_split = true;
-      max_feature = std::max(max_feature, static_cast<std::size_t>(n.feature));
-      if (n.left <= k || n.left >= count || n.right <= k || n.right >= count) {
-        throw MlError("tree: node " + std::to_string(k) +
-                      " has child index outside (" + std::to_string(k) + ", " +
-                      std::to_string(count) + ")");
-      }
-    } else if (n.proba.size() !=
-               static_cast<std::size_t>(tree.num_classes_)) {
-      throw MlError("tree: leaf node " + std::to_string(k) + " has " +
-                    std::to_string(n.proba.size()) + " probabilities, want " +
-                    std::to_string(tree.num_classes_));
-    }
-  }
-
-  if (j.contains("importances")) {
-    for (const Json& v : j.at("importances").as_array()) {
-      tree.importances_.push_back(v.as_number());
-    }
-    if (any_split && tree.importances_.size() <= max_feature) {
-      throw MlError("tree: importances cover " +
-                    std::to_string(tree.importances_.size()) +
-                    " features but splits reference feature " +
-                    std::to_string(max_feature));
-    }
-  } else {
-    // Pre-importances bundles: fall back to zeros wide enough for every
-    // feature the splits reference.
-    tree.importances_.assign(any_split ? max_feature + 1 : 0, 0.0);
-  }
-  return tree;
+  // One writer for the tree document: the one-tree flat form's.
+  FlatForest flat;
+  append_flat(flat);
+  flat.finish(num_classes_);
+  return flat.tree_json(0, depth_, importances_);
 }
 
 // ---- RegressionTree --------------------------------------------------------

@@ -84,11 +84,6 @@ class DecisionTree {
   /// Append this tree to a structure-of-arrays forest (see FlatForest).
   void append_flat(FlatForest& flat) const;
 
-  int num_classes() const noexcept { return num_classes_; }
-
-  /// Largest feature index any split references; -1 for a leaf-only tree.
-  int max_feature_index() const noexcept;
-
   /// Unnormalised Gini-decrease importances, one per feature; accumulated
   /// across splits as (n_node/n_total) * impurity decrease.
   std::span<const double> feature_importances() const noexcept {
@@ -99,8 +94,9 @@ class DecisionTree {
   int depth() const noexcept { return depth_; }
   bool fitted() const noexcept { return !nodes_.empty(); }
 
+  /// The model file's tree document, written by FlatForest::tree_json
+  /// (RandomForest::from_json is its only reader).
   Json to_json() const;
-  static DecisionTree from_json(const Json& j);
 
  private:
   struct Node {

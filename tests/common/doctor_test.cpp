@@ -40,11 +40,15 @@ class DoctorRepairTest : public ::testing::Test {
 
 TEST_F(DoctorRepairTest, LegacyKindMapping) {
   EXPECT_EQ(legacy_kind_for_format("pml-mpi-model-v1"), "model");
-  EXPECT_EQ(legacy_kind_for_format("pml-mpi-tuning-table-v1"),
+  EXPECT_EQ(legacy_kind_for_format("pml-mpi-tuning-table-v2"),
             "tuning-table");
   EXPECT_EQ(legacy_kind_for_format("pml-fault-plan-v1"), "fault-plan");
-  EXPECT_EQ(legacy_kind_for_format("pml-dataset-v1"), "dataset");
+  EXPECT_EQ(legacy_kind_for_format("pml-dataset-v2"), "dataset");
   EXPECT_EQ(legacy_kind_for_format("pml-from-the-future-v9"), "");
+  // The retired v1 table and dataset schemas no longer load, so there is
+  // nothing to upgrade them into.
+  EXPECT_EQ(legacy_kind_for_format("pml-mpi-tuning-table-v1"), "");
+  EXPECT_EQ(legacy_kind_for_format("pml-dataset-v1"), "");
 }
 
 TEST_F(DoctorRepairTest, RepairActionNames) {
@@ -56,7 +60,7 @@ TEST_F(DoctorRepairTest, RepairActionNames) {
 
 TEST_F(DoctorRepairTest, UpgradesLegacyDocumentInPlace) {
   Json legacy = Json::object();
-  legacy["format"] = std::string("pml-mpi-tuning-table-v1");
+  legacy["format"] = std::string("pml-mpi-tuning-table-v2");
   legacy["collectives"] = Json::object();
   const std::string file = path("table.json");
   write_file_atomic(file, legacy.dump());

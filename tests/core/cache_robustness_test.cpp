@@ -154,6 +154,34 @@ TEST_F(CacheRobustnessTest, PoisonedLegacyCacheIsNotServed) {
             ArtifactStatus::kOk);
 }
 
+TEST_F(CacheRobustnessTest, V1TableInTheCacheIsRecompiledNotServed) {
+  const CompileOptions options = options_in(dir_);
+  const TuningTable clean = trained().compile_or_cached(target(), options);
+
+  // The same table in the retired v1 layout (bare algorithm names), in a
+  // valid envelope: it covers the sweep, but v1 no longer loads.
+  Json v1 = artifact_payload(Json::parse(read_file(cache_file().string())),
+                             "tuning-table");
+  v1["format"] = "pml-mpi-tuning-table-v1";
+  for (Json& job : v1["jobs"].as_array()) {
+    for (Json& entry : job["entries"].as_array()) {
+      Json flat = Json::object();
+      flat["max_bytes"] = entry.at("max_bytes");
+      flat["algorithm"] = entry.at("selection");
+      entry = std::move(flat);
+    }
+  }
+  write_artifact(cache_file().string(), v1, "tuning-table");
+
+  const TuningTable recovered = trained().compile_or_cached(target(), options);
+  EXPECT_EQ(recovered.to_json().dump(), clean.to_json().dump());
+  EXPECT_GE(counter_value("online.fallback.cache_corrupt"), 1u);
+  // The cache now holds the v2 table again.
+  const Json cached = artifact_payload(
+      Json::parse(read_file(cache_file().string())), "tuning-table");
+  EXPECT_EQ(cached.at("format").as_string(), "pml-mpi-tuning-table-v2");
+}
+
 TEST_F(CacheRobustnessTest, UnreadableCacheRetriesThenRecompiles) {
   CompileOptions options = options_in(dir_);
   std::vector<double> sleeps;

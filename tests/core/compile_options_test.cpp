@@ -56,6 +56,26 @@ TEST(CompileOptionsTest, ValidateRejectsNonPositiveGridEntries) {
       ConfigError);
 }
 
+TEST(CompileOptionsTest, HeuristicTableRejectsRankCountPastInt) {
+  // Each axis fits an int; the largest pair's rank count does not. Both
+  // the explicit grid and the cluster's own grid are held to it.
+  const auto& mri = sim::cluster_by_name("MRI");
+  EXPECT_THROW(
+      heuristic_table(mri, CompileOptions::sweep({2, 1 << 30}, {1, 4}, {64})),
+      ConfigError);
+  sim::ClusterSpec wide = mri;
+  wide.node_counts = {1 << 30};
+  wide.ppn_values = {2};
+  EXPECT_THROW(heuristic_table(wide, CompileOptions{}), ConfigError);
+  // The largest product that still fits is a valid sweep.
+  EXPECT_NO_THROW(resolve_compile_sweep(
+      mri, CompileOptions::sweep({1 << 30}, {1}, {64})));
+  EXPECT_THROW(
+      shared_framework().compile_for(
+          mri, CompileOptions::sweep({1 << 16}, {1 << 15}, {64})),
+      ConfigError);
+}
+
 TEST(CompileOptionsTest, EmptyGridsFallBackToTheClustersOwnSweep) {
   auto& fw = shared_framework();
   const auto& cluster = sim::cluster_by_name("MRI");

@@ -266,6 +266,27 @@ TEST(Framework, JsonRoundTripPreservesSelections) {
   }
 }
 
+TEST(Framework, LoadedModelMatchesTheFittedOne) {
+  // A loaded forest is decoded straight into the packed form the fitted
+  // one was flattened into: the bundle re-serializes to the same bytes and
+  // every Table-I cluster compiles to the same table, flat and hierarchical.
+  for (const bool hierarchy : {false, true}) {
+    TrainOptions options = fast_options();
+    options.forest.n_trees = 8;
+    options.build.hierarchy = hierarchy;
+    PmlFramework fitted = PmlFramework::train(small_training_set(), options);
+    const std::string bundle = fitted.to_json().dump();
+    PmlFramework loaded = PmlFramework::load(Json::parse(bundle));
+    EXPECT_EQ(loaded.to_json().dump(), bundle) << "hierarchy " << hierarchy;
+    ASSERT_EQ(sim::builtin_clusters().size(), 18u);
+    for (const sim::ClusterSpec& cluster : sim::builtin_clusters()) {
+      EXPECT_EQ(loaded.compile_for(cluster).to_json().dump(),
+                fitted.compile_for(cluster).to_json().dump())
+          << cluster.name << " hierarchy " << hierarchy;
+    }
+  }
+}
+
 TEST(Framework, LoadRejectsMalformedBundles) {
   EXPECT_THROW(PmlFramework::load(Json::object()), Error);
   Json j = Json::object();

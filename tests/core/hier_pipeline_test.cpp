@@ -126,19 +126,14 @@ TEST(DatasetV2, RoundTripsHierarchicalRecords) {
   }
 }
 
-TEST(DatasetV2, StillDecodesV1Documents) {
-  // A v1 document (flat label space, no `selections` array) must decode
-  // into the flat prefix for one more release.
+TEST(DatasetV2, RejectsV1Documents) {
+  // The v1 read (flat label space, no `selections` array) is retired:
+  // a v1 document is refused even when its records would still fit.
   const auto flat = build_cluster_records(
       frontera(), coll::Collective::kAllgather, BuildOptions{});
   Json j = records_to_json(flat, coll::Collective::kAllgather);
-  j["format"] = "pml-dataset-v1";  // v1 readers ignore extra keys
-  const auto decoded = records_from_json(j);
-  ASSERT_EQ(decoded.size(), flat.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    EXPECT_EQ(decoded[i].times, flat[i].times);
-    EXPECT_EQ(decoded[i].label, flat[i].label);
-  }
+  j["format"] = "pml-dataset-v1";
+  EXPECT_THROW(records_from_json(j), TuningError);
 }
 
 TEST(DatasetV2, RejectsLabelSpaceMismatch) {
@@ -181,21 +176,21 @@ TEST(TableV2, RoundTripsHierarchicalEntries) {
   EXPECT_EQ(back.to_json().dump(), j.dump());
 }
 
-TEST(TableV2, DecodesV1AlgorithmEntries) {
-  // v1 artifacts store a bare algorithm name under "algorithm"; they load
-  // as flat selections for one more release.
-  const Json j = Json::parse(R"({
+TEST(TableV2, RejectsV1AlgorithmEntries) {
+  // The v1 read (a bare algorithm name under "algorithm") is retired: a
+  // v1 table is refused, and so is a v2 table with a v1-style entry.
+  const std::string v1 = R"({
     "format": "pml-mpi-tuning-table-v1",
     "cluster": "Frontera",
     "jobs": [{
       "collective": "allgather", "nodes": 2, "ppn": 16,
       "entries": [{"max_bytes": 1048576, "algorithm": "ring"}]
     }]
-  })");
-  const TuningTable table = TuningTable::from_json(j);
-  const coll::Selection s =
-      table.lookup(coll::Collective::kAllgather, 2, 16, 4096);
-  EXPECT_EQ(s, coll::Selection::flat(coll::Algorithm::kAgRing));
+  })";
+  EXPECT_THROW(TuningTable::from_json(Json::parse(v1)), TuningError);
+  Json v2_with_v1_entry = Json::parse(v1);
+  v2_with_v1_entry["format"] = "pml-mpi-tuning-table-v2";
+  EXPECT_THROW(TuningTable::from_json(v2_with_v1_entry), Error);
 }
 
 // --- Partial degradation ladder ---------------------------------------------

@@ -262,6 +262,46 @@ TEST_F(ServeTest, RankCountPastIntIsAConfigErrorBelowTheTableRung) {
   EXPECT_EQ(hit.at("cache").as_string(), "hit");
 }
 
+TEST_F(ServeTest, RankCountPastIntInATableSweepIsAConfigError) {
+  // Overrides whose entries each fit an int but whose largest pair does
+  // not: the sweep is refused before any rung would compute world sizes.
+  ServeEngine engine(options());
+  const Json reply = reply_of(
+      engine, R"({"op":"table","cluster":"MRI","node_counts":[2,1073741824],)"
+              R"("ppn_values":[4],"msg_sizes":[1024]})");
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("code").as_string(), "config");
+  EXPECT_EQ(reply.at("error").as_string(),
+            "config: sweep: 1073741824 nodes * 4 ppn exceeds 2147483647 "
+            "ranks");
+}
+
+TEST_F(ServeTest, RankCountPastIntInAnInlineClusterGridIsAConfigError) {
+  // With no sweep configured, an inline cluster spec's own grid is the
+  // sweep, so it is held to the same bound.
+  ServeOptions o = options();
+  o.compile = CompileOptions{};
+  ServeEngine engine(std::move(o));
+  Json spec = sim::cluster_by_name("MRI").to_json();
+  spec["name"] = "WideMRI";
+  spec["node_counts"] = Json::array();
+  spec["node_counts"].push_back(1 << 20);
+  spec["ppn_values"] = Json::array();
+  spec["ppn_values"].push_back(1 << 12);
+  for (const char* op : {"table", "select"}) {
+    Json request = Json::object();
+    request["op"] = op;
+    request["cluster"] = spec;
+    request["collective"] = "allgather";
+    request["nodes"] = 2;
+    request["ppn"] = 16;
+    request["msg_bytes"] = 1024;
+    const Json reply = reply_of(engine, request.dump());
+    EXPECT_FALSE(reply.at("ok").as_bool()) << op;
+    EXPECT_EQ(reply.at("code").as_string(), "config") << op;
+  }
+}
+
 TEST_F(ServeTest, SelectMissAnswersFromModelThenHitsTheCompiledTable) {
   ServeEngine engine(options());
   const std::string request =
@@ -636,9 +676,10 @@ TEST_F(ServeTest, HealthReportsBreakerQueueRungsAndVersion) {
   // against `pml doctor` verdicts.
   EXPECT_EQ(health.at("artifacts").at("model").at("writes").as_string(),
             "pml-mpi-model-v1");
-  EXPECT_EQ(
-      health.at("artifacts").at("tuning-table").at("reads").as_array().size(),
-      2u);
+  const Json::Array& table_reads =
+      health.at("artifacts").at("tuning-table").at("reads").as_array();
+  ASSERT_EQ(table_reads.size(), 1u);
+  EXPECT_EQ(table_reads[0].as_string(), "pml-mpi-tuning-table-v2");
 
   // ping and stats carry the release string too.
   EXPECT_EQ(reply_of(engine, R"({"op":"ping"})").at("version").as_string(),

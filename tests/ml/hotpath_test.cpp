@@ -593,5 +593,55 @@ TEST(ForestFromJson, RejectsNonPositiveClassCount) {
   EXPECT_THROW(RandomForest::from_json(j), MlError);
 }
 
+TEST(ForestFromJson, RejectsLeafWidthsThatOnlyMatchInTotal) {
+  // One leaf one probability long, another one short: the pooled total
+  // still matches leaves x classes, so the loader must check every leaf.
+  const Dataset d = synthetic(100, 4, 3, 5);
+  RandomForest forest(RandomForestParams{.n_trees = 2});
+  Rng rng(2);
+  forest.fit(d, rng);
+  Json j = forest.to_json();
+  std::vector<Json*> leaves;
+  for (Json& node : j["trees"].as_array()[1]["nodes"].as_array()) {
+    if (node.contains("proba")) leaves.push_back(&node);
+  }
+  ASSERT_GE(leaves.size(), 2u);
+  (*leaves[0])["proba"].push_back(0.0);
+  (*leaves[1])["proba"].as_array().pop_back();
+  try {
+    RandomForest::from_json(j);
+    FAIL() << "a 4-wide and a 2-wide leaf of a 3-class forest loaded";
+  } catch (const MlError& err) {
+    EXPECT_NE(std::string(err.what()).find("tree 1 leaf node"),
+              std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(ForestFromJson, RejectsRightChildInTheNextTree) {
+  // Child ids are tree-local: a right child past the tree's last node must
+  // not land in the next tree's nodes.
+  const Dataset d = synthetic(100, 4, 2, 3);
+  RandomForest forest(RandomForestParams{.n_trees = 2});
+  Rng rng(1);
+  forest.fit(d, rng);
+  Json j = forest.to_json();
+  Json& tree0 = j["trees"].as_array()[0];
+  Json::Array& nodes = tree0["nodes"].as_array();
+  ASSERT_GE(nodes[0].at("feature").as_int(), 0);
+  nodes[0]["right"] = nodes.size();
+  EXPECT_THROW(RandomForest::from_json(j), MlError);
+}
+
+TEST(ForestFromJson, RejectsTreeWithoutNodes) {
+  const Dataset d = synthetic(100, 4, 2, 3);
+  RandomForest forest(RandomForestParams{.n_trees = 2});
+  Rng rng(1);
+  forest.fit(d, rng);
+  Json j = forest.to_json();
+  j["trees"].as_array()[0]["nodes"] = Json::array();
+  EXPECT_THROW(RandomForest::from_json(j), MlError);
+}
+
 }  // namespace
 }  // namespace pml::ml

@@ -119,18 +119,44 @@ TEST(DecisionTree, BadInputsThrow) {
   EXPECT_THROW(tree.fit(empty, y, 2, rng), MlError);
 }
 
+// The tree document (DecisionTree::to_json) has one reader, the forest
+// loader: these cases wrap one tree document in a one-tree forest document.
+
+/// Load `tree_doc` through RandomForest::from_json as the only tree of a
+/// forest over `n_features` features.
+RandomForest load_tree(const Json& tree_doc, std::size_t n_features) {
+  Json j = Json::object();
+  j["model"] = "random_forest";
+  j["num_classes"] = tree_doc.at("num_classes");
+  j["n_features"] = n_features;
+  Json params = Json::object();
+  params["n_trees"] = 1;
+  params["max_depth"] = -1;
+  params["min_samples_leaf"] = 1;
+  params["max_features"] = -1;
+  params["bootstrap"] = false;
+  j["params"] = std::move(params);
+  Json trees = Json::array();
+  trees.push_back(tree_doc);
+  j["trees"] = std::move(trees);
+  return RandomForest::from_json(j);
+}
+
 TEST(DecisionTree, JsonRoundTripPreservesPredictions) {
   const Dataset d = blobs(50, 3.0, 15);
   DecisionTree tree;
   Rng rng(16);
   tree.fit(d.x, d.y, 2, rng);
-  const DecisionTree restored = DecisionTree::from_json(
-      Json::parse(tree.to_json().dump()));
+  const RandomForest restored =
+      load_tree(Json::parse(tree.to_json().dump()), d.x.cols());
   for (std::size_t r = 0; r < d.x.rows(); ++r) {
     EXPECT_EQ(restored.predict(d.x.row(r)), tree.predict(d.x.row(r)));
     EXPECT_EQ(restored.predict_proba(d.x.row(r)),
               tree.predict_proba(d.x.row(r)));
   }
+  // The loaded tree writes back the document it was read from.
+  EXPECT_EQ(restored.to_json().at("trees").as_array()[0].dump(),
+            tree.to_json().dump());
 }
 
 TEST(DecisionTree, JsonRoundTripPreservesImportances) {
@@ -140,13 +166,15 @@ TEST(DecisionTree, JsonRoundTripPreservesImportances) {
   DecisionTree tree;
   Rng rng(22);
   tree.fit(d.x, d.y, 2, rng);
-  const DecisionTree restored = DecisionTree::from_json(
-      Json::parse(tree.to_json().dump()));
+  const RandomForest restored =
+      load_tree(Json::parse(tree.to_json().dump()), d.x.cols());
   const auto original = tree.feature_importances();
-  const auto loaded = restored.feature_importances();
+  const Json written = restored.to_json();
+  const Json::Array& loaded =
+      written.at("trees").as_array()[0].at("importances").as_array();
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t f = 0; f < original.size(); ++f) {
-    EXPECT_DOUBLE_EQ(loaded[f], original[f]);
+    EXPECT_DOUBLE_EQ(loaded[f].as_number(), original[f]);
   }
 }
 
@@ -162,7 +190,7 @@ TEST(DecisionTree, FromJsonWithoutImportancesFallsBackToZeros) {
   stripped["num_classes"] = j.at("num_classes");
   stripped["depth"] = j.at("depth");
   stripped["nodes"] = j.at("nodes");
-  const DecisionTree restored = DecisionTree::from_json(stripped);
+  const RandomForest restored = load_tree(stripped, d.x.cols());
   for (const double v : restored.feature_importances()) {
     EXPECT_DOUBLE_EQ(v, 0.0);
   }
@@ -200,34 +228,34 @@ TEST(DecisionTree, FromJsonRejectsOutOfRangeChildIndex) {
   // with an OOB read instead of failing at load time.
   Json j = stump_json();
   j["nodes"].as_array()[0]["right"] = 99;
-  EXPECT_THROW(DecisionTree::from_json(j), MlError);
+  EXPECT_THROW(load_tree(j, 1), MlError);
   Json neg = stump_json();
   neg["nodes"].as_array()[0]["left"] = -3;
-  EXPECT_THROW(DecisionTree::from_json(neg), MlError);
+  EXPECT_THROW(load_tree(neg, 1), MlError);
 }
 
 TEST(DecisionTree, FromJsonRejectsNonTerminatingNodeGraph) {
   // A self/backward edge used to make predict_proba loop forever.
   Json j = stump_json();
   j["nodes"].as_array()[0]["left"] = 0;
-  EXPECT_THROW(DecisionTree::from_json(j), MlError);
+  EXPECT_THROW(load_tree(j, 1), MlError);
 }
 
 TEST(DecisionTree, FromJsonRejectsWrongProbaArity) {
   Json j = stump_json();
   j["nodes"].as_array()[1]["proba"].as_array().pop_back();
-  EXPECT_THROW(DecisionTree::from_json(j), MlError);
+  EXPECT_THROW(load_tree(j, 1), MlError);
 }
 
 TEST(DecisionTree, FromJsonRejectsUndersizedImportances) {
   Json j = stump_json();
   Json imp = Json::array();  // splits reference feature 0; empty is too short
   j["importances"] = std::move(imp);
-  EXPECT_THROW(DecisionTree::from_json(j), MlError);
+  EXPECT_THROW(load_tree(j, 1), MlError);
 }
 
 TEST(DecisionTree, FromJsonAcceptsValidStump) {
-  const DecisionTree tree = DecisionTree::from_json(stump_json());
+  const RandomForest tree = load_tree(stump_json(), 1);
   EXPECT_EQ(tree.predict(std::vector<double>{0.0}), 0);
   EXPECT_EQ(tree.predict(std::vector<double>{1.0}), 1);
 }
