@@ -127,7 +127,7 @@ struct RepairResult {
   std::string detail;  ///< what happened (quarantine destination, skip reason)
 };
 
-/// Envelope kind for a legacy document's format key ("pml-mpi-model-v1" ->
+/// Envelope kind for a legacy document's format key ("pml-mpi-model-v2" ->
 /// "model", ...), or "" when this build knows no mapping (such files are
 /// left untouched: quarantining data we merely fail to recognise would be
 /// destructive).

@@ -8,7 +8,7 @@ const std::vector<ArtifactFormat>& artifact_formats() {
   // dataset_builder.cpp, fault.cpp, obs/export.cpp.
   static const std::vector<ArtifactFormat> formats = {
       {"envelope", "pml-artifact-v1", {"pml-artifact-v1"}},
-      {"model", "pml-mpi-model-v1", {"pml-mpi-model-v1"}},
+      {"model", "pml-mpi-model-v2", {"pml-mpi-model-v2", "pml-mpi-model-v1"}},
       {"tuning-table", "pml-mpi-tuning-table-v2", {"pml-mpi-tuning-table-v2"}},
       {"dataset", "pml-dataset-v2", {"pml-dataset-v2"}},
       {"fault-plan", "pml-fault-plan-v1", {"pml-fault-plan-v1"}},

@@ -456,7 +456,7 @@ const std::vector<std::size_t>& PmlFramework::selected_columns(
 
 Json PmlFramework::to_json() const {
   Json j = Json::object();
-  j["format"] = "pml-mpi-model-v1";
+  j["format"] = "pml-mpi-model-v2";
   j["feature_names"] = [] {
     Json names = Json::array();
     for (const auto& n : feature_names()) names.push_back(n);
@@ -468,7 +468,7 @@ Json PmlFramework::to_json() const {
     Json cols = Json::array();
     for (const std::size_t c : p.columns) cols.push_back(c);
     pj["columns"] = std::move(cols);
-    pj["forest"] = p.forest.to_json();
+    pj["forest"] = p.forest.to_columnar_json();
     parts[coll::to_string(collective)] = std::move(pj);
   }
   j["collectives"] = std::move(parts);
@@ -476,18 +476,48 @@ Json PmlFramework::to_json() const {
 }
 
 PmlFramework PmlFramework::load(const Json& j) {
-  if (!j.contains("format") ||
-      j.at("format").as_string() != "pml-mpi-model-v1") {
+  // v1 (node-object trees) is still read until its removal date (docs/API.md).
+  const std::string format =
+      j.contains("format") ? j.at("format").as_string() : std::string();
+  if (format != "pml-mpi-model-v2" && format != "pml-mpi-model-v1") {
     throw TuningError("not a pml-mpi model bundle");
   }
   PmlFramework fw;
   for (const auto& [name, pj] : j.at("collectives").as_object()) {
+    const Collective collective = coll::collective_from_string(name);
+    // A checksum only proves the bytes are the ones written. Check what
+    // indexes the feature layout and what sizes the forest before the
+    // forest is decoded, so an inconsistent bundle fails here, cleanly.
+    const std::string where = "model bundle: " + name;
     PerCollective p;
     for (const Json& c : pj.at("columns").as_array()) {
-      p.columns.push_back(static_cast<std::size_t>(c.as_int()));
+      const auto column = c.as_int();
+      if (column < 0 || static_cast<std::size_t>(column) >= feature_count() ||
+          (!p.columns.empty() &&
+           static_cast<std::size_t>(column) <= p.columns.back())) {
+        throw TuningError(where + " column " + std::to_string(column) +
+                          " is out of range or not ascending (" +
+                          std::to_string(feature_count()) + " features)");
+      }
+      p.columns.push_back(static_cast<std::size_t>(column));
     }
-    p.forest = ml::RandomForest::from_json(pj.at("forest"));
-    fw.parts_.emplace(coll::collective_from_string(name), std::move(p));
+    const Json& forest = pj.at("forest");
+    const auto n_features = forest.at("n_features").as_int();
+    if (n_features < 0 ||
+        static_cast<std::size_t>(n_features) != p.columns.size()) {
+      throw TuningError(where + " forest has " + std::to_string(n_features) +
+                        " features for " + std::to_string(p.columns.size()) +
+                        " columns");
+    }
+    const auto classes = forest.at("num_classes").as_int();
+    const std::size_t space = coll::selection_space(collective).size();
+    if (classes > 0 && static_cast<std::size_t>(classes) > space) {
+      throw TuningError(where + " forest has " + std::to_string(classes) +
+                        " classes but the selection space holds " +
+                        std::to_string(space));
+    }
+    p.forest = ml::RandomForest::from_json(forest);
+    fw.parts_.emplace(collective, std::move(p));
   }
   if (fw.parts_.empty()) throw TuningError("model bundle has no collectives");
   return fw;

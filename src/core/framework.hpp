@@ -227,7 +227,12 @@ class PmlFramework final : public Selector {
 
   // --- Serialization ---------------------------------------------------------
 
+  /// Model bundle `pml-mpi-model-v2`: per collective, the selected
+  /// columns and the forest in columnar form (RandomForest::to_columnar_json).
   Json to_json() const;
+  /// Reads v2 and v1 bundles. Before decoding a forest it checks that the
+  /// columns are ascending feature indices, one per forest feature, and
+  /// that the forest's classes fit the collective's selection space.
   static PmlFramework load(const Json& j);
 
   /// Load a model bundle from disk. Accepts both a pml-artifact-v1

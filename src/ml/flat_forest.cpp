@@ -1,6 +1,7 @@
 #include "ml/flat_forest.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -90,18 +91,23 @@ void FlatForest::finish(int num_classes) {
   sealed_ = true;
 }
 
-Json FlatForest::tree_json(std::size_t tree, int depth,
-                           std::span<const double> importances) const {
+void FlatForest::put_tree_header(Json& j, std::size_t tree, int depth,
+                                 std::span<const double> importances) const {
   if (!sealed_) throw MlError("flat forest: serialize before finish");
   if (tree >= roots_.size()) throw MlError("flat forest: tree out of range");
-  const std::size_t base = roots_[tree];
-  const auto k = static_cast<std::size_t>(num_classes_);
-  Json j = Json::object();
-  j["num_classes"] = num_classes_;
   j["depth"] = depth;
   Json imp = Json::array();
   for (const double v : importances) imp.push_back(v);
   j["importances"] = std::move(imp);
+}
+
+Json FlatForest::tree_json(std::size_t tree, int depth,
+                           std::span<const double> importances) const {
+  Json j = Json::object();
+  j["num_classes"] = num_classes_;
+  put_tree_header(j, tree, depth, importances);
+  const std::size_t base = roots_[tree];
+  const auto k = static_cast<std::size_t>(num_classes_);
   Json nodes = Json::array();
   for (std::size_t i = base; i < tree_end(tree); ++i) {
     const Node& n = nodes_[i];
@@ -122,6 +128,45 @@ Json FlatForest::tree_json(std::size_t tree, int depth,
     nodes.push_back(std::move(nj));
   }
   j["nodes"] = std::move(nodes);
+  return j;
+}
+
+Json FlatForest::columnar_tree_json(std::size_t tree, int depth,
+                                    std::span<const double> importances) const {
+  Json j = Json::object();
+  put_tree_header(j, tree, depth, importances);
+  const auto k = static_cast<std::size_t>(num_classes_);
+  Json feature = Json::array();
+  Json threshold = Json::array();
+  Json leaf_nnz = Json::array();
+  Json leaf_class = Json::array();
+  Json leaf_proba = Json::array();
+  for (std::size_t i = roots_[tree]; i < tree_end(tree); ++i) {
+    const Node& n = nodes_[i];
+    if (n.feature >= 0) {
+      feature.push_back(n.feature);
+      threshold.push_back(n.threshold);
+      continue;
+    }
+    feature.push_back(-1);
+    const double* const p =
+        leaf_proba_.data() + static_cast<std::size_t>(n.slot) * k;
+    std::size_t nnz = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      // Only +0.0 is implied: a -0.0 entry is kept, so every leaf value
+      // reloads with its exact bits.
+      if (std::bit_cast<std::uint64_t>(p[c]) == 0) continue;
+      leaf_class.push_back(c);
+      leaf_proba.push_back(p[c]);
+      ++nnz;
+    }
+    leaf_nnz.push_back(nnz);
+  }
+  j["feature"] = std::move(feature);
+  j["threshold"] = std::move(threshold);
+  j["leaf_nnz"] = std::move(leaf_nnz);
+  j["leaf_class"] = std::move(leaf_class);
+  j["leaf_proba"] = std::move(leaf_proba);
   return j;
 }
 

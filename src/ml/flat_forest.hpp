@@ -20,6 +20,15 @@
 // finish() validates the pre-order invariant, so a malformed builder
 // sequence or corrupt bundle fails loudly instead of walking garbage.
 //
+// Serialized form. Model bundle v2 stores each tree as columns in the same
+// pre-order (columnar_tree_json): `feature` per node (-1 for a leaf),
+// `threshold` per split, and sparse leaves (`leaf_nnz`, `leaf_class`,
+// `leaf_proba`) that omit only entries whose bits are +0.0. No child ids
+// are stored: the left child is the next node, and the reader recovers
+// each right child with one stack pass that also proves the nodes form
+// exactly one full binary tree. tree_json() still writes the v1 node
+// objects, whose rendering the golden tests hash as the fit's fingerprint.
+//
 // Inference comes in two shapes that are bit-identical to each other and to
 // the per-tree node walk: predict_proba_into() walks one row through all
 // trees (tree 0..T in sequence, one divide at the end), and predict_batch()
@@ -74,11 +83,22 @@ class FlatForest {
 
   // --- Serialization ---------------------------------------------------------
 
-  /// The model file's document for tree `tree` of a sealed forest:
-  /// {"num_classes", "depth", "importances", "nodes"}, nodes in pre-order
-  /// with tree-local child ids. RandomForest::from_json is its reader.
+  /// Model bundle v1 document for tree `tree` of a sealed forest:
+  /// {"num_classes", "depth", "importances", "nodes"}, one object per node
+  /// in pre-order with tree-local child ids and a dense leaf "proba".
+  /// RandomForest::to_json renders it as the fit's fingerprint.
   Json tree_json(std::size_t tree, int depth,
                  std::span<const double> importances) const;
+
+  /// Model bundle v2 document for tree `tree` of a sealed forest:
+  /// {"depth", "importances", "feature", "threshold", "leaf_nnz",
+  /// "leaf_class", "leaf_proba"}. `feature` holds one entry per node in
+  /// pre-order (-1 for a leaf), `threshold` one per split, and each leaf
+  /// lists its `leaf_nnz` entries that are not +0.0 as ascending class ids
+  /// with their probabilities. Child ids are implied by the pre-order
+  /// shape. RandomForest::from_json reads both documents.
+  Json columnar_tree_json(std::size_t tree, int depth,
+                          std::span<const double> importances) const;
 
   // --- Inference -------------------------------------------------------------
 
@@ -110,6 +130,10 @@ class FlatForest {
     std::int32_t slot = -1;
   };
   static_assert(sizeof(Node) == 16, "traversal record must stay 16 bytes");
+
+  /// The "depth" and "importances" members both tree documents share.
+  void put_tree_header(Json& j, std::size_t tree, int depth,
+                       std::span<const double> importances) const;
 
   std::span<const double> walk(std::size_t root,
                                std::span<const double> row) const;

@@ -140,7 +140,11 @@ std::vector<double> RandomForest::feature_importances() const {
   return total;
 }
 
-Json RandomForest::to_json() const {
+Json RandomForest::to_json() const { return render(false); }
+
+Json RandomForest::to_columnar_json() const { return render(true); }
+
+Json RandomForest::render(bool columnar) const {
   require_fitted();
   Json j = Json::object();
   j["model"] = "random_forest";
@@ -155,7 +159,9 @@ Json RandomForest::to_json() const {
   j["params"] = std::move(params);
   Json trees = Json::array();
   for (std::size_t t = 0; t < flat_.tree_count(); ++t) {
-    trees.push_back(flat_.tree_json(t, depths_[t], importances_[t]));
+    const std::span<const double> imp = importances_[t];
+    trees.push_back(columnar ? flat_.columnar_tree_json(t, depths_[t], imp)
+                             : flat_.tree_json(t, depths_[t], imp));
   }
   j["trees"] = std::move(trees);
   return j;
@@ -179,24 +185,31 @@ RandomForest RandomForest::from_json(const Json& j) {
   if (forest.num_classes_ < 1) {
     throw MlError("from_json: forest num_classes must be >= 1");
   }
-  forest.n_features_ =
-      static_cast<std::size_t>(j.at("n_features").as_int());
+  const auto n_features = j.at("n_features").as_int();
+  if (n_features < 0) throw MlError("from_json: forest n_features is negative");
+  forest.n_features_ = static_cast<std::size_t>(n_features);
   const Json::Array& tree_docs = j.at("trees").as_array();
   if (tree_docs.empty()) throw MlError("from_json: forest has no trees");
+  const bool columnar = !tree_docs.front().contains("nodes");
+  const char* const nodes_key = columnar ? "feature" : "nodes";
   // Size the packed arrays once (doubling growth touches twice the pages a
   // daemon start faults in); a full binary tree of n nodes has (n + 1) / 2
   // leaves. Malformed trees are left to the per-tree checks.
   std::size_t nodes = 0;
   for (const Json& doc : tree_docs) {
-    if (doc.contains("nodes") && doc.at("nodes").is_array()) {
-      nodes += doc.at("nodes").as_array().size();
+    if (doc.contains(nodes_key) && doc.at(nodes_key).is_array()) {
+      nodes += doc.at(nodes_key).as_array().size();
     }
   }
   const auto leaves = (nodes + tree_docs.size()) / 2;
   forest.flat_.reserve(nodes,
                        leaves * static_cast<std::size_t>(forest.num_classes_));
   for (std::size_t t = 0; t < tree_docs.size(); ++t) {
-    forest.append_tree_json(t, tree_docs[t]);
+    if (columnar) {
+      forest.append_columnar_tree_json(t, tree_docs[t]);
+    } else {
+      forest.append_tree_json(t, tree_docs[t]);
+    }
   }
   forest.flat_.finish(forest.num_classes_);
   return forest;
@@ -247,6 +260,144 @@ void RandomForest::append_tree_json(std::size_t t, const Json& doc) {
       flat_.add_leaf(proba);
     }
   }
+  append_importances(tree, doc, max_feature);
+}
+
+namespace {
+
+/// Entry `i` of integer array `name` in a v2 tree document. The v2 integer
+/// arrays are exact: a fraction is corruption, not something to truncate.
+int integral_entry(const std::string& tree, const char* name,
+                   const Json::Array& array, std::size_t i) {
+  const double v = array[i].as_number();
+  // The range test comes first: casting a double outside int's range is UB.
+  if (!(v >= -2147483648.0 && v <= 2147483647.0) ||
+      static_cast<double>(static_cast<int>(v)) != v) {
+    throw MlError(tree + " " + name + "[" + std::to_string(i) +
+                  "] is not an int32: " + Json(v).dump());
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
+void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
+  // The same promise as the v1 reader: a corrupt bundle fails here with an
+  // MlError naming the tree, before anything reaches the builder.
+  const std::string tree = "from_json: tree " + std::to_string(t);
+  const int depth = static_cast<int>(doc.at("depth").as_int());
+  const Json::Array& feature = doc.at("feature").as_array();
+  const Json::Array& threshold = doc.at("threshold").as_array();
+  const Json::Array& leaf_nnz = doc.at("leaf_nnz").as_array();
+  const Json::Array& leaf_class = doc.at("leaf_class").as_array();
+  const Json::Array& leaf_proba = doc.at("leaf_proba").as_array();
+  const std::size_t n = feature.size();
+  if (n == 0) throw MlError(tree + " has no nodes");
+
+  // One stack pass over the pre-order shape. A split's left child is the
+  // next node; the node after a leaf is the right child of the innermost
+  // split still waiting for one. So every right child is found, and a
+  // node arriving when no split waits, or a split still waiting at the
+  // end, proves the nodes are not exactly one full binary tree.
+  std::vector<int> features(n);
+  std::vector<int> right(n, -1);
+  std::vector<int> waiting;
+  std::size_t splits = 0;
+  int max_feature = -1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int f = integral_entry(tree, "feature", feature, i);
+    if (f < -1 || (f >= 0 && static_cast<std::size_t>(f) >= n_features_)) {
+      throw MlError(tree + " node " + std::to_string(i) +
+                    " splits on feature " + std::to_string(f) +
+                    " but the forest has " +
+                    std::to_string(n_features_) + " features");
+    }
+    features[i] = f;
+    if (f >= 0) {
+      ++splits;
+      max_feature = std::max(max_feature, f);
+    }
+    if (i == 0) continue;
+    if (features[i - 1] >= 0) {
+      waiting.push_back(static_cast<int>(i - 1));
+    } else if (waiting.empty()) {
+      throw MlError(tree + " has " + std::to_string(n - i) +
+                    " nodes after its last leaf");
+    } else {
+      right[static_cast<std::size_t>(waiting.back())] = static_cast<int>(i);
+      waiting.pop_back();
+    }
+  }
+  if (features[n - 1] >= 0 || !waiting.empty()) {
+    throw MlError(tree + " is truncated: its " + std::to_string(n) +
+                  " nodes end before every split has two children");
+  }
+  const std::size_t leaves = n - splits;
+  if (threshold.size() != splits) {
+    throw MlError(tree + " has " + std::to_string(threshold.size()) +
+                  " thresholds for " + std::to_string(splits) + " splits");
+  }
+  if (leaf_nnz.size() != leaves) {
+    throw MlError(tree + " has " + std::to_string(leaf_nnz.size()) +
+                  " leaf_nnz entries for " + std::to_string(leaves) +
+                  " leaves");
+  }
+
+  const auto k = static_cast<std::size_t>(num_classes_);
+  std::vector<double> proba(k);
+  std::size_t split = 0;
+  std::size_t leaf = 0;
+  std::size_t entry = 0;  // next leaf_class / leaf_proba entry
+  flat_.begin_tree();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (features[i] >= 0) {
+      flat_.add_split(features[i], threshold[split++].as_number(),
+                      static_cast<int>(i + 1), right[i]);
+      continue;
+    }
+    const auto where = [&] { return tree + " leaf " + std::to_string(leaf); };
+    const int nnz = integral_entry(tree, "leaf_nnz", leaf_nnz, leaf);
+    if (nnz < 0 || static_cast<std::size_t>(nnz) > k) {
+      throw MlError(where() + " has " + std::to_string(nnz) +
+                    " entries, want 0 to " + std::to_string(k));
+    }
+    const std::size_t end = entry + static_cast<std::size_t>(nnz);
+    if (end > leaf_class.size() || end > leaf_proba.size()) {
+      throw MlError(where() + " runs past leaf_class (" +
+                    std::to_string(leaf_class.size()) + ") or leaf_proba (" +
+                    std::to_string(leaf_proba.size()) + ")");
+    }
+    std::fill(proba.begin(), proba.end(), 0.0);
+    int previous = -1;
+    for (; entry < end; ++entry) {
+      const int c = integral_entry(tree, "leaf_class", leaf_class, entry);
+      if (c < 0 || static_cast<std::size_t>(c) >= k) {
+        throw MlError(where() + " names class " + std::to_string(c) +
+                      ", forest has " + std::to_string(k));
+      }
+      if (c <= previous) {
+        throw MlError(where() + " lists class " + std::to_string(c) +
+                      " after class " + std::to_string(previous) +
+                      "; class ids must ascend");
+      }
+      proba[static_cast<std::size_t>(c)] = leaf_proba[entry].as_number();
+      previous = c;
+    }
+    flat_.add_leaf(proba);
+    ++leaf;
+  }
+  if (entry != leaf_class.size() || entry != leaf_proba.size()) {
+    throw MlError(tree + " leaves use " + std::to_string(entry) +
+                  " entries but leaf_class holds " +
+                  std::to_string(leaf_class.size()) + " and leaf_proba " +
+                  std::to_string(leaf_proba.size()));
+  }
+  depths_.push_back(depth);
+  append_importances(tree, doc, max_feature);
+}
+
+void RandomForest::append_importances(const std::string& tree,
+                                      const Json& doc, int max_feature) {
   std::vector<double> importances;
   const auto needed = static_cast<std::size_t>(max_feature + 1);
   if (doc.contains("importances")) {

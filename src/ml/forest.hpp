@@ -60,13 +60,26 @@ class RandomForest final : public Classifier {
   const RandomForestParams& params() const noexcept { return params_; }
   std::size_t tree_count() const noexcept { return flat_.tree_count(); }
 
+  /// Model bundle v1 rendering: one object per tree node, dense leaves
+  /// (FlatForest::tree_json). Its bytes pin the fit in the golden tests.
   Json to_json() const;
+  /// Model bundle v2 rendering: columnar trees with sparse leaves
+  /// (FlatForest::columnar_tree_json). Loads back to the same forest.
+  Json to_columnar_json() const;
+  /// Reads either rendering; the first tree document picks the layout
+  /// every tree must use.
   static RandomForest from_json(const Json& j);
 
  private:
+  Json render(bool columnar) const;
+
   /// Decode tree document `t` of a model file into flat_, depths_ and
-  /// importances_.
+  /// importances_: v1 node objects, or v2 columns.
   void append_tree_json(std::size_t t, const Json& doc);
+  void append_columnar_tree_json(std::size_t t, const Json& doc);
+  /// Tree `tree`'s importances, which must cover `max_feature`.
+  void append_importances(const std::string& tree, const Json& doc,
+                          int max_feature);
 
   RandomForestParams params_;
   FlatForest flat_;

@@ -39,6 +39,7 @@ class DoctorRepairTest : public ::testing::Test {
 };
 
 TEST_F(DoctorRepairTest, LegacyKindMapping) {
+  EXPECT_EQ(legacy_kind_for_format("pml-mpi-model-v2"), "model");
   EXPECT_EQ(legacy_kind_for_format("pml-mpi-model-v1"), "model");
   EXPECT_EQ(legacy_kind_for_format("pml-mpi-tuning-table-v2"),
             "tuning-table");

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "coll/cost.hpp"
 #include "common/error.hpp"
@@ -285,6 +288,117 @@ TEST(Framework, LoadedModelMatchesTheFittedOne) {
           << cluster.name << " hierarchy " << hierarchy;
     }
   }
+}
+
+/// `fitted`'s bundle in the v1 layout: the v2 bundle with its format tag
+/// and every forest swapped for the node-object rendering.
+Json v1_bundle(const PmlFramework& fitted) {
+  Json bundle = fitted.to_json();
+  bundle["format"] = "pml-mpi-model-v1";
+  for (auto& [name, part] : bundle["collectives"].as_object()) {
+    part["forest"] =
+        fitted.model(coll::collective_from_string(name)).to_json();
+  }
+  return bundle;
+}
+
+TEST(ModelBundleV2, LoadsTheSameModelAsV1) {
+  // One fit, loaded from its v1 and from its v2 rendering: the v2-loaded
+  // forests render the v1 bytes again (the layout is lossless), and every
+  // Table-I cluster compiles to the same table, flat and hierarchical.
+  for (const bool hierarchy : {false, true}) {
+    TrainOptions options = fast_options();
+    options.forest.n_trees = 8;
+    options.build.hierarchy = hierarchy;
+    const PmlFramework fitted =
+        PmlFramework::train(small_training_set(), options);
+    const std::string v2 = fitted.to_json().dump();
+    const std::string v1 = v1_bundle(fitted).dump();
+    ASSERT_NE(v2.find("\"pml-mpi-model-v2\""), std::string::npos);
+    EXPECT_LT(v2.size(), v1.size());
+    PmlFramework from_v1 = PmlFramework::load(Json::parse(v1));
+    PmlFramework from_v2 = PmlFramework::load(Json::parse(v2));
+    EXPECT_EQ(from_v1.to_json().dump(), v2) << "hierarchy " << hierarchy;
+    EXPECT_EQ(v1_bundle(from_v2).dump(), v1) << "hierarchy " << hierarchy;
+    for (const auto collective :
+         {coll::Collective::kAllgather, coll::Collective::kAlltoall}) {
+      EXPECT_EQ(from_v2.model(collective).to_json().dump(),
+                fitted.model(collective).to_json().dump());
+    }
+    ASSERT_EQ(sim::builtin_clusters().size(), 18u);
+    for (const sim::ClusterSpec& cluster : sim::builtin_clusters()) {
+      EXPECT_EQ(from_v2.compile_for(cluster).to_json().dump(),
+                from_v1.compile_for(cluster).to_json().dump())
+          << cluster.name << " hierarchy " << hierarchy;
+    }
+  }
+}
+
+/// Both renderings of the shared fit, each with `edit` applied to the
+/// alltoall part. Checksums play no role here: load() sees the payload.
+std::vector<Json> edited_bundles(const std::function<void(Json& part)>& edit) {
+  std::vector<Json> bundles = {shared_framework().to_json(),
+                               v1_bundle(shared_framework())};
+  for (Json& bundle : bundles) edit(bundle["collectives"]["alltoall"]);
+  return bundles;
+}
+
+void expect_load_fails(const std::function<void(Json& part)>& edit,
+                       const std::string& fragment) {
+  for (const Json& bundle : edited_bundles(edit)) {
+    try {
+      PmlFramework::load(bundle);
+      ADD_FAILURE() << bundle.at("format").as_string() << " loaded";
+    } catch (const TuningError& err) {
+      EXPECT_NE(std::string(err.what()).find(fragment), std::string::npos)
+          << err.what();
+    }
+  }
+}
+
+TEST(ModelBundleV2, LoadRejectsMoreClassesThanTheSelectionSpace) {
+  // Used to size the leaf pool from the claim and die of std::bad_alloc,
+  // which no Error handler catches.
+  expect_load_fails(
+      [](Json& part) { part["forest"]["num_classes"] = 100000000; },
+      "100000000 classes but the selection space holds");
+}
+
+TEST(ModelBundleV2, LoadRejectsAColumnBeyondTheFeatureLayout) {
+  // Used to load, then fail every compile and write out of bounds in
+  // full_feature_importances.
+  expect_load_fails(
+      [](Json& part) { part["columns"].as_array().back() = 5000000; },
+      "column 5000000 is out of range or not ascending");
+  expect_load_fails(
+      [](Json& part) { part["columns"].as_array().front() = -1; },
+      "column -1 is out of range");
+}
+
+TEST(ModelBundleV2, LoadRejectsColumnsThatDoNotAscend) {
+  expect_load_fails(
+      [](Json& part) {
+        Json::Array& columns = part["columns"].as_array();
+        std::swap(columns[0], columns[1]);
+      },
+      "not ascending");
+  expect_load_fails(
+      [](Json& part) {
+        Json::Array& columns = part["columns"].as_array();
+        columns[1] = columns[0];
+      },
+      "not ascending");
+}
+
+TEST(ModelBundleV2, LoadRejectsAColumnCountOtherThanTheForestWidth) {
+  expect_load_fails(
+      [](Json& part) { part["columns"].as_array().pop_back(); },
+      "features for " + std::to_string(feature_count() - 1) + " columns");
+}
+
+TEST(ModelBundleV2, LoadRejectsANegativeForestWidth) {
+  expect_load_fails([](Json& part) { part["forest"]["n_features"] = -1; },
+                    "forest has -1 features");
 }
 
 TEST(Framework, LoadRejectsMalformedBundles) {

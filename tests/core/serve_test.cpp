@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -438,6 +439,42 @@ TEST_F(ServeTest, SameLengthCorruptionIsCaughtOnTheNextWaitedMiss) {
   EXPECT_EQ(recovered.at("source").as_string(), "table");
 }
 
+TEST_F(ServeTest, InconsistentBundleWithAValidChecksumDegradesToHeuristics) {
+  // Both bundles carry a correct checksum, so only the load can refuse
+  // them. One claims 10^8 classes: sizing its leaf pool used to end the
+  // daemon with std::bad_alloc, which no Error handler catches. The other
+  // names a feature column far past the layout: it used to load, then
+  // fail every compile.
+  const std::vector<std::function<void(Json&)>> edits = {
+      [](Json& part) { part["forest"]["num_classes"] = 100000000; },
+      [](Json& part) { part["columns"].as_array().back() = 5000000; }};
+  const std::string pristine = read_file(model_path());
+  for (const auto& edit : edits) {
+    write_file(model_path(), pristine);
+    ServeEngine engine(options());
+    ASSERT_TRUE(engine.model_loaded());
+    Json bad = trained().to_json();
+    edit(bad["collectives"]["allgather"]);
+    write_artifact(model_path(), bad, "model");
+    ASSERT_EQ(inspect_artifact(model_path()).status, ArtifactStatus::kOk);
+
+    // Swapped in under a running daemon: the next miss degrades.
+    const Json reply = reply_of(
+        engine, R"({"op":"select","cluster":"RI","collective":"allgather",)"
+                R"("nodes":2,"ppn":16,"msg_bytes":1024,"wait":true})");
+    ASSERT_TRUE(reply.at("ok").as_bool());
+    EXPECT_TRUE(reply.at("degraded").as_bool());
+    EXPECT_EQ(reply.at("source").as_string(), "heuristic");
+    EXPECT_FALSE(
+        reply_of(engine, R"({"op":"ping"})").at("model_loaded").as_bool());
+
+    // There at start: the daemon comes up on heuristics instead of dying.
+    ServeEngine fresh(options());
+    EXPECT_FALSE(
+        reply_of(fresh, R"({"op":"ping"})").at("model_loaded").as_bool());
+  }
+}
+
 TEST_F(ServeTest, ConcurrentRevalidationsOfAnUnchangedArtifactAgree) {
   ModelHost host(model_path());
   const std::shared_ptr<const ModelHost::Snapshot> before = host.snapshot();
@@ -675,7 +712,7 @@ TEST_F(ServeTest, HealthReportsBreakerQueueRungsAndVersion) {
   // The artifact schema matrix rides along so ops can line the daemon up
   // against `pml doctor` verdicts.
   EXPECT_EQ(health.at("artifacts").at("model").at("writes").as_string(),
-            "pml-mpi-model-v1");
+            "pml-mpi-model-v2");
   const Json::Array& table_reads =
       health.at("artifacts").at("tuning-table").at("reads").as_array();
   ASSERT_EQ(table_reads.size(), 1u);

@@ -187,8 +187,8 @@ TEST(RandomForestModel, FromJsonRejectsWrongModel) {
 }
 
 TEST(RandomForestModel, FromJsonReportsTheFirstCorruptTree) {
-  // Trees decode in parallel, but the error raised must be the one a
-  // serial pass in tree order meets first, whichever tree fails soonest.
+  // Trees decode serially, in tree order, so the error raised is the one
+  // the first corrupt tree meets, however many loads run at once.
   const Dataset d = three_blobs(40, 47);
   RandomForest rf(RandomForestParams{.n_trees = 16});
   Rng rng(48);
