@@ -25,12 +25,15 @@ int main() {
                                       bench::default_train_options());
   const std::vector<int> sweep_nodes = {1, 2, 4, 8, 16};
   const std::vector<int> sweep_ppns = {28, 56};
-  (void)fw.compile_for(frontera, core::CompileOptions::sweep(sweep_nodes, sweep_ppns, sizes));
+  const double sweep_s =
+      fw.compile_for(frontera,
+                     core::CompileOptions::sweep(sweep_nodes, sweep_ppns, sizes))
+          .compile_seconds();
   // The deployed step also runs the feature-extraction script
   // (lscpu/lspci/ibstat) and loads the shipped model bundle — budget the
   // paper's "less than a second" for that on top of the measured sweep.
   constexpr double kExtractionSeconds = 0.5;
-  const double inference_s = fw.inference_seconds() + kExtractionSeconds;
+  const double inference_s = sweep_s + kExtractionSeconds;
 
   TextTable table({"#nodes", "procs (ppn=56)", "micro-benchmark (core-h)",
                    "ACCLAiM (core-h)", "PML-MPI (core-h)",
@@ -54,7 +57,7 @@ int main() {
   std::printf(
       "PML one-time cost: %s measured inference sweep + %.1f s budgeted "
       "feature extraction/model load, on a single process\n",
-      format_time(fw.inference_seconds()).c_str(), kExtractionSeconds);
+      format_time(sweep_s).c_str(), kExtractionSeconds);
   std::printf(
       "(paper: ~1e6x over micro-benchmarking at 32 nodes, ~1e4x over "
       "ACCLAiM at 128 nodes; PML stays near-constant)\n");

@@ -44,7 +44,7 @@ int main() {
   write_file("/tmp/pml_frontera_tuning.json", table.to_json().dump(2));
   std::printf("Compiled tuning table for unseen cluster '%s' in %s\n",
               frontera.name.c_str(),
-              format_time(shipped.inference_seconds()).c_str());
+              format_time(table.compile_seconds()).c_str());
   std::printf("Tuning table saved to /tmp/pml_frontera_tuning.json\n\n");
 
   // ---- 3. Application runtime ---------------------------------------------

@@ -59,7 +59,7 @@ int main() {
   std::printf("Startup cost on this cluster:\n");
   std::printf("  offline micro-benchmarking : %.1f core-hours\n", micro_hours);
   std::printf("  PML-MPI inference          : %s on one core\n\n",
-              format_time(framework.inference_seconds()).c_str());
+              format_time(table.compile_seconds()).c_str());
 
   // And what quality of selection does each deliver at 8 nodes x 96 ppn?
   const sim::Topology topo{8, 96};

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <thread>
 
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
@@ -216,13 +215,8 @@ bool is_artifact_envelope(const Json& doc) noexcept {
   return format.is_string() && format.as_string() == kArtifactFormat;
 }
 
-Json artifact_payload(Json doc, std::string_view kind,
-                      int schema_version, bool allow_legacy) {
-  if (!is_artifact_envelope(doc)) {
-    if (allow_legacy) return doc;
-    throw JsonError("expected a " + std::string(kArtifactFormat) +
-                    " envelope of kind '" + std::string(kind) + "'");
-  }
+Json artifact_payload(Json doc, std::string_view kind, int schema_version) {
+  if (!is_artifact_envelope(doc)) return doc;
   if (!doc.contains("kind") || !doc.at("kind").is_string() ||
       doc.at("kind").as_string() != kind) {
     throw JsonError("artifact kind mismatch: expected '" + std::string(kind) +
@@ -400,19 +394,6 @@ RepairResult repair_artifact(const std::string& path) {
   }
   return result;
 }
-
-namespace detail {
-
-void retry_sleep(const RetryPolicy& policy, double seconds) {
-  if (policy.sleep) {
-    policy.sleep(seconds);
-    return;
-  }
-  if (seconds <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
-
-}  // namespace detail
 
 // --- CircuitBreaker ----------------------------------------------------------
 

@@ -1,7 +1,8 @@
-// Versioned, checksummed JSON artifact envelopes and retrying IO.
+// Versioned, checksummed JSON artifact envelopes and the circuit breaker.
 //
 // Every JSON artifact the framework persists (model bundles, tuning tables,
-// cache entries) is wrapped in a small "pml-artifact-v1" envelope:
+// cluster specs, fault plans) is wrapped in a small "pml-artifact-v1"
+// envelope:
 //
 //   {
 //     "format":   "pml-artifact-v1",
@@ -14,11 +15,8 @@
 // Writes are atomic (temp file + fsync + rename), so readers never observe
 // a torn file; loads validate kind, schema version, and content checksum,
 // so a flipped byte or a truncation is detected instead of silently
-// consumed. Pre-envelope ("legacy") documents remain loadable where the
-// caller opts in, and `pml doctor` classifies any on-disk artifact without
-// throwing. RetryPolicy/with_retry implement the bounded-exponential-
-// backoff rung of the online stage's degradation ladder (docs/API.md,
-// "Fault injection & degradation policy").
+// consumed. Pre-envelope ("legacy") documents remain loadable, and
+// `pml doctor` classifies any on-disk artifact without throwing.
 #pragma once
 
 #include <cstddef>
@@ -80,11 +78,10 @@ bool is_artifact_envelope(const Json& doc) noexcept;
 /// Validate an envelope's kind, schema version, and checksum, returning its
 /// payload; throws JsonError on any mismatch (a checksum mismatch means the
 /// content is corrupt). A document without the envelope is returned
-/// unchanged when `allow_legacy` (pre-envelope artifacts stay loadable) and
-/// rejected otherwise. Pass the document as an rvalue to move the payload
-/// out instead of copying it.
+/// unchanged, so pre-envelope artifacts stay loadable. Pass the document as
+/// an rvalue to move the payload out instead of copying it.
 Json artifact_payload(Json doc, std::string_view kind,
-                      int schema_version = 1, bool allow_legacy = true);
+                      int schema_version = 1);
 
 /// `pml doctor` verdict for one on-disk artifact.
 enum class ArtifactStatus {
@@ -143,53 +140,18 @@ std::string legacy_kind_for_format(std::string_view format) noexcept;
 /// Failures become RepairAction::kFailed verdicts, not exceptions.
 RepairResult repair_artifact(const std::string& path);
 
-/// Bounded-exponential-backoff retry policy for transient IO failures.
-struct RetryPolicy {
-  int max_attempts = 3;                ///< total attempts, including the first
-  double base_backoff_seconds = 1e-3;  ///< sleep before the first retry
-  double backoff_multiplier = 8.0;     ///< backoff growth per retry
-  /// Injectable clock for tests: called instead of a real sleep when set,
-  /// so retry schedules are assertable without wall-clock waits.
-  std::function<void(double)> sleep;
-};
-
-namespace detail {
-/// policy.sleep when set, otherwise a real std::this_thread sleep.
-void retry_sleep(const RetryPolicy& policy, double seconds);
-}  // namespace detail
-
-/// Run `attempt` up to policy.max_attempts times, backing off between
-/// IoError failures, and rethrow the last IoError when attempts run out.
-/// Non-IO errors propagate immediately: corrupt content does not become
-/// less corrupt by retrying.
-template <typename F>
-auto with_retry(const RetryPolicy& policy, F&& attempt) -> decltype(attempt()) {
-  const int attempts = policy.max_attempts > 1 ? policy.max_attempts : 1;
-  double backoff = policy.base_backoff_seconds;
-  for (int attempt_number = 1;; ++attempt_number) {
-    try {
-      return attempt();
-    } catch (const IoError&) {
-      if (attempt_number >= attempts) throw;
-      detail::retry_sleep(policy, backoff);
-      backoff *= policy.backoff_multiplier;
-    }
-  }
-}
-
 // --- Circuit breaker ---------------------------------------------------------
 //
-// with_retry handles a transiently failing operation *within* one call;
-// the breaker handles an operation that keeps failing *across* calls
-// (e.g. serve-side model recompiles against a broken artifact). After a
+// The breaker handles an operation that keeps failing across calls (e.g.
+// serve-side model recompiles against a broken artifact). After a
 // threshold of consecutive failures the breaker opens for a bounded-
 // exponential backoff window — callers skip the doomed operation and
 // take their fallback immediately — then lets exactly one half-open
 // probe through; the probe's outcome closes or re-opens it.
 
-/// Breaker tuning. The backoff shape mirrors RetryPolicy (base window,
-/// multiplicative growth), with an injectable clock instead of an
-/// injectable sleep: the breaker never sleeps, it timestamps.
+/// Breaker tuning: a bounded-exponential backoff (base window,
+/// multiplicative growth, cap) with an injectable clock. The breaker
+/// never sleeps, it timestamps.
 struct BreakerPolicy {
   int failure_threshold = 3;       ///< consecutive failures that open it
   double open_seconds = 5.0;       ///< first open window

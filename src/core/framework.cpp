@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdint>
-#include <filesystem>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <utility>
 
+#include "common/artifact.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "obs/export.hpp"
@@ -119,87 +117,15 @@ ResolvedSweep resolve_sweep(const sim::ClusterSpec& cluster,
   return sweep;
 }
 
-// --- Degradation-ladder helpers (filesystem compile_or_cached) ---------------
-
-constexpr const char* kTableArtifactKind = "tuning-table";
-
-/// Structured degradation warning: one stderr line per ladder step, so
-/// operators can see why a fallback happened without a trace sink.
-void warn_degraded(const std::string& message) {
-  std::fprintf(stderr, "pml: warning: %s\n", message.c_str());
-}
-
 /// A table covers a request only if it was compiled for the same silicon
 /// (name + hardware fingerprint) over the same sweep. Matching on the name
 /// alone silently reused a same-named table compiled for different
-/// hardware; tables predating the fingerprint never match and get
-/// recompiled/upgraded in passing.
+/// hardware; tables predating the fingerprint never match.
 bool covers(const TuningTable& table, const sim::ClusterSpec& cluster,
             const ResolvedSweep& sweep) {
   return table.matches_cluster(cluster) && !table.empty() &&
          table.matches_sweep(sweep.node_counts, sweep.ppn_values,
                              sweep.message_sizes);
-}
-
-/// Load a cached table, validating the artifact envelope. Any failure is a
-/// reason to recompile, not to abort: the verdict is recorded as an
-/// online.fallback.* counter plus a warning and nullopt is returned.
-std::optional<TuningTable> load_cached_table(const std::filesystem::path& path,
-                                             const CompileOptions& options) {
-  if (!std::filesystem::exists(path)) return std::nullopt;
-
-  std::string text;
-  try {
-    text = with_retry(options.cache_retry,
-                      [&] { return read_file(path.string()); });
-  } catch (const Error& err) {
-    static obs::Counter unreadable("online.fallback.cache_unreadable");
-    unreadable.increment();
-    warn_degraded("cached table unreadable, recompiling: " +
-                  std::string(err.what()));
-    return std::nullopt;
-  }
-
-  try {
-    Json doc = Json::parse(text);
-    if (!is_artifact_envelope(doc)) {
-      // Pre-envelope cache entries carry no checksum, so a silent
-      // corruption would be served as-is: recompile and rewrite them in
-      // the enveloped format instead of trusting the bytes.
-      static obs::Counter stale("online.fallback.cache_stale");
-      stale.increment();
-      warn_degraded("cached table at " + path.string() +
-                    " predates pml-artifact-v1; recompiling to upgrade it");
-      return std::nullopt;
-    }
-    return TuningTable::from_json(
-        artifact_payload(std::move(doc), kTableArtifactKind, 1,
-                         /*allow_legacy=*/false));
-  } catch (const Error& err) {
-    static obs::Counter corrupt("online.fallback.cache_corrupt");
-    corrupt.increment();
-    warn_degraded("cached table at " + path.string() +
-                  " is corrupt, recompiling: " + std::string(err.what()));
-    return std::nullopt;
-  }
-}
-
-/// Persist a freshly compiled table. A write failure costs cache reuse on
-/// the next run, nothing else — degrade, warn, continue.
-void store_cached_table(const std::filesystem::path& path,
-                        const TuningTable& table,
-                        const CompileOptions& options) {
-  try {
-    if (!options.cache_dir.empty()) {
-      std::filesystem::create_directories(options.cache_dir);
-    }
-    write_artifact(path.string(), table.to_json(), kTableArtifactKind);
-  } catch (const std::exception& err) {
-    static obs::Counter write_failed("online.fallback.cache_write_failed");
-    write_failed.increment();
-    warn_degraded("cannot persist tuning table to " + path.string() + ": " +
-                  std::string(err.what()));
-  }
 }
 
 }  // namespace
@@ -384,11 +310,8 @@ TuningTable PmlFramework::compile_for(const sim::ClusterSpec& cluster,
                                             sweep.message_sizes, trained,
                                             threads);
   const auto end = std::chrono::steady_clock::now();
-  const double seconds = std::chrono::duration<double>(end - start).count();
-  // Relaxed atomic: concurrent compiles on one framework last-writer-win
-  // here; the authoritative per-compile timing rides on the table itself.
-  inference_seconds_.store(seconds, std::memory_order_relaxed);
-  table.set_compile_seconds(seconds);
+  table.set_compile_seconds(
+      std::chrono::duration<double>(end - start).count());
   return table;
 }
 
@@ -403,35 +326,6 @@ const TuningTable& PmlFramework::compile_or_cached(
   if (covers(cache, cluster, sweep)) return cache;
   cache = compile_for(cluster, options);
   return cache;
-}
-
-TuningTable PmlFramework::compile_or_cached(const sim::ClusterSpec& cluster,
-                                            const CompileOptions& options) {
-  const ResolvedSweep sweep = resolve_sweep(cluster, options);
-  const std::filesystem::path path =
-      std::filesystem::path(options.cache_dir) / (cluster.name + ".table.json");
-
-  // Fallback ladder, rung 1: a valid cached artifact covering this sweep.
-  if (auto cached = load_cached_table(path, options)) {
-    if (covers(*cached, cluster, sweep)) return *std::move(cached);
-  }
-
-  // Rung 2: recompile from the trained model (and repair/upgrade the cache).
-  TuningTable table;
-  try {
-    table = compile_for(cluster, options);
-  } catch (const Error& err) {
-    if (!options.heuristic_fallback) throw;
-    // Rung 3: rule-of-thumb table. Never cached — a later run with a
-    // healthy model must not be served the degraded table.
-    static obs::Counter heuristic("online.fallback.heuristic");
-    heuristic.increment();
-    warn_degraded("compile failed, serving heuristic table for " +
-                  cluster.name + ": " + std::string(err.what()));
-    return heuristic_table(cluster, options);
-  }
-  store_cached_table(path, table, options);
-  return table;
 }
 
 const ml::RandomForest& PmlFramework::model(Collective collective) const {
@@ -538,71 +432,13 @@ CompileOptions resolve_compile_sweep(const sim::ClusterSpec& cluster,
 }
 
 TuningTable heuristic_table(const sim::ClusterSpec& cluster,
-                            const CompileOptions& options,
-                            std::span<const coll::Collective> collectives) {
+                            const CompileOptions& options) {
   const ResolvedSweep sweep = resolve_sweep(cluster, options);
   HeuristicSelector selector;
   const int threads = options.threads == 0 ? 1 : options.threads;
-  return TuningTable::generate(
-      selector, cluster, sweep.node_counts, sweep.ppn_values,
-      sweep.message_sizes,
-      collectives.empty() ? std::span<const coll::Collective>(
-                                coll::all_collectives())
-                          : collectives,
-      threads);
-}
-
-/// Partial rung of the degradation ladder: the bundle may only cover a
-/// subset of collectives (the paper ships allgather + alltoall), leaving
-/// e.g. allreduce with no jobs at all. Rather than dropping the whole
-/// table to rung 3, top up just the missing collectives with heuristic
-/// jobs so every lookup resolves — model quality where the model exists,
-/// rules of thumb where it does not.
-TuningTable top_up_missing_collectives(TuningTable table,
-                                       const sim::ClusterSpec& cluster,
-                                       const CompileOptions& options) {
-  std::vector<coll::Collective> missing;
-  for (const coll::Collective c : options.collectives) {
-    const auto& jobs = table.jobs();
-    const bool covered =
-        std::any_of(jobs.begin(), jobs.end(),
-                    [&](const JobTable& job) { return job.collective == c; });
-    if (!covered) missing.push_back(c);
-  }
-  if (missing.empty()) return table;
-  static obs::Counter partial("online.fallback.partial");
-  partial.increment();
-  std::string names;
-  for (const coll::Collective c : missing) {
-    if (!names.empty()) names += ", ";
-    names += coll::to_string(c);
-  }
-  warn_degraded("model covers no jobs for " + names +
-                "; topping up with heuristic entries for " + cluster.name);
-  const TuningTable heur = heuristic_table(cluster, options, missing);
-  for (const JobTable& job : heur.jobs()) table.add(job);
-  return table;
-}
-
-TuningTable online_table(const std::string& model_path,
-                         const sim::ClusterSpec& cluster,
-                         const CompileOptions& options) {
-  try {
-    PmlFramework fw = PmlFramework::load_file(model_path);
-    TuningTable table = fw.compile_or_cached(cluster, options);
-    if (options.heuristic_fallback) {
-      table = top_up_missing_collectives(std::move(table), cluster, options);
-    }
-    return table;
-  } catch (const Error& err) {
-    if (!options.heuristic_fallback) throw;
-    static obs::Counter heuristic("online.fallback.heuristic");
-    heuristic.increment();
-    warn_degraded("model bundle " + model_path +
-                  " unusable, serving heuristic table for " + cluster.name +
-                  ": " + std::string(err.what()));
-    return heuristic_table(cluster, options);
-  }
+  return TuningTable::generate(selector, cluster, sweep.node_counts,
+                               sweep.ppn_values, sweep.message_sizes,
+                               coll::all_collectives(), threads);
 }
 
 }  // namespace pml::core

@@ -9,10 +9,11 @@
 // Online stage (paper Fig. 4): for a new cluster, if a tuning table is
 // already cached, use it; otherwise extract the cluster's features, run a
 // single inference sweep (one process, sub-second), and emit a JSON tuning
-// table for use at application runtime.
+// table for use at application runtime. `pml serve` (serve.hpp) runs this
+// stage behind its degradation ladder, with heuristic_table() as the
+// bottom rung.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "coll/collective.hpp"
-#include "common/artifact.hpp"
 #include "common/json.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/selectors.hpp"
@@ -52,9 +52,8 @@ struct TrainOptions {
   obs::Sink trace_sink{};
 };
 
-/// Options for the online stage (compile_for / compile_or_cached). One
-/// struct replaces the previous positional span-triple signature; field
-/// defaults are documented centrally in docs/API.md.
+/// Options for the online stage (compile_for / compile_or_cached /
+/// heuristic_table); field defaults are documented in docs/API.md.
 struct CompileOptions {
   /// Sweep grids. Empty vectors fall back to the target cluster's own
   /// benchmarked grid (ClusterSpec::node_counts / ppn_values /
@@ -66,26 +65,8 @@ struct CompileOptions {
   /// Threads for the inference sweep; 0 = inherit the framework's
   /// threads() knob, < 0 = all hardware threads, 1 = serial.
   int threads = 0;
-  /// Directory for the filesystem-cached compile_or_cached overload:
-  /// tables persist as <cache_dir>/<cluster>.table.json. Empty = cwd.
-  std::string cache_dir;
   /// Trace/metrics output for this compile; empty = no capture.
   obs::Sink trace_sink{};
-  /// Retry schedule for transient cache-read failures in the filesystem
-  /// compile_or_cached overload. The default retries twice with 1 ms
-  /// bounded-exponential backoff; tests inject a counting sleep.
-  RetryPolicy cache_retry{};
-  /// Degradation ladder switch: when true (default), a compile failure in
-  /// compile_or_cached/online_table falls back to HeuristicSelector instead
-  /// of throwing. Disable to surface errors in strict deployments.
-  bool heuristic_fallback = true;
-  /// Collectives the online stage must be able to answer. The compiled
-  /// table covers the model's trained collectives; under heuristic_fallback
-  /// any collective listed here that the model lacks is topped up with
-  /// heuristic entries instead (partial degradation,
-  /// `online.fallback.partial`). Defaults to the paper's pair, so a model
-  /// trained with default TrainOptions round-trips verbatim.
-  std::vector<coll::Collective> collectives = coll::paper_collectives();
 
   /// Throws pml::ConfigError on non-positive node/ppn entries.
   void validate() const;
@@ -103,14 +84,12 @@ struct CompileOptions {
 };
 
 // Thread-safety contract: once constructed (train/load), a PmlFramework is
-// immutable apart from two knobs — the threads_ setting and the
-// inference_seconds_ timing, the latter an atomic. select(), compile_for()
-// and the compile_or_cached overload that takes a caller-owned cache are
-// therefore safe to call concurrently from any number of threads on one
-// instance (each caller must own its `cache` argument); the trained parts_
-// map is only ever read after construction and all select() scratch is
-// thread_local. Do not call set_threads() or move/assign the framework
-// concurrently with queries.
+// immutable apart from the threads_ knob. select(), compile_for() and
+// compile_or_cached() are therefore safe to call concurrently from any
+// number of threads on one instance (each caller must own its `cache`
+// argument); the trained parts_ map is only ever read after construction
+// and all select() scratch is thread_local. Do not call set_threads() or
+// move/assign the framework concurrently with queries.
 class PmlFramework final : public Selector {
  public:
   /// Trained model plus the feature columns it consumes (public so the
@@ -121,30 +100,6 @@ class PmlFramework final : public Selector {
   };
 
   PmlFramework() = default;
-  // Copies/moves exist for factory returns (train/load) and for tests
-  // that clone a shared fixture; they are not synchronised — never copy
-  // or move a framework that other threads are querying. Spelled out
-  // because the atomic member suppresses the implicit ones.
-  PmlFramework(const PmlFramework& other)
-      : parts_(other.parts_),
-        inference_seconds_(other.inference_seconds_.load()),
-        threads_(other.threads_) {}
-  PmlFramework& operator=(const PmlFramework& other) {
-    parts_ = other.parts_;
-    inference_seconds_.store(other.inference_seconds_.load());
-    threads_ = other.threads_;
-    return *this;
-  }
-  PmlFramework(PmlFramework&& other) noexcept
-      : parts_(std::move(other.parts_)),
-        inference_seconds_(other.inference_seconds_.load()),
-        threads_(other.threads_) {}
-  PmlFramework& operator=(PmlFramework&& other) noexcept {
-    parts_ = std::move(other.parts_);
-    inference_seconds_.store(other.inference_seconds_.load());
-    threads_ = other.threads_;
-    return *this;
-  }
 
   /// Offline training on a list of clusters (exclude the evaluation
   /// cluster to reproduce the paper's leave-cluster-out protocol).
@@ -184,7 +139,9 @@ class PmlFramework final : public Selector {
 
   /// Generate the tuning table for a (possibly never-seen) cluster by
   /// running inference over options' sweep grid (empty grids fall back to
-  /// the cluster's own). Updates inference_seconds().
+  /// the cluster's own). The table carries its wall-clock inference time
+  /// (TuningTable::compile_seconds(), the paper's "less than a second of
+  /// model inference overhead").
   TuningTable compile_for(const sim::ClusterSpec& cluster,
                           const CompileOptions& options = {});
 
@@ -193,19 +150,6 @@ class PmlFramework final : public Selector {
   const TuningTable& compile_or_cached(const sim::ClusterSpec& cluster,
                                        const CompileOptions& options,
                                        TuningTable& cache);
-
-  /// Filesystem-cached variant: loads <cache_dir>/<cluster>.table.json if
-  /// it covers this cluster and sweep, otherwise compiles and writes it.
-  TuningTable compile_or_cached(const sim::ClusterSpec& cluster,
-                                const CompileOptions& options = {});
-
-  /// Wall-clock seconds of the most recent compile_for call on any thread
-  /// (the paper's "less than a second of model inference overhead"). With
-  /// concurrent compiles this is a last-writer-wins convenience for the
-  /// CLI; per-compile timing travels on TuningTable::compile_seconds().
-  double inference_seconds() const noexcept {
-    return inference_seconds_.load(std::memory_order_relaxed);
-  }
 
   /// Threads used by compile_for sweeps; <= 0 = all hardware threads.
   /// Inherited from TrainOptions::threads at train time, default for
@@ -245,9 +189,6 @@ class PmlFramework final : public Selector {
 
   /// Read-only after construction (the thread-safety contract above).
   std::map<coll::Collective, PerCollective> parts_;
-  /// Written by every compile_for; atomic so concurrent compiles on one
-  /// framework race benignly (last writer wins) instead of being UB.
-  std::atomic<double> inference_seconds_{0.0};
   int threads_ = 0;
 };
 
@@ -260,32 +201,11 @@ class PmlFramework final : public Selector {
 CompileOptions resolve_compile_sweep(const sim::ClusterSpec& cluster,
                                      const CompileOptions& options);
 
-// --- Graceful degradation (online stage) -------------------------------------
-//
-// The online stage must always hand the application a usable tuning table:
-// a corrupt cache, a missing model, or a failing disk degrades selection
-// quality, never availability. The fallback ladder is
-//   cached table -> recompile from model -> HeuristicSelector table,
-// with each step down recorded as an online.fallback.* metric and a
-// structured warning on stderr (docs/API.md, "Fault injection &
-// degradation policy").
-
 /// Rule-of-thumb tuning table from HeuristicSelector over the options'
-/// sweep grid — no model required; cannot fail on IO. Covers every
-/// collective in coll::all_collectives() by default; pass `collectives`
-/// to build jobs for a subset (the partial-degradation ladder uses this
-/// to top up only what the model is missing).
+/// sweep grid, covering every collective in coll::all_collectives() — no
+/// model required, cannot fail on IO. The bottom rung of `pml serve`'s
+/// degradation ladder (serve.hpp).
 TuningTable heuristic_table(const sim::ClusterSpec& cluster,
-                            const CompileOptions& options = {},
-                            std::span<const coll::Collective> collectives = {});
-
-/// One-call online stage: load the model bundle at `model_path` and run the
-/// filesystem-cached compile. Any Error along the way (unreadable or
-/// corrupt model, compile failure) degrades to heuristic_table() when
-/// options.heuristic_fallback is set, so this always returns a usable
-/// table.
-TuningTable online_table(const std::string& model_path,
-                         const sim::ClusterSpec& cluster,
-                         const CompileOptions& options = {});
+                            const CompileOptions& options = {});
 
 }  // namespace pml::core

@@ -298,10 +298,6 @@ std::string select_reply(const coll::Selection& selection, const char* cache,
   Json reply = Json::object();
   reply["ok"] = true;
   reply["op"] = std::string("select");
-  // Protocol v2: the structured selection rides alongside the legacy
-  // `algorithm` field (which flattens a hierarchical choice to its inter
-  // algorithm) so v1 clients keep parsing replies for one release.
-  reply["algorithm"] = coll::to_string(selection.algorithm);
   reply["display_name"] = selection.display();
   Json sel = Json::object();
   sel["kind"] = coll::to_string(selection.kind);
@@ -774,8 +770,6 @@ ServeEngine::CacheProbe ServeEngine::probe_cache(const std::string& key,
 }
 
 const char* ServeEngine::degrade(Admission admission) {
-  // Same counter the batch online stage uses, so dashboards see one
-  // ladder.
   static obs::Counter fallback("online.fallback.heuristic");
   fallback.increment();
   note(Event::kDegraded);

@@ -24,8 +24,8 @@
 // ladder: direct model inference for "select" (one scalar
 // PmlFramework::select on the request thread, lock-free against the
 // shared framework), HeuristicSelector for "table". Heuristic answers are
-// marked "degraded" and are never cached, and each one bumps the same
-// online.fallback.* counters as the batch online stage.
+// marked "degraded" and are never cached, and each one bumps the
+// online.fallback.heuristic counter.
 //
 // The stack is overload-safe by construction (docs/API.md, "Serve
 // protocol > Limits"): the engine sheds misses past a bounded pending-
@@ -78,8 +78,6 @@ struct ServeOptions {
   std::size_t shard_capacity = 8;
   /// Base compile options for cache-miss recompiles: sweep grid defaults
   /// (empty axes = the target cluster's own grid) and sweep threads.
-  /// cache_dir / cache_retry / heuristic_fallback are unused here — the
-  /// serve cache is in-memory and the ladder is always on.
   CompileOptions compile;
   /// When false, cache misses compile synchronously on the request
   /// thread (deterministic tests); the reply still reports its rung.

@@ -227,8 +227,6 @@ TEST_F(ArtifactTest, PrettyPrintedTrainedBundleStillLoads) {
 TEST(ArtifactPayload, LegacyDocumentPassesThroughByDefault) {
   const Json legacy = sample_payload();  // no envelope
   EXPECT_EQ(artifact_payload(legacy, "sample"), legacy);
-  EXPECT_THROW(artifact_payload(legacy, "sample", 1, /*allow_legacy=*/false),
-               JsonError);
 }
 
 TEST_F(ArtifactTest, MismatchesThrow) {
@@ -288,53 +286,6 @@ TEST(ArtifactStatusName, StableStrings) {
   EXPECT_STREQ(to_string(ArtifactStatus::kStaleSchema), "stale-schema");
   EXPECT_STREQ(to_string(ArtifactStatus::kCorrupt), "corrupt");
   EXPECT_STREQ(to_string(ArtifactStatus::kUnreadable), "unreadable");
-}
-
-TEST(WithRetry, TransientFailureRecoversWithBackoff) {
-  std::vector<double> sleeps;
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff_seconds = 0.001;
-  policy.backoff_multiplier = 8.0;
-  policy.sleep = [&](double seconds) { sleeps.push_back(seconds); };
-
-  int calls = 0;
-  const int result = with_retry(policy, [&] {
-    if (++calls < 3) throw IoError("transient");
-    return 7;
-  });
-  EXPECT_EQ(result, 7);
-  EXPECT_EQ(calls, 3);
-  // Two retries: backoff doubles by the multiplier each time.
-  ASSERT_EQ(sleeps.size(), 2u);
-  EXPECT_DOUBLE_EQ(sleeps[0], 0.001);
-  EXPECT_DOUBLE_EQ(sleeps[1], 0.008);
-}
-
-TEST(WithRetry, ExhaustionRethrowsTheLastError) {
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.sleep = [](double) {};
-  int calls = 0;
-  EXPECT_THROW(with_retry(policy, [&]() -> int {
-                 ++calls;
-                 throw IoError("still broken");
-               }),
-               IoError);
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(WithRetry, NonIoErrorsPropagateImmediately) {
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.sleep = [](double) { FAIL() << "must not sleep for non-IO errors"; };
-  int calls = 0;
-  EXPECT_THROW(with_retry(policy, [&]() -> int {
-                 ++calls;
-                 throw JsonError("corrupt");
-               }),
-               JsonError);
-  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

@@ -75,8 +75,9 @@ TEST_F(DoctorRepairTest, UpgradesLegacyDocumentInPlace) {
   EXPECT_EQ(after.status, ArtifactStatus::kOk);
   EXPECT_EQ(after.kind, "tuning-table");
   // The payload survives the rewrap byte-for-byte.
-  const Json payload = artifact_payload(Json::parse(read_file(file)),
-                                        "tuning-table", 1, false);
+  const Json doc = Json::parse(read_file(file));
+  ASSERT_TRUE(is_artifact_envelope(doc));
+  const Json payload = artifact_payload(doc, "tuning-table");
   EXPECT_EQ(payload.dump(), legacy.dump());
 }
 

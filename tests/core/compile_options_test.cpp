@@ -1,10 +1,9 @@
 // core::CompileOptions — the single options struct that replaced the
 // positional (nodes, ppn, sizes) span triple across the online stage.
 // Pins defaults, validation, the empty-grid fallback to the cluster's own
-// benchmarked sweep, and the filesystem cache behaviour.
+// benchmarked sweep, and the in-memory cache reuse.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <vector>
 
 #include "common/error.hpp"
@@ -32,7 +31,6 @@ TEST(CompileOptionsTest, DefaultsMatchDocumentedValues) {
   EXPECT_TRUE(options.ppn_values.empty());
   EXPECT_TRUE(options.message_sizes.empty());
   EXPECT_EQ(options.threads, 0);
-  EXPECT_TRUE(options.cache_dir.empty());
   EXPECT_TRUE(options.trace_sink.empty());
   options.validate();  // empty grids are valid (cluster fallback)
 }
@@ -96,24 +94,6 @@ TEST(CompileOptionsTest, InMemoryCacheIsReusedWhenSweepMatches) {
   const TuningTable& second = fw.compile_or_cached(cluster, options, cache);
   EXPECT_EQ(&first, &second);  // same object: the cache was reused
   EXPECT_EQ(second.to_json().dump(), bytes);
-}
-
-TEST(CompileOptionsTest, FilesystemCacheWritesAndReloadsTheTable) {
-  namespace fs = std::filesystem;
-  auto& fw = shared_framework();
-  const auto& cluster = sim::cluster_by_name("MRI");
-  const fs::path dir = fs::path(::testing::TempDir()) / "pml_table_cache";
-  fs::remove_all(dir);
-  auto options = CompileOptions::sweep({2, 4}, {16}, {1024, 65536});
-  options.cache_dir = dir.string();
-
-  const TuningTable fresh = fw.compile_or_cached(cluster, options);
-  const fs::path table_path = dir / (cluster.name + ".table.json");
-  ASSERT_TRUE(fs::exists(table_path));
-
-  const TuningTable cached = fw.compile_or_cached(cluster, options);
-  EXPECT_EQ(cached.to_json().dump(), fresh.to_json().dump());
-  fs::remove_all(dir);
 }
 
 TEST(CompileOptionsTest, ThreadCountDoesNotChangeTheTable) {

@@ -1,44 +1,32 @@
 // End-to-end label-space-v2 pipeline tests: hierarchical dataset builds
 // (thread-count determinism, flat-prefix stability), v2 dataset/table
-// artifact round trips with v1 decode, partial heuristic degradation,
-// serve protocol v2, and the v2-vs-flat selector accuracy acceptance.
+// artifact round trips with v1 decode, serve protocol v2, and the
+// v2-vs-flat selector accuracy acceptance.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "coll/cost.hpp"
 #include "coll/selection.hpp"
-#include "common/artifact.hpp"
 #include "common/json.hpp"
-#include "common/strings.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/framework.hpp"
 #include "core/serve.hpp"
 #include "core/tuning_table.hpp"
-#include "obs/obs.hpp"
 
 namespace pml::core {
 namespace {
 
 const sim::ClusterSpec& frontera() { return sim::cluster_by_name("Frontera"); }
-const sim::ClusterSpec& target() { return sim::cluster_by_name("MRI"); }
 
 BuildOptions hier_build() {
   BuildOptions options;
   options.hierarchy = true;
   return options;
-}
-
-std::uint64_t counter_value(const char* name) {
-  for (const auto& c : obs::snapshot().counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
 }
 
 // --- Hierarchical build determinism ----------------------------------------
@@ -193,85 +181,6 @@ TEST(TableV2, RejectsV1AlgorithmEntries) {
   EXPECT_THROW(TuningTable::from_json(v2_with_v1_entry), Error);
 }
 
-// --- Partial degradation ladder ---------------------------------------------
-
-class PartialDegradationTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("pml_partial_" + std::string(::testing::UnitTest::GetInstance()
-                                             ->current_test_info()
-                                             ->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-    was_enabled_ = obs::set_enabled(true);
-    obs::reset();
-  }
-  void TearDown() override {
-    obs::reset();
-    obs::set_enabled(was_enabled_);
-    std::filesystem::remove_all(dir_);
-  }
-
-  static PmlFramework& trained() {
-    static PmlFramework fw = [] {
-      TrainOptions options;
-      options.forest.n_trees = 8;
-      const std::vector<sim::ClusterSpec> clusters = {
-          sim::cluster_by_name("RI"), sim::cluster_by_name("Rome")};
-      return PmlFramework::train(clusters, options);  // paper collectives only
-    }();
-    return fw;
-  }
-
-  std::filesystem::path dir_;
-  bool was_enabled_ = false;
-};
-
-TEST_F(PartialDegradationTest, TopsUpOnlyMissingCollectives) {
-  const std::string model_path = (dir_ / "model.json").string();
-  write_artifact(model_path, trained().to_json(), "model");
-
-  CompileOptions options = CompileOptions::sweep({2, 4}, {16}, {1024, 65536});
-  options.cache_dir = dir_.string();
-  options.collectives.assign(coll::all_collectives().begin(),
-                             coll::all_collectives().end());
-
-  const TuningTable table = online_table(model_path, target(), options);
-  // Model-covered collectives answer from the model; the two the model was
-  // never trained on are topped up from the heuristic rung.
-  for (const auto collective : coll::all_collectives()) {
-    EXPECT_TRUE(table.has(collective, 2, 16)) << coll::to_string(collective);
-  }
-  EXPECT_GE(counter_value("online.fallback.partial"), 1u);
-  // Partial top-up is not the full-table heuristic fallback.
-  EXPECT_EQ(counter_value("online.fallback.heuristic"), 0u);
-
-  // The model-backed jobs are exactly what a straight compile produces.
-  const TuningTable direct = trained().compile_for(target(), options);
-  for (const auto collective : coll::paper_collectives()) {
-    for (const int nodes : {2, 4}) {
-      for (const std::uint64_t bytes : {1024ull, 65536ull}) {
-        EXPECT_EQ(table.lookup(collective, nodes, 16, bytes),
-                  direct.lookup(collective, nodes, 16, bytes));
-      }
-    }
-  }
-}
-
-TEST_F(PartialDegradationTest, NoTopUpWhenModelCoversRequest) {
-  const std::string model_path = (dir_ / "model.json").string();
-  write_artifact(model_path, trained().to_json(), "model");
-
-  CompileOptions options = CompileOptions::sweep({2, 4}, {16}, {1024, 65536});
-  options.cache_dir = dir_.string();  // default: paper collectives
-
-  const TuningTable via_file = online_table(model_path, target(), options);
-  const TuningTable direct = trained().compile_for(target(), options);
-  EXPECT_EQ(via_file.to_json().dump(), direct.to_json().dump());
-  EXPECT_EQ(counter_value("online.fallback.partial"), 0u);
-}
-
 // --- Serve protocol v2 ------------------------------------------------------
 
 TEST(ServeV2, SelectReplyCarriesStructuredSelection) {
@@ -284,8 +193,8 @@ TEST(ServeV2, SelectReplyCarriesStructuredSelection) {
       R"("nodes":4,"ppn":32,"msg_bytes":1048576})"));
   ASSERT_TRUE(reply.at("ok").as_bool());
 
-  // v2: a structured `selection` object rides alongside the legacy
-  // `algorithm` string, and the two must agree.
+  // v2: the structured `selection` object carries the algorithm; no
+  // top-level `algorithm` member is sent.
   ASSERT_TRUE(reply.contains("selection"));
   const Json& sel = reply.at("selection");
   const coll::Selection decoded = coll::Selection::decode(
@@ -295,8 +204,7 @@ TEST(ServeV2, SelectReplyCarriesStructuredSelection) {
   EXPECT_EQ(sel.at("algorithm").as_string(),
             coll::to_string(decoded.algorithm));
   EXPECT_EQ(sel.at("intra").as_string(), coll::to_string(decoded.intra));
-  EXPECT_EQ(reply.at("algorithm").as_string(),
-            coll::to_string(decoded.algorithm));
+  EXPECT_FALSE(reply.contains("algorithm"));
   EXPECT_EQ(reply.at("display_name").as_string(), decoded.display());
   EXPECT_TRUE(coll::selection_supports(decoded, sim::Topology{4, 32}));
 }

@@ -320,8 +320,8 @@ TEST_F(ServeTest, SelectMissAnswersFromModelThenHitsTheCompiledTable) {
   EXPECT_EQ(second.at("source").as_string(), "table");
   // Same model, same sweep: the miss-path inference and the hit-path table
   // lookup agree on the algorithm.
-  EXPECT_EQ(second.at("algorithm").as_string(),
-            first.at("algorithm").as_string());
+  EXPECT_EQ(second.at("selection").at("algorithm").as_string(),
+            first.at("selection").at("algorithm").as_string());
 
   const Json stats = reply_of(engine, R"({"op":"stats"})");
   EXPECT_EQ(stats.at("cache_hits").as_int(), 1);
@@ -660,7 +660,7 @@ TEST_F(ServeTest, NoModelServesHeuristicsMarkedDegraded) {
   // Short names can be ambiguous across collectives ("bruck"): qualify
   // with the request's collective to round-trip the reply.
   EXPECT_NO_THROW(coll::algorithm_from_string(
-      "allgather:" + select.at("algorithm").as_string()));
+      "allgather:" + select.at("selection").at("algorithm").as_string()));
 
   const Json table = reply_of(engine, R"({"op":"table","cluster":"MRI"})");
   ASSERT_TRUE(table.at("ok").as_bool());
@@ -916,7 +916,6 @@ std::string dom_select_reply(const coll::Selection& selection,
   Json reply = Json::object();
   reply["ok"] = true;
   reply["op"] = std::string("select");
-  reply["algorithm"] = coll::to_string(selection.algorithm);
   reply["display_name"] = selection.display();
   Json sel = Json::object();
   sel["kind"] = coll::to_string(selection.kind);

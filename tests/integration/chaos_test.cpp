@@ -1,10 +1,10 @@
-// Chaos suite (ctest -L chaos): drive the full online stage and the
-// discrete-event simulator through every failure mode this PR's robustness
-// layer handles — corrupt/truncated/legacy/unreadable artifacts on one
-// axis, every sim fault type (alone and combined) on the other — and
-// assert the system's two invariants: the online stage always returns a
-// schema-valid tuning table covering the requested grid, and fault-
-// injected simulations always complete deterministically.
+// Chaos suite (ctest -L chaos): drive the online stage as `pml serve`
+// runs it and the discrete-event simulator through every failure mode the
+// robustness layer handles — deleted/truncated/corrupt/foreign/unreadable
+// model artifacts on one axis, every sim fault type (alone and combined)
+// on the other — and assert the system's two invariants: the online stage
+// always returns a schema-valid tuning table covering the requested grid,
+// and fault-injected simulations always complete deterministically.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +18,7 @@
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "core/framework.hpp"
+#include "core/serve.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 
@@ -75,22 +76,12 @@ class ChaosTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  core::CompileOptions options() const {
-    core::CompileOptions o = core::CompileOptions::sweep(kNodes, kPpn, kSizes);
-    o.cache_dir = dir_.string();
-    o.cache_retry.sleep = [](double) {};  // no real sleeps in tests
-    return o;
-  }
-
   std::string model_path() const { return (dir_ / "model.json").string(); }
-  std::string cache_path() const {
-    return (dir_ / (target().name + ".table.json")).string();
-  }
 
   std::filesystem::path dir_;
 };
 
-// --- Artifact chaos: every corruption mode, applied to model and cache -----
+// --- Artifact chaos: every corruption mode, applied to the model -----------
 
 /// Named ways of damaging an artifact file in place.
 struct Damage {
@@ -123,33 +114,45 @@ std::vector<Damage> damage_modes() {
   };
 }
 
+/// A waited "table" request for the test's grid on `target()`.
+constexpr const char* kTableRequest =
+    R"({"op":"table","cluster":"MRI","node_counts":[2,4],"ppn_values":[16],)"
+    R"("msg_sizes":[1024,65536],"wait":true})";
+
 TEST_F(ChaosTest, EveryDamageModeOnTheModelStillYieldsAUsableTable) {
+  const std::string expected =
+      trained()
+          .compile_for(target(), core::CompileOptions::sweep(kNodes, kPpn,
+                                                             kSizes))
+          .to_json()
+          .dump();
   for (const Damage& damage : damage_modes()) {
     SCOPED_TRACE(damage.name);
     write_artifact(model_path(), trained().to_json(), "model");
     damage.apply(model_path());
-    std::filesystem::remove_all(cache_path());  // no cache to hide behind
-    const core::TuningTable table =
-        core::online_table(model_path(), target(), options());
-    expect_covers_grid(table);
-    std::filesystem::remove_all(model_path());
-  }
-}
+    core::ServeOptions options;
+    options.model_path = model_path();
+    options.async_compile = false;
+    core::ServeEngine engine(options);
 
-TEST_F(ChaosTest, EveryDamageModeOnTheCacheStillYieldsAUsableTable) {
-  const core::TuningTable clean =
-      trained().compile_or_cached(target(), options());
-  for (const Damage& damage : damage_modes()) {
-    SCOPED_TRACE(damage.name);
-    std::filesystem::remove_all(cache_path());
-    trained().compile_or_cached(target(), options());  // seed a fresh cache
-    damage.apply(cache_path());
-    const core::TuningTable table =
-        trained().compile_or_cached(target(), options());
-    expect_covers_grid(table);
-    // Recompilation reproduces the clean table exactly.
-    EXPECT_EQ(table.to_json().dump(), clean.to_json().dump());
-    std::filesystem::remove_all(cache_path());
+    // Damaged model: the ladder's bottom rung still answers the grid.
+    const Json degraded = Json::parse(engine.handle_line(kTableRequest));
+    ASSERT_TRUE(degraded.at("ok").as_bool());
+    EXPECT_TRUE(degraded.at("degraded").as_bool());
+    EXPECT_EQ(degraded.at("source").as_string(), "heuristic");
+    expect_covers_grid(core::TuningTable::from_json(degraded.at("table")));
+
+    // Repaired model: the next request recompiles from it, and the served
+    // table is byte-for-byte the direct compile.
+    std::filesystem::remove_all(model_path());
+    write_artifact(model_path(), trained().to_json(), "model");
+    const std::string raw = engine.handle_line(kTableRequest);
+    const Json repaired = Json::parse(raw);
+    ASSERT_TRUE(repaired.at("ok").as_bool());
+    EXPECT_FALSE(repaired.at("degraded").as_bool());
+    EXPECT_EQ(repaired.at("source").as_string(), "model");
+    EXPECT_TRUE(raw.ends_with("\"table\":" + expected + "}"));
+    std::filesystem::remove_all(model_path());
   }
 }
 

@@ -2,8 +2,8 @@
 // one ServeEngine with a mixed hit/miss/degraded workload, and a chaos
 // case corrupts the model artifact mid-serve. Run under PML_SANITIZE=thread
 // these tests are the TSan witnesses for the PmlFramework thread-safety
-// contract (framework.hpp) — notably the formerly racy inference_seconds_
-// write in compile_for — and for the serve cache/compile-job locking.
+// contract (framework.hpp) — notably concurrent compile_for calls on one
+// framework — and for the serve cache/compile-job locking.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -255,7 +255,7 @@ TEST_F(ServeHammerTest, CoalescedSelectsMatchDirectInference) {
         const coll::Selection expected = trained().select(
             q.collective, sim::cluster_by_name("Frontera"),
             sim::Topology{q.nodes, q.ppn}, q.msg_bytes);
-        if (reply.at("algorithm").as_string() !=
+        if (reply.at("selection").at("algorithm").as_string() !=
                 coll::to_string(expected.algorithm) ||
             reply.at("selection").at("encoded").as_string() !=
                 expected.encode()) {
@@ -271,9 +271,8 @@ TEST_F(ServeHammerTest, CoalescedSelectsMatchDirectInference) {
   EXPECT_EQ(engine.stats().errors, 0u);
 }
 
-// Satellite regression: compile_for used to write the non-atomic
-// inference_seconds_ member, so concurrent compiles on one framework were
-// a data race (TSan-visible). Concurrent compiles must now be clean and
+// compile_for writes no framework state: concurrent compiles on one
+// framework must be race-free (TSan-visible otherwise) and
 // byte-deterministic, with per-compile timing on the table itself.
 TEST_F(ServeHammerTest, ConcurrentCompileForIsRaceFreeAndDeterministic) {
   PmlFramework& fw = trained();
@@ -300,7 +299,6 @@ TEST_F(ServeHammerTest, ConcurrentCompileForIsRaceFreeAndDeterministic) {
     EXPECT_EQ(dumps[t], expected) << "thread " << t;
     EXPECT_GT(seconds[t], 0.0) << "thread " << t;
   }
-  EXPECT_GT(fw.inference_seconds(), 0.0);
 }
 
 }  // namespace

@@ -362,7 +362,7 @@ int cmd_compile(const std::map<std::string, std::string>& args) {
   write_artifact(out, table.to_json(), "tuning-table");
   std::printf("tuning table for '%s' written to %s (inference: %s)\n",
               cluster.name.c_str(), out.c_str(),
-              format_time(fw.inference_seconds()).c_str());
+              format_time(table.compile_seconds()).c_str());
   return 0;
 }
 
