@@ -17,7 +17,7 @@ namespace pml {
 
 /// Release version of the pml toolchain, bumped when the artifact
 /// schema matrix or the serve protocol changes shape.
-inline constexpr const char* kPmlVersion = "0.10.0";
+inline constexpr const char* kPmlVersion = "0.11.0";
 
 /// One artifact family: the format string this build writes, and every
 /// format string it still reads (current plus grandfathered versions).
@@ -30,7 +30,7 @@ struct ArtifactFormat {
 /// The schema matrix, one row per artifact family (envelope included).
 const std::vector<ArtifactFormat>& artifact_formats();
 
-/// {"version":"0.10.0","artifacts":{"model":{"writes":...,"reads":[...]},...}}
+/// {"version":"0.11.0","artifacts":{"model":{"writes":...,"reads":[...]},...}}
 /// — the machine-readable form carried by serve `health` replies.
 Json version_json();
 

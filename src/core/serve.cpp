@@ -1110,6 +1110,10 @@ void serve_stdio(ServeEngine& engine, std::FILE* in, std::FILE* out) {
 // --- TCP transport ----------------------------------------------------------
 
 int TcpServer::start(int port) {
+  if (port < 0 || port > 65535) {
+    throw ConfigError("serve: port " + std::to_string(port) +
+                      " outside [0, 65535]");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw IoError("serve: socket() failed");
   const int one = 1;

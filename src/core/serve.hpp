@@ -487,7 +487,8 @@ class TcpServer {
   TcpServer& operator=(const TcpServer&) = delete;
 
   /// Bind 127.0.0.1:`port` (0 = ephemeral), start the accept thread, and
-  /// return the bound port. Throws pml::IoError on socket failure.
+  /// return the bound port. Throws pml::ConfigError for a port outside
+  /// [0, 65535] (before any socket exists), pml::IoError on socket failure.
   int start(int port);
 
   /// Close the listener and terminate; join every thread. Idempotent.

@@ -1240,6 +1240,18 @@ TEST_F(ServeTest, TcpTransportServesConcurrentConnections) {
   server.stop();
 }
 
+TEST_F(ServeTest, TcpStartRejectsPortsOutsideTheU16Range) {
+  // A cast to uint16_t would turn 70000 into 4464 and -1 into 65535.
+  ServeEngine engine(options());
+  TcpServer server(engine);
+  EXPECT_THROW(server.start(70000), ConfigError);
+  EXPECT_THROW(server.start(65536), ConfigError);
+  EXPECT_THROW(server.start(-1), ConfigError);
+  const int port = server.start(0);  // the rejects left nothing bound
+  EXPECT_GT(port, 0);
+  server.stop();
+}
+
 TEST_F(ServeTest, TcpPipelinedBurstIsAnsweredInOrderAsTheEngineWould) {
   // 200 requests in one write: the server reads them in several chunks,
   // with lines cut at chunk edges, and batches each read's replies.

@@ -1,7 +1,8 @@
 // pml — command-line front end to the PML-MPI framework.
 //
-//   pml train   --out model.json [--exclude Frontera,MRI] [--trees N]
-//               [--top-features K] [--collectives allgather,alltoall,...]
+//   pml train   --out model.json [--clusters A,B | --exclude A,B]
+//               [--trees N] [--top-features K]
+//               [--collectives allgather,alltoall,...]
 //               [--threads N] [--cost-source analytic|engine]
 //               [--prune-topk K] [--prune-epsilon P] [--hierarchy]
 //       Offline stage: build the tuning dataset from the built-in Table-I
@@ -75,15 +76,25 @@
 //       Print the release version plus the artifact schema matrix this
 //       build writes and reads.
 //
-// Global options (any command): --trace out.json writes a chrome://tracing
-// file for the run; --metrics out.json writes the flat span/counter summary.
+// Global options (every command except stats, whose --metrics is the file
+// it reads): --trace out.json writes a chrome://tracing file for the run;
+// --metrics out.json writes the flat span/counter summary.
+//
+// Each command reads argv through one flag table (commands() below): a
+// value flag takes the next token verbatim, a switch takes none, and the
+// last of a repeated flag wins. An unknown flag, a stray token, a missing
+// value or a missing required flag is a usage error (exit 2). A number
+// must be the whole token and fit its field: "1x", "-5" for an unsigned
+// field, or a value past the field's range is a config error (exit 3).
 //
 // Exit statuses: 0 success, 1 unexpected failure, 2 usage error, then one
 // per pml::ErrorCode (3 config, 4 io, 5 json, 6 sim, 7 ml, 8 tuning).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <charconv>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -100,97 +111,123 @@ namespace {
 
 using namespace pml;
 
-[[noreturn]] void usage(const char* error = nullptr) {
-  if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
+[[noreturn]] void usage(const std::string& error = "") {
+  if (!error.empty()) std::fprintf(stderr, "error: %s\n\n", error.c_str());
   std::fprintf(stderr,
                "usage: pml <train|dataset|compile|query|inspect|clusters|"
                "stats|doctor|serve> [options]\n"
                "Global options: --trace out.json, --metrics out.json\n"
                "Run `pml <command>` with missing options to see what it "
                "needs; see the header of tools/pml_tool.cpp for details.\n");
-  std::exit(error == nullptr ? 0 : 2);
+  std::exit(error.empty() ? 0 : 2);
 }
 
-/// --key value argument map (flags must all take a value).
-std::map<std::string, std::string> parse_args(int argc, char** argv,
-                                              int start) {
-  std::map<std::string, std::string> args;
-  for (int i = start; i < argc; i += 2) {
-    const std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) usage(("unexpected argument: " + key).c_str());
-    if (i + 1 >= argc) usage(("missing value for " + key).c_str());
-    args[key.substr(2)] = argv[i + 1];
+/// std::from_chars over the whole token into T (int, std::uint64_t, which
+/// is also std::size_t here, or double): a malformed, partial ("1x"),
+/// negative-where-unsigned or out-of-range number is a ConfigError.
+template <class T>
+T parse_number(const std::string& text, const std::string& what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw ConfigError("invalid " + what + ": '" + text + "'");
+  }
+  return value;
+}
+
+/// One command line after parsing: the value of every --key value flag
+/// given (the last one wins) and the set of boolean switches given.
+struct Args {
+  std::map<std::string, std::string> values;
+  std::set<std::string> switches;
+
+  bool has(const std::string& key) const { return values.contains(key); }
+  bool on(const std::string& key) const { return switches.contains(key); }
+  std::string get(const std::string& key) const {
+    return has(key) ? values.at(key) : "";
+  }
+  std::string require(const std::string& key) const {
+    if (!has(key)) usage("missing required --" + key);
+    return values.at(key);
+  }
+  /// The required flag as a number of type T.
+  template <class T>
+  T number(const std::string& key) const {
+    return parse_number<T>(require(key), "--" + key);
+  }
+  /// Overwrite `out` with the flag's value when it was given; the type of
+  /// `out` picks the parse and its range.
+  template <class T>
+  void read(const std::string& key, T& out) const {
+    if (has(key)) out = parse_number<T>(values.at(key), "--" + key);
+  }
+};
+
+/// One command's flag table. Every command but stats also takes the
+/// global --trace/--metrics pair (stats reads its --metrics file).
+struct Command {
+  std::string name;
+  std::vector<std::string> values;    ///< flags that take the next token
+  std::vector<std::string> switches;  ///< boolean flags
+  int (*run)(const Args&);
+  bool traced = true;
+};
+
+/// The one argv reader: each token after the command must be one of its
+/// flags. An unknown flag, a stray token or a value flag at the end of
+/// the line is a usage error.
+Args parse_command_line(const Command& command, int argc, char** argv) {
+  const auto listed = [](const std::vector<std::string>& keys,
+                         const std::string& key) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
+  Args args;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      usage(command.name + ": unexpected argument: " + arg);
+    }
+    const std::string key = arg.substr(2);
+    if (listed(command.switches, key)) {
+      args.switches.insert(key);
+      continue;
+    }
+    if (!listed(command.values, key) &&
+        !(command.traced && (key == "trace" || key == "metrics"))) {
+      usage(command.name + ": unknown flag " + arg);
+    }
+    if (i + 1 >= argc) usage("missing value for " + arg);
+    args.values[key] = argv[++i];
   }
   return args;
 }
 
-std::string require(const std::map<std::string, std::string>& args,
-                    const std::string& key) {
-  const auto it = args.find(key);
-  if (it == args.end()) usage(("missing required --" + key).c_str());
-  return it->second;
-}
-
-/// std::stoi with the failure mapped onto the pml error taxonomy.
-int parse_int(const std::string& text, const std::string& what) {
-  try {
-    return std::stoi(text);
-  } catch (const std::exception&) {
-    throw ConfigError("invalid " + what + ": '" + text + "'");
-  }
-}
-
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  try {
-    return static_cast<std::uint64_t>(std::stoull(text));
-  } catch (const std::exception&) {
-    throw ConfigError("invalid " + what + ": '" + text + "'");
-  }
-}
-
-double parse_double(const std::string& text, const std::string& what) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(text, &consumed);
-    if (consumed != text.size()) throw std::invalid_argument(text);
-    return value;
-  } catch (const std::exception&) {
-    throw ConfigError("invalid " + what + ": '" + text + "'");
-  }
-}
-
 /// Shared sweep knobs for the commands that build datasets (train and
 /// dataset): cost source and the engine-mode pruning layer.
-void apply_sweep_args(const std::map<std::string, std::string>& args,
-                      core::BuildOptions& build) {
-  if (args.contains("cost-source")) {
-    build.cost_source = core::cost_source_from_string(args.at("cost-source"));
+void apply_sweep_args(const Args& args, core::BuildOptions& build) {
+  if (args.has("cost-source")) {
+    build.cost_source = core::cost_source_from_string(args.get("cost-source"));
   }
-  if (args.contains("prune-topk")) {
-    build.prune_topk = parse_int(args.at("prune-topk"), "--prune-topk");
-  }
-  if (args.contains("prune-epsilon")) {
-    build.prune_epsilon =
-        parse_double(args.at("prune-epsilon"), "--prune-epsilon");
-  }
+  args.read("prune-topk", build.prune_topk);
+  args.read("prune-epsilon", build.prune_epsilon);
 }
 
 /// Built-in Table-I clusters filtered by --clusters (keep-list) or
 /// --exclude (drop-list); both at once is a usage error.
-std::vector<sim::ClusterSpec> select_clusters(
-    const std::map<std::string, std::string>& args) {
-  if (args.contains("clusters") && args.contains("exclude")) {
+std::vector<sim::ClusterSpec> select_clusters(const Args& args) {
+  if (args.has("clusters") && args.has("exclude")) {
     usage("pass --clusters or --exclude, not both");
   }
-  if (args.contains("clusters")) {
+  if (args.has("clusters")) {
     std::vector<sim::ClusterSpec> picked;
-    for (const auto& name : split(args.at("clusters"), ',')) {
+    for (const auto& name : split(args.get("clusters"), ',')) {
       picked.push_back(sim::cluster_by_name(name));
     }
     return picked;
   }
   std::vector<std::string> excluded;
-  if (args.contains("exclude")) excluded = split(args.at("exclude"), ',');
+  if (args.has("exclude")) excluded = split(args.get("exclude"), ',');
   std::vector<sim::ClusterSpec> kept;
   for (const auto& c : sim::builtin_clusters()) {
     bool skip = false;
@@ -200,10 +237,14 @@ std::vector<sim::ClusterSpec> select_clusters(
   return kept;
 }
 
-std::vector<int> parse_ints(const std::string& csv, const std::string& what) {
-  std::vector<int> out;
-  for (const auto& part : split(csv, ',')) out.push_back(parse_int(part, what));
-  return out;
+/// A comma-separated --key list of ints, or `out` untouched when absent.
+void read_ints(const Args& args, const std::string& key,
+               std::vector<int>& out) {
+  if (!args.has(key)) return;
+  out.clear();
+  for (const auto& part : split(args.get(key), ',')) {
+    out.push_back(parse_number<int>(part, "--" + key));
+  }
 }
 
 sim::ClusterSpec load_cluster(const std::string& name_or_path) {
@@ -216,51 +257,23 @@ sim::ClusterSpec load_cluster(const std::string& name_or_path) {
   return sim::cluster_by_name(name_or_path);
 }
 
-/// `pml train`: offline stage. Parses argv directly (like dataset)
-/// because --hierarchy is a boolean flag; installs its own trace/metrics
-/// capture so the global options keep working.
-int cmd_train(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  bool hierarchy = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--hierarchy") {
-      hierarchy = true;
-      continue;
-    }
-    if (arg.rfind("--", 0) != 0) {
-      usage(("train: unexpected argument: " + arg).c_str());
-    }
-    if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-    args[arg.substr(2)] = argv[++i];
-  }
-
-  obs::Sink sink;
-  if (args.contains("trace")) sink.chrome_trace = args.at("trace");
-  if (args.contains("metrics")) sink.metrics = args.at("metrics");
-  obs::ScopedCapture capture(std::move(sink));
-
-  const std::string out = require(args, "out");
+/// `pml train`: offline stage.
+int cmd_train(const Args& args) {
+  const std::string out = args.require("out");
   const std::vector<sim::ClusterSpec> training = select_clusters(args);
 
   core::TrainOptions options;
   apply_sweep_args(args, options.build);
-  options.build.hierarchy = hierarchy;
-  if (args.contains("trees")) {
-    options.forest.n_trees = parse_int(args.at("trees"), "--trees");
-  }
-  if (args.contains("top-features")) {
-    options.top_features = parse_int(args.at("top-features"), "--top-features");
-  }
-  if (args.contains("collectives")) {
+  options.build.hierarchy = args.on("hierarchy");
+  args.read("trees", options.forest.n_trees);
+  args.read("top-features", options.top_features);
+  if (args.has("collectives")) {
     options.collectives.clear();
-    for (const auto& name : split(args.at("collectives"), ',')) {
+    for (const auto& name : split(args.get("collectives"), ',')) {
       options.collectives.push_back(coll::collective_from_string(name));
     }
   }
-  if (args.contains("threads")) {
-    options.threads = parse_int(args.at("threads"), "--threads");
-  }
+  args.read("threads", options.threads);
 
   std::printf("training on %zu clusters...\n", training.size());
   const auto fw = core::PmlFramework::train(training, options);
@@ -270,54 +283,22 @@ int cmd_train(int argc, char** argv) {
 }
 
 /// `pml dataset`: build and persist one collective's tuning dataset.
-/// Parses argv directly because --audit is a boolean flag.
-int cmd_dataset(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  bool audit = false;
-  bool hierarchy = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--audit") {
-      audit = true;
-      continue;
-    }
-    if (arg == "--hierarchy") {
-      hierarchy = true;
-      continue;
-    }
-    if (arg.rfind("--", 0) != 0) {
-      usage(("dataset: unexpected argument: " + arg).c_str());
-    }
-    if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-    args[arg.substr(2)] = argv[++i];
-  }
-
-  obs::Sink sink;
-  if (args.contains("trace")) sink.chrome_trace = args.at("trace");
-  if (args.contains("metrics")) sink.metrics = args.at("metrics");
-  obs::ScopedCapture capture(std::move(sink));
-
-  const std::string out = require(args, "out");
+int cmd_dataset(const Args& args) {
+  const std::string out = args.require("out");
   const auto collective =
-      coll::collective_from_string(require(args, "collective"));
+      coll::collective_from_string(args.require("collective"));
   const std::vector<sim::ClusterSpec> clusters = select_clusters(args);
 
   core::BuildOptions options;
   apply_sweep_args(args, options);
-  options.prune_audit = audit;
-  options.hierarchy = hierarchy;
-  if (args.contains("iterations")) {
-    options.iterations = parse_int(args.at("iterations"), "--iterations");
-  }
-  if (args.contains("seed")) {
-    options.seed = parse_u64(args.at("seed"), "--seed");
-  }
-  if (args.contains("threads")) {
-    options.threads = parse_int(args.at("threads"), "--threads");
-  }
-  if (args.contains("fault-plan")) {
+  options.prune_audit = args.on("audit");
+  options.hierarchy = args.on("hierarchy");
+  args.read("iterations", options.iterations);
+  args.read("seed", options.seed);
+  args.read("threads", options.threads);
+  if (args.has("fault-plan")) {
     options.faults = sim::FaultPlan::from_json(artifact_payload(
-        Json::parse(read_file(args.at("fault-plan"))), "fault-plan"));
+        Json::parse(read_file(args.get("fault-plan"))), "fault-plan"));
   }
 
   std::printf("building MPI_%s dataset on %zu clusters (%s cost source)...\n",
@@ -334,7 +315,7 @@ int cmd_dataset(int argc, char** argv) {
               static_cast<unsigned long long>(stats.measured_evals),
               static_cast<unsigned long long>(stats.pruned_evals),
               static_cast<unsigned long long>(stats.epsilon_evals));
-  if (audit) {
+  if (options.prune_audit) {
     std::printf("audit: pruning would have mislabeled %llu/%llu cells\n",
                 static_cast<unsigned long long>(stats.prune_mispredictions),
                 static_cast<unsigned long long>(stats.cells));
@@ -342,21 +323,15 @@ int cmd_dataset(int argc, char** argv) {
   return 0;
 }
 
-int cmd_compile(const std::map<std::string, std::string>& args) {
-  auto fw = core::PmlFramework::load_file(require(args, "model"));
-  const sim::ClusterSpec cluster = load_cluster(require(args, "cluster"));
-  const std::string out = require(args, "out");
+int cmd_compile(const Args& args) {
+  auto fw = core::PmlFramework::load_file(args.require("model"));
+  const sim::ClusterSpec cluster = load_cluster(args.require("cluster"));
+  const std::string out = args.require("out");
 
   core::CompileOptions options;  // empty grids = the cluster's own sweep
-  if (args.contains("nodes")) {
-    options.node_counts = parse_ints(args.at("nodes"), "--nodes");
-  }
-  if (args.contains("ppn")) {
-    options.ppn_values = parse_ints(args.at("ppn"), "--ppn");
-  }
-  if (args.contains("threads")) {
-    options.threads = parse_int(args.at("threads"), "--threads");
-  }
+  read_ints(args, "nodes", options.node_counts);
+  read_ints(args, "ppn", options.ppn_values);
+  args.read("threads", options.threads);
 
   const core::TuningTable table = fw.compile_for(cluster, options);
   write_artifact(out, table.to_json(), "tuning-table");
@@ -366,21 +341,21 @@ int cmd_compile(const std::map<std::string, std::string>& args) {
   return 0;
 }
 
-int cmd_query(const std::map<std::string, std::string>& args) {
+int cmd_query(const Args& args) {
   const core::TuningTable table = core::TuningTable::from_json(artifact_payload(
-      Json::parse(read_file(require(args, "table"))), "tuning-table"));
+      Json::parse(read_file(args.require("table"))), "tuning-table"));
   const auto collective =
-      coll::collective_from_string(require(args, "collective"));
-  const int nodes = parse_int(require(args, "nodes"), "--nodes");
-  const int ppn = parse_int(require(args, "ppn"), "--ppn");
-  const auto bytes = parse_u64(require(args, "bytes"), "--bytes");
+      coll::collective_from_string(args.require("collective"));
+  const int nodes = args.number<int>("nodes");
+  const int ppn = args.number<int>("ppn");
+  const auto bytes = args.number<std::uint64_t>("bytes");
   const coll::Selection s = table.lookup(collective, nodes, ppn, bytes);
   std::printf("%s [%s]\n", s.display().c_str(), s.encode().c_str());
   return 0;
 }
 
-int cmd_inspect(const std::map<std::string, std::string>& args) {
-  const auto fw = core::PmlFramework::load_file(require(args, "model"));
+int cmd_inspect(const Args& args) {
+  const auto fw = core::PmlFramework::load_file(args.require("model"));
   for (const auto collective : coll::all_collectives()) {
     std::vector<double> importances;
     try {
@@ -402,7 +377,7 @@ int cmd_inspect(const std::map<std::string, std::string>& args) {
   return 0;
 }
 
-int cmd_clusters() {
+int cmd_clusters(const Args&) {
   TextTable t({"name", "processor", "interconnect", "cores", "L3 (MB)",
                "mem BW (GB/s)"});
   for (const auto& c : sim::builtin_clusters()) {
@@ -415,8 +390,8 @@ int cmd_clusters() {
 }
 
 /// Pretty-print a metrics.json summary (written by a --metrics run).
-int cmd_stats(const std::map<std::string, std::string>& args) {
-  const Json doc = Json::parse(read_file(require(args, "metrics")));
+int cmd_stats(const Args& args) {
+  const Json doc = Json::parse(read_file(args.require("metrics")));
   if (!doc.contains("format") ||
       doc.at("format").as_string() != "pml-metrics-v1") {
     throw ConfigError("not a pml-metrics-v1 file");
@@ -460,26 +435,11 @@ int cmd_stats(const std::map<std::string, std::string>& args) {
   return 0;
 }
 
-/// `pml doctor`: audit artifact files. Parses argv directly because
-/// --strict/--repair are boolean flags and parse_args() requires --key
-/// value pairs.
-int cmd_doctor(int argc, char** argv) {
-  bool strict = false;
-  bool repair = false;
-  std::string dir;
-  std::string path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--strict") {
-      strict = true;
-    } else if (arg == "--repair") {
-      repair = true;
-    } else if ((arg == "--dir" || arg == "--path") && i + 1 < argc) {
-      (arg == "--dir" ? dir : path) = argv[++i];
-    } else {
-      usage(("doctor: unexpected argument: " + arg).c_str());
-    }
-  }
+/// `pml doctor`: audit artifact files.
+int cmd_doctor(const Args& args) {
+  const bool repair = args.on("repair");
+  const std::string dir = args.get("dir");
+  const std::string path = args.get("path");
   if (!dir.empty() && !path.empty()) {
     usage("doctor: pass --dir or --path, not both");
   }
@@ -534,7 +494,7 @@ int cmd_doctor(int argc, char** argv) {
               tally[static_cast<int>(ArtifactStatus::kCorrupt)],
               tally[static_cast<int>(ArtifactStatus::kUnreadable)]);
 
-  if (strict) {
+  if (args.on("strict")) {
     // --repair fixes legacy and corrupt files, so only what it could not
     // fix (plus schema skew, which is not damage) stays gating.
     if (repair && failed_repairs == 0) {
@@ -555,53 +515,21 @@ int cmd_doctor(int argc, char** argv) {
   return 0;
 }
 
-/// `pml serve`: the selector-as-a-service daemon. Parses argv directly
-/// (like doctor) because --stdio is a boolean flag; installs its own
-/// trace/metrics capture so --trace/--metrics keep working. The metrics
-/// file is written when the transport loop ends — i.e. on stdin EOF for
-/// --stdio; a TCP daemon killed by a signal writes nothing.
-int cmd_serve(int argc, char** argv) {
+/// `pml serve`: the selector-as-a-service daemon. The --metrics file is
+/// written when the transport loop ends — i.e. on stdin EOF for --stdio;
+/// a TCP daemon killed by a signal writes nothing.
+int cmd_serve(const Args& args) {
   core::ServeOptions options;
-  bool stdio = false;
+  options.model_path = args.get("model");
   int port = 0;
-  obs::Sink sink;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--stdio") {
-      stdio = true;
-    } else if (arg == "--model") {
-      options.model_path = value();
-    } else if (arg == "--port") {
-      port = parse_int(value(), "--port");
-    } else if (arg == "--shards") {
-      options.shards = parse_int(value(), "--shards");
-    } else if (arg == "--capacity") {
-      options.shard_capacity =
-          static_cast<std::size_t>(parse_int(value(), "--capacity"));
-    } else if (arg == "--threads") {
-      options.compile.threads = parse_int(value(), "--threads");
-    } else if (arg == "--max-connections") {
-      options.max_connections = parse_int(value(), "--max-connections");
-    } else if (arg == "--max-line-bytes") {
-      options.max_line_bytes =
-          static_cast<std::size_t>(parse_int(value(), "--max-line-bytes"));
-    } else if (arg == "--read-timeout-ms") {
-      options.read_timeout_ms = parse_int(value(), "--read-timeout-ms");
-    } else if (arg == "--queue-limit") {
-      options.queue_limit = parse_int(value(), "--queue-limit");
-    } else if (arg == "--trace") {
-      sink.chrome_trace = value();
-    } else if (arg == "--metrics") {
-      sink.metrics = value();
-    } else {
-      usage(("serve: unexpected argument: " + arg).c_str());
-    }
-  }
-  obs::ScopedCapture capture(std::move(sink));
+  args.read("port", port);
+  args.read("shards", options.shards);
+  args.read("capacity", options.shard_capacity);
+  args.read("threads", options.compile.threads);
+  args.read("max-connections", options.max_connections);
+  args.read("max-line-bytes", options.max_line_bytes);
+  args.read("read-timeout-ms", options.read_timeout_ms);
+  args.read("queue-limit", options.queue_limit);
 
   core::ServeEngine engine(options);
   if (!options.model_path.empty() && !engine.model_loaded()) {
@@ -610,7 +538,7 @@ int cmd_serve(int argc, char** argv) {
                  "heuristic answers until it is repaired\n",
                  options.model_path.c_str());
   }
-  if (stdio) {
+  if (args.on("stdio")) {
     core::serve_stdio(engine, stdin, stdout);
     return 0;
   }
@@ -622,38 +550,62 @@ int cmd_serve(int argc, char** argv) {
   return 0;
 }
 
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"train",
+       {"out", "clusters", "exclude", "trees", "top-features", "collectives",
+        "threads", "cost-source", "prune-topk", "prune-epsilon"},
+       {"hierarchy"},
+       cmd_train},
+      {"dataset",
+       {"out", "collective", "clusters", "exclude", "cost-source",
+        "prune-topk", "prune-epsilon", "fault-plan", "iterations", "seed",
+        "threads"},
+       {"audit", "hierarchy"},
+       cmd_dataset},
+      {"compile", {"model", "cluster", "out", "nodes", "ppn", "threads"}, {},
+       cmd_compile},
+      {"query", {"table", "collective", "nodes", "ppn", "bytes"}, {},
+       cmd_query},
+      {"inspect", {"model"}, {}, cmd_inspect},
+      {"clusters", {}, {}, cmd_clusters},
+      {"stats", {"metrics"}, {}, cmd_stats, /*traced=*/false},
+      {"doctor", {"dir", "path"}, {"strict", "repair"}, cmd_doctor},
+      {"serve",
+       {"model", "port", "shards", "capacity", "threads", "max-connections",
+        "max-line-bytes", "read-timeout-ms", "queue-limit"},
+       {"stdio"},
+       cmd_serve},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
-  const std::string command = argv[1];
-  if (command == "--version" || command == "version") {
+  const std::string name = argv[1];
+  if (name == "--version" || name == "version") {
     const std::string text = version_text();
     std::fwrite(text.data(), 1, text.size(), stdout);
     return 0;
   }
+  const auto command =
+      std::find_if(commands().begin(), commands().end(),
+                   [&](const Command& c) { return c.name == name; });
+  if (command == commands().end()) usage("unknown command: " + name);
+  const Args args = parse_command_line(*command, argc, argv);
   try {
-    // doctor, serve, dataset, and train take boolean flags, so they
-    // parse argv themselves.
-    if (command == "doctor") return cmd_doctor(argc, argv);
-    if (command == "serve") return cmd_serve(argc, argv);
-    if (command == "dataset") return cmd_dataset(argc, argv);
-    if (command == "train") return cmd_train(argc, argv);
-    const auto args = parse_args(argc, argv, 2);
-    if (command == "stats") return cmd_stats(args);
-
     // Global trace/metrics capture: enabled for the whole command, files
     // written when the capture leaves scope (after the command returns).
+    // Empty for stats, whose --metrics is its input.
     obs::Sink sink;
-    if (args.contains("trace")) sink.chrome_trace = args.at("trace");
-    if (args.contains("metrics")) sink.metrics = args.at("metrics");
+    if (command->traced) {
+      sink.chrome_trace = args.get("trace");
+      sink.metrics = args.get("metrics");
+    }
     obs::ScopedCapture capture(std::move(sink));
-
-    if (command == "compile") return cmd_compile(args);
-    if (command == "query") return cmd_query(args);
-    if (command == "inspect") return cmd_inspect(args);
-    if (command == "clusters") return cmd_clusters();
-    usage(("unknown command: " + command).c_str());
+    return command->run(args);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return exit_status(e.code());
