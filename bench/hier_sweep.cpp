@@ -52,8 +52,8 @@ using namespace pml;
 
 const sim::ClusterSpec& frontera() { return sim::cluster_by_name("Frontera"); }
 
-sim::RunOptions timing_only() {
-  sim::RunOptions opts;
+sim::SimOptions timing_only() {
+  sim::SimOptions opts;
   opts.payload = sim::PayloadMode::kTimingOnly;
   return opts;
 }
@@ -66,7 +66,7 @@ sim::RunOptions timing_only() {
 
 void BM_TimingOnlySelectionFlat(benchmark::State& state) {
   const sim::Topology topo{4, 8};
-  sim::RunOptions opts = timing_only();
+  sim::SimOptions opts = timing_only();
   opts.hierarchy = sim::HierarchySpec{};  // explicit empty spec
   const coll::Selection s = coll::Selection::flat(coll::Algorithm::kAgRing);
   for (int i = 0; i < 4; ++i) {
@@ -100,7 +100,7 @@ BENCHMARK(BM_TimingOnlySelectionFlat)->Unit(benchmark::kMicrosecond);
 void bm_leader(benchmark::State& state, const coll::Selection& s,
                std::uint64_t bytes) {
   const sim::Topology topo{4, 16};
-  sim::RunOptions opts = timing_only();
+  sim::SimOptions opts = timing_only();
   opts.hierarchy = sim::HierarchySpec::from_cluster(frontera());
   for (int i = 0; i < 4; ++i) {
     benchmark::DoNotOptimize(
@@ -141,7 +141,7 @@ void BM_SelectionSpaceSweep(benchmark::State& state) {
   const auto collective =
       static_cast<coll::Collective>(state.range(0));
   const sim::Topology topo{4, 16};
-  sim::RunOptions opts = timing_only();
+  sim::SimOptions opts = timing_only();
   opts.hierarchy = sim::HierarchySpec::from_cluster(frontera());
   std::size_t evaluated = 0;
   for (auto _ : state) {

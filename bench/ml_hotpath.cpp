@@ -339,15 +339,15 @@ BENCHMARK(BM_SingleInference);
 
 void BM_CompileTuningTable(benchmark::State& state) {
   auto& fw = framework();
-  fw.set_threads(static_cast<int>(state.range(0)));
   const auto& frontera = sim::cluster_by_name("Frontera");
   const std::vector<int> nodes = {1, 2, 4, 8, 16};
   const std::vector<int> ppns = {28, 56};
-  const auto sizes = sim::power_of_two_sizes(21);
+  auto options =
+      core::CompileOptions::sweep(nodes, ppns, sim::power_of_two_sizes(21));
+  options.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fw.compile_for(frontera, core::CompileOptions::sweep(nodes, ppns, sizes)));
+    benchmark::DoNotOptimize(fw.compile_for(frontera, options));
   }
-  fw.set_threads(0);
 }
 BENCHMARK(BM_CompileTuningTable)
     ->Arg(1)

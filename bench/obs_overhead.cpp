@@ -60,7 +60,9 @@ using namespace pml;
 double run_timing_only() {
   static const sim::ClusterSpec& cluster = sim::cluster_by_name("Frontera");
   const sim::Topology topo{4, 8};
-  const sim::RunOptions opts{sim::PayloadMode::kTimingOnly, 0.015, 2024};
+  const sim::SimOptions opts{.noise_sigma = 0.015,
+                             .seed = 2024,
+                             .payload = sim::PayloadMode::kTimingOnly};
   return coll::run_collective(cluster, topo, coll::Algorithm::kAgRing, 4096,
                               opts)
       .seconds;
@@ -191,9 +193,9 @@ int verify_disabled_path() {
                       std::chrono::duration<double, std::nano>(r1 - r0).count());
   }
 
-  // Touch points per timing-only run: ScopedCapture (inert), the runner
-  // span, the engine's end-of-run flush (3 counters + 1 gauge + the
-  // enabled() check). 8 span+counter pairs is a generous over-count.
+  // Touch points per timing-only run: the runner span, the engine's
+  // end-of-run flush (3 counters + 1 gauge + the enabled() check). 8
+  // span+counter pairs is a generous over-count.
   constexpr double kTouchPointsPerRun = 8.0;
   const double overhead_pct = 100.0 * kTouchPointsPerRun * op_ns / run_ns;
 

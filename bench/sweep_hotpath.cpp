@@ -100,7 +100,9 @@ void bm_timing_only(benchmark::State& state, coll::Algorithm algorithm,
                     const sim::FaultPlan& faults = {}) {
   const auto& cluster = sim::cluster_by_name("Frontera");
   const sim::Topology topo{nodes, ppn};
-  sim::RunOptions opts{sim::PayloadMode::kTimingOnly, 0.015, 2024};
+  sim::SimOptions opts{.noise_sigma = 0.015,
+                       .seed = 2024,
+                       .payload = sim::PayloadMode::kTimingOnly};
   opts.faults = faults;
   // Warm the thread_local engine and arenas so the loop measures steady
   // state.
@@ -145,7 +147,9 @@ BENCHMARK(BM_TimingOnlyBcastBinomial)->Unit(benchmark::kMicrosecond);
 void BM_TimingOnlyFaultsDisabled(benchmark::State& state) {
   const auto& cluster = sim::cluster_by_name("Frontera");
   const sim::Topology topo{4, 8};
-  sim::RunOptions opts{sim::PayloadMode::kTimingOnly, 0.015, 2024};
+  sim::SimOptions opts{.noise_sigma = 0.015,
+                       .seed = 2024,
+                       .payload = sim::PayloadMode::kTimingOnly};
   opts.faults = sim::FaultPlan{};  // explicit empty plan, not the default
   // A run's coroutine frames are recycled at the *next* reset, so the frame
   // pool's free lists keep growing for a few cycles; run several warm-up

@@ -12,7 +12,7 @@
 #include "coll/bcast.hpp"
 #include "coll/hierarchical.hpp"
 #include "common/error.hpp"
-#include "obs/export.hpp"
+#include "obs/obs.hpp"
 #include "sim/comm.hpp"
 
 namespace pml::coll {
@@ -68,12 +68,12 @@ sim::RankTask dispatch(Collective coll, const Selection& s, sim::Comm comm,
 }
 
 /// Reusable per-thread simulation state for the timing-only fast path: one
-/// engine (reset between invocations, all capacities retained) plus flat
-/// send/recv arenas standing in for the per-rank payload buffers.
+/// engine (reset between invocations, all capacities retained) plus one
+/// send and one recv block that every rank's buffer span points into.
 struct TimingContext {
   std::optional<sim::Engine> engine;
-  std::vector<std::byte> send_arena;
-  std::vector<std::byte> recv_arena;
+  std::vector<std::byte> send_block;
+  std::vector<std::byte> recv_block;
 };
 
 TimingContext& timing_context() {
@@ -85,22 +85,21 @@ TimingContext& timing_context() {
   return ctx;
 }
 
-/// Timing-only fast path: size-only pending operations, no payload
-/// allocation, pattern fill, data movement, or verification. Virtual time
-/// is bit-identical to the verified path.
+/// Timing-only fast path: size-only pending operations, no pattern fill,
+/// data movement, or verification. Virtual time is bit-identical to the
+/// verified path. No payload byte is ever read or written, so all ranks
+/// share one send and one recv block: memory is that of one rank's buffers
+/// rather than world_size times it.
 RunResult run_timing_only(const sim::ClusterSpec& cluster, sim::Topology topo,
                           const Selection& selection, std::uint64_t block_bytes,
                           const sim::SimOptions& opts) {
-  const int p = topo.world_size();
-  const auto n = static_cast<std::size_t>(block_bytes);
-  const Collective coll = selection.collective();
-  const auto shape = buffer_shape(coll, n, p);
-  const std::size_t send_bytes = shape.first;
-  const std::size_t recv_bytes = shape.second;
+  const auto [send_bytes, recv_bytes] = buffer_shape(
+      selection.collective(), static_cast<std::size_t>(block_bytes),
+      topo.world_size());
 
   TimingContext& ctx = timing_context();
-  ctx.send_arena.resize(send_bytes * static_cast<std::size_t>(p));
-  ctx.recv_arena.resize(recv_bytes * static_cast<std::size_t>(p));
+  ctx.send_block.resize(send_bytes);
+  ctx.recv_block.resize(recv_bytes);
   if (ctx.engine) {
     ctx.engine->reset(cluster, topo, opts);
   } else {
@@ -111,14 +110,8 @@ RunResult run_timing_only(const sim::ClusterSpec& cluster, sim::Topology topo,
       request_estimate(selection, topo, block_bytes), std::size_t{1} << 20));
 
   const auto factory = [&](int rank) {
-    sim::Comm comm(engine, rank);
-    const std::span<const std::byte> send(
-        ctx.send_arena.data() + static_cast<std::size_t>(rank) * send_bytes,
-        send_bytes);
-    const std::span<std::byte> recv(
-        ctx.recv_arena.data() + static_cast<std::size_t>(rank) * recv_bytes,
-        recv_bytes);
-    return dispatch(coll, selection, comm, send, recv);
+    return dispatch(selection.collective(), selection,
+                    sim::Comm(engine, rank), ctx.send_block, ctx.recv_block);
   };
   engine.run(factory);
 
@@ -172,16 +165,14 @@ std::size_t request_estimate(Algorithm algorithm, int p,
 
 RunResult run_collective(const sim::ClusterSpec& cluster, sim::Topology topo,
                          Algorithm algorithm, std::uint64_t block_bytes,
-                         const sim::RunOptions& run_opts) {
+                         const sim::SimOptions& opts) {
   return run_selection(cluster, topo, Selection::flat(algorithm), block_bytes,
-                       run_opts);
+                       opts);
 }
 
 RunResult run_selection(const sim::ClusterSpec& cluster, sim::Topology topo,
                         const Selection& selection, std::uint64_t block_bytes,
-                        const sim::RunOptions& run_opts) {
-  obs::ScopedCapture capture(run_opts.trace_sink);
-  const sim::SimOptions opts = run_opts.sim_options();
+                        const sim::SimOptions& opts) {
   if (!opts.payload_enabled()) {
     obs::Span span("coll.run.timing_only");
     return run_timing_only(cluster, topo, selection, block_bytes, opts);

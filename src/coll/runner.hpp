@@ -24,19 +24,17 @@ struct RunResult {
 ///
 /// With `PayloadMode::kTimingOnly` the timing-only fast path runs instead:
 /// no pattern fill, no payload movement, no verification, and a per-thread
-/// engine + buffer arena are reused across invocations, so a steady-state
-/// call performs zero heap allocations (measured by bench/sweep_hotpath).
-/// `seconds` is bit-identical to the verified path — every payload
-/// operation charges its simulated time whether or not bytes move.
-///
-/// A non-empty `opts.trace_sink` enables obs collection for the call and
-/// writes the requested trace/metrics files on return.
+/// engine plus one send and one recv block shared by every rank are reused
+/// across invocations, so a steady-state call performs zero heap
+/// allocations (measured by bench/sweep_hotpath). `seconds` is
+/// bit-identical to the verified path — every payload operation charges
+/// its simulated time whether or not bytes move.
 ///
 /// Throws pml::SimError on schedule deadlock, unsupported world size, or a
 /// payload mismatch (an incorrect algorithm is a bug, not a data point).
 RunResult run_collective(const sim::ClusterSpec& cluster, sim::Topology topo,
                          Algorithm algorithm, std::uint64_t block_bytes,
-                         const sim::RunOptions& opts = {});
+                         const sim::SimOptions& opts = {});
 
 /// Execute a structured selection. A flat selection takes exactly the same
 /// internal path as run_collective(selection.algorithm, ...), so the two
@@ -46,7 +44,7 @@ RunResult run_collective(const sim::ClusterSpec& cluster, sim::Topology topo,
 /// Throws pml::SimError when the selection does not support `topo`.
 RunResult run_selection(const sim::ClusterSpec& cluster, sim::Topology topo,
                         const Selection& selection, std::uint64_t block_bytes,
-                        const sim::RunOptions& opts = {});
+                        const sim::SimOptions& opts = {});
 
 /// Upper-bound estimate of the requests (isend/irecv posts) `algorithm`
 /// issues across all ranks for a per-block payload of `block_bytes` on `p`

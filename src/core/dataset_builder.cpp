@@ -120,7 +120,7 @@ void enumerate_cells(const sim::ClusterSpec& cluster,
 double engine_cost(const GridCell& cell, sim::Topology topo,
                    const coll::Selection& selection, std::size_t space_index,
                    std::uint64_t cellseed, const BuildOptions& options) {
-  sim::RunOptions run;
+  sim::SimOptions run;
   run.payload = sim::PayloadMode::kTimingOnly;
   run.noise_sigma = options.noise_sigma;
   run.faults = options.faults;

@@ -176,10 +176,9 @@ std::vector<TuningRecord> build_records(
 /// Serialize records to/from a "pml-dataset-v2" document (the payload of a
 /// pml-artifact-v1 envelope of kind "dataset"; `pml dataset` writes these).
 /// v2 carries a "selections" array naming the encoded label space the
-/// `times` columns index; v1 documents (bare flat label space) are still
-/// read for one release. All records must share `collective` and label
-/// width; from_json validates shapes and throws TuningError/JsonError on
-/// mismatch.
+/// `times` columns index; other formats are rejected. All records must
+/// share `collective` and label width; from_json validates shapes and
+/// throws TuningError/JsonError on mismatch.
 Json records_to_json(std::span<const TuningRecord> records,
                      coll::Collective collective);
 std::vector<TuningRecord> records_from_json(const Json& j);

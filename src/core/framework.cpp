@@ -10,7 +10,7 @@
 #include "common/artifact.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "obs/export.hpp"
+#include "obs/obs.hpp"
 
 namespace pml::core {
 
@@ -68,10 +68,10 @@ PmlFramework::PerCollective train_part(std::span<const TuningRecord> records,
   return part;
 }
 
-/// Propagate the framework-level threads knob down to the forest fits and
-/// the dataset sweep. The collectives are trained one after another from the
-/// calling thread, so every dataset build and every forest fit reaches the
-/// pool itself and fans out over all of its workers. (Fanning out over the
+/// Propagate TrainOptions::threads down to the forest fits and the dataset
+/// sweep. The collectives are trained one after another from the calling
+/// thread, so every dataset build and every forest fit reaches the pool
+/// itself and fans out over all of its workers. (Fanning out over the
 /// collectives as well would gain little: the nested dataset builds and
 /// forest fits would only compete for the same workers.)
 TrainOptions with_forest_threads(const TrainOptions& options) {
@@ -81,48 +81,12 @@ TrainOptions with_forest_threads(const TrainOptions& options) {
   return local;
 }
 
-/// Materialize a CompileOptions sweep grid, falling back to the target
-/// cluster's own benchmarked grid for any axis left empty.
-struct ResolvedSweep {
-  std::vector<int> node_counts;
-  std::vector<int> ppn_values;
-  std::vector<std::uint64_t> message_sizes;
-};
-
-ResolvedSweep resolve_sweep(const sim::ClusterSpec& cluster,
-                            const CompileOptions& options) {
-  options.validate();
-  ResolvedSweep sweep;
-  sweep.node_counts =
-      options.node_counts.empty() ? cluster.node_counts : options.node_counts;
-  sweep.ppn_values =
-      options.ppn_values.empty() ? cluster.ppn_values : options.ppn_values;
-  sweep.message_sizes = options.message_sizes.empty()
-                            ? (cluster.message_sizes.empty()
-                                   ? sim::power_of_two_sizes(21)
-                                   : cluster.message_sizes)
-                            : options.message_sizes;
-  // Each axis is bounded on its own, but sim::Topology::world_size() is an
-  // int product of the pair.
-  if (!sweep.node_counts.empty() && !sweep.ppn_values.empty()) {
-    const std::int64_t nodes = std::ranges::max(sweep.node_counts);
-    const std::int64_t ppn = std::ranges::max(sweep.ppn_values);
-    if (nodes * ppn > std::numeric_limits<int>::max()) {
-      throw ConfigError("sweep: " + std::to_string(nodes) + " nodes * " +
-                        std::to_string(ppn) + " ppn exceeds " +
-                        std::to_string(std::numeric_limits<int>::max()) +
-                        " ranks");
-    }
-  }
-  return sweep;
-}
-
 /// A table covers a request only if it was compiled for the same silicon
 /// (name + hardware fingerprint) over the same sweep. Matching on the name
 /// alone silently reused a same-named table compiled for different
 /// hardware; tables predating the fingerprint never match.
 bool covers(const TuningTable& table, const sim::ClusterSpec& cluster,
-            const ResolvedSweep& sweep) {
+            const CompileOptions& sweep) {
   return table.matches_cluster(cluster) && !table.empty() &&
          table.matches_sweep(sweep.node_counts, sweep.ppn_values,
                              sweep.message_sizes);
@@ -147,10 +111,8 @@ void CompileOptions::validate() const {
 
 PmlFramework PmlFramework::train(std::span<const sim::ClusterSpec> clusters,
                                  const TrainOptions& options) {
-  obs::ScopedCapture capture(options.trace_sink);
   obs::Span span("train");
   PmlFramework fw;
-  fw.threads_ = options.threads;
   const TrainOptions local = with_forest_threads(options);
   Rng rng(options.seed);
   for (const Collective collective : options.collectives) {
@@ -168,7 +130,6 @@ PmlFramework PmlFramework::train_on_records(
     std::span<const TuningRecord> alltoall_records,
     const TrainOptions& options) {
   PmlFramework fw;
-  fw.threads_ = options.threads;
   const TrainOptions local = with_forest_threads(options);
   Rng rng(options.seed);
   const Collective collectives[2] = {Collective::kAllgather,
@@ -297,10 +258,8 @@ void PmlFramework::select_many(Collective collective,
 
 TuningTable PmlFramework::compile_for(const sim::ClusterSpec& cluster,
                                       const CompileOptions& options) {
-  obs::ScopedCapture capture(options.trace_sink);
   obs::Span span("online.compile");
-  const ResolvedSweep sweep = resolve_sweep(cluster, options);
-  const int threads = options.threads == 0 ? threads_ : options.threads;
+  const CompileOptions sweep = resolve_compile_sweep(cluster, options);
   std::vector<coll::Collective> trained;
   for (const auto& [collective, part] : parts_) trained.push_back(collective);
   const auto start = std::chrono::steady_clock::now();
@@ -308,7 +267,7 @@ TuningTable PmlFramework::compile_for(const sim::ClusterSpec& cluster,
   TuningTable table = TuningTable::generate(*this, cluster, sweep.node_counts,
                                             sweep.ppn_values,
                                             sweep.message_sizes, trained,
-                                            threads);
+                                            sweep.threads);
   const auto end = std::chrono::steady_clock::now();
   table.set_compile_seconds(
       std::chrono::duration<double>(end - start).count());
@@ -322,8 +281,9 @@ const TuningTable& PmlFramework::compile_or_cached(
   // generated for this hardware (name + fingerprint) over the same sweep
   // grids; a cluster-name match alone would silently serve a table
   // compiled for different silicon or different node/ppn/message sweeps.
-  const ResolvedSweep sweep = resolve_sweep(cluster, options);
-  if (covers(cache, cluster, sweep)) return cache;
+  if (covers(cache, cluster, resolve_compile_sweep(cluster, options))) {
+    return cache;
+  }
   cache = compile_for(cluster, options);
   return cache;
 }
@@ -423,17 +383,33 @@ PmlFramework PmlFramework::load_file(const std::string& path) {
 
 CompileOptions resolve_compile_sweep(const sim::ClusterSpec& cluster,
                                      const CompileOptions& options) {
-  const ResolvedSweep sweep = resolve_sweep(cluster, options);
-  CompileOptions resolved = options;
-  resolved.node_counts = sweep.node_counts;
-  resolved.ppn_values = sweep.ppn_values;
-  resolved.message_sizes = sweep.message_sizes;
-  return resolved;
+  options.validate();
+  CompileOptions sweep = options;
+  if (sweep.node_counts.empty()) sweep.node_counts = cluster.node_counts;
+  if (sweep.ppn_values.empty()) sweep.ppn_values = cluster.ppn_values;
+  if (sweep.message_sizes.empty()) {
+    sweep.message_sizes = cluster.message_sizes.empty()
+                              ? sim::power_of_two_sizes(21)
+                              : cluster.message_sizes;
+  }
+  // Each axis is bounded on its own, but sim::Topology::world_size() is an
+  // int product of the pair.
+  if (!sweep.node_counts.empty() && !sweep.ppn_values.empty()) {
+    const std::int64_t nodes = std::ranges::max(sweep.node_counts);
+    const std::int64_t ppn = std::ranges::max(sweep.ppn_values);
+    if (nodes * ppn > std::numeric_limits<int>::max()) {
+      throw ConfigError("sweep: " + std::to_string(nodes) + " nodes * " +
+                        std::to_string(ppn) + " ppn exceeds " +
+                        std::to_string(std::numeric_limits<int>::max()) +
+                        " ranks");
+    }
+  }
+  return sweep;
 }
 
 TuningTable heuristic_table(const sim::ClusterSpec& cluster,
                             const CompileOptions& options) {
-  const ResolvedSweep sweep = resolve_sweep(cluster, options);
+  const CompileOptions sweep = resolve_compile_sweep(cluster, options);
   HeuristicSelector selector;
   const int threads = options.threads == 0 ? 1 : options.threads;
   return TuningTable::generate(selector, cluster, sweep.node_counts,

@@ -27,7 +27,6 @@
 #include "core/selectors.hpp"
 #include "core/tuning_table.hpp"
 #include "ml/forest.hpp"
-#include "obs/obs.hpp"
 
 namespace pml::core {
 
@@ -40,16 +39,14 @@ struct TrainOptions {
   /// selected ... to avoid overfitting"); -1 keeps all 14.
   int top_features = -1;
   std::uint64_t seed = 13;
-  /// Threads for training (per-collective dataset builds + forest fits) and
-  /// for compile_for sweeps of the resulting framework; <= 0 = all hardware
-  /// threads, 1 = serial. RNG streams are pre-split sequentially, so the
-  /// trained bundle is bit-identical at any thread count.
+  /// Threads for training (per-collective dataset builds + forest fits);
+  /// <= 0 = all hardware threads, 1 = serial. RNG streams are pre-split
+  /// sequentially, so the trained bundle is bit-identical at any thread
+  /// count.
   int threads = 0;
   /// Collectives to train models for. Defaults to the paper's pair;
   /// include kAllreduce/kBcast to enable the future-work extensions.
   std::vector<coll::Collective> collectives = coll::paper_collectives();
-  /// Trace/metrics output for the training run; empty = no capture.
-  obs::Sink trace_sink{};
 };
 
 /// Options for the online stage (compile_for / compile_or_cached /
@@ -62,11 +59,9 @@ struct CompileOptions {
   std::vector<int> node_counts;
   std::vector<int> ppn_values;
   std::vector<std::uint64_t> message_sizes;
-  /// Threads for the inference sweep; 0 = inherit the framework's
-  /// threads() knob, < 0 = all hardware threads, 1 = serial.
+  /// Threads for the inference sweep; <= 0 = all hardware threads,
+  /// 1 = serial. The table is bit-identical at any thread count.
   int threads = 0;
-  /// Trace/metrics output for this compile; empty = no capture.
-  obs::Sink trace_sink{};
 
   /// Throws pml::ConfigError on non-positive node/ppn entries.
   void validate() const;
@@ -84,12 +79,11 @@ struct CompileOptions {
 };
 
 // Thread-safety contract: once constructed (train/load), a PmlFramework is
-// immutable apart from the threads_ knob. select(), compile_for() and
-// compile_or_cached() are therefore safe to call concurrently from any
-// number of threads on one instance (each caller must own its `cache`
-// argument); the trained parts_ map is only ever read after construction
-// and all select() scratch is thread_local. Do not call set_threads() or
-// move/assign the framework concurrently with queries.
+// immutable. select(), compile_for() and compile_or_cached() are therefore
+// safe to call concurrently from any number of threads on one instance
+// (each caller must own its `cache` argument); the trained parts_ map is
+// only ever read after construction and all select() scratch is
+// thread_local. Do not move/assign the framework concurrently with queries.
 class PmlFramework final : public Selector {
  public:
   /// Trained model plus the feature columns it consumes (public so the
@@ -151,12 +145,6 @@ class PmlFramework final : public Selector {
                                        const CompileOptions& options,
                                        TuningTable& cache);
 
-  /// Threads used by compile_for sweeps; <= 0 = all hardware threads.
-  /// Inherited from TrainOptions::threads at train time, default for
-  /// loaded bundles.
-  void set_threads(int threads) noexcept { threads_ = threads; }
-  int threads() const noexcept { return threads_; }
-
   // --- Introspection ---------------------------------------------------------
 
   const ml::RandomForest& model(coll::Collective collective) const;
@@ -189,7 +177,6 @@ class PmlFramework final : public Selector {
 
   /// Read-only after construction (the thread-safety contract above).
   std::map<coll::Collective, PerCollective> parts_;
-  int threads_ = 0;
 };
 
 /// Resolve a CompileOptions sweep against a target cluster: empty grid

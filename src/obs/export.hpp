@@ -1,6 +1,6 @@
 // Exporters for pml::obs snapshots: chrome://tracing JSON and a flat
 // metrics.json summary, plus the ScopedCapture RAII helper that turns a
-// Sink (from an options struct or the CLI) into files on scope exit.
+// Sink (the CLI's --trace/--metrics) into files on scope exit.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +40,17 @@ Json metrics_json(const Snapshot& snap);
 void write_chrome_trace(const std::string& path);
 void write_metrics(const std::string& path);
 
+/// Where a capture should export its trace data. Empty paths mean "do not
+/// export"; an all-empty sink disables capture entirely.
+struct Sink {
+  std::string chrome_trace;  ///< chrome://tracing JSON output path
+  std::string metrics;       ///< metrics.json summary output path
+  bool empty() const noexcept { return chrome_trace.empty() && metrics.empty(); }
+};
+
 /// RAII capture: if the sink names any output, enables collection for the
 /// scope and writes the requested files on destruction (restoring the
-/// previous enabled state). With an empty sink it does nothing at all, so
-/// instrumented entry points can hold one unconditionally.
+/// previous enabled state). With an empty sink it does nothing at all.
 class ScopedCapture {
  public:
   explicit ScopedCapture(Sink sink);

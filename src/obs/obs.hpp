@@ -30,9 +30,9 @@
 //   ... run workload ...
 //   obs::Snapshot snap = obs::snapshot();
 //
-// Exporters (chrome://tracing JSON, metrics.json summaries) live in
-// obs/export.hpp so that headers which only need the Sink type (options
-// structs across sim/ and core/) stay light.
+// Exporters (chrome://tracing JSON, metrics.json summaries) and the
+// ScopedCapture that writes them live in obs/export.hpp, so instrumented
+// code only pulls in this header.
 #pragma once
 
 #include <atomic>
@@ -102,16 +102,6 @@ class Span {
 
   const char* name_;
   std::uint64_t start_ns_;
-};
-
-/// Where a run should export its trace data. Empty paths mean "do not
-/// export"; an all-empty sink disables capture entirely. Carried by the
-/// options structs (sim::RunOptions, core::CompileOptions) and consumed
-/// by obs::ScopedCapture in obs/export.hpp.
-struct Sink {
-  std::string chrome_trace;  ///< chrome://tracing JSON output path
-  std::string metrics;       ///< metrics.json summary output path
-  bool empty() const noexcept { return chrome_trace.empty() && metrics.empty(); }
 };
 
 // --- Snapshots -------------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "obs/obs.hpp"
+
 namespace pml::sim {
 
 // ---- coroutine frame pool ---------------------------------------------------
@@ -120,6 +122,7 @@ void Engine::reset(const ClusterSpec& cluster, Topology topo, SimOptions opts) {
     pool_[i].buffered.clear();
   }
   events_.clear();
+  scratch_retired_.clear();
   next_seq_ = 0;
   stat_events_ = 0;
   stat_probes_ = 0;
@@ -202,12 +205,22 @@ std::span<std::byte> Engine::scratch(int rank, std::size_t slot,
                                      std::size_t bytes) {
   check_rank(rank);
   if (slot >= 2) throw SimError("scratch slot out of range [0, 2)");
-  const std::size_t idx = static_cast<std::size_t>(rank) * 2 + slot;
+  // Timing-only schedules never read or write payload bytes, so every rank
+  // shares one buffer per slot: per-rank buffers would cost world_size
+  // times the memory for nothing.
+  const bool shared = !opts_.payload_enabled();
+  const std::size_t idx =
+      shared ? slot : static_cast<std::size_t>(rank) * 2 + slot;
   if (idx >= scratch_.size()) {
     scratch_.resize(static_cast<std::size_t>(topo_.world_size()) * 2);
   }
   auto& buf = scratch_[idx];
-  if (buf.size() < bytes) buf.resize(bytes);
+  if (buf.size() < bytes) {
+    // Other ranks may still hold spans into a shared buffer: keep it alive
+    // until reset() instead of reallocating under them.
+    if (shared && !buf.empty()) scratch_retired_.push_back(std::move(buf));
+    buf.resize(bytes);
+  }
   return {buf.data(), bytes};
 }
 
@@ -327,7 +340,7 @@ RequestId Engine::post_send(int rank, int dst, std::span<const std::byte> data,
   op.recv_data = nullptr;
   op.bytes = data.size();
   op.next = -1;
-  if (data.size() <= opts_.eager_threshold) {
+  if (data.size() <= kEagerThreshold) {
     // Eager protocol: the payload is copied to a bounce buffer and the send
     // completes immediately; the sender may reuse its buffer right away.
     // The matched transfer below still sets the receive timing. Timing-only

@@ -37,7 +37,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "obs/obs.hpp"
 #include "sim/fault.hpp"
 #include "sim/network.hpp"
 
@@ -171,15 +170,18 @@ enum class PayloadMode {
   kTimingOnly,
 };
 
-/// Engine configuration.
+/// Sends at or below this size complete eagerly at post time (the payload
+/// is buffered), as in real MPI eager/rendezvous protocols; larger sends
+/// complete when the NIC drains them.
+inline constexpr std::uint64_t kEagerThreshold = 16 * 1024;
+
+/// Engine configuration, and the options of one collective invocation
+/// through coll::run_collective. Field defaults are documented centrally
+/// in docs/API.md.
 struct SimOptions {
   double noise_sigma = 0.0;   ///< log-normal jitter shape; 0 = deterministic
   std::uint64_t seed = 1;     ///< jitter stream seed
   PayloadMode payload = PayloadMode::kVerify;
-  /// Sends at or below this size complete eagerly at post time (the
-  /// payload is buffered), as in real MPI eager/rendezvous protocols;
-  /// larger sends complete when the NIC drains them.
-  std::uint64_t eager_threshold = 16 * 1024;
   /// Deterministic fault injection (sim/fault.hpp). An empty plan (the
   /// default) is bit-identical to the pre-fault engine and costs one
   /// predictable branch on the hot paths.
@@ -190,24 +192,6 @@ struct SimOptions {
 
   bool payload_enabled() const noexcept {
     return payload == PayloadMode::kVerify;
-  }
-};
-
-/// Options for one collective invocation through coll::run_collective.
-/// Superset of SimOptions: adds the trace sink consumed by obs. Field
-/// defaults are documented centrally in docs/API.md.
-struct RunOptions {
-  PayloadMode payload = PayloadMode::kVerify;
-  double noise_sigma = 0.0;   ///< log-normal jitter shape; 0 = deterministic
-  std::uint64_t seed = 1;     ///< jitter stream seed
-  std::uint64_t eager_threshold = 16 * 1024;
-  obs::Sink trace_sink{};     ///< empty = no trace capture/export
-  FaultPlan faults{};         ///< deterministic fault injection; empty = none
-  HierarchySpec hierarchy{};  ///< intra-node hierarchy; disabled = flat
-
-  SimOptions sim_options() const {
-    return SimOptions{noise_sigma, seed,   payload,
-                      eager_threshold, faults, hierarchy};
   }
 };
 
@@ -267,7 +251,8 @@ class Engine {
   /// Per-rank reusable staging buffer for collective schedules (two slots
   /// per rank). Capacity persists across reset(), so a steady-state
   /// schedule that stages through scratch performs no heap allocations.
-  /// Contents are unspecified on entry.
+  /// Contents are unspecified on entry. In PayloadMode::kTimingOnly no
+  /// byte is read or written, so every rank shares one buffer per slot.
   std::span<std::byte> scratch(int rank, std::size_t slot, std::size_t bytes);
 
   // --- Introspection for tests/benchmarks (capacity regression guards) ---
@@ -436,7 +421,9 @@ class Engine {
   std::int32_t pool_free_ = -1;
 
   std::vector<Event> events_;  // binary min-heap (std::push_heap/pop_heap)
-  std::vector<std::vector<std::byte>> scratch_;  // rank * 2 + slot; survives reset()
+  // rank * 2 + slot (slot alone when timing-only); survives reset()
+  std::vector<std::vector<std::byte>> scratch_;
+  std::vector<std::vector<std::byte>> scratch_retired_;  // until reset()
   std::uint64_t next_seq_ = 0;
   // Cheap always-on statistics (plain increments on members the hot loop
   // already owns); flushed to obs counters at the end of run() when

@@ -3,8 +3,9 @@
 # through one flag table: an unknown flag, a stray token or a missing value
 # is a usage error (exit 2); a malformed, partial, negative-where-unsigned
 # or out-of-range number is a config error (exit 3). Also checks that the
-# boolean switches still parse, that doctor takes the global --trace, and
-# that `pml stats` never overwrites the --metrics file it reads.
+# boolean switches still parse, that doctor takes the global --trace, that
+# train and compile --metrics name their spans and counters, and that
+# `pml stats` never overwrites the --metrics file it reads.
 #
 # Usage: flags_test.sh PML_BINARY SCRATCH_DIR
 set -u
@@ -32,12 +33,18 @@ expect() {
   fi
 }
 
-expect 0 train --out m.json --exclude Frontera,MRI --trees 2 --threads 1
+expect 0 train --out m.json --exclude Frontera,MRI --trees 2 --threads 1 \
+  --metrics tm.json
 expect 0 compile --model m.json --cluster MRI --out t.json --metrics f.json
-[ -f m.json ] && [ -f t.json ] && [ -f f.json ] || {
+[ -f m.json ] && [ -f t.json ] && [ -f tm.json ] && [ -f f.json ] || {
   echo "FAIL: setup produced no model/table/metrics"
   exit 1
 }
+grep -q '"train":' tm.json || fail "train --metrics lists no train span"
+grep -q '"dataset.cells":' tm.json ||
+  fail "train --metrics lists no dataset.cells counter"
+grep -q '"online.compile":' f.json ||
+  fail "compile --metrics lists no online.compile span"
 
 # Unknown flags, stray tokens and missing values: usage errors.
 expect 2 train --out seed.json --exclude Frontera,MRI --trees 2 --seed 99
@@ -52,6 +59,8 @@ grep -q "missing value for --dir" err.txt ||
 expect 2 stats --metrics f.json --trace t3.json
 expect 2 serve --stdio --bogus 1
 expect 2 nonsense
+expect 2
+grep -q "usage: pml" err.txt || fail "pml with no command printed no usage"
 
 # Malformed, partial, negative-where-unsigned and out-of-range numbers:
 # config errors.

@@ -103,9 +103,9 @@ TEST(RunSelection, HierarchyModelChangesIntraTimes) {
   // Enabling the hierarchy tier model on a NUMA cluster must change the
   // virtual time of an intra-node-heavy schedule, and stay deterministic.
   const sim::Topology topo{2, 8};
-  sim::RunOptions flat_opts;
+  sim::SimOptions flat_opts;
   flat_opts.payload = sim::PayloadMode::kTimingOnly;
-  sim::RunOptions hier_opts = flat_opts;
+  sim::SimOptions hier_opts = flat_opts;
   hier_opts.hierarchy = sim::HierarchySpec::from_cluster(frontera());
 
   const Selection s =
@@ -120,7 +120,7 @@ TEST(RunSelection, HierarchyModelChangesIntraTimes) {
   EXPECT_EQ(hier, hier2);
 
   // An empty-hierarchy spec is the exact flat engine.
-  sim::RunOptions disabled = flat_opts;
+  sim::SimOptions disabled = flat_opts;
   disabled.hierarchy = sim::HierarchySpec{};
   EXPECT_EQ(base,
             run_selection(frontera(), topo, s, 4096, disabled).seconds);
@@ -130,7 +130,7 @@ TEST(HierWins, LeaderBeatsEveryFlatAlgorithmOnMultiNodeHighPpn) {
   // Acceptance: on at least two multi-node x high-PPN Table-I grids some
   // hierarchical variant out-simulates the best flat algorithm. High PPN
   // multiplies flat NIC flows; leader schedules keep one flow per node.
-  sim::RunOptions opts;
+  sim::SimOptions opts;
   opts.payload = sim::PayloadMode::kTimingOnly;
   int grids_with_win = 0;
   for (const sim::Topology topo : {sim::Topology{4, 16}, sim::Topology{8, 16},

@@ -1,7 +1,7 @@
-// sim::RunOptions — the options struct that replaced the positional
-// run_collective(..., SimOptions{..., bool copy_data}) signature. Pins the
-// documented defaults, the RunOptions -> SimOptions projection, and the
-// trace_sink capture path.
+// sim::SimOptions as the options of one collective invocation (it
+// absorbed the former RunOptions): pins the documented defaults, the
+// engine's eager threshold, the default verified run, and capture of a
+// run's metrics through obs::ScopedCapture.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,46 +10,32 @@
 #include "coll/runner.hpp"
 #include "common/json.hpp"
 #include "common/strings.hpp"
-#include "obs/obs.hpp"
+#include "obs/export.hpp"
 #include "sim/hardware.hpp"
 
 namespace pml::coll {
 namespace {
 
 using sim::PayloadMode;
-using sim::RunOptions;
 using sim::SimOptions;
 using sim::Topology;
 
 TEST(RunOptionsTest, DefaultsMatchDocumentedValues) {
-  const RunOptions opts;
+  const SimOptions opts;
   EXPECT_EQ(opts.payload, PayloadMode::kVerify);
   EXPECT_EQ(opts.noise_sigma, 0.0);
   EXPECT_EQ(opts.seed, 1u);
-  EXPECT_EQ(opts.eager_threshold, 16u * 1024u);
-  EXPECT_TRUE(opts.trace_sink.empty());
+  EXPECT_TRUE(opts.faults.empty());
+  EXPECT_FALSE(opts.hierarchy.enabled);
+  EXPECT_EQ(sim::kEagerThreshold, 16u * 1024u);
 }
 
 TEST(RunOptionsTest, SimOptionsDefaultsMatchRunOptions) {
   const SimOptions opts;
-  EXPECT_EQ(opts.noise_sigma, 0.0);
-  EXPECT_EQ(opts.seed, 1u);
-  EXPECT_EQ(opts.payload, PayloadMode::kVerify);
-  EXPECT_EQ(opts.eager_threshold, 16u * 1024u);
   EXPECT_TRUE(opts.payload_enabled());
   SimOptions timing = opts;
   timing.payload = PayloadMode::kTimingOnly;
   EXPECT_FALSE(timing.payload_enabled());
-}
-
-TEST(RunOptionsTest, SimOptionsProjectionCarriesEveryField) {
-  const RunOptions run{PayloadMode::kTimingOnly, 0.25, 77, 4096};
-  const SimOptions sim = run.sim_options();
-  EXPECT_EQ(sim.noise_sigma, 0.25);
-  EXPECT_EQ(sim.seed, 77u);
-  EXPECT_EQ(sim.payload, PayloadMode::kTimingOnly);
-  EXPECT_EQ(sim.eager_threshold, 4096u);
-  EXPECT_FALSE(sim.payload_enabled());
 }
 
 TEST(RunOptionsTest, DefaultRunVerifiesPayload) {
@@ -66,11 +52,10 @@ TEST(RunOptionsTest, TraceSinkWritesMetricsWithSimCounters) {
   const bool was = obs::set_enabled(false);
   obs::reset();
   {
+    const obs::ScopedCapture capture(obs::Sink{"", metrics_path});
     const auto& cluster = sim::cluster_by_name("Frontera");
-    RunOptions opts;
-    opts.trace_sink.metrics = metrics_path;
-    const RunResult result = run_collective(cluster, Topology{2, 4},
-                                            Algorithm::kAgRing, 1024, opts);
+    const RunResult result =
+        run_collective(cluster, Topology{2, 4}, Algorithm::kAgRing, 1024);
     EXPECT_TRUE(result.verified);
   }
   EXPECT_FALSE(obs::enabled());  // capture scope restored the flag

@@ -1,10 +1,12 @@
-// The timing-only fast path (SimOptions::copy_data == false) must be a
-// pure optimisation: for every algorithm it has to report exactly the
-// virtual time of the verified path. Every payload operation charges its
-// simulated cost whether or not bytes move, and jitter is drawn per matched
-// transfer in event order, so the two modes consume identical noise
-// streams. Exact double equality is intentional.
+// The timing-only fast path (PayloadMode::kTimingOnly) must be a pure
+// optimisation: for every algorithm it has to report exactly the virtual
+// time of the verified path. Every payload operation charges its simulated
+// cost whether or not bytes move, and jitter is drawn per matched transfer
+// in event order, so the two modes consume identical noise streams. Exact
+// double equality is intentional. Because no byte moves, its buffers must
+// not grow with the world size either.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <vector>
 
@@ -15,7 +17,7 @@ namespace pml::coll {
 namespace {
 
 using sim::PayloadMode;
-using sim::RunOptions;
+using sim::SimOptions;
 using sim::Topology;
 
 struct TimingCase {
@@ -31,8 +33,9 @@ TEST_P(TimingEquivalence, FastPathMatchesVerifiedPathExactly) {
   const auto& cluster = sim::cluster_by_name("Frontera");
   const Topology topo{c.nodes, c.ppn};
   // Nonzero noise so the test also proves the jitter streams line up.
-  const RunOptions verified{PayloadMode::kVerify, 0.15, 99};
-  const RunOptions timing_only{PayloadMode::kTimingOnly, 0.15, 99};
+  const SimOptions verified{.noise_sigma = 0.15, .seed = 99};
+  const SimOptions timing_only{
+      .noise_sigma = 0.15, .seed = 99, .payload = PayloadMode::kTimingOnly};
   for (const auto coll :
        {Collective::kAllgather, Collective::kAlltoall, Collective::kAllreduce,
         Collective::kBcast}) {
@@ -56,7 +59,8 @@ TEST_P(TimingEquivalence, FastPathIsDeterministicAcrossReuse) {
   const auto& c = GetParam();
   const auto& cluster = sim::cluster_by_name("Frontera");
   const Topology topo{c.nodes, c.ppn};
-  const RunOptions timing_only{PayloadMode::kTimingOnly, 0.15, 7};
+  const SimOptions timing_only{
+      .noise_sigma = 0.15, .seed = 7, .payload = PayloadMode::kTimingOnly};
   for (const Algorithm a :
        valid_algorithms(Collective::kAllgather, topo.world_size())) {
     const double first =
@@ -65,6 +69,36 @@ TEST_P(TimingEquivalence, FastPathIsDeterministicAcrossReuse) {
         run_collective(cluster, topo, a, c.bytes, timing_only).seconds;
     EXPECT_EQ(first, second) << display_name(a);
   }
+}
+
+/// Peak resident set of this process so far, in bytes (Linux reports
+/// ru_maxrss in KiB).
+std::uint64_t peak_rss_bytes() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
+}
+
+TEST(TimingOnlyMemory, BuffersDoNotScaleWithTheWorldSize) {
+  // 256 ranks at 16 KiB per block: one rank's allgather recv buffer or
+  // alltoall send buffer is 4 MiB, so buffers (or leader staging scratch)
+  // held per rank would take 1 GiB each. Shared by every rank they take
+  // a few MiB.
+  const auto& cluster = sim::cluster_by_name("MRI");
+  const Topology topo{2, 128};
+  const std::uint64_t bytes = 16 << 10;
+  const SimOptions timing_only{.payload = PayloadMode::kTimingOnly};
+  const std::uint64_t before = peak_rss_bytes();
+  for (const Selection& selection :
+       {Selection::flat(Algorithm::kAgRing),
+        Selection::flat(Algorithm::kAaPairwise),
+        Selection::leader(Algorithm::kAgRing, Algorithm::kBcBinomial)}) {
+    EXPECT_GT(
+        run_selection(cluster, topo, selection, bytes, timing_only).seconds,
+        0.0)
+        << selection.display();
+  }
+  EXPECT_LT(peak_rss_bytes() - before, std::uint64_t{256} << 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -41,7 +41,7 @@ int strict_rank_of_engine_argmin(const sim::ClusterSpec& cluster,
   std::size_t argmin = 0;
   std::vector<double> analytic(algorithms.size());
   for (std::size_t i = 0; i < algorithms.size(); ++i) {
-    sim::RunOptions options;
+    sim::SimOptions options;
     options.payload = sim::PayloadMode::kTimingOnly;  // noise-free
     const double seconds =
         run_collective(cluster, topo, algorithms[i], bytes, options).seconds;

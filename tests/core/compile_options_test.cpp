@@ -4,6 +4,7 @@
 // benchmarked sweep, and the in-memory cache reuse.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -31,7 +32,6 @@ TEST(CompileOptionsTest, DefaultsMatchDocumentedValues) {
   EXPECT_TRUE(options.ppn_values.empty());
   EXPECT_TRUE(options.message_sizes.empty());
   EXPECT_EQ(options.threads, 0);
-  EXPECT_TRUE(options.trace_sink.empty());
   options.validate();  // empty grids are valid (cluster fallback)
 }
 
@@ -103,8 +103,11 @@ TEST(CompileOptionsTest, ThreadCountDoesNotChangeTheTable) {
   serial.threads = 1;
   auto parallel = serial;
   parallel.threads = 4;
-  EXPECT_EQ(fw.compile_for(cluster, serial).to_json().dump(),
-            fw.compile_for(cluster, parallel).to_json().dump());
+  auto all_hardware = serial;
+  all_hardware.threads = 0;
+  const std::string bytes = fw.compile_for(cluster, serial).to_json().dump();
+  EXPECT_EQ(fw.compile_for(cluster, parallel).to_json().dump(), bytes);
+  EXPECT_EQ(fw.compile_for(cluster, all_hardware).to_json().dump(), bytes);
 }
 
 }  // namespace

@@ -210,7 +210,7 @@ TEST_F(ChaosTest, FaultedRunsCompleteAndAreDeterministic) {
   for (const auto& [name, plan] : fault_scenarios()) {
     SCOPED_TRACE(name);
     for (const auto algorithm : algorithms) {
-      sim::RunOptions opts;
+      sim::SimOptions opts;
       opts.payload = sim::PayloadMode::kTimingOnly;
       opts.faults = plan;
       const auto run = [&] {
@@ -229,7 +229,7 @@ TEST_F(ChaosTest, CorruptionSurfacesOnlyInVerifyMode) {
   sim::FaultPlan plan;
   plan.corruption.probability = 1.0;
 
-  sim::RunOptions verify;
+  sim::SimOptions verify;
   verify.faults = plan;
   EXPECT_THROW(
       coll::run_collective(sim::cluster_by_name("Frontera"),
@@ -237,7 +237,7 @@ TEST_F(ChaosTest, CorruptionSurfacesOnlyInVerifyMode) {
                            verify),
       SimError);
 
-  sim::RunOptions timing = verify;
+  sim::SimOptions timing = verify;
   timing.payload = sim::PayloadMode::kTimingOnly;
   EXPECT_NO_THROW(
       coll::run_collective(sim::cluster_by_name("Frontera"),
@@ -255,12 +255,12 @@ TEST_F(ChaosTest, FaultPlansSurviveJsonRoundTripsThroughTheOnlineStage) {
     const sim::FaultPlan back = sim::FaultPlan::from_json(
         artifact_payload(Json::parse(read_file(file)), "fault-plan"));
 
-    sim::RunOptions a;
+    sim::SimOptions a;
     a.payload = sim::PayloadMode::kTimingOnly;
     a.faults = plan;
-    sim::RunOptions b = a;
+    sim::SimOptions b = a;
     b.faults = back;
-    const auto run = [](const sim::RunOptions& opts) {
+    const auto run = [](const sim::SimOptions& opts) {
       return coll::run_collective(sim::cluster_by_name("Frontera"),
                                   sim::Topology{4, 2},
                                   coll::Algorithm::kAgBruck, 4096, opts)

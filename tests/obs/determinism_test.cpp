@@ -35,7 +35,8 @@ TEST(ObsDeterminism, VirtualTimeIsBitIdenticalWithTracingOn) {
   for (const auto payload :
        {sim::PayloadMode::kVerify, sim::PayloadMode::kTimingOnly}) {
     // Nonzero noise: the jitter stream must be untouched by instrumentation.
-    const sim::RunOptions opts{payload, 0.1, 321};
+    const sim::SimOptions opts{
+        .noise_sigma = 0.1, .seed = 321, .payload = payload};
     const auto [off, on] = with_obs_off_then_on([&] {
       return coll::run_collective(cluster, topo, coll::Algorithm::kAgRing,
                                   4096, opts)

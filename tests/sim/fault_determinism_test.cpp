@@ -55,7 +55,7 @@ std::vector<Cell> sweep(int threads) {
 
   std::vector<Cell> cells(std::size(sizes));
   parallel_for(threads, cells.size(), [&](std::size_t i) {
-    RunOptions opts;
+    SimOptions opts;
     opts.payload = PayloadMode::kTimingOnly;
     opts.noise_sigma = 0.01;  // jitter stream must coexist with faults
     opts.seed = 7;
@@ -91,7 +91,7 @@ TEST(FaultDeterminism, SweepIsBitIdenticalAcrossThreadCounts) {
 
 TEST(FaultDeterminism, RepeatedRunsAreBitIdentical) {
   const FaultPlan plan = combined_plan();
-  RunOptions opts;
+  SimOptions opts;
   opts.payload = PayloadMode::kTimingOnly;
   opts.faults = plan;
   const auto run = [&] {

@@ -21,7 +21,7 @@ const ClusterSpec& frontera() { return cluster_by_name("Frontera"); }
 
 /// Timing-only elapsed seconds of one allgather under `plan`.
 double timed_run(const FaultPlan& plan, std::uint64_t bytes = 4096) {
-  RunOptions opts;
+  SimOptions opts;
   opts.payload = PayloadMode::kTimingOnly;
   opts.faults = plan;
   return coll::run_collective(frontera(), Topology{4, 2},
@@ -157,7 +157,7 @@ TEST(FaultPlan, EngineCountsFaultEffects) {
 TEST(FaultPlan, CorruptionIsDetectedByVerification) {
   FaultPlan plan;
   plan.corruption.probability = 1.0;  // every transfer flips a bit
-  RunOptions opts;
+  SimOptions opts;
   opts.faults = plan;
   EXPECT_THROW(coll::run_collective(frontera(), Topology{2, 2},
                                     coll::Algorithm::kAgRing, 1024, opts),

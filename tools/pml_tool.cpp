@@ -82,10 +82,11 @@
 //
 // Each command reads argv through one flag table (commands() below): a
 // value flag takes the next token verbatim, a switch takes none, and the
-// last of a repeated flag wins. An unknown flag, a stray token, a missing
-// value or a missing required flag is a usage error (exit 2). A number
-// must be the whole token and fit its field: "1x", "-5" for an unsigned
-// field, or a value past the field's range is a config error (exit 3).
+// last of a repeated flag wins. A missing or unknown command, an unknown
+// flag, a stray token, a missing value or a missing required flag is a
+// usage error (exit 2). A number must be the whole token and fit its
+// field: "1x", "-5" for an unsigned field, or a value past the field's
+// range is a config error (exit 3).
 //
 // Exit statuses: 0 success, 1 unexpected failure, 2 usage error, then one
 // per pml::ErrorCode (3 config, 4 io, 5 json, 6 sim, 7 ml, 8 tuning).
@@ -111,15 +112,15 @@ namespace {
 
 using namespace pml;
 
-[[noreturn]] void usage(const std::string& error = "") {
-  if (!error.empty()) std::fprintf(stderr, "error: %s\n\n", error.c_str());
+[[noreturn]] void usage(const std::string& error) {
+  std::fprintf(stderr, "error: %s\n\n", error.c_str());
   std::fprintf(stderr,
                "usage: pml <train|dataset|compile|query|inspect|clusters|"
                "stats|doctor|serve> [options]\n"
                "Global options: --trace out.json, --metrics out.json\n"
                "Run `pml <command>` with missing options to see what it "
                "needs; see the header of tools/pml_tool.cpp for details.\n");
-  std::exit(error.empty() ? 0 : 2);
+  std::exit(2);
 }
 
 /// std::from_chars over the whole token into T (int, std::uint64_t, which
@@ -583,7 +584,7 @@ const std::vector<Command>& commands() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage();
+  if (argc < 2) usage("missing command");
   const std::string name = argv[1];
   if (name == "--version" || name == "version") {
     const std::string text = version_text();
