@@ -15,7 +15,9 @@
 // application-runtime lookup) complete the paper's online-stage picture.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,8 +31,9 @@
 #include "ml/tree.hpp"
 
 // ---- allocation counting ----------------------------------------------------
-// Counts every operator-new in the process; benchmarks snapshot the counter
-// around the timed loop and report allocations per iteration.
+// Counts every operator-new in the process, over-aligned ones included (the
+// nothrow forms forward to these); benchmarks snapshot the counter around
+// the timed loop and report allocations per iteration.
 //
 // GCC's -Wmismatched-new-delete pairs the replaced operator new below with
 // the replaced operator delete when inlining both into callers and flags the
@@ -59,10 +62,30 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return operator new(size, align);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -315,6 +338,88 @@ void BM_BatchCompileSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchCompileSweep);
 
+// Frontera's whole default compile grid for one collective (every
+// topology x 21 sizes) through one predict_sweep, the call a one-thread
+// compile_for makes per collective. Before timing, its output is
+// byte-compared with predict_batch over the same materialised rows (a
+// divergence fails the binary, as in BM_BatchInference), and predict_batch
+// is timed on those rows; speedup_vs_batch is the ratio of the two
+// kernels' time per grid.
+void BM_GridCompileSweep(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  auto& fw = framework();
+  const auto collective = coll::Collective::kAlltoall;
+  const ml::FlatForest& forest = fw.model(collective).flat();
+  const auto& columns = fw.selected_columns(collective);
+  const auto& frontera = sim::cluster_by_name("Frontera");
+  const core::CompileOptions sweep = core::resolve_compile_sweep(frontera, {});
+  const std::vector<double> sizes(sweep.message_sizes.begin(),
+                                  sweep.message_sizes.end());
+  ml::Matrix fixed;
+  ml::Matrix rows;
+  for (const int nodes : sweep.node_counts) {
+    for (const int ppn : sweep.ppn_values) {
+      if (ppn > frontera.hw.threads) continue;
+      fixed.push_row(core::project_features(
+          core::extract_features(frontera, nodes, ppn, 0), columns));
+      for (const std::uint64_t msg : sweep.message_sizes) {
+        rows.push_row(core::project_features(
+            core::extract_features(frontera, nodes, ppn, msg), columns));
+      }
+    }
+  }
+  const auto msg_column =
+      std::ranges::find(columns, core::feature_index("msg_size"));
+  const std::size_t varying =
+      msg_column == columns.end()
+          ? ml::FlatForest::npos
+          : static_cast<std::size_t>(msg_column - columns.begin());
+  const auto k = static_cast<std::size_t>(forest.num_classes());
+  ml::Matrix batch(rows.rows(), k);
+  ml::Matrix grid(rows.rows(), k);
+  forest.predict_batch(rows, batch);
+  forest.predict_sweep(fixed, varying, sizes, grid);
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    if (std::memcmp(grid.row(r).data(), batch.row(r).data(),
+                    k * sizeof(double)) != 0) {
+      g_batch_mismatch.store(true);
+      state.SkipWithError("predict_sweep diverges from predict_batch");
+      return;
+    }
+  }
+  constexpr int kBatchReps = 20;
+  const auto b0 = Clock::now();
+  for (int i = 0; i < kBatchReps; ++i) {
+    forest.predict_batch(rows, batch);
+    benchmark::DoNotOptimize(batch.row(0).data());
+  }
+  const std::chrono::duration<double> batch_s = Clock::now() - b0;
+
+  // The counter is read around each kernel call rather than around the
+  // loop, so the benchmark library's own per-run allocation is not
+  // charged to the kernel: a steady state of 0 reads exactly 0.
+  std::size_t kernel_allocs = 0;
+  const auto t0 = Clock::now();
+  for (auto _ : state) {
+    const std::size_t before = g_alloc_count.load();
+    forest.predict_sweep(fixed, varying, sizes, grid);
+    kernel_allocs += g_alloc_count.load() - before;
+    benchmark::DoNotOptimize(grid.row(0).data());
+    benchmark::ClobberMemory();
+  }
+  const std::chrono::duration<double> sweep_s = Clock::now() - t0;
+  const auto iterations = static_cast<double>(state.iterations());
+  state.counters["rows_per_sec"] = benchmark::Counter(
+      iterations * static_cast<double>(rows.rows()),
+      benchmark::Counter::kIsRate);
+  state.counters["allocs_per_iter"] =
+      benchmark::Counter(static_cast<double>(kernel_allocs),
+                         benchmark::Counter::kAvgIterations);
+  state.counters["speedup_vs_batch"] =
+      (batch_s.count() / kBatchReps) / (sweep_s.count() / iterations);
+}
+BENCHMARK(BM_GridCompileSweep);
+
 // ---- framework-level headline series --------------------------------------
 
 void BM_SingleInference(benchmark::State& state) {
@@ -415,7 +520,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   if (g_batch_mismatch.load()) {
     std::fprintf(stderr,
-                 "FAIL: batched inference diverged from the scalar path\n");
+                 "FAIL: batched or grid inference diverged from the scalar "
+                 "path\n");
     return 1;
   }
   return 0;

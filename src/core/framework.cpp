@@ -216,43 +216,51 @@ coll::Selection PmlFramework::select(Collective collective,
 
 void PmlFramework::select_many(Collective collective,
                                const sim::ClusterSpec& cluster,
-                               sim::Topology topo,
+                               std::span<const sim::Topology> topos,
                                std::span<const std::uint64_t> msg_sizes,
                                std::span<coll::Selection> out) {
-  if (msg_sizes.size() != out.size()) {
-    throw TuningError("select_many: " + std::to_string(msg_sizes.size()) +
-                      " sizes but " + std::to_string(out.size()) +
-                      " output slots");
-  }
-  if (msg_sizes.empty()) return;
+  check_grid_shape(topos.size(), msg_sizes.size(), out.size());
+  if (out.empty()) return;
   const PerCollective& p = part(collective);
 
-  // The compile hot path: one call per tuning-table cell, from many
-  // threads. Same thread_local scratch discipline as select() — the
-  // matrices only ever grow, so steady-state batches allocate nothing.
+  // The compile hot path: one call per collective per thread chunk. Same
+  // thread_local scratch discipline as select() — the buffers only ever
+  // grow, so steady-state grids allocate nothing.
   thread_local std::vector<double> full;
   thread_local std::vector<double> row;
+  thread_local std::vector<double> sizes;
   thread_local std::vector<std::size_t> order;
-  thread_local ml::Matrix features;
+  thread_local ml::Matrix fixed;
   thread_local ml::Matrix proba;
 
+  // Only msg_size varies within a cell; a model whose selected columns
+  // dropped it sees the same row for every size.
+  static const std::size_t msg_size = feature_index("msg_size");
+  const auto msg_column = std::ranges::find(p.columns, msg_size);
+  const std::size_t varying =
+      msg_column == p.columns.end()
+          ? ml::FlatForest::npos
+          : static_cast<std::size_t>(msg_column - p.columns.begin());
   {
     obs::Span span("online.feature_extraction");
-    features.resize(msg_sizes.size(), p.columns.size());
-    for (std::size_t i = 0; i < msg_sizes.size(); ++i) {
-      extract_features_into(cluster, topo.nodes, topo.ppn, msg_sizes[i], full);
+    fixed.resize(topos.size(), p.columns.size());
+    for (std::size_t c = 0; c < topos.size(); ++c) {
+      extract_features_into(cluster, topos[c].nodes, topos[c].ppn, 0, full);
       project_features_into(full, p.columns, row);
-      std::ranges::copy(row, features.row(i).begin());
+      std::ranges::copy(row, fixed.row(c).begin());
     }
+    sizes.assign(msg_sizes.begin(), msg_sizes.end());
   }
-  obs::Span span("online.inference");
-  proba.resize(msg_sizes.size(),
-               static_cast<std::size_t>(p.forest.num_classes()));
-  p.forest.predict_batch(features, proba);
+  {
+    obs::Span span("online.inference");
+    proba.resize(out.size(), static_cast<std::size_t>(p.forest.num_classes()));
+    p.forest.flat().predict_sweep(fixed, varying, sizes, proba);
+  }
 
   const auto& space = coll::selection_space(collective);
-  for (std::size_t i = 0; i < msg_sizes.size(); ++i) {
-    out[i] = pick_ranked(proba.row(i), space, order, topo);
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    out[r] = pick_ranked(proba.row(r), space, order,
+                         topos[r / msg_sizes.size()]);
   }
 }
 

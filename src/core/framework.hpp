@@ -117,17 +117,28 @@ class PmlFramework final : public Selector {
                          const sim::ClusterSpec& cluster, sim::Topology topo,
                          std::uint64_t msg_bytes) override;
 
-  /// Batched select() at one topology, the tuning-table compile hot path:
-  /// assembles every message size's feature row into a reused thread_local
-  /// Matrix, runs one FlatForest predict_batch (the tree-major blocked
-  /// kernel), and ranks each row with the same tie-breaking as select() —
-  /// so out[i] is exactly what select() would return for msg_sizes[i],
-  /// with zero steady-state allocations. Throws TuningError when the spans
-  /// differ in length. Thread-safe under the same contract as select().
+  /// Batched select() over a (topology x message size) grid, the
+  /// tuning-table compile hot path: assembles one fixed feature row per
+  /// topology into a reused thread_local Matrix, runs one FlatForest
+  /// predict_sweep over the message-size column, and ranks each row with
+  /// the same tie-breaking as select() — so out[c * msg_sizes.size() + i]
+  /// is exactly what select() would return for (topos[c], msg_sizes[i]),
+  /// with zero steady-state allocations. Throws TuningError when out does
+  /// not hold topos x sizes slots. Thread-safe under the same contract as
+  /// select().
+  void select_many(coll::Collective collective,
+                   const sim::ClusterSpec& cluster,
+                   std::span<const sim::Topology> topos,
+                   std::span<const std::uint64_t> msg_sizes,
+                   std::span<coll::Selection> out) override;
+
+  /// The one-cell grid: out[i] is select() at (topo, msg_sizes[i]).
   void select_many(coll::Collective collective,
                    const sim::ClusterSpec& cluster, sim::Topology topo,
                    std::span<const std::uint64_t> msg_sizes,
-                   std::span<coll::Selection> out) override;
+                   std::span<coll::Selection> out) {
+    select_many(collective, cluster, std::span(&topo, 1), msg_sizes, out);
+  }
 
   // --- Online stage (Fig. 4) ------------------------------------------------
 

@@ -11,17 +11,27 @@ namespace pml::core {
 using coll::Algorithm;
 using coll::Collective;
 
-void Selector::select_many(Collective collective,
-                           const sim::ClusterSpec& cluster, sim::Topology topo,
-                           std::span<const std::uint64_t> msg_sizes,
-                           std::span<coll::Selection> out) {
-  if (msg_sizes.size() != out.size()) {
-    throw TuningError("select_many: " + std::to_string(msg_sizes.size()) +
-                      " sizes but " + std::to_string(out.size()) +
+void Selector::check_grid_shape(std::size_t topos, std::size_t sizes,
+                                std::size_t slots) {
+  if (topos * sizes != slots) {
+    throw TuningError("select_many: " + std::to_string(topos) +
+                      " topologies x " + std::to_string(sizes) +
+                      " sizes but " + std::to_string(slots) +
                       " output slots");
   }
-  for (std::size_t i = 0; i < msg_sizes.size(); ++i) {
-    out[i] = select(collective, cluster, topo, msg_sizes[i]);
+}
+
+void Selector::select_many(Collective collective,
+                           const sim::ClusterSpec& cluster,
+                           std::span<const sim::Topology> topos,
+                           std::span<const std::uint64_t> msg_sizes,
+                           std::span<coll::Selection> out) {
+  check_grid_shape(topos.size(), msg_sizes.size(), out.size());
+  std::size_t slot = 0;
+  for (const sim::Topology topo : topos) {
+    for (const std::uint64_t msg : msg_sizes) {
+      out[slot++] = select(collective, cluster, topo, msg);
+    }
   }
 }
 

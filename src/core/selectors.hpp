@@ -40,15 +40,24 @@ class Selector {
                                  sim::Topology topo,
                                  std::uint64_t msg_bytes) = 0;
 
-  /// Batched select over one (collective, cluster, topology) cell: fills
-  /// out[i] with the choice for msg_sizes[i] (sizes must equal out size).
-  /// The default loops select(); model-backed selectors override it to run
-  /// one batched inference per cell. Overrides must return exactly what a
-  /// select() loop would (table compilation depends on it).
+  /// Batched select over a grid of (topology, message size) cells of one
+  /// (collective, cluster): fills out[c * msg_sizes.size() + i] with the
+  /// choice for (topos[c], msg_sizes[i]); out must hold exactly
+  /// topos.size() * msg_sizes.size() slots. The default loops select();
+  /// model-backed selectors override it to answer the whole grid with one
+  /// inference call. Overrides must return exactly what a select() loop
+  /// would (table compilation depends on it).
   virtual void select_many(coll::Collective collective,
-                           const sim::ClusterSpec& cluster, sim::Topology topo,
+                           const sim::ClusterSpec& cluster,
+                           std::span<const sim::Topology> topos,
                            std::span<const std::uint64_t> msg_sizes,
                            std::span<coll::Selection> out);
+
+ protected:
+  /// Throws TuningError unless a select_many output holds exactly
+  /// topos * sizes slots.
+  static void check_grid_shape(std::size_t topos, std::size_t sizes,
+                               std::size_t slots);
 };
 
 class MvapichDefaultSelector final : public Selector {

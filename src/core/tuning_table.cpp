@@ -127,49 +127,48 @@ TuningTable TuningTable::generate(Selector& selector,
   table.set_sweep(node_counts, ppn_values, msg_sizes);
   table.set_cluster_fingerprint(cluster.hardware_fingerprint());
 
-  // Enumerate the job cells up front and fill them into pre-sized slots, so
-  // the parallel sweep registers jobs in exactly the serial order.
-  struct Cell {
-    coll::Collective collective;
-    int nodes;
-    int ppn;
-  };
-  std::vector<Cell> cells;
-  for (const auto collective : collectives) {
-    for (const int nodes : node_counts) {
-      for (const int ppn : ppn_values) {
-        if (ppn > cluster.hw.threads) continue;
-        cells.push_back(Cell{collective, nodes, ppn});
-      }
+  // Every collective sweeps the same topologies. Each collective's list
+  // is cut into one contiguous chunk per thread, and each chunk is one
+  // select_many call, so model-backed selectors answer it with a single
+  // grid inference. Jobs fill pre-sized slots in the serial order
+  // (collective, nodes, ppn), so the table is the same at any thread count.
+  std::vector<sim::Topology> topos;
+  for (const int nodes : node_counts) {
+    for (const int ppn : ppn_values) {
+      if (ppn > cluster.hw.threads) continue;
+      topos.push_back(sim::Topology{nodes, ppn});
     }
   }
-
-  std::vector<JobTable> jobs(cells.size());
-  parallel_for(threads, cells.size(), [&](std::size_t i) {
-    const Cell& cell = cells[i];
+  const std::size_t m = msg_sizes.size();
+  const std::size_t parts = std::min(
+      static_cast<std::size_t>(resolve_threads(threads)), topos.size());
+  std::vector<JobTable> jobs(collectives.size() * topos.size());
+  parallel_for(threads, collectives.size() * parts, [&](std::size_t i) {
     obs::Span span("online.sweep_cell");
-    JobTable job;
-    job.collective = cell.collective;
-    job.nodes = cell.nodes;
-    job.ppn = cell.ppn;
-    // One batched selection per cell: model-backed selectors answer the
-    // whole message sweep with a single blocked inference; plain selectors
-    // fall back to the per-size select() loop inside select_many. The
-    // reused thread_local keeps the sweep allocation-free in steady state.
+    const std::size_t first = i / parts * topos.size();
+    const std::size_t begin = topos.size() * (i % parts) / parts;
+    const std::size_t end = topos.size() * (i % parts + 1) / parts;
+    const auto chunk = std::span(topos).subspan(begin, end - begin);
+    const coll::Collective collective = collectives[i / parts];
+    // Reused per thread, so the sweep allocates nothing in steady state.
     thread_local std::vector<coll::Selection> sels;
-    sels.resize(msg_sizes.size());
-    selector.select_many(cell.collective, cluster,
-                         sim::Topology{cell.nodes, cell.ppn}, msg_sizes, sels);
-    for (std::size_t m = 0; m < msg_sizes.size(); ++m) {
-      const std::uint64_t msg = msg_sizes[m];
-      const coll::Selection& sel = sels[m];
-      if (!job.entries.empty() && job.entries.back().selection == sel) {
-        job.entries.back().max_bytes = msg;  // extend the range
-      } else {
-        job.entries.push_back(TuningEntry{msg, sel});
+    sels.resize(chunk.size() * m);
+    selector.select_many(collective, cluster, chunk, msg_sizes, sels);
+    for (std::size_t c = 0; c < chunk.size(); ++c) {
+      JobTable job;
+      job.collective = collective;
+      job.nodes = chunk[c].nodes;
+      job.ppn = chunk[c].ppn;
+      for (std::size_t k = 0; k < m; ++k) {
+        const coll::Selection& sel = sels[c * m + k];
+        if (!job.entries.empty() && job.entries.back().selection == sel) {
+          job.entries.back().max_bytes = msg_sizes[k];  // extend the range
+        } else {
+          job.entries.push_back(TuningEntry{msg_sizes[k], sel});
+        }
       }
+      jobs[first + begin + c] = std::move(job);
     }
-    jobs[i] = std::move(job);
   });
 
   for (JobTable& job : jobs) table.add(std::move(job));

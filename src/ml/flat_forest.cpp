@@ -2,18 +2,32 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <string>
 
 #include "obs/obs.hpp"
 
 namespace pml::ml {
 
-void FlatForest::reserve(std::size_t nodes, std::size_t leaf_values) {
+namespace {
+
+/// The entries a sparse leaf leaves out: exactly the +0.0 bit pattern.
+bool is_positive_zero(double v) noexcept {
+  return std::bit_cast<std::uint64_t>(v) == 0;
+}
+
+}  // namespace
+
+void FlatForest::reserve(std::size_t nodes, std::size_t leaves,
+                         std::size_t leaf_entries) {
   nodes_.reserve(nodes);
   build_left_.reserve(nodes);
-  leaf_proba_.reserve(leaf_values);
+  leaf_begin_.reserve(leaves + 1);
+  leaf_class_.reserve(leaf_entries);
+  leaf_value_.reserve(leaf_entries);
 }
 
 void FlatForest::begin_tree() {
@@ -34,13 +48,48 @@ void FlatForest::add_split(int feature, double threshold, int left,
 
 void FlatForest::add_leaf(std::span<const double> proba) {
   if (roots_.empty()) throw MlError("flat forest: add_leaf before begin_tree");
+  min_dense_width_ = std::min(min_dense_width_, proba.size());
+  max_dense_width_ = std::max(max_dense_width_, proba.size());
+  for (std::size_t c = 0; c < proba.size(); ++c) {
+    if (is_positive_zero(proba[c])) continue;
+    leaf_class_.push_back(static_cast<std::uint32_t>(c));
+    leaf_value_.push_back(proba[c]);
+  }
+  seal_leaf();
+}
+
+void FlatForest::add_sparse_leaf(std::span<const std::uint32_t> classes,
+                                 std::span<const double> values) {
+  if (roots_.empty()) {
+    throw MlError("flat forest: add_sparse_leaf before begin_tree");
+  }
+  if (classes.size() != values.size()) {
+    throw MlError("flat forest: sparse leaf has " +
+                  std::to_string(classes.size()) + " class ids for " +
+                  std::to_string(values.size()) + " values");
+  }
+  for (std::size_t e = 0; e < classes.size(); ++e) {
+    if (e > 0 && classes[e] <= classes[e - 1]) {
+      throw MlError("flat forest: sparse leaf class ids must ascend");
+    }
+    class_bound_ = std::max<std::size_t>(class_bound_, classes[e] + 1ull);
+    if (is_positive_zero(values[e])) continue;
+    leaf_class_.push_back(classes[e]);
+    leaf_value_.push_back(values[e]);
+  }
+  seal_leaf();
+}
+
+void FlatForest::seal_leaf() {
+  if (leaf_value_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw MlError("flat forest: more than 2^32 leaf entries");
+  }
   Node node;
   node.feature = -1;
-  node.slot = static_cast<std::int32_t>(n_leaves_);
+  node.slot = static_cast<std::int32_t>(leaf_begin_.size() - 1);
   nodes_.push_back(node);
   build_left_.push_back(-1);
-  ++n_leaves_;
-  leaf_proba_.insert(leaf_proba_.end(), proba.begin(), proba.end());
+  leaf_begin_.push_back(static_cast<std::uint32_t>(leaf_value_.size()));
 }
 
 void FlatForest::finish(int num_classes) {
@@ -48,11 +97,17 @@ void FlatForest::finish(int num_classes) {
   if (roots_.empty()) throw MlError("flat forest: no trees appended");
   num_classes_ = num_classes;
   const auto k = static_cast<std::size_t>(num_classes);
-  if (leaf_proba_.size() != n_leaves_ * k) {
-    throw MlError("flat forest: pooled leaf buffer holds " +
-                  std::to_string(leaf_proba_.size()) + " values for " +
-                  std::to_string(n_leaves_) + " leaves of " +
-                  std::to_string(num_classes) + " classes");
+  const bool any_dense = min_dense_width_ <= max_dense_width_;
+  if (any_dense && (min_dense_width_ != k || max_dense_width_ != k)) {
+    throw MlError("flat forest: dense leaves hold " +
+                  std::to_string(min_dense_width_) + " to " +
+                  std::to_string(max_dense_width_) +
+                  " probabilities, want " + std::to_string(k));
+  }
+  if (class_bound_ > k) {
+    throw MlError("flat forest: a sparse leaf names class " +
+                  std::to_string(class_bound_ - 1) + " of a " +
+                  std::to_string(k) + "-class forest");
   }
   min_row_length_ = 0;
   for (std::size_t t = 0; t < roots_.size(); ++t) {
@@ -108,6 +163,7 @@ Json FlatForest::tree_json(std::size_t tree, int depth,
   put_tree_header(j, tree, depth, importances);
   const std::size_t base = roots_[tree];
   const auto k = static_cast<std::size_t>(num_classes_);
+  std::vector<double> dense(k);
   Json nodes = Json::array();
   for (std::size_t i = base; i < tree_end(tree); ++i) {
     const Node& n = nodes_[i];
@@ -118,11 +174,9 @@ Json FlatForest::tree_json(std::size_t tree, int depth,
       nj["left"] = i + 1 - base;
       nj["right"] = static_cast<std::size_t>(n.slot) - base;
     } else {
+      expand_leaf(static_cast<std::size_t>(n.slot), dense);
       Json proba = Json::array();
-      const auto first = static_cast<std::size_t>(n.slot) * k;
-      for (std::size_t c = 0; c < k; ++c) {
-        proba.push_back(leaf_proba_[first + c]);
-      }
+      for (const double p : dense) proba.push_back(p);
       nj["proba"] = std::move(proba);
     }
     nodes.push_back(std::move(nj));
@@ -135,7 +189,6 @@ Json FlatForest::columnar_tree_json(std::size_t tree, int depth,
                                     std::span<const double> importances) const {
   Json j = Json::object();
   put_tree_header(j, tree, depth, importances);
-  const auto k = static_cast<std::size_t>(num_classes_);
   Json feature = Json::array();
   Json threshold = Json::array();
   Json leaf_nnz = Json::array();
@@ -149,18 +202,16 @@ Json FlatForest::columnar_tree_json(std::size_t tree, int depth,
       continue;
     }
     feature.push_back(-1);
-    const double* const p =
-        leaf_proba_.data() + static_cast<std::size_t>(n.slot) * k;
-    std::size_t nnz = 0;
-    for (std::size_t c = 0; c < k; ++c) {
-      // Only +0.0 is implied: a -0.0 entry is kept, so every leaf value
-      // reloads with its exact bits.
-      if (std::bit_cast<std::uint64_t>(p[c]) == 0) continue;
-      leaf_class.push_back(c);
-      leaf_proba.push_back(p[c]);
-      ++nnz;
+    // The stored entries are exactly the file's: only +0.0 is implied, so
+    // a -0.0 entry is kept and every leaf value reloads with its bits.
+    const auto leaf = static_cast<std::size_t>(n.slot);
+    const std::uint32_t begin = leaf_begin_[leaf];
+    const std::uint32_t end = leaf_begin_[leaf + 1];
+    for (std::uint32_t e = begin; e < end; ++e) {
+      leaf_class.push_back(leaf_class_[e]);
+      leaf_proba.push_back(leaf_value_[e]);
     }
-    leaf_nnz.push_back(nnz);
+    leaf_nnz.push_back(end - begin);
   }
   j["feature"] = std::move(feature);
   j["threshold"] = std::move(threshold);
@@ -170,8 +221,8 @@ Json FlatForest::columnar_tree_json(std::size_t tree, int depth,
   return j;
 }
 
-std::span<const double> FlatForest::walk(std::size_t root,
-                                         std::span<const double> row) const {
+std::size_t FlatForest::walk(std::size_t root,
+                             std::span<const double> row) const {
   const Node* const nodes = nodes_.data();
   std::size_t i = root;
   while (nodes[i].feature >= 0) {
@@ -179,9 +230,7 @@ std::span<const double> FlatForest::walk(std::size_t root,
             ? i + 1
             : static_cast<std::size_t>(nodes[i].slot);
   }
-  return {leaf_proba_.data() + static_cast<std::size_t>(nodes[i].slot) *
-                                   static_cast<std::size_t>(num_classes_),
-          static_cast<std::size_t>(num_classes_)};
+  return static_cast<std::size_t>(nodes[i].slot);
 }
 
 void FlatForest::predict_proba_into(std::span<const double> row,
@@ -197,21 +246,32 @@ void FlatForest::predict_proba_into(std::span<const double> row,
   }
   std::fill(out.begin(), out.end(), 0.0);
   for (const std::size_t root : roots_) {
-    const auto leaf = walk(root, row);
-    for (std::size_t c = 0; c < out.size(); ++c) out[c] += leaf[c];
+    add_leaf_to(walk(root, row), out.data());
   }
   const auto n_trees = static_cast<double>(roots_.size());
   for (double& p : out) p /= n_trees;
 }
 
-std::span<const double> FlatForest::tree_leaf(
-    std::size_t tree, std::span<const double> row) const {
+void FlatForest::tree_leaf(std::size_t tree, std::span<const double> row,
+                           std::span<double> out) const {
   if (!sealed_) throw MlError("flat forest: predict before finish");
   if (tree >= roots_.size()) throw MlError("flat forest: tree out of range");
   if (row.size() < min_row_length_) {
     throw MlError("flat forest: row has too few features");
   }
-  return walk(roots_[tree], row);
+  if (out.size() != static_cast<std::size_t>(num_classes_)) {
+    throw MlError("flat forest: output buffer holds " +
+                  std::to_string(out.size()) + " classes, want " +
+                  std::to_string(num_classes_));
+  }
+  expand_leaf(walk(roots_[tree], row), out);
+}
+
+void FlatForest::expand_leaf(std::size_t leaf, std::span<double> out) const {
+  std::fill(out.begin(), out.end(), 0.0);
+  for (std::uint32_t e = leaf_begin_[leaf]; e < leaf_begin_[leaf + 1]; ++e) {
+    out[leaf_class_[e]] = leaf_value_[e];
+  }
 }
 
 void FlatForest::predict_batch(const Matrix& rows, Matrix& out) const {
@@ -254,14 +314,7 @@ void FlatForest::predict_batch(const Matrix& rows, Matrix& out) const {
   constexpr std::size_t kBlock = 64;
   constexpr std::size_t kLanes = 8;
   const Node* const nodes = nodes_.data();
-  const double* const leaves = leaf_proba_.data();
   const auto n_trees = static_cast<double>(roots_.size());
-
-  const auto accumulate = [&](std::size_t leaf_node, std::span<double> o) {
-    const double* const p =
-        leaves + static_cast<std::size_t>(nodes[leaf_node].slot) * k;
-    for (std::size_t c = 0; c < k; ++c) o[c] += p[c];
-  };
 
   // The branchless advance reads x[0] on parked lanes (the index select
   // discards the result); that needs at least one feature column to exist.
@@ -311,18 +364,123 @@ void FlatForest::predict_batch(const Matrix& rows, Matrix& out) const {
           if (!active) break;
         }
         for (std::size_t l = 0; l < kLanes; ++l) {
-          accumulate(idx[l], out.row(r + l));
+          add_leaf_to(static_cast<std::size_t>(nodes[idx[l]].slot),
+                      out.row(r + l).data());
         }
       }
       for (; r < b1; ++r) {
-        const auto leaf = walk(root, rows.row(r));
-        const auto o = out.row(r);
-        for (std::size_t c = 0; c < k; ++c) o[c] += leaf[c];
+        add_leaf_to(walk(root, rows.row(r)), out.row(r).data());
       }
     }
     for (std::size_t r = b0; r < b1; ++r) {
       for (double& p : out.row(r)) p /= n_trees;
     }
+  }
+}
+
+
+void FlatForest::predict_sweep(const Matrix& fixed_rows,
+                               std::size_t varying_col,
+                               std::span<const double> values,
+                               Matrix& out) const {
+  // Shape validation happens once here; the descent below runs unchecked.
+  if (!sealed_) throw MlError("flat forest: predict before finish");
+  const auto k = static_cast<std::size_t>(num_classes_);
+  const std::size_t cells = fixed_rows.rows();
+  const std::size_t m = values.size();
+  if (out.rows() != cells * m || out.cols() != k) {
+    throw MlError("flat forest: predict_sweep output shape is " +
+                  std::to_string(out.rows()) + "x" +
+                  std::to_string(out.cols()) + ", want " +
+                  std::to_string(cells * m) + "x" + std::to_string(k) +
+                  " (cells * values x num_classes)");
+  }
+  if (fixed_rows.cols() < min_row_length_) {
+    throw MlError("flat forest: sweep rows carry " +
+                  std::to_string(fixed_rows.cols()) +
+                  " features, walks reference up to feature " +
+                  std::to_string(min_row_length_ - 1));
+  }
+  if (varying_col != npos && varying_col >= fixed_rows.cols()) {
+    throw MlError("flat forest: varying column " +
+                  std::to_string(varying_col) + " is outside rows of " +
+                  std::to_string(fixed_rows.cols()) + " features");
+  }
+  if (m > std::numeric_limits<std::uint32_t>::max()) {
+    throw MlError("flat forest: predict_sweep takes at most 2^32 values");
+  }
+  if (cells * m == 0) return;
+  static obs::Counter sweep_rows("ml.sweep.rows");
+  sweep_rows.add(cells * m);
+
+  // The sweep axis in ascending order, NaN last: `value <= threshold` then
+  // holds on a prefix of every sorted range (a NaN value, like a NaN
+  // threshold, compares false and goes right, as in the row walk), so one
+  // cut splits a range at a split on the varying column.
+  thread_local std::vector<std::uint32_t> order;
+  thread_local std::vector<double> sorted;
+  order.resize(m);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return values[a] < values[b] ||
+           (!std::isnan(values[a]) && std::isnan(values[b]));
+  });
+  sorted.resize(m);
+  for (std::size_t j = 0; j < m; ++j) sorted[j] = values[order[j]];
+
+  // A pending right side of a varying-column split: node, sorted range.
+  struct Frame {
+    std::size_t node;
+    std::uint32_t lo;
+    std::uint32_t hi;
+  };
+  thread_local std::vector<Frame> stack;
+
+  std::fill(out.row(0).data(), out.row(0).data() + cells * m * k, 0.0);
+  const Node* const nodes = nodes_.data();
+  const double* const by_value = sorted.data();
+  for (const std::size_t root : roots_) {
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      const double* const x = fixed_rows.row(cell).data();
+      double* const o = out.row(cell * m).data();
+      stack.push_back(Frame{root, 0, static_cast<std::uint32_t>(m)});
+      while (!stack.empty()) {
+        auto [i, lo, hi] = stack.back();
+        stack.pop_back();
+        for (;;) {
+          const Node& nd = nodes[i];
+          if (nd.feature < 0) break;
+          const auto f = static_cast<std::size_t>(nd.feature);
+          const auto right = static_cast<std::size_t>(nd.slot);
+          if (f != varying_col) {
+            i = x[f] <= nd.threshold ? i + 1 : right;
+            continue;
+          }
+          // The values <= threshold are a prefix of the range, so counting
+          // them finds the cut; ranges are short (a compile sweeps 21
+          // sizes), where a count beats a binary search's branches.
+          std::uint32_t mid = lo;
+          for (std::uint32_t j = lo; j < hi; ++j) {
+            mid += by_value[j] <= nd.threshold;
+          }
+          if (mid == lo) {
+            i = right;
+          } else {
+            if (mid != hi) stack.push_back(Frame{right, mid, hi});
+            hi = mid;
+            i = i + 1;
+          }
+        }
+        const auto leaf = static_cast<std::size_t>(nodes[i].slot);
+        for (std::uint32_t j = lo; j < hi; ++j) {
+          add_leaf_to(leaf, o + static_cast<std::size_t>(order[j]) * k);
+        }
+      }
+    }
+  }
+  const auto n_trees = static_cast<double>(roots_.size());
+  for (std::size_t r = 0; r < cells * m; ++r) {
+    for (double& p : out.row(r)) p /= n_trees;
   }
 }
 

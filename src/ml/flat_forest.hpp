@@ -2,11 +2,11 @@
 // RandomForest holds.
 //
 // FlatForest packs every tree of a forest into one contiguous array of
-// 16-byte node records plus one pooled leaf-probability buffer, so a forest
-// prediction is a handful of linear array walks and predict_proba_into()
-// touches no allocator at all. DecisionTree is only the fitting tool: a
-// fit appends each grown tree here, and a model file decodes straight into
-// the builder below.
+// 16-byte node records plus compressed sparse leaves, so a forest
+// prediction is a handful of linear array walks and no inference entry
+// point touches the allocator in steady state. DecisionTree is only the
+// fitting tool: a fit appends each grown tree here, and a model file
+// decodes straight into the builder below.
 //
 // Node layout. Trees serialize their nodes in pre-order (DecisionTree::build
 // emits a split node immediately followed by its entire left subtree), so a
@@ -15,36 +15,59 @@
 //
 //   { double threshold; int32 feature; int32 slot; }   // 16 bytes
 //
-// where feature < 0 marks a leaf whose `slot` is its pooled-leaf ordinal,
-// and a split's `slot` is its right-child index (left child = self + 1).
+// where feature < 0 marks a leaf whose `slot` is its leaf ordinal, and a
+// split's `slot` is its right-child index (left child = self + 1).
 // finish() validates the pre-order invariant, so a malformed builder
 // sequence or corrupt bundle fails loudly instead of walking garbage.
+//
+// Sparse leaves. A fitted leaf holds a class distribution over 10-12
+// classes with about 1.3 non-zero entries, so leaves are stored as CSR
+// rows: leaf `l` owns entries leaf_begin_[l] .. leaf_begin_[l + 1] of the
+// parallel leaf_class_ / leaf_value_ arrays, ascending by class. The only
+// entries left out are those whose bits are +0.0 (the rule the v2 file
+// uses too; -0.0 is kept). Dropping them is exact: every class sum starts
+// at +0.0, a round-to-nearest sum of doubles that starts at +0.0 never
+// becomes -0.0, and x + (+0.0) == x bit for bit for every other x, so
+// skipping a +0.0 term leaves each sum's bits unchanged. tree_json() and
+// columnar_tree_json() expand or copy the same entries and render the same
+// bytes as a dense pool did.
 //
 // Serialized form. Model bundle v2 stores each tree as columns in the same
 // pre-order (columnar_tree_json): `feature` per node (-1 for a leaf),
 // `threshold` per split, and sparse leaves (`leaf_nnz`, `leaf_class`,
-// `leaf_proba`) that omit only entries whose bits are +0.0. No child ids
-// are stored: the left child is the next node, and the reader recovers
-// each right child with one stack pass that also proves the nodes form
-// exactly one full binary tree. tree_json() still writes the v1 node
-// objects, whose rendering the golden tests hash as the fit's fingerprint.
+// `leaf_proba`). No child ids are stored: the left child is the next
+// node, and the reader recovers each right child with one stack pass that
+// also proves the nodes form exactly one full binary tree; its leaves go
+// straight into the sparse arrays (add_sparse_leaf). tree_json() still
+// writes the v1 node objects, whose rendering the golden tests hash as the
+// fit's fingerprint.
 //
-// Inference comes in two shapes that are bit-identical to each other and to
-// the per-tree node walk: predict_proba_into() walks one row through all
-// trees (tree 0..T in sequence, one divide at the end), and predict_batch()
-// runs the tree-major blocked kernel — outer loop over trees, inner loop
-// over blocks of rows with eight interleaved row-walks advancing in
-// lockstep. Each lane's advance is branchless (all-ones masks select
+// Inference comes in three shapes, bit-identical to each other and to the
+// per-tree node walk. predict_proba_into() walks one row through all trees
+// (tree 0..T in sequence, one divide at the end). predict_batch() runs the
+// tree-major blocked kernel — outer loop over trees, inner loop over blocks
+// of rows with eight interleaved row-walks advancing in lockstep; each
+// lane's advance is branchless (all-ones masks select
 // left-child/right-child/parked), so the per-split data-dependent branch
-// the scalar walk mispredicts becomes a conditional move, the eight
-// independent load chains hide each other's latency, and the tree's top
-// levels stay in L1/L2 across the whole block. Per-row accumulation order
-// is tree 0..T either way, so batched output is byte-identical to the
-// scalar path (~2-3x the scalar loop in rows/sec, gated in
-// bench/ml_hotpath).
+// the scalar walk mispredicts becomes a conditional move.
+//
+// predict_sweep() answers a grid whose rows differ in one column only: a
+// tuning-table compile asks for every (cell, message size) pair, and 13 of
+// the 14 feature columns are fixed per cell. The outer loop runs over
+// trees, the inner loop over cells, and each (tree, cell) pair is one
+// range descent over the message-size axis, sorted once per call: a split
+// on a fixed column follows one child for the whole range, a split on the
+// varying column partitions the sorted range at its threshold and descends
+// both non-empty sides, and a leaf adds its entries to every row of the
+// range it receives. A cell's 21 rows thus cost one descent of a few
+// dozen nodes instead of 21 walks of about ten splits each. Every row
+// still receives exactly the leaf its own walk would reach (its value
+// takes the same side of every split), added in tree order 0..T, with one
+// divide at the end — the same FP sequence as predict_proba_into.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -55,6 +78,9 @@ namespace pml::ml {
 
 class FlatForest {
  public:
+  /// predict_sweep's `varying_col` when no model column varies.
+  static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
+
   bool empty() const noexcept { return roots_.empty(); }
   std::size_t tree_count() const noexcept { return roots_.size(); }
   std::size_t node_count() const noexcept { return nodes_.size(); }
@@ -66,19 +92,27 @@ class FlatForest {
 
   // --- Builder interface (DecisionTree::append_flat, RandomForest::from_json)
 
+  /// Size the arrays for `nodes` nodes, `leaves` of them leaves holding
+  /// `leaf_entries` sparse entries in total, so appending them never
+  /// reallocates.
+  void reserve(std::size_t nodes, std::size_t leaves, std::size_t leaf_entries);
   /// Start appending one tree; its nodes arrive in the tree's own node-id
   /// order, so child ids passed to add_split are tree-local.
-  /// Size the arrays for `nodes` nodes whose leaves hold `leaf_values`
-  /// probabilities in total, so appending them never reallocates.
-  void reserve(std::size_t nodes, std::size_t leaf_values);
   void begin_tree();
   void add_split(int feature, double threshold, int left, int right);
+  /// Append a leaf from its dense class distribution (one probability per
+  /// class); entries whose bits are +0.0 are not stored.
   void add_leaf(std::span<const double> proba);
+  /// Append a leaf from its sparse entries: strictly ascending class ids
+  /// with their probabilities. Entries whose bits are +0.0 are not stored.
+  void add_sparse_leaf(std::span<const std::uint32_t> classes,
+                       std::span<const double> values);
 
-  /// Validate and seal after all trees are appended: the pooled leaf buffer
-  /// must hold `num_classes` probabilities per leaf, and each tree must be
-  /// non-empty and in pre-order, with children inside that tree (each
-  /// split's left child immediately follows it). Throws MlError otherwise.
+  /// Validate and seal after all trees are appended: every dense leaf must
+  /// hold `num_classes` probabilities and every sparse class id must be
+  /// below it, and each tree must be non-empty and in pre-order, with
+  /// children inside that tree (each split's left child immediately
+  /// follows it). Throws MlError otherwise.
   void finish(int num_classes);
 
   // --- Serialization ---------------------------------------------------------
@@ -108,10 +142,11 @@ class FlatForest {
   void predict_proba_into(std::span<const double> row,
                           std::span<double> out) const;
 
-  /// Un-normalised leaf distribution of one tree for this row (span into
-  /// the pooled buffer).
-  std::span<const double> tree_leaf(std::size_t tree,
-                                    std::span<const double> row) const;
+  /// Un-normalised leaf distribution of one tree for this row, written
+  /// densely into `out` (size num_classes(); classes the leaf does not
+  /// store read +0.0).
+  void tree_leaf(std::size_t tree, std::span<const double> row,
+                 std::span<double> out) const;
 
   /// predict_proba_into for many rows at once; `out` is row-major
   /// rows.rows() x num_classes(). Runs the tree-major blocked kernel
@@ -120,10 +155,21 @@ class FlatForest {
   /// zero allocations.
   void predict_batch(const Matrix& rows, Matrix& out) const;
 
+  /// predict_proba_into over a grid: row (cell, i) is fixed_rows.row(cell)
+  /// with column `varying_col` replaced by values[i]. `out` is row-major
+  /// (fixed_rows.rows() * values.size()) x num_classes(), row
+  /// cell * values.size() + i. `values` may come in any order and repeat;
+  /// `varying_col` == npos means no column varies (every row of a cell is
+  /// fixed_rows.row(cell)). Runs the range-descent kernel (header comment):
+  /// byte-identical to predict_proba_into row by row, one shape check per
+  /// call, zero allocations once the thread's scratch has grown.
+  void predict_sweep(const Matrix& fixed_rows, std::size_t varying_col,
+                     std::span<const double> values, Matrix& out) const;
+
  private:
   /// One traversal record (header comment). `slot` is the right-child
-  /// index for a split (left child = self + 1) and the pooled-leaf
-  /// ordinal for a leaf (feature < 0).
+  /// index for a split (left child = self + 1) and the leaf ordinal for a
+  /// leaf (feature < 0).
   struct Node {
     double threshold = 0.0;
     std::int32_t feature = -1;
@@ -135,8 +181,23 @@ class FlatForest {
   void put_tree_header(Json& j, std::size_t tree, int depth,
                        std::span<const double> importances) const;
 
-  std::span<const double> walk(std::size_t root,
-                               std::span<const double> row) const;
+  /// Leaf ordinal reached by walking `row` down the tree rooted at `root`.
+  std::size_t walk(std::size_t root, std::span<const double> row) const;
+
+  /// out[c] += p_c for every stored entry (c, p_c) of leaf `leaf`.
+  void add_leaf_to(std::size_t leaf, double* out) const noexcept {
+    const std::uint32_t end = leaf_begin_[leaf + 1];
+    for (std::uint32_t e = leaf_begin_[leaf]; e < end; ++e) {
+      out[leaf_class_[e]] += leaf_value_[e];
+    }
+  }
+
+  /// Leaf `leaf` as a dense distribution with its stored bits (a stored
+  /// -0.0 stays -0.0); `out` holds num_classes() values.
+  void expand_leaf(std::size_t leaf, std::span<double> out) const;
+
+  /// Close the leaf whose entries were just appended.
+  void seal_leaf();
 
   /// One past the last node of tree `tree`.
   std::size_t tree_end(std::size_t tree) const noexcept {
@@ -145,12 +206,20 @@ class FlatForest {
 
   std::vector<Node> nodes_;           ///< all trees' packed records
   std::vector<std::size_t> roots_;    ///< global index of each tree's root
-  std::vector<double> leaf_proba_;    ///< pooled leaf distributions
+  /// Sparse leaves (header comment): leaf l owns entries
+  /// leaf_begin_[l] .. leaf_begin_[l + 1] of the two arrays below.
+  std::vector<std::uint32_t> leaf_begin_{0};
+  std::vector<std::uint32_t> leaf_class_;
+  std::vector<double> leaf_value_;
   /// Build-time staging: tree-local left-child id per node (validated
   /// against the pre-order invariant, then discarded by finish()). Until
   /// finish() a split's `slot` is its tree-local right-child id.
   std::vector<std::int32_t> build_left_;
-  std::size_t n_leaves_ = 0;
+  /// Build-time width checks for finish(): the narrowest and widest dense
+  /// leaf appended, and one past the largest class id stored.
+  std::size_t min_dense_width_ = std::numeric_limits<std::size_t>::max();
+  std::size_t max_dense_width_ = 0;
+  std::size_t class_bound_ = 0;
   std::size_t min_row_length_ = 0;
   int num_classes_ = 0;
   bool sealed_ = false;

@@ -194,16 +194,22 @@ RandomForest RandomForest::from_json(const Json& j) {
   const char* const nodes_key = columnar ? "feature" : "nodes";
   // Size the packed arrays once (doubling growth touches twice the pages a
   // daemon start faults in); a full binary tree of n nodes has (n + 1) / 2
-  // leaves. Malformed trees are left to the per-tree checks.
+  // leaves. A v2 tree lists its leaf entries; a v1 leaf stores at most
+  // one per class. Malformed trees are left to the per-tree checks.
+  const auto array_size = [](const Json& doc, const char* key) {
+    return doc.contains(key) && doc.at(key).is_array()
+               ? doc.at(key).as_array().size()
+               : std::size_t{0};
+  };
   std::size_t nodes = 0;
+  std::size_t entries = 0;
   for (const Json& doc : tree_docs) {
-    if (doc.contains(nodes_key) && doc.at(nodes_key).is_array()) {
-      nodes += doc.at(nodes_key).as_array().size();
-    }
+    nodes += array_size(doc, nodes_key);
+    if (columnar) entries += array_size(doc, "leaf_class");
   }
   const auto leaves = (nodes + tree_docs.size()) / 2;
-  forest.flat_.reserve(nodes,
-                       leaves * static_cast<std::size_t>(forest.num_classes_));
+  if (!columnar) entries = leaves * static_cast<std::size_t>(forest.num_classes_);
+  forest.flat_.reserve(nodes, leaves, entries);
   for (std::size_t t = 0; t < tree_docs.size(); ++t) {
     if (columnar) {
       forest.append_columnar_tree_json(t, tree_docs[t]);
@@ -344,7 +350,10 @@ void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
   }
 
   const auto k = static_cast<std::size_t>(num_classes_);
-  std::vector<double> proba(k);
+  std::vector<std::uint32_t> classes;
+  std::vector<double> values;
+  classes.reserve(k);
+  values.reserve(k);
   std::size_t split = 0;
   std::size_t leaf = 0;
   std::size_t entry = 0;  // next leaf_class / leaf_proba entry
@@ -367,7 +376,8 @@ void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
                     std::to_string(leaf_class.size()) + ") or leaf_proba (" +
                     std::to_string(leaf_proba.size()) + ")");
     }
-    std::fill(proba.begin(), proba.end(), 0.0);
+    classes.clear();
+    values.clear();
     int previous = -1;
     for (; entry < end; ++entry) {
       const int c = integral_entry(tree, "leaf_class", leaf_class, entry);
@@ -380,10 +390,11 @@ void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
                       " after class " + std::to_string(previous) +
                       "; class ids must ascend");
       }
-      proba[static_cast<std::size_t>(c)] = leaf_proba[entry].as_number();
+      classes.push_back(static_cast<std::uint32_t>(c));
+      values.push_back(leaf_proba[entry].as_number());
       previous = c;
     }
-    flat_.add_leaf(proba);
+    flat_.add_sparse_leaf(classes, values);
     ++leaf;
   }
   if (entry != leaf_class.size() || entry != leaf_proba.size()) {

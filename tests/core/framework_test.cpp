@@ -290,6 +290,55 @@ TEST(Framework, LoadedModelMatchesTheFittedOne) {
   }
 }
 
+/// Selector that answers through PmlFramework::select() one point at a
+/// time: the base-class select_many loop, no grid inference.
+class ScalarFramework final : public Selector {
+ public:
+  explicit ScalarFramework(PmlFramework& fw) : fw_(fw) {}
+  std::string name() const override { return "scalar"; }
+  coll::Selection select(coll::Collective collective,
+                         const sim::ClusterSpec& cluster, sim::Topology topo,
+                         std::uint64_t msg_bytes) override {
+    return fw_.select(collective, cluster, topo, msg_bytes);
+  }
+
+ private:
+  PmlFramework& fw_;
+};
+
+TEST(Framework, GridCompileMatchesASelectLoopOnEveryCluster) {
+  // compile_for answers each thread chunk of each collective with one
+  // predict_sweep; the table must be the one a per-point select() loop
+  // builds, on every Table-I cluster, flat and hierarchical, at any
+  // thread count.
+  for (const bool hierarchy : {false, true}) {
+    TrainOptions options = fast_options();
+    options.forest.n_trees = 8;
+    options.build.hierarchy = hierarchy;
+    PmlFramework fw = PmlFramework::train(small_training_set(), options);
+    ScalarFramework scalar(fw);
+    const std::vector<coll::Collective> collectives = {
+        coll::Collective::kAllgather, coll::Collective::kAlltoall};
+    ASSERT_EQ(sim::builtin_clusters().size(), 18u);
+    for (const sim::ClusterSpec& cluster : sim::builtin_clusters()) {
+      const CompileOptions sweep = resolve_compile_sweep(cluster, {});
+      const std::string want =
+          TuningTable::generate(scalar, cluster, sweep.node_counts,
+                                sweep.ppn_values, sweep.message_sizes,
+                                collectives, 1)
+              .to_json()
+              .dump();
+      for (const int threads : {1, 2, 0}) {
+        CompileOptions compile;
+        compile.threads = threads;
+        EXPECT_EQ(fw.compile_for(cluster, compile).to_json().dump(), want)
+            << cluster.name << " hierarchy " << hierarchy << " threads "
+            << threads;
+      }
+    }
+  }
+}
+
 /// `fitted`'s bundle in the v1 layout: the v2 bundle with its format tag
 /// and every forest swapped for the node-object rendering.
 Json v1_bundle(const PmlFramework& fitted) {

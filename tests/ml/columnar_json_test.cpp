@@ -97,7 +97,9 @@ std::vector<std::uint64_t> leaf_bits(const RandomForest& forest,
                                      std::initializer_list<double> row) {
   std::vector<std::uint64_t> bits;
   const std::vector<double> x(row);
-  for (const double p : forest.flat().tree_leaf(tree, x)) {
+  std::vector<double> leaf(static_cast<std::size_t>(forest.num_classes()));
+  forest.flat().tree_leaf(tree, x, leaf);
+  for (const double p : leaf) {
     bits.push_back(std::bit_cast<std::uint64_t>(p));
   }
   return bits;
@@ -122,8 +124,9 @@ TEST(ColumnarTreeJson, ReadsTheHandWrittenLayout) {
   ASSERT_EQ(forest.tree_count(), 2u);
   const auto leaf = [&](std::initializer_list<double> row) {
     const std::vector<double> x(row);
-    const auto p = forest.flat().tree_leaf(1, x);
-    return std::vector<double>(p.begin(), p.end());
+    std::vector<double> p(static_cast<std::size_t>(forest.num_classes()));
+    forest.flat().tree_leaf(1, x, p);
+    return p;
   };
   EXPECT_EQ(leaf({0.0, 0.0}), (std::vector<double>{0.5, 0.5, 0.0}));
   EXPECT_EQ(leaf({1.0, 0.0}), (std::vector<double>{0.0, 0.0, 1.0}));

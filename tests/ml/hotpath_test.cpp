@@ -436,13 +436,14 @@ TEST(FlatForestInference, MatchesNodeWalkBitForBit) {
 
     std::vector<double> flat(3);
     std::vector<double> walk(3);
+    std::vector<double> leaf(3);
     for (std::size_t r = 0; r < d.x.rows(); ++r) {
       forest.predict_proba_into(d.x.row(r), flat);
       // Reference: average the per-tree node walks in tree order, exactly
       // as the pre-flattening implementation did.
       std::fill(walk.begin(), walk.end(), 0.0);
       for (std::size_t t = 0; t < forest.tree_count(); ++t) {
-        const auto leaf = forest.flat().tree_leaf(t, d.x.row(r));
+        forest.flat().tree_leaf(t, d.x.row(r), leaf);
         for (std::size_t c = 0; c < walk.size(); ++c) walk[c] += leaf[c];
       }
       for (double& v : walk) v /= static_cast<double>(forest.tree_count());

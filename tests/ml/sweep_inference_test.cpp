@@ -1,0 +1,234 @@
+// Regression guards for the range-descent grid kernel and sparse leaves:
+//  - predict_sweep must be bit-identical to predict_proba_into row by row,
+//    for ascending, unsorted and repeated sweep values, a single value,
+//    no varying column at all, class counts 2-12, and forests rebuilt from
+//    either model-file layout,
+//  - sparse leaves must keep the dense sums' bits (only +0.0 is dropped),
+//  - shape errors must fail loudly before the unchecked descent runs.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "ml/flat_forest.hpp"
+#include "ml/forest.hpp"
+
+namespace pml::ml {
+namespace {
+
+/// Mixed discrete/continuous columns, as in batch_inference_test.cpp:
+/// columns 0 and 3 take the integers 0..7, so many sweep values sit
+/// exactly on split thresholds' neighbours and tie with training rows.
+Dataset synthetic(std::size_t n, std::size_t cols, int classes,
+                  std::uint64_t seed) {
+  Dataset d;
+  d.num_classes = classes;
+  Rng rng(seed);
+  Matrix x(n, cols);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      x.at(r, c) = (c % 3 == 0)
+                       ? static_cast<double>(rng.uniform_index(8))
+                       : rng.uniform(-2.0, 2.0);
+    }
+    double s = 0.0;
+    for (std::size_t c = 0; c < cols; ++c) s += x.at(r, c) * ((c % 2) ? 1 : -1);
+    d.y.push_back(static_cast<int>(
+        (static_cast<long long>(s * 3.0) % classes + classes) % classes));
+  }
+  d.x = x;
+  return d;
+}
+
+RandomForest fitted(int classes, std::uint64_t seed) {
+  const Dataset d = synthetic(300, 6, classes, seed);
+  RandomForest forest(RandomForestParams{.n_trees = 16, .max_features = 3});
+  Rng rng(seed + 1);
+  forest.fit(d, rng);
+  return forest;
+}
+
+/// Cells: the first `cells` rows of a fresh draw of the same generator.
+Matrix cell_rows(std::size_t cells, std::uint64_t seed) {
+  return synthetic(cells, 6, 2, seed).x;
+}
+
+/// predict_sweep against predict_proba_into on each materialised row.
+void expect_sweep_matches_rows(const FlatForest& flat, const Matrix& cells,
+                               std::size_t varying,
+                               const std::vector<double>& values,
+                               const std::string& context) {
+  const auto k = static_cast<std::size_t>(flat.num_classes());
+  const std::size_t m = values.size();
+  Matrix out(cells.rows() * m, k);
+  flat.predict_sweep(cells, varying, values, out);
+  std::vector<double> row;
+  std::vector<double> want(k);
+  for (std::size_t c = 0; c < cells.rows(); ++c) {
+    for (std::size_t i = 0; i < m; ++i) {
+      row.assign(cells.row(c).begin(), cells.row(c).end());
+      if (varying != FlatForest::npos) row[varying] = values[i];
+      flat.predict_proba_into(row, want);
+      ASSERT_EQ(std::memcmp(out.row(c * m + i).data(), want.data(),
+                            k * sizeof(double)),
+                0)
+          << context << ": cell " << c << " value " << values[i];
+    }
+  }
+}
+
+std::vector<double> ascending() {
+  std::vector<double> v;
+  for (int i = 0; i <= 16; ++i) v.push_back(-0.5 + 0.5 * i);
+  return v;
+}
+
+TEST(SweepInference, AscendingValuesMatchRowWalksForEveryClassCount) {
+  for (int classes = 2; classes <= 12; ++classes) {
+    const auto seed = static_cast<std::uint64_t>(classes);
+    const RandomForest forest = fitted(classes, 40 + seed);
+    const Matrix cells = cell_rows(9, 7 + seed);
+    for (const std::size_t varying : {0u, 1u, 3u}) {
+      expect_sweep_matches_rows(
+          forest.flat(), cells, varying, ascending(),
+          std::to_string(classes) + " classes, column " +
+              std::to_string(varying));
+    }
+  }
+}
+
+TEST(SweepInference, UnsortedAndRepeatedValuesMatchRowWalks) {
+  const RandomForest forest = fitted(5, 3);
+  const Matrix cells = cell_rows(7, 4);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values = {
+      4.0, 1.0, 7.0, 1.0, 0.0, 3.5, 4.0, -0.0, 6.0, 2.0, 4.0, 5.0,
+      -inf, inf, 1.0, std::numeric_limits<double>::quiet_NaN(), 2.5};
+  for (const std::size_t varying : {0u, 2u, 3u, 5u}) {
+    expect_sweep_matches_rows(forest.flat(), cells, varying, values,
+                              "column " + std::to_string(varying));
+  }
+}
+
+TEST(SweepInference, SingleValueAndNoVaryingColumnMatchRowWalks) {
+  const RandomForest forest = fitted(4, 11);
+  const Matrix cells = cell_rows(12, 12);
+  expect_sweep_matches_rows(forest.flat(), cells, 3, {5.0}, "one value");
+  // A model whose columns dropped the swept feature: every row of a cell
+  // is the cell's own row, whatever the values say.
+  expect_sweep_matches_rows(forest.flat(), cells, FlatForest::npos,
+                            {1.0, 8.0, 3.0}, "no varying column");
+}
+
+TEST(SweepInference, ReloadedForestsSweepLikeTheFittedOne) {
+  const RandomForest forest = fitted(9, 21);
+  const Matrix cells = cell_rows(5, 22);
+  const std::vector<double> values = ascending();
+  const auto k = static_cast<std::size_t>(forest.num_classes());
+  Matrix want(cells.rows() * values.size(), k);
+  forest.flat().predict_sweep(cells, 3, values, want);
+  for (const Json& doc : {forest.to_json(), forest.to_columnar_json()}) {
+    const RandomForest loaded = RandomForest::from_json(doc);
+    Matrix got(want.rows(), k);
+    loaded.flat().predict_sweep(cells, 3, values, got);
+    for (std::size_t r = 0; r < want.rows(); ++r) {
+      ASSERT_EQ(std::memcmp(got.row(r).data(), want.row(r).data(),
+                            k * sizeof(double)),
+                0)
+          << "row " << r;
+    }
+  }
+}
+
+TEST(SweepInference, EmptyGridsWriteNothing) {
+  const RandomForest forest = fitted(3, 5);
+  Matrix out(0, 3);
+  forest.flat().predict_sweep(cell_rows(4, 6), 0, {}, out);
+  forest.flat().predict_sweep(Matrix(0, 6), 0, ascending(), out);
+  EXPECT_EQ(out.rows(), 0u);
+}
+
+TEST(SweepInference, RejectsBadShapesWithTheShapesInTheMessage) {
+  const RandomForest forest = fitted(3, 8);
+  const Matrix cells = cell_rows(2, 9);
+  const std::vector<double> values = {1.0, 2.0};
+  const auto message = [&](const Matrix& rows, std::size_t varying,
+                           Matrix& out) {
+    try {
+      forest.flat().predict_sweep(rows, varying, values, out);
+    } catch (const MlError& err) {
+      return std::string(err.what());
+    }
+    return std::string("no error");
+  };
+  Matrix short_out(3, 3);
+  EXPECT_NE(message(cells, 0, short_out).find("3x3, want 4x3"),
+            std::string::npos);
+  Matrix out(4, 3);
+  EXPECT_NE(message(cells, 6, out).find("varying column 6"),
+            std::string::npos);
+  EXPECT_NE(message(Matrix(2, 1), 0, out).find("carry 1 features"),
+            std::string::npos);
+
+  FlatForest unsealed;
+  unsealed.begin_tree();
+  unsealed.add_leaf(std::vector<double>{1.0, 0.0});
+  Matrix two(2, 2);
+  EXPECT_THROW(unsealed.predict_sweep(Matrix(1, 1), 0, values, two), MlError);
+}
+
+// ---- sparse leaves -----------------------------------------------------------
+
+/// A stump on feature 0 at 0.5 whose leaves are given densely.
+FlatForest stump(const std::vector<double>& left,
+                 const std::vector<double>& right) {
+  FlatForest flat;
+  flat.begin_tree();
+  flat.add_split(0, 0.5, 1, 2);
+  flat.add_leaf(left);
+  flat.add_leaf(right);
+  return flat;
+}
+
+TEST(SparseLeaves, DropOnlyPositiveZerosAndKeepTheirBits) {
+  FlatForest flat = stump({0.0, -0.0, 0.75}, {1.0, 0.0, 0.0});
+  flat.finish(3);
+  std::vector<double> leaf(3);
+  flat.tree_leaf(0, std::vector<double>{0.0}, leaf);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(leaf[0]), 0u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(leaf[1]),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(leaf[2], 0.75);
+  // The v2 document lists exactly the stored entries.
+  const Json doc = flat.columnar_tree_json(0, 1, std::vector<double>{1.0});
+  EXPECT_EQ(doc.at("leaf_nnz").dump(), "[2,1]");
+  EXPECT_EQ(doc.at("leaf_class").dump(), "[1,2,0]");
+  // Sums start at +0.0, so a stored -0.0 adds nothing visible.
+  std::vector<double> proba(3);
+  flat.predict_proba_into(std::vector<double>{0.0}, proba);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(proba[1]), 0u);
+}
+
+TEST(SparseLeaves, FinishRejectsDenseWidthsAndClassIdsThatDoNotFit) {
+  FlatForest ragged = stump({1.0, 0.0, 0.0}, {1.0, 0.0});
+  EXPECT_THROW(ragged.finish(3), MlError);
+
+  FlatForest wide;
+  wide.begin_tree();
+  wide.add_sparse_leaf(std::vector<std::uint32_t>{0, 3},
+                       std::vector<double>{0.5, 0.5});
+  EXPECT_THROW(wide.finish(3), MlError);
+
+  FlatForest unordered;
+  unordered.begin_tree();
+  EXPECT_THROW(unordered.add_sparse_leaf(std::vector<std::uint32_t>{2, 1},
+                                         std::vector<double>{0.5, 0.5}),
+               MlError);
+}
+
+}  // namespace
+}  // namespace pml::ml
