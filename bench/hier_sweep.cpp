@@ -1,5 +1,5 @@
-// Hierarchical-selection hot-path micro-benchmarks, with the same global
-// operator-new counter as sweep_hotpath.cpp so the zero-allocation claims
+// Hierarchical-selection hot-path micro-benchmarks, with the global
+// operator-new counter of alloc_counter.hpp so the zero-allocation claims
 // of the timing-only run_selection path are measured, not asserted.
 //
 //   build/bench/hier_sweep --benchmark_out_format=json
@@ -11,40 +11,13 @@
 // sweep entries quantify the hierarchical path's cost next to it.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "coll/runner.hpp"
 #include "coll/selection.hpp"
 #include "sim/hardware.hpp"
-
-// ---- allocation counting ----------------------------------------------------
-// See bench/sweep_hotpath.cpp for the -Wmismatched-new-delete note.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 

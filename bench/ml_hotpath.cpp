@@ -19,10 +19,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
+#include "alloc_counter.hpp"
 #include "bench_util.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/features.hpp"
@@ -30,62 +29,13 @@
 #include "ml/forest.hpp"
 #include "ml/tree.hpp"
 
-// ---- allocation counting ----------------------------------------------------
-// Counts every operator-new in the process, over-aligned ones included (the
-// nothrow forms forward to these); benchmarks snapshot the counter around
-// the timed loop and report allocations per iteration.
-//
-// GCC's -Wmismatched-new-delete pairs the replaced operator new below with
-// the replaced operator delete when inlining both into callers and flags the
-// malloc/free it sees inside as mismatched; both sides of the replacement
-// use malloc/free, so the pairing is correct.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
 namespace {
-std::atomic<std::size_t> g_alloc_count{0};
 // Set by BM_BatchInference when the batched kernel's output diverges from
 // the scalar path; main() turns it into a nonzero exit so the CI smoke run
 // fails on wrong answers even though google-benchmark treats SkipWithError
 // as a reporting detail.
 std::atomic<bool> g_batch_mismatch{false};
 }  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(align);
-  // aligned_alloc wants a size that is a multiple of the alignment.
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 

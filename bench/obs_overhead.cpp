@@ -16,42 +16,14 @@
 // collective run in both modes).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_counter.hpp"
 #include "coll/runner.hpp"
 #include "obs/obs.hpp"
 #include "sim/hardware.hpp"
-
-// ---- allocation counting ----------------------------------------------------
-// Counts every operator-new in the process (same idiom as
-// bench/sweep_hotpath.cpp; see the comment there for the pragma).
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 

@@ -14,50 +14,17 @@
 // through reset()-reused engine storage).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <span>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "bench_util.hpp"
 #include "coll/allgather.hpp"
 #include "coll/runner.hpp"
 #include "core/dataset_builder.hpp"
 #include "sim/comm.hpp"
 #include "sim/fault.hpp"
-
-// ---- allocation counting ----------------------------------------------------
-// Counts every operator-new in the process; benchmarks snapshot the counter
-// around the timed loop and report allocations per iteration.
-//
-// GCC's -Wmismatched-new-delete pairs the replaced operator new below with
-// the replaced operator delete when inlining both into callers and flags the
-// malloc/free it sees inside as mismatched; both sides of the replacement
-// use malloc/free, so the pairing is correct.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 

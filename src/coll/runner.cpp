@@ -1,6 +1,5 @@
 #include "coll/runner.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -106,8 +105,6 @@ RunResult run_timing_only(const sim::ClusterSpec& cluster, sim::Topology topo,
     ctx.engine.emplace(cluster, topo, opts);
   }
   sim::Engine& engine = *ctx.engine;
-  engine.reserve(std::min<std::size_t>(
-      request_estimate(selection, topo, block_bytes), std::size_t{1} << 20));
 
   const auto factory = [&](int rank) {
     return dispatch(selection.collective(), selection,
@@ -121,47 +118,6 @@ RunResult run_timing_only(const sim::ClusterSpec& cluster, sim::Topology topo,
 }
 
 }  // namespace
-
-std::size_t request_estimate(Algorithm algorithm, int p,
-                             std::uint64_t block_bytes) {
-  const auto up = static_cast<std::size_t>(std::max(1, p));
-  const auto logp =
-      static_cast<std::size_t>(floor_log2(std::max(2, p)));
-  switch (algorithm) {
-    case Algorithm::kAgRecursiveDoubling:
-      return 2 * up * (logp + 2);  // doubling rounds + pre/post proxy steps
-    case Algorithm::kAgRing:
-      return 2 * up * up;  // p-1 sendrecv rounds per rank
-    case Algorithm::kAgBruck:
-      return 2 * up * (logp + 1);
-    case Algorithm::kAgRdComm:
-      return up * up;  // p/2 neighbour-exchange rounds per rank
-    case Algorithm::kAaScatterDest:
-    case Algorithm::kAaPairwise:
-    case Algorithm::kAaInplace:
-      return 2 * up * up;  // p-1 peer exchanges per rank
-    case Algorithm::kAaBruck:
-    case Algorithm::kAaRecursiveDoubling:
-      return 2 * up * (logp + 1);
-    case Algorithm::kArRecursiveDoubling:
-      return 2 * up * (logp + 1);
-    case Algorithm::kArRabenseifner:
-      return 4 * up * (logp + 1);  // reduce-scatter + allgather phases
-    case Algorithm::kArRing:
-      return 4 * up * up;  // two (p-1)-round ring phases
-    case Algorithm::kBcBinomial:
-      return 2 * up;
-    case Algorithm::kBcScatterAllgather:
-      return 2 * up * (logp + 1) + 2 * up * up;  // ring-allgather fallback
-    case Algorithm::kBcPipelinedRing: {
-      const std::size_t n = static_cast<std::size_t>(block_bytes);
-      const std::size_t seg = bcast_pipeline_segment(n);
-      const std::size_t segs = n == 0 ? 1 : (n + seg - 1) / seg;
-      return 2 * up * segs;
-    }
-  }
-  return 2 * up * (logp + 2);
-}
 
 RunResult run_collective(const sim::ClusterSpec& cluster, sim::Topology topo,
                          Algorithm algorithm, std::uint64_t block_bytes,
@@ -204,8 +160,6 @@ RunResult run_selection(const sim::ClusterSpec& cluster, sim::Topology topo,
   }
 
   sim::Engine engine(cluster, topo, opts);
-  engine.reserve(std::min<std::size_t>(
-      request_estimate(selection, topo, block_bytes), std::size_t{1} << 20));
   const auto factory = [&](int rank) {
     sim::Comm comm(engine, rank);
     auto& s = send[static_cast<std::size_t>(rank)];
@@ -257,39 +211,6 @@ RunResult run_selection(const sim::ClusterSpec& cluster, sim::Topology topo,
   }
   result.verified = true;
   return result;
-}
-
-std::size_t request_estimate(const Selection& selection, sim::Topology topo,
-                             std::uint64_t block_bytes) {
-  const int p = topo.world_size();
-  if (!selection.hierarchical()) {
-    return request_estimate(selection.algorithm, p, block_bytes);
-  }
-  const auto ppn = static_cast<std::uint64_t>(topo.ppn);
-  std::uint64_t tier_bytes = block_bytes;
-  std::uint64_t fanout_bytes = block_bytes;
-  bool has_fanout = true;
-  switch (selection.collective()) {
-    case Collective::kAllgather:
-      tier_bytes = ppn * block_bytes;
-      fanout_bytes = static_cast<std::uint64_t>(p) * block_bytes;
-      break;
-    case Collective::kAlltoall:
-      tier_bytes = ppn * ppn * block_bytes;
-      has_fanout = false;  // results scatter point-to-point
-      break;
-    case Collective::kAllreduce:
-    case Collective::kBcast:
-      break;
-  }
-  // Staging gather/scatter posts plus the inner per-tier schedules.
-  std::size_t total = 8 * static_cast<std::size_t>(p);
-  total += request_estimate(selection.algorithm, topo.nodes, tier_bytes);
-  if (has_fanout) {
-    total += static_cast<std::size_t>(topo.nodes) *
-             request_estimate(selection.intra, topo.ppn, fanout_bytes);
-  }
-  return total;
 }
 
 }  // namespace pml::coll

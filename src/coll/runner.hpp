@@ -46,17 +46,4 @@ RunResult run_selection(const sim::ClusterSpec& cluster, sim::Topology topo,
                         const Selection& selection, std::uint64_t block_bytes,
                         const sim::SimOptions& opts = {});
 
-/// Upper-bound estimate of the requests (isend/irecv posts) `algorithm`
-/// issues across all ranks for a per-block payload of `block_bytes` on `p`
-/// ranks. Used to pre-size engine storage; exact for the regular schedules,
-/// conservative for the irregular ones.
-std::size_t request_estimate(Algorithm algorithm, int p,
-                             std::uint64_t block_bytes);
-
-/// Request estimate for a structured selection: equals the flat estimate
-/// for flat selections; a leader selection adds the staging posts plus the
-/// per-tier inner estimates (conservative).
-std::size_t request_estimate(const Selection& selection, sim::Topology topo,
-                             std::uint64_t block_bytes);
-
 }  // namespace pml::coll

@@ -24,26 +24,65 @@ bool is_positive_zero(double v) noexcept {
 void FlatForest::reserve(std::size_t nodes, std::size_t leaves,
                          std::size_t leaf_entries) {
   nodes_.reserve(nodes);
-  build_left_.reserve(nodes);
   leaf_begin_.reserve(leaves + 1);
   leaf_class_.reserve(leaf_entries);
   leaf_value_.reserve(leaf_entries);
 }
 
-void FlatForest::begin_tree() {
-  if (sealed_) throw MlError("flat forest: append after finish");
-  roots_.push_back(nodes_.size());
+void FlatForest::require_closed_tree() const {
+  const std::string tree =
+      "flat forest: tree " + std::to_string(roots_.size() - 1);
+  const std::size_t size = nodes_.size() - roots_.back();
+  if (size == 0) throw MlError(tree + " has no nodes");
+  if (!open_.empty()) {
+    throw MlError(tree + " is truncated: its " + std::to_string(size) +
+                  " nodes end before every split has two children");
+  }
 }
 
-void FlatForest::add_split(int feature, double threshold, int left,
-                           int right) {
+void FlatForest::begin_tree() {
+  if (sealed_) throw MlError("flat forest: append after finish");
+  if (!roots_.empty()) require_closed_tree();
+  roots_.push_back(nodes_.size());
+  open_.assign(1, -1);  // the root's position
+}
+
+void FlatForest::link_node() {
+  if (open_.empty()) {
+    throw MlError("flat forest: tree " + std::to_string(roots_.size() - 1) +
+                  " has nodes after its last leaf");
+  }
+  const std::int32_t parent = open_.back();
+  open_.pop_back();
+  if (parent >= 0) {
+    nodes_[static_cast<std::size_t>(parent)].slot =
+        static_cast<std::int32_t>(nodes_.size());
+  }
+}
+
+void FlatForest::add_split(int feature, double threshold) {
   if (roots_.empty()) throw MlError("flat forest: add_split before begin_tree");
+  link_node();
+  min_row_length_ =
+      std::max(min_row_length_, static_cast<std::size_t>(feature) + 1);
+  const auto self = static_cast<std::int32_t>(nodes_.size());
   Node node;
   node.threshold = threshold;
   node.feature = static_cast<std::int32_t>(feature);
-  node.slot = right;
-  nodes_.push_back(node);
-  build_left_.push_back(left);
+  nodes_.push_back(node);  // slot stays -1 until the right child arrives
+  open_.push_back(self);   // right child, filled after the left subtree
+  open_.push_back(-1);     // left child: the next node
+}
+
+int FlatForest::right_child(std::size_t node) const {
+  const std::size_t root = roots_.empty() ? nodes_.size() : roots_.back();
+  if (node >= nodes_.size() - root) {
+    throw MlError("flat forest: node " + std::to_string(node) +
+                  " is not in the tree being appended");
+  }
+  const Node& n = nodes_[root + node];
+  if (n.feature < 0 || n.slot < 0) return -1;
+  return n.slot - static_cast<int>(root);
 }
 
 void FlatForest::add_leaf(std::span<const double> proba) {
@@ -84,17 +123,18 @@ void FlatForest::seal_leaf() {
   if (leaf_value_.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw MlError("flat forest: more than 2^32 leaf entries");
   }
+  link_node();
   Node node;
   node.feature = -1;
   node.slot = static_cast<std::int32_t>(leaf_begin_.size() - 1);
   nodes_.push_back(node);
-  build_left_.push_back(-1);
   leaf_begin_.push_back(static_cast<std::uint32_t>(leaf_value_.size()));
 }
 
 void FlatForest::finish(int num_classes) {
   if (num_classes < 1) throw MlError("flat forest: num_classes must be >= 1");
   if (roots_.empty()) throw MlError("flat forest: no trees appended");
+  require_closed_tree();
   num_classes_ = num_classes;
   const auto k = static_cast<std::size_t>(num_classes);
   const bool any_dense = min_dense_width_ <= max_dense_width_;
@@ -109,40 +149,7 @@ void FlatForest::finish(int num_classes) {
                   std::to_string(class_bound_ - 1) + " of a " +
                   std::to_string(k) + "-class forest");
   }
-  min_row_length_ = 0;
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    const std::size_t base = roots_[t];
-    const auto size = static_cast<std::int32_t>(tree_end(t) - base);
-    if (size == 0) {
-      throw MlError("flat forest: tree " + std::to_string(t) + " has no nodes");
-    }
-    for (std::int32_t i = 0; i < size; ++i) {
-      Node& node = nodes_[base + static_cast<std::size_t>(i)];
-      if (node.feature < 0) continue;  // leaf slots are add_leaf ordinals
-      const auto f = static_cast<std::size_t>(node.feature);
-      min_row_length_ = std::max(min_row_length_, f + 1);
-      // Trees serialize in pre-order: a split's left subtree follows it
-      // immediately, so left == i + 1 (which the packed record relies on)
-      // and the right child points strictly forward inside the tree; that
-      // also proves every walk terminates in its own tree.
-      const std::int32_t l = build_left_[base + static_cast<std::size_t>(i)];
-      if (l != i + 1) {
-        throw MlError("flat forest: tree " + std::to_string(t) + " node " +
-                      std::to_string(i) + " has left child " +
-                      std::to_string(l) + ", pre-order requires " +
-                      std::to_string(i + 1));
-      }
-      if (node.slot <= i || node.slot >= size) {
-        throw MlError("flat forest: tree " + std::to_string(t) + " node " +
-                      std::to_string(i) + " has right child " +
-                      std::to_string(node.slot) + " outside (" +
-                      std::to_string(i) + ", " + std::to_string(size) + ")");
-      }
-      node.slot += static_cast<std::int32_t>(base);
-    }
-  }
-  build_left_.clear();
-  build_left_.shrink_to_fit();
+  open_ = {};
   sealed_ = true;
 }
 

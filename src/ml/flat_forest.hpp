@@ -17,8 +17,15 @@
 //
 // where feature < 0 marks a leaf whose `slot` is its leaf ordinal, and a
 // split's `slot` is its right-child index (left child = self + 1).
-// finish() validates the pre-order invariant, so a malformed builder
-// sequence or corrupt bundle fails loudly instead of walking garbage.
+//
+// Child links are derived, never passed in. The builder takes each tree's
+// nodes in pre-order: the node after a split is its left child, and the
+// node after a leaf is the right child of the innermost split still
+// waiting for one, whose `slot` is set to that node's global index as it
+// arrives. A node after its tree closed, and a tree still open (or empty)
+// at the next begin_tree() or at finish(), throw MlError naming the tree,
+// so every sealed tree is exactly one full binary tree whose walks end
+// inside it.
 //
 // Sparse leaves. A fitted leaf holds a class distribution over 10-12
 // classes with about 1.3 non-zero entries, so leaves are stored as CSR
@@ -35,12 +42,11 @@
 // Serialized form. Model bundle v2 stores each tree as columns in the same
 // pre-order (columnar_tree_json): `feature` per node (-1 for a leaf),
 // `threshold` per split, and sparse leaves (`leaf_nnz`, `leaf_class`,
-// `leaf_proba`). No child ids are stored: the left child is the next
-// node, and the reader recovers each right child with one stack pass that
-// also proves the nodes form exactly one full binary tree; its leaves go
-// straight into the sparse arrays (add_sparse_leaf). tree_json() still
-// writes the v1 node objects, whose rendering the golden tests hash as the
-// fit's fingerprint.
+// `leaf_proba`). No child ids are stored: the reader hands the nodes to
+// the builder in file order, which derives the links as above, and its
+// leaves go straight into the sparse arrays (add_sparse_leaf). tree_json()
+// still writes the v1 node objects, whose rendering the golden tests hash
+// as the fit's fingerprint.
 //
 // Inference comes in three shapes, bit-identical to each other and to the
 // per-tree node walk. predict_proba_into() walks one row through all trees
@@ -96,10 +102,13 @@ class FlatForest {
   /// `leaf_entries` sparse entries in total, so appending them never
   /// reallocates.
   void reserve(std::size_t nodes, std::size_t leaves, std::size_t leaf_entries);
-  /// Start appending one tree; its nodes arrive in the tree's own node-id
-  /// order, so child ids passed to add_split are tree-local.
+  /// Start appending one tree; its nodes follow in pre-order (header
+  /// comment). Throws MlError if the previous tree is empty or still open.
   void begin_tree();
-  void add_split(int feature, double threshold, int left, int right);
+  /// Append a split on `feature` (>= 0) at `threshold`; its left child is
+  /// the next node appended, its right child the node after its left
+  /// subtree closes.
+  void add_split(int feature, double threshold);
   /// Append a leaf from its dense class distribution (one probability per
   /// class); entries whose bits are +0.0 are not stored.
   void add_leaf(std::span<const double> proba);
@@ -108,11 +117,14 @@ class FlatForest {
   void add_sparse_leaf(std::span<const std::uint32_t> classes,
                        std::span<const double> values);
 
-  /// Validate and seal after all trees are appended: every dense leaf must
-  /// hold `num_classes` probabilities and every sparse class id must be
-  /// below it, and each tree must be non-empty and in pre-order, with
-  /// children inside that tree (each split's left child immediately
-  /// follows it). Throws MlError otherwise.
+  /// Tree-local index of the right child the builder derived for node
+  /// `node` of the tree being appended; -1 for a leaf or for a split whose
+  /// right child has not arrived yet.
+  int right_child(std::size_t node) const;
+
+  /// Validate and seal after all trees are appended: the last tree must be
+  /// closed, every dense leaf must hold `num_classes` probabilities and
+  /// every sparse class id must be below it. Throws MlError otherwise.
   void finish(int num_classes);
 
   // --- Serialization ---------------------------------------------------------
@@ -199,6 +211,13 @@ class FlatForest {
   /// Close the leaf whose entries were just appended.
   void seal_leaf();
 
+  /// Link the node about to be appended at nodes_.size() into the open
+  /// tree's shape (header comment).
+  void link_node();
+
+  /// Throw unless the last tree begun is non-empty and closed.
+  void require_closed_tree() const;
+
   /// One past the last node of tree `tree`.
   std::size_t tree_end(std::size_t tree) const noexcept {
     return tree + 1 < roots_.size() ? roots_[tree + 1] : nodes_.size();
@@ -211,10 +230,12 @@ class FlatForest {
   std::vector<std::uint32_t> leaf_begin_{0};
   std::vector<std::uint32_t> leaf_class_;
   std::vector<double> leaf_value_;
-  /// Build-time staging: tree-local left-child id per node (validated
-  /// against the pre-order invariant, then discarded by finish()). Until
-  /// finish() a split's `slot` is its tree-local right-child id.
-  std::vector<std::int32_t> build_left_;
+  /// Build-time shape of the open tree: the child positions still to
+  /// fill, innermost last. -1 stands for a position whose link is implied
+  /// (the root, or a split's left child); any other entry is the global
+  /// index of a split waiting for its right child. Empty once the tree
+  /// closes.
+  std::vector<std::int32_t> open_;
   /// Build-time width checks for finish(): the narrowest and widest dense
   /// leaf appended, and one past the largest class id stored.
   std::size_t min_dense_width_ = std::numeric_limits<std::size_t>::max();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -224,8 +225,9 @@ RandomForest RandomForest::from_json(const Json& j) {
 void RandomForest::append_tree_json(std::size_t t, const Json& doc) {
   // A corrupt or hand-edited bundle must fail here with a clean MlError,
   // not as an out-of-bounds read at inference time. Trees decode in order,
-  // so the error raised names the first bad tree; finish() then checks
-  // each tree's child ids and pre-order.
+  // so the error raised names the first bad tree: begin_tree() comes first
+  // and reports the previous tree if it never closed.
+  flat_.begin_tree();
   const std::string tree = "from_json: tree " + std::to_string(t);
   const auto classes = doc.at("num_classes").as_int();
   if (classes != num_classes_) {
@@ -237,7 +239,6 @@ void RandomForest::append_tree_json(std::size_t t, const Json& doc) {
   std::vector<double> proba;
   proba.reserve(k);
   int max_feature = -1;
-  flat_.begin_tree();
   const Json::Array& nodes = doc.at("nodes").as_array();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const Json& nj = nodes[i];
@@ -249,9 +250,7 @@ void RandomForest::append_tree_json(std::size_t t, const Json& doc) {
                       " features");
       }
       max_feature = std::max(max_feature, feature);
-      flat_.add_split(feature, nj.at("threshold").as_number(),
-                      static_cast<int>(nj.at("left").as_int()),
-                      static_cast<int>(nj.at("right").as_int()));
+      flat_.add_split(feature, nj.at("threshold").as_number());
     } else {
       // finish() only checks the pooled total, which a leaf one value
       // short and another one value long would still meet.
@@ -264,6 +263,21 @@ void RandomForest::append_tree_json(std::size_t t, const Json& doc) {
       proba.clear();
       for (const Json& p : pj) proba.push_back(p.as_number());
       flat_.add_leaf(proba);
+    }
+  }
+  // The builder derived every child link from the pre-order; the ids a v1
+  // file declares must name the same children.
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const Json& nj = nodes[i];
+    if (nj.at("feature").as_int() < 0) continue;
+    const auto left = nj.at("left").as_int();
+    const auto right = nj.at("right").as_int();
+    const int derived = flat_.right_child(i);
+    if (left != static_cast<std::int64_t>(i + 1) || right != derived) {
+      throw MlError(tree + " node " + std::to_string(i) + " declares children " +
+                    std::to_string(left) + " and " + std::to_string(right) +
+                    ", its pre-order gives " + std::to_string(i + 1) +
+                    " and " + std::to_string(derived));
     }
   }
   append_importances(tree, doc, max_feature);
@@ -289,7 +303,8 @@ int integral_entry(const std::string& tree, const char* name,
 
 void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
   // The same promise as the v1 reader: a corrupt bundle fails here with an
-  // MlError naming the tree, before anything reaches the builder.
+  // MlError naming the tree, before anything is walked.
+  flat_.begin_tree();
   const std::string tree = "from_json: tree " + std::to_string(t);
   const int depth = static_cast<int>(doc.at("depth").as_int());
   const Json::Array& feature = doc.at("feature").as_array();
@@ -300,14 +315,7 @@ void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
   const std::size_t n = feature.size();
   if (n == 0) throw MlError(tree + " has no nodes");
 
-  // One stack pass over the pre-order shape. A split's left child is the
-  // next node; the node after a leaf is the right child of the innermost
-  // split still waiting for one. So every right child is found, and a
-  // node arriving when no split waits, or a split still waiting at the
-  // end, proves the nodes are not exactly one full binary tree.
   std::vector<int> features(n);
-  std::vector<int> right(n, -1);
-  std::vector<int> waiting;
   std::size_t splits = 0;
   int max_feature = -1;
   for (std::size_t i = 0; i < n; ++i) {
@@ -323,22 +331,16 @@ void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
       ++splits;
       max_feature = std::max(max_feature, f);
     }
-    if (i == 0) continue;
-    if (features[i - 1] >= 0) {
-      waiting.push_back(static_cast<int>(i - 1));
-    } else if (waiting.empty()) {
-      throw MlError(tree + " has " + std::to_string(n - i) +
-                    " nodes after its last leaf");
-    } else {
-      right[static_cast<std::size_t>(waiting.back())] = static_cast<int>(i);
-      waiting.pop_back();
-    }
   }
-  if (features[n - 1] >= 0 || !waiting.empty()) {
+  // The builder below derives the shape and rejects every other fault in
+  // it, but only as the nodes arrive. A full binary tree has one leaf more
+  // than it has splits, so too few leaves is a truncated tree; say so
+  // before the column counts, which it would fail first.
+  const std::size_t leaves = n - splits;
+  if (leaves <= splits) {
     throw MlError(tree + " is truncated: its " + std::to_string(n) +
                   " nodes end before every split has two children");
   }
-  const std::size_t leaves = n - splits;
   if (threshold.size() != splits) {
     throw MlError(tree + " has " + std::to_string(threshold.size()) +
                   " thresholds for " + std::to_string(splits) + " splits");
@@ -357,11 +359,9 @@ void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
   std::size_t split = 0;
   std::size_t leaf = 0;
   std::size_t entry = 0;  // next leaf_class / leaf_proba entry
-  flat_.begin_tree();
   for (std::size_t i = 0; i < n; ++i) {
     if (features[i] >= 0) {
-      flat_.add_split(features[i], threshold[split++].as_number(),
-                      static_cast<int>(i + 1), right[i]);
+      flat_.add_split(features[i], threshold[split++].as_number());
       continue;
     }
     const auto where = [&] { return tree + " leaf " + std::to_string(leaf); };

@@ -474,7 +474,7 @@ void DecisionTree::append_flat(FlatForest& flat) const {
   flat.begin_tree();
   for (const Node& n : nodes_) {
     if (n.feature >= 0) {
-      flat.add_split(n.feature, n.threshold, n.left, n.right);
+      flat.add_split(n.feature, n.threshold);
     } else {
       flat.add_leaf(n.proba);
     }

@@ -192,15 +192,6 @@ double Engine::flap_stall(std::size_t src_node, std::size_t dst_node,
   return start;
 }
 
-void Engine::reserve(std::size_t expected_requests) {
-  requests_.reserve(expected_requests);
-  // Each wait covers >= 1 request; each resume is one event (plus the p
-  // kick-off events).
-  waits_.reserve(expected_requests / 2 + 1);
-  events_.reserve(expected_requests / 2 +
-                  static_cast<std::size_t>(topo_.world_size()) + 1);
-}
-
 std::span<std::byte> Engine::scratch(int rank, std::size_t slot,
                                      std::size_t bytes) {
   check_rank(rank);

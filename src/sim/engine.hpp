@@ -226,10 +226,6 @@ class Engine {
   /// capacity. Steady-state reuse performs no heap allocations.
   void reset(const ClusterSpec& cluster, Topology topo, SimOptions opts = {});
 
-  /// Capacity hint from the caller's known message count: pre-sizes request,
-  /// wait, and event storage so the first run() grows no vectors.
-  void reserve(std::size_t expected_requests);
-
   int world_size() const noexcept { return topo_.world_size(); }
   const Topology& topology() const noexcept { return topo_; }
   const NetworkModel& model() const noexcept { return model_; }

@@ -634,6 +634,31 @@ TEST(ForestFromJson, RejectsRightChildInTheNextTree) {
   EXPECT_THROW(RandomForest::from_json(j), MlError);
 }
 
+TEST(ForestFromJson, RejectsRightChildOutsidePreOrder) {
+  // The root's right link pointing into its own left subtree stays inside
+  // the tree, yet would strand every node of the real right subtree. The
+  // builder derives the links from pre-order, and the declared id must
+  // match the derived one.
+  const Dataset d = synthetic(100, 4, 2, 3);
+  RandomForest forest(RandomForestParams{.n_trees = 2});
+  Rng rng(1);
+  forest.fit(d, rng);
+  Json j = forest.to_json();
+  Json::Array& nodes = j["trees"].as_array()[0]["nodes"].as_array();
+  ASSERT_GE(nodes[0].at("feature").as_int(), 0);
+  ASSERT_GE(nodes[1].at("feature").as_int(), 0) << "left child is a leaf";
+  ASSERT_NE(nodes[0].at("right").as_int(), 2);
+  nodes[0]["right"] = 2;
+  try {
+    RandomForest::from_json(j);
+    FAIL() << "a right link into the left subtree loaded";
+  } catch (const MlError& err) {
+    EXPECT_NE(std::string(err.what()).find("tree 0 node 0"),
+              std::string::npos)
+        << err.what();
+  }
+}
+
 TEST(ForestFromJson, RejectsTreeWithoutNodes) {
   const Dataset d = synthetic(100, 4, 2, 3);
   RandomForest forest(RandomForestParams{.n_trees = 2});

@@ -4,7 +4,9 @@
 //    no varying column at all, class counts 2-12, and forests rebuilt from
 //    either model-file layout,
 //  - sparse leaves must keep the dense sums' bits (only +0.0 is dropped),
-//  - shape errors must fail loudly before the unchecked descent runs.
+//  - shape errors must fail loudly before the unchecked descent runs,
+//  - the builder must derive each tree's child links from pre-order and
+//    reject a node sequence that is not exactly one full binary tree.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -188,7 +190,7 @@ FlatForest stump(const std::vector<double>& left,
                  const std::vector<double>& right) {
   FlatForest flat;
   flat.begin_tree();
-  flat.add_split(0, 0.5, 1, 2);
+  flat.add_split(0, 0.5);
   flat.add_leaf(left);
   flat.add_leaf(right);
   return flat;
@@ -228,6 +230,106 @@ TEST(SparseLeaves, FinishRejectsDenseWidthsAndClassIdsThatDoNotFit) {
   EXPECT_THROW(unordered.add_sparse_leaf(std::vector<std::uint32_t>{2, 1},
                                          std::vector<double>{0.5, 0.5}),
                MlError);
+}
+
+// ---- builder shape rules ----------------------------------------------------
+
+/// The MlError message `append` throws, or "" if it throws none.
+template <typename F>
+std::string builder_error(F&& append) {
+  try {
+    append();
+  } catch (const MlError& err) {
+    return err.what();
+  }
+  return "";
+}
+
+TEST(FlatForestBuilder, RejectsANodeAfterItsTreeClosed) {
+  const std::vector<double> leaf = {1.0, 0.0};
+  FlatForest lone;
+  lone.begin_tree();
+  lone.add_leaf(leaf);  // a single leaf closes its tree
+  EXPECT_NE(builder_error([&] { lone.add_leaf(leaf); })
+                .find("tree 0 has nodes after its last leaf"),
+            std::string::npos);
+
+  FlatForest second = stump(leaf, leaf);
+  second.begin_tree();
+  second.add_leaf(leaf);
+  EXPECT_NE(builder_error([&] { second.add_split(0, 0.5); })
+                .find("tree 1 has nodes after its last leaf"),
+            std::string::npos);
+}
+
+TEST(FlatForestBuilder, RejectsATreeLeftOpen) {
+  const std::vector<double> leaf = {1.0, 0.0};
+  FlatForest at_begin;
+  at_begin.begin_tree();
+  at_begin.add_split(0, 0.5);
+  at_begin.add_leaf(leaf);  // the split still waits for its right child
+  const std::string begin_error = builder_error([&] { at_begin.begin_tree(); });
+  EXPECT_NE(begin_error.find("tree 0 is truncated"), std::string::npos)
+      << begin_error;
+
+  FlatForest at_finish = stump(leaf, leaf);
+  at_finish.begin_tree();
+  at_finish.add_split(0, 0.5);  // ends on a split: nothing below it
+  const std::string finish_error = builder_error([&] { at_finish.finish(2); });
+  EXPECT_NE(finish_error.find("tree 1 is truncated"), std::string::npos)
+      << finish_error;
+}
+
+TEST(FlatForestBuilder, RejectsAnEmptyTree) {
+  const std::vector<double> leaf = {1.0, 0.0};
+  FlatForest at_begin;
+  at_begin.begin_tree();
+  const std::string begin_error = builder_error([&] { at_begin.begin_tree(); });
+  EXPECT_NE(begin_error.find("tree 0 has no nodes"), std::string::npos)
+      << begin_error;
+
+  FlatForest at_finish = stump(leaf, leaf);
+  at_finish.begin_tree();
+  const std::string finish_error = builder_error([&] { at_finish.finish(2); });
+  EXPECT_NE(finish_error.find("tree 1 has no nodes"), std::string::npos)
+      << finish_error;
+}
+
+TEST(FlatForestBuilder, DerivesTheRightChildFromPreOrder) {
+  // A stump: x > threshold takes the derived right link to the second leaf.
+  FlatForest flat = stump({1.0, 0.0}, {0.0, 1.0});
+  EXPECT_EQ(flat.right_child(0), 2);
+  EXPECT_EQ(flat.right_child(1), -1);  // a leaf has no right child
+  flat.finish(2);
+  std::vector<double> proba(2);
+  flat.predict_proba_into(std::vector<double>{0.5}, proba);
+  EXPECT_EQ(proba, (std::vector<double>{1.0, 0.0}));
+  flat.predict_proba_into(std::vector<double>{0.75}, proba);
+  EXPECT_EQ(proba, (std::vector<double>{0.0, 1.0}));
+  const Json doc = flat.tree_json(0, 1, std::vector<double>{1.0});
+  EXPECT_EQ(doc.at("nodes").as_array()[0].at("right").as_int(), 2);
+
+  // split(f0) -> [split(f1) -> [leaf a, leaf b], leaf c], after a stump:
+  // each link arrives only once the subtree before it closes.
+  FlatForest deep = stump({1.0, 0.0}, {0.0, 1.0});
+  deep.begin_tree();
+  deep.add_split(0, 0.5);
+  deep.add_split(1, 0.5);
+  EXPECT_EQ(deep.right_child(0), -1);
+  deep.add_leaf(std::vector<double>{1.0, 0.0});
+  deep.add_leaf(std::vector<double>{0.5, 0.5});
+  EXPECT_EQ(deep.right_child(1), 3);
+  EXPECT_EQ(deep.right_child(0), -1);
+  deep.add_leaf(std::vector<double>{0.0, 1.0});
+  EXPECT_EQ(deep.right_child(0), 4);
+  deep.finish(2);
+  std::vector<double> leaf(2);
+  deep.tree_leaf(1, std::vector<double>{0.0, 0.0}, leaf);
+  EXPECT_EQ(leaf, (std::vector<double>{1.0, 0.0}));
+  deep.tree_leaf(1, std::vector<double>{0.0, 1.0}, leaf);
+  EXPECT_EQ(leaf, (std::vector<double>{0.5, 0.5}));
+  deep.tree_leaf(1, std::vector<double>{1.0, 0.0}, leaf);
+  EXPECT_EQ(leaf, (std::vector<double>{0.0, 1.0}));
 }
 
 }  // namespace
