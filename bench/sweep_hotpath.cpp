@@ -57,10 +57,11 @@ BENCHMARK(BM_BuildRecords)
     ->Unit(benchmark::kMillisecond);
 
 // ---- timing-only collective invocations -------------------------------------
-// One run_collective(copy_data=false) per iteration. After the warm-up call
-// primes the per-thread engine + arenas, the schedules without internal
-// staging buffers (ring allgather, pairwise alltoall, binomial bcast,
-// recursive-doubling allreduce) must run allocation-free.
+// One timing-only run_collective per iteration. After the warm-up call
+// primes the per-thread engine and its scratch arena, schedules that stage
+// only through Engine::scratch (ring and Bruck allgather, pairwise and
+// in-place alltoall, binomial bcast, recursive-doubling allreduce) must
+// run allocation-free.
 
 void bm_timing_only(benchmark::State& state, coll::Algorithm algorithm,
                     int nodes, int ppn, std::uint64_t bytes,
@@ -90,10 +91,20 @@ void BM_TimingOnlyAllgatherRing(benchmark::State& state) {
 }
 BENCHMARK(BM_TimingOnlyAllgatherRing)->Unit(benchmark::kMicrosecond);
 
+void BM_TimingOnlyAllgatherBruck(benchmark::State& state) {
+  bm_timing_only(state, coll::Algorithm::kAgBruck, 4, 8, 4096);
+}
+BENCHMARK(BM_TimingOnlyAllgatherBruck)->Unit(benchmark::kMicrosecond);
+
 void BM_TimingOnlyAlltoallPairwise(benchmark::State& state) {
   bm_timing_only(state, coll::Algorithm::kAaPairwise, 4, 8, 4096);
 }
 BENCHMARK(BM_TimingOnlyAlltoallPairwise)->Unit(benchmark::kMicrosecond);
+
+void BM_TimingOnlyAlltoallInplace(benchmark::State& state) {
+  bm_timing_only(state, coll::Algorithm::kAaInplace, 4, 8, 4096);
+}
+BENCHMARK(BM_TimingOnlyAlltoallInplace)->Unit(benchmark::kMicrosecond);
 
 void BM_TimingOnlyAllreduceRd(benchmark::State& state) {
   bm_timing_only(state, coll::Algorithm::kArRecursiveDoubling, 4, 8, 65536);

@@ -88,8 +88,10 @@ sim::RankTask allgather_recursive_doubling(Comm comm,
   }
 
   // Doubling rounds over the power-of-two group, exchanging full owned sets.
-  std::vector<std::byte> stage_out;
-  std::vector<std::byte> stage_in;
+  // A non-power-of-two world packs them through scratch: the two sets are
+  // disjoint, so both stages fit in one result buffer's worth.
+  const std::span<std::byte> stage =
+      remainder != 0 ? comm.scratch(recv.size()) : std::span<std::byte>{};
   for (int k = 0; k < m; ++k) {
     const int partner = rank ^ (1 << k);
     const std::vector<int> mine = rd_owned_blocks(rank, k, p);
@@ -114,8 +116,9 @@ sim::RankTask allgather_recursive_doubling(Comm comm,
           /*tag=*/k);
     } else {
       // Non-power-of-two: owned sets are scattered; pack, exchange, unpack.
-      stage_out.resize(mine.size() * n);
-      stage_in.resize(theirs.size() * n);
+      const std::span<std::byte> stage_out = stage.first(mine.size() * n);
+      const std::span<std::byte> stage_in =
+          stage.subspan(stage_out.size(), theirs.size() * n);
       if (comm.payload_enabled()) {
         for (std::size_t i = 0; i < mine.size(); ++i) {
           std::memcpy(stage_out.data() + i * n, block_ptr(mine[i]), n);
@@ -174,7 +177,7 @@ sim::RankTask allgather_bruck(Comm comm, std::span<const std::byte> send,
   }
 
   // temp[j] accumulates block (rank + j) mod p.
-  std::vector<std::byte> temp(recv.size());
+  const std::span<std::byte> temp = comm.scratch(recv.size());
   if (n > 0 && comm.payload_enabled()) {
     std::memcpy(temp.data(), send.data(), n);
   }

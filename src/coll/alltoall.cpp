@@ -110,7 +110,7 @@ sim::RankTask alltoall_bruck(Comm comm, std::span<const std::byte> send,
   }
 
   // Phase 1: local rotation. temp[j] = block destined to (rank + j) mod p.
-  std::vector<std::byte> temp(send.size());
+  const std::span<std::byte> temp = comm.scratch(send.size());
   if (comm.payload_enabled()) {
     for (int j = 0; j < p; ++j) {
       const int b = (rank + j) % p;
@@ -120,37 +120,36 @@ sim::RankTask alltoall_bruck(Comm comm, std::span<const std::byte> send,
   comm.copy(temp.size(), temp.size());
 
   // Phase 2: for each bit k, forward all blocks whose index has bit k set
-  // to rank + 2^k; receive the same index set from rank - 2^k.
-  std::vector<std::byte> stage_out;
-  std::vector<std::byte> stage_in;
+  // to rank + 2^k; receive the same index set from rank - 2^k. At most
+  // floor(p/2) indices below p have bit k set, so the pack and unpack
+  // stages fit in the two halves of the result buffer, which phase 3
+  // writes last.
+  const std::size_t half = static_cast<std::size_t>(p / 2) * n;
   for (int k = 0; (1 << k) < p; ++k) {
     const int dist = 1 << k;
     const int dst = (rank + dist) % p;
     const int src = (rank - dist + p) % p;
 
-    std::vector<int> idx;
-    for (int j = 0; j < p; ++j) {
-      if ((j & dist) != 0) idx.push_back(j);
-    }
-    stage_out.resize(idx.size() * n);
-    stage_in.resize(idx.size() * n);
-    if (comm.payload_enabled()) {
-      for (std::size_t i = 0; i < idx.size(); ++i) {
-        if (n > 0) {
-          std::memcpy(stage_out.data() + i * n, cblock(temp, n, idx[i]), n);
-        }
+    std::size_t count = 0;  // indices j < p with bit k set, packed in order
+    for (int j = dist; j < p; ++j) {
+      if ((j & dist) == 0) continue;
+      if (n > 0 && comm.payload_enabled()) {
+        std::memcpy(recv.data() + count * n, cblock(temp, n, j), n);
       }
+      ++count;
     }
+    const std::span<std::byte> stage_out = recv.first(count * n);
+    const std::span<std::byte> stage_in = recv.subspan(half, count * n);
     comm.copy(stage_out.size(), temp.size());
 
     co_await comm.sendrecv(dst, stage_out, src, stage_in, /*tag=*/k);
 
-    if (comm.payload_enabled()) {
-      for (std::size_t i = 0; i < idx.size(); ++i) {
-        if (n > 0) {
-          std::memcpy(mblock(temp, n, idx[i]), stage_in.data() + i * n, n);
-        }
+    for (int j = dist, i = 0; j < p; ++j) {
+      if ((j & dist) == 0) continue;
+      if (n > 0 && comm.payload_enabled()) {
+        std::memcpy(mblock(temp, n, j), cblock(stage_in, n, i), n);
       }
+      ++i;
     }
     comm.copy(stage_in.size(), temp.size());
   }
@@ -255,47 +254,51 @@ sim::RankTask alltoall_recursive_doubling(Comm comm,
     co_return;
   }
 
-  // Store-and-forward: blocks keyed by (dest, origin). The store bookkeeping
-  // runs in timing-only mode too (it drives the schedule); only the byte
-  // copies in and out of it are skipped.
-  std::map<RoutedBlock, std::vector<std::byte>> store;
+  // Store-and-forward: blocks keyed by (dest, origin), each value a block
+  // slot in scratch. The rank holds exactly p blocks after every step
+  // (alltoall_rd_plan checks this), and a step's received blocks take the
+  // slots its sent blocks free. The store bookkeeping runs in timing-only
+  // mode too (it drives the schedule); only the byte copies are skipped.
+  const std::span<std::byte> slots = comm.scratch(send.size());
+  std::map<RoutedBlock, int> store;
   for (int d = 0; d < p; ++d) {
-    std::vector<std::byte> data(n);
     if (n > 0 && comm.payload_enabled()) {
-      std::memcpy(data.data(), cblock(send, n, d), n);
+      std::memcpy(mblock(slots, n, d), cblock(send, n, d), n);
     }
-    store.emplace(RoutedBlock{d, rank}, std::move(data));
+    store.emplace(RoutedBlock{d, rank}, d);
   }
   comm.copy(send.size(), send.size());
 
+  // The pack and unpack stages live in the result buffer, which is written
+  // last: each step moves half of the p held blocks each way.
   const auto& plan = cached_rd_plan(p);
   const auto& steps = plan[static_cast<std::size_t>(rank)];
-  std::vector<std::byte> stage_out;
-  std::vector<std::byte> stage_in;
   for (std::size_t s = 0; s < steps.size(); ++s) {
     const AlltoallRdStep& step = steps[s];
+    const std::size_t count = step.send_blocks.size();
+    const std::span<std::byte> stage_out = recv.first(count * n);
+    const std::span<std::byte> stage_in = recv.subspan(count * n, count * n);
 
-    stage_out.resize(step.send_blocks.size() * n);
-    for (std::size_t i = 0; i < step.send_blocks.size(); ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       auto it = store.find(step.send_blocks[i]);
       if (it == store.end()) throw SimError("rd alltoall: missing block");
       if (n > 0 && comm.payload_enabled()) {
-        std::memcpy(stage_out.data() + i * n, it->second.data(), n);
+        std::memcpy(stage_out.data() + i * n, mblock(slots, n, it->second), n);
       }
-      store.erase(it);
     }
     comm.copy(stage_out.size(), send.size());
 
-    stage_in.resize(step.recv_blocks.size() * n);
     co_await comm.sendrecv(step.partner, stage_out, step.partner, stage_in,
                            static_cast<int>(s));
 
-    for (std::size_t i = 0; i < step.recv_blocks.size(); ++i) {
-      std::vector<std::byte> data(n);
+    for (std::size_t i = 0; i < count; ++i) {
+      auto node = store.extract(step.send_blocks[i]);  // re-keyed, not freed
       if (n > 0 && comm.payload_enabled()) {
-        std::memcpy(data.data(), stage_in.data() + i * n, n);
+        std::memcpy(mblock(slots, n, node.mapped()), stage_in.data() + i * n,
+                    n);
       }
-      store.emplace(step.recv_blocks[i], std::move(data));
+      node.key() = step.recv_blocks[i];
+      store.insert(std::move(node));
     }
     comm.copy(stage_in.size(), send.size());
   }
@@ -304,7 +307,7 @@ sim::RankTask alltoall_recursive_doubling(Comm comm,
     auto it = store.find(RoutedBlock{rank, o});
     if (it == store.end()) throw SimError("rd alltoall: incomplete result");
     if (n > 0 && comm.payload_enabled()) {
-      std::memcpy(mblock(recv, n, o), it->second.data(), n);
+      std::memcpy(mblock(recv, n, o), mblock(slots, n, it->second), n);
     }
   }
   comm.copy(recv.size(), recv.size());
@@ -327,24 +330,25 @@ sim::RankTask alltoall_inplace(Comm comm, std::span<const std::byte> send,
   }
   comm.copy(send.size(), send.size());
 
-  std::vector<std::vector<std::byte>> stash(static_cast<std::size_t>(p));
-  for (int k = p / 2 + 1; k < p; ++k) {
+  // Scratch holds the stash (one block per late round) and, last, the
+  // bounce block every round sends from.
+  const int late = p / 2 + 1;  // first stashed round
+  const std::span<std::byte> stage =
+      comm.scratch(static_cast<std::size_t>(p - late + 1) * n);
+  const std::span<std::byte> bounce = stage.last(n);
+  for (int k = late; k < p; ++k) {
     const int block = (rank + k) % p;
-    auto& slot = stash[static_cast<std::size_t>(k)];
-    slot.resize(n);
     if (n > 0 && comm.payload_enabled()) {
-      std::memcpy(slot.data(), cblock(recv, n, block), n);
+      std::memcpy(mblock(stage, n, k - late), cblock(recv, n, block), n);
     }
     comm.copy(n, recv.size());
   }
 
-  std::vector<std::byte> bounce(n);
   for (int k = 1; k < p; ++k) {
     const int send_to = (rank + k) % p;
     const int recv_from = (rank - k + p) % p;
-    const std::byte* source = k > p / 2
-                                  ? stash[static_cast<std::size_t>(k)].data()
-                                  : cblock(recv, n, send_to);
+    const std::byte* source =
+        k >= late ? mblock(stage, n, k - late) : cblock(recv, n, send_to);
     if (n > 0 && comm.payload_enabled()) {
       std::memcpy(bounce.data(), source, n);
     }

@@ -1,6 +1,6 @@
 #include "coll/runner.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,52 +43,46 @@ std::pair<std::size_t, std::size_t> buffer_shape(Collective coll,
   throw SimError("unknown collective");
 }
 
-sim::RankTask dispatch(Collective coll, Algorithm algorithm, sim::Comm comm,
+sim::RankTask dispatch(const Selection& s, sim::Comm comm,
                        std::span<const std::byte> send,
                        std::span<std::byte> recv) {
-  switch (coll) {
+  if (s.hierarchical()) return run_hierarchical(s, comm, send, recv);
+  switch (s.collective()) {
     case Collective::kAllgather:
-      return run_allgather(algorithm, comm, send, recv);
+      return run_allgather(s.algorithm, comm, send, recv);
     case Collective::kAlltoall:
-      return run_alltoall(algorithm, comm, send, recv);
+      return run_alltoall(s.algorithm, comm, send, recv);
     case Collective::kAllreduce:
-      return run_allreduce(algorithm, comm, send, recv);
+      return run_allreduce(s.algorithm, comm, send, recv);
     case Collective::kBcast:
-      return run_bcast(algorithm, comm, recv);
+      return run_bcast(s.algorithm, comm, recv);
   }
   throw SimError("unknown collective");
 }
 
-sim::RankTask dispatch(Collective coll, const Selection& s, sim::Comm comm,
-                       std::span<const std::byte> send,
-                       std::span<std::byte> recv) {
-  if (!s.hierarchical()) return dispatch(coll, s.algorithm, comm, send, recv);
-  return run_hierarchical(s, comm, send, recv);
-}
-
-/// Reusable per-thread simulation state for the timing-only fast path: one
-/// engine (reset between invocations, all capacities retained) plus one
-/// send and one recv block that every rank's buffer span points into.
-struct TimingContext {
-  std::optional<sim::Engine> engine;
-  std::vector<std::byte> send_block;
-  std::vector<std::byte> recv_block;
-};
-
-TimingContext& timing_context() {
-  // Touch the coroutine frame pool before constructing the context: the
+/// Per-thread engine for the timing-only fast path, reset between
+/// invocations with every capacity retained.
+sim::Engine& timing_engine(const sim::ClusterSpec& cluster, sim::Topology topo,
+                           const sim::SimOptions& opts) {
+  // Touch the coroutine frame pool before constructing the engine: the
   // pool must be destroyed after the engine (which owns coroutine frames
   // until its destructor runs at thread exit).
   sim::detail::warm_frame_pool();
-  thread_local TimingContext ctx;
-  return ctx;
+  thread_local std::optional<sim::Engine> engine;
+  if (engine) {
+    engine->reset(cluster, topo, opts);
+  } else {
+    engine.emplace(cluster, topo, opts);
+  }
+  return *engine;
 }
 
 /// Timing-only fast path: size-only pending operations, no pattern fill,
 /// data movement, or verification. Virtual time is bit-identical to the
-/// verified path. No payload byte is ever read or written, so all ranks
-/// share one send and one recv block: memory is that of one rank's buffers
-/// rather than world_size times it.
+/// verified path. No payload byte is ever read or written, so every rank's
+/// send and recv spans point into the engine's scratch arena, which the
+/// schedules' staging shares: memory is that of one rank's buffers rather
+/// than world_size times it.
 RunResult run_timing_only(const sim::ClusterSpec& cluster, sim::Topology topo,
                           const Selection& selection, std::uint64_t block_bytes,
                           const sim::SimOptions& opts) {
@@ -96,19 +90,12 @@ RunResult run_timing_only(const sim::ClusterSpec& cluster, sim::Topology topo,
       selection.collective(), static_cast<std::size_t>(block_bytes),
       topo.world_size());
 
-  TimingContext& ctx = timing_context();
-  ctx.send_block.resize(send_bytes);
-  ctx.recv_block.resize(recv_bytes);
-  if (ctx.engine) {
-    ctx.engine->reset(cluster, topo, opts);
-  } else {
-    ctx.engine.emplace(cluster, topo, opts);
-  }
-  sim::Engine& engine = *ctx.engine;
-
+  sim::Engine& engine = timing_engine(cluster, topo, opts);
+  const std::span<std::byte> block =
+      engine.scratch(0, 0, std::max(send_bytes, recv_bytes));
   const auto factory = [&](int rank) {
-    return dispatch(selection.collective(), selection,
-                    sim::Comm(engine, rank), ctx.send_block, ctx.recv_block);
+    return dispatch(selection, sim::Comm(engine, rank), block.first(send_bytes),
+                    block.first(recv_bytes));
   };
   engine.run(factory);
 
@@ -164,7 +151,7 @@ RunResult run_selection(const sim::ClusterSpec& cluster, sim::Topology topo,
     sim::Comm comm(engine, rank);
     auto& s = send[static_cast<std::size_t>(rank)];
     auto& d = recv[static_cast<std::size_t>(rank)];
-    return dispatch(coll, selection, comm, s, d);
+    return dispatch(selection, comm, s, d);
   };
   engine.run(factory);
 

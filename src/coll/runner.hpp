@@ -24,7 +24,7 @@ struct RunResult {
 ///
 /// With `PayloadMode::kTimingOnly` the timing-only fast path runs instead:
 /// no pattern fill, no payload movement, no verification, and a per-thread
-/// engine plus one send and one recv block shared by every rank are reused
+/// engine, whose scratch arena backs every rank's buffers, is reused
 /// across invocations, so a steady-state call performs zero heap
 /// allocations (measured by bench/sweep_hotpath). `seconds` is
 /// bit-identical to the verified path — every payload operation charges

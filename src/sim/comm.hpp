@@ -7,8 +7,8 @@
 // Example rank program (a neighbour exchange):
 //
 //   RankTask program(Comm comm) {
-//     std::vector<std::byte> out(msg), in(msg);
-//     co_await comm.sendrecv(right, out, left, in);
+//     const std::span<std::byte> stage = comm.scratch(2 * msg);
+//     co_await comm.sendrecv(right, stage.first(msg), left, stage.last(msg));
 //   }
 #pragma once
 
@@ -170,10 +170,11 @@ class Comm {
     return WaitAwaitable(*engine_, world_rank_, std::move(reqs));
   }
 
-  /// Per-rank reusable staging buffer (see Engine::scratch); steady-state
-  /// use across engine reset() cycles is allocation-free. Keyed by world
-  /// rank, so two tiers of one rank's schedule share the same slots.
-  std::span<std::byte> scratch(std::size_t bytes, std::size_t slot = 0) {
+  /// Per-rank reusable staging buffer (see Engine::scratch for the slot
+  /// convention). Keyed by world rank, so two tiers of one rank's schedule
+  /// share the same slots.
+  std::span<std::byte> scratch(std::size_t bytes,
+                               std::size_t slot = kFlatScratchSlot) {
     return engine_->scratch(world_rank_, slot, bytes);
   }
 

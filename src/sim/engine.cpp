@@ -195,24 +195,26 @@ double Engine::flap_stall(std::size_t src_node, std::size_t dst_node,
 std::span<std::byte> Engine::scratch(int rank, std::size_t slot,
                                      std::size_t bytes) {
   check_rank(rank);
-  if (slot >= 2) throw SimError("scratch slot out of range [0, 2)");
+  if (slot >= kScratchSlots) throw SimError("scratch slot out of range");
   // Timing-only schedules never read or write payload bytes, so every rank
-  // shares one buffer per slot: per-rank buffers would cost world_size
+  // and slot shares one arena: per-rank buffers would cost world_size
   // times the memory for nothing.
   const bool shared = !opts_.payload_enabled();
   const std::size_t idx =
-      shared ? slot : static_cast<std::size_t>(rank) * 2 + slot;
+      shared ? 0 : static_cast<std::size_t>(rank) * kScratchSlots + slot;
   if (idx >= scratch_.size()) {
-    scratch_.resize(static_cast<std::size_t>(topo_.world_size()) * 2);
+    scratch_.resize(static_cast<std::size_t>(topo_.world_size()) *
+                    kScratchSlots);
   }
-  auto& buf = scratch_[idx];
-  if (buf.size() < bytes) {
-    // Other ranks may still hold spans into a shared buffer: keep it alive
-    // until reset() instead of reallocating under them.
-    if (shared && !buf.empty()) scratch_retired_.push_back(std::move(buf));
-    buf.resize(bytes);
+  ScratchBuffer& buf = scratch_[idx];
+  if (buf.bytes < bytes) {
+    // Other ranks may still hold spans into the shared arena: keep it
+    // alive until reset() instead of freeing it under them.
+    if (shared && buf.data) scratch_retired_.push_back(std::move(buf.data));
+    // Uninitialised, so pages no byte is written to stay unbacked.
+    buf = {std::make_unique_for_overwrite<std::byte[]>(bytes), bytes};
   }
-  return {buf.data(), bytes};
+  return {buf.data.get(), bytes};
 }
 
 std::uint64_t Engine::channel_key(int src, int dst, int tag) {

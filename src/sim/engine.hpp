@@ -170,6 +170,10 @@ enum class PayloadMode {
   kTimingOnly,
 };
 
+/// Engine::scratch slot of every flat schedule's staging; slots 0 and 1
+/// below it hold the hierarchical wrappers' leader staging.
+inline constexpr std::size_t kFlatScratchSlot = 2;
+
 /// Sends at or below this size complete eagerly at post time (the payload
 /// is buffered), as in real MPI eager/rendezvous protocols; larger sends
 /// complete when the NIC drains them.
@@ -244,11 +248,13 @@ class Engine {
   /// Requests posted by the last run() (one per isend/irecv).
   std::size_t posted_requests() const noexcept { return requests_.size(); }
 
-  /// Per-rank reusable staging buffer for collective schedules (two slots
-  /// per rank). Capacity persists across reset(), so a steady-state
-  /// schedule that stages through scratch performs no heap allocations.
-  /// Contents are unspecified on entry. In PayloadMode::kTimingOnly no
-  /// byte is read or written, so every rank shares one buffer per slot.
+  /// Per-rank staging memory, the one source of every collective
+  /// schedule's temporaries. Slots 0 and 1 hold the hierarchical wrappers'
+  /// leader staging and every flat schedule uses kFlatScratchSlot, so a
+  /// flat schedule inside a wrapper never overlaps the wrapper's buffers.
+  /// Contents are unspecified; capacity persists across reset(). In
+  /// PayloadMode::kTimingOnly no byte is read or written, so rank and slot
+  /// are ignored: every span points into one uninitialised arena.
   std::span<std::byte> scratch(int rank, std::size_t slot, std::size_t bytes);
 
   // --- Introspection for tests/benchmarks (capacity regression guards) ---
@@ -365,6 +371,13 @@ class Engine {
     int node = -1;
   };
 
+  /// Uninitialised staging memory handed out by scratch().
+  struct ScratchBuffer {
+    std::unique_ptr<std::byte[]> data;
+    std::size_t bytes = 0;
+  };
+
+  static constexpr std::size_t kScratchSlots = kFlatScratchSlot + 1;
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
   static constexpr int kMaxTag = (1 << 16) - 1;
   static constexpr int kMaxChannelRank = (1 << 24) - 1;
@@ -417,9 +430,10 @@ class Engine {
   std::int32_t pool_free_ = -1;
 
   std::vector<Event> events_;  // binary min-heap (std::push_heap/pop_heap)
-  // rank * 2 + slot (slot alone when timing-only); survives reset()
-  std::vector<std::vector<std::byte>> scratch_;
-  std::vector<std::vector<std::byte>> scratch_retired_;  // until reset()
+  // rank * kScratchSlots + slot, or index 0 alone when timing-only;
+  // survives reset()
+  std::vector<ScratchBuffer> scratch_;
+  std::vector<std::unique_ptr<std::byte[]>> scratch_retired_;  // until reset()
   std::uint64_t next_seq_ = 0;
   // Cheap always-on statistics (plain increments on members the hot loop
   // already owns); flushed to obs counters at the end of run() when

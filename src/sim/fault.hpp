@@ -28,6 +28,8 @@
 //    touched; timings are unchanged, so PayloadMode::kVerify and
 //    kTimingOnly stay bit-identical in virtual time and the kVerify
 //    verification pass is what detects the damage.
+// Faults act inside Engine::post_send/post_recv and transfer completion,
+// so rank programs run under a FaultPlan unchanged.
 #pragma once
 
 #include <cstdint>

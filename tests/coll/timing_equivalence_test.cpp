@@ -81,17 +81,24 @@ std::uint64_t peak_rss_bytes() {
 
 TEST(TimingOnlyMemory, BuffersDoNotScaleWithTheWorldSize) {
   // 256 ranks at 16 KiB per block: one rank's allgather recv buffer or
-  // alltoall send buffer is 4 MiB, so buffers (or leader staging scratch)
-  // held per rank would take 1 GiB each. Shared by every rank they take
-  // a few MiB.
+  // alltoall send buffer is 4 MiB, so buffers, algorithm temporaries or
+  // leader staging scratch held per rank would take 1 GiB each. Shared by
+  // every rank they take a few MiB.
   const auto& cluster = sim::cluster_by_name("MRI");
   const Topology topo{2, 128};
   const std::uint64_t bytes = 16 << 10;
   const SimOptions timing_only{.payload = PayloadMode::kTimingOnly};
   const std::uint64_t before = peak_rss_bytes();
   for (const Selection& selection :
-       {Selection::flat(Algorithm::kAgRing),
+       {Selection::flat(Algorithm::kAgRecursiveDoubling),
+        Selection::flat(Algorithm::kAgRing),
+        Selection::flat(Algorithm::kAgBruck),
+        Selection::flat(Algorithm::kAgRdComm),
+        Selection::flat(Algorithm::kAaBruck),
+        Selection::flat(Algorithm::kAaScatterDest),
         Selection::flat(Algorithm::kAaPairwise),
+        Selection::flat(Algorithm::kAaRecursiveDoubling),
+        Selection::flat(Algorithm::kAaInplace),
         Selection::leader(Algorithm::kAgRing, Algorithm::kBcBinomial)}) {
     EXPECT_GT(
         run_selection(cluster, topo, selection, bytes, timing_only).seconds,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -331,6 +332,32 @@ TEST(Engine, ResetReusesChannelAndPoolCapacity) {
     EXPECT_EQ(engine.channel_table_slots(), slots);
     EXPECT_EQ(engine.pending_pool_capacity(), pool);
   }
+}
+
+TEST(Engine, ScratchKeepsVerifySlotsApartAndSharesOneTimingOnlyArena) {
+  Engine verify(frontera(), Topology{1, 2});
+  const std::span<std::byte> flat = verify.scratch(0, kFlatScratchSlot, 64);
+  EXPECT_NE(flat.data(), verify.scratch(0, 0, 64).data());
+  EXPECT_NE(flat.data(), verify.scratch(0, 1, 64).data());
+  EXPECT_NE(flat.data(), verify.scratch(1, kFlatScratchSlot, 64).data());
+  EXPECT_THROW(verify.scratch(0, kFlatScratchSlot + 1, 64), SimError);
+
+  Engine timing(frontera(), Topology{1, 2},
+                SimOptions{.payload = PayloadMode::kTimingOnly});
+  const std::span<std::byte> arena = timing.scratch(0, 0, 64);
+  EXPECT_EQ(timing.scratch(1, kFlatScratchSlot, 32).data(), arena.data());
+  EXPECT_THROW(timing.scratch(0, kFlatScratchSlot + 1, 64), SimError);
+}
+
+TEST(Engine, OutgrownTimingOnlyArenaLivesUntilReset) {
+  // Other ranks may still hold spans into the old arena: a sanitizer build
+  // reports the write below if growing the arena freed it.
+  Engine engine(frontera(), Topology{1, 2},
+                SimOptions{.payload = PayloadMode::kTimingOnly});
+  const std::span<std::byte> old = engine.scratch(0, 0, 64);
+  const std::span<std::byte> grown = engine.scratch(1, 0, 1 << 20);
+  EXPECT_NE(grown.data(), old.data());
+  std::memset(old.data(), 0, old.size());
 }
 
 TEST(Engine, WaitAllFoldsCompletionTimes) {
