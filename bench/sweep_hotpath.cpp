@@ -9,13 +9,18 @@
 //                             --benchmark_out=BENCH_sweep_hotpath.json
 //
 // The headline series tracked across PRs: BM_BuildRecords/threads:1
-// (grid cells/sec), BM_TimingOnlyCollective/* (allocs_per_iter == 0 for the
-// allocation-free schedules), and BM_EngineEventRate (posted requests/sec
-// through reset()-reused engine storage).
+// (grid cells/sec), BM_TimingOnly* (allocs_per_iter == 0 for the
+// allocation-free schedules; BM_TimingOnlyFaultsDisabled and the
+// recursive-doubling and neighbor-exchange entries are hard gates: the run
+// exits nonzero if their steady state allocates), and BM_EngineEventRate
+// (posted requests/sec through reset()-reused engine storage).
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -57,33 +62,62 @@ BENCHMARK(BM_BuildRecords)
     ->Unit(benchmark::kMillisecond);
 
 // ---- timing-only collective invocations -------------------------------------
-// One timing-only run_collective per iteration. After the warm-up call
-// primes the per-thread engine and its scratch arena, schedules that stage
-// only through Engine::scratch (ring and Bruck allgather, pairwise and
-// in-place alltoall, binomial bcast, recursive-doubling allreduce) must
-// run allocation-free.
+// One timing-only run_collective per iteration. After warm-up calls prime
+// the per-thread engine and its scratch arena, schedules that stage only
+// through Engine::scratch and derive their routing from (rank, step, world)
+// must run allocation-free: ring, Bruck, recursive-doubling and
+// neighbor-exchange allgather; pairwise, in-place and recursive-doubling
+// alltoall; binomial bcast; recursive-doubling allreduce. Scatter-
+// destination alltoall and pipelined-ring bcast still build one request
+// vector per rank.
 
-void bm_timing_only(benchmark::State& state, coll::Algorithm algorithm,
-                    int nodes, int ppn, std::uint64_t bytes,
-                    const sim::FaultPlan& faults = {}) {
+// Set by a gated benchmark whose steady state allocated. main() turns it
+// into a nonzero exit: google-benchmark reports SkipWithError but still
+// exits 0, so without it the smoke run would pass.
+std::atomic<bool> g_gate_failed{false};
+
+/// Runs the loop and returns the steady-state allocation count.
+std::size_t bm_timing_only(benchmark::State& state, coll::Algorithm algorithm,
+                           int nodes, int ppn, std::uint64_t bytes,
+                           const sim::FaultPlan& faults = {}) {
   const auto& cluster = sim::cluster_by_name("Frontera");
   const sim::Topology topo{nodes, ppn};
   sim::SimOptions opts{.noise_sigma = 0.015,
                        .seed = 2024,
                        .payload = sim::PayloadMode::kTimingOnly};
   opts.faults = faults;
-  // Warm the thread_local engine and arenas so the loop measures steady
-  // state.
-  benchmark::DoNotOptimize(
-      coll::run_collective(cluster, topo, algorithm, bytes, opts).seconds);
+  // A run's coroutine frames are recycled at the *next* reset, so the frame
+  // pool's free lists keep growing for a few cycles; run several warm-up
+  // rounds to reach the steady state before snapshotting.
+  for (int i = 0; i < 4; ++i) {
+    benchmark::DoNotOptimize(
+        coll::run_collective(cluster, topo, algorithm, bytes, opts).seconds);
+  }
   const std::size_t allocs_before = g_alloc_count.load();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         coll::run_collective(cluster, topo, algorithm, bytes, opts).seconds);
   }
+  const std::size_t allocs = g_alloc_count.load() - allocs_before;
   state.counters["allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(g_alloc_count.load() - allocs_before),
-      benchmark::Counter::kAvgIterations);
+      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
+  return allocs;
+}
+
+/// bm_timing_only as a hard gate: the smoke run fails if the steady state
+/// allocates at all.
+void bm_allocation_free(benchmark::State& state, coll::Algorithm algorithm,
+                        int nodes, int ppn, std::uint64_t bytes) {
+  const std::size_t allocs =
+      bm_timing_only(state, algorithm, nodes, ppn, bytes);
+  if (allocs != 0) {
+    g_gate_failed = true;
+    state.SkipWithError((coll::display_name(algorithm) + " allocated " +
+                         std::to_string(allocs) + " times over " +
+                         std::to_string(state.iterations()) +
+                         " iters; its steady state must be free")
+                            .c_str());
+  }
 }
 
 void BM_TimingOnlyAllgatherRing(benchmark::State& state) {
@@ -96,6 +130,19 @@ void BM_TimingOnlyAllgatherBruck(benchmark::State& state) {
 }
 BENCHMARK(BM_TimingOnlyAllgatherBruck)->Unit(benchmark::kMicrosecond);
 
+// Gated: routing from (rank, step, world), no plan tables or block maps.
+// 3 x 8 is not a power of two, so the pack/unpack path runs too.
+void BM_TimingOnlyAllgatherRd(benchmark::State& state) {
+  bm_allocation_free(state, coll::Algorithm::kAgRecursiveDoubling, 3, 8,
+                     4096);
+}
+BENCHMARK(BM_TimingOnlyAllgatherRd)->Unit(benchmark::kMicrosecond);
+
+void BM_TimingOnlyAllgatherNeighbor(benchmark::State& state) {
+  bm_allocation_free(state, coll::Algorithm::kAgRdComm, 4, 8, 4096);
+}
+BENCHMARK(BM_TimingOnlyAllgatherNeighbor)->Unit(benchmark::kMicrosecond);
+
 void BM_TimingOnlyAlltoallPairwise(benchmark::State& state) {
   bm_timing_only(state, coll::Algorithm::kAaPairwise, 4, 8, 4096);
 }
@@ -105,6 +152,12 @@ void BM_TimingOnlyAlltoallInplace(benchmark::State& state) {
   bm_timing_only(state, coll::Algorithm::kAaInplace, 4, 8, 4096);
 }
 BENCHMARK(BM_TimingOnlyAlltoallInplace)->Unit(benchmark::kMicrosecond);
+
+void BM_TimingOnlyAlltoallRd(benchmark::State& state) {
+  bm_allocation_free(state, coll::Algorithm::kAaRecursiveDoubling, 4, 8,
+                     4096);
+}
+BENCHMARK(BM_TimingOnlyAlltoallRd)->Unit(benchmark::kMicrosecond);
 
 void BM_TimingOnlyAllreduceRd(benchmark::State& state) {
   bm_timing_only(state, coll::Algorithm::kArRecursiveDoubling, 4, 8, 65536);
@@ -123,38 +176,8 @@ BENCHMARK(BM_TimingOnlyBcastBinomial)->Unit(benchmark::kMicrosecond);
 // faulted variant quantifies the full-plan cost for comparison.
 
 void BM_TimingOnlyFaultsDisabled(benchmark::State& state) {
-  const auto& cluster = sim::cluster_by_name("Frontera");
-  const sim::Topology topo{4, 8};
-  sim::SimOptions opts{.noise_sigma = 0.015,
-                       .seed = 2024,
-                       .payload = sim::PayloadMode::kTimingOnly};
-  opts.faults = sim::FaultPlan{};  // explicit empty plan, not the default
-  // A run's coroutine frames are recycled at the *next* reset, so the frame
-  // pool's free lists keep growing for a few cycles; run several warm-up
-  // rounds to reach the allocation-free steady state before snapshotting.
-  for (int i = 0; i < 4; ++i) {
-    benchmark::DoNotOptimize(
-        coll::run_collective(cluster, topo, coll::Algorithm::kAgRing, 4096,
-                             opts)
-            .seconds);
-  }
-  const std::size_t allocs_before = g_alloc_count.load();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        coll::run_collective(cluster, topo, coll::Algorithm::kAgRing, 4096,
-                             opts)
-            .seconds);
-  }
-  const std::size_t allocs = g_alloc_count.load() - allocs_before;
-  state.counters["allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
-  if (allocs != 0) {
-    state.SkipWithError(
-        ("disabled-fault hot path allocated (" + std::to_string(allocs) +
-         " over " + std::to_string(state.iterations()) +
-         " iters); empty FaultPlan must be free")
-            .c_str());
-  }
+  // bm_timing_only hands the engine an explicit empty plan.
+  bm_allocation_free(state, coll::Algorithm::kAgRing, 4, 8, 4096);
 }
 BENCHMARK(BM_TimingOnlyFaultsDisabled)->Unit(benchmark::kMicrosecond);
 
@@ -204,4 +227,16 @@ BENCHMARK(BM_EngineEventRate)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  if (g_gate_failed.load()) {
+    std::fprintf(stderr,
+                 "FAIL: a gated timing-only schedule allocated in steady "
+                 "state\n");
+    return 1;
+  }
+  return 0;
+}

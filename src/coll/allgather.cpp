@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
-#include <mutex>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -36,25 +33,20 @@ void place_own_block(Comm& comm, std::span<const std::byte> send,
 
 }  // namespace
 
-std::vector<int> rd_owned_blocks(int rank, int step, int world) {
-  const int m = floor_log2(world);
-  const int pow2 = 1 << m;
+std::array<BlockRun, 2> rd_owned_blocks(int rank, int step, int world) {
+  const int pow2 = 1 << floor_log2(world);
   const int remainder = world - pow2;
   if (rank >= pow2) {
     throw SimError("rd_owned_blocks: rank must be in the power-of-two group");
   }
   // After the pre-step, rank i < pow2 owns {i} plus {i + pow2} if i hosts an
   // extra rank. After k doubling rounds it owns the union over its k-bit
-  // neighbourhood.
-  const int mask = ~((1 << step) - 1);
-  const int group_start = rank & mask;
-  std::vector<int> blocks;
-  for (int j = group_start; j < group_start + (1 << step); ++j) {
-    blocks.push_back(j);
-    if (j < remainder) blocks.push_back(j + pow2);
-  }
-  std::sort(blocks.begin(), blocks.end());
-  return blocks;
+  // neighbourhood [g, g + 2^k): those blocks, then the blocks of the extra
+  // ranks that neighbourhood hosts.
+  const int g = rank & ~((1 << step) - 1);
+  const int end = g + (1 << step);
+  const int extra_end = std::max(g, std::min(end, remainder));
+  return {BlockRun{g, end}, BlockRun{g + pow2, extra_end + pow2}};
 }
 
 sim::RankTask allgather_recursive_doubling(Comm comm,
@@ -94,46 +86,50 @@ sim::RankTask allgather_recursive_doubling(Comm comm,
       remainder != 0 ? comm.scratch(recv.size()) : std::span<std::byte>{};
   for (int k = 0; k < m; ++k) {
     const int partner = rank ^ (1 << k);
-    const std::vector<int> mine = rd_owned_blocks(rank, k, p);
-    const std::vector<int> theirs = rd_owned_blocks(partner, k, p);
-
-    auto contiguous = [&](const std::vector<int>& blocks) {
-      for (std::size_t i = 1; i < blocks.size(); ++i) {
-        if (blocks[i] != blocks[i - 1] + 1) return false;
-      }
-      return true;
+    const std::array<BlockRun, 2> mine = rd_owned_blocks(rank, k, p);
+    const std::array<BlockRun, 2> theirs = rd_owned_blocks(partner, k, p);
+    const auto run_bytes = [n](BlockRun run) {
+      return static_cast<std::size_t>(run.size()) * n;
     };
 
-    if (contiguous(mine) && contiguous(theirs)) {
-      // Power-of-two case: owned blocks form one contiguous region; exchange
-      // directly out of / into the result buffer.
+    if (mine[1].size() == 0 && theirs[1].size() == 0) {
+      // Neither side holds an extra rank's block yet: each owned set is one
+      // run; exchange directly out of / into the result buffer.
       co_await comm.sendrecv(
           partner,
-          std::span<const std::byte>(block_ptr(mine.front()),
-                                     mine.size() * n),
+          std::span<const std::byte>(block_ptr(mine[0].begin),
+                                     run_bytes(mine[0])),
           partner,
-          std::span<std::byte>(block_ptr(theirs.front()), theirs.size() * n),
+          std::span<std::byte>(block_ptr(theirs[0].begin),
+                               run_bytes(theirs[0])),
           /*tag=*/k);
-    } else {
-      // Non-power-of-two: owned sets are scattered; pack, exchange, unpack.
-      const std::span<std::byte> stage_out = stage.first(mine.size() * n);
-      const std::span<std::byte> stage_in =
-          stage.subspan(stage_out.size(), theirs.size() * n);
-      if (comm.payload_enabled()) {
-        for (std::size_t i = 0; i < mine.size(); ++i) {
-          std::memcpy(stage_out.data() + i * n, block_ptr(mine[i]), n);
-        }
-      }
-      comm.copy(stage_out.size(), recv.size());
-      co_await comm.sendrecv(partner, stage_out, partner, stage_in,
-                             /*tag=*/k);
-      if (comm.payload_enabled()) {
-        for (std::size_t i = 0; i < theirs.size(); ++i) {
-          std::memcpy(block_ptr(theirs[i]), stage_in.data() + i * n, n);
-        }
-      }
-      comm.copy(stage_in.size(), recv.size());
+      continue;
     }
+    // The own and extra runs lie apart: pack both in order, exchange,
+    // unpack. An empty run is skipped, never addressed.
+    const std::span<std::byte> stage_out =
+        stage.first(run_bytes(mine[0]) + run_bytes(mine[1]));
+    const std::span<std::byte> stage_in = stage.subspan(
+        stage_out.size(), run_bytes(theirs[0]) + run_bytes(theirs[1]));
+    if (comm.payload_enabled()) {
+      std::byte* out = stage_out.data();
+      for (const BlockRun run : mine) {
+        if (run_bytes(run) == 0) continue;
+        std::memcpy(out, block_ptr(run.begin), run_bytes(run));
+        out += run_bytes(run);
+      }
+    }
+    comm.copy(stage_out.size(), recv.size());
+    co_await comm.sendrecv(partner, stage_out, partner, stage_in, /*tag=*/k);
+    if (comm.payload_enabled()) {
+      const std::byte* in = stage_in.data();
+      for (const BlockRun run : theirs) {
+        if (run_bytes(run) == 0) continue;
+        std::memcpy(block_ptr(run.begin), in, run_bytes(run));
+        in += run_bytes(run);
+      }
+    }
+    comm.copy(stage_in.size(), recv.size());
   }
 
   // Post-step: proxies forward the complete result to their extra rank.
@@ -211,60 +207,32 @@ sim::RankTask allgather_bruck(Comm comm, std::span<const std::byte> send,
   comm.copy(recv.size(), recv.size());
 }
 
-std::vector<std::vector<NeighborStep>> neighbor_exchange_plan(int world) {
-  if (world == 1) return {std::vector<std::vector<NeighborStep>>::value_type{}};
+NeighborStep neighbor_step(int rank, int step, int world) {
   if (world % 2 != 0) {
     throw SimError("neighbor exchange requires an even number of ranks");
   }
-  const auto w = static_cast<std::size_t>(world);
-  std::vector<std::vector<NeighborStep>> plan(w);
-
-  // Step 0: even ranks pair with rank+1, odd with rank-1, exchanging the
-  // single own block.
-  std::vector<int> chunk_start(w);  // first block of the chunk acquired last
-  for (int r = 0; r < world; ++r) {
-    const bool even = r % 2 == 0;
-    const int partner = even ? r + 1 : r - 1;
-    plan[static_cast<std::size_t>(r)].push_back(
-        NeighborStep{partner, r, partner, 1});
-    chunk_start[static_cast<std::size_t>(r)] = even ? r : r - 1;
+  if (rank < 0 || rank >= world || step < 0 || step >= world / 2) {
+    throw SimError("neighbor exchange: rank or step out of range");
   }
-
-  // Steps 1..p/2-1: alternate the other neighbour, forwarding the 2-block
-  // chunk acquired in the previous step.
-  for (int step = 1; step < world / 2; ++step) {
-    std::vector<int> next_start(w);
-    for (int r = 0; r < world; ++r) {
-      const bool even = r % 2 == 0;
-      // neighbour[0] = the step-0 partner; neighbour[1] = the other side.
-      const int n0 = even ? (r + 1) % world : (r - 1 + world) % world;
-      const int n1 = even ? (r - 1 + world) % world : (r + 1) % world;
-      const int partner = (step % 2 == 1) ? n1 : n0;
-      const int send_start = chunk_start[static_cast<std::size_t>(r)];
-      const int recv_start = chunk_start[static_cast<std::size_t>(partner)];
-      plan[static_cast<std::size_t>(r)].push_back(
-          NeighborStep{partner, send_start, recv_start, 2});
-      next_start[static_cast<std::size_t>(r)] = recv_start;
-    }
-    chunk_start = std::move(next_start);
-  }
-  return plan;
+  const bool even = rank % 2 == 0;
+  // n0 = the step-0 partner; n1 = the neighbour on the other side.
+  const int n0 = even ? (rank + 1) % world : (rank - 1 + world) % world;
+  const int n1 = even ? (rank - 1 + world) % world : (rank + 1) % world;
+  // Step 0 swaps the single own blocks with n0.
+  if (step == 0) return NeighborStep{n0, rank, n0, 1};
+  // Steps alternate n1 (odd) and n0 (even), forwarding the 2-block chunk
+  // acquired on the step before. The chunk a rank holds after step t starts
+  // at its own pair's first block shifted by 2*ceil(t/2) blocks, towards
+  // n1 after odd steps and towards n0 after even ones: -1 for an even rank
+  // after an odd step, +1 for an odd rank, flipped after an even step.
+  const int pair = rank - rank % 2;
+  const auto chunk_after = [&](int t) {
+    const int side = (even == (t % 2 == 1)) ? -1 : 1;
+    return ((pair + side * 2 * ((t + 1) / 2)) % world + world) % world;
+  };
+  return NeighborStep{step % 2 == 1 ? n1 : n0, chunk_after(step - 1),
+                      chunk_after(step), 2};
 }
-
-namespace {
-
-const std::vector<std::vector<NeighborStep>>& cached_neighbor_plan(int world) {
-  static std::mutex mu;
-  static std::map<int, std::vector<std::vector<NeighborStep>>> cache;
-  const std::scoped_lock lock(mu);
-  auto it = cache.find(world);
-  if (it == cache.end()) {
-    it = cache.emplace(world, neighbor_exchange_plan(world)).first;
-  }
-  return it->second;
-}
-
-}  // namespace
 
 sim::RankTask allgather_neighbor_exchange(Comm comm,
                                           std::span<const std::byte> send,
@@ -275,10 +243,8 @@ sim::RankTask allgather_neighbor_exchange(Comm comm,
   place_own_block(comm, send, recv, p);
   if (p == 1) co_return;
 
-  const auto& plan = cached_neighbor_plan(p);
-  const auto& steps = plan[static_cast<std::size_t>(rank)];
-  for (std::size_t s = 0; s < steps.size(); ++s) {
-    const NeighborStep& st = steps[s];
+  for (int s = 0; s < p / 2; ++s) {
+    const NeighborStep st = neighbor_step(rank, s, p);
     const auto chunk = static_cast<std::size_t>(st.chunk_blocks) * n;
     co_await comm.sendrecv(
         st.partner,
@@ -287,7 +253,7 @@ sim::RankTask allgather_neighbor_exchange(Comm comm,
         st.partner,
         std::span<std::byte>(
             recv.data() + static_cast<std::size_t>(st.recv_block) * n, chunk),
-        static_cast<int>(s));
+        /*tag=*/s);
   }
 }
 

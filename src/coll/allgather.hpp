@@ -6,6 +6,7 @@
 // so tests can assert the result bit-for-bit.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <span>
 
@@ -33,9 +34,19 @@ sim::RankTask allgather_neighbor_exchange(sim::Comm comm,
                                           std::span<const std::byte> send,
                                           std::span<std::byte> recv);
 
-/// Block set owned by `rank` after `step` rounds of the (generalised,
-/// non-power-of-two capable) recursive-doubling schedule. Exposed for tests.
-std::vector<int> rd_owned_blocks(int rank, int step, int world);
+/// A run [begin, end) of consecutive block indices.
+struct BlockRun {
+  int begin = 0;
+  int end = 0;
+  int size() const noexcept { return end - begin; }
+};
+
+/// Blocks owned by power-of-two-group `rank` after `step` rounds of the
+/// (generalised, non-power-of-two capable) recursive-doubling schedule, in
+/// ascending order: its group's own blocks, then the blocks of the extra
+/// ranks that group hosts (an empty run when it hosts none).
+/// Allocation-free; the schedule calls it on every step.
+std::array<BlockRun, 2> rd_owned_blocks(int rank, int step, int world);
 
 /// One step of the neighbor-exchange schedule for a given rank.
 struct NeighborStep {
@@ -45,8 +56,9 @@ struct NeighborStep {
   int chunk_blocks = 1;  ///< 1 on step 0, 2 afterwards
 };
 
-/// Full neighbor-exchange schedule, plan[rank][step]. Requires even world
-/// (or world == 1, yielding empty schedules). Exposed for tests.
-std::vector<std::vector<NeighborStep>> neighbor_exchange_plan(int world);
+/// Step `step` (0 <= step < world/2) of the neighbor-exchange schedule for
+/// `rank`, in O(1). Requires an even world; the schedule calls it on every
+/// step.
+NeighborStep neighbor_step(int rank, int step, int world);
 
 }  // namespace pml::coll

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
-#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -164,88 +164,15 @@ sim::RankTask alltoall_bruck(Comm comm, std::span<const std::byte> send,
   comm.copy(recv.size(), recv.size());
 }
 
-std::vector<std::vector<AlltoallRdStep>> alltoall_rd_plan(int world) {
-  if (!is_power_of_two(world)) {
-    throw SimError("alltoall recursive doubling requires a power-of-two world");
-  }
-  const auto w = static_cast<std::size_t>(world);
-  // holdings[r] = sorted blocks currently stored at rank r.
-  std::vector<std::vector<RoutedBlock>> holdings(w);
-  for (int r = 0; r < world; ++r) {
-    for (int d = 0; d < world; ++d) {
-      holdings[static_cast<std::size_t>(r)].push_back(RoutedBlock{d, r});
-    }
-    std::sort(holdings[static_cast<std::size_t>(r)].begin(),
-              holdings[static_cast<std::size_t>(r)].end());
-  }
-
-  std::vector<std::vector<AlltoallRdStep>> plan(w);
-  const int m = floor_log2(world);
-  for (int k = 0; k < m; ++k) {
-    const int bit = 1 << k;
-    std::vector<std::vector<RoutedBlock>> next(w);
-    for (int r = 0; r < world; ++r) {
-      const int partner = r ^ bit;
-      AlltoallRdStep step;
-      step.partner = partner;
-      for (const RoutedBlock& b : holdings[static_cast<std::size_t>(r)]) {
-        // Forward every block whose destination lies in the partner's half.
-        if ((b.dest & bit) == (partner & bit)) {
-          step.send_blocks.push_back(b);
-        } else {
-          next[static_cast<std::size_t>(r)].push_back(b);
-        }
-      }
-      plan[static_cast<std::size_t>(r)].push_back(std::move(step));
-    }
-    for (int r = 0; r < world; ++r) {
-      auto& mine = plan[static_cast<std::size_t>(r)].back();
-      const auto partner = static_cast<std::size_t>(mine.partner);
-      mine.recv_blocks = plan[partner].back().send_blocks;
-      auto& store = next[static_cast<std::size_t>(r)];
-      store.insert(store.end(), mine.recv_blocks.begin(),
-                   mine.recv_blocks.end());
-      std::sort(store.begin(), store.end());
-    }
-    holdings = std::move(next);
-  }
-
-  for (int r = 0; r < world; ++r) {
-    const auto& h = holdings[static_cast<std::size_t>(r)];
-    if (static_cast<int>(h.size()) != world) {
-      throw SimError("alltoall_rd_plan: rank holds wrong block count");
-    }
-    for (int o = 0; o < world; ++o) {
-      if (h[static_cast<std::size_t>(o)].dest != r ||
-          h[static_cast<std::size_t>(o)].origin != o) {
-        throw SimError("alltoall_rd_plan: routing invariant violated");
-      }
-    }
-  }
-  return plan;
-}
-
-namespace {
-
-const std::vector<std::vector<AlltoallRdStep>>& cached_rd_plan(int world) {
-  static std::mutex mu;
-  static std::map<int, std::vector<std::vector<AlltoallRdStep>>> cache;
-  const std::scoped_lock lock(mu);
-  auto it = cache.find(world);
-  if (it == cache.end()) {
-    it = cache.emplace(world, alltoall_rd_plan(world)).first;
-  }
-  return it->second;
-}
-
-}  // namespace
-
 sim::RankTask alltoall_recursive_doubling(Comm comm,
                                           std::span<const std::byte> send,
                                           std::span<std::byte> recv) {
   const int p = comm.size();
   const int rank = comm.rank();
   const std::size_t n = block_size(send, p);
+  if (!is_power_of_two(p)) {
+    throw SimError("alltoall recursive doubling requires a power-of-two world");
+  }
   if (p == 1) {
     if (n > 0 && comm.payload_enabled()) {
       std::memcpy(recv.data(), send.data(), n);
@@ -254,61 +181,48 @@ sim::RankTask alltoall_recursive_doubling(Comm comm,
     co_return;
   }
 
-  // Store-and-forward: blocks keyed by (dest, origin), each value a block
-  // slot in scratch. The rank holds exactly p blocks after every step
-  // (alltoall_rd_plan checks this), and a step's received blocks take the
-  // slots its sent blocks free. The store bookkeeping runs in timing-only
-  // mode too (it drives the schedule); only the byte copies are skipped.
+  // Store-and-forward through p block slots in scratch. Before step k,
+  // slot s holds the block with destination (s's bits >= k | rank's bits
+  // < k) and origin (s's bits < k | rank's bits >= k). Step k forwards the
+  // p/2 slots whose bit k differs from rank's to rank ^ 2^k, and the
+  // partner's blocks land in those slots in the same ascending order. After
+  // the last step slot o holds origin o's block.
   const std::span<std::byte> slots = comm.scratch(send.size());
-  std::map<RoutedBlock, int> store;
-  for (int d = 0; d < p; ++d) {
-    if (n > 0 && comm.payload_enabled()) {
-      std::memcpy(mblock(slots, n, d), cblock(send, n, d), n);
-    }
-    store.emplace(RoutedBlock{d, rank}, d);
+  if (n > 0 && comm.payload_enabled()) {
+    std::memcpy(slots.data(), send.data(), send.size());
   }
   comm.copy(send.size(), send.size());
 
   // The pack and unpack stages live in the result buffer, which is written
   // last: each step moves half of the p held blocks each way.
-  const auto& plan = cached_rd_plan(p);
-  const auto& steps = plan[static_cast<std::size_t>(rank)];
-  for (std::size_t s = 0; s < steps.size(); ++s) {
-    const AlltoallRdStep& step = steps[s];
-    const std::size_t count = step.send_blocks.size();
-    const std::span<std::byte> stage_out = recv.first(count * n);
-    const std::span<std::byte> stage_in = recv.subspan(count * n, count * n);
-
-    for (std::size_t i = 0; i < count; ++i) {
-      auto it = store.find(step.send_blocks[i]);
-      if (it == store.end()) throw SimError("rd alltoall: missing block");
-      if (n > 0 && comm.payload_enabled()) {
-        std::memcpy(stage_out.data() + i * n, mblock(slots, n, it->second), n);
+  const std::size_t half = static_cast<std::size_t>(p / 2) * n;
+  const std::span<std::byte> stage_out = recv.first(half);
+  const std::span<std::byte> stage_in = recv.subspan(half, half);
+  for (int k = 0; (1 << k) < p; ++k) {
+    const int bit = 1 << k;
+    const int moving = ~rank & bit;  // bit k of the slots that move
+    if (n > 0 && comm.payload_enabled()) {
+      for (int s = 0, i = 0; s < p; ++s) {
+        if ((s & bit) != moving) continue;
+        std::memcpy(mblock(stage_out, n, i++), cblock(slots, n, s), n);
       }
     }
     comm.copy(stage_out.size(), send.size());
 
-    co_await comm.sendrecv(step.partner, stage_out, step.partner, stage_in,
-                           static_cast<int>(s));
+    co_await comm.sendrecv(rank ^ bit, stage_out, rank ^ bit, stage_in,
+                           /*tag=*/k);
 
-    for (std::size_t i = 0; i < count; ++i) {
-      auto node = store.extract(step.send_blocks[i]);  // re-keyed, not freed
-      if (n > 0 && comm.payload_enabled()) {
-        std::memcpy(mblock(slots, n, node.mapped()), stage_in.data() + i * n,
-                    n);
+    if (n > 0 && comm.payload_enabled()) {
+      for (int s = 0, i = 0; s < p; ++s) {
+        if ((s & bit) != moving) continue;
+        std::memcpy(mblock(slots, n, s), cblock(stage_in, n, i++), n);
       }
-      node.key() = step.recv_blocks[i];
-      store.insert(std::move(node));
     }
     comm.copy(stage_in.size(), send.size());
   }
 
-  for (int o = 0; o < p; ++o) {
-    auto it = store.find(RoutedBlock{rank, o});
-    if (it == store.end()) throw SimError("rd alltoall: incomplete result");
-    if (n > 0 && comm.payload_enabled()) {
-      std::memcpy(mblock(recv, n, o), mblock(slots, n, it->second), n);
-    }
+  if (n > 0 && comm.payload_enabled()) {
+    std::memcpy(recv.data(), slots.data(), recv.size());
   }
   comm.copy(recv.size(), recv.size());
 }

@@ -7,8 +7,6 @@
 
 #include <cstddef>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "coll/collective.hpp"
 #include "sim/comm.hpp"
@@ -34,25 +32,5 @@ sim::RankTask alltoall_recursive_doubling(sim::Comm comm,
                                           std::span<std::byte> recv);
 sim::RankTask alltoall_inplace(sim::Comm comm, std::span<const std::byte> send,
                                std::span<std::byte> recv);
-
-/// A (destination, origin) data block in flight during store-and-forward.
-struct RoutedBlock {
-  int dest = -1;
-  int origin = -1;
-
-  friend auto operator<=>(const RoutedBlock&, const RoutedBlock&) = default;
-};
-
-/// One recursive-doubling store-and-forward step for one rank.
-struct AlltoallRdStep {
-  int partner = -1;
-  std::vector<RoutedBlock> send_blocks;  ///< sorted, forwarded to partner
-  std::vector<RoutedBlock> recv_blocks;  ///< sorted, arriving from partner
-};
-
-/// Full store-and-forward schedule, plan[rank][step]. Requires a
-/// power-of-two world. Exposed for tests: after the last step, every rank
-/// must hold exactly the blocks destined to it, one per origin.
-std::vector<std::vector<AlltoallRdStep>> alltoall_rd_plan(int world);
 
 }  // namespace pml::coll

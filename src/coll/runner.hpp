@@ -26,9 +26,11 @@ struct RunResult {
 /// no pattern fill, no payload movement, no verification, and a per-thread
 /// engine, whose scratch arena backs every rank's buffers, is reused
 /// across invocations, so a steady-state call performs zero heap
-/// allocations (measured by bench/sweep_hotpath). `seconds` is
-/// bit-identical to the verified path — every payload operation charges
-/// its simulated time whether or not bytes move.
+/// allocations for every algorithm except scatter-destination alltoall
+/// and pipelined-ring bcast, which build one request vector per rank
+/// (measured by bench/sweep_hotpath). `seconds` is bit-identical to the
+/// verified path — every payload operation charges its simulated time
+/// whether or not bytes move.
 ///
 /// Throws pml::SimError on schedule deadlock, unsupported world size, or a
 /// payload mismatch (an incorrect algorithm is a bug, not a data point).

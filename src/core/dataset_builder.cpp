@@ -313,24 +313,31 @@ std::vector<TuningRecord> build_cells(std::span<const sim::ClusterSpec> clusters
     records[i] = build_cell(cells[i], collective, options, cell_stats[i]);
   });
 
-  stats.cells += records.size();
+  // This call's sums: `stats` may already hold an earlier call's totals.
+  BuildStats sums;
+  sums.cells = records.size();
   for (const CellStats& c : cell_stats) {
-    stats.measured_evals += c.measured;
-    stats.pruned_evals += c.pruned;
-    stats.epsilon_evals += c.epsilon;
-    stats.prune_mispredictions += c.mispredicted;
+    sums.measured_evals += c.measured;
+    sums.pruned_evals += c.pruned;
+    sums.epsilon_evals += c.epsilon;
+    sums.prune_mispredictions += c.mispredicted;
   }
+  stats.cells += sums.cells;
+  stats.measured_evals += sums.measured_evals;
+  stats.pruned_evals += sums.pruned_evals;
+  stats.epsilon_evals += sums.epsilon_evals;
+  stats.prune_mispredictions += sums.prune_mispredictions;
   if (obs::enabled()) {
     static obs::Counter built("dataset.cells");
     static obs::Counter measured("dataset.measured_evals");
     static obs::Counter pruned("dataset.pruned_evals");
     static obs::Counter epsilon("dataset.epsilon_evals");
     static obs::Counter mispredicted("dataset.prune_mispredictions");
-    built.add(records.size());
-    measured.add(stats.measured_evals);
-    pruned.add(stats.pruned_evals);
-    epsilon.add(stats.epsilon_evals);
-    mispredicted.add(stats.prune_mispredictions);
+    built.add(sums.cells);
+    measured.add(sums.measured_evals);
+    pruned.add(sums.pruned_evals);
+    epsilon.add(sums.epsilon_evals);
+    mispredicted.add(sums.prune_mispredictions);
   }
   return records;
 }

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "coll/runner.hpp"
 #include "common/error.hpp"
+#include "sim/engine.hpp"
 #include "sim/hardware.hpp"
 #include "supported_sweep.hpp"
 
@@ -56,52 +58,103 @@ TEST_P(AlltoallAwkwardWorlds, AllValidAlgorithmsCorrect) {
 INSTANTIATE_TEST_SUITE_P(Worlds, AlltoallAwkwardWorlds,
                          ::testing::Values(1, 2, 3, 5, 7, 8, 11, 12, 16, 24));
 
-// ---- Store-and-forward plan properties -------------------------------------
+// ---- Store-and-forward routing properties ----------------------------------
+// The schedule keeps this invariant: before step k, slot s of rank r holds
+// the block with destination (s's bits >= k | r's bits < k) and origin
+// (s's bits < k | r's bits >= k). Step k packs, in ascending order, the p/2
+// slots whose bit k differs from r's, sends them to r ^ 2^k, and unpacks
+// the partner's blocks into the same slots in the same order.
+
+struct Held {
+  int dest;
+  int origin;
+  friend bool operator==(const Held&, const Held&) = default;
+};
+
+Held held(int rank, int slot, int k) {
+  const int low = (1 << k) - 1;
+  return {(slot & ~low) | (rank & low), (slot & low) | (rank & ~low)};
+}
+
+std::vector<int> moving_slots(int rank, int k, int p) {
+  std::vector<int> slots;
+  for (int s = 0; s < p; ++s) {
+    if ((s & (1 << k)) != (~rank & (1 << k))) continue;
+    slots.push_back(s);
+  }
+  return slots;
+}
+
+/// Requests one timing-only engine run of `algorithm` posts on 1 x p.
+std::size_t posted_requests(Algorithm algorithm, int p) {
+  sim::Engine engine(frontera(), sim::Topology{1, p},
+                     {.payload = sim::PayloadMode::kTimingOnly});
+  std::vector<std::byte> buf(static_cast<std::size_t>(p) * 8);
+  engine.run([&](int rank) {
+    return run_alltoall(algorithm, sim::Comm(engine, rank), buf, buf);
+  });
+  return engine.posted_requests();
+}
 
 TEST(AlltoallRdPlan, RejectsNonPowerOfTwo) {
-  EXPECT_THROW(alltoall_rd_plan(6), SimError);
-  EXPECT_THROW(alltoall_rd_plan(12), SimError);
+  for (const int p : {6, 12}) {
+    EXPECT_THROW(run_collective(frontera(), sim::Topology{1, p},
+                                Algorithm::kAaRecursiveDoubling, 8),
+                 SimError)
+        << "p=" << p;
+  }
 }
 
 TEST(AlltoallRdPlan, StepAndVolumeCounts) {
   for (const int p : {2, 4, 8, 16}) {
-    const auto plan = alltoall_rd_plan(p);
-    ASSERT_EQ(plan.size(), static_cast<std::size_t>(p));
+    // log2(p) sendrecv steps per rank, each one send and one receive.
+    EXPECT_EQ(posted_requests(Algorithm::kAaRecursiveDoubling, p),
+              static_cast<std::size_t>(2 * p * floor_log2(p)));
     for (int r = 0; r < p; ++r) {
-      const auto& steps = plan[static_cast<std::size_t>(r)];
-      ASSERT_EQ(static_cast<int>(steps.size()), floor_log2(p));
-      for (const auto& st : steps) {
+      for (int k = 0; k < floor_log2(p); ++k) {
         // Each step forwards exactly half of the p held blocks.
-        EXPECT_EQ(st.send_blocks.size(), static_cast<std::size_t>(p / 2));
-        EXPECT_EQ(st.recv_blocks.size(), static_cast<std::size_t>(p / 2));
+        EXPECT_EQ(moving_slots(r, k, p).size(), static_cast<std::size_t>(p / 2));
       }
     }
   }
 }
 
 TEST(AlltoallRdPlan, SendAndRecvSetsMirror) {
-  const int p = 8;
-  const auto plan = alltoall_rd_plan(p);
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t s = 0; s < plan[static_cast<std::size_t>(r)].size(); ++s) {
-      const auto& st = plan[static_cast<std::size_t>(r)][s];
-      const auto& back = plan[static_cast<std::size_t>(st.partner)][s];
-      EXPECT_EQ(back.partner, r);
-      EXPECT_EQ(st.recv_blocks, back.send_blocks);
+  for (const int p : {2, 8, 16}) {
+    const int m = floor_log2(p);
+    for (int r = 0; r < p; ++r) {
+      for (int k = 0; k < m; ++k) {
+        const int partner = r ^ (1 << k);
+        const auto mine = moving_slots(r, k, p);
+        const auto theirs = moving_slots(partner, k, p);
+        ASSERT_EQ(mine.size(), theirs.size());
+        // What lands in my i-th moved slot is the partner's i-th packed
+        // block, and it is what the invariant puts there for step k + 1.
+        for (std::size_t i = 0; i < mine.size(); ++i) {
+          EXPECT_EQ(held(partner, theirs[i], k), held(r, mine[i], k + 1))
+              << "p=" << p << " r=" << r << " k=" << k;
+        }
+        // Slots that stay already hold their step-(k + 1) blocks.
+        for (int s = 0; s < p; ++s) {
+          if (std::find(mine.begin(), mine.end(), s) != mine.end()) continue;
+          EXPECT_EQ(held(r, s, k), held(r, s, k + 1));
+        }
+      }
+      // After the last step slot o holds origin o's block for r.
+      for (int o = 0; o < p; ++o) EXPECT_EQ(held(r, o, m), (Held{r, o}));
     }
   }
 }
 
 TEST(AlltoallRdPlan, ForwardedBlocksMoveTowardDestination) {
   const int p = 16;
-  const auto plan = alltoall_rd_plan(p);
   for (int r = 0; r < p; ++r) {
-    for (std::size_t s = 0; s < plan[static_cast<std::size_t>(r)].size(); ++s) {
-      const auto& st = plan[static_cast<std::size_t>(r)][s];
-      const int bit = 1 << s;
-      for (const RoutedBlock& b : st.send_blocks) {
+    for (int k = 0; k < floor_log2(p); ++k) {
+      const int bit = 1 << k;
+      const int partner = r ^ bit;
+      for (const int s : moving_slots(r, k, p)) {
         // A forwarded block's destination lies in the partner's half.
-        EXPECT_EQ(b.dest & bit, st.partner & bit);
+        EXPECT_EQ(held(r, s, k).dest & bit, partner & bit);
       }
     }
   }

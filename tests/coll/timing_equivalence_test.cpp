@@ -108,6 +108,24 @@ TEST(TimingOnlyMemory, BuffersDoNotScaleWithTheWorldSize) {
   EXPECT_LT(peak_rss_bytes() - before, std::uint64_t{256} << 20);
 }
 
+TEST(TimingOnlyMemory, RecursiveDoublingKeepsNoRoutingTables) {
+  // 1024 ranks at 1-byte blocks: the payload is a few KiB, so any growth
+  // here is routing state. Recursive-doubling alltoall and allgather derive
+  // each step's partner and blocks from (rank, step, world); a routing
+  // table of p^2 log p entries, or a block map per rank, would take
+  // hundreds of MiB.
+  const auto& cluster = sim::cluster_by_name("Spock");
+  const Topology topo{16, 64};
+  const SimOptions timing_only{.payload = PayloadMode::kTimingOnly};
+  const std::uint64_t before = peak_rss_bytes();
+  for (const Algorithm a :
+       {Algorithm::kAaRecursiveDoubling, Algorithm::kAgRecursiveDoubling}) {
+    EXPECT_GT(run_collective(cluster, topo, a, 1, timing_only).seconds, 0.0)
+        << display_name(a);
+  }
+  EXPECT_LT(peak_rss_bytes() - before, std::uint64_t{32} << 20);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TimingEquivalence,
     ::testing::Values(TimingCase{2, 4, 4096},      // eager, pow2 world

@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "coll/selection.hpp"
+#include "obs/obs.hpp"
 
 namespace pml::core {
 namespace {
@@ -361,6 +363,37 @@ TEST(DatasetBuilder, AuditMeasuresEverythingAndCountsMispredictions) {
   }
   EXPECT_GT(stats.pruned_evals, 0u);
   EXPECT_LE(stats.prune_mispredictions, stats.cells);
+}
+
+TEST(DatasetBuilder, ObsCountersFlushEachCallOnce) {
+  // Two builds into one BuildStats: each dataset.* counter must add each
+  // call's own sums, so it ends equal to the accumulated struct.
+  const bool was = obs::set_enabled(true);
+  obs::reset();
+  const std::vector<sim::ClusterSpec> clusters = {small_engine_grid()};
+  BuildOptions audit = engine_options();
+  audit.prune_topk = 1;
+  audit.prune_epsilon = 0.25;
+  audit.prune_audit = true;
+  BuildStats stats;
+  build_records(clusters, coll::Collective::kAlltoall, audit, stats);
+  build_records(clusters, coll::Collective::kAllgather, audit, stats);
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(was);
+  const auto counter = [&](const std::string& name) {
+    for (const obs::CounterSample& c : snap.counters) {
+      if (c.name == name) return c.value;
+    }
+    return std::uint64_t{0};
+  };
+  EXPECT_GT(stats.measured_evals, 0u);
+  EXPECT_GT(stats.pruned_evals, 0u);
+  EXPECT_EQ(counter("dataset.cells"), stats.cells);
+  EXPECT_EQ(counter("dataset.measured_evals"), stats.measured_evals);
+  EXPECT_EQ(counter("dataset.pruned_evals"), stats.pruned_evals);
+  EXPECT_EQ(counter("dataset.epsilon_evals"), stats.epsilon_evals);
+  EXPECT_EQ(counter("dataset.prune_mispredictions"),
+            stats.prune_mispredictions);
 }
 
 TEST(DatasetBuilder, AnalyticCostSourceRejectsFaultPlan) {
