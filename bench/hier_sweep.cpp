@@ -5,13 +5,15 @@
 //   build/bench/hier_sweep --benchmark_out_format=json
 //                          --benchmark_out=BENCH_hier_sweep.json
 //
-// Hard gate (SkipWithError => smoke-test failure): run_selection of a flat
-// selection with an empty HierarchySpec is the exact flat engine and must
-// stay allocation-free in steady state. The leader-schedule and full-space
-// sweep entries quantify the hierarchical path's cost next to it.
+// Hard gate (the run exits nonzero, so the smoke test fails): run_selection
+// of a flat selection with an empty HierarchySpec is the exact flat engine
+// and must stay allocation-free in steady state. The leader-schedule and
+// full-space sweep entries quantify the hierarchical path's cost next to it.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <string>
 
 #include "alloc_counter.hpp"
@@ -24,6 +26,10 @@ namespace {
 using namespace pml;
 
 const sim::ClusterSpec& frontera() { return sim::cluster_by_name("Frontera"); }
+
+// Set by the gate when the steady state allocated. main() turns it into a
+// nonzero exit: google-benchmark reports SkipWithError but still exits 0.
+std::atomic<bool> g_gate_failed{false};
 
 sim::SimOptions timing_only() {
   sim::SimOptions opts;
@@ -55,6 +61,7 @@ void BM_TimingOnlySelectionFlat(benchmark::State& state) {
   state.counters["allocs_per_iter"] = benchmark::Counter(
       static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
   if (allocs != 0) {
+    g_gate_failed = true;
     state.SkipWithError(
         ("flat run_selection hot path allocated (" + std::to_string(allocs) +
          " over " + std::to_string(state.iterations()) +
@@ -139,4 +146,16 @@ BENCHMARK(BM_SelectionSpaceSweep)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  if (g_gate_failed.load()) {
+    std::fprintf(stderr,
+                 "FAIL: the flat run_selection path allocated in steady "
+                 "state\n");
+    return 1;
+  }
+  return 0;
+}

@@ -11,8 +11,9 @@
 // The headline series tracked across PRs: BM_BuildRecords/threads:1
 // (grid cells/sec), BM_TimingOnly* (allocs_per_iter == 0 for the
 // allocation-free schedules; BM_TimingOnlyFaultsDisabled and the
-// recursive-doubling and neighbor-exchange entries are hard gates: the run
-// exits nonzero if their steady state allocates), and BM_EngineEventRate
+// recursive-doubling, neighbor-exchange, scatter-destination and
+// pipelined-ring entries are hard gates: the run exits nonzero if their
+// steady state allocates), and BM_EngineEventRate
 // (posted requests/sec through reset()-reused engine storage).
 #include <benchmark/benchmark.h>
 
@@ -63,13 +64,11 @@ BENCHMARK(BM_BuildRecords)
 
 // ---- timing-only collective invocations -------------------------------------
 // One timing-only run_collective per iteration. After warm-up calls prime
-// the per-thread engine and its scratch arena, schedules that stage only
-// through Engine::scratch and derive their routing from (rank, step, world)
-// must run allocation-free: ring, Bruck, recursive-doubling and
-// neighbor-exchange allgather; pairwise, in-place and recursive-doubling
-// alltoall; binomial bcast; recursive-doubling allreduce. Scatter-
-// destination alltoall and pipelined-ring bcast still build one request
-// vector per rank.
+// the per-thread engine, its scratch arena and its per-rank request lists,
+// schedules that stage only through Engine::scratch, derive their routing
+// from (rank, step, world) and batch their requests in Engine::request_list
+// run allocation-free: every flat allgather, alltoall, bcast and allreduce
+// schedule measured here.
 
 // Set by a gated benchmark whose steady state allocated. main() turns it
 // into a nonzero exit: google-benchmark reports SkipWithError but still
@@ -159,6 +158,12 @@ void BM_TimingOnlyAlltoallRd(benchmark::State& state) {
 }
 BENCHMARK(BM_TimingOnlyAlltoallRd)->Unit(benchmark::kMicrosecond);
 
+// Gated: each rank posts its whole batch into its engine-owned request list.
+void BM_TimingOnlyAlltoallScatterDest(benchmark::State& state) {
+  bm_allocation_free(state, coll::Algorithm::kAaScatterDest, 4, 8, 4096);
+}
+BENCHMARK(BM_TimingOnlyAlltoallScatterDest)->Unit(benchmark::kMicrosecond);
+
 void BM_TimingOnlyAllreduceRd(benchmark::State& state) {
   bm_timing_only(state, coll::Algorithm::kArRecursiveDoubling, 4, 8, 65536);
 }
@@ -168,6 +173,12 @@ void BM_TimingOnlyBcastBinomial(benchmark::State& state) {
   bm_timing_only(state, coll::Algorithm::kBcBinomial, 4, 8, 65536);
 }
 BENCHMARK(BM_TimingOnlyBcastBinomial)->Unit(benchmark::kMicrosecond);
+
+// Gated: 64 KiB is eight 8 KiB segments, so each rank forwards a batch.
+void BM_TimingOnlyBcastPipelinedRing(benchmark::State& state) {
+  bm_allocation_free(state, coll::Algorithm::kBcPipelinedRing, 4, 8, 65536);
+}
+BENCHMARK(BM_TimingOnlyBcastPipelinedRing)->Unit(benchmark::kMicrosecond);
 
 // ---- fault-injection hot-path cost ------------------------------------------
 // The disabled-fault path (an empty FaultPlan) must stay allocation-free:

@@ -48,8 +48,7 @@ sim::RankTask alltoall_scatter_dest(Comm comm, std::span<const std::byte> send,
 
   // Post everything at once, destinations staggered to spread load, then
   // wait for the lot (MVAPICH "scatter destination" schedule).
-  std::vector<RequestId> reqs;
-  reqs.reserve(2 * static_cast<std::size_t>(p - 1));
+  std::vector<RequestId>& reqs = comm.request_list();
   for (int i = 1; i < p; ++i) {
     const int dst = (rank + i) % p;
     reqs.push_back(comm.isend(
@@ -66,7 +65,7 @@ sim::RankTask alltoall_scatter_dest(Comm comm, std::span<const std::byte> send,
   const double queue_factor = 0.25 * floor_log2(std::max(2, p - 1));
   comm.compute(2.0 * (p - 1) *
                comm.engine().model().per_message_overhead() * queue_factor);
-  co_await comm.wait_all(std::move(reqs));
+  co_await comm.wait_all(reqs);
 }
 
 sim::RankTask alltoall_pairwise(Comm comm, std::span<const std::byte> send,

@@ -149,8 +149,7 @@ sim::RankTask bcast_pipelined_ring(Comm comm, std::span<std::byte> buf) {
 
   // Chain 0 -> 1 -> ... -> p-1; forwarding is nonblocking so segment j+1
   // overlaps the downstream hops of segment j.
-  std::vector<RequestId> forwards;
-  forwards.reserve(num_segs);
+  std::vector<RequestId>& forwards = comm.request_list();
   for (std::size_t j = 0; j < num_segs; ++j) {
     const std::size_t b = j * seg;
     const std::size_t len = std::min(seg, n - b);
@@ -163,7 +162,7 @@ sim::RankTask bcast_pipelined_ring(Comm comm, std::span<std::byte> buf) {
           comm.isend(rank + 1, piece, /*tag=*/static_cast<int>(j)));
     }
   }
-  co_await comm.wait_all(std::move(forwards));
+  co_await comm.wait_all(forwards);
 }
 
 sim::RankTask run_bcast(Algorithm algorithm, sim::Comm comm,

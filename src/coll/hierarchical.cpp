@@ -64,7 +64,7 @@ RankTask hier_allgather(Algorithm inter, Algorithm intra, Comm comm,
       reqs.push_back(local.irecv(
           l, stage.subspan(static_cast<std::size_t>(l) * n, n), kHierTagBase));
     }
-    co_await local.wait_all(std::move(reqs));
+    co_await local.wait_all(reqs);
 
     // Node-major rank layout: leader j's super-block lands at world-block
     // offset j*ppn, so the inner allgather yields the world result directly.
@@ -112,7 +112,7 @@ RankTask hier_alltoall(Algorithm inter, Comm comm,
           gather_in.subspan(static_cast<std::size_t>(l) * up * n, up * n),
           kHierTagBase));
     }
-    co_await local.wait_all(std::move(reqs));
+    co_await local.wait_all(reqs);
   }
 
   // Pack node-destination super-blocks: for destination node d, the block
@@ -158,7 +158,7 @@ RankTask hier_alltoall(Algorithm inter, Comm comm,
       std::memcpy(recv.data(), gather_in.data(), recv.size());
     }
     comm.copy(recv.size(), node_bytes);
-    co_await local.wait_all(std::move(reqs));
+    co_await local.wait_all(reqs);
   }
 }
 

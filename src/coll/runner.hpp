@@ -26,9 +26,9 @@ struct RunResult {
 /// no pattern fill, no payload movement, no verification, and a per-thread
 /// engine, whose scratch arena backs every rank's buffers, is reused
 /// across invocations, so a steady-state call performs zero heap
-/// allocations for every algorithm except scatter-destination alltoall
-/// and pipelined-ring bcast, which build one request vector per rank
-/// (measured by bench/sweep_hotpath). `seconds` is bit-identical to the
+/// allocations for every flat algorithm; batch waits keep their ids in
+/// the engine's per-rank request lists (measured and gated by
+/// bench/sweep_hotpath). `seconds` is bit-identical to the
 /// verified path — every payload operation charges its simulated time
 /// whether or not bytes move.
 ///

@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <optional>
 
-#include "common/parallel.hpp"
 #include "common/strings.hpp"
+#include "obs/obs.hpp"
 
 namespace pml {
 
@@ -129,53 +131,6 @@ std::uint64_t xxh64(std::string_view bytes) noexcept {
 
 namespace {
 
-/// Arrays of at least this many arrays or objects (a forest's trees, a
-/// table's jobs) are written on the shared pool.
-constexpr std::size_t kFanOutMin = 16;
-
-/// Append exactly v.dump() to `out`. The elements of each large array of
-/// containers are written in parallel and joined in order, so the bytes
-/// are those of the serial dump.
-void dump_compact(const Json& v, std::string& out) {
-  if (v.is_object() && !v.as_object().empty()) {
-    char sep = '{';
-    for (const auto& [key, value] : v.as_object()) {
-      out += sep;
-      sep = ',';
-      out += Json(key).dump();
-      out += ':';
-      dump_compact(value, out);
-    }
-    out += '}';
-    return;
-  }
-  if (!v.is_array() || v.as_array().size() < kFanOutMin ||
-      !(v.as_array().front().is_array() || v.as_array().front().is_object())) {
-    out += v.dump();
-    return;
-  }
-  const Json::Array& items = v.as_array();
-  std::vector<std::string> text(items.size());
-  parallel_for(0, items.size(), [&](std::size_t i) { text[i] = items[i].dump(); });
-  std::size_t size = out.size() + items.size() + 1;
-  for (const std::string& item : text) size += item.size();
-  out.reserve(size);
-  char sep = '[';
-  for (const std::string& item : text) {
-    out += sep;
-    sep = ',';
-    out += item;
-  }
-  out += ']';
-}
-
-/// The payload's compact dump, the text the envelope checksum covers.
-std::string compact_dump(const Json& payload) {
-  std::string out;
-  dump_compact(payload, out);
-  return out;
-}
-
 std::string checksum_of_dump(std::string_view payload_dump) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "fnv1a64:%016llx",
@@ -183,39 +138,68 @@ std::string checksum_of_dump(std::string_view payload_dump) {
   return buf;
 }
 
-}  // namespace
-
-std::string payload_checksum(const Json& payload) {
-  return checksum_of_dump(compact_dump(payload));
-}
-
-void write_artifact(const std::string& path, const Json& payload,
-                    std::string_view kind, int schema_version) {
-  // The envelope's compact dump(), spliced by hand: the payload is dumped
-  // once (that text is also what the checksum covers) and never
-  // deep-copied into an envelope Json.
-  const std::string body = compact_dump(payload);
+/// write_artifact's envelope text up to its payload: the compact dump of
+/// the four head members, reopened for the trailing "payload" member. The
+/// reader renders it from the members it parsed to recognise the layout.
+std::string envelope_head(Json kind, Json schema, Json checksum) {
   Json head = Json::object();
   head["format"] = std::string(kArtifactFormat);
-  head["kind"] = std::string(kind);
-  head["schema"] = schema_version;
-  head["checksum"] = checksum_of_dump(body);
+  head["kind"] = std::move(kind);
+  head["schema"] = std::move(schema);
+  head["checksum"] = std::move(checksum);
   std::string text = head.dump();
   text.pop_back();  // reopen the object: "payload" is its last key
-  text.reserve(text.size() + body.size() + 14);
   text += ",\"payload\":";
-  text += body;
-  text += "}\n";
-  write_file_atomic(path, text);
+  return text;
 }
 
-bool is_artifact_envelope(const Json& doc) noexcept {
-  if (!doc.is_object() || !doc.contains("format")) return false;
-  const Json& format = doc.at("format");
-  return format.is_string() && format.as_string() == kArtifactFormat;
+/// The payload's bytes when `text` is write_artifact's exact layout of the
+/// parsed envelope `doc`: its five members in the writer's order, the
+/// writer's head, then the payload, then "}\n". Otherwise nullopt.
+std::optional<std::string_view> writer_payload_slice(std::string_view text,
+                                                     const Json& doc) {
+  static constexpr std::string_view kMembers[] = {"format", "kind", "schema",
+                                                  "checksum", "payload"};
+  constexpr std::string_view kTail = "}\n";
+  const JsonObject& members = doc.as_object();
+  if (members.size() != std::size(kMembers)) return std::nullopt;
+  auto member = members.begin();
+  for (const std::string_view key : kMembers) {
+    if ((member++)->first != key) return std::nullopt;
+  }
+  const std::string head =
+      envelope_head(doc.at("kind"), doc.at("schema"), doc.at("checksum"));
+  if (text.size() < head.size() + kTail.size() || !text.starts_with(head) ||
+      !text.ends_with(kTail)) {
+    return std::nullopt;
+  }
+  return text.substr(head.size(), text.size() - head.size() - kTail.size());
 }
 
-Json artifact_payload(Json doc, std::string_view kind, int schema_version) {
+/// True when the envelope's stored checksum covers its payload. The
+/// writer dumps the payload verbatim as the envelope's last member, so on
+/// its exact layout FNV-1a of the raw slice is the checksum; any other
+/// layout (or a slice that does not match) re-dumps the parsed payload.
+/// `text` is the envelope's file text, or empty when there is none.
+bool checksum_matches(const Json& doc, std::string_view text) {
+  static obs::Counter sliced("artifact.checksum.slice");
+  static obs::Counter redumped("artifact.checksum.redump");
+  if (!doc.contains("checksum") || !doc.at("checksum").is_string()) {
+    return false;
+  }
+  const std::string& stored = doc.at("checksum").as_string();
+  const auto slice = writer_payload_slice(text, doc);
+  if (slice && checksum_of_dump(*slice) == stored) {
+    sliced.increment();
+    return true;
+  }
+  redumped.increment();
+  return payload_checksum(doc.at("payload")) == stored;
+}
+
+/// artifact_payload over the envelope parsed from `text` (empty: none).
+Json verified_payload(Json doc, std::string_view text, std::string_view kind,
+                      int schema_version) {
   if (!is_artifact_envelope(doc)) return doc;
   if (!doc.contains("kind") || !doc.at("kind").is_string() ||
       doc.at("kind").as_string() != kind) {
@@ -230,13 +214,46 @@ Json artifact_payload(Json doc, std::string_view kind, int schema_version) {
   if (!doc.contains("payload")) {
     throw JsonError("artifact envelope has no payload");
   }
-  const std::string expected = payload_checksum(doc.at("payload"));
-  if (!doc.contains("checksum") || !doc.at("checksum").is_string() ||
-      doc.at("checksum").as_string() != expected) {
+  if (!checksum_matches(doc, text)) {
     throw JsonError("artifact checksum mismatch for kind '" +
                     std::string(kind) + "' (content corrupt?)");
   }
   return std::move(doc["payload"]);
+}
+
+}  // namespace
+
+std::string payload_checksum(const Json& payload) {
+  return checksum_of_dump(payload.dump());
+}
+
+void write_artifact(const std::string& path, const Json& payload,
+                    std::string_view kind, int schema_version) {
+  // The envelope's compact dump(), spliced by hand: the payload is dumped
+  // once (that text is also what the checksum covers) and never
+  // deep-copied into an envelope Json.
+  const std::string body = payload.dump();
+  std::string text = envelope_head(std::string(kind), schema_version,
+                                   checksum_of_dump(body));
+  text.reserve(text.size() + body.size() + 2);
+  text += body;
+  text += "}\n";
+  write_file_atomic(path, text);
+}
+
+bool is_artifact_envelope(const Json& doc) noexcept {
+  if (!doc.is_object() || !doc.contains("format")) return false;
+  const Json& format = doc.at("format");
+  return format.is_string() && format.as_string() == kArtifactFormat;
+}
+
+Json artifact_payload(Json doc, std::string_view kind, int schema_version) {
+  return verified_payload(std::move(doc), {}, kind, schema_version);
+}
+
+Json parse_artifact(std::string_view text, std::string_view kind,
+                    int schema_version) {
+  return verified_payload(Json::parse(text), text, kind, schema_version);
 }
 
 const char* to_string(ArtifactStatus status) noexcept {
@@ -295,7 +312,7 @@ ArtifactInfo inspect_artifact(const std::string& path) {
     info.detail = "incomplete envelope (missing kind/checksum/payload)";
     return info;
   }
-  if (doc.at("checksum").as_string() != payload_checksum(doc.at("payload"))) {
+  if (!checksum_matches(doc, text)) {
     info.status = ArtifactStatus::kCorrupt;
     info.detail = "checksum mismatch (content corrupt)";
     return info;

@@ -15,8 +15,12 @@
 // Writes are atomic (temp file + fsync + rename), so readers never observe
 // a torn file; loads validate kind, schema version, and content checksum,
 // so a flipped byte or a truncation is detected instead of silently
-// consumed. Pre-envelope ("legacy") documents remain loadable, and
-// `pml doctor` classifies any on-disk artifact without throwing.
+// consumed. The writer emits the payload's compact dump verbatim as the
+// envelope's last member, so a file in exactly that layout is verified by
+// hashing its raw payload bytes; any other layout (pretty-printed,
+// hand-edited, written by an earlier release) re-dumps the parsed payload.
+// Pre-envelope ("legacy") documents remain loadable, and `pml doctor`
+// classifies any on-disk artifact without throwing.
 #pragma once
 
 #include <cstddef>
@@ -60,9 +64,7 @@ std::uint64_t xxh64(std::string_view bytes) noexcept;
 /// Canonical checksum string for an artifact payload: "fnv1a64:" plus 16
 /// hex digits over the payload's compact dump(). Json objects preserve
 /// insertion order, so a parse -> dump round-trip reproduces the bytes and
-/// the checksum can be re-validated after loading. Arrays of 16 or more
-/// containers (a forest's trees) are dumped on the shared thread pool and
-/// joined in order, so the text is exactly payload.dump().
+/// the checksum can be re-validated after loading.
 std::string payload_checksum(const Json& payload);
 
 /// Wrap `payload` in a pml-artifact-v1 envelope and write it atomically
@@ -79,9 +81,18 @@ bool is_artifact_envelope(const Json& doc) noexcept;
 /// payload; throws JsonError on any mismatch (a checksum mismatch means the
 /// content is corrupt). A document without the envelope is returned
 /// unchanged, so pre-envelope artifacts stay loadable. Pass the document as
-/// an rvalue to move the payload out instead of copying it.
+/// an rvalue to move the payload out instead of copying it. The checksum
+/// is checked against the payload's re-dump.
 Json artifact_payload(Json doc, std::string_view kind,
                       int schema_version = 1);
+
+/// artifact_payload(Json::parse(text), ...) for an artifact file's text:
+/// same verdicts and errors, but when the text has write_artifact's exact
+/// layout the checksum is checked over its raw payload bytes instead of a
+/// re-dump of the parsed payload. Counts `artifact.checksum.slice` or
+/// `artifact.checksum.redump` per checked envelope.
+Json parse_artifact(std::string_view text, std::string_view kind,
+                    int schema_version = 1);
 
 /// `pml doctor` verdict for one on-disk artifact.
 enum class ArtifactStatus {

@@ -386,7 +386,7 @@ PmlFramework PmlFramework::load(const Json& j) {
 }
 
 PmlFramework PmlFramework::load_file(const std::string& path) {
-  return load(artifact_payload(Json::parse(read_file(path)), "model"));
+  return load(parse_artifact(read_file(path), "model"));
 }
 
 CompileOptions resolve_compile_sweep(const sim::ClusterSpec& cluster,

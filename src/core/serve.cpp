@@ -472,7 +472,7 @@ bool ModelHost::revalidate() {
   auto next = std::make_shared<Snapshot>();
   try {
     next->framework = std::make_shared<PmlFramework>(
-        PmlFramework::load(artifact_payload(Json::parse(bytes), "model")));
+        PmlFramework::load(parse_artifact(bytes, "model")));
     next->checksum = std::move(sum);
     static obs::Counter reloaded("serve.model.loaded");
     reloaded.increment();

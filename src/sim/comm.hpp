@@ -22,35 +22,26 @@
 
 namespace pml::sim {
 
-/// Small set of request ids with inline storage. wait/send/recv/sendrecv
-/// cover the hot round-based schedules with 1–2 requests; keeping those
-/// inline makes a steady-state co_await allocation-free. Larger sets (a
-/// wait_all over a whole schedule) spill to a heap vector.
+/// The request ids one co_await waits on, held without allocating: the
+/// one or two of wait/send/recv/sendrecv (the hot round-based schedules)
+/// inline, or a whole batch borrowed from the caller (wait_all).
 class RequestSet {
  public:
-  RequestSet() = default;
-  explicit RequestSet(RequestId id) { inline_[count_++] = id; }
-  explicit RequestSet(std::vector<RequestId> ids) : heap_(std::move(ids)) {}
-
-  void push_back(RequestId id) {
-    if (heap_.empty() && count_ < kInline) {
-      inline_[count_++] = id;
-      return;
-    }
-    if (heap_.empty()) heap_.assign(inline_, inline_ + count_);
-    heap_.push_back(id);
-  }
+  explicit RequestSet(RequestId id) : inline_{id, 0}, count_(1) {}
+  RequestSet(RequestId first, RequestId second)
+      : inline_{first, second}, count_(2) {}
+  /// Borrows `ids`, which must stay alive and unchanged until the wait ends.
+  explicit RequestSet(std::span<const RequestId> ids) : borrowed_(ids) {}
 
   std::span<const RequestId> view() const noexcept {
-    return heap_.empty() ? std::span<const RequestId>(inline_, count_)
-                         : std::span<const RequestId>(heap_);
+    return count_ > 0 ? std::span<const RequestId>(inline_, count_)
+                      : borrowed_;
   }
 
  private:
-  static constexpr std::size_t kInline = 4;
-  RequestId inline_[kInline] = {};
+  RequestId inline_[2] = {};
   std::size_t count_ = 0;
-  std::vector<RequestId> heap_;
+  std::span<const RequestId> borrowed_;
 };
 
 /// Awaitable completion of a set of nonblocking requests.
@@ -149,8 +140,10 @@ class Comm {
   WaitAwaitable wait(RequestId req) {
     return WaitAwaitable(*engine_, world_rank_, RequestSet(req));
   }
-  WaitAwaitable wait_all(std::vector<RequestId> reqs) {
-    return WaitAwaitable(*engine_, world_rank_, RequestSet(std::move(reqs)));
+  /// Wait on every id in `reqs`, which the awaitable borrows: keep them
+  /// alive until the co_await returns (request_list() does).
+  WaitAwaitable wait_all(std::span<const RequestId> reqs) {
+    return WaitAwaitable(*engine_, world_rank_, RequestSet(reqs));
   }
 
   /// Blocking send/recv: co_await comm.send(...).
@@ -165,9 +158,9 @@ class Comm {
   WaitAwaitable sendrecv(int dst, std::span<const std::byte> send_data,
                          int src, std::span<std::byte> recv_data,
                          int tag = 0) {
-    RequestSet reqs(isend(dst, send_data, tag));
-    reqs.push_back(irecv(src, recv_data, tag));
-    return WaitAwaitable(*engine_, world_rank_, std::move(reqs));
+    const RequestId send = isend(dst, send_data, tag);  // posted first
+    return WaitAwaitable(*engine_, world_rank_,
+                         RequestSet(send, irecv(src, recv_data, tag)));
   }
 
   /// Per-rank reusable staging buffer (see Engine::scratch for the slot
@@ -176,6 +169,12 @@ class Comm {
   std::span<std::byte> scratch(std::size_t bytes,
                                std::size_t slot = kFlatScratchSlot) {
     return engine_->scratch(world_rank_, slot, bytes);
+  }
+
+  /// This rank's engine-owned request list (Engine::request_list), for a
+  /// batch of posts awaited with wait_all.
+  std::vector<RequestId>& request_list() {
+    return engine_->request_list(world_rank_);
   }
 
   /// Charge local computation time to this rank.

@@ -217,6 +217,14 @@ std::span<std::byte> Engine::scratch(int rank, std::size_t slot,
   return {buf.data.get(), bytes};
 }
 
+std::vector<RequestId>& Engine::request_list(int rank) {
+  check_rank(rank);
+  if (request_lists_.size() < now_.size()) request_lists_.resize(now_.size());
+  std::vector<RequestId>& list = request_lists_[static_cast<std::size_t>(rank)];
+  list.clear();
+  return list;
+}
+
 std::uint64_t Engine::channel_key(int src, int dst, int tag) {
   if (tag < 0 || tag > kMaxTag) {
     throw SimError("message tag " + std::to_string(tag) +

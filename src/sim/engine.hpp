@@ -257,6 +257,12 @@ class Engine {
   /// are ignored: every span points into one uninitialised arena.
   std::span<std::byte> scratch(int rank, std::size_t slot, std::size_t bytes);
 
+  /// Per-rank request list, emptied, for a schedule that posts a batch of
+  /// requests and then waits on all of them. Its capacity persists across
+  /// reset(), so a steady-state batch posts without allocating. One list
+  /// per rank: finish the wait on it before taking it again.
+  std::vector<RequestId>& request_list(int rank);
+
   // --- Introspection for tests/benchmarks (capacity regression guards) ---
 
   /// Slots in the open-addressed channel table (power of two, high-water).
@@ -434,6 +440,7 @@ class Engine {
   // survives reset()
   std::vector<ScratchBuffer> scratch_;
   std::vector<std::unique_ptr<std::byte[]>> scratch_retired_;  // until reset()
+  std::vector<std::vector<RequestId>> request_lists_;  // per rank; survive reset()
   std::uint64_t next_seq_ = 0;
   // Cheap always-on statistics (plain increments on members the hot loop
   // already owns); flushed to obs counters at the end of run() when

@@ -1,6 +1,6 @@
 // pml-artifact-v1 envelopes: checksum math, atomic write round-trips,
-// legacy passthrough, mismatch detection, doctor verdicts, and the
-// bounded-exponential-backoff retry helper.
+// legacy passthrough, mismatch detection, doctor verdicts, and which
+// checksum path (raw payload slice or re-dump) a read takes.
 #include "common/artifact.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "core/framework.hpp"
+#include "core/serve.hpp"
+#include "obs/export.hpp"
 #include "sim/hardware.hpp"
 
 namespace pml {
@@ -173,8 +176,7 @@ TEST_F(ArtifactTest, AtomicWriteReplacesExistingFile) {
   EXPECT_EQ(artifact_payload(doc, "sample"), sample_payload());
 }
 
-/// A trained model bundle whose forests have 16 trees each, the smallest
-/// tree array the checksum dump writes on the pool.
+/// A trained model bundle whose forests have 16 trees each.
 core::PmlFramework trained_bundle(int threads) {
   core::TrainOptions options;
   options.forest.n_trees = 16;
@@ -278,6 +280,155 @@ TEST_F(ArtifactTest, InspectClassifiesEveryVerdict) {
 
   EXPECT_EQ(inspect_artifact(path("missing.json")).status,
             ArtifactStatus::kUnreadable);
+}
+
+using ArtifactChecksumPath = ArtifactTest;
+
+/// How many envelopes `body` checked over the raw payload slice and how
+/// many by re-dumping the payload, read from a ScopedCapture's metrics.
+struct ChecksumPaths {
+  std::int64_t slice = 0;
+  std::int64_t redump = 0;
+};
+
+ChecksumPaths checksum_paths(const std::string& metrics,
+                             const std::function<void()>& body) {
+  obs::reset();
+  {
+    const obs::ScopedCapture capture(obs::Sink{"", metrics});
+    body();
+  }
+  const Json counters = Json::parse(read_file(metrics)).at("counters");
+  obs::reset();
+  const auto count = [&](const std::string& name) -> std::int64_t {
+    return counters.contains(name) ? counters.at(name).as_int() : 0;
+  };
+  return {count("artifact.checksum.slice"), count("artifact.checksum.redump")};
+}
+
+/// A reader's verdict: the payload it returns, dumped, or "throws".
+std::string verdict(const std::function<Json()>& read) {
+  try {
+    return read().dump();
+  } catch (const JsonError&) {
+    return "throws";
+  }
+}
+
+TEST_F(ArtifactChecksumPath, WriterLayoutHashesThePayloadSlice) {
+  const std::string file = path("model.json");
+  write_artifact(file, trained_bundle(0).to_json(), "model");
+  const std::string metrics = path("metrics.json");
+
+  ChecksumPaths paths = checksum_paths(
+      metrics, [&] { core::PmlFramework::load_file(file); });
+  EXPECT_EQ(paths.slice, 1);
+  EXPECT_EQ(paths.redump, 0);
+
+  paths = checksum_paths(metrics, [&] {
+    EXPECT_EQ(inspect_artifact(file).status, ArtifactStatus::kOk);
+  });
+  EXPECT_EQ(paths.slice, 1);
+  EXPECT_EQ(paths.redump, 0);
+
+  paths = checksum_paths(metrics, [&] {
+    const core::ModelHost host(file);
+    EXPECT_NE(host.framework(), nullptr);
+  });
+  EXPECT_EQ(paths.slice, 1);
+  EXPECT_EQ(paths.redump, 0);
+}
+
+TEST_F(ArtifactChecksumPath, PrettyPrintedBundleReDumpsThePayload) {
+  const std::string compact = path("model.json");
+  write_artifact(compact, trained_bundle(0).to_json(), "model");
+  const std::string pretty = path("pretty.json");
+  write_file(pretty, Json::parse(read_file(compact)).dump(2) + "\n");
+
+  const ChecksumPaths paths = checksum_paths(
+      path("metrics.json"), [&] { core::PmlFramework::load_file(pretty); });
+  EXPECT_EQ(paths.slice, 0);
+  EXPECT_EQ(paths.redump, 1);
+}
+
+TEST_F(ArtifactChecksumPath, FlippedPayloadByteFailsEveryReader) {
+  const std::string file = path("model.json");
+  write_artifact(file, trained_bundle(0).to_json(), "model");
+  std::string bytes = read_file(file);
+  // A digit in the middle of the forests, bumped so the number stays
+  // valid JSON (no new leading zero): only the checksum can catch it.
+  const std::size_t at = bytes.find_first_of("012345678", bytes.size() / 2);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_GT(at, bytes.find("\"payload\":"));
+  ++bytes[at];
+  write_file(file, bytes);
+  ASSERT_NO_THROW(Json::parse(bytes));
+
+  const ChecksumPaths paths = checksum_paths(path("metrics.json"), [&] {
+    try {
+      core::PmlFramework::load_file(file);
+      ADD_FAILURE() << "a flipped payload byte loaded";
+    } catch (const JsonError& err) {
+      EXPECT_NE(std::string(err.what()).find("checksum mismatch"),
+                std::string::npos)
+          << err.what();
+    }
+  });
+  EXPECT_EQ(paths.slice, 0);  // the slice no longer matches: re-dumped
+  EXPECT_EQ(paths.redump, 1);
+
+  const core::ModelHost host(file);
+  EXPECT_EQ(host.framework(), nullptr);  // heuristic serving
+  EXPECT_EQ(host.checksum(), "");
+  EXPECT_EQ(inspect_artifact(file).status, ArtifactStatus::kCorrupt);
+}
+
+TEST_F(ArtifactChecksumPath, NearWriterLayoutsAreJudgedAsByTheReDump) {
+  const std::string file = path("sample.json");
+  write_artifact(file, sample_payload(), "sample");
+  const std::string text = read_file(file);
+  const std::string key = ",\"payload\":";
+  const std::size_t split = text.find(key);
+  ASSERT_NE(split, std::string::npos);
+  const std::string head = text.substr(0, split);
+  const std::string body = text.substr(split + key.size(),
+                                       text.size() - split - key.size() - 2);
+  Json other = sample_payload();
+  other["value"] = 43;
+
+  const std::vector<std::string> variants = {
+      text,
+      head + key + body + key + body + "}\n",          // same payload twice
+      head + key + body + key + other.dump() + "}\n",  // last one differs
+      head + key + other.dump() + key + body + "}\n",  // first one differs
+      head + ", \"payload\":" + body + "}\n",         // space before the key
+      head + key + " " + body + "}\n",                 // space after the colon
+      head + key + body + " }\n",                      // space before the brace
+      head + key + body + "}",                         // no newline
+  };
+  for (const std::string& variant : variants) {
+    const std::string redump =
+        verdict([&] { return artifact_payload(Json::parse(variant), "sample"); });
+    EXPECT_EQ(verdict([&] { return parse_artifact(variant, "sample"); }),
+              redump)
+        << variant;
+    for (const auto& [kind, schema] :
+         {std::pair<std::string, int>{"other-kind", 1}, {"sample", 2}}) {
+      EXPECT_THROW(parse_artifact(variant, kind, schema), JsonError) << variant;
+    }
+  }
+  EXPECT_EQ(parse_artifact(text, "sample"), sample_payload());
+  EXPECT_EQ(verdict([&] { return parse_artifact(variants[2], "sample"); }),
+            "throws");
+
+  // Only the writer's own bytes hash the slice.
+  const ChecksumPaths paths = checksum_paths(path("metrics.json"), [&] {
+    for (const std::string& variant : variants) {
+      verdict([&] { return parse_artifact(variant, "sample"); });
+    }
+  });
+  EXPECT_EQ(paths.slice, 1);
+  EXPECT_EQ(paths.redump, static_cast<std::int64_t>(variants.size()) - 1);
 }
 
 TEST(ArtifactStatusName, StableStrings) {

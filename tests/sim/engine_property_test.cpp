@@ -56,7 +56,7 @@ TEST_P(RandomPermutationExchange, AllPayloadsDelivered) {
                               outbox[static_cast<std::size_t>(rank)]));
     reqs.push_back(comm.irecv(source[static_cast<std::size_t>(rank)],
                               inbox[static_cast<std::size_t>(rank)]));
-    co_await comm.wait_all(std::move(reqs));
+    co_await comm.wait_all(reqs);
   });
 
   for (std::size_t r = 0; r < target.size(); ++r) {
@@ -150,7 +150,7 @@ TEST(EngineProperty, IncastSerialisesOnReceiverNic) {
           reqs.push_back(
               comm.irecv(s, in[static_cast<std::size_t>(s - 1)], s));
         }
-        co_await comm.wait_all(std::move(reqs));
+        co_await comm.wait_all(reqs);
       } else {
         co_await comm.send(0, buf, rank);
       }

@@ -370,12 +370,12 @@ TEST(Engine, WaitAllFoldsCompletionTimes) {
       std::vector<RequestId> reqs;
       reqs.push_back(comm.isend(1, a, 0));
       reqs.push_back(comm.isend(1, b, 1));
-      co_await comm.wait_all(std::move(reqs));
+      co_await comm.wait_all(reqs);
     } else {
       std::vector<RequestId> reqs;
       reqs.push_back(comm.irecv(0, ra, 0));
       reqs.push_back(comm.irecv(0, rb, 1));
-      co_await comm.wait_all(std::move(reqs));
+      co_await comm.wait_all(reqs);
     }
   });
   // Two 256 KiB messages through one NIC: at least twice the wire time.

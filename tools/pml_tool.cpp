@@ -253,7 +253,7 @@ sim::ClusterSpec load_cluster(const std::string& name_or_path) {
       name_or_path.substr(name_or_path.size() - 5) == ".json") {
     // Bare cluster documents and pml-artifact-v1 envelopes both load.
     return sim::ClusterSpec::from_json(
-        artifact_payload(Json::parse(read_file(name_or_path)), "cluster"));
+        parse_artifact(read_file(name_or_path), "cluster"));
   }
   return sim::cluster_by_name(name_or_path);
 }
@@ -298,8 +298,8 @@ int cmd_dataset(const Args& args) {
   args.read("seed", options.seed);
   args.read("threads", options.threads);
   if (args.has("fault-plan")) {
-    options.faults = sim::FaultPlan::from_json(artifact_payload(
-        Json::parse(read_file(args.get("fault-plan"))), "fault-plan"));
+    options.faults = sim::FaultPlan::from_json(
+        parse_artifact(read_file(args.get("fault-plan")), "fault-plan"));
   }
 
   std::printf("building MPI_%s dataset on %zu clusters (%s cost source)...\n",
@@ -343,8 +343,8 @@ int cmd_compile(const Args& args) {
 }
 
 int cmd_query(const Args& args) {
-  const core::TuningTable table = core::TuningTable::from_json(artifact_payload(
-      Json::parse(read_file(args.require("table"))), "tuning-table"));
+  const core::TuningTable table = core::TuningTable::from_json(
+      parse_artifact(read_file(args.require("table")), "tuning-table"));
   const auto collective =
       coll::collective_from_string(args.require("collective"));
   const int nodes = args.number<int>("nodes");
