@@ -153,27 +153,46 @@ std::string envelope_head(Json kind, Json schema, Json checksum) {
   return text;
 }
 
-/// The payload's bytes when `text` is write_artifact's exact layout of the
-/// parsed envelope `doc`: its five members in the writer's order, the
-/// writer's head, then the payload, then "}\n". Otherwise nullopt.
-std::optional<std::string_view> writer_payload_slice(std::string_view text,
-                                                     const Json& doc) {
-  static constexpr std::string_view kMembers[] = {"format", "kind", "schema",
-                                                  "checksum", "payload"};
+/// What write_artifact's exact layout tells a reader before the payload:
+/// the head members it was rendered from, and the payload's bytes.
+struct WriterHead {
+  Json kind;
+  Json schema;
+  Json checksum;
+  std::string_view payload;
+};
+
+/// Pulls the head of `reader`'s text, leaving the reader at the payload's
+/// value. Set when the text starts with the four head members in the
+/// writer's order, rendered exactly as envelope_head renders them, then
+/// the "payload" key, and ends with "}\n"; nullopt otherwise.
+std::optional<WriterHead> writer_head(JsonReader& reader) {
+  using Token = JsonReader::Token;
+  static constexpr std::string_view kHead[] = {"format", "kind", "schema",
+                                               "checksum", "payload"};
   constexpr std::string_view kTail = "}\n";
-  const JsonObject& members = doc.as_object();
-  if (members.size() != std::size(kMembers)) return std::nullopt;
-  auto member = members.begin();
-  for (const std::string_view key : kMembers) {
-    if ((member++)->first != key) return std::nullopt;
+  if (reader.next() != Token::kBeginObject) return std::nullopt;
+  Json values[4];
+  for (std::size_t i = 0; i < std::size(kHead); ++i) {
+    if (reader.next() != Token::kKey || reader.string() != kHead[i]) {
+      return std::nullopt;
+    }
+    if (i < std::size(values)) values[i] = Json::read(reader, reader.next());
   }
-  const std::string head =
-      envelope_head(doc.at("kind"), doc.at("schema"), doc.at("checksum"));
-  if (text.size() < head.size() + kTail.size() || !text.starts_with(head) ||
-      !text.ends_with(kTail)) {
+  const std::string_view text = reader.text();
+  const std::size_t start = reader.offset();
+  if (text.size() < start + kTail.size() || !text.ends_with(kTail) ||
+      text.substr(0, start) != envelope_head(values[1], values[2], values[3])) {
     return std::nullopt;
   }
-  return text.substr(head.size(), text.size() - head.size() - kTail.size());
+  return WriterHead{std::move(values[1]), std::move(values[2]),
+                    std::move(values[3]),
+                    text.substr(start, text.size() - start - kTail.size())};
+}
+
+obs::Counter& slice_checks() {
+  static obs::Counter counter("artifact.checksum.slice");
+  return counter;
 }
 
 /// True when the envelope's stored checksum covers its payload. The
@@ -182,15 +201,15 @@ std::optional<std::string_view> writer_payload_slice(std::string_view text,
 /// layout (or a slice that does not match) re-dumps the parsed payload.
 /// `text` is the envelope's file text, or empty when there is none.
 bool checksum_matches(const Json& doc, std::string_view text) {
-  static obs::Counter sliced("artifact.checksum.slice");
   static obs::Counter redumped("artifact.checksum.redump");
   if (!doc.contains("checksum") || !doc.at("checksum").is_string()) {
     return false;
   }
   const std::string& stored = doc.at("checksum").as_string();
-  const auto slice = writer_payload_slice(text, doc);
-  if (slice && checksum_of_dump(*slice) == stored) {
-    sliced.increment();
+  JsonReader reader(text);
+  if (const auto head = text.empty() ? std::nullopt : writer_head(reader);
+      head && checksum_of_dump(head->payload) == stored) {
+    slice_checks().increment();
     return true;
   }
   redumped.increment();
@@ -254,6 +273,25 @@ Json artifact_payload(Json doc, std::string_view kind, int schema_version) {
 Json parse_artifact(std::string_view text, std::string_view kind,
                     int schema_version) {
   return verified_payload(Json::parse(text), text, kind, schema_version);
+}
+
+bool OpenedArtifact::verify() const {
+  if (checksum_of_dump(bytes) != checksum) return false;
+  slice_checks().increment();
+  return true;
+}
+
+std::optional<OpenedArtifact> open_artifact(std::string_view text,
+                                            std::string_view kind,
+                                            int schema_version) {
+  JsonReader reader(text);
+  auto head = writer_head(reader);
+  if (!head || !(head->kind == Json(std::string(kind))) ||
+      !(head->schema == Json(schema_version)) || !head->checksum.is_string()) {
+    return std::nullopt;
+  }
+  return OpenedArtifact{reader, head->payload,
+                        std::move(head->checksum.as_string())};
 }
 
 const char* to_string(ArtifactStatus status) noexcept {

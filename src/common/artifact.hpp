@@ -17,8 +17,10 @@
 // so a flipped byte or a truncation is detected instead of silently
 // consumed. The writer emits the payload's compact dump verbatim as the
 // envelope's last member, so a file in exactly that layout is verified by
-// hashing its raw payload bytes; any other layout (pretty-printed,
-// hand-edited, written by an earlier release) re-dumps the parsed payload.
+// hashing its raw payload bytes, and open_artifact hands a reader such a
+// payload without building a Json tree (model bundles load that way). Any
+// other layout (pretty-printed, hand-edited, written by an earlier
+// release) is parsed and its payload re-dumped, with the same verdicts.
 // Pre-envelope ("legacy") documents remain loadable, and `pml doctor`
 // classifies any on-disk artifact without throwing.
 #pragma once
@@ -27,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -93,6 +96,27 @@ Json artifact_payload(Json doc, std::string_view kind,
 /// `artifact.checksum.redump` per checked envelope.
 Json parse_artifact(std::string_view text, std::string_view kind,
                     int schema_version = 1);
+
+/// A write_artifact file opened without a Json tree (open_artifact).
+struct OpenedArtifact {
+  /// At the payload's value: pull the payload, then the envelope's close.
+  JsonReader payload;
+  std::string_view bytes;  ///< the payload's raw bytes
+  std::string checksum;    ///< the stored checksum
+  /// FNV-1a of `bytes` is the stored checksum (counted as
+  /// `artifact.checksum.slice`). Independent of `payload`, so it may run
+  /// beside the decode; on false the file is parse_artifact's to judge,
+  /// and nothing decoded from it may be used.
+  bool verify() const;
+};
+
+/// The DOM-free way in: set when `text` has write_artifact's exact layout
+/// and names this kind and schema; nullopt for any other text, which
+/// parse_artifact judges. A syntax error in the envelope's head throws as
+/// it does there.
+std::optional<OpenedArtifact> open_artifact(std::string_view text,
+                                            std::string_view kind,
+                                            int schema_version = 1);
 
 /// `pml doctor` verdict for one on-disk artifact.
 enum class ArtifactStatus {

@@ -63,361 +63,451 @@ void dump_string(const std::string& s, std::string& out) {
   out += '"';
 }
 
-void dump_number(double d, std::string& out) {
-  if (!std::isfinite(d)) throw JsonError("cannot serialize non-finite number");
-  // std::to_chars with a precision formats exactly as printf does in the
-  // "C" locale, so these are the bytes of "%lld" and "%.17g", at several
-  // times their speed.
-  char buf[32];
-  std::to_chars_result res;
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    res = std::to_chars(buf, buf + sizeof buf, static_cast<long long>(d));
-  } else {
-    res = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general,
-                        17);
-  }
-  out.append(buf, res.ptr);
-}
+/// One dump: the output, the indent (< 0: compact) and whether a -0.0
+/// keeps its sign.
+struct Dumper {
+  std::string& out;
+  int indent;
+  bool lossless;
 
-void indent_to(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent * depth), ' ');
-}
+  void number(double d) {
+    if (!std::isfinite(d)) throw JsonError("cannot serialize non-finite number");
+    if (lossless && d == 0.0 && std::signbit(d)) {
+      out += "-0";
+      return;
+    }
+    // std::to_chars with a precision formats exactly as printf does in the
+    // "C" locale, so these are the bytes of "%lld" and "%.17g", at several
+    // times their speed.
+    char buf[32];
+    std::to_chars_result res;
+    if (d == std::floor(d) && std::abs(d) < 1e15) {
+      res = std::to_chars(buf, buf + sizeof buf, static_cast<long long>(d));
+    } else {
+      res = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general,
+                          17);
+    }
+    out.append(buf, res.ptr);
+  }
 
-void dump_value(const Json& v, std::string& out, int indent, int depth);
+  void indent_to(int depth) {
+    if (indent < 0) return;
+    out += '\n';
+    out.append(static_cast<std::size_t>(indent * depth), ' ');
+  }
 
-void dump_array(const Json::Array& a, std::string& out, int indent, int depth) {
-  if (a.empty()) {
-    out += "[]";
-    return;
+  void array(const Json::Array& a, int depth) {
+    if (a.empty()) {
+      out += "[]";
+      return;
+    }
+    out += '[';
+    bool first = true;
+    for (const auto& item : a) {
+      if (!first) out += ',';
+      first = false;
+      indent_to(depth + 1);
+      value(item, depth + 1);
+    }
+    indent_to(depth);
+    out += ']';
   }
-  out += '[';
-  bool first = true;
-  for (const auto& item : a) {
-    if (!first) out += ',';
-    first = false;
-    indent_to(out, indent, depth + 1);
-    dump_value(item, out, indent, depth + 1);
-  }
-  indent_to(out, indent, depth);
-  out += ']';
-}
 
-void dump_object(const JsonObject& o, std::string& out, int indent, int depth) {
-  if (o.empty()) {
-    out += "{}";
-    return;
+  void object(const JsonObject& o, int depth) {
+    if (o.empty()) {
+      out += "{}";
+      return;
+    }
+    out += '{';
+    bool first = true;
+    for (const auto& [key, item] : o) {
+      if (!first) out += ',';
+      first = false;
+      indent_to(depth + 1);
+      dump_string(key, out);
+      out += indent < 0 ? ":" : ": ";
+      value(item, depth + 1);
+    }
+    indent_to(depth);
+    out += '}';
   }
-  out += '{';
-  bool first = true;
-  for (const auto& [key, value] : o) {
-    if (!first) out += ',';
-    first = false;
-    indent_to(out, indent, depth + 1);
-    dump_string(key, out);
-    out += indent < 0 ? ":" : ": ";
-    dump_value(value, out, indent, depth + 1);
-  }
-  indent_to(out, indent, depth);
-  out += '}';
-}
 
-void dump_value(const Json& v, std::string& out, int indent, int depth) {
-  if (v.is_null()) {
-    out += "null";
-  } else if (v.is_bool()) {
-    out += v.as_bool() ? "true" : "false";
-  } else if (v.is_number()) {
-    dump_number(v.as_number(), out);
-  } else if (v.is_string()) {
-    dump_string(v.as_string(), out);
-  } else if (v.is_array()) {
-    dump_array(v.as_array(), out, indent, depth);
-  } else {
-    dump_object(v.as_object(), out, indent, depth);
+  void value(const Json& v, int depth) {
+    if (v.is_null()) {
+      out += "null";
+    } else if (v.is_bool()) {
+      out += v.as_bool() ? "true" : "false";
+    } else if (v.is_number()) {
+      number(v.as_number());
+    } else if (v.is_string()) {
+      dump_string(v.as_string(), out);
+    } else if (v.is_array()) {
+      array(v.as_array(), depth);
+    } else {
+      object(v.as_object(), depth);
+    }
   }
-}
+};
+
+bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
 
 }  // namespace
 
-namespace detail {
+// --- JsonReader ---------------------------------------------------------------
 
-/// Recursive-descent JSON parser over a string_view. Elements of the open
-/// arrays and objects collect on two scratch stacks shared by every
-/// nesting level; each container is then built at its exact size when its
-/// closing bracket is read, instead of growing one push_back at a time.
-/// The stacks belong to the thread and outlive the parse, so a parse
-/// allocates only the containers it returns.
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+void JsonReader::fail(const std::string& what) {
+  failed_ = true;
+  throw JsonError(what + " at offset " + std::to_string(pos_));
+}
 
-  ~JsonParser() {
-    // A failed parse leaves its open elements behind; and one huge
-    // document must not pin its stack memory to the thread.
-    values_.clear();
-    members_.clear();
-    if (values_.capacity() > kStackKeep) values_.shrink_to_fit();
-    if (members_.capacity() > kStackKeep) members_.shrink_to_fit();
-  }
+char JsonReader::peek() {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
 
-  JsonParser(const JsonParser&) = delete;
-  JsonParser& operator=(const JsonParser&) = delete;
+void JsonReader::expect(char c) {
+  if (peek() != c) fail(std::string("expected '") + c + "'");
+  ++pos_;
+}
 
-  Json parse_document() {
-    Json v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw JsonError(msg + " at offset " + std::to_string(pos_));
-  }
-
-  void skip_ws() noexcept {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
+JsonReader::Token JsonReader::next() {
+  switch (state_) {
+    case State::kValue:
+      return value();
+    case State::kArrayFirst:
+      skip_ws();
+      if (peek() != ']') return value();
       ++pos_;
+      return close(Token::kEndArray);
+    case State::kObjectFirst:
+      skip_ws();
+      if (peek() != '}') return key();
+      ++pos_;
+      return close(Token::kEndObject);
+    case State::kAfterValue: {
+      if (depth_ == 0) {
+        state_ = State::kDone;
+        if (whole_) {
+          skip_ws();
+          if (pos_ != text_.size()) fail("trailing characters after document");
+        }
+        return Token::kEnd;
+      }
+      skip_ws();
+      const char c = peek();
+      ++pos_;
+      if (in_array_[static_cast<std::size_t>(depth_)]) {
+        if (c == ']') return close(Token::kEndArray);
+        if (c != ',') fail("expected ',' or ']' in array");
+        return value();
+      }
+      if (c == '}') return close(Token::kEndObject);
+      if (c != ',') fail("expected ',' or '}' in object");
+      return key();
+    }
+    case State::kDone:
+      break;
+  }
+  return Token::kEnd;
+}
+
+JsonReader::Token JsonReader::next_numbers(std::vector<double>& out) {
+  Token token = next();
+  while (token == Token::kNumber) {
+    out.push_back(number_);
+    // A ',' then a digit or '-' starts the next number: what next() reads
+    // there, without its dispatch.
+    if (pos_ + 1 < text_.size() && text_[pos_] == ',' && depth_ < kMaxDepth &&
+        (is_digit(text_[pos_ + 1]) || text_[pos_ + 1] == '-')) {
+      ++pos_;
+      token = read_number();
+    } else {
+      token = next();
     }
   }
+  return token;
+}
 
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
+JsonReader::Token JsonReader::value() {
+  if (depth_ >= kMaxDepth) fail("nesting deeper than 192 levels");
+  skip_ws();
+  const char c = peek();
+  state_ = State::kAfterValue;
+  switch (c) {
+    case '{': return open(false);
+    case '[': return open(true);
+    case '"': read_string(); return Token::kString;
+    case 't': return literal("true", Token::kTrue);
+    case 'f': return literal("false", Token::kFalse);
+    case 'n': return literal("null", Token::kNull);
+    default: return read_number();
   }
+}
 
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
+JsonReader::Token JsonReader::key() {
+  skip_ws();
+  read_string();
+  skip_ws();
+  expect(':');
+  state_ = State::kValue;
+  return Token::kKey;
+}
+
+JsonReader::Token JsonReader::open(bool array) {
+  ++pos_;
+  ++depth_;
+  in_array_[static_cast<std::size_t>(depth_)] = array;
+  state_ = array ? State::kArrayFirst : State::kObjectFirst;
+  return array ? Token::kBeginArray : Token::kBeginObject;
+}
+
+JsonReader::Token JsonReader::literal(std::string_view word, Token token) {
+  if (text_.substr(pos_, word.size()) != word) fail("invalid literal");
+  pos_ += word.size();
+  return token;
+}
+
+void JsonReader::read_string() {
+  expect('"');
+  // Copy-free when the string has no escapes: string_ views the text.
+  const std::size_t start = pos_;
+  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
     ++pos_;
   }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
+  if (pos_ < text_.size() && text_[pos_] == '"') {
+    string_ = text_.substr(start, pos_++ - start);
+    return;
   }
-
-  /// The parser recurses once per nesting level, so adversarial input
-  /// ("[[[[..." from a network peer) must hit a JsonError long before it
-  /// can exhaust the thread's stack. 192 levels is far beyond any
-  /// artifact or protocol document this library exchanges.
-  static constexpr int kMaxDepth = 192;
-
-  /// Largest scratch stack capacity kept for the thread's next parse.
-  static constexpr std::size_t kStackKeep = 4096;
-
-  Json parse_value() {
-    if (depth_ >= kMaxDepth) fail("nesting deeper than 192 levels");
-    skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json(parse_string());
-      case 't':
-        if (consume_literal("true")) return Json(true);
-        fail("invalid literal");
-      case 'f':
-        if (consume_literal("false")) return Json(false);
-        fail("invalid literal");
-      case 'n':
-        if (consume_literal("null")) return Json(nullptr);
-        fail("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  Json parse_object() {
-    ++depth_;
-    expect('{');
-    JsonObject obj;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      --depth_;
-      return Json(std::move(obj));
-    }
-    const std::size_t base = members_.size();
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      Json value = parse_value();
-      // A repeated key keeps its first position and takes the last value.
-      const auto open = members_.begin() + static_cast<std::ptrdiff_t>(base);
-      const auto dup = std::find_if(open, members_.end(), [&](const auto& m) {
-        return m.first == key;
-      });
-      if (dup != members_.end()) {
-        dup->second = std::move(value);
-      } else {
-        members_.emplace_back(std::move(key), std::move(value));
-      }
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-    const auto open = members_.begin() + static_cast<std::ptrdiff_t>(base);
-    obj.entries_.assign(std::make_move_iterator(open),
-                        std::make_move_iterator(members_.end()));
-    members_.erase(open, members_.end());
-    --depth_;
-    return Json(std::move(obj));
-  }
-
-  Json parse_array() {
-    ++depth_;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      --depth_;
-      return Json(Json::Array());
-    }
-    const std::size_t base = values_.size();
-    while (true) {
-      values_.push_back(parse_value());
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-    const auto open = values_.begin() + static_cast<std::ptrdiff_t>(base);
-    Json::Array arr(std::make_move_iterator(open),
-                    std::make_move_iterator(values_.end()));
-    values_.erase(open, values_.end());
-    --depth_;
-    return Json(std::move(arr));
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      // Copy the run up to the next quote or backslash in one append.
-      const std::size_t run = pos_;
-      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
-        ++pos_;
-      }
-      out.append(text_.data() + run, pos_ - run);
-      if (pos_ >= text_.size()) fail("unterminated string");
-      if (text_[pos_++] == '"') break;
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("invalid hex digit in \\u escape");
-          }
-          // Encode BMP code point as UTF-8 (surrogate pairs not needed for
-          // the artefacts this library writes).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xc0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          } else {
-            out += static_cast<char>(0xe0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          }
-          break;
+  std::string& out = unescaped_;
+  out.assign(text_.data() + start, pos_ - start);
+  while (true) {
+    if (pos_ >= text_.size()) fail("unterminated string");
+    if (text_[pos_++] == '"') break;
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'r': out += '\r'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else fail("invalid hex digit in \\u escape");
         }
-        default: fail("invalid escape character");
+        // Encode BMP code point as UTF-8 (surrogate pairs not needed for
+        // the artefacts this library writes).
+        if (code < 0x80) {
+          out += static_cast<char>(code);
+        } else if (code < 0x800) {
+          out += static_cast<char>(0xc0 | (code >> 6));
+          out += static_cast<char>(0x80 | (code & 0x3f));
+        } else {
+          out += static_cast<char>(0xe0 | (code >> 12));
+          out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+          out += static_cast<char>(0x80 | (code & 0x3f));
+        }
+        break;
       }
+      default: fail("invalid escape character");
     }
-    return out;
-  }
-
-  static bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    const std::size_t digits = pos_;
-    std::uint64_t magnitude = 0;  // wraps past 19 digits; used only for <= 15
-    while (pos_ < text_.size() && is_digit(text_[pos_])) {
-      magnitude = magnitude * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
+    // Copy the run up to the next quote or backslash in one append.
+    const std::size_t run = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
       ++pos_;
     }
-    const std::size_t digit_count = pos_ - digits;
-    while (pos_ < text_.size() &&
-           (is_digit(text_[pos_]) || text_[pos_] == '.' || text_[pos_] == 'e' ||
-            text_[pos_] == 'E' || text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    // Fast path: the token is an optional '-' and 1 to 15 digits without a
-    // leading zero (a lone "0" included). Such an integer is below 2^53, so
-    // the conversion is exact and equals what from_chars returns.
-    if (pos_ == digits + digit_count && digit_count >= 1 &&
-        digit_count <= 15 && text_[start] != '+' &&
-        (digit_count == 1 || text_[digits] != '0')) {
-      const double value = static_cast<double>(magnitude);
-      return Json(digits != start ? -value : value);
-    }
-    double value = 0.0;
-    const auto* first = text_.data() + start;
-    const auto* last = text_.data() + pos_;
-    const auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc() || ptr != last || first == last) {
-      pos_ = start;
-      fail("invalid number");
-    }
-    return Json(value);
+    out.append(text_.data() + run, pos_ - run);
   }
+  string_ = out;
+}
 
-  static thread_local std::vector<Json> thread_values_;
-  static thread_local std::vector<std::pair<std::string, Json>>
-      thread_members_;
+JsonReader::Token JsonReader::read_number() {
+  const std::size_t start = pos_;
+  if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
+  const std::size_t digits = pos_;
+  std::uint64_t magnitude = 0;  // wraps past 19 digits; used only for <= 15
+  while (pos_ < text_.size() && is_digit(text_[pos_])) {
+    magnitude = magnitude * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
+    ++pos_;
+  }
+  const std::size_t digit_count = pos_ - digits;
+  while (pos_ < text_.size() &&
+         (is_digit(text_[pos_]) || text_[pos_] == '.' || text_[pos_] == 'e' ||
+          text_[pos_] == 'E' || text_[pos_] == '+' || text_[pos_] == '-')) {
+    ++pos_;
+  }
+  // Fast path: the token is an optional '-' and 1 to 15 digits without a
+  // leading zero (a lone "0" included). Such an integer is below 2^53, so
+  // the conversion is exact and equals what from_chars returns.
+  if (pos_ == digits + digit_count && digit_count >= 1 && digit_count <= 15 &&
+      text_[start] != '+' && (digit_count == 1 || text_[digits] != '0')) {
+    const double value = static_cast<double>(magnitude);
+    number_ = digits != start ? -value : value;
+    return Token::kNumber;
+  }
+  const auto* first = text_.data() + start;
+  const auto* last = text_.data() + pos_;
+  const auto [ptr, ec] = std::from_chars(first, last, number_);
+  if (ec != std::errc() || ptr != last || first == last) {
+    pos_ = start;
+    fail("invalid number");
+  }
+  return Token::kNumber;
+}
 
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  /// Elements of the open arrays, innermost array last.
-  std::vector<Json>& values_ = thread_values_;
-  /// Members of the open objects, innermost object last.
-  std::vector<std::pair<std::string, Json>>& members_ = thread_members_;
-};
+// --- Json ---------------------------------------------------------------------
 
-thread_local std::vector<Json> JsonParser::thread_values_;
-thread_local std::vector<std::pair<std::string, Json>>
-    JsonParser::thread_members_;
+namespace {
 
-}  // namespace detail
+/// Elements of the open arrays and members of the open objects, innermost
+/// last, on two stacks shared by every nesting level; each container is
+/// built at its exact size when it closes, instead of growing one
+/// push_back at a time. The stacks belong to the thread and outlive the
+/// read, so a read allocates only the containers it returns.
+thread_local std::vector<Json> t_values;
+thread_local std::vector<std::pair<std::string, Json>> t_members;
+
+/// Largest scratch stack capacity kept for the thread's next read.
+constexpr std::size_t kStackKeep = 4096;
+
+}  // namespace
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dump_value(*this, out, indent, 0);
+  Dumper{out, indent, false}.value(*this, 0);
   return out;
 }
 
+std::string Json::dump_lossless() const {
+  std::string out;
+  Dumper{out, -1, true}.value(*this, 0);
+  return out;
+}
+
+Json Json::read(JsonReader& reader, JsonReader::Token first) {
+  struct Release {
+    ~Release() {
+      // A failed read leaves its open elements behind; and one huge
+      // document must not pin its stack memory to the thread.
+      t_values.clear();
+      t_members.clear();
+      if (t_values.capacity() > kStackKeep) t_values.shrink_to_fit();
+      if (t_members.capacity() > kStackKeep) t_members.shrink_to_fit();
+    }
+  } release;
+  return build(reader, first);
+}
+
+Json Json::build(JsonReader& reader, JsonReader::Token first) {
+  using Token = JsonReader::Token;
+  switch (first) {
+    case Token::kNull: return Json(nullptr);
+    case Token::kFalse: return Json(false);
+    case Token::kTrue: return Json(true);
+    case Token::kNumber: return Json(reader.number());
+    case Token::kString: return Json(std::string(reader.string()));
+    case Token::kBeginArray: {
+      const std::size_t base = t_values.size();
+      for (Token t; (t = reader.next()) != Token::kEndArray;) {
+        t_values.push_back(build(reader, t));
+      }
+      const auto open = t_values.begin() + static_cast<std::ptrdiff_t>(base);
+      Array array(std::make_move_iterator(open),
+                  std::make_move_iterator(t_values.end()));
+      t_values.erase(open, t_values.end());
+      return Json(std::move(array));
+    }
+    default: break;  // kBeginObject: next() returns no other first token
+  }
+  const std::size_t base = t_members.size();
+  while (reader.next() == Token::kKey) {
+    std::string key(reader.string());
+    Json value = build(reader, reader.next());
+    // A repeated key keeps its first position and takes the last value.
+    const auto open = t_members.begin() + static_cast<std::ptrdiff_t>(base);
+    const auto dup = std::find_if(open, t_members.end(), [&](const auto& m) {
+      return m.first == key;
+    });
+    if (dup != t_members.end()) {
+      dup->second = std::move(value);
+    } else {
+      t_members.emplace_back(std::move(key), std::move(value));
+    }
+  }
+  const auto open = t_members.begin() + static_cast<std::ptrdiff_t>(base);
+  JsonObject object;
+  object.entries_.assign(std::make_move_iterator(open),
+                         std::make_move_iterator(t_members.end()));
+  t_members.erase(open, t_members.end());
+  return Json(std::move(object));
+}
+
 Json Json::parse(std::string_view text) {
-  return detail::JsonParser(text).parse_document();
+  JsonReader reader(text);
+  Json value = read(reader, reader.next());
+  reader.next();  // kEnd, or the trailing-characters error
+  return value;
+}
+
+// --- JsonFields ---------------------------------------------------------------
+
+JsonFields::JsonFields(JsonReader& reader, const char* stop)
+    : text_(reader.text()), offset_(reader.offset()) {
+  const JsonReader::Token first = reader.next();
+  if (first != JsonReader::Token::kBeginObject) {
+    reader.skip(first);
+    return;
+  }
+  object_ = true;
+  while (reader.next() == JsonReader::Token::kKey) {
+    const std::string_view key = reader.string();
+    if (stop != nullptr && key == stop) {
+      stopped_ = true;
+      return;
+    }
+    const auto it = std::find_if(members_.begin(), members_.end(),
+                                 [&](const auto& m) { return m.first == key; });
+    if (it != members_.end()) {
+      it->second = reader.offset();
+    } else {
+      members_.emplace_back(std::string(key), reader.offset());
+    }
+    reader.skip(reader.next());
+  }
+}
+
+bool JsonFields::contains(std::string_view key) const noexcept {
+  return std::any_of(members_.begin(), members_.end(),
+                     [&](const auto& m) { return m.first == key; });
+}
+
+JsonReader JsonFields::reader(std::string_view key) const {
+  if (!object_) throw JsonError("value is not a object");
+  for (const auto& [name, offset] : members_) {
+    if (name == key) return JsonReader::at(text_, offset);
+  }
+  throw JsonError("missing key: " + std::string(key));
+}
+
+Json JsonFields::value(std::string_view key) const {
+  JsonReader member = reader(key);
+  return Json::read(member, member.next());
+}
+
+void JsonFields::close(JsonReader& reader) const {
+  if (stopped_ && reader.next() != JsonReader::Token::kEndObject) {
+    throw JsonReorder{};
+  }
 }
 
 }  // namespace pml

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/artifact.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/strings.hpp"
 #include "obs/obs.hpp"
 
@@ -338,55 +341,138 @@ Json PmlFramework::to_json() const {
 }
 
 PmlFramework PmlFramework::load(const Json& j) {
-  // v1 (node-object trees) is still read until its removal date (docs/API.md).
-  const std::string format =
-      j.contains("format") ? j.at("format").as_string() : std::string();
+  const std::string text = j.dump_lossless();
+  JsonReader reader(text);
+  return decode_json(reader, &PmlFramework::read);
+}
+
+PmlFramework PmlFramework::load_artifact(std::string_view text) {
+  if (const std::optional<OpenedArtifact> opened = open_artifact(text, "model")) {
+    // The checksum runs beside the decode; its verdict still comes first:
+    // on a mismatch the decode is dropped and parse_artifact judges.
+    bool verified = false;
+    std::optional<PmlFramework> fw;
+    std::exception_ptr error;
+    JsonReader payload = opened->payload;
+    parallel_for(2, 2, [&](std::size_t i) {
+      if (i == 0) {
+        obs::Span span("model.verify");
+        verified = opened->verify();
+        return;
+      }
+      obs::Span span("model.decode");
+      try {
+        fw = decode_json(payload, &PmlFramework::read);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    });
+    if (verified) {
+      if (error) std::rethrow_exception(error);
+      return std::move(*fw);
+    }
+  }
+  Json doc;
+  {
+    obs::Span span("model.verify");
+    doc = parse_artifact(text, "model");
+  }
+  obs::Span span("model.decode");
+  return load(doc);
+}
+
+PmlFramework PmlFramework::load_file(const std::string& path) {
+  std::string text;
+  {
+    obs::Span span("model.read");
+    text = read_file(path);
+  }
+  return load_artifact(text);
+}
+
+PmlFramework PmlFramework::read(JsonReader& reader, bool in_place) {
+  using Token = JsonReader::Token;
+  const JsonFields bundle(reader, in_place ? "collectives" : nullptr);
+  // v1 bundles are still read until their removal date (docs/API.md):
+  // their node-object trees go through RandomForest's v1 reader.
+  const std::string format = bundle.contains("format")
+                                 ? bundle.value("format").as_string()
+                                 : std::string();
   if (format != "pml-mpi-model-v2" && format != "pml-mpi-model-v1") {
     throw TuningError("not a pml-mpi model bundle");
   }
   PmlFramework fw;
-  for (const auto& [name, pj] : j.at("collectives").as_object()) {
-    const Collective collective = coll::collective_from_string(name);
-    // A checksum only proves the bytes are the ones written. Check what
-    // indexes the feature layout and what sizes the forest before the
-    // forest is decoded, so an inconsistent bundle fails here, cleanly.
-    const std::string where = "model bundle: " + name;
-    PerCollective p;
-    for (const Json& c : pj.at("columns").as_array()) {
-      const auto column = c.as_int();
-      if (column < 0 || static_cast<std::size_t>(column) >= feature_count() ||
-          (!p.columns.empty() &&
-           static_cast<std::size_t>(column) <= p.columns.back())) {
-        throw TuningError(where + " column " + std::to_string(column) +
-                          " is out of range or not ascending (" +
-                          std::to_string(feature_count()) + " features)");
-      }
-      p.columns.push_back(static_cast<std::size_t>(column));
+  JsonReader by_offset;
+  JsonReader& parts =
+      bundle.stopped() ? reader : (by_offset = bundle.reader("collectives"));
+  if (in_place) {
+    if (parts.next() != Token::kBeginObject) {
+      throw JsonError("value is not a object");
     }
-    const Json& forest = pj.at("forest");
-    const auto n_features = forest.at("n_features").as_int();
+    while (parts.next() == Token::kKey) {
+      if (!fw.read_part(std::string(parts.string()), parts, true)) {
+        throw JsonReorder{};  // a repeated name: the first position decides
+      }
+    }
+  } else {
+    const JsonFields all(parts);
+    if (!all.is_object()) throw JsonError("value is not a object");
+    for (const auto& [name, offset] : all) {
+      JsonReader part = JsonReader::at(reader.text(), offset);
+      fw.read_part(name, part, false);
+    }
+  }
+  if (fw.parts_.empty()) throw TuningError("model bundle has no collectives");
+  bundle.close(reader);
+  return fw;
+}
+
+bool PmlFramework::read_part(const std::string& name, JsonReader& reader,
+                             bool in_place) {
+  using Token = JsonReader::Token;
+  const Collective collective = coll::collective_from_string(name);
+  // A checksum only proves the bytes are the ones written. Check what
+  // indexes the feature layout and what sizes the forest before the
+  // forest is decoded, so an inconsistent bundle fails here, cleanly.
+  const std::string where = "model bundle: " + name;
+  const JsonFields part(reader, in_place ? "forest" : nullptr);
+  PerCollective p;
+  JsonReader columns = part.reader("columns");
+  if (columns.next() != Token::kBeginArray) {
+    throw JsonError("value is not a array");
+  }
+  for (Token t; (t = columns.next()) != Token::kEndArray;) {
+    const auto column = Json::read(columns, t).as_int();
+    if (column < 0 || static_cast<std::size_t>(column) >= feature_count() ||
+        (!p.columns.empty() &&
+         static_cast<std::size_t>(column) <= p.columns.back())) {
+      throw TuningError(where + " column " + std::to_string(column) +
+                        " is out of range or not ascending (" +
+                        std::to_string(feature_count()) + " features)");
+    }
+    p.columns.push_back(static_cast<std::size_t>(column));
+  }
+  JsonReader by_offset;
+  JsonReader& forest =
+      part.stopped() ? reader : (by_offset = part.reader("forest"));
+  p.forest = ml::RandomForest::read(forest, in_place, [&](const JsonFields& f) {
+    const auto n_features = f.value("n_features").as_int();
     if (n_features < 0 ||
         static_cast<std::size_t>(n_features) != p.columns.size()) {
       throw TuningError(where + " forest has " + std::to_string(n_features) +
                         " features for " + std::to_string(p.columns.size()) +
                         " columns");
     }
-    const auto classes = forest.at("num_classes").as_int();
+    const auto classes = f.value("num_classes").as_int();
     const std::size_t space = coll::selection_space(collective).size();
     if (classes > 0 && static_cast<std::size_t>(classes) > space) {
       throw TuningError(where + " forest has " + std::to_string(classes) +
                         " classes but the selection space holds " +
                         std::to_string(space));
     }
-    p.forest = ml::RandomForest::from_json(forest);
-    fw.parts_.emplace(collective, std::move(p));
-  }
-  if (fw.parts_.empty()) throw TuningError("model bundle has no collectives");
-  return fw;
-}
-
-PmlFramework PmlFramework::load_file(const std::string& path) {
-  return load(parse_artifact(read_file(path), "model"));
+  });
+  part.close(reader);
+  return parts_.emplace(collective, std::move(p)).second;
 }
 
 CompileOptions resolve_compile_sweep(const sim::ClusterSpec& cluster,

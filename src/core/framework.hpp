@@ -18,6 +18,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -175,16 +176,30 @@ class PmlFramework final : public Selector {
   Json to_json() const;
   /// Reads v2 and v1 bundles. Before decoding a forest it checks that the
   /// columns are ascending feature indices, one per forest feature, and
-  /// that the forest's classes fit the collective's selection space.
+  /// that the forest's classes fit the collective's selection space. The
+  /// document is dumped and read as load_artifact reads a payload.
   static PmlFramework load(const Json& j);
 
-  /// Load a model bundle from disk. Accepts both a pml-artifact-v1
-  /// envelope of kind "model" (checksum validated) and a legacy bare
-  /// bundle. Throws IoError / JsonError / TuningError on failure.
+  /// Load a model bundle from an artifact file's text: a pml-artifact-v1
+  /// envelope of kind "model" (checksum validated) or a legacy bare
+  /// bundle. A file in write_artifact's exact layout is verified on its
+  /// payload bytes and decoded from its text with no Json tree; any other
+  /// layout is parsed and checked by parse_artifact, then read by load().
+  /// Either way the verdicts are the same. Throws IoError / JsonError /
+  /// TuningError / MlError on failure.
+  static PmlFramework load_artifact(std::string_view text);
+
+  /// load_artifact() of the file at `path`.
   static PmlFramework load_file(const std::string& path);
 
  private:
   const PerCollective& part(coll::Collective collective) const;
+
+  /// The bundle reader, as decode_json() runs it: in place, or by offset.
+  static PmlFramework read(JsonReader& reader, bool in_place);
+  /// Reads collective `name`'s part into parts_; false when the
+  /// collective already has one (the first one stays).
+  bool read_part(const std::string& name, JsonReader& reader, bool in_place);
 
   /// Read-only after construction (the thread-safety contract above).
   std::map<coll::Collective, PerCollective> parts_;

@@ -464,6 +464,7 @@ bool ModelHost::revalidate() {
   // again since the hash.
   std::string bytes;
   try {
+    obs::Span span("model.read");
     bytes = read_file(path_);
   } catch (const Error& err) {
     return unreadable(err);
@@ -471,8 +472,8 @@ bool ModelHost::revalidate() {
   std::string sum = "xxh64:" + hex16(xxh64(bytes));
   auto next = std::make_shared<Snapshot>();
   try {
-    next->framework = std::make_shared<PmlFramework>(
-        PmlFramework::load(parse_artifact(bytes, "model")));
+    next->framework =
+        std::make_shared<PmlFramework>(PmlFramework::load_artifact(bytes));
     next->checksum = std::move(sum);
     static obs::Counter reloaded("serve.model.loaded");
     reloaded.increment();

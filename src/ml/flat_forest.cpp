@@ -21,14 +21,6 @@ bool is_positive_zero(double v) noexcept {
 
 }  // namespace
 
-void FlatForest::reserve(std::size_t nodes, std::size_t leaves,
-                         std::size_t leaf_entries) {
-  nodes_.reserve(nodes);
-  leaf_begin_.reserve(leaves + 1);
-  leaf_class_.reserve(leaf_entries);
-  leaf_value_.reserve(leaf_entries);
-}
-
 void FlatForest::require_closed_tree() const {
   const std::string tree =
       "flat forest: tree " + std::to_string(roots_.size() - 1);

@@ -96,12 +96,8 @@ class FlatForest {
   /// (largest referenced feature index + 1).
   std::size_t min_row_length() const noexcept { return min_row_length_; }
 
-  // --- Builder interface (DecisionTree::append_flat, RandomForest::from_json)
+  // --- Builder interface (DecisionTree::append_flat, RandomForest::read)
 
-  /// Size the arrays for `nodes` nodes, `leaves` of them leaves holding
-  /// `leaf_entries` sparse entries in total, so appending them never
-  /// reallocates.
-  void reserve(std::size_t nodes, std::size_t leaves, std::size_t leaf_entries);
   /// Start appending one tree; its nodes follow in pre-order (header
   /// comment). Throws MlError if the previous tree is empty or still open.
   void begin_tree();

@@ -168,55 +168,216 @@ Json RandomForest::render(bool columnar) const {
   return j;
 }
 
-RandomForest RandomForest::from_json(const Json& j) {
-  if (j.at("model").as_string() != "random_forest") {
+namespace {
+
+/// A forest document's members besides its trees.
+struct Header {
+  RandomForestParams params;
+  int num_classes = 0;
+  std::size_t n_features = 0;
+};
+
+/// Reads and checks the header in from_json's order; `member(key)` and
+/// `param(key)` are the document's j.at(key) and j.at("params").at(key).
+template <typename Member, typename Param>
+Header read_header(const Member& member, const Param& param) {
+  if (member("model").as_string() != "random_forest") {
     throw MlError("from_json: not a random_forest model");
   }
-  RandomForestParams params;
-  const Json& pj = j.at("params");
-  params.n_trees = static_cast<int>(pj.at("n_trees").as_int());
-  params.max_depth = static_cast<int>(pj.at("max_depth").as_int());
-  params.min_samples_leaf =
-      static_cast<int>(pj.at("min_samples_leaf").as_int());
-  params.max_features = static_cast<int>(pj.at("max_features").as_int());
-  params.bootstrap = pj.at("bootstrap").as_bool();
-
-  RandomForest forest(params);
-  forest.num_classes_ = static_cast<int>(j.at("num_classes").as_int());
-  if (forest.num_classes_ < 1) {
+  Header h;
+  h.params.n_trees = static_cast<int>(param("n_trees").as_int());
+  h.params.max_depth = static_cast<int>(param("max_depth").as_int());
+  h.params.min_samples_leaf =
+      static_cast<int>(param("min_samples_leaf").as_int());
+  h.params.max_features = static_cast<int>(param("max_features").as_int());
+  h.params.bootstrap = param("bootstrap").as_bool();
+  h.num_classes = static_cast<int>(member("num_classes").as_int());
+  if (h.num_classes < 1) {
     throw MlError("from_json: forest num_classes must be >= 1");
   }
-  const auto n_features = j.at("n_features").as_int();
+  const auto n_features = member("n_features").as_int();
   if (n_features < 0) throw MlError("from_json: forest n_features is negative");
-  forest.n_features_ = static_cast<std::size_t>(n_features);
-  const Json::Array& tree_docs = j.at("trees").as_array();
-  if (tree_docs.empty()) throw MlError("from_json: forest has no trees");
-  const bool columnar = !tree_docs.front().contains("nodes");
-  const char* const nodes_key = columnar ? "feature" : "nodes";
-  // Size the packed arrays once (doubling growth touches twice the pages a
-  // daemon start faults in); a full binary tree of n nodes has (n + 1) / 2
-  // leaves. A v2 tree lists its leaf entries; a v1 leaf stores at most
-  // one per class. Malformed trees are left to the per-tree checks.
-  const auto array_size = [](const Json& doc, const char* key) {
-    return doc.contains(key) && doc.at(key).is_array()
-               ? doc.at(key).as_array().size()
-               : std::size_t{0};
-  };
-  std::size_t nodes = 0;
-  std::size_t entries = 0;
-  for (const Json& doc : tree_docs) {
-    nodes += array_size(doc, nodes_key);
-    if (columnar) entries += array_size(doc, "leaf_class");
-  }
-  const auto leaves = (nodes + tree_docs.size()) / 2;
-  if (!columnar) entries = leaves * static_cast<std::size_t>(forest.num_classes_);
-  forest.flat_.reserve(nodes, leaves, entries);
-  for (std::size_t t = 0; t < tree_docs.size(); ++t) {
-    if (columnar) {
-      forest.append_columnar_tree_json(t, tree_docs[t]);
-    } else {
-      forest.append_tree_json(t, tree_docs[t]);
+  h.n_features = static_cast<std::size_t>(n_features);
+  return h;
+}
+
+/// One member of a v2 tree document as the tree reader pulled it, failing
+/// where Json's accessors fail on the same member.
+struct Column {
+  enum class Kind : std::uint8_t { kMissing, kOther, kArray };
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  Kind kind = Kind::kMissing;
+  std::vector<double> values;  ///< one per entry, so size() is the array's
+  std::size_t bad = npos;      ///< first entry that is not a number
+
+  void pull(JsonReader& reader) {
+    using Token = JsonReader::Token;
+    values.clear();
+    bad = npos;
+    Token token = reader.next();
+    if (token != Token::kBeginArray) {
+      kind = Kind::kOther;
+      reader.skip(token);
+      return;
     }
+    kind = Kind::kArray;
+    while ((token = reader.next_numbers(values)) != Token::kEndArray) {
+      if (bad == npos) bad = values.size();
+      values.push_back(0.0);
+      reader.skip(token);
+    }
+  }
+  std::size_t size() const noexcept { return values.size(); }
+  /// Entry i's as_number(). Every reader walks its columns in order, so
+  /// the first non-number it reads is the entry the DOM reader failed at.
+  double number(std::size_t i) const {
+    if (i >= bad) throw JsonError("value is not a number");
+    return values[i];
+  }
+};
+
+/// How errors name tree `t`; built only when one is thrown.
+std::string tree_name(std::size_t t) {
+  return "from_json: tree " + std::to_string(t);
+}
+
+/// Entry `i` of integer column `name` in v2 tree `t`. The v2 integer
+/// arrays are exact: a fraction is corruption, not something to truncate.
+int integral_entry(std::size_t t, const char* name, const Column& column,
+                   std::size_t i) {
+  const double v = column.number(i);
+  // The range test comes first: casting a double outside int's range is UB.
+  if (!(v >= -2147483648.0 && v <= 2147483647.0) ||
+      static_cast<double>(static_cast<int>(v)) != v) {
+    throw MlError(tree_name(t) + " " + name + "[" + std::to_string(i) +
+                  "] is not an int32: " + Json(v).dump());
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
+/// One v2 tree document, pulled: its members in any order, a repeated key
+/// taking its last value. Reused from tree to tree.
+struct RandomForest::TreeColumns {
+  bool object = false;
+  bool nodes = false;  ///< has a v1 "nodes" member
+  std::optional<Json> depth;
+  Column importances, feature, threshold, leaf_nnz, leaf_class, leaf_proba;
+  /// append_columns' per-leaf scratch.
+  std::vector<std::uint32_t> classes;
+  std::vector<double> values;
+
+  void pull(JsonReader& reader, JsonReader::Token first) {
+    object = first == JsonReader::Token::kBeginObject;
+    nodes = false;
+    depth.reset();
+    for (Column* column : {&importances, &feature, &threshold, &leaf_nnz,
+                           &leaf_class, &leaf_proba}) {
+      column->kind = Column::Kind::kMissing;
+    }
+    if (!object) {
+      reader.skip(first);
+      return;
+    }
+    while (reader.next() == JsonReader::Token::kKey) {
+      const std::string_view key = reader.string();
+      Column* column = key == "feature"      ? &feature
+                       : key == "threshold"  ? &threshold
+                       : key == "leaf_nnz"   ? &leaf_nnz
+                       : key == "leaf_class" ? &leaf_class
+                       : key == "leaf_proba" ? &leaf_proba
+                       : key == "importances" ? &importances
+                                              : nullptr;
+      if (column != nullptr) {
+        column->pull(reader);
+      } else if (key == "depth") {
+        depth = Json::read(reader, reader.next());
+      } else {
+        nodes = nodes || key == "nodes";
+        reader.skip(reader.next());
+      }
+    }
+  }
+
+  /// doc.at(name).as_array(), failing as Json does.
+  const Column& array(const Column& column, const char* name) const {
+    if (!object) throw JsonError("value is not a object");
+    if (column.kind == Column::Kind::kMissing) {
+      throw JsonError(std::string("missing key: ") + name);
+    }
+    if (column.kind == Column::Kind::kOther) {
+      throw JsonError("value is not a array");
+    }
+    return column;
+  }
+  /// doc.at("depth").as_int().
+  std::int64_t depth_value() const {
+    if (!object) throw JsonError("value is not a object");
+    if (!depth) throw JsonError("missing key: depth");
+    return depth->as_int();
+  }
+};
+
+RandomForest RandomForest::from_json(const Json& j) {
+  const std::string text = j.dump_lossless();
+  JsonReader reader(text);
+  return decode_json(reader, [](JsonReader& r, bool in_place) {
+    return read(r, in_place);
+  });
+}
+
+RandomForest RandomForest::read(
+    JsonReader& reader, bool in_place,
+    const std::function<void(const JsonFields&)>& check) {
+  using Token = JsonReader::Token;
+  const JsonFields fields(reader, in_place ? "trees" : nullptr);
+  if (check) check(fields);
+  std::optional<JsonFields> params;
+  const Header h = read_header(
+      [&](const char* key) { return fields.value(key); },
+      [&](const char* key) {
+        if (!params) params.emplace(fields.reader("params"));
+        return params->value(key);
+      });
+  RandomForest forest(h.params);
+  forest.num_classes_ = h.num_classes;
+  forest.n_features_ = h.n_features;
+
+  JsonReader by_offset;
+  JsonReader& trees =
+      fields.stopped() ? reader : (by_offset = fields.reader("trees"));
+  if (trees.next() != Token::kBeginArray) throw JsonError("value is not a array");
+  TreeColumns doc;
+  std::size_t t = 0;
+  for (Token first; (first = trees.next()) != Token::kEndArray; ++t) {
+    doc.pull(trees, first);
+    if (t == 0 && doc.nodes) {
+      // The first tree picks the layout: v1 node objects keep their own
+      // reader, over a Json of this forest.
+      if (in_place) throw JsonReorder{};
+      JsonReader whole = JsonReader::at(reader.text(), fields.offset());
+      return from_v1_json(Json::read(whole, whole.next()));
+    }
+    forest.append_columns(t, doc);
+  }
+  if (t == 0) throw MlError("from_json: forest has no trees");
+  forest.flat_.finish(forest.num_classes_);
+  fields.close(reader);
+  return forest;
+}
+
+RandomForest RandomForest::from_v1_json(const Json& j) {
+  const Header h = read_header(
+      [&](const char* key) -> const Json& { return j.at(key); },
+      [&](const char* key) -> const Json& { return j.at("params").at(key); });
+  RandomForest forest(h.params);
+  forest.num_classes_ = h.num_classes;
+  forest.n_features_ = h.n_features;
+  const Json::Array& tree_docs = j.at("trees").as_array();
+  for (std::size_t t = 0; t < tree_docs.size(); ++t) {
+    forest.append_tree_json(t, tree_docs[t]);
   }
   forest.flat_.finish(forest.num_classes_);
   return forest;
@@ -228,7 +389,7 @@ void RandomForest::append_tree_json(std::size_t t, const Json& doc) {
   // so the error raised names the first bad tree: begin_tree() comes first
   // and reports the previous tree if it never closed.
   flat_.begin_tree();
-  const std::string tree = "from_json: tree " + std::to_string(t);
+  const std::string tree = tree_name(t);
   const auto classes = doc.at("num_classes").as_int();
   if (classes != num_classes_) {
     throw MlError(tree + " has " + std::to_string(classes) +
@@ -280,53 +441,39 @@ void RandomForest::append_tree_json(std::size_t t, const Json& doc) {
                     " and " + std::to_string(derived));
     }
   }
-  append_importances(tree, doc, max_feature);
-}
-
-namespace {
-
-/// Entry `i` of integer array `name` in a v2 tree document. The v2 integer
-/// arrays are exact: a fraction is corruption, not something to truncate.
-int integral_entry(const std::string& tree, const char* name,
-                   const Json::Array& array, std::size_t i) {
-  const double v = array[i].as_number();
-  // The range test comes first: casting a double outside int's range is UB.
-  if (!(v >= -2147483648.0 && v <= 2147483647.0) ||
-      static_cast<double>(static_cast<int>(v)) != v) {
-    throw MlError(tree + " " + name + "[" + std::to_string(i) +
-                  "] is not an int32: " + Json(v).dump());
+  std::optional<std::vector<double>> importances;
+  if (doc.contains("importances")) {
+    importances.emplace();
+    for (const Json& v : doc.at("importances").as_array()) {
+      importances->push_back(v.as_number());
+    }
   }
-  return static_cast<int>(v);
+  append_importances(t, std::move(importances), max_feature);
 }
 
-}  // namespace
-
-void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
+void RandomForest::append_columns(std::size_t t, TreeColumns& doc) {
   // The same promise as the v1 reader: a corrupt bundle fails here with an
   // MlError naming the tree, before anything is walked.
   flat_.begin_tree();
-  const std::string tree = "from_json: tree " + std::to_string(t);
-  const int depth = static_cast<int>(doc.at("depth").as_int());
-  const Json::Array& feature = doc.at("feature").as_array();
-  const Json::Array& threshold = doc.at("threshold").as_array();
-  const Json::Array& leaf_nnz = doc.at("leaf_nnz").as_array();
-  const Json::Array& leaf_class = doc.at("leaf_class").as_array();
-  const Json::Array& leaf_proba = doc.at("leaf_proba").as_array();
+  const int depth = static_cast<int>(doc.depth_value());
+  const Column& feature = doc.array(doc.feature, "feature");
+  const Column& threshold = doc.array(doc.threshold, "threshold");
+  const Column& leaf_nnz = doc.array(doc.leaf_nnz, "leaf_nnz");
+  const Column& leaf_class = doc.array(doc.leaf_class, "leaf_class");
+  const Column& leaf_proba = doc.array(doc.leaf_proba, "leaf_proba");
   const std::size_t n = feature.size();
-  if (n == 0) throw MlError(tree + " has no nodes");
+  if (n == 0) throw MlError(tree_name(t) + " has no nodes");
 
-  std::vector<int> features(n);
   std::size_t splits = 0;
   int max_feature = -1;
   for (std::size_t i = 0; i < n; ++i) {
-    const int f = integral_entry(tree, "feature", feature, i);
+    const int f = integral_entry(t, "feature", feature, i);
     if (f < -1 || (f >= 0 && static_cast<std::size_t>(f) >= n_features_)) {
-      throw MlError(tree + " node " + std::to_string(i) +
+      throw MlError(tree_name(t) + " node " + std::to_string(i) +
                     " splits on feature " + std::to_string(f) +
                     " but the forest has " +
                     std::to_string(n_features_) + " features");
     }
-    features[i] = f;
     if (f >= 0) {
       ++splits;
       max_feature = std::max(max_feature, f);
@@ -338,34 +485,36 @@ void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
   // before the column counts, which it would fail first.
   const std::size_t leaves = n - splits;
   if (leaves <= splits) {
-    throw MlError(tree + " is truncated: its " + std::to_string(n) +
+    throw MlError(tree_name(t) + " is truncated: its " + std::to_string(n) +
                   " nodes end before every split has two children");
   }
   if (threshold.size() != splits) {
-    throw MlError(tree + " has " + std::to_string(threshold.size()) +
+    throw MlError(tree_name(t) + " has " + std::to_string(threshold.size()) +
                   " thresholds for " + std::to_string(splits) + " splits");
   }
   if (leaf_nnz.size() != leaves) {
-    throw MlError(tree + " has " + std::to_string(leaf_nnz.size()) +
+    throw MlError(tree_name(t) + " has " + std::to_string(leaf_nnz.size()) +
                   " leaf_nnz entries for " + std::to_string(leaves) +
                   " leaves");
   }
 
   const auto k = static_cast<std::size_t>(num_classes_);
-  std::vector<std::uint32_t> classes;
-  std::vector<double> values;
-  classes.reserve(k);
-  values.reserve(k);
+  auto& classes = doc.classes;
+  auto& values = doc.values;
   std::size_t split = 0;
   std::size_t leaf = 0;
   std::size_t entry = 0;  // next leaf_class / leaf_proba entry
   for (std::size_t i = 0; i < n; ++i) {
-    if (features[i] >= 0) {
-      flat_.add_split(features[i], threshold[split++].as_number());
+    // Every entry passed integral_entry above.
+    const int f = static_cast<int>(feature.values[i]);
+    if (f >= 0) {
+      flat_.add_split(f, threshold.number(split++));
       continue;
     }
-    const auto where = [&] { return tree + " leaf " + std::to_string(leaf); };
-    const int nnz = integral_entry(tree, "leaf_nnz", leaf_nnz, leaf);
+    const auto where = [&] {
+      return tree_name(t) + " leaf " + std::to_string(leaf);
+    };
+    const int nnz = integral_entry(t, "leaf_nnz", leaf_nnz, leaf);
     if (nnz < 0 || static_cast<std::size_t>(nnz) > k) {
       throw MlError(where() + " has " + std::to_string(nnz) +
                     " entries, want 0 to " + std::to_string(k));
@@ -380,7 +529,7 @@ void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
     values.clear();
     int previous = -1;
     for (; entry < end; ++entry) {
-      const int c = integral_entry(tree, "leaf_class", leaf_class, entry);
+      const int c = integral_entry(t, "leaf_class", leaf_class, entry);
       if (c < 0 || static_cast<std::size_t>(c) >= k) {
         throw MlError(where() + " names class " + std::to_string(c) +
                       ", forest has " + std::to_string(k));
@@ -391,42 +540,45 @@ void RandomForest::append_columnar_tree_json(std::size_t t, const Json& doc) {
                       "; class ids must ascend");
       }
       classes.push_back(static_cast<std::uint32_t>(c));
-      values.push_back(leaf_proba[entry].as_number());
+      values.push_back(leaf_proba.number(entry));
       previous = c;
     }
     flat_.add_sparse_leaf(classes, values);
     ++leaf;
   }
   if (entry != leaf_class.size() || entry != leaf_proba.size()) {
-    throw MlError(tree + " leaves use " + std::to_string(entry) +
+    throw MlError(tree_name(t) + " leaves use " + std::to_string(entry) +
                   " entries but leaf_class holds " +
                   std::to_string(leaf_class.size()) + " and leaf_proba " +
                   std::to_string(leaf_proba.size()));
   }
   depths_.push_back(depth);
-  append_importances(tree, doc, max_feature);
+  std::optional<std::vector<double>> importances;
+  if (doc.importances.kind != Column::Kind::kMissing) {
+    const Column& declared = doc.array(doc.importances, "importances");
+    importances.emplace().reserve(declared.size());
+    for (std::size_t i = 0; i < declared.size(); ++i) {
+      importances->push_back(declared.number(i));
+    }
+  }
+  append_importances(t, std::move(importances), max_feature);
 }
 
-void RandomForest::append_importances(const std::string& tree,
-                                      const Json& doc, int max_feature) {
-  std::vector<double> importances;
+void RandomForest::append_importances(
+    std::size_t t, std::optional<std::vector<double>> importances,
+    int max_feature) {
   const auto needed = static_cast<std::size_t>(max_feature + 1);
-  if (doc.contains("importances")) {
-    for (const Json& v : doc.at("importances").as_array()) {
-      importances.push_back(v.as_number());
-    }
-    if (importances.size() < needed) {
-      throw MlError(tree + " importances cover " +
-                    std::to_string(importances.size()) +
-                    " features but splits reference feature " +
-                    std::to_string(max_feature));
-    }
-  } else {
+  if (!importances) {
     // Pre-importances bundles: zeros wide enough for every feature the
     // splits reference.
-    importances.assign(needed, 0.0);
+    importances.emplace(needed, 0.0);
+  } else if (importances->size() < needed) {
+    throw MlError(tree_name(t) + " importances cover " +
+                  std::to_string(importances->size()) +
+                  " features but splits reference feature " +
+                  std::to_string(max_feature));
   }
-  importances_.push_back(std::move(importances));
+  importances_.push_back(std::move(*importances));
 }
 
 }  // namespace pml::ml

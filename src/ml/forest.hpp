@@ -2,6 +2,7 @@
 // ships pre-trained with the MPI library.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -67,18 +68,34 @@ class RandomForest final : public Classifier {
   /// (FlatForest::columnar_tree_json). Loads back to the same forest.
   Json to_columnar_json() const;
   /// Reads either rendering; the first tree document picks the layout
-  /// every tree must use.
+  /// every tree must use. The document is dumped and read by read().
   static RandomForest from_json(const Json& j);
+  /// Reads the forest document `reader` is at, as decode_json() runs it
+  /// (in place, or by offset). v2 trees are pulled column by column into
+  /// scratch reused from tree to tree and appended to the FlatForest as
+  /// each tree's object closes; no Json is built for them. A forest whose
+  /// first tree has v1 node objects is read into a Json and decoded from
+  /// it. `check` sees the forest's members before any check of this
+  /// reader runs.
+  static RandomForest read(
+      JsonReader& reader, bool in_place,
+      const std::function<void(const JsonFields&)>& check = {});
 
  private:
-  Json render(bool columnar) const;
+  struct TreeColumns;
 
-  /// Decode tree document `t` of a model file into flat_, depths_ and
+  Json render(bool columnar) const;
+  /// The v1 reader: node-object trees from a Json document.
+  static RandomForest from_v1_json(const Json& j);
+
+  /// Decode tree `t` of a model file into flat_, depths_ and
   /// importances_: v1 node objects, or v2 columns.
   void append_tree_json(std::size_t t, const Json& doc);
-  void append_columnar_tree_json(std::size_t t, const Json& doc);
-  /// Tree `tree`'s importances, which must cover `max_feature`.
-  void append_importances(const std::string& tree, const Json& doc,
+  void append_columns(std::size_t t, TreeColumns& doc);
+  /// Tree `t`'s importances (zeros when the file has none), which must
+  /// cover `max_feature`.
+  void append_importances(std::size_t t,
+                          std::optional<std::vector<double>> importances,
                           int max_feature);
 
   RandomForestParams params_;

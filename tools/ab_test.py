@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Self-check for ab.py's statistics and result parsing.
+
+Run directly or via ctest (ab_selftest). Plain python, no pytest: each
+check prints a PASSED/FAILED line and the script exits nonzero on the
+first failure.
+"""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import ab  # noqa: E402
+
+
+def check(name, ok, detail=""):
+    print(f"{name} ... {'PASSED' if ok else 'FAILED'}")
+    if not ok:
+        print(f"  {detail}")
+        sys.exit(1)
+
+
+def main():
+    check("quartiles of one value", ab.quartiles([3.0]) == (3.0, 3.0, 3.0))
+    q = ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0])
+    check("quartiles interpolate inclusively", q == (2.0, 3.0, 4.0), q)
+
+    base = [0.090, 0.094, 0.100, 0.092, 0.096, 0.098, 0.091, 0.095, 0.093, 0.097]
+    head = [b - 0.020 for b in base]
+    s = ab.summarize(base, head, "lower")
+    check("a clear drop wins every pair", s["wins"] == 10 and s["pairs"] == 10, s)
+    check("base IQR is q3 - q1", abs(s["base_iqr"] - 0.0045) < 1e-12, s)
+    check("a drop beyond the spread is claimed", s["claimed"], s)
+
+    head = [b - 0.002 for b in base]
+    s = ab.summarize(base, head, "lower")
+    check("a drop within the spread is not claimed",
+          s["wins"] == 10 and not s["claimed"], s)
+
+    head = list(base)
+    head[0] -= 0.1
+    head[1] -= 0.1
+    s = ab.summarize(base, head, "lower")
+    check("ties are not wins", s["wins"] == 2 and not s["claimed"], s)
+
+    s = ab.summarize([1.0, 2.0, 3.0], [2.0, 3.0, 4.0], "higher")
+    check("higher-is-better direction", s["wins"] == 3, s)
+    s = ab.summarize(base, [b + 0.02 for b in base], "lower")
+    check("a rise is never claimed as a drop", s["wins"] == 0 and not s["claimed"], s)
+    nine = [b - 0.02 for b in base[:9]] + [base[9] + 0.001]
+    check("9 of 10 pairs suffice", ab.summarize(base, nine, "lower")["claimed"])
+
+    host, result = ab.parse_run(
+        'host {"cpus":4}\nworkload=onboard_cold seed=1\n'
+        '{"correct":true,"failed":0,"metrics":{"setup_s":{"value":0.05}}}\n')
+    check("host line and result JSON", host == '{"cpus":4}' and
+          result["metrics"]["setup_s"]["value"] == 0.05, (host, result))
+    check("seed lists", ab.seed_list("1-3,7") == [1, 2, 3, 7])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
