@@ -63,19 +63,13 @@ void dump_string(const std::string& s, std::string& out) {
   out += '"';
 }
 
-/// One dump: the output, the indent (< 0: compact) and whether a -0.0
-/// keeps its sign.
+/// One dump: the output and the indent (< 0: compact).
 struct Dumper {
   std::string& out;
   int indent;
-  bool lossless;
 
   void number(double d) {
     if (!std::isfinite(d)) throw JsonError("cannot serialize non-finite number");
-    if (lossless && d == 0.0 && std::signbit(d)) {
-      out += "-0";
-      return;
-    }
     // std::to_chars with a precision formats exactly as printf does in the
     // "C" locale, so these are the bytes of "%lld" and "%.17g", at several
     // times their speed.
@@ -187,10 +181,8 @@ JsonReader::Token JsonReader::next() {
     case State::kAfterValue: {
       if (depth_ == 0) {
         state_ = State::kDone;
-        if (whole_) {
-          skip_ws();
-          if (pos_ != text_.size()) fail("trailing characters after document");
-        }
+        skip_ws();
+        if (pos_ != text_.size()) fail("trailing characters after document");
         return Token::kEnd;
       }
       skip_ws();
@@ -384,13 +376,7 @@ constexpr std::size_t kStackKeep = 4096;
 
 std::string Json::dump(int indent) const {
   std::string out;
-  Dumper{out, indent, false}.value(*this, 0);
-  return out;
-}
-
-std::string Json::dump_lossless() const {
-  std::string out;
-  Dumper{out, -1, true}.value(*this, 0);
+  Dumper{out, indent}.value(*this, 0);
   return out;
 }
 
@@ -457,57 +443,6 @@ Json Json::parse(std::string_view text) {
   Json value = read(reader, reader.next());
   reader.next();  // kEnd, or the trailing-characters error
   return value;
-}
-
-// --- JsonFields ---------------------------------------------------------------
-
-JsonFields::JsonFields(JsonReader& reader, const char* stop)
-    : text_(reader.text()), offset_(reader.offset()) {
-  const JsonReader::Token first = reader.next();
-  if (first != JsonReader::Token::kBeginObject) {
-    reader.skip(first);
-    return;
-  }
-  object_ = true;
-  while (reader.next() == JsonReader::Token::kKey) {
-    const std::string_view key = reader.string();
-    if (stop != nullptr && key == stop) {
-      stopped_ = true;
-      return;
-    }
-    const auto it = std::find_if(members_.begin(), members_.end(),
-                                 [&](const auto& m) { return m.first == key; });
-    if (it != members_.end()) {
-      it->second = reader.offset();
-    } else {
-      members_.emplace_back(std::string(key), reader.offset());
-    }
-    reader.skip(reader.next());
-  }
-}
-
-bool JsonFields::contains(std::string_view key) const noexcept {
-  return std::any_of(members_.begin(), members_.end(),
-                     [&](const auto& m) { return m.first == key; });
-}
-
-JsonReader JsonFields::reader(std::string_view key) const {
-  if (!object_) throw JsonError("value is not a object");
-  for (const auto& [name, offset] : members_) {
-    if (name == key) return JsonReader::at(text_, offset);
-  }
-  throw JsonError("missing key: " + std::string(key));
-}
-
-Json JsonFields::value(std::string_view key) const {
-  JsonReader member = reader(key);
-  return Json::read(member, member.next());
-}
-
-void JsonFields::close(JsonReader& reader) const {
-  if (stopped_ && reader.next() != JsonReader::Token::kEndObject) {
-    throw JsonReorder{};
-  }
 }
 
 }  // namespace pml

@@ -8,9 +8,11 @@
 // double (sufficient for every artefact we write).
 //
 // JsonReader is the only lexer. Json::parse builds its tree from the
-// reader's tokens; readers that need no tree (model bundles, select
-// requests) pull the tokens themselves, so a document's grammar, its
-// number conversion and its error texts are the same whichever reads it.
+// reader's tokens; readers that skip the tree for their bulk (the model
+// bundle's pull pass, select requests) pull the tokens themselves, and
+// pull_last_member reads an object's small members with Json::read, so a
+// document's grammar, its number conversion and its error texts are the
+// same whichever reads it.
 #pragma once
 
 #include <bitset>
@@ -35,7 +37,7 @@ class Json;
 class JsonReader {
  public:
   /// kKey is an object member's key (its value follows); kEnd, that the
-  /// document (or at()'s one value) is complete.
+  /// document is complete.
   enum class Token : std::uint8_t {
     kNull, kFalse, kTrue, kNumber, kString, kKey,
     kBeginArray, kEndArray, kBeginObject, kEndObject, kEnd,
@@ -43,15 +45,6 @@ class JsonReader {
 
   /// Reads the whole document `text`: one value, then only whitespace.
   explicit JsonReader(std::string_view text = {}) noexcept : text_(text) {}
-
-  /// Reads the one value that starts at byte `offset` of `text` (an
-  /// offset() an earlier reader reported) and ignores what follows it.
-  static JsonReader at(std::string_view text, std::size_t offset) noexcept {
-    JsonReader reader(text);
-    reader.pos_ = offset;
-    reader.whole_ = false;
-    return reader;
-  }
 
   /// The next token; kEnd once the value is complete. Throws JsonError on
   /// malformed input, after which failed() is true.
@@ -119,7 +112,6 @@ class JsonReader {
   std::size_t pos_ = 0;
   int depth_ = 0;
   State state_ = State::kValue;
-  bool whole_ = true;
   bool failed_ = false;
   double number_ = 0.0;
   std::string_view string_;
@@ -202,9 +194,6 @@ class Json {
   /// Serialize. indent < 0 → compact single-line output. A -0.0 prints
   /// as 0, the bytes every artifact has always carried.
   std::string dump(int indent = -1) const;
-  /// Compact dump that prints -0.0 as -0, so parsing it restores every
-  /// number bit for bit.
-  std::string dump_lossless() const;
 
   /// Parse a complete JSON document; throws JsonError on malformed input.
   static Json parse(std::string_view text);
@@ -244,74 +233,32 @@ inline bool operator==(const JsonObject& a, const JsonObject& b) noexcept {
   return true;
 }
 
-/// The members of one object in a JsonReader's text, as Json keeps them (a
-/// repeated key holds its first position and takes its last value), each
-/// value left unread at its byte offset. Lets a reader that makes one pass
-/// visit members in its own order: reader() and value() find a member as
-/// Json::at() does, with its errors.
-class JsonFields {
- public:
-  /// Gathers the value `reader` is at, pulling its first token. With
-  /// `stop`, gathering pauses at the member of that name, `reader` at its
-  /// value (stopped()); close() then requires the object to end there.
-  explicit JsonFields(JsonReader& reader, const char* stop = nullptr);
-  explicit JsonFields(JsonReader&& reader) : JsonFields(reader) {}
-
-  bool is_object() const noexcept { return object_; }
-  bool stopped() const noexcept { return stopped_; }
-  /// Byte offset of the gathered value.
-  std::size_t offset() const noexcept { return offset_; }
-  bool contains(std::string_view key) const noexcept;
-  /// A reader at member `key`'s value; throws as Json::at(key) does.
-  JsonReader reader(std::string_view key) const;
-  /// Member `key`'s value as a Json.
-  Json value(std::string_view key) const;
-
-  /// (key, value offset) in first-position order.
-  auto begin() const noexcept { return members_.begin(); }
-  auto end() const noexcept { return members_.end(); }
-
-  /// After the stop member's value: the object must close next, or a
-  /// later member could override what was read (throws JsonReorder).
-  void close(JsonReader& reader) const;
-
- private:
-  std::string_view text_;
-  std::size_t offset_;
-  bool object_ = false;
-  bool stopped_ = false;
-  std::vector<std::pair<std::string, std::size_t>> members_;
-};
-
-/// Thrown by a one-pass read that met a member order only a read by offset
-/// takes in the DOM's order; decode_json() then reads again by offset.
-struct JsonReorder {};
-
-/// Runs `decode(reader, in_place)` on the value `reader` is at, returning
-/// what Json::parse plus a DOM decoder would, verdicts included. The first
-/// pass reads in place, in one sweep of the text, and after the value only
-/// closing brackets may follow. If it throws anything but a syntax error,
-/// the whole text is checked and the value decoded again from its offset
-/// with in_place = false: the first syntax error anywhere wins, then the
-/// decoder's own checks in its own order.
-template <typename Decode>
-auto decode_json(JsonReader& reader, Decode&& decode) {
+/// Pulls the object `reader` is at up to its member `last`, which must be
+/// its last: the members before it are read into a Json object (a repeated
+/// key keeps its first position and takes its last value, as Json::parse
+/// does), `pull(head)` reads `last`'s value from the reader, and the object
+/// must close after it. Throws JsonError when the value is not an object,
+/// has no member `last`, or a member follows it.
+template <typename Pull>
+auto pull_last_member(JsonReader& reader, std::string_view last, Pull&& pull) {
   using Token = JsonReader::Token;
-  const std::size_t offset = reader.offset();
-  try {
-    auto value = decode(reader, true);
-    for (Token t; (t = reader.next()) != Token::kEnd;) {
-      if (t != Token::kEndArray && t != Token::kEndObject) throw JsonReorder{};
+  if (reader.next() != Token::kBeginObject) {
+    throw JsonError("value is not a object");
+  }
+  Json head = Json::object();
+  while (true) {
+    if (reader.next() != Token::kKey) {
+      throw JsonError("missing key: " + std::string(last));
     }
-    return value;
-  } catch (const Error&) {
-    if (reader.failed()) throw;
-  } catch (const JsonReorder&) {
+    if (reader.string() == last) break;
+    const std::string key(reader.string());
+    head[key] = Json::read(reader, reader.next());
   }
-  for (JsonReader whole(reader.text()); whole.next() != Token::kEnd;) {
+  auto value = pull(head);
+  if (reader.next() != Token::kEndObject) {
+    throw JsonError("member " + std::string(last) + " is not the last");
   }
-  JsonReader again = JsonReader::at(reader.text(), offset);
-  return decode(again, false);
+  return value;
 }
 
 }  // namespace pml

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -340,20 +339,129 @@ Json PmlFramework::to_json() const {
   return j;
 }
 
+namespace {
+
+// A checksum only proves the bytes are the ones written. The readers also
+// check what indexes the feature layout and what sizes each forest, so an
+// inconsistent bundle fails at load, cleanly, and never at inference.
+
+/// v1 bundles (node-object trees) are still read until their removal date
+/// (docs/API.md).
+void check_format(const Json& bundle) {
+  const std::string format = bundle.contains("format")
+                                 ? bundle.at("format").as_string()
+                                 : std::string();
+  if (format != "pml-mpi-model-v2" && format != "pml-mpi-model-v1") {
+    throw TuningError("not a pml-mpi model bundle");
+  }
+}
+
+/// A part's selected columns: ascending indices into the feature layout.
+std::vector<std::size_t> read_columns(const std::string& where,
+                                      const Json& columns) {
+  std::vector<std::size_t> out;
+  for (const Json& c : columns.as_array()) {
+    const auto column = c.as_int();
+    if (column < 0 || static_cast<std::size_t>(column) >= feature_count() ||
+        (!out.empty() && static_cast<std::size_t>(column) <= out.back())) {
+      throw TuningError(where + " column " + std::to_string(column) +
+                        " is out of range or not ascending (" +
+                        std::to_string(feature_count()) + " features)");
+    }
+    out.push_back(static_cast<std::size_t>(column));
+  }
+  return out;
+}
+
+/// One forest feature per selected column.
+void check_features(const std::string& where, std::size_t columns,
+                    std::int64_t n_features) {
+  if (n_features < 0 || static_cast<std::size_t>(n_features) != columns) {
+    throw TuningError(where + " forest has " + std::to_string(n_features) +
+                      " features for " + std::to_string(columns) +
+                      " columns");
+  }
+}
+
+/// The forest's classes fit the collective's selection space.
+void check_classes(const std::string& where, Collective collective,
+                   std::int64_t classes) {
+  const std::size_t space = coll::selection_space(collective).size();
+  if (classes > 0 && static_cast<std::size_t>(classes) > space) {
+    throw TuningError(where + " forest has " + std::to_string(classes) +
+                      " classes but the selection space holds " +
+                      std::to_string(space));
+  }
+}
+
+}  // namespace
+
 PmlFramework PmlFramework::load(const Json& j) {
-  const std::string text = j.dump_lossless();
-  JsonReader reader(text);
-  return decode_json(reader, &PmlFramework::read);
+  check_format(j);
+  PmlFramework fw;
+  for (const auto& [name, pj] : j.at("collectives").as_object()) {
+    const Collective collective = coll::collective_from_string(name);
+    const std::string where = "model bundle: " + name;
+    PerCollective p;
+    p.columns = read_columns(where, pj.at("columns"));
+    // The forest's shape first, then the forest.
+    const Json& forest = pj.at("forest");
+    check_features(where, p.columns.size(), forest.at("n_features").as_int());
+    check_classes(where, collective, forest.at("num_classes").as_int());
+    p.forest = ml::RandomForest::from_json(forest);
+    fw.parts_.emplace(collective, std::move(p));
+  }
+  if (fw.parts_.empty()) throw TuningError("model bundle has no collectives");
+  return fw;
+}
+
+PmlFramework PmlFramework::pull(JsonReader& reader) {
+  using Token = JsonReader::Token;
+  return pull_last_member(reader, "collectives", [&](const Json& head) {
+    check_format(head);
+    PmlFramework fw;
+    if (reader.next() != Token::kBeginObject) {
+      throw JsonError("value is not a object");
+    }
+    while (reader.next() == Token::kKey) {
+      const std::string name(reader.string());
+      const Collective collective = coll::collective_from_string(name);
+      const std::string where = "model bundle: " + name;
+      PerCollective p =
+          pull_last_member(reader, "forest", [&](const Json& part) {
+            PerCollective pulled;
+            pulled.columns = read_columns(where, part.at("columns"));
+            pulled.forest = ml::RandomForest::pull(reader);
+            return pulled;
+          });
+      // load()'s checks, after the decode: this pass returns no verdicts.
+      check_features(where, p.columns.size(),
+                     static_cast<std::int64_t>(p.forest.n_features()));
+      check_classes(where, collective, p.forest.num_classes());
+      if (!fw.parts_.emplace(collective, std::move(p)).second) {
+        // load() keeps one part per name, from its first position.
+        throw TuningError(where + " is named twice");
+      }
+    }
+    if (fw.parts_.empty()) throw TuningError("model bundle has no collectives");
+    return fw;
+  });
 }
 
 PmlFramework PmlFramework::load_artifact(std::string_view text) {
-  if (const std::optional<OpenedArtifact> opened = open_artifact(text, "model")) {
-    // The checksum runs beside the decode; its verdict still comes first:
-    // on a mismatch the decode is dropped and parse_artifact judges.
+  // The pull pass: a writer-layout file is verified on its payload bytes
+  // beside a decode that builds no Json tree for the forests. It returns
+  // load()'s framework or throws; a throw or a checksum mismatch hands the
+  // file to parse_artifact and load(), which give every verdict.
+  std::optional<OpenedArtifact> opened;
+  try {
+    opened = open_artifact(text, "model");
+  } catch (const Error&) {
+  }
+  if (opened) {
     bool verified = false;
     std::optional<PmlFramework> fw;
-    std::exception_ptr error;
-    JsonReader payload = opened->payload;
+    JsonReader& payload = opened->payload;
     parallel_for(2, 2, [&](std::size_t i) {
       if (i == 0) {
         obs::Span span("model.verify");
@@ -362,15 +470,18 @@ PmlFramework PmlFramework::load_artifact(std::string_view text) {
       }
       obs::Span span("model.decode");
       try {
-        fw = decode_json(payload, &PmlFramework::read);
+        fw = pull(payload);
+        // The envelope closes after its payload, and the text ends there.
+        using Token = JsonReader::Token;
+        if (payload.next() != Token::kEndObject ||
+            payload.next() != Token::kEnd) {
+          fw.reset();
+        }
       } catch (...) {
-        error = std::current_exception();
+        fw.reset();
       }
     });
-    if (verified) {
-      if (error) std::rethrow_exception(error);
-      return std::move(*fw);
-    }
+    if (verified && fw) return std::move(*fw);
   }
   Json doc;
   {
@@ -388,91 +499,6 @@ PmlFramework PmlFramework::load_file(const std::string& path) {
     text = read_file(path);
   }
   return load_artifact(text);
-}
-
-PmlFramework PmlFramework::read(JsonReader& reader, bool in_place) {
-  using Token = JsonReader::Token;
-  const JsonFields bundle(reader, in_place ? "collectives" : nullptr);
-  // v1 bundles are still read until their removal date (docs/API.md):
-  // their node-object trees go through RandomForest's v1 reader.
-  const std::string format = bundle.contains("format")
-                                 ? bundle.value("format").as_string()
-                                 : std::string();
-  if (format != "pml-mpi-model-v2" && format != "pml-mpi-model-v1") {
-    throw TuningError("not a pml-mpi model bundle");
-  }
-  PmlFramework fw;
-  JsonReader by_offset;
-  JsonReader& parts =
-      bundle.stopped() ? reader : (by_offset = bundle.reader("collectives"));
-  if (in_place) {
-    if (parts.next() != Token::kBeginObject) {
-      throw JsonError("value is not a object");
-    }
-    while (parts.next() == Token::kKey) {
-      if (!fw.read_part(std::string(parts.string()), parts, true)) {
-        throw JsonReorder{};  // a repeated name: the first position decides
-      }
-    }
-  } else {
-    const JsonFields all(parts);
-    if (!all.is_object()) throw JsonError("value is not a object");
-    for (const auto& [name, offset] : all) {
-      JsonReader part = JsonReader::at(reader.text(), offset);
-      fw.read_part(name, part, false);
-    }
-  }
-  if (fw.parts_.empty()) throw TuningError("model bundle has no collectives");
-  bundle.close(reader);
-  return fw;
-}
-
-bool PmlFramework::read_part(const std::string& name, JsonReader& reader,
-                             bool in_place) {
-  using Token = JsonReader::Token;
-  const Collective collective = coll::collective_from_string(name);
-  // A checksum only proves the bytes are the ones written. Check what
-  // indexes the feature layout and what sizes the forest before the
-  // forest is decoded, so an inconsistent bundle fails here, cleanly.
-  const std::string where = "model bundle: " + name;
-  const JsonFields part(reader, in_place ? "forest" : nullptr);
-  PerCollective p;
-  JsonReader columns = part.reader("columns");
-  if (columns.next() != Token::kBeginArray) {
-    throw JsonError("value is not a array");
-  }
-  for (Token t; (t = columns.next()) != Token::kEndArray;) {
-    const auto column = Json::read(columns, t).as_int();
-    if (column < 0 || static_cast<std::size_t>(column) >= feature_count() ||
-        (!p.columns.empty() &&
-         static_cast<std::size_t>(column) <= p.columns.back())) {
-      throw TuningError(where + " column " + std::to_string(column) +
-                        " is out of range or not ascending (" +
-                        std::to_string(feature_count()) + " features)");
-    }
-    p.columns.push_back(static_cast<std::size_t>(column));
-  }
-  JsonReader by_offset;
-  JsonReader& forest =
-      part.stopped() ? reader : (by_offset = part.reader("forest"));
-  p.forest = ml::RandomForest::read(forest, in_place, [&](const JsonFields& f) {
-    const auto n_features = f.value("n_features").as_int();
-    if (n_features < 0 ||
-        static_cast<std::size_t>(n_features) != p.columns.size()) {
-      throw TuningError(where + " forest has " + std::to_string(n_features) +
-                        " features for " + std::to_string(p.columns.size()) +
-                        " columns");
-    }
-    const auto classes = f.value("num_classes").as_int();
-    const std::size_t space = coll::selection_space(collective).size();
-    if (classes > 0 && static_cast<std::size_t>(classes) > space) {
-      throw TuningError(where + " forest has " + std::to_string(classes) +
-                        " classes but the selection space holds " +
-                        std::to_string(space));
-    }
-  });
-  part.close(reader);
-  return parts_.emplace(collective, std::move(p)).second;
 }
 
 CompileOptions resolve_compile_sweep(const sim::ClusterSpec& cluster,

@@ -4,7 +4,9 @@
 // the feature/label dataset, optionally select the top-K features by Gini
 // importance, and train one Random Forest per collective. The trained
 // bundle serializes to JSON — the "pre-trained model shipped along with
-// the MPI library".
+// the MPI library". It loads back through two readers: a pull pass over
+// the writer's layout that builds no Json tree for the forests, and the
+// Json decoder (load()) it defers to, which gives every verdict.
 //
 // Online stage (paper Fig. 4): for a new cluster, if a tuning table is
 // already cached, use it; otherwise extract the cluster's features, run a
@@ -174,19 +176,19 @@ class PmlFramework final : public Selector {
   /// Model bundle `pml-mpi-model-v2`: per collective, the selected
   /// columns and the forest in columnar form (RandomForest::to_columnar_json).
   Json to_json() const;
-  /// Reads v2 and v1 bundles. Before decoding a forest it checks that the
+  /// Reads v2 and v1 bundles from their Json tree, the one source of
+  /// verdicts on a model file. Before decoding a forest it checks that the
   /// columns are ascending feature indices, one per forest feature, and
-  /// that the forest's classes fit the collective's selection space. The
-  /// document is dumped and read as load_artifact reads a payload.
+  /// that the forest's classes fit the collective's selection space.
   static PmlFramework load(const Json& j);
 
   /// Load a model bundle from an artifact file's text: a pml-artifact-v1
   /// envelope of kind "model" (checksum validated) or a legacy bare
   /// bundle. A file in write_artifact's exact layout is verified on its
-  /// payload bytes and decoded from its text with no Json tree; any other
-  /// layout is parsed and checked by parse_artifact, then read by load().
-  /// Either way the verdicts are the same. Throws IoError / JsonError /
-  /// TuningError / MlError on failure.
+  /// payload bytes while pull() decodes it from the text; if either fails,
+  /// or the file has another layout, parse_artifact checks the file and
+  /// load() decodes its payload, and their error is the one thrown.
+  /// Throws IoError / JsonError / TuningError / MlError on failure.
   static PmlFramework load_artifact(std::string_view text);
 
   /// load_artifact() of the file at `path`.
@@ -195,11 +197,12 @@ class PmlFramework final : public Selector {
  private:
   const PerCollective& part(coll::Collective collective) const;
 
-  /// The bundle reader, as decode_json() runs it: in place, or by offset.
-  static PmlFramework read(JsonReader& reader, bool in_place);
-  /// Reads collective `name`'s part into parts_; false when the
-  /// collective already has one (the first one stays).
-  bool read_part(const std::string& name, JsonReader& reader, bool in_place);
+  /// The pull pass over the payload `reader` is at: the small members
+  /// are read with Json::read and the forests are pulled, so the bulk
+  /// members ("collectives", each part's "forest", each forest's "trees")
+  /// must come last in their objects. Returns the framework load() builds
+  /// from the same text, or throws, also where load() would not.
+  static PmlFramework pull(JsonReader& reader);
 
   /// Read-only after construction (the thread-safety contract above).
   std::map<coll::Collective, PerCollective> parts_;

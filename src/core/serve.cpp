@@ -580,6 +580,10 @@ std::string ServeEngine::cache_key(const std::string& checksum,
 ServeEngine::AdmitResult ServeEngine::admit_compile(
     const std::string& key, const sim::ClusterSpec& cluster,
     const CompileOptions& resolved) {
+  // Without a model path a compile has no file to re-read and can never
+  // produce a table; with one, misses keep posting, so a repaired file
+  // restores service without a restart.
+  if (!model_.has_path()) return {nullptr, Admission::kAdmitted};
   static obs::Gauge queue_gauge("serve.queue.depth");
   std::shared_ptr<CompileJob> job;
   {

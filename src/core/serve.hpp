@@ -340,7 +340,8 @@ class ServeEngine {
 
   /// How admit_compile disposed of a cache miss.
   enum class Admission {
-    kAdmitted,     ///< a compile job exists (joined or freshly started)
+    kAdmitted,     ///< a compile job exists (joined or freshly started),
+                   ///< or none could help: the engine has no model path
     kShed,         ///< pending-compile queue full: answer heuristic now
     kBreakerOpen,  ///< compile breaker open: answer heuristic now
   };
@@ -381,6 +382,8 @@ class ServeEngine {
   /// pressure); starting a fresh one is shed when the pending-compile
   /// count is at queue_limit and rejected while the breaker is open. At
   /// most one job per key is in flight; duplicates wait on the same job.
+  /// An engine without a model path starts none: no compile could
+  /// produce a table.
   AdmitResult admit_compile(const std::string& key,
                             const sim::ClusterSpec& cluster,
                             const CompileOptions& resolved);

@@ -96,7 +96,7 @@ class FlatForest {
   /// (largest referenced feature index + 1).
   std::size_t min_row_length() const noexcept { return min_row_length_; }
 
-  // --- Builder interface (DecisionTree::append_flat, RandomForest::read)
+  // --- Builder interface (DecisionTree::append_flat, RandomForest::from_json)
 
   /// Start appending one tree; its nodes follow in pre-order (header
   /// comment). Throws MlError if the previous tree is empty or still open.

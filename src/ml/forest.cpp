@@ -170,38 +170,7 @@ Json RandomForest::render(bool columnar) const {
 
 namespace {
 
-/// A forest document's members besides its trees.
-struct Header {
-  RandomForestParams params;
-  int num_classes = 0;
-  std::size_t n_features = 0;
-};
-
-/// Reads and checks the header in from_json's order; `member(key)` and
-/// `param(key)` are the document's j.at(key) and j.at("params").at(key).
-template <typename Member, typename Param>
-Header read_header(const Member& member, const Param& param) {
-  if (member("model").as_string() != "random_forest") {
-    throw MlError("from_json: not a random_forest model");
-  }
-  Header h;
-  h.params.n_trees = static_cast<int>(param("n_trees").as_int());
-  h.params.max_depth = static_cast<int>(param("max_depth").as_int());
-  h.params.min_samples_leaf =
-      static_cast<int>(param("min_samples_leaf").as_int());
-  h.params.max_features = static_cast<int>(param("max_features").as_int());
-  h.params.bootstrap = param("bootstrap").as_bool();
-  h.num_classes = static_cast<int>(member("num_classes").as_int());
-  if (h.num_classes < 1) {
-    throw MlError("from_json: forest num_classes must be >= 1");
-  }
-  const auto n_features = member("n_features").as_int();
-  if (n_features < 0) throw MlError("from_json: forest n_features is negative");
-  h.n_features = static_cast<std::size_t>(n_features);
-  return h;
-}
-
-/// One member of a v2 tree document as the tree reader pulled it, failing
+/// One member of a v2 tree document as a tree reader found it, failing
 /// where Json's accessors fail on the same member.
 struct Column {
   enum class Kind : std::uint8_t { kMissing, kOther, kArray };
@@ -226,6 +195,19 @@ struct Column {
       if (bad == npos) bad = values.size();
       values.push_back(0.0);
       reader.skip(token);
+    }
+  }
+  void fill(const Json& member) {
+    values.clear();
+    bad = npos;
+    if (!member.is_array()) {
+      kind = Kind::kOther;
+      return;
+    }
+    kind = Kind::kArray;
+    for (const Json& entry : member.as_array()) {
+      if (!entry.is_number() && bad == npos) bad = values.size();
+      values.push_back(entry.is_number() ? entry.as_number() : 0.0);
     }
   }
   std::size_t size() const noexcept { return values.size(); }
@@ -258,11 +240,12 @@ int integral_entry(std::size_t t, const char* name, const Column& column,
 
 }  // namespace
 
-/// One v2 tree document, pulled: its members in any order, a repeated key
-/// taking its last value. Reused from tree to tree.
+/// One v2 tree document, pulled from text or filled from a Json: its
+/// members in any order, a repeated key taking its last value. Reused
+/// from tree to tree.
 struct RandomForest::TreeColumns {
   bool object = false;
-  bool nodes = false;  ///< has a v1 "nodes" member
+  bool nodes = false;  ///< pulled with a v1 "nodes" member
   std::optional<Json> depth;
   Column importances, feature, threshold, leaf_nnz, leaf_class, leaf_proba;
   /// append_columns' per-leaf scratch.
@@ -270,33 +253,29 @@ struct RandomForest::TreeColumns {
   std::vector<double> values;
 
   void pull(JsonReader& reader, JsonReader::Token first) {
-    object = first == JsonReader::Token::kBeginObject;
-    nodes = false;
-    depth.reset();
-    for (Column* column : {&importances, &feature, &threshold, &leaf_nnz,
-                           &leaf_class, &leaf_proba}) {
-      column->kind = Column::Kind::kMissing;
-    }
-    if (!object) {
+    if (!clear(first == JsonReader::Token::kBeginObject)) {
       reader.skip(first);
       return;
     }
     while (reader.next() == JsonReader::Token::kKey) {
       const std::string_view key = reader.string();
-      Column* column = key == "feature"      ? &feature
-                       : key == "threshold"  ? &threshold
-                       : key == "leaf_nnz"   ? &leaf_nnz
-                       : key == "leaf_class" ? &leaf_class
-                       : key == "leaf_proba" ? &leaf_proba
-                       : key == "importances" ? &importances
-                                              : nullptr;
-      if (column != nullptr) {
-        column->pull(reader);
+      if (Column* c = column(key)) {
+        c->pull(reader);
       } else if (key == "depth") {
         depth = Json::read(reader, reader.next());
       } else {
         nodes = nodes || key == "nodes";
         reader.skip(reader.next());
+      }
+    }
+  }
+  void fill(const Json& doc) {
+    if (!clear(doc.is_object())) return;
+    for (const auto& [key, member] : doc.as_object()) {
+      if (Column* c = column(key)) {
+        c->fill(member);
+      } else if (key == "depth") {
+        depth = member;
       }
     }
   }
@@ -318,69 +297,93 @@ struct RandomForest::TreeColumns {
     if (!depth) throw JsonError("missing key: depth");
     return depth->as_int();
   }
+
+ private:
+  /// Forgets the previous tree; returns `is_object`.
+  bool clear(bool is_object) {
+    object = is_object;
+    nodes = false;
+    depth.reset();
+    for (Column* c : {&importances, &feature, &threshold, &leaf_nnz,
+                      &leaf_class, &leaf_proba}) {
+      c->kind = Column::Kind::kMissing;
+    }
+    return object;
+  }
+  Column* column(std::string_view key) {
+    return key == "feature"       ? &feature
+           : key == "threshold"   ? &threshold
+           : key == "leaf_nnz"    ? &leaf_nnz
+           : key == "leaf_class"  ? &leaf_class
+           : key == "leaf_proba"  ? &leaf_proba
+           : key == "importances" ? &importances
+                                  : nullptr;
+  }
 };
 
+RandomForest RandomForest::read_header(const Json& j) {
+  if (j.at("model").as_string() != "random_forest") {
+    throw MlError("from_json: not a random_forest model");
+  }
+  RandomForestParams params;
+  const Json& pj = j.at("params");
+  params.n_trees = static_cast<int>(pj.at("n_trees").as_int());
+  params.max_depth = static_cast<int>(pj.at("max_depth").as_int());
+  params.min_samples_leaf =
+      static_cast<int>(pj.at("min_samples_leaf").as_int());
+  params.max_features = static_cast<int>(pj.at("max_features").as_int());
+  params.bootstrap = pj.at("bootstrap").as_bool();
+
+  RandomForest forest(params);
+  forest.num_classes_ = static_cast<int>(j.at("num_classes").as_int());
+  if (forest.num_classes_ < 1) {
+    throw MlError("from_json: forest num_classes must be >= 1");
+  }
+  const auto n_features = j.at("n_features").as_int();
+  if (n_features < 0) throw MlError("from_json: forest n_features is negative");
+  forest.n_features_ = static_cast<std::size_t>(n_features);
+  return forest;
+}
+
 RandomForest RandomForest::from_json(const Json& j) {
-  const std::string text = j.dump_lossless();
-  JsonReader reader(text);
-  return decode_json(reader, [](JsonReader& r, bool in_place) {
-    return read(r, in_place);
-  });
-}
-
-RandomForest RandomForest::read(
-    JsonReader& reader, bool in_place,
-    const std::function<void(const JsonFields&)>& check) {
-  using Token = JsonReader::Token;
-  const JsonFields fields(reader, in_place ? "trees" : nullptr);
-  if (check) check(fields);
-  std::optional<JsonFields> params;
-  const Header h = read_header(
-      [&](const char* key) { return fields.value(key); },
-      [&](const char* key) {
-        if (!params) params.emplace(fields.reader("params"));
-        return params->value(key);
-      });
-  RandomForest forest(h.params);
-  forest.num_classes_ = h.num_classes;
-  forest.n_features_ = h.n_features;
-
-  JsonReader by_offset;
-  JsonReader& trees =
-      fields.stopped() ? reader : (by_offset = fields.reader("trees"));
-  if (trees.next() != Token::kBeginArray) throw JsonError("value is not a array");
-  TreeColumns doc;
-  std::size_t t = 0;
-  for (Token first; (first = trees.next()) != Token::kEndArray; ++t) {
-    doc.pull(trees, first);
-    if (t == 0 && doc.nodes) {
-      // The first tree picks the layout: v1 node objects keep their own
-      // reader, over a Json of this forest.
-      if (in_place) throw JsonReorder{};
-      JsonReader whole = JsonReader::at(reader.text(), fields.offset());
-      return from_v1_json(Json::read(whole, whole.next()));
-    }
-    forest.append_columns(t, doc);
-  }
-  if (t == 0) throw MlError("from_json: forest has no trees");
-  forest.flat_.finish(forest.num_classes_);
-  fields.close(reader);
-  return forest;
-}
-
-RandomForest RandomForest::from_v1_json(const Json& j) {
-  const Header h = read_header(
-      [&](const char* key) -> const Json& { return j.at(key); },
-      [&](const char* key) -> const Json& { return j.at("params").at(key); });
-  RandomForest forest(h.params);
-  forest.num_classes_ = h.num_classes;
-  forest.n_features_ = h.n_features;
+  RandomForest forest = read_header(j);
   const Json::Array& tree_docs = j.at("trees").as_array();
-  for (std::size_t t = 0; t < tree_docs.size(); ++t) {
-    forest.append_tree_json(t, tree_docs[t]);
+  if (tree_docs.empty()) throw MlError("from_json: forest has no trees");
+  if (tree_docs.front().contains("nodes")) {
+    for (std::size_t t = 0; t < tree_docs.size(); ++t) {
+      forest.append_tree_json(t, tree_docs[t]);
+    }
+  } else {
+    TreeColumns doc;
+    for (std::size_t t = 0; t < tree_docs.size(); ++t) {
+      doc.fill(tree_docs[t]);
+      forest.append_columns(t, doc);
+    }
   }
   forest.flat_.finish(forest.num_classes_);
   return forest;
+}
+
+RandomForest RandomForest::pull(JsonReader& reader) {
+  using Token = JsonReader::Token;
+  return pull_last_member(reader, "trees", [&](const Json& head) {
+    RandomForest forest = read_header(head);
+    if (reader.next() != Token::kBeginArray) {
+      throw JsonError("value is not a array");
+    }
+    TreeColumns doc;
+    std::size_t t = 0;
+    for (Token first; (first = reader.next()) != Token::kEndArray; ++t) {
+      doc.pull(reader, first);
+      if (t == 0 && doc.nodes) {
+        throw MlError("from_json: v1 trees are read from a Json document");
+      }
+      forest.append_columns(t, doc);
+    }
+    if (t == 0) throw MlError("from_json: forest has no trees");
+    forest.flat_.finish(forest.num_classes_);
+    return forest;
+  });
 }
 
 void RandomForest::append_tree_json(std::size_t t, const Json& doc) {

@@ -1,8 +1,9 @@
 // Random Forest classifier — the model the paper selects (Table II) and
-// ships pre-trained with the MPI library.
+// ships pre-trained with the MPI library. A forest document is read from
+// a Json tree (from_json) or pulled from text (pull); both decode each v2
+// tree through the same column checks into the FlatForest.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -46,8 +47,8 @@ class RandomForest final : public Classifier {
   /// predict_proba_into row by row.
   void predict_batch(const Matrix& rows, Matrix& out) const override;
 
-  /// The forest's only stored form: fit() appends each grown tree to it and
-  /// from_json() decodes each tree document straight into it.
+  /// The forest's only stored form: fit() appends each grown tree to it,
+  /// and from_json() and pull() decode each tree document straight into it.
   const FlatForest& flat() const noexcept { return flat_; }
 
   /// Normalised Gini-decrease feature importances (sum to 1): per-feature
@@ -60,6 +61,7 @@ class RandomForest final : public Classifier {
 
   const RandomForestParams& params() const noexcept { return params_; }
   std::size_t tree_count() const noexcept { return flat_.tree_count(); }
+  std::size_t n_features() const noexcept { return n_features_; }
 
   /// Model bundle v1 rendering: one object per tree node, dense leaves
   /// (FlatForest::tree_json). Its bytes pin the fit in the golden tests.
@@ -67,26 +69,25 @@ class RandomForest final : public Classifier {
   /// Model bundle v2 rendering: columnar trees with sparse leaves
   /// (FlatForest::columnar_tree_json). Loads back to the same forest.
   Json to_columnar_json() const;
-  /// Reads either rendering; the first tree document picks the layout
-  /// every tree must use. The document is dumped and read by read().
+  /// Reads either rendering from a Json document; the first tree document
+  /// picks the layout every tree must use. Every verdict on a model file
+  /// comes from this reader (PmlFramework::load).
   static RandomForest from_json(const Json& j);
-  /// Reads the forest document `reader` is at, as decode_json() runs it
-  /// (in place, or by offset). v2 trees are pulled column by column into
-  /// scratch reused from tree to tree and appended to the FlatForest as
-  /// each tree's object closes; no Json is built for them. A forest whose
-  /// first tree has v1 node objects is read into a Json and decoded from
-  /// it. `check` sees the forest's members before any check of this
-  /// reader runs.
-  static RandomForest read(
-      JsonReader& reader, bool in_place,
-      const std::function<void(const JsonFields&)>& check = {});
+  /// Pulls the v2 forest document `reader` is at, with no Json tree for
+  /// its trees: the members before "trees" are read with Json::read, and
+  /// each tree is pulled column by column into scratch reused from tree to
+  /// tree. Returns the forest from_json() builds from the same text, or
+  /// throws, also where from_json() would not: when "trees" is not the
+  /// forest's last member or its first tree has v1 node objects.
+  static RandomForest pull(JsonReader& reader);
 
  private:
   struct TreeColumns;
 
   Json render(bool columnar) const;
-  /// The v1 reader: node-object trees from a Json document.
-  static RandomForest from_v1_json(const Json& j);
+  /// A forest with the document's params, classes and features, and no
+  /// trees yet; `j` needs only the members besides "trees".
+  static RandomForest read_header(const Json& j);
 
   /// Decode tree `t` of a model file into flat_, depths_ and
   /// importances_: v1 node objects, or v2 columns.

@@ -197,14 +197,6 @@ TEST(JsonReader, StringsViewTheTextUnlessEscaped) {
   EXPECT_EQ(reader.string(), "es\"caped");
 }
 
-TEST(JsonReader, AtReadsOneValueAndIgnoresTheRest) {
-  const std::string text = R"({"a":[1,{"b":2}],"c":3})";
-  JsonReader reader = JsonReader::at(text, text.find('['));
-  EXPECT_EQ(Json::read(reader, reader.next()), Json::parse(R"([1,{"b":2}])"));
-  EXPECT_EQ(reader.next(), Token::kEnd);
-  EXPECT_EQ(reader.next(), Token::kEnd);
-}
-
 TEST(JsonReader, SkipValidatesWhatItPasses) {
   JsonReader good(R"([[1,{"a":[true]}],2])");
   ASSERT_EQ(good.next(), Token::kBeginArray);
@@ -218,87 +210,40 @@ TEST(JsonReader, SkipValidatesWhatItPasses) {
   EXPECT_THROW(bad.skip(inner), JsonError);
 }
 
-TEST(JsonFields, KeepFirstPositionAndLastValueLikeJson) {
-  const std::string text = R"({"b":1,"a":[2],"b":{"x":3},"c":"s"})";
-  JsonReader reader(text);
-  const JsonFields fields(reader);
-  ASSERT_TRUE(fields.is_object());
-  std::vector<std::string> keys;
-  for (const auto& [key, offset] : fields) keys.push_back(key);
-  EXPECT_EQ(keys, (std::vector<std::string>{"b", "a", "c"}));
-  const Json dom = Json::parse(text);
-  for (const char* key : {"a", "b", "c"}) {
-    EXPECT_EQ(fields.value(key), dom.at(key)) << key;
-  }
-  EXPECT_EQ(reader.next(), Token::kEnd);
+/// pull_last_member's verdict on `text`: the head's dump and the last
+/// member's sum, or the JsonError text.
+std::string pull_sum(const std::string& text) {
   try {
-    fields.reader("zz");
-    FAIL() << "a missing member was found";
+    JsonReader reader(text);
+    const std::string got =
+        pull_last_member(reader, "items", [&](const Json& head) {
+          const Json items = Json::read(reader, reader.next());
+          double sum = 0;
+          for (const Json& item : items.as_array()) sum += item.as_number();
+          return head.dump() + " " + Json(sum).dump();
+        });
+    EXPECT_EQ(reader.next(), Token::kEnd) << text;
+    return got;
   } catch (const JsonError& err) {
-    EXPECT_STREQ(err.what(), "json: missing key: zz");
+    return std::string("error:") + err.what();
   }
-
-  JsonReader scalar("[1]");
-  const JsonFields not_object(scalar);
-  EXPECT_FALSE(not_object.is_object());
-  EXPECT_FALSE(not_object.contains("a"));
-  EXPECT_THROW(not_object.reader("a"), JsonError);
-  EXPECT_EQ(scalar.next(), Token::kEnd);
 }
 
-TEST(JsonFields, StopLeavesTheReaderAtTheNamedMember) {
-  JsonReader reader(R"({"a":1,"bulk":[7],"z":2})");
-  const JsonFields fields(reader, "bulk");
-  ASSERT_TRUE(fields.stopped());
-  EXPECT_TRUE(fields.contains("a"));
-  EXPECT_FALSE(fields.contains("z"));
-  EXPECT_EQ(Json::read(reader, reader.next()), Json::parse("[7]"));
-  EXPECT_THROW(fields.close(reader), JsonReorder);  // "z" follows the stop
-}
-
-/// A decoder of {"n": N, "items": [...]} that needs "n" before "items":
-/// it sums the first N items, read in place when "n" came first.
-int sum_items(JsonReader& reader, bool in_place) {
-  const JsonFields fields(reader, in_place ? "items" : nullptr);
-  const auto n = fields.value("n").as_int();
-  JsonReader by_offset;
-  JsonReader& items =
-      fields.stopped() ? reader : (by_offset = fields.reader("items"));
-  if (items.next() != Token::kBeginArray) throw JsonError("value is not a array");
-  int sum = 0;
-  int i = 0;
-  for (Token t; (t = items.next()) != Token::kEndArray; ++i) {
-    if (i < n) sum += static_cast<int>(Json::read(items, t).as_int());
-  }
-  fields.close(reader);
-  return sum;
-}
-
-int decode_sum(const std::string& text) {
-  JsonReader reader(text);
-  return decode_json(reader, sum_items);
-}
-
-TEST(DecodeJson, ReadsAnyMemberOrderWithTheDomsVerdicts) {
-  EXPECT_EQ(decode_sum(R"({"n":2,"items":[1,2,3]})"), 3);
-  EXPECT_EQ(decode_sum(R"({"items":[1,2,3],"n":2})"), 3);      // by offset
-  EXPECT_EQ(decode_sum(R"({"n":1,"items":[1,2,3],"n":3})"), 6);  // last n
-  EXPECT_EQ(decode_sum(R"({"n":2,"items":[9],"items":[1,2,3]})"), 3);
-  // A failed check is rechecked by offset, where a syntax error anywhere
-  // comes first, as Json::parse reports it.
-  const std::string broken = R"({"items":[1,2],"x":[1,}, "n":2})";
-  try {
-    decode_sum(broken);
-    FAIL() << "a malformed document decoded";
-  } catch (const JsonError& err) {
-    EXPECT_EQ("error:" + std::string(err.what()), parse_verdict(broken));
-  }
-  try {
-    decode_sum(R"({"items":[1,2]})");
-    FAIL() << "a document without n decoded";
-  } catch (const JsonError& err) {
-    EXPECT_STREQ(err.what(), "json: missing key: n");
-  }
+TEST(JsonReader, PullLastMemberReadsTheHeadAsParseDoes) {
+  EXPECT_EQ(pull_sum(R"({"n":2,"items":[1,2,3]})"), R"({"n":2} 6)");
+  // A repeated head key keeps its first position and its last value.
+  EXPECT_EQ(pull_sum(R"({"n":1,"m":0,"n":3,"items":[]})"), R"({"n":3,"m":0} 0)");
+  EXPECT_EQ(pull_sum(R"({"items":[1]})"), "{} 1");
+  // The last member must be there, and last.
+  EXPECT_EQ(pull_sum(R"({"n":2})"), "error:json: missing key: items");
+  EXPECT_EQ(pull_sum(R"({"items":[1],"n":2})"),
+            "error:json: member items is not the last");
+  EXPECT_EQ(pull_sum(R"({"items":[9],"items":[1]})"),
+            "error:json: member items is not the last");
+  EXPECT_EQ(pull_sum("[1]"), "error:json: value is not a object");
+  // A syntax error fails as Json::parse fails.
+  const std::string broken = R"({"n":[1,},"items":[]})";
+  EXPECT_EQ(pull_sum(broken), parse_verdict(broken));
 }
 
 }  // namespace

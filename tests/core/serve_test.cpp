@@ -670,6 +670,40 @@ TEST_F(ServeTest, NoModelServesHeuristicsMarkedDegraded) {
   EXPECT_EQ(engine.cached_tables(), 0u);
 }
 
+TEST_F(ServeTest, NoModelPathPostsNoCompiles) {
+  // Nothing to re-read, so no compile could produce a table: misses go
+  // straight to the heuristic rung with the same reply bytes.
+  const bool was = obs::set_enabled(true);
+  obs::reset();
+  ServeOptions o = options();
+  o.model_path.clear();
+  o.async_compile = true;
+  std::string reply;
+  {
+    ServeEngine engine(o);
+    for (int i = 0; i < 20; ++i) {
+      reply = engine.handle_line(
+          R"({"op":"select","cluster":"MRI","collective":"allgather",)"
+          R"("nodes":2,"ppn":16,"msg_bytes":1024,"wait":true})");
+    }
+    engine.drain();
+  }
+  const Json select = Json::parse(reply);
+  EXPECT_EQ(select.at("source").as_string(), "heuristic");
+  EXPECT_EQ(select.at("cache").as_string(), "miss");
+  EXPECT_TRUE(select.at("degraded").as_bool());
+  std::size_t compiles = 0;
+  std::size_t requests = 0;
+  for (const obs::SpanSample& span : obs::snapshot().spans) {
+    compiles += span.name == "serve.compile";
+    requests += span.name == "serve.request";
+  }
+  EXPECT_EQ(compiles, 0u);
+  EXPECT_EQ(requests, 20u);
+  obs::reset();
+  obs::set_enabled(was);
+}
+
 TEST_F(ServeTest, InlineClusterSpecsAreKeyedByHardwareFingerprint) {
   ServeEngine engine(options());
   const Json base = sim::cluster_by_name("MRI").to_json();

@@ -1,11 +1,13 @@
 // Model bundles read from text. PmlFramework::load_artifact verifies a
-// write_artifact file on its payload bytes and pulls the forests' columns
-// straight into FlatForest, building no Json tree; every other layout
-// goes through parse_artifact and the same reader. These cases hold the
-// text reader to the DOM reader's results and verdicts: byte-equal
-// forests for pretty-printed, reordered and repeated-key copies, the
-// checksum's verdict before any decode error, the first syntax error
-// before any check.
+// write_artifact file on its payload bytes while its pull pass decodes
+// the forests' columns straight into FlatForest, building no Json tree;
+// the pull pass returns the framework the Json decoder (load()) would
+// build or throws, and then, as for every other layout, parse_artifact
+// and load() give the verdict. These cases hold the two readers to one
+// result: byte-equal forests for pretty-printed, reordered and
+// repeated-key copies, the checksum's verdict before any decode error,
+// the first syntax error before any check, and over a corpus of mutated
+// bundles the verdicts the Json decoder gave before the pull pass existed.
 //
 // This binary replaces the global operator new (bench/alloc_counter.hpp)
 // to count the allocations of a load, so it holds only these cases.
@@ -13,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -22,6 +26,7 @@
 
 #include "common/artifact.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "core/framework.hpp"
 #include "obs/export.hpp"
@@ -226,6 +231,288 @@ TEST_F(ModelLoad, SpansSplitTheLoadIntoReadVerifyAndDecode) {
   obs::reset();
   std::filesystem::remove_all(dir);
 }
+
+// --- Reader agreement over mutated bundles ---------------------------------
+
+/// One kind of edit to a bundle payload's text.
+enum class Mutation : std::uint8_t {
+  kNumberChanged,
+  kElementDropped,
+  kKeyRenamed,
+  kMemberRepeated,  ///< with a bogus first value
+  kMembersSwapped,  ///< two adjacent members
+  kSyntaxBroken,    ///< one structural byte replaced or deleted
+};
+
+/// One value of a compact document's text.
+struct Node {
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  std::size_t key;     ///< where its member's key starts; npos in an array
+  std::size_t begin;   ///< the value's first byte
+  std::size_t end;     ///< one past its last byte
+  std::size_t parent;  ///< the enclosing container's index; npos at the root
+};
+
+/// Appends the value at `text[at]` and every value inside it to `nodes`;
+/// returns where it ends. A walk of dump()'s compact output only, kept
+/// apart from the readers under test.
+std::size_t walk(const std::string& text, std::size_t at, std::size_t key,
+                 std::size_t parent, std::vector<Node>& nodes) {
+  const auto string_end = [&](std::size_t quote) {
+    std::size_t i = quote + 1;
+    while (text[i] != '"') i += text[i] == '\\' ? 2u : 1u;
+    return i + 1;
+  };
+  const std::size_t index = nodes.size();
+  nodes.push_back({key, at, 0, parent});
+  const char c = text[at];
+  if (c == '{' || c == '[') {
+    const char close = c == '{' ? '}' : ']';
+    ++at;
+    while (text[at] != close) {
+      std::size_t member = Node::npos;
+      if (c == '{') {
+        member = at;
+        at = string_end(at) + 1;  // past the ':'
+      }
+      at = walk(text, at, member, index, nodes);
+      if (text[at] == ',') ++at;
+    }
+    ++at;
+  } else if (c == '"') {
+    at = string_end(at);
+  } else {
+    while (text[at] != ',' && text[at] != '}' && text[at] != ']') ++at;
+  }
+  nodes[index].end = at;
+  return at;
+}
+
+std::vector<Node> nodes_of(const std::string& text) {
+  std::vector<Node> nodes;
+  walk(text, 0, Node::npos, Node::npos, nodes);
+  return nodes;
+}
+
+/// The index of the member after member `i` in its object, or npos.
+std::size_t next_sibling(const std::vector<Node>& nodes, std::size_t i) {
+  for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+    if (nodes[j].parent == nodes[i].parent) return j;
+    if (nodes[j].begin >= nodes[nodes[i].parent].end) break;
+  }
+  return Node::npos;
+}
+
+/// `text` with one mutation of kind `kind` at a position drawn from
+/// `state`; empty when the draw found no place for it.
+std::string mutate(const std::string& text, const std::vector<Node>& nodes,
+                   Mutation kind, std::uint64_t& state) {
+  const auto draw = [&](std::size_t n) {
+    return static_cast<std::size_t>(splitmix64(state) % n);
+  };
+  const Node& node = nodes[draw(nodes.size())];
+  const bool member = node.key != Node::npos;
+  const char first = text[node.begin];
+  const bool container = first == '{' || first == '[';
+  std::string out = text;
+  switch (kind) {
+    case Mutation::kNumberChanged: {
+      static const char* const kNumbers[] = {"0", "1", "-1", "2", "0.5", "7",
+                                             "1e300", "-2147483649"};
+      const std::string number = kNumbers[draw(std::size(kNumbers))];
+      const bool is_number = first == '-' || (first >= '0' && first <= '9');
+      if (!is_number ||
+          text.compare(node.begin, node.end - node.begin, number) == 0) {
+        return {};
+      }
+      return out.replace(node.begin, node.end - node.begin, number);
+    }
+    case Mutation::kElementDropped: {
+      if (member || node.parent == Node::npos) return {};
+      if (text[node.end] == ',') {
+        return out.erase(node.begin, node.end + 1 - node.begin);
+      }
+      if (text[node.begin - 1] == ',') {
+        return out.erase(node.begin - 1, node.end + 1 - node.begin);
+      }
+      return out.erase(node.begin, node.end - node.begin);
+    }
+    case Mutation::kKeyRenamed:
+      if (!member) return {};
+      return out.insert(node.key + 1, "x");
+    case Mutation::kMemberRepeated: {
+      static const char* const kBogus[] = {"null", "[]", "{}", "\"x\"", "-1",
+                                           "[7,7]"};
+      if (!member) return {};
+      return out.insert(node.key, text.substr(node.key, node.begin - node.key) +
+                                      kBogus[draw(std::size(kBogus))] + ",");
+    }
+    case Mutation::kMembersSwapped: {
+      const std::size_t i = static_cast<std::size_t>(&node - nodes.data());
+      const std::size_t j = member ? next_sibling(nodes, i) : Node::npos;
+      if (j == Node::npos) return {};
+      const std::string left = text.substr(node.key, node.end - node.key);
+      const std::string right =
+          text.substr(nodes[j].key, nodes[j].end - nodes[j].key);
+      return out.replace(node.key, nodes[j].end - node.key,
+                         right + "," + left);
+    }
+    case Mutation::kSyntaxBroken: {
+      // A container's brackets, a member's ':' or opening quote, or the
+      // ',' after the node.
+      std::vector<std::size_t> bytes;
+      if (container) bytes = {node.begin, node.end - 1};
+      if (member) {
+        bytes.push_back(node.begin - 1);
+        bytes.push_back(node.key);
+      }
+      if (node.end < text.size() && text[node.end] == ',') {
+        bytes.push_back(node.end);
+      }
+      if (bytes.empty()) return {};
+      const std::size_t at = bytes[draw(bytes.size())];
+      static constexpr std::string_view kBytes = "{}[],:\" ";
+      const char with = kBytes[draw(kBytes.size())];
+      if (with == text[at] || with == ' ') return out.erase(at, 1);
+      out[at] = with;
+      return out;
+    }
+  }
+  return {};
+}
+
+/// "ok:" plus the FNV-1a of the loaded bundle's dump, or the error's type
+/// and text.
+template <typename Load>
+std::string verdict_of(const Load& load) {
+  try {
+    char hash[24];
+    std::snprintf(hash, sizeof hash, "ok:%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a64(load().to_json().dump())));
+    return hash;
+  } catch (const JsonError& err) {
+    return std::string("json:") + err.what();
+  } catch (const Error& err) {
+    return std::string("error:") + err.what();
+  }
+}
+
+TEST_F(ModelLoad, AMemberAfterABulkMemberIsReadAsTheDecoderReadsIt) {
+  // The pull pass reads the bulk members (collectives, each forest, each
+  // forest's trees) where they stand, so a member after one could change
+  // what was read: it must defer, and the decoder's verdict stands.
+  const std::string compact = bundle().dump();
+  const std::vector<Node> nodes = nodes_of(compact);
+  const std::pair<std::string, std::string> overrides[] = {
+      {R"("collectives":)", R"(,"format":"bogus")"},
+      {R"("forest":)", R"(,"columns":[99])"},
+      {R"("trees":)", R"(,"n_features":-3)"},
+  };
+  for (const auto& [key, member] : overrides) {
+    const auto node =
+        std::find_if(nodes.begin(), nodes.end(), [&](const Node& n) {
+          return n.key != Node::npos &&
+                 compact.compare(n.key, key.size(), key) == 0;
+        });
+    ASSERT_NE(node, nodes.end()) << key;
+    std::string text = compact;
+    text.insert(node->end, member);
+    const std::string verdict =
+        verdict_of([&] { return PmlFramework::load_artifact(envelope(text)); });
+    EXPECT_EQ(verdict.rfind("error:", 0), 0u) << key << verdict;
+    EXPECT_EQ(verdict_of([&] { return PmlFramework::load(Json::parse(text)); }),
+              verdict)
+        << key;
+  }
+}
+
+struct MutationCase {
+  const char* name;
+  Mutation kind;
+  /// FNV-1a over the corpus's verdicts, one per line, as the Json decoder
+  /// the pull pass defers to returned them before the pull pass existed.
+  std::uint64_t verdicts;
+};
+
+void PrintTo(const MutationCase& c, std::ostream* os) { *os << c.name; }
+
+class ModelLoadMutations : public ::testing::TestWithParam<MutationCase> {
+ protected:
+  static void SetUpTestSuite() {
+    payload_ = new std::string(trained(2).to_json().dump());
+  }
+  static void TearDownTestSuite() { delete payload_; }
+  static const std::string& payload() { return *payload_; }
+
+ private:
+  static std::string* payload_;
+};
+
+std::string* ModelLoadMutations::payload_ = nullptr;
+
+TEST_P(ModelLoadMutations, EveryReaderGivesTheJsonDecodersVerdict) {
+  // Each mutated payload is loaded three ways: as a writer-layout file
+  // with its checksum re-stamped (the pull pass, or a deferral to the
+  // decoder), as a pretty-printed envelope (parse_artifact and the
+  // decoder) when it parses, and through load() of the parsed envelope's
+  // payload. All three must agree, and the corpus must keep its verdicts.
+  constexpr int kMutations = 64;
+  const std::vector<Node> nodes = nodes_of(payload());
+  std::uint64_t state =
+      0x6d7574617465ULL + static_cast<std::uint64_t>(GetParam().kind);
+  std::string all;
+  for (int made = 0; made < kMutations;) {
+    const std::string text = mutate(payload(), nodes, GetParam().kind, state);
+    if (text.empty()) continue;
+    ++made;
+    const std::string file = envelope(text);
+    const std::string verdict =
+        verdict_of([&] { return PmlFramework::load_artifact(file); });
+    all += verdict + "\n";
+    EXPECT_EQ(verdict_of([&] {
+                return PmlFramework::load(Json::parse(file).at("payload"));
+              }),
+              verdict)
+        << text;
+    Json parsed;
+    try {
+      parsed = Json::parse(file).at("payload");
+    } catch (const JsonError&) {
+      continue;
+    }
+    Json pretty = Json::object();
+    pretty["format"] = "pml-artifact-v1";
+    pretty["kind"] = "model";
+    pretty["schema"] = 1;
+    pretty["checksum"] = payload_checksum(parsed);
+    pretty["payload"] = parsed;
+    const std::string pretty_file = pretty.dump(2) + "\n";
+    EXPECT_EQ(verdict_of([&] { return PmlFramework::load_artifact(pretty_file); }),
+              verdict)
+        << text;
+  }
+  EXPECT_EQ(fnv1a64(all), GetParam().verdicts);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, ModelLoadMutations,
+    ::testing::Values(
+        MutationCase{"NumberChanged", Mutation::kNumberChanged,
+                     0x0d20a5ea0405e42fULL},
+        MutationCase{"ElementDropped", Mutation::kElementDropped,
+                     0x3789cc9043d530f0ULL},
+        MutationCase{"KeyRenamed", Mutation::kKeyRenamed,
+                     0x0502f3d73ff27618ULL},
+        MutationCase{"MemberRepeated", Mutation::kMemberRepeated,
+                     0xbb55925928f072a5ULL},
+        MutationCase{"MembersSwapped", Mutation::kMembersSwapped,
+                     0xbb55925928f072a5ULL},
+        MutationCase{"SyntaxBroken", Mutation::kSyntaxBroken,
+                     0xf0246c0c62c8def3ULL}),
+    [](const ::testing::TestParamInfo<MutationCase>& instance) {
+      return std::string(instance.param.name);
+    });
 
 }  // namespace
 }  // namespace pml::core

@@ -11,7 +11,10 @@ seed list, alternating which side runs first. Prints, per workload and
 metric, the median [quartiles] of both sides, how many pairs the head
 won, and the base's quartile spread, stamped with perfbench's host line.
 A gain is claimed when the head wins at least 9 of 10 pairs and the
-medians differ by more than the base's quartile spread.
+medians differ by more than the base's quartile spread. Each end_to_end
+metric of BENCHMARK.json also gets a no-regression verdict against its
+bound: `holds`, `REGRESSED`, or `unresolved` when the base's own spread
+is wider than the bound.
 
 --cmd times a plain command on both builds instead (wall time and the
 child's ru_maxrss); {pml} in it names each side's `pml` binary. The script
@@ -52,6 +55,23 @@ def summarize(base, head, better):
             "pairs": len(base), "base_iqr": spread, "claimed": claimed}
 
 
+def regression(base, head, better, bound):
+    """No-regression verdict of one metric with `bound`, a fraction of the
+    base median: "holds" when the head's median is worse by at most the
+    bound, "REGRESSED" past it, and "unresolved" when the base's quartile
+    spread alone exceeds the bound, unless every head run beats every
+    base run."""
+    b1, bmed, b3 = quartiles(base)
+    hmed = quartiles(head)[1]
+    sign = -1.0 if better == "lower" else 1.0
+    allowed = bound * abs(bmed)
+    if b3 - b1 > allowed:
+        best_base = max(base) if better == "higher" else min(base)
+        if not all(sign * (h - best_base) > 0 for h in head):
+            return "unresolved"
+    return "holds" if sign * (bmed - hmed) <= allowed else "REGRESSED"
+
+
 def parse_run(stdout):
     """perfbench's host line and its result JSON (the last stdout line)."""
     lines = [line for line in stdout.splitlines() if line.strip()]
@@ -67,9 +87,10 @@ def seed_list(text):
     return seeds
 
 
-def directions():
+def metrics_spec():
+    """Per metric name: its direction, and its bound if it is end_to_end."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"]
+    return {m["name"]: (m["better"], m.get("bound"))
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
@@ -125,8 +146,10 @@ def fmt(triple):
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def report(name, result):
+def report(name, result, no_regression=""):
     verdict = "  gain holds" if result["claimed"] else ""
+    if no_regression:
+        verdict += f"  no-regression {no_regression}"
     print(f"  {name:28s} base {fmt(result['base']):30s} "
           f"head {fmt(result['head']):30s} wins {result['wins']}/"
           f"{result['pairs']}  base IQR {result['base_iqr']:.4g}{verdict}")
@@ -171,7 +194,7 @@ def main():
             report(metric, summarize(base, head, "lower"))
         return 0
 
-    better = directions()
+    spec = metrics_spec()
     for workload in args.workloads.split(","):
         runs = ([], [])
         host = ""
@@ -189,7 +212,10 @@ def main():
         for metric in runs[0][0]["metrics"]:
             base = [r["metrics"][metric]["value"] for r in runs[0]]
             head = [r["metrics"][metric]["value"] for r in runs[1]]
-            report(metric, summarize(base, head, better.get(metric, "lower")))
+            better, bound = spec.get(metric, ("lower", None))
+            report(metric, summarize(base, head, better),
+                   "" if bound is None else
+                   regression(base, head, better, bound))
     return 0
 
 

@@ -50,6 +50,22 @@ def main():
     nine = [b - 0.02 for b in base[:9]] + [base[9] + 0.001]
     check("9 of 10 pairs suffice", ab.summarize(base, nine, "lower")["claimed"])
 
+    # No-regression verdicts against a 10% bound.
+    flat = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+    check("a rise within the bound holds",
+          ab.regression(flat, [v + 0.05 for v in flat], "lower", 0.1) == "holds")
+    check("a rise past the bound regresses",
+          ab.regression(flat, [v + 0.2 for v in flat], "lower", 0.1) ==
+          "REGRESSED")
+    check("a drop past the bound regresses when higher is better",
+          ab.regression(flat, [v - 0.2 for v in flat], "higher", 0.1) ==
+          "REGRESSED")
+    wide = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1]
+    check("a base spread wider than the bound is unresolved",
+          ab.regression(wide, wide, "lower", 0.1) == "unresolved")
+    check("unless every head run beats every base run",
+          ab.regression(wide, [0.4] * 10, "lower", 0.1) == "holds")
+
     host, result = ab.parse_run(
         'host {"cpus":4}\nworkload=onboard_cold seed=1\n'
         '{"correct":true,"failed":0,"metrics":{"setup_s":{"value":0.05}}}\n')
