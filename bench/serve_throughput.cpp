@@ -1,7 +1,7 @@
 // Serve-layer throughput and latency benchmarks, with a hard gate in
 // main() on the cached single-query path: the daemon's steady state must
 // clear 100k selections/sec/core with a sub-millisecond p99, and a plain
-// cached select (single-pass scan, pre-rendered reply) must run at least
+// cached select (single-pass scan, no reply DOM) must run at least
 // 1.5x the rate of the same request read through the Json DOM, or the
 // gate fails the run (the smoke ctest entry therefore catches throughput
 // rot, not just bit-rot). The ratio compares two paths interleaved on one
@@ -94,7 +94,7 @@ const std::string kDomSelect =
     R"("nodes":4,"ppn":16,"msg_bytes":65536,"wait":false})";
 
 /// Full protocol round trip on the cached hot path: scan the request,
-/// shard-probe the LRU, table lookup, copy the pre-rendered reply.
+/// shard-probe the LRU, table lookup, write the reply.
 void BM_ServeCachedSelect(benchmark::State& state) {
   core::ServeEngine& engine = warm_engine();
   std::vector<std::uint64_t> latencies;

@@ -21,10 +21,6 @@
 
 namespace pml::coll {
 
-/// Transitional alias for the flat algorithm id. New code should speak
-/// Selection; AlgorithmId remains for callers migrating off raw labels.
-using AlgorithmId = Algorithm;
-
 /// How a selection schedules the collective across the topology.
 enum class HierarchyKind : std::uint8_t {
   kFlat,    ///< one flat algorithm over all ranks (label space v1)

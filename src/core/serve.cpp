@@ -14,6 +14,7 @@
 #include <limits>
 #include <optional>
 #include <string_view>
+#include <unordered_map>
 
 #include "common/artifact.hpp"
 #include "common/error.hpp"
@@ -37,6 +38,29 @@ std::string hex16(std::uint64_t value) {
 
 void warn(const std::string& message) {
   std::fprintf(stderr, "pml: warning: %s\n", message.c_str());
+}
+
+/// "/<fingerprint hex>/<sweep hash hex>": a cache key is the model
+/// checksum followed by this tail.
+std::string key_tail(const sim::ClusterSpec& cluster,
+                     const CompileOptions& resolved) {
+  std::string sweep;
+  for (const int n : resolved.node_counts) {
+    sweep += std::to_string(n);
+    sweep += ',';
+  }
+  sweep += ';';
+  for (const int p : resolved.ppn_values) {
+    sweep += std::to_string(p);
+    sweep += ',';
+  }
+  sweep += ';';
+  for (const std::uint64_t m : resolved.message_sizes) {
+    sweep += std::to_string(m);
+    sweep += ',';
+  }
+  return "/" + hex16(cluster.hardware_fingerprint()) + "/" +
+         hex16(fnv1a64(sweep));
 }
 
 // --- request parsing --------------------------------------------------------
@@ -251,6 +275,23 @@ class SelectScanner {
   std::size_t pos_ = 0;
 };
 
+/// `"display_name":…,"selection":{…},`: the select reply's members that
+/// depend on the selection alone. No name holds a byte JSON escapes.
+std::string selection_fragment(const coll::Selection& selection) {
+  return "\"display_name\":\"" + selection.display() +
+         "\",\"selection\":{\"kind\":\"" + coll::to_string(selection.kind) +
+         "\",\"algorithm\":\"" + coll::to_string(selection.algorithm) +
+         "\",\"intra\":\"" + coll::to_string(selection.intra) +
+         "\",\"encoded\":\"" + selection.encode() + "\"},";
+}
+
+/// (kind, algorithm, intra) packed into one integer.
+std::uint32_t fragment_key(const coll::Selection& s) {
+  return static_cast<std::uint32_t>(s.kind) << 16 |
+         static_cast<std::uint32_t>(s.algorithm) << 8 |
+         static_cast<std::uint32_t>(s.intra);
+}
+
 }  // namespace
 
 bool scan_select(std::string_view line, ScannedSelect& out) {
@@ -295,22 +336,34 @@ bool scan_select(std::string_view line, ScannedSelect& out) {
 std::string select_reply(const coll::Selection& selection, const char* cache,
                          const char* source, bool degraded, bool timed_out,
                          bool breaker_open) {
-  Json reply = Json::object();
-  reply["ok"] = true;
-  reply["op"] = std::string("select");
-  reply["display_name"] = selection.display();
-  Json sel = Json::object();
-  sel["kind"] = coll::to_string(selection.kind);
-  sel["algorithm"] = coll::to_string(selection.algorithm);
-  sel["intra"] = coll::to_string(selection.intra);
-  sel["encoded"] = selection.encode();
-  reply["selection"] = std::move(sel);
-  reply["cache"] = std::string(cache);
-  reply["source"] = std::string(source);
-  reply["degraded"] = degraded;
-  if (timed_out) reply["deadline"] = std::string("expired");
-  if (breaker_open) reply["breaker"] = std::string("open");
-  return reply.dump();
+  // The fragments of the selections of every selection space.
+  static const std::unordered_map<std::uint32_t, std::string> fragments = [] {
+    std::unordered_map<std::uint32_t, std::string> all;
+    for (const coll::Collective c : coll::all_collectives()) {
+      for (const coll::Selection& s : coll::selection_space(c)) {
+        all.emplace(fragment_key(s), selection_fragment(s));
+      }
+    }
+    return all;
+  }();
+  std::string reply;
+  reply.reserve(320);  // no reply is longer
+  reply += R"({"ok":true,"op":"select",)";
+  const auto fragment = fragments.find(fragment_key(selection));
+  if (fragment != fragments.end()) {
+    reply += fragment->second;
+  } else {
+    reply += selection_fragment(selection);
+  }
+  reply += R"("cache":")";
+  reply += cache;
+  reply += R"(","source":")";
+  reply += source;
+  reply += degraded ? R"(","degraded":true)" : R"(","degraded":false)";
+  if (timed_out) reply += R"(,"deadline":"expired")";
+  if (breaker_open) reply += R"(,"breaker":"open")";
+  reply += '}';
+  return reply;
 }
 
 }  // namespace detail
@@ -318,26 +371,7 @@ std::string select_reply(const coll::Selection& selection, const char* cache,
 // --- ServedTable ------------------------------------------------------------
 
 ServedTable::ServedTable(TuningTable compiled)
-    : table(std::move(compiled)), json(table.to_json().dump()) {
-  for (const JobTable& job : table.jobs()) {
-    for (const TuningEntry& entry : job.entries) {
-      if (hit_reply(entry.selection) != nullptr) continue;
-      hit_replies.emplace_back(
-          entry.selection,
-          detail::select_reply(entry.selection, "hit", "table",
-                               /*degraded=*/false, /*timed_out=*/false,
-                               /*breaker_open=*/false));
-    }
-  }
-}
-
-const std::string* ServedTable::hit_reply(
-    const coll::Selection& selection) const {
-  for (const auto& [candidate, reply] : hit_replies) {
-    if (candidate == selection) return &reply;
-  }
-  return nullptr;
-}
+    : table(std::move(compiled)), json(table.to_json().dump()) {}
 
 // --- ServeOptions -----------------------------------------------------------
 
@@ -508,6 +542,21 @@ ServeEngine::ServeEngine(ServeOptions options)
     : options_(std::move(options)),
       model_(options_.model_path),
       cache_(options_.shards, options_.shard_capacity),
+      named_([this] {
+        std::unordered_map<std::string_view, NamedCluster> named;
+        for (const sim::ClusterSpec& cluster : sim::builtin_clusters()) {
+          try {
+            const CompileOptions resolved =
+                resolve_compile_sweep(cluster, options_.compile);
+            named.emplace(cluster.name,
+                          NamedCluster{&cluster, resolved,
+                                       key_tail(cluster, resolved)});
+          } catch (const ConfigError&) {
+            // Left out: a select naming it resolves again, and throws.
+          }
+        }
+        return named;
+      }()),
       breaker_(options_.breaker) {
   options_.validate();
   event_counters_.reserve(kEvents);
@@ -553,28 +602,6 @@ ServeEngine::Stats ServeEngine::stats() const {
     s.*kServeEvents[i].field = events_[i].load();
   }
   return s;
-}
-
-std::string ServeEngine::cache_key(const std::string& checksum,
-                                   const sim::ClusterSpec& cluster,
-                                   const CompileOptions& resolved) const {
-  std::string sweep;
-  for (const int n : resolved.node_counts) {
-    sweep += std::to_string(n);
-    sweep += ',';
-  }
-  sweep += ';';
-  for (const int p : resolved.ppn_values) {
-    sweep += std::to_string(p);
-    sweep += ',';
-  }
-  sweep += ';';
-  for (const std::uint64_t m : resolved.message_sizes) {
-    sweep += std::to_string(m);
-    sweep += ',';
-  }
-  return checksum + "/" + hex16(cluster.hardware_fingerprint()) + "/" +
-         hex16(fnv1a64(sweep));
 }
 
 ServeEngine::AdmitResult ServeEngine::admit_compile(
@@ -679,7 +706,7 @@ void ServeEngine::run_compile(const std::shared_ptr<CompileJob>& job,
       // the revalidation, so if the artifact was swapped while this job
       // sat in the queue the table lands under the new checksum, which
       // the next request recomputes and hits.
-      cache_.put(cache_key(model->checksum, cluster, resolved), entry);
+      cache_.put(model->checksum + key_tail(cluster, resolved), entry);
       note(Event::kCompile);
       result = std::move(entry);
     }
@@ -750,10 +777,9 @@ std::shared_ptr<const ServedTable> ServeEngine::wait_for(
   return job.result;
 }
 
-template <class Resolve>
-ServeEngine::CacheProbe ServeEngine::probe_cache(const std::string& key,
-                                                 const Json* request,
-                                                 Resolve&& resolve) {
+ServeEngine::CacheProbe ServeEngine::probe_cache(
+    const std::string& key, const Json* request,
+    const sim::ClusterSpec& cluster, const CompileOptions& resolved) {
   CacheProbe probe;
   probe.entry = cache_.get(key);
   if (probe.entry != nullptr) {
@@ -762,7 +788,6 @@ ServeEngine::CacheProbe ServeEngine::probe_cache(const std::string& key,
   }
   note(Event::kCacheMiss);
   probe.cache = "miss";
-  const auto [cluster, resolved] = resolve();
   const AdmitResult admitted = admit_compile(key, cluster, resolved);
   probe.admission = admitted.admission;
   if (admitted.job != nullptr && request != nullptr &&
@@ -782,43 +807,32 @@ const char* ServeEngine::degrade(Admission admission) {
 }
 
 std::string ServeEngine::handle_select(const detail::SelectQuery& query) {
-  const std::string checksum = model_.checksum();
-
-  // A cached select must not pay for what only a miss needs: for a named
-  // cluster under the default sweep the cache key is a pure function of
-  // (model checksum, name), so probe the memo first and materialize the
-  // ClusterSpec + resolved sweep lazily, on the slow paths only.
-  const bool named = query.cluster_spec == nullptr;
-  std::string key;
-  if (named) {
-    std::lock_guard<std::mutex> lock(select_keys_mutex_);
-    const auto it = select_keys_.find(std::string(query.cluster_name));
-    if (it != select_keys_.end() && it->second.first == checksum) {
-      key = it->second.second;
+  // A builtin name under the default sweep keys from the named table; an
+  // inline spec, or a name the table lacks, is resolved here (and an
+  // unknown name or an unresolvable sweep throws its error).
+  if (query.cluster_spec == nullptr) {
+    const auto named = named_.find(query.cluster_name);
+    if (named != named_.end()) {
+      const NamedCluster& n = named->second;
+      return select_on(query, model_.checksum() + n.key_tail, *n.cluster,
+                       n.resolved);
     }
   }
-  std::optional<sim::ClusterSpec> cluster;
-  std::optional<CompileOptions> resolved;
-  const auto materialize = [&] {
-    if (!cluster.has_value()) {
-      cluster = named ? sim::cluster_by_name(std::string(query.cluster_name))
-                      : parse_cluster(*query.cluster_spec);
-      resolved = resolve_compile_sweep(*cluster, options_.compile);
-    }
-  };
-  if (key.empty()) {
-    materialize();
-    key = cache_key(checksum, *cluster, *resolved);
-    if (named) {
-      std::lock_guard<std::mutex> lock(select_keys_mutex_);
-      select_keys_[std::string(query.cluster_name)] = {checksum, key};
-    }
-  }
+  const sim::ClusterSpec cluster =
+      query.cluster_spec != nullptr
+          ? parse_cluster(*query.cluster_spec)
+          : sim::cluster_by_name(std::string(query.cluster_name));
+  const CompileOptions resolved =
+      resolve_compile_sweep(cluster, options_.compile);
+  return select_on(query, model_.checksum() + key_tail(cluster, resolved),
+                   cluster, resolved);
+}
 
-  const CacheProbe probe = probe_cache(key, query.request, [&]() -> Target {
-    materialize();
-    return {*cluster, *resolved};
-  });
+std::string ServeEngine::select_on(const detail::SelectQuery& query,
+                                   const std::string& key,
+                                   const sim::ClusterSpec& cluster,
+                                   const CompileOptions& resolved) {
+  const CacheProbe probe = probe_cache(key, query.request, cluster, resolved);
 
   const sim::Topology topo{query.nodes, query.ppn};
   const char* source = "table";
@@ -828,12 +842,6 @@ std::string ServeEngine::handle_select(const detail::SelectQuery& query) {
   if (probe.entry != nullptr) {
     selection = probe.entry->table.lookup(query.collective, query.nodes,
                                           query.ppn, query.msg_bytes);
-    // A hit's reply was rendered when the table was cached.
-    if (std::string_view(probe.cache) == "hit") {
-      if (const std::string* reply = probe.entry->hit_reply(selection)) {
-        return *reply;
-      }
-    }
   } else if (static_cast<std::int64_t>(query.nodes) * query.ppn >
              std::numeric_limits<int>::max()) {
     // The lower rungs rank the job shape by its rank count, an int; a
@@ -849,15 +857,15 @@ std::string ServeEngine::handle_select(const detail::SelectQuery& query) {
     // the artifact corrupt, and then this reply must degrade too. Nothing
     // is cached from it, so no checksum is paired with this framework.
     source = "model";
-    selection = framework->select(query.collective, *cluster, topo,
-                                  query.msg_bytes);
+    selection =
+        framework->select(query.collective, cluster, topo, query.msg_bytes);
   } else {
     // Heuristic rung: no model, or a shed / breaker-open miss (both exist
     // to spend nothing extra on this request, so they skip even direct
     // inference). The reply is still a valid selection, one rung down.
     source = degrade(probe.admission);
     degraded = true;
-    selection = HeuristicSelector().select(query.collective, *cluster, topo,
+    selection = HeuristicSelector().select(query.collective, cluster, topo,
                                            query.msg_bytes);
   }
   return detail::select_reply(selection, probe.cache, source, degraded,
@@ -871,9 +879,8 @@ std::string ServeEngine::handle_table(const Json& request) {
   CompileOptions options = options_.compile;
   apply_sweep_overrides(request, options);
   const CompileOptions resolved = resolve_compile_sweep(cluster, options);
-  const std::string key = cache_key(model_.checksum(), cluster, resolved);
-  const CacheProbe probe = probe_cache(
-      key, &request, [&]() -> Target { return {cluster, resolved}; });
+  const std::string key = model_.checksum() + key_tail(cluster, resolved);
+  const CacheProbe probe = probe_cache(key, &request, cluster, resolved);
 
   if (probe.entry != nullptr) {
     // Splice the pre-serialized table in verbatim: replies for one cache

@@ -30,12 +30,14 @@
 // The stack is overload-safe by construction (docs/API.md, "Serve
 // protocol > Limits"): the engine sheds misses past a bounded pending-
 // compile queue straight to the heuristic rung (source:"shed"), runs a
-// circuit breaker around model recompiles so a persistently broken
-// artifact stops burning compile threads, honors per-request
-// "deadline_ms" on waited recompiles, and can drain gracefully. The TCP
-// transport bounds per-connection line buffers, caps concurrent
-// connections, and evicts slow-loris/idle peers on a read deadline —
-// every rejection is a structured one-line error, never a silent drop.
+// circuit breaker around model recompiles so a compile that keeps throwing
+// stops burning compile threads (a missing or corrupt artifact is no such
+// failure: its compile job re-reads the file, finds no model and counts as
+// a success), honors per-request "deadline_ms" on waited recompiles, and
+// can drain gracefully. The TCP transport bounds per-connection line
+// buffers, caps concurrent connections, and evicts slow-loris/idle peers
+// on a read deadline — every rejection is a structured one-line error,
+// never a silent drop.
 #pragma once
 
 #include <array>
@@ -49,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -108,9 +111,10 @@ struct ServeOptions {
   /// same key adds no queue pressure and is never shed.
   int queue_limit = 32;
   /// Circuit breaker over model recompiles: `failure_threshold`
-  /// consecutive compile failures stop compile attempts for a bounded-
-  /// exponential backoff window (misses answer from the heuristic rung
-  /// immediately), then a single half-open probe restores service.
+  /// consecutive compile failures (compiles that throw) stop compile
+  /// attempts for a bounded-exponential backoff window (misses answer from
+  /// the heuristic rung immediately), then a single half-open probe
+  /// restores service.
   BreakerPolicy breaker;
   /// Chaos/test hook: when set, invoked at the top of every compile
   /// attempt (before model revalidation). Tests make it throw or block
@@ -123,24 +127,16 @@ struct ServeOptions {
 };
 
 /// One cached compile result: the table plus its pre-serialized compact
-/// JSON and its cache-hit select replies, so "table" and hit "select"
-/// replies are built once and byte-stable across requests, shards, and
-/// runs (lookup tie-breaks are deterministic too; see TuningTable::lookup).
+/// JSON, so "table" replies are built once and byte-stable across
+/// requests, shards, and runs (lookup tie-breaks are deterministic too;
+/// see TuningTable::lookup).
 struct ServedTable {
   ServedTable() = default;
-  /// Serializes `compiled` and renders one cache-hit select reply per
-  /// distinct selection in it, with the renderer every select reply uses.
+  /// Serializes `compiled`.
   explicit ServedTable(TuningTable compiled);
 
   TuningTable table;
   std::string json;
-  /// (selection, its {"cache":"hit"} select reply), one per distinct
-  /// selection of `table`, in first-occurrence order.
-  std::vector<std::pair<coll::Selection, std::string>> hit_replies;
-
-  /// The pre-rendered hit reply for `selection`; null when none was
-  /// rendered for it.
-  const std::string* hit_reply(const coll::Selection& selection) const;
 };
 
 /// Sharded LRU map: cache key -> immutable ServedTable. Each shard has
@@ -350,9 +346,6 @@ class ServeEngine {
     Admission admission = Admission::kAdmitted;
   };
 
-  /// The cluster and resolved sweep a cache miss compiles for.
-  using Target = std::pair<const sim::ClusterSpec&, const CompileOptions&>;
-
   /// What probe_cache found for one select/table request.
   struct CacheProbe {
     /// Cached or freshly waited-for table; null when the reply must come
@@ -364,13 +357,11 @@ class ServeEngine {
   };
 
   /// The one cache lookup of select and table: hit/miss accounting, and
-  /// on a miss admit_compile plus the optional "wait" for it (read from
-  /// `request`; a null request never waits). `resolve()` returns the
-  /// (cluster, resolved sweep) pair and is only called on a miss, so a
-  /// cached select never materializes them.
-  template <class Resolve>
+  /// on a miss admit_compile for (`cluster`, `resolved`) plus the optional
+  /// "wait" for it (read from `request`; a null request never waits).
   CacheProbe probe_cache(const std::string& key, const Json* request,
-                         Resolve&& resolve);
+                         const sim::ClusterSpec& cluster,
+                         const CompileOptions& resolved);
 
   /// The heuristic rung's accounting (serve.degraded and the batch online
   /// stage's online.fallback.heuristic); returns the reply `source`:
@@ -398,24 +389,29 @@ class ServeEngine {
                                               std::int64_t deadline_ms,
                                               bool& timed_out);
 
-  /// "<checksum>/<fingerprint hex>/<sweep hash hex>".
-  std::string cache_key(const std::string& checksum,
+  /// handle_select's answer once the cluster and sweep are known.
+  std::string select_on(const detail::SelectQuery& query,
+                        const std::string& key,
                         const sim::ClusterSpec& cluster,
-                        const CompileOptions& resolved) const;
+                        const CompileOptions& resolved);
 
-  /// Memoized select-path cache keys for *named* clusters under the
-  /// default sweep: name -> (checksum the key was derived under, key).
-  /// A cached-select hit then costs one map probe instead of a
-  /// ClusterSpec copy + hardware-fingerprint hash + sweep-token build;
-  /// entries self-invalidate when the model checksum moves. Bounded by
-  /// the builtin-cluster census (inline spec objects bypass the memo).
-  std::mutex select_keys_mutex_;
-  std::unordered_map<std::string, std::pair<std::string, std::string>>
-      select_keys_;
+  /// A builtin cluster under the engine's default sweep: everything a
+  /// named select needs but the model checksum, derived once.
+  struct NamedCluster {
+    const sim::ClusterSpec* cluster;  ///< into sim::builtin_clusters()
+    CompileOptions resolved;          ///< options_.compile resolved for it
+    std::string key_tail;             ///< the cache key after the checksum
+  };
 
   ServeOptions options_;
   ModelHost model_;
   ServeCache cache_;
+  /// One entry per builtin cluster whose sweep resolves, keyed by its
+  /// name, built in the constructor and never changed: a named select's
+  /// cache key is the model checksum plus an entry's key_tail, with no
+  /// lock. A cluster left out takes the general path, to the error
+  /// resolving it throws.
+  const std::unordered_map<std::string_view, NamedCluster> named_;
 
   mutable std::mutex jobs_mutex_;
   std::condition_variable idle_cv_;

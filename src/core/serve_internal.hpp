@@ -1,5 +1,5 @@
-// pml::core serve internals: the cached-select fast path's request scanner
-// and reply renderer, declared here so tests can hold them against the
+// pml::core serve internals: the plain-select request scanner and the
+// select reply writer, declared here so tests can hold them against the
 // Json DOM they stand in for. Not part of the library's API.
 #pragma once
 
@@ -50,9 +50,10 @@ struct SelectQuery {
   const Json* request = nullptr;
 };
 
-/// The one-line select reply (no trailing newline). Every select reply is
-/// rendered here: cache-hit replies once per cached table, the other rungs
-/// per request.
+/// The one-line select reply (no trailing newline) of every rung, written
+/// without a Json tree: a shared head, the selection's fragment (rendered
+/// once per process for every selection_space entry), then the rung's
+/// members.
 std::string select_reply(const coll::Selection& selection, const char* cache,
                          const char* source, bool degraded, bool timed_out,
                          bool breaker_open);

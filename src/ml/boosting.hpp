@@ -32,9 +32,6 @@ class GradientBoosting final : public Classifier {
                           std::span<double> out) const override;
 
   const GradientBoostingParams& params() const noexcept { return params_; }
-  std::size_t round_count() const noexcept {
-    return stages_.empty() ? 0 : stages_.size();
-  }
 
  private:
   GradientBoostingParams params_;

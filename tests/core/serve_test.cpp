@@ -941,8 +941,32 @@ TEST_F(ServeTest, CompileBreakerOpensServesHeuristicAndProbesBack) {
   EXPECT_EQ(attempts.load(), 3);
 }
 
+TEST_F(ServeTest, UnloadableModelLeavesTheBreakerClosed) {
+  // The breaker counts compiles that throw. A corrupt artifact makes each
+  // compile job a re-read that finds no model: the misses answer from the
+  // heuristic rung, and as many of them as the threshold neither count as
+  // compile failures nor open the breaker.
+  write_file(model_path(), "{\"not\": \"a model\"}\n");
+  ServeEngine engine(options());
+  ASSERT_FALSE(engine.model_loaded());
+  for (const char* cluster : {"MRI", "RI", "Rome"}) {
+    const Json reply = reply_of(
+        engine, std::string(R"({"op":"select","cluster":")") + cluster +
+                    R"(","collective":"allgather","nodes":2,"ppn":16,)"
+                    R"("msg_bytes":1024,"wait":true})");
+    ASSERT_TRUE(reply.at("ok").as_bool()) << cluster;
+    EXPECT_EQ(reply.at("cache").as_string(), "miss") << cluster;
+    EXPECT_EQ(reply.at("source").as_string(), "heuristic") << cluster;
+    EXPECT_FALSE(reply.contains("breaker")) << cluster;
+  }
+  const Json stats = reply_of(engine, R"({"op":"stats"})");
+  EXPECT_EQ(stats.at("breaker").as_string(), "closed");
+  EXPECT_EQ(stats.at("compile_failures").as_int(), 0);
+  EXPECT_EQ(engine.breaker_state(), BreakerState::kClosed);
+}
+
 /// A select reply rendered the way the engine rendered every select reply
-/// before hit replies were pre-rendered: one Json DOM, dumped.
+/// before it wrote them without a DOM: one Json DOM, dumped.
 std::string dom_select_reply(const coll::Selection& selection,
                              const std::string& cache,
                              const std::string& source, bool degraded,
@@ -966,46 +990,53 @@ std::string dom_select_reply(const coll::Selection& selection,
 }
 
 TEST(ServedTable, HitRepliesMatchTheDomReplyForEverySelection) {
-  // One job per paper collective holding its whole label space, flat and
-  // leader, plus a repeat that must not render a second reply.
-  TuningTable table("every-selection");
-  std::size_t distinct = 0;
-  bool leader = false;
-  for (const coll::Collective c :
-       {coll::Collective::kAllgather, coll::Collective::kAlltoall}) {
-    JobTable job;
-    job.collective = c;
-    job.nodes = 2;
-    job.ppn = 16;
-    const std::vector<coll::Selection>& space = coll::selection_space(c);
-    for (std::size_t i = 0; i < space.size(); ++i) {
-      job.entries.push_back({i + 1, space[i]});
-      leader = leader || space[i].hierarchical();
-    }
-    job.entries.push_back({space.size() + 1, space.front()});
-    distinct += space.size();
-    table.add(std::move(job));
+  // Every selection of the four selection spaces, flat and leader, under
+  // every cache/source/flag combination (a superset of the ones the
+  // engine's rungs emit).
+  std::vector<coll::Selection> space;
+  for (const coll::Collective c : coll::all_collectives()) {
+    const std::vector<coll::Selection>& own = coll::selection_space(c);
+    space.insert(space.end(), own.begin(), own.end());
   }
-  ASSERT_TRUE(leader);
+  ASSERT_EQ(space.size(), 40u);
+  for (const coll::Selection& selection : space) {
+    for (const char* cache : {"hit", "compiled", "miss"}) {
+      for (const char* source : {"table", "model", "heuristic", "shed"}) {
+        for (int flags = 0; flags < 8; ++flags) {
+          const bool degraded = (flags & 1) != 0;
+          const bool timed_out = (flags & 2) != 0;
+          const bool breaker_open = (flags & 4) != 0;
+          ASSERT_EQ(detail::select_reply(selection, cache, source, degraded,
+                                         timed_out, breaker_open),
+                    dom_select_reply(selection, cache, source, degraded,
+                                     timed_out, breaker_open))
+              << selection.encode() << " " << cache << " " << source << " "
+              << flags;
+        }
+      }
+    }
+  }
+  // A selection no space holds (a leader fan-out outside the any-ppn
+  // bcast algorithms) is rendered the same way, on the fly.
+  const coll::Selection outside = coll::Selection::leader(
+      coll::Algorithm::kAgRing, coll::Algorithm::kBcScatterAllgather);
+  ASSERT_EQ(std::count(space.begin(), space.end(), outside), 0);
+  EXPECT_EQ(detail::select_reply(outside, "miss", "model", false, false, false),
+            dom_select_reply(outside, "miss", "model", false, false, false));
+
+  // A cached table keeps only its pre-serialized JSON beside it.
+  TuningTable table("every-selection");
+  JobTable job;
+  job.collective = coll::Collective::kAllgather;
+  job.nodes = 2;
+  job.ppn = 16;
+  for (const coll::Selection& selection :
+       coll::selection_space(job.collective)) {
+    job.entries.push_back({job.entries.size() + 1, selection});
+  }
+  table.add(std::move(job));
   const ServedTable served(table);
   EXPECT_EQ(served.json, table.to_json().dump());
-  EXPECT_EQ(served.hit_replies.size(), distinct);
-  for (const JobTable& job : table.jobs()) {
-    for (const TuningEntry& entry : job.entries) {
-      const std::string* hit = served.hit_reply(entry.selection);
-      ASSERT_NE(hit, nullptr) << entry.selection.encode();
-      EXPECT_EQ(*hit, dom_select_reply(entry.selection, "hit", "table", false,
-                                       false, false));
-      // The other rungs render through the same helper, per request.
-      EXPECT_EQ(detail::select_reply(entry.selection, "miss", "shed", true,
-                                     true, true),
-                dom_select_reply(entry.selection, "miss", "shed", true, true,
-                                 true));
-    }
-  }
-  EXPECT_EQ(ServedTable().hit_reply(coll::selection_space(
-                coll::Collective::kAllgather)[0]),
-            nullptr);
 }
 
 const std::string kPlainSelect =
@@ -1015,6 +1046,29 @@ const std::string kPlainSelect =
 const std::string kDomSelect =
     R"({"op":"select","cluster":"MRI","collective":"allgather",)"
     R"("nodes":2,"ppn":16,"msg_bytes":1024,"wait":false})";
+
+TEST_F(ServeTest, NamedSelectWhoseDefaultSweepOverflowsGetsTheSweepError) {
+  // The default sweep overflows the int rank count on every builtin
+  // cluster, so no named cluster resolves when the engine starts: a named
+  // select resolves its sweep per request and fails with the sweep's text.
+  ServeOptions o = options();
+  o.compile = CompileOptions::sweep({1 << 30}, {4}, {1024});
+  ServeEngine engine(std::move(o));
+  for (const std::string& request : {kPlainSelect, kDomSelect}) {
+    const Json reply = reply_of(engine, request);
+    EXPECT_FALSE(reply.at("ok").as_bool()) << request;
+    EXPECT_EQ(reply.at("code").as_string(), "config") << request;
+    EXPECT_EQ(reply.at("error").as_string(),
+              "config: sweep: 1073741824 nodes * 4 ppn exceeds 2147483647 "
+              "ranks")
+        << request;
+  }
+  // An unknown name still fails on the name.
+  const Json unknown = reply_of(
+      engine, R"({"op":"select","cluster":"Nope","collective":"allgather",)"
+              R"("nodes":2,"ppn":16,"msg_bytes":1024})");
+  EXPECT_EQ(unknown.at("error").as_string(), "config: unknown cluster: Nope");
+}
 
 TEST_F(ServeTest, ScannedHitsCountAndReplyLikeDomHits) {
   ServeEngine engine(options());
