@@ -225,7 +225,7 @@ void PmlFramework::select_many(Collective collective,
   if (out.empty()) return;
   const PerCollective& p = part(collective);
 
-  // The compile hot path: one call per collective per thread chunk. Same
+  // The compile hot path: one call per collective per compile. Same
   // thread_local scratch discipline as select() — the buffers only ever
   // grow, so steady-state grids allocate nothing.
   thread_local std::vector<double> full;

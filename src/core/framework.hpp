@@ -62,8 +62,9 @@ struct CompileOptions {
   std::vector<int> node_counts;
   std::vector<int> ppn_values;
   std::vector<std::uint64_t> message_sizes;
-  /// Threads for the inference sweep; <= 0 = all hardware threads,
-  /// 1 = serial. The table is bit-identical at any thread count.
+  /// Threads for the inference sweep, which runs each collective as one
+  /// grid, so at most one thread per collective; <= 0 = all hardware
+  /// threads, 1 = serial. The table is bit-identical at any thread count.
   int threads = 0;
 
   /// Throws pml::ConfigError on non-positive node/ppn entries.

@@ -127,11 +127,11 @@ TuningTable TuningTable::generate(Selector& selector,
   table.set_sweep(node_counts, ppn_values, msg_sizes);
   table.set_cluster_fingerprint(cluster.hardware_fingerprint());
 
-  // Every collective sweeps the same topologies. Each collective's list
-  // is cut into one contiguous chunk per thread, and each chunk is one
-  // select_many call, so model-backed selectors answer it with a single
-  // grid inference. Jobs fill pre-sized slots in the serial order
-  // (collective, nodes, ppn), so the table is the same at any thread count.
+  // Every collective sweeps the same topologies, and each collective is
+  // one select_many call over all of them, so model-backed selectors
+  // answer it with a single grid inference. Collectives run in parallel and
+  // fill pre-sized slots in the serial order (collective, nodes, ppn), so
+  // the table is the same at any thread count.
   std::vector<sim::Topology> topos;
   for (const int nodes : node_counts) {
     for (const int ppn : ppn_values) {
@@ -140,25 +140,19 @@ TuningTable TuningTable::generate(Selector& selector,
     }
   }
   const std::size_t m = msg_sizes.size();
-  const std::size_t parts = std::min(
-      static_cast<std::size_t>(resolve_threads(threads)), topos.size());
   std::vector<JobTable> jobs(collectives.size() * topos.size());
-  parallel_for(threads, collectives.size() * parts, [&](std::size_t i) {
+  parallel_for(threads, collectives.size(), [&](std::size_t i) {
     obs::Span span("online.sweep_cell");
-    const std::size_t first = i / parts * topos.size();
-    const std::size_t begin = topos.size() * (i % parts) / parts;
-    const std::size_t end = topos.size() * (i % parts + 1) / parts;
-    const auto chunk = std::span(topos).subspan(begin, end - begin);
-    const coll::Collective collective = collectives[i / parts];
+    const coll::Collective collective = collectives[i];
     // Reused per thread, so the sweep allocates nothing in steady state.
     thread_local std::vector<coll::Selection> sels;
-    sels.resize(chunk.size() * m);
-    selector.select_many(collective, cluster, chunk, msg_sizes, sels);
-    for (std::size_t c = 0; c < chunk.size(); ++c) {
+    sels.resize(topos.size() * m);
+    selector.select_many(collective, cluster, topos, msg_sizes, sels);
+    for (std::size_t c = 0; c < topos.size(); ++c) {
       JobTable job;
       job.collective = collective;
-      job.nodes = chunk[c].nodes;
-      job.ppn = chunk[c].ppn;
+      job.nodes = topos[c].nodes;
+      job.ppn = topos[c].ppn;
       for (std::size_t k = 0; k < m; ++k) {
         const coll::Selection& sel = sels[c * m + k];
         if (!job.entries.empty() && job.entries.back().selection == sel) {
@@ -167,7 +161,7 @@ TuningTable TuningTable::generate(Selector& selector,
           job.entries.push_back(TuningEntry{msg_sizes[k], sel});
         }
       }
-      jobs[first + begin + c] = std::move(job);
+      jobs[i * topos.size() + c] = std::move(job);
     }
   });
 

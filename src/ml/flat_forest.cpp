@@ -427,9 +427,34 @@ void FlatForest::predict_sweep(const Matrix& fixed_rows,
   sorted.resize(m);
   for (std::size_t j = 0; j < m; ++j) sorted[j] = values[order[j]];
 
-  // A pending right side of a varying-column split: node, sorted range.
+  // Cells go down each tree in blocks of up to 64, one mask bit per cell.
+  // uniform[b * cols + f] says column f takes one side of every threshold in
+  // every cell of block b: its values all compare equal (+0.0 == -0.0) or
+  // are all NaN. Such a split is tested once, on the block's first cell.
+  constexpr std::size_t kBlock = 64;
+  const std::size_t cols = fixed_rows.cols();
+  const std::size_t blocks = (cells + kBlock - 1) / kBlock;
+  thread_local std::vector<std::uint8_t> uniform;
+  uniform.resize(blocks * cols);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t first = b * kBlock;
+    const std::size_t last = std::min(cells, first + kBlock);
+    for (std::size_t f = 0; f < cols; ++f) {
+      const double v = fixed_rows.at(first, f);
+      bool equal = true;
+      for (std::size_t c = first + 1; equal && c < last; ++c) {
+        const double w = fixed_rows.at(c, f);
+        equal = w == v || (std::isnan(w) && std::isnan(v));
+      }
+      uniform[b * cols + f] = equal;
+    }
+  }
+
+  // A pending right side: node, the block's cells that reach it, and the
+  // sorted range of sweep values they carry.
   struct Frame {
     std::size_t node;
+    std::uint64_t mask;
     std::uint32_t lo;
     std::uint32_t hi;
   };
@@ -439,40 +464,67 @@ void FlatForest::predict_sweep(const Matrix& fixed_rows,
   const Node* const nodes = nodes_.data();
   const double* const by_value = sorted.data();
   for (const std::size_t root : roots_) {
-    for (std::size_t cell = 0; cell < cells; ++cell) {
-      const double* const x = fixed_rows.row(cell).data();
-      double* const o = out.row(cell * m).data();
-      stack.push_back(Frame{root, 0, static_cast<std::uint32_t>(m)});
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::size_t first = b * kBlock;
+      const std::size_t n = std::min(kBlock, cells - first);
+      const double* const x = fixed_rows.row(first).data();
+      const std::uint8_t* const same = uniform.data() + b * cols;
+      double* const o = out.row(first * m).data();
+      stack.push_back(Frame{root, ~std::uint64_t{0} >> (kBlock - n), 0,
+                            static_cast<std::uint32_t>(m)});
       while (!stack.empty()) {
-        auto [i, lo, hi] = stack.back();
+        auto [i, mask, lo, hi] = stack.back();
         stack.pop_back();
         for (;;) {
           const Node& nd = nodes[i];
           if (nd.feature < 0) break;
           const auto f = static_cast<std::size_t>(nd.feature);
           const auto right = static_cast<std::size_t>(nd.slot);
-          if (f != varying_col) {
+          if (f == varying_col) {
+            // The values <= threshold are a prefix of the range, so
+            // counting them finds the cut; ranges are short (a compile
+            // sweeps 21 sizes), where a count beats a binary search's
+            // branches.
+            std::uint32_t mid = lo;
+            for (std::uint32_t j = lo; j < hi; ++j) {
+              mid += by_value[j] <= nd.threshold;
+            }
+            if (mid == lo) {
+              i = right;
+            } else {
+              if (mid != hi) stack.push_back(Frame{right, mask, mid, hi});
+              hi = mid;
+              i = i + 1;
+            }
+            continue;
+          }
+          if (same[f]) {
             i = x[f] <= nd.threshold ? i + 1 : right;
             continue;
           }
-          // The values <= threshold are a prefix of the range, so counting
-          // them finds the cut; ranges are short (a compile sweeps 21
-          // sizes), where a count beats a binary search's branches.
-          std::uint32_t mid = lo;
-          for (std::uint32_t j = lo; j < hi; ++j) {
-            mid += by_value[j] <= nd.threshold;
+          // A column that differs by cell splits the mask.
+          std::uint64_t left = 0;
+          for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+            const auto c = static_cast<std::size_t>(std::countr_zero(rest));
+            left |= std::uint64_t{x[c * cols + f] <= nd.threshold} << c;
           }
-          if (mid == lo) {
+          if (left == 0) {
             i = right;
           } else {
-            if (mid != hi) stack.push_back(Frame{right, mid, hi});
-            hi = mid;
+            if (left != mask) {
+              stack.push_back(Frame{right, mask & ~left, lo, hi});
+            }
+            mask = left;
             i = i + 1;
           }
         }
         const auto leaf = static_cast<std::size_t>(nodes[i].slot);
-        for (std::uint32_t j = lo; j < hi; ++j) {
-          add_leaf_to(leaf, o + static_cast<std::size_t>(order[j]) * k);
+        for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+          const auto c = static_cast<std::size_t>(std::countr_zero(rest));
+          double* const oc = o + c * m * k;
+          for (std::uint32_t j = lo; j < hi; ++j) {
+            add_leaf_to(leaf, oc + static_cast<std::size_t>(order[j]) * k);
+          }
         }
       }
     }

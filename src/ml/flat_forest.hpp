@@ -60,16 +60,20 @@
 // predict_sweep() answers a grid whose rows differ in one column only: a
 // tuning-table compile asks for every (cell, message size) pair, and 13 of
 // the 14 feature columns are fixed per cell. The outer loop runs over
-// trees, the inner loop over cells, and each (tree, cell) pair is one
-// range descent over the message-size axis, sorted once per call: a split
-// on a fixed column follows one child for the whole range, a split on the
-// varying column partitions the sorted range at its threshold and descends
-// both non-empty sides, and a leaf adds its entries to every row of the
-// range it receives. A cell's 21 rows thus cost one descent of a few
-// dozen nodes instead of 21 walks of about ten splits each. Every row
-// still receives exactly the leaf its own walk would reach (its value
-// takes the same side of every split), added in tree order 0..T, with one
-// divide at the end — the same FP sequence as predict_proba_into.
+// trees, the inner loop over blocks of up to 64 cells, and each (tree,
+// block) pair is one descent whose state is (node, cell mask, range of the
+// message-size axis, sorted once per call). A split on a column whose
+// value is the same in every cell of the block (the hardware columns) is
+// tested once and the whole state follows one child; a split on a column
+// that differs by cell (nodes, ppn) partitions the mask; a split on the
+// varying column partitions the sorted range at its threshold; either
+// partition descends both non-empty sides. A leaf adds its entries to
+// every (cell in mask, value in range) row. A Frontera collective's 40
+// cells and 21 sizes thus cost one descent of about 245 split visits per
+// tree instead of 40 descents of about 36 each. Every row still receives
+// exactly the leaf its own walk would reach (its values take the same side
+// of every split), added in tree order 0..T, with one divide at the end —
+// the same FP sequence as predict_proba_into.
 #pragma once
 
 #include <cstdint>
@@ -168,9 +172,10 @@ class FlatForest {
   /// (fixed_rows.rows() * values.size()) x num_classes(), row
   /// cell * values.size() + i. `values` may come in any order and repeat;
   /// `varying_col` == npos means no column varies (every row of a cell is
-  /// fixed_rows.row(cell)). Runs the range-descent kernel (header comment):
-  /// byte-identical to predict_proba_into row by row, one shape check per
-  /// call, zero allocations once the thread's scratch has grown.
+  /// fixed_rows.row(cell)). Any number of cells: the kernel (header
+  /// comment) carries blocks of up to 64 down each tree. Byte-identical to
+  /// predict_proba_into row by row, one shape check per call, zero
+  /// allocations once the thread's scratch has grown.
   void predict_sweep(const Matrix& fixed_rows, std::size_t varying_col,
                      std::span<const double> values, Matrix& out) const;
 

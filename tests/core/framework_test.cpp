@@ -307,8 +307,8 @@ class ScalarFramework final : public Selector {
 };
 
 TEST(Framework, GridCompileMatchesASelectLoopOnEveryCluster) {
-  // compile_for answers each thread chunk of each collective with one
-  // predict_sweep; the table must be the one a per-point select() loop
+  // compile_for answers each collective with one predict_sweep over its
+  // whole grid; the table must be the one a per-point select() loop
   // builds, on every Table-I cluster, flat and hierarchical, at any
   // thread count.
   for (const bool hierarchy : {false, true}) {
@@ -335,6 +335,35 @@ TEST(Framework, GridCompileMatchesASelectLoopOnEveryCluster) {
             << cluster.name << " hierarchy " << hierarchy << " threads "
             << threads;
       }
+    }
+  }
+}
+
+TEST(Framework, GridCompileOfMoreThan64TopologiesMatchesASelectLoop) {
+  // 13 node counts x 10 ppn values: 130 topologies, so each collective's
+  // grid crosses two 64-cell blocks of the sweep kernel, and the
+  // hardware columns are equal in every cell.
+  for (const bool hierarchy : {false, true}) {
+    TrainOptions options = fast_options();
+    options.forest.n_trees = 8;
+    options.build.hierarchy = hierarchy;
+    PmlFramework fw = PmlFramework::train(small_training_set(), options);
+    ScalarFramework scalar(fw);
+    const auto& frontera = sim::cluster_by_name("Frontera");
+    CompileOptions sweep = CompileOptions::sweep(
+        {1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64},
+        {1, 2, 4, 7, 8, 14, 16, 28, 32, 56}, sim::power_of_two_sizes(21));
+    const std::vector<coll::Collective> collectives = {
+        coll::Collective::kAllgather, coll::Collective::kAlltoall};
+    const TuningTable want = TuningTable::generate(
+        scalar, frontera, sweep.node_counts, sweep.ppn_values,
+        sweep.message_sizes, collectives, 1);
+    ASSERT_EQ(want.job_count(), 2u * 130u);
+    for (const int threads : {1, 2, 0}) {
+      sweep.threads = threads;
+      EXPECT_EQ(fw.compile_for(frontera, sweep).to_json().dump(),
+                want.to_json().dump())
+          << "hierarchy " << hierarchy << " threads " << threads;
     }
   }
 }

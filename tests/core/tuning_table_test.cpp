@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace pml::core {
@@ -192,6 +197,65 @@ TEST(TuningTable, ParallelGenerateMatchesSerialByteForByte) {
         oracle, ri, nodes, ppns, sizes, collectives, threads);
     EXPECT_EQ(parallel_table.to_json().dump(), serial.to_json().dump())
         << "threads=" << threads;
+  }
+}
+
+TEST(TuningTable, GenerateMakesOneSelectManyPerCollectiveOverEveryTopology) {
+  // Each collective is one grid: a model-backed selector answers it with
+  // one inference call, at any thread count.
+  class Counting final : public Selector {
+   public:
+    std::string name() const override { return "counting"; }
+    Selection select(Collective collective, const sim::ClusterSpec& cluster,
+                     sim::Topology topo, std::uint64_t msg) override {
+      return oracle_.select(collective, cluster, topo, msg);
+    }
+    void select_many(Collective collective, const sim::ClusterSpec& cluster,
+                     std::span<const sim::Topology> topos,
+                     std::span<const std::uint64_t> msg_sizes,
+                     std::span<Selection> out) override {
+      {
+        const std::lock_guard lock(mutex_);
+        calls.emplace_back(collective,
+                           std::vector<sim::Topology>(topos.begin(),
+                                                      topos.end()));
+      }
+      Selector::select_many(collective, cluster, topos, msg_sizes, out);
+    }
+    std::vector<std::pair<Collective, std::vector<sim::Topology>>> calls;
+
+   private:
+    OracleSelector oracle_;
+    std::mutex mutex_;
+  };
+  const auto& ri = sim::cluster_by_name("RI");  // 16 threads per node
+  const std::vector<int> nodes = {1, 2, 4};
+  const std::vector<int> ppns = {2, 4, 8, 32};  // 32 is not runnable
+  const auto sizes = sim::power_of_two_sizes(5);
+  const auto collectives = coll::paper_collectives();
+  std::vector<sim::Topology> topos;
+  for (const int n : nodes) {
+    for (const int p : {2, 4, 8}) topos.push_back(sim::Topology{n, p});
+  }
+  for (const int threads : {1, 2, 0}) {
+    Counting counting;
+    TuningTable::generate(counting, ri, nodes, ppns, sizes, collectives,
+                          threads);
+    ASSERT_EQ(counting.calls.size(), collectives.size())
+        << "threads=" << threads;
+    for (const Collective collective : collectives) {
+      EXPECT_EQ(std::ranges::count(counting.calls, collective,
+                                   [](const auto& call) { return call.first; }),
+                1)
+          << coll::to_string(collective) << " threads=" << threads;
+    }
+    for (const auto& [collective, seen] : counting.calls) {
+      ASSERT_EQ(seen.size(), topos.size()) << coll::to_string(collective);
+      for (std::size_t t = 0; t < topos.size(); ++t) {
+        EXPECT_EQ(seen[t].nodes, topos[t].nodes);
+        EXPECT_EQ(seen[t].ppn, topos[t].ppn);
+      }
+    }
   }
 }
 

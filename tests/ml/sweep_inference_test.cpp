@@ -1,8 +1,9 @@
 // Regression guards for the range-descent grid kernel and sparse leaves:
 //  - predict_sweep must be bit-identical to predict_proba_into row by row,
 //    for ascending, unsorted and repeated sweep values, a single value,
-//    no varying column at all, class counts 2-12, and forests rebuilt from
-//    either model-file layout,
+//    no varying column at all, class counts 2-12, forests rebuilt from
+//    either model-file layout, and grids of 1 to 130 cells whose columns
+//    are equal across cells, NaN, signed zeros or differ in one cell,
 //  - sparse leaves must keep the dense sums' bits (only +0.0 is dropped),
 //  - shape errors must fail loudly before the unchecked descent runs,
 //  - the builder must derive each tree's child links from pre-order and
@@ -142,6 +143,56 @@ TEST(SweepInference, ReloadedForestsSweepLikeTheFittedOne) {
                             k * sizeof(double)),
                 0)
           << "row " << r;
+    }
+  }
+}
+
+/// Rows whose columns take every shape the cell-mask descent tells apart:
+/// column 0 differs by cell in a few integer steps (as the node count
+/// does), column 1 differs in every cell (as a continuous per-job
+/// feature), column 2 is equal in every cell, column 3 is the sweep
+/// column, column 4 is NaN in every cell, column 5 mixes +0.0 and -0.0,
+/// column 6 differs in one cell only, and column 7 is equal within each
+/// block of 64 cells but not across blocks.
+Matrix shaped_cells(std::size_t cells, std::size_t odd_cell) {
+  Rng rng(cells);
+  Matrix x(cells, 8);
+  for (std::size_t c = 0; c < cells; ++c) {
+    x.at(c, 0) = static_cast<double>(c % 8);
+    x.at(c, 1) = rng.uniform(-2.0, 2.0);
+    x.at(c, 2) = 0.25;
+    x.at(c, 3) = 1.0;
+    x.at(c, 4) = std::numeric_limits<double>::quiet_NaN();
+    x.at(c, 5) = c % 2 == 0 ? 0.0 : -0.0;
+    x.at(c, 6) = c == odd_cell ? -1.5 : 1.5;
+    x.at(c, 7) = (c / 64) % 2 == 0 ? -0.5 : 0.5;
+  }
+  return x;
+}
+
+TEST(SweepInference, CellBlocksMatchRowWalksForEveryColumnShape) {
+  // Trees on 8 columns with thresholds around 0, the integers and +-1.5,
+  // so the equal, signed-zero and one-cell columns meet real splits.
+  const Dataset d = synthetic(400, 8, 7, 31);
+  RandomForest forest(RandomForestParams{.n_trees = 24, .max_features = 4});
+  Rng rng(32);
+  forest.fit(d, rng);
+  std::vector<double> values = ascending();
+  values.push_back(std::numeric_limits<double>::quiet_NaN());
+  values.push_back(2.0);  // a repeat
+  for (const std::size_t cells : {1u, 63u, 64u, 65u, 130u}) {
+    for (const std::size_t odd_cell : {std::size_t{0}, cells / 2, cells - 1}) {
+      const Matrix rows = shaped_cells(cells, odd_cell);
+      for (const std::size_t varying : {3u, 0u, 6u}) {
+        expect_sweep_matches_rows(
+            forest.flat(), rows, varying, values,
+            std::to_string(cells) + " cells, odd cell " +
+                std::to_string(odd_cell) + ", column " +
+                std::to_string(varying));
+      }
+      expect_sweep_matches_rows(forest.flat(), rows, FlatForest::npos,
+                                {1.0, -1.0},
+                                std::to_string(cells) + " cells, no column");
     }
   }
 }

@@ -11,7 +11,10 @@ seed list, alternating which side runs first. Prints, per workload and
 metric, the median [quartiles] of both sides, how many pairs the head
 won, and the base's quartile spread, stamped with perfbench's host line.
 A gain is claimed when the head wins at least 9 of 10 pairs and the
-medians differ by more than the base's quartile spread. Each end_to_end
+medians differ by more than the base's quartile spread. From 20 seeds up
+each half of the pairs is summarized too, and "gain holds" is printed only
+when the whole list and both halves claim the gain, so one lucky run of
+pairs on a shared host is not enough. Each end_to_end
 metric of BENCHMARK.json also gets a no-regression verdict against its
 bound: `holds`, `REGRESSED`, or `unresolved` when the base's own spread
 is wider than the bound.
@@ -32,6 +35,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SPLIT_PAIRS = 20  # from this many pairs, each half must claim a gain too
 
 
 def quartiles(values):
@@ -53,6 +57,18 @@ def summarize(base, head, better):
                sign * (hmed - bmed) > spread)
     return {"base": (b1, bmed, b3), "head": (h1, hmed, h3), "wins": wins,
             "pairs": len(base), "base_iqr": spread, "claimed": claimed}
+
+
+def gain(base, head, better):
+    """summarize() of all pairs and, from SPLIT_PAIRS pairs up, of the
+    first and second half; the gain holds only if every summary claims it."""
+    whole = summarize(base, head, better)
+    halves = []
+    if len(base) >= SPLIT_PAIRS:
+        mid = len(base) // 2
+        halves = [summarize(base[:mid], head[:mid], better),
+                  summarize(base[mid:], head[mid:], better)]
+    return whole, halves, all(s["claimed"] for s in [whole] + halves)
 
 
 def regression(base, head, better, bound):
@@ -146,13 +162,21 @@ def fmt(triple):
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def report(name, result, no_regression=""):
-    verdict = "  gain holds" if result["claimed"] else ""
+def line(label, result, verdict=""):
+    return (f"  {label:28s} base {fmt(result['base']):30s} "
+            f"head {fmt(result['head']):30s} wins {result['wins']}/"
+            f"{result['pairs']}  base IQR {result['base_iqr']:.4g}{verdict}")
+
+
+def report(name, base, head, better, no_regression=""):
+    whole, halves, holds = gain(base, head, better)
+    verdict = "  gain holds" if holds else ""
     if no_regression:
         verdict += f"  no-regression {no_regression}"
-    print(f"  {name:28s} base {fmt(result['base']):30s} "
-          f"head {fmt(result['head']):30s} wins {result['wins']}/"
-          f"{result['pairs']}  base IQR {result['base_iqr']:.4g}{verdict}")
+    print(line(name, whole, verdict))
+    for i, half in enumerate(halves):
+        print(line(f"  half {i + 1}", half,
+                   "  claimed" if half["claimed"] else ""))
 
 
 def main():
@@ -191,7 +215,7 @@ def main():
                 samples["maxrss_mb"][s].append(rss)
         print(f"command: {args.cmd}")
         for metric, (base, head) in samples.items():
-            report(metric, summarize(base, head, "lower"))
+            report(metric, base, head, "lower")
         return 0
 
     spec = metrics_spec()
@@ -213,7 +237,7 @@ def main():
             base = [r["metrics"][metric]["value"] for r in runs[0]]
             head = [r["metrics"][metric]["value"] for r in runs[1]]
             better, bound = spec.get(metric, ("lower", None))
-            report(metric, summarize(base, head, better),
+            report(metric, base, head, better,
                    "" if bound is None else
                    regression(base, head, better, bound))
     return 0

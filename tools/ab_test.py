@@ -50,6 +50,27 @@ def main():
     nine = [b - 0.02 for b in base[:9]] + [base[9] + 0.001]
     check("9 of 10 pairs suffice", ab.summarize(base, nine, "lower")["claimed"])
 
+    # From 20 pairs up, the gain must hold in the whole list and both halves.
+    check("fewer than 20 pairs are not split",
+          ab.gain(base, [b - 0.02 for b in base], "lower")[1:] == ([], True))
+    twenty = base + [b + 0.001 for b in base]
+    _, halves, holds = ab.gain(twenty, [b - 0.02 for b in twenty], "lower")
+    check("both halves claiming holds",
+          holds and len(halves) == 2 and
+          [h["pairs"] for h in halves] == [10, 10], halves)
+    one_half = [b - 0.02 for b in twenty[:10]] + twenty[10:]
+    whole, halves, holds = ab.gain(twenty, one_half, "lower")
+    check("one half claiming does not hold",
+          not holds and halves[0]["claimed"] and not halves[1]["claimed"],
+          halves)
+    # 18 of 20 wins claim the whole list, but the second half wins 8 of 10.
+    late_losses = [b - 0.02 for b in twenty[:18]] + [b + 0.001
+                                                     for b in twenty[18:]]
+    whole, halves, holds = ab.gain(twenty, late_losses, "lower")
+    check("a whole-list gain with a losing half does not hold",
+          whole["claimed"] and halves[0]["claimed"] and
+          not halves[1]["claimed"] and not holds, (whole, halves))
+
     # No-regression verdicts against a 10% bound.
     flat = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
     check("a rise within the bound holds",
