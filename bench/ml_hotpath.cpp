@@ -198,9 +198,9 @@ void BM_ForestPredictNodeWalk(benchmark::State& state) {
 BENCHMARK(BM_ForestPredictNodeWalk);
 
 // ---- batched inference kernels ----------------------------------------------
-// BM_ScalarLoopInference is the baseline the tentpole gate compares
-// against: the same rows pushed one at a time through predict_proba_into.
-// BM_BatchInference runs the tree-major blocked kernel and first verifies
+// BM_ScalarLoopInference is the baseline: the same rows pushed one at a
+// time through predict_proba_into. BM_BatchInference runs predict_batch
+// (the block descent with no varying column) and first verifies
 // (outside the timed loop) that its output is byte-identical to the scalar
 // loop — the bench doubles as a correctness smoke in CI, where timing on
 // shared runners is meaningless but divergence is not.
@@ -293,8 +293,9 @@ BENCHMARK(BM_BatchCompileSweep);
 // compile_for makes per collective. Before timing, its output is
 // byte-compared with predict_batch over the same materialised rows (a
 // divergence fails the binary, as in BM_BatchInference), and predict_batch
-// is timed on those rows; speedup_vs_batch is the ratio of the two
-// kernels' time per grid.
+// is timed on those rows. Both run the block descent; speedup_vs_batch,
+// the ratio of their times per grid, is what carrying the message-size
+// axis as one sorted range saves over one block cell per (cell, size) row.
 void BM_GridCompileSweep(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   auto& fw = framework();

@@ -7,12 +7,18 @@
 // insertion order (stable, diff-able output) and numbers are stored as
 // double (sufficient for every artefact we write).
 //
-// JsonReader is the only lexer. Json::parse builds its tree from the
-// reader's tokens; readers that skip the tree for their bulk (the model
-// bundle's pull pass, select requests) pull the tokens themselves, and
-// pull_last_member reads an object's small members with Json::read, so a
-// document's grammar, its number conversion and its error texts are the
-// same whichever reads it.
+// JsonReader is the lexer of every document but one. Json::parse builds
+// its tree from the reader's tokens; the model bundle's pull pass skips
+// the tree for its bulk and pulls the tokens itself, and pull_last_member
+// reads an object's small members with Json::read, so a document's
+// grammar, its number conversion and its error texts are the same
+// whichever reads it. The exception is the serve daemon's plain select
+// line: detail::SelectScanner (src/core/serve.cpp) is a second lexer, kept
+// on purpose. It accepts only the one flat shape every hot select has and
+// hands anything else to Json::parse, so it never reports an error of its
+// own, and on that shape it takes about half the time of a scan built on
+// JsonReader: 108-114 against 212-221 ns per select, and 82-144 against
+// 204-259 ns in a rerun (one million lines, 4-vCPU Xeon, gcc 12.2).
 #pragma once
 
 #include <bitset>

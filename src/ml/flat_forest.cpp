@@ -274,8 +274,8 @@ void FlatForest::expand_leaf(std::size_t leaf, std::span<double> out) const {
 }
 
 void FlatForest::predict_batch(const Matrix& rows, Matrix& out) const {
-  // Batch validation happens once here, not per row: the kernel below walks
-  // unchecked.
+  // Checked here, once per batch, so each error names the batch's shapes;
+  // predict_sweep's own checks then pass.
   if (!sealed_) throw MlError("flat forest: predict before finish");
   const auto k = static_cast<std::size_t>(num_classes_);
   if (out.rows() != rows.rows() || out.cols() != k) {
@@ -291,92 +291,10 @@ void FlatForest::predict_batch(const Matrix& rows, Matrix& out) const {
                   " features, walks reference up to feature " +
                   std::to_string(min_row_length_ - 1));
   }
-  const std::size_t n = rows.rows();
-  if (n == 0) return;
-  static obs::Counter batch_calls("ml.batch.calls");
-  static obs::Counter batch_rows("ml.batch.rows");
-  batch_calls.increment();
-  batch_rows.add(n);
-
-  // Tree-major blocked traversal (header comment). Rows are processed in
-  // blocks sized so the block's output rows and the tree's top levels stay
-  // cache-resident while every tree re-walks the block; within a block
-  // kLanes row-walks advance in lockstep so their dependent node loads
-  // overlap. Each lane's advance is branchless — a parked lane (one that
-  // reached its leaf) keeps re-selecting its own index via cmov instead of
-  // taking a data-dependent branch, so the only branch in the steady state
-  // is the well-predicted "any lane still active" loop check. That is
-  // where the speedup over the scalar walk comes from: per split the
-  // scalar path pays an unpredictable x-vs-threshold branch, the lanes pay
-  // a conditional move. Each row still accumulates tree 0..T in sequence
-  // and divides once, so the output is byte-identical to the scalar path.
-  constexpr std::size_t kBlock = 64;
-  constexpr std::size_t kLanes = 8;
-  const Node* const nodes = nodes_.data();
-  const auto n_trees = static_cast<double>(roots_.size());
-
-  // The branchless advance reads x[0] on parked lanes (the index select
-  // discards the result); that needs at least one feature column to exist.
-  // A forest with min_row_length_ == 0 is all single-leaf trees and may
-  // legitimately see 0-column batches, so route it through the guarded
-  // scalar walk instead.
-  const bool lanes_ok = rows.cols() > 0;
-
-  for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
-    const std::size_t b1 = std::min(n, b0 + kBlock);
-    for (std::size_t r = b0; r < b1; ++r) {
-      const auto o = out.row(r);
-      std::fill(o.begin(), o.end(), 0.0);
-    }
-    for (const std::size_t root : roots_) {
-      std::size_t r = b0;
-      for (; lanes_ok && r + kLanes <= b1; r += kLanes) {
-        const double* x[kLanes];
-        std::size_t idx[kLanes];
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          x[l] = rows.row(r + l).data();
-          idx[l] = root;
-        }
-        for (;;) {
-          std::size_t active = 0;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            const Node nd = nodes[idx[l]];
-            // All-ones masks instead of ternaries: GCC compiles the
-            // x-vs-threshold ternary to a jump, which reintroduces the
-            // per-split misprediction this kernel exists to avoid.
-            const auto go_mask = static_cast<std::size_t>(
-                -static_cast<std::ptrdiff_t>(nd.feature >= 0));
-            // Parked lanes load x[0] (valid: lanes_ok) and discard it.
-            const std::size_t f =
-                static_cast<std::size_t>(
-                    static_cast<std::uint32_t>(nd.feature)) &
-                go_mask;
-            const auto le_mask = static_cast<std::size_t>(
-                -static_cast<std::ptrdiff_t>(x[l][f] <= nd.threshold));
-            const std::size_t next =
-                ((idx[l] + 1) & le_mask) |
-                (static_cast<std::size_t>(static_cast<std::uint32_t>(nd.slot)) &
-                 ~le_mask);
-            idx[l] = (next & go_mask) | (idx[l] & ~go_mask);
-            active |= go_mask;
-          }
-          if (!active) break;
-        }
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          add_leaf_to(static_cast<std::size_t>(nodes[idx[l]].slot),
-                      out.row(r + l).data());
-        }
-      }
-      for (; r < b1; ++r) {
-        add_leaf_to(walk(root, rows.row(r)), out.row(r).data());
-      }
-    }
-    for (std::size_t r = b0; r < b1; ++r) {
-      for (double& p : out.row(r)) p /= n_trees;
-    }
-  }
+  // Each row is one cell of a grid with no varying column (header comment).
+  const double unused = 0.0;
+  predict_sweep(rows, npos, {&unused, 1}, out);
 }
-
 
 void FlatForest::predict_sweep(const Matrix& fixed_rows,
                                std::size_t varying_col,

@@ -48,14 +48,17 @@
 // still writes the v1 node objects, whose rendering the golden tests hash
 // as the fit's fingerprint.
 //
-// Inference comes in three shapes, bit-identical to each other and to the
+// Inference has two kernels, bit-identical to each other and to the
 // per-tree node walk. predict_proba_into() walks one row through all trees
-// (tree 0..T in sequence, one divide at the end). predict_batch() runs the
-// tree-major blocked kernel — outer loop over trees, inner loop over blocks
-// of rows with eight interleaved row-walks advancing in lockstep; each
-// lane's advance is branchless (all-ones masks select
-// left-child/right-child/parked), so the per-split data-dependent branch
-// the scalar walk mispredicts becomes a conditional move.
+// (tree 0..T in sequence, one divide at the end); it is the reference and
+// the single-row path. predict_sweep() is the block descent below, and
+// predict_batch() is predict_sweep() over a grid of one placeholder value
+// that no column takes, so a batch's rows are its cells. For a batch the
+// descent tests each split it visits on every row of the block that
+// reached it in one branch-free loop, so the data-dependent branch the row
+// walk mispredicts per (split, row) is taken once per (split, block); and
+// a column that one block's rows share (the hardware columns of rows from
+// one cluster) is tested once.
 //
 // predict_sweep() answers a grid whose rows differ in one column only: a
 // tuning-table compile asks for every (cell, message size) pair, and 13 of
@@ -161,10 +164,10 @@ class FlatForest {
                  std::span<double> out) const;
 
   /// predict_proba_into for many rows at once; `out` is row-major
-  /// rows.rows() x num_classes(). Runs the tree-major blocked kernel
-  /// (header comment) — byte-identical to calling predict_proba_into row
-  /// by row, with all shape validation hoisted to one check per batch and
-  /// zero allocations.
+  /// rows.rows() x num_classes(). Checks the batch's shapes once, then runs
+  /// predict_sweep with no varying column (header comment): byte-identical
+  /// to calling predict_proba_into row by row, zero allocations once the
+  /// thread's scratch has grown.
   void predict_batch(const Matrix& rows, Matrix& out) const;
 
   /// predict_proba_into over a grid: row (cell, i) is fixed_rows.row(cell)

@@ -42,7 +42,7 @@ class RandomForest final : public Classifier {
   void predict_proba_into(std::span<const double> row,
                           std::span<double> out) const override;
 
-  /// Batched prediction through the FlatForest tree-major blocked kernel;
+  /// Batched prediction through the FlatForest block descent;
   /// `out` must be rows.rows() x num_classes(). Byte-identical to calling
   /// predict_proba_into row by row.
   void predict_batch(const Matrix& rows, Matrix& out) const override;

@@ -123,7 +123,7 @@ double macro_ovr_auc(const std::vector<std::vector<double>>& proba,
 }
 
 std::vector<int> predict_all(const Classifier& model, const Dataset& data) {
-  // One predict_batch call (forest: the tree-major blocked kernel), then an
+  // One predict_batch call (forest: the FlatForest block descent), then an
   // argmax pass over the shared probability matrix — nothing per row.
   Matrix proba;
   predict_proba_all(model, data, proba);

@@ -45,7 +45,7 @@ class Classifier {
   /// Class probabilities for every row of `rows`, written into the
   /// row-major `out` (rows.rows() x num_classes()). The default loops
   /// predict_proba_into with one shape validation up front; RandomForest
-  /// overrides it with the FlatForest tree-major blocked kernel. Either
+  /// overrides it with the FlatForest block descent (predict_sweep). Either
   /// way out[r] is bit-identical to predict_proba_into(rows.row(r)).
   virtual void predict_batch(const Matrix& rows, Matrix& out) const {
     const auto k = static_cast<std::size_t>(num_classes());

@@ -1,15 +1,21 @@
-// Regression guards for the tree-major blocked batch kernel:
+// Regression guards for batch inference, which runs the FlatForest block
+// descent (predict_sweep with no varying column):
 //  - predict_batch must be bit-identical to the scalar predict_proba_into
-//    path across class counts, ragged batch sizes (partial interleave
-//    groups, partial blocks), and forests rebuilt via from_json,
+//    path across class counts, batch sizes on and around the 64-row block
+//    boundary, forests rebuilt via from_json, all-leaf forests over
+//    batches with no columns, and batches run concurrently on one forest
+//    (the descent's scratch is thread_local),
 //  - batch-level validation must fail loudly, with the offending shapes in
 //    the error text, instead of walking garbage.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
 
@@ -58,10 +64,11 @@ void expect_batch_matches_scalar(const RandomForest& forest, const Matrix& rows,
 // ---- bit-identity matrix ----------------------------------------------------
 
 TEST(BatchInference, BitIdenticalAcrossClassCountsAndRaggedBatches) {
-  // 1: degenerate batch; 31/33: partial 4-row interleave groups; 32: exact
-  // groups but a partial 64-row block; 1000: many full blocks plus a
+  // 1: degenerate batch; 31/32/33: one partial 64-row block; 63/64/65:
+  // one block short of, exactly at and one row past the block size; 129:
+  // two full blocks and a one-row block; 1000: many full blocks plus a
   // ragged tail.
-  const std::size_t batch_sizes[] = {1, 31, 32, 33, 1000};
+  const std::size_t batch_sizes[] = {1, 31, 32, 33, 63, 64, 65, 129, 1000};
   for (const int classes : {2, 5, 9}) {
     const Dataset train =
         synthetic(300, 6, classes, 17 * static_cast<std::uint64_t>(classes));
@@ -101,6 +108,77 @@ TEST(BatchInference, BitIdenticalAfterFromJsonRebuild) {
               0)
         << "row " << r;
   }
+}
+
+TEST(BatchInference, AllLeafForestMatchesRowWalksWithAndWithoutColumns) {
+  // Every tree is a single leaf, so no walk reads a feature
+  // (min_row_length() == 0) and a batch may carry no columns at all.
+  FlatForest flat;
+  const double leaves[][3] = {
+      {0.25, 0.0, 0.75}, {-0.0, 1.0, 0.0}, {0.5, 0.125, 0.375}};
+  for (const auto& leaf : leaves) {
+    flat.begin_tree();
+    flat.add_leaf(leaf);
+  }
+  flat.finish(3);
+  ASSERT_EQ(flat.min_row_length(), 0u);
+
+  for (const std::size_t cols : {0u, 3u}) {
+    for (const std::size_t n : {1u, 64u, 65u}) {
+      Matrix rows(n, cols);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          rows.at(r, c) = static_cast<double>(r) - static_cast<double>(c);
+        }
+      }
+      Matrix out(n, 3);
+      flat.predict_batch(rows, out);
+      std::vector<double> scalar(3);
+      for (std::size_t r = 0; r < n; ++r) {
+        flat.predict_proba_into(rows.row(r), scalar);
+        ASSERT_EQ(std::memcmp(out.row(r).data(), scalar.data(),
+                              3 * sizeof(double)),
+                  0)
+            << cols << " columns, batch " << n << ": row " << r;
+      }
+    }
+  }
+}
+
+TEST(BatchInference, ConcurrentBatchesOnOneForestMatchRowWalks) {
+  // Pool workers share one forest and run batches of different sizes, so
+  // each thread's scratch grows and shrinks between calls.
+  const Dataset train = synthetic(300, 6, 4, 77);
+  RandomForest forest(RandomForestParams{.n_trees = 12, .max_features = 2});
+  Rng rng(9);
+  forest.fit(train, rng);
+
+  const std::size_t sizes[] = {1, 65, 7, 200, 64, 3, 129, 33};
+  std::vector<Dataset> batches;
+  std::vector<Matrix> expected;
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    batches.push_back(synthetic(sizes[i], 6, 4, 500 + i));
+    Matrix ref(sizes[i], 4);
+    for (std::size_t r = 0; r < sizes[i]; ++r) {
+      forest.predict_proba_into(batches[i].x.row(r), ref.row(r));
+    }
+    expected.push_back(std::move(ref));
+  }
+
+  constexpr std::size_t kRounds = 6;
+  std::atomic<std::size_t> mismatches{0};
+  parallel_for(4, kRounds * std::size(sizes), [&](std::size_t job) {
+    const std::size_t i = job % std::size(sizes);
+    Matrix out(sizes[i], 4);
+    forest.predict_batch(batches[i].x, out);
+    for (std::size_t r = 0; r < sizes[i]; ++r) {
+      if (std::memcmp(out.row(r).data(), expected[i].row(r).data(),
+                      4 * sizeof(double)) != 0) {
+        mismatches.fetch_add(1);
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // ---- batch-level validation -------------------------------------------------
