@@ -10,7 +10,8 @@
 // The headline series tracked across PRs: BM_SingleInference,
 // BM_CompileTuningTable/threads:1, BM_TrainFramework/threads:1, plus the
 // ML-layer BM_* kernels below (BM_TreeFitPml is the split finder on the
-// real training matrix; BM_TreeFit's synthetic data is mostly continuous).
+// real training matrix, BM_ForestFitPml the whole forest fit on it;
+// BM_TreeFit's synthetic data is mostly continuous).
 // BM_ForestPredictProba (model-only time) and BM_RuntimeTableLookup (one
 // application-runtime lookup) complete the paper's online-stage picture.
 #include <benchmark/benchmark.h>
@@ -86,12 +87,10 @@ void BM_TreeFit(benchmark::State& state) {
 BENCHMARK(BM_TreeFit)->Arg(0)->Arg(1)->ArgName("reference")
     ->Unit(benchmark::kMillisecond);
 
-// One tree fit on the real allgather training matrix (the `pml train
-// --exclude Frontera,MRI` table): discrete hardware columns and small
+// The real allgather training matrix (the `pml train --exclude
+// Frontera,MRI` table, 8,883 rows): discrete hardware columns and small
 // message/node/ppn grids, the shape the rank-histogram finder targets.
-// Ranks are built once outside the loop, as RandomForest::fit does, so the
-// timed loop is the split finder alone.
-void BM_TreeFitPml(benchmark::State& state) {
+const ml::Dataset& pml_allgather() {
   static const ml::Dataset d = [] {
     const auto options = bench::default_train_options();
     const auto records = core::build_records(
@@ -99,6 +98,14 @@ void BM_TreeFitPml(benchmark::State& state) {
         coll::Collective::kAllgather, options.build);
     return core::to_ml_dataset(records, coll::Collective::kAllgather);
   }();
+  return d;
+}
+
+// One tree fit on pml_allgather() with a bootstrap sample. Ranks are built
+// once outside the loop, as RandomForest::fit does, so the timed loop is
+// the split finder alone.
+void BM_TreeFitPml(benchmark::State& state) {
+  const ml::Dataset& d = pml_allgather();
   static const ml::ColumnRanks ranks(d.x);
   Rng sample_rng(3);
   std::vector<std::size_t> sample(d.size());
@@ -119,6 +126,24 @@ void BM_TreeFitPml(benchmark::State& state) {
 BENCHMARK(BM_TreeFitPml)->Arg(0)->Arg(1)->ArgName("reference")
     ->Unit(benchmark::kMillisecond);
 
+// A whole forest fit on pml_allgather() with the `pml train` forest
+// (TrainOptions::forest: 100 trees, 6 features per split), at one thread
+// and at all of them: the ranking, the tree fits, and the merge after the
+// tree barrier (the bulk append and the out-of-bag sums).
+void BM_ForestFitPml(benchmark::State& state) {
+  const ml::Dataset& d = pml_allgather();
+  ml::RandomForestParams fp = bench::default_train_options().forest;
+  fp.threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    ml::RandomForest forest(fp);
+    Rng rng(99);
+    forest.fit(d, rng);
+    benchmark::DoNotOptimize(forest.oob_score());
+  }
+}
+BENCHMARK(BM_ForestFitPml)->Arg(1)->Arg(0)->ArgName("threads")
+    ->Unit(benchmark::kMillisecond);
+
 void BM_ForestFit(benchmark::State& state) {
   const auto d = synthetic_dataset(400, 10, 4, 42);
   ml::RandomForestParams fp;
@@ -135,41 +160,35 @@ void BM_ForestFit(benchmark::State& state) {
 BENCHMARK(BM_ForestFit)->Unit(benchmark::kMillisecond);
 
 // ---- inference kernels ------------------------------------------------------
-// The same 100 trees in both layouts: per-node heap Nodes (the pre-PR
-// representation, walked via leaf_proba_for) vs the packed FlatForest.
+// 100 trees fitted on synthetic data, packed into one FlatForest.
 
-struct TreeFixture {
-  std::vector<ml::DecisionTree> trees;
-  ml::FlatForest flat;
-};
-
-const TreeFixture& tree_fixture() {
-  static const TreeFixture fixture = [] {
+const ml::FlatForest& flat_fixture() {
+  static const ml::FlatForest flat = [] {
     const auto d = synthetic_dataset(400, 10, 4, 42);
     ml::TreeParams tp;
     tp.max_features = 3;
-    TreeFixture f;
+    ml::FlatForest f;
     Rng rng(5);
     for (int t = 0; t < 100; ++t) {
       Rng tree_rng = rng.split();
-      f.trees.emplace_back(tp);
-      f.trees.back().fit(d.x, d.y, d.num_classes, tree_rng);
-      f.trees.back().append_flat(f.flat);
+      ml::DecisionTree tree(tp);
+      tree.fit(d.x, d.y, d.num_classes, tree_rng);
+      tree.append_flat(f);
     }
-    f.flat.finish(d.num_classes);
+    f.finish(d.num_classes);
     return f;
   }();
-  return fixture;
+  return flat;
 }
 
 void BM_ForestPredictFlat(benchmark::State& state) {
-  const auto& f = tree_fixture();
+  const ml::FlatForest& flat = flat_fixture();
   const auto d = synthetic_dataset(64, 10, 4, 1234);
   std::vector<double> out(4);
   std::size_t r = 0;
   const std::size_t allocs_before = g_alloc_count.load();
   for (auto _ : state) {
-    f.flat.predict_proba_into(d.x.row(r), out);
+    flat.predict_proba_into(d.x.row(r), out);
     benchmark::DoNotOptimize(out.data());
     r = (r + 1) % d.x.rows();
   }
@@ -179,41 +198,25 @@ void BM_ForestPredictFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestPredictFlat);
 
-void BM_ForestPredictNodeWalk(benchmark::State& state) {
-  const auto& f = tree_fixture();
-  const auto d = synthetic_dataset(64, 10, 4, 1234);
-  std::vector<double> out(4);
-  std::size_t r = 0;
-  for (auto _ : state) {
-    std::fill(out.begin(), out.end(), 0.0);
-    for (const auto& tree : f.trees) {
-      const auto leaf = tree.leaf_proba_for(d.x.row(r));
-      for (std::size_t c = 0; c < out.size(); ++c) out[c] += leaf[c];
-    }
-    for (auto& v : out) v /= static_cast<double>(f.trees.size());
-    benchmark::DoNotOptimize(out.data());
-    r = (r + 1) % d.x.rows();
-  }
-}
-BENCHMARK(BM_ForestPredictNodeWalk);
-
 // ---- batched inference kernels ----------------------------------------------
 // BM_ScalarLoopInference is the baseline: the same rows pushed one at a
 // time through predict_proba_into. BM_BatchInference runs predict_batch
 // (the block descent with no varying column) and first verifies
 // (outside the timed loop) that its output is byte-identical to the scalar
 // loop — the bench doubles as a correctness smoke in CI, where timing on
-// shared runners is meaningless but divergence is not.
+// shared runners is meaningless but divergence is not. Its rows are
+// synthetic with every column random; BM_BatchInferencePml passes the
+// shape callers pass, rows of a training matrix in dataset order.
 
 void BM_ScalarLoopInference(benchmark::State& state) {
-  const auto& f = tree_fixture();
+  const ml::FlatForest& flat = flat_fixture();
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto d = synthetic_dataset(rows, 10, 4, 1234);
   ml::Matrix out(rows, 4);
   const std::size_t allocs_before = g_alloc_count.load();
   for (auto _ : state) {
     for (std::size_t r = 0; r < rows; ++r) {
-      f.flat.predict_proba_into(d.x.row(r), out.row(r));
+      flat.predict_proba_into(d.x.row(r), out.row(r));
     }
     benchmark::DoNotOptimize(out.row(0).data());
   }
@@ -230,19 +233,20 @@ BENCHMARK(BM_ScalarLoopInference)
     ->Arg(4096)
     ->ArgName("rows");
 
-void BM_BatchInference(benchmark::State& state) {
-  const auto& f = tree_fixture();
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const auto d = synthetic_dataset(rows, 10, 4, 1234);
-  ml::Matrix out(rows, 4);
-  ml::Matrix ref(rows, 4);
-  for (std::size_t r = 0; r < rows; ++r) {
-    f.flat.predict_proba_into(d.x.row(r), ref.row(r));
+/// Time predict_batch over `rows`, after checking its output byte for byte
+/// against predict_proba_into row by row.
+void time_batch(benchmark::State& state, const ml::FlatForest& flat,
+                const ml::Matrix& rows) {
+  const auto k = static_cast<std::size_t>(flat.num_classes());
+  ml::Matrix out(rows.rows(), k);
+  ml::Matrix ref(rows.rows(), k);
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    flat.predict_proba_into(rows.row(r), ref.row(r));
   }
-  f.flat.predict_batch(d.x, out);
-  for (std::size_t r = 0; r < rows; ++r) {
+  flat.predict_batch(rows, out);
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
     if (std::memcmp(out.row(r).data(), ref.row(r).data(),
-                    4 * sizeof(double)) != 0) {
+                    k * sizeof(double)) != 0) {
       g_batch_mismatch.store(true);
       state.SkipWithError("batched output diverges from the scalar path");
       return;
@@ -250,17 +254,69 @@ void BM_BatchInference(benchmark::State& state) {
   }
   const std::size_t allocs_before = g_alloc_count.load();
   for (auto _ : state) {
-    f.flat.predict_batch(d.x, out);
+    flat.predict_batch(rows, out);
     benchmark::DoNotOptimize(out.row(0).data());
   }
   state.counters["rows_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * static_cast<double>(rows),
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(rows.rows()),
       benchmark::Counter::kIsRate);
   state.counters["allocs_per_iter"] = benchmark::Counter(
       static_cast<double>(g_alloc_count.load() - allocs_before),
       benchmark::Counter::kAvgIterations);
 }
+
+void BM_BatchInference(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  time_batch(state, flat_fixture(), synthetic_dataset(rows, 10, 4, 1234).x);
+}
 BENCHMARK(BM_BatchInference)->Arg(64)->Arg(1024)->Arg(4096)->ArgName("rows");
+
+// The first `rows` rows, in dataset order, of the matrix the framework()
+// allgather forest was trained on (its selected columns). Timing the
+// scalar loop over the same rows is BM_ScalarLoopInferencePml.
+ml::Matrix pml_training_rows(std::size_t rows) {
+  static const ml::Matrix all = [] {
+    const auto collective = coll::Collective::kAllgather;
+    const auto records =
+        core::build_records(bench::clusters_except({"Frontera"}), collective,
+                            bench::default_train_options().build);
+    return core::to_ml_dataset(records, collective,
+                               framework().selected_columns(collective))
+        .x;
+  }();
+  ml::Matrix head;
+  for (std::size_t r = 0; r < std::min(rows, all.rows()); ++r) {
+    head.push_row(all.row(r));
+  }
+  return head;
+}
+
+void BM_BatchInferencePml(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  time_batch(state, framework().model(coll::Collective::kAllgather).flat(),
+             pml_training_rows(rows));
+}
+BENCHMARK(BM_BatchInferencePml)->Arg(1024)->Arg(4096)->ArgName("rows");
+
+void BM_ScalarLoopInferencePml(benchmark::State& state) {
+  const ml::FlatForest& flat =
+      framework().model(coll::Collective::kAllgather).flat();
+  const ml::Matrix rows =
+      pml_training_rows(static_cast<std::size_t>(state.range(0)));
+  std::vector<double> out(static_cast<std::size_t>(flat.num_classes()));
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      flat.predict_proba_into(rows.row(r), out);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.counters["rows_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(rows.rows()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ScalarLoopInferencePml)->Arg(1024)->Arg(4096)->ArgName("rows");
 
 // The compile inner kernel: one tuning-table cell's whole message sweep
 // answered by a single select_many (feature assembly + one batched forest

@@ -6,6 +6,9 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -521,7 +524,17 @@ bool ModelHost::revalidate() {
     warn("serve: model artifact failed to load (" + std::string(err.what()) +
          "); degrading to heuristic serving");
   }
-  return publish(ticket, std::move(next));
+  bytes = std::string();
+  const bool loaded = publish(ticket, std::move(next));
+#if defined(__GLIBC__)
+  // The reload has freed the file bytes, the parse's buffers and the
+  // replaced model, in whichever malloc arenas their threads used. Hand
+  // the free pages back: otherwise how much stays resident depends on
+  // where earlier allocations left each arena's top (the same daemon
+  // start held 35 MB or 75 MB).
+  malloc_trim(0);
+#endif
+  return loaded;
 }
 
 bool ModelHost::publish(std::uint64_t ticket,

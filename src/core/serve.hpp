@@ -218,7 +218,8 @@ class ModelHost {
   std::shared_ptr<PmlFramework> framework() const;
   std::string checksum() const;
 
-  /// Re-hash every byte of the artifact; reload if its bytes changed.
+  /// Re-hash every byte of the artifact; reload if its bytes changed. A
+  /// reload ends by handing the heap's free pages back to the system.
   /// Returns true when a usable model is loaded afterwards.
   bool revalidate();
 

@@ -66,8 +66,12 @@ TrainTestSplit random_split(std::size_t n, double train_fraction, Rng& rng) {
       std::round(train_fraction * static_cast<double>(n)));
   cut = std::clamp<std::size_t>(cut, 1, n - 1);
   TrainTestSplit split;
+  // The train rows keep their shuffled order (a model's bootstrap draws
+  // index into it); the test rows ascend, as stratified_kfold's do, so an
+  // evaluation walks them in dataset order.
   split.train.assign(order.begin(), order.begin() + static_cast<long>(cut));
   split.test.assign(order.begin() + static_cast<long>(cut), order.end());
+  std::sort(split.test.begin(), split.test.end());
   return split;
 }
 

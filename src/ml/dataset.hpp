@@ -78,7 +78,8 @@ struct TrainTestSplit {
 };
 
 /// Random split with the given train fraction (paper: 70/30), shuffled by
-/// `rng`. Guarantees at least one row on each side for fractions in (0,1).
+/// `rng`: train rows in shuffled order, test rows ascending. Guarantees at
+/// least one row on each side for fractions in (0,1).
 TrainTestSplit random_split(std::size_t n, double train_fraction, Rng& rng);
 
 /// Stratified k-fold indices: fold f's test set has roughly equal class

@@ -32,6 +32,13 @@ void FlatForest::require_closed_tree() const {
   }
 }
 
+void FlatForest::require_classes(std::size_t size) const {
+  if (size != static_cast<std::size_t>(num_classes_)) {
+    throw MlError("flat forest: output buffer holds " + std::to_string(size) +
+                  " classes, want " + std::to_string(num_classes_));
+  }
+}
+
 void FlatForest::begin_tree() {
   if (sealed_) throw MlError("flat forest: append after finish");
   if (!roots_.empty()) require_closed_tree();
@@ -64,6 +71,46 @@ void FlatForest::add_split(int feature, double threshold) {
   nodes_.push_back(node);  // slot stays -1 until the right child arrives
   open_.push_back(self);   // right child, filled after the left subtree
   open_.push_back(-1);     // left child: the next node
+}
+
+void FlatForest::append_trees(const FlatForest& from) {
+  if (sealed_) throw MlError("flat forest: append after finish");
+  if (!from.sealed_) throw MlError("flat forest: append of an unsealed forest");
+  if (!roots_.empty()) require_closed_tree();
+  const std::size_t entries = leaf_value_.size() + from.leaf_value_.size();
+  if (entries > std::numeric_limits<std::uint32_t>::max()) {
+    throw MlError("flat forest: more than 2^32 leaf entries");
+  }
+  const auto node_base = static_cast<std::int32_t>(nodes_.size());
+  const auto leaf_base = static_cast<std::int32_t>(leaf_begin_.size() - 1);
+  const std::uint32_t entry_base = leaf_begin_.back();
+  for (const std::size_t root : from.roots_) {
+    roots_.push_back(root + static_cast<std::size_t>(node_base));
+  }
+  for (Node node : from.nodes_) {
+    node.slot += node.feature >= 0 ? node_base : leaf_base;
+    nodes_.push_back(node);
+  }
+  for (std::size_t l = 1; l < from.leaf_begin_.size(); ++l) {
+    leaf_begin_.push_back(from.leaf_begin_[l] + entry_base);
+  }
+  leaf_class_.insert(leaf_class_.end(), from.leaf_class_.begin(),
+                     from.leaf_class_.end());
+  leaf_value_.insert(leaf_value_.end(), from.leaf_value_.begin(),
+                     from.leaf_value_.end());
+  // finish() checks the appended leaves against the forest's class count.
+  min_dense_width_ = std::min(min_dense_width_, from.min_dense_width_);
+  max_dense_width_ = std::max(max_dense_width_, from.max_dense_width_);
+  class_bound_ = std::max(class_bound_, from.class_bound_);
+  min_row_length_ = std::max(min_row_length_, from.min_row_length_);
+}
+
+void FlatForest::reserve(std::size_t nodes, std::size_t leaves,
+                         std::size_t entries) {
+  nodes_.reserve(nodes_.size() + nodes);
+  leaf_begin_.reserve(leaf_begin_.size() + leaves);
+  leaf_class_.reserve(leaf_class_.size() + entries);
+  leaf_value_.reserve(leaf_value_.size() + entries);
 }
 
 int FlatForest::right_child(std::size_t node) const {
@@ -235,11 +282,7 @@ std::size_t FlatForest::walk(std::size_t root,
 void FlatForest::predict_proba_into(std::span<const double> row,
                                     std::span<double> out) const {
   if (!sealed_) throw MlError("flat forest: predict before finish");
-  if (out.size() != static_cast<std::size_t>(num_classes_)) {
-    throw MlError("flat forest: output buffer holds " +
-                  std::to_string(out.size()) + " classes, want " +
-                  std::to_string(num_classes_));
-  }
+  require_classes(out.size());
   if (row.size() < min_row_length_) {
     throw MlError("flat forest: row has too few features");
   }
@@ -253,17 +296,26 @@ void FlatForest::predict_proba_into(std::span<const double> row,
 
 void FlatForest::tree_leaf(std::size_t tree, std::span<const double> row,
                            std::span<double> out) const {
+  const std::size_t leaf = leaf_of(tree, row);
+  require_classes(out.size());
+  expand_leaf(leaf, out);
+}
+
+std::size_t FlatForest::leaf_of(std::size_t tree,
+                                std::span<const double> row) const {
   if (!sealed_) throw MlError("flat forest: predict before finish");
   if (tree >= roots_.size()) throw MlError("flat forest: tree out of range");
   if (row.size() < min_row_length_) {
     throw MlError("flat forest: row has too few features");
   }
-  if (out.size() != static_cast<std::size_t>(num_classes_)) {
-    throw MlError("flat forest: output buffer holds " +
-                  std::to_string(out.size()) + " classes, want " +
-                  std::to_string(num_classes_));
-  }
-  expand_leaf(walk(roots_[tree], row), out);
+  return walk(roots_[tree], row);
+}
+
+void FlatForest::add_leaf_entries(std::size_t leaf,
+                                  std::span<double> out) const {
+  if (leaf >= leaf_count()) throw MlError("flat forest: leaf out of range");
+  require_classes(out.size());
+  add_leaf_to(leaf, out.data());
 }
 
 void FlatForest::expand_leaf(std::size_t leaf, std::span<double> out) const {

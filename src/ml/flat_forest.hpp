@@ -4,9 +4,10 @@
 // FlatForest packs every tree of a forest into one contiguous array of
 // 16-byte node records plus compressed sparse leaves, so a forest
 // prediction is a handful of linear array walks and no inference entry
-// point touches the allocator in steady state. DecisionTree is only the
-// fitting tool: a fit appends each grown tree here, and a model file
-// decodes straight into the builder below.
+// point touches the allocator in steady state. A DecisionTree fit grows
+// its tree through the builder below into a one-tree FlatForest, which a
+// forest fit appends here in bulk (append_trees); a model file decodes
+// straight into the builder.
 //
 // Node layout. Trees serialize their nodes in pre-order (DecisionTree::build
 // emits a split node immediately followed by its entire left subtree), so a
@@ -103,7 +104,7 @@ class FlatForest {
   /// (largest referenced feature index + 1).
   std::size_t min_row_length() const noexcept { return min_row_length_; }
 
-  // --- Builder interface (DecisionTree::append_flat, RandomForest::from_json)
+  // --- Builder interface (DecisionTree::fit, RandomForest::from_json) ------
 
   /// Start appending one tree; its nodes follow in pre-order (header
   /// comment). Throws MlError if the previous tree is empty or still open.
@@ -119,6 +120,15 @@ class FlatForest {
   /// with their probabilities. Entries whose bits are +0.0 are not stored.
   void add_sparse_leaf(std::span<const std::uint32_t> classes,
                        std::span<const double> values);
+
+  /// Append every tree of the sealed forest `from` in bulk: its records
+  /// and leaf entries are copied, with child slots, leaf ordinals and entry
+  /// offsets rebased. Throws MlError if `from` is not sealed, or if this
+  /// forest is sealed or its last tree is empty or still open.
+  void append_trees(const FlatForest& from);
+  /// Make room for `nodes`, `leaves` and `entries` more of each, so the
+  /// appends that follow copy each node and entry once.
+  void reserve(std::size_t nodes, std::size_t leaves, std::size_t entries);
 
   /// Tree-local index of the right child the builder derived for node
   /// `node` of the tree being appended; -1 for a leaf or for a split whose
@@ -162,6 +172,19 @@ class FlatForest {
   /// store read +0.0).
   void tree_leaf(std::size_t tree, std::span<const double> row,
                  std::span<double> out) const;
+
+  /// Leaves appended so far; leaf ordinals count them in pre-order, tree
+  /// after tree.
+  std::size_t leaf_count() const noexcept { return leaf_begin_.size() - 1; }
+  /// Stored leaf entries (the sparse leaves' non-+0.0 values).
+  std::size_t entry_count() const noexcept { return leaf_value_.size(); }
+  /// Ordinal of the leaf this row reaches in tree `tree` (tree_leaf's
+  /// checks).
+  std::size_t leaf_of(std::size_t tree, std::span<const double> row) const;
+  /// out[c] += p_c for every stored entry (c, p_c) of leaf `leaf`; `out`
+  /// holds num_classes() values. The entries left out are +0.0, so this
+  /// adds a leaf's distribution with the bits of a dense add.
+  void add_leaf_entries(std::size_t leaf, std::span<double> out) const;
 
   /// predict_proba_into for many rows at once; `out` is row-major
   /// rows.rows() x num_classes(). Checks the batch's shapes once, then runs
@@ -221,6 +244,8 @@ class FlatForest {
 
   /// Throw unless the last tree begun is non-empty and closed.
   void require_closed_tree() const;
+  /// Throw unless an output buffer of `size` holds num_classes() values.
+  void require_classes(std::size_t size) const;
 
   /// One past the last node of tree `tree`.
   std::size_t tree_end(std::size_t tree) const noexcept {

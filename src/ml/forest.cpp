@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -11,7 +13,15 @@
 
 namespace pml::ml {
 
+namespace {
+
+/// oob_leaf's mark for a row in a tree's bootstrap sample.
+constexpr std::uint32_t kInBag = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
+
 void RandomForest::fit(const Dataset& train, Rng& rng) {
+  obs::Span span("ml.forest_fit");
   train.validate();
   if (params_.n_trees < 1) throw MlError("forest: n_trees must be >= 1");
   num_classes_ = train.num_classes;
@@ -39,70 +49,110 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
 
   // Ranked once, shared read-only by every tree fit; also where a
   // non-finite feature value is rejected.
-  const ColumnRanks ranks(train.x);
+  const ColumnRanks ranks(train.x, params_.threads);
   std::vector<DecisionTree> trees(n_trees, DecisionTree(tp));
-  // Per-tree OOB contributions (row index, span into the fitted tree's leaf
-  // distribution — no copies), merged in tree order after the barrier so the
-  // floating-point accumulation order matches the serial loop exactly. The
-  // spans stay valid because `trees` is not resized after this point.
-  std::vector<std::vector<std::pair<std::size_t, std::span<const double>>>>
-      oob_parts(params_.bootstrap ? n_trees : 0);
+  // oob_leaf[t * n + i]: the leaf of tree t that out-of-bag row i reaches,
+  // or kInBag. Each worker fills its tree's slice, walking the rows while
+  // the tree is in cache, so the array is not zeroed up front.
+  const std::size_t oob_size = params_.bootstrap ? n_trees * n : 0;
+  const auto oob_leaf =
+      std::make_unique_for_overwrite<std::uint32_t[]>(oob_size);
 
   parallel_for(params_.threads, n_trees, [&](std::size_t t) {
-    obs::Span span("ml.tree_fit");
+    obs::Span tree_span("ml.tree_fit");
     Rng& tree_rng = tree_rngs[t];
-    if (params_.bootstrap) {
-      std::vector<char> in_bag(n, 0);
-      std::vector<std::size_t> sample(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        sample[i] = static_cast<std::size_t>(tree_rng.uniform_index(n));
-        in_bag[sample[i]] = 1;
-      }
-      trees[t].fit(train.x, ranks, train.y, num_classes_, tree_rng, sample);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (in_bag[i]) continue;
-        oob_parts[t].emplace_back(i, trees[t].leaf_proba_for(train.x.row(i)));
-      }
-    } else {
+    if (!params_.bootstrap) {
       trees[t].fit(train.x, ranks, train.y, num_classes_, tree_rng, {});
+      return;
+    }
+    std::uint32_t* leaf = oob_leaf.get() + t * n;
+    std::fill(leaf, leaf + n, 0);
+    std::vector<std::size_t> sample(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sample[i] = static_cast<std::size_t>(tree_rng.uniform_index(n));
+      leaf[sample[i]] = kInBag;
+    }
+    trees[t].fit(train.x, ranks, train.y, num_classes_, tree_rng, sample);
+    const FlatForest& tree = trees[t].flat();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (leaf[i] != kInBag) {
+        leaf[i] = static_cast<std::uint32_t>(tree.leaf_of(0, train.x.row(i)));
+      }
     }
   });
 
-  if (params_.bootstrap) {
-    // OOB vote accumulation: votes[i][c] over trees where i was out of bag.
-    std::vector<std::vector<double>> oob_votes(
-        n, std::vector<double>(static_cast<std::size_t>(num_classes_), 0.0));
-    for (std::size_t t = 0; t < n_trees; ++t) {
-      for (const auto& [i, p] : oob_parts[t]) {
-        for (std::size_t c = 0; c < p.size(); ++c) oob_votes[i][c] += p[c];
-      }
-    }
-    std::size_t scored = 0;
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& v = oob_votes[i];
-      double total = 0.0;
-      for (const double x : v) total += x;
-      if (total <= 0.0) continue;  // never out of bag
-      ++scored;
-      const int pred = static_cast<int>(
-          std::max_element(v.begin(), v.end()) - v.begin());
-      if (pred == train.y[i]) ++correct;
-    }
-    if (scored > 0) {
-      oob_score_ = static_cast<double>(correct) / static_cast<double>(scored);
-    }
+  // After the barrier: one bulk copy per tree into the reserved forest,
+  // then the out-of-bag vote sums on the pool.
+  obs::Span merge_span("ml.forest_merge");
+  std::vector<std::size_t> leaf_base(n_trees + 1, 0);
+  std::size_t nodes = 0;
+  std::size_t entries = 0;
+  for (std::size_t t = 0; t < n_trees; ++t) {
+    const FlatForest& tree = trees[t].flat();
+    leaf_base[t + 1] = leaf_base[t] + tree.leaf_count();
+    nodes += tree.node_count();
+    entries += tree.entry_count();
   }
   flat_ = FlatForest{};
+  flat_.reserve(nodes, leaf_base.back(), entries);
   depths_.clear();
   importances_.clear();
-  for (const DecisionTree& tree : trees) {
+  for (DecisionTree& tree : trees) {
     tree.append_flat(flat_);
     depths_.push_back(tree.depth());
     const auto imp = tree.feature_importances();
     importances_.emplace_back(imp.begin(), imp.end());
+    tree = DecisionTree(tp);  // its columns now live in flat_
   }
   flat_.finish(num_classes_);
+  if (params_.bootstrap) {
+    oob_score_ = oob_accuracy(train, {oob_leaf.get(), oob_size}, leaf_base);
+  }
+}
+
+std::optional<double> RandomForest::oob_accuracy(
+    const Dataset& train, std::span<const std::uint32_t> oob_leaf,
+    std::span<const std::size_t> leaf_base) const {
+  // Rows are scored in chunks on the pool. Each row's votes are summed over
+  // the trees it was out of bag for, in tree order, as a serial loop adds
+  // them.
+  constexpr std::size_t kChunk = 256;
+  const std::size_t n = train.size();
+  const auto k = static_cast<std::size_t>(num_classes_);
+  const std::size_t chunks = (n + kChunk - 1) / kChunk;
+  std::vector<std::size_t> scored(chunks, 0);
+  std::vector<std::size_t> correct(chunks, 0);
+  parallel_for(params_.threads, chunks, [&](std::size_t chunk) {
+    const std::size_t first = chunk * kChunk;
+    const std::size_t last = std::min(n, first + kChunk);
+    std::vector<double> votes((last - first) * k, 0.0);
+    for (std::size_t t = 0; t < flat_.tree_count(); ++t) {
+      for (std::size_t i = first; i < last; ++i) {
+        const std::uint32_t leaf = oob_leaf[t * n + i];
+        if (leaf == kInBag) continue;
+        flat_.add_leaf_entries(leaf_base[t] + leaf,
+                               {votes.data() + (i - first) * k, k});
+      }
+    }
+    for (std::size_t i = first; i < last; ++i) {
+      const std::span<const double> v(votes.data() + (i - first) * k, k);
+      double total = 0.0;
+      for (const double x : v) total += x;
+      if (total <= 0.0) continue;  // never out of bag
+      ++scored[chunk];
+      const int pred = static_cast<int>(
+          std::max_element(v.begin(), v.end()) - v.begin());
+      if (pred == train.y[i]) ++correct[chunk];
+    }
+  });
+  std::size_t scored_rows = 0;
+  std::size_t correct_rows = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    scored_rows += scored[c];
+    correct_rows += correct[c];
+  }
+  if (scored_rows == 0) return std::nullopt;
+  return static_cast<double>(correct_rows) / static_cast<double>(scored_rows);
 }
 
 std::vector<double> RandomForest::predict_proba(

@@ -4,8 +4,10 @@
 // tree through the same column checks into the FlatForest.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/json.hpp"
@@ -85,6 +87,13 @@ class RandomForest final : public Classifier {
   struct TreeColumns;
 
   Json render(bool columnar) const;
+  /// Out-of-bag accuracy of the fitted flat_ on `train`: oob_leaf[t * n +
+  /// i] is the tree-local leaf row i reaches in tree t, or a mark where the
+  /// row was in tree t's sample, and tree t's leaves start at leaf_base[t].
+  /// nullopt when no row was ever out of bag.
+  std::optional<double> oob_accuracy(
+      const Dataset& train, std::span<const std::uint32_t> oob_leaf,
+      std::span<const std::size_t> leaf_base) const;
   /// A forest with the document's params, classes and features, and no
   /// trees yet; `j` needs only the members besides "trees".
   static RandomForest read_header(const Json& j);

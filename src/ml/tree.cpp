@@ -6,7 +6,7 @@
 #include <numeric>
 #include <utility>
 
-#include "ml/flat_forest.hpp"
+#include "common/parallel.hpp"
 #include "obs/obs.hpp"
 
 namespace pml::ml {
@@ -25,22 +25,8 @@ double gini_impurity(std::span<const double> class_counts) {
 
 namespace {
 
-/// Candidate feature subset for one split (without replacement).
-std::vector<std::size_t> sample_features(std::size_t total, int max_features,
-                                         Rng& rng) {
-  std::vector<std::size_t> all(total);
-  std::iota(all.begin(), all.end(), 0u);
-  if (max_features <= 0 || static_cast<std::size_t>(max_features) >= total) {
-    return all;
-  }
-  rng.shuffle(all);
-  all.resize(static_cast<std::size_t>(max_features));
-  return all;
-}
-
-/// sample_features into a reused buffer; consumes the RNG stream identically
-/// (fresh iota, one full shuffle, truncate) so fitted trees do not depend on
-/// which variant ran.
+/// Candidate feature subset for one split (without replacement), into a
+/// reused buffer: a fresh iota, one full shuffle, truncated.
 void sample_features_into(std::size_t total, int max_features, Rng& rng,
                           std::vector<std::size_t>& out) {
   out.resize(total);
@@ -71,42 +57,81 @@ double split_threshold(double lo, double hi) {
 
 // ---- ColumnRanks -----------------------------------------------------------
 
-ColumnRanks::ColumnRanks(const Matrix& x) : rows_(x.rows()) {
+ColumnRanks::ColumnRanks(const Matrix& x, int threads) : rows_(x.rows()) {
   if (rows_ > std::numeric_limits<std::uint32_t>::max()) {
     throw MlError("tree: " + std::to_string(rows_) +
                   " rows exceed the 32-bit rank range");
   }
   const std::size_t cols = x.cols();
-  offsets_.reserve(cols + 1);
-  offsets_.push_back(0);
   ranks_.resize(rows_ * cols);
-  std::vector<std::pair<double, std::uint32_t>> sorted(rows_);
-  for (std::size_t f = 0; f < cols; ++f) {
+  // Each column is ranked on its own; a column stops at its first
+  // non-finite row, and the lowest such column is reported below.
+  constexpr std::size_t kFinite = std::numeric_limits<std::size_t>::max();
+  std::vector<std::vector<double>> distinct(cols);
+  std::vector<std::size_t> bad_row(cols, kFinite);
+  parallel_for(threads, cols, [&](std::size_t f) {
+    std::vector<std::pair<double, std::uint32_t>> sorted(rows_);
     for (std::size_t r = 0; r < rows_; ++r) {
       const double v = x.at(r, f);
       if (!std::isfinite(v)) {
-        throw MlError("tree: non-finite feature value at row " +
-                      std::to_string(r) + ", column " + std::to_string(f));
+        bad_row[f] = r;
+        return;
       }
       sorted[r] = {v, static_cast<std::uint32_t>(r)};
     }
     std::sort(sorted.begin(), sorted.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<double>& values = distinct[f];
     std::uint32_t* rank = ranks_.data() + f * rows_;
     for (std::size_t i = 0; i < rows_; ++i) {
       // Strict >, so -0.0 and 0.0 share a rank (they compare equal, and the
       // midpoints they form with any other value are the same).
-      if (i == 0 || sorted[i].first > values_.back()) {
-        values_.push_back(sorted[i].first);
+      if (i == 0 || sorted[i].first > values.back()) {
+        values.push_back(sorted[i].first);
       }
-      rank[sorted[i].second] =
-          static_cast<std::uint32_t>(values_.size() - 1 - offsets_.back());
+      rank[sorted[i].second] = static_cast<std::uint32_t>(values.size() - 1);
     }
+  });
+  offsets_.reserve(cols + 1);
+  offsets_.push_back(0);
+  for (std::size_t f = 0; f < cols; ++f) {
+    if (bad_row[f] != kFinite) {
+      throw MlError("tree: non-finite feature value at row " +
+                    std::to_string(bad_row[f]) + ", column " +
+                    std::to_string(f));
+    }
+    values_.insert(values_.end(), distinct[f].begin(), distinct[f].end());
     offsets_.push_back(values_.size());
   }
 }
 
 // ---- DecisionTree ----------------------------------------------------------
+
+/// One distinct row of a fit's sample list and how many times the list
+/// names it.
+struct WeightedRow {
+  std::uint32_t row;
+  std::uint32_t weight;
+};
+
+/// Per-fit scratch shared by every node of one tree, so build() performs
+/// no per-node or per-candidate heap allocations. The workspace is only
+/// read between a node's entry and its recursive calls, so one serves the
+/// whole tree.
+struct DecisionTree::FitWorkspace {
+  /// The fit's distinct rows; each node owns a range, partitioned in place.
+  std::vector<WeightedRow> rows;
+  std::vector<std::size_t> features;  ///< candidate feature subset
+  std::vector<std::uint32_t> labels;  ///< node labels, in row order
+  std::vector<std::uint32_t> hist;    ///< bins x classes weighted counts
+  std::vector<std::uint64_t> keys;    ///< (rank << 32 | position), sort branch
+  std::vector<double> counts;         ///< node class histogram
+  std::vector<double> left;           ///< running left-child histogram
+  std::vector<double> right;          ///< running right-child histogram
+  std::vector<double> best_left;      ///< left histogram at the best split
+  std::vector<double> proba;          ///< leaf distribution being appended
+  std::uint64_t split_candidates = 0; ///< thresholds scored this fit
+};
 
 void DecisionTree::fit(const Matrix& x, std::span<const int> y,
                        int num_classes, Rng& rng,
@@ -131,88 +156,108 @@ void DecisionTree::fit(const Matrix& x, const ColumnRanks& ranks,
                     std::to_string(num_classes) + ")");
     }
   }
-  nodes_.clear();
+  // Weights are 32-bit, and so are the histogram bins that sum them.
+  if (samples.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw MlError("tree: " + std::to_string(samples.size()) +
+                  " samples exceed the 32-bit weight range");
+  }
+  // The multiplicity of every row; a node then holds each row once.
+  std::vector<std::uint32_t> weight(x.rows(), samples.empty() ? 1 : 0);
+  for (const std::size_t s : samples) {
+    if (s >= x.rows()) {
+      throw MlError("tree: sample index " + std::to_string(s) +
+                    " outside the " + std::to_string(x.rows()) +
+                    " training rows");
+    }
+    ++weight[s];
+  }
+  const auto total =
+      static_cast<double>(samples.empty() ? x.rows() : samples.size());
+
+  flat_ = FlatForest{};
   depth_ = 0;
   num_classes_ = num_classes;
   importances_.assign(x.cols(), 0.0);
-
-  std::vector<std::size_t> idx;
-  if (samples.empty()) {
-    idx.resize(x.rows());
-    std::iota(idx.begin(), idx.end(), 0u);
-  } else {
-    idx.assign(samples.begin(), samples.end());
-  }
+  flat_.begin_tree();
   if (params_.reference_splitter) {
-    build_reference(x, y, num_classes, idx, 0, idx.size(), 0,
-                    static_cast<double>(idx.size()), rng);
-    return;
+    std::vector<std::size_t> idx(samples.begin(), samples.end());
+    if (samples.empty()) {
+      idx.resize(x.rows());
+      std::iota(idx.begin(), idx.end(), 0u);
+    }
+    build_reference(x, y, num_classes, idx, 0, idx.size(), 0, total, rng);
+  } else {
+    const auto k = static_cast<std::size_t>(num_classes);
+    FitWorkspace ws;
+    for (std::size_t r = 0; r < weight.size(); ++r) {
+      if (weight[r] > 0) {
+        ws.rows.push_back({static_cast<std::uint32_t>(r), weight[r]});
+      }
+    }
+    ws.features.reserve(x.cols());
+    ws.labels.reserve(ws.rows.size());
+    ws.counts.resize(k);
+    ws.left.resize(k);
+    ws.right.resize(k);
+    ws.best_left.resize(k);
+    ws.proba.resize(k);
+    build(ranks, y, ws, 0, ws.rows.size(), 0, total, rng);
+    if (obs::enabled()) {
+      // Accumulated branchlessly in the split loop; flushed once per fit.
+      static obs::Counter candidates("ml.split_candidates");
+      candidates.add(ws.split_candidates);
+    }
   }
-  FitWorkspace ws;
-  ws.features.reserve(x.cols());
-  ws.labels.reserve(idx.size());
-  ws.counts.resize(static_cast<std::size_t>(num_classes));
-  ws.left.resize(static_cast<std::size_t>(num_classes));
-  ws.right.resize(static_cast<std::size_t>(num_classes));
-  ws.best_left.resize(static_cast<std::size_t>(num_classes));
-  build(x, ranks, y, num_classes, idx, 0, idx.size(), 0,
-        static_cast<double>(idx.size()), rng, ws);
-  if (obs::enabled()) {
-    // Accumulated branchlessly in the split loop; flushed once per fit.
-    static obs::Counter candidates("ml.split_candidates");
-    candidates.add(ws.split_candidates);
-  }
+  flat_.finish(num_classes);
 }
 
-// Optimised split finder. Nothing is sorted by value: each candidate
-// feature's class counts per distinct value come from the shared
-// ColumnRanks, by one counting pass into a bins x classes histogram when the
-// column has no more distinct values than the node has samples, else by
-// sorting packed (rank << 32 | class) keys. Candidates are the midpoints of
-// adjacent present values, visited in ascending order as the reference's
-// sorted scan visits them, and each is scored in O(1) from incrementally
-// maintained sums of squared class counts. Class counts are integers held
-// exactly in doubles, so adding a whole bin of m samples of a class
-// (sumsq += 2*l*m + m*m) lands on exactly the value m single-sample steps
-// reach; the winning split's impurity decrease is then recomputed with
-// gini_impurity from the snapshotted winning histogram. Serialized trees
-// (thresholds, leaf distributions AND importances) are therefore
-// bit-identical to build_reference.
-int DecisionTree::build(const Matrix& x, const ColumnRanks& ranks,
-                        std::span<const int> y, int num_classes,
-                        std::vector<std::size_t>& samples, std::size_t begin,
-                        std::size_t end, int level, double total_samples,
-                        Rng& rng, FitWorkspace& ws) {
+// Optimised split finder. Each node holds its distinct rows once, with
+// their multiplicities, and every count is a weighted sum. Nothing is
+// sorted by value: each candidate feature's class counts per distinct value
+// come from the shared ColumnRanks, by one counting pass into a
+// bins x classes histogram when the column has no more distinct values than
+// the node has rows, else by sorting packed (rank << 32 | position) keys.
+// Candidates are the midpoints of adjacent present values, visited in
+// ascending order as the reference's sorted scan visits them, and each is
+// scored in O(1) from incrementally maintained sums of squared class
+// counts. Class counts are integers held exactly in doubles, so adding m
+// samples of a class at once (sumsq += 2*l*m + m*m) lands on exactly the
+// value m single-sample steps reach, whatever the grouping; the winning
+// split's impurity decrease is then recomputed with gini_impurity from the
+// snapshotted winning histogram. Serialized trees (thresholds, leaf
+// distributions AND importances) are therefore bit-identical to
+// build_reference.
+void DecisionTree::build(const ColumnRanks& ranks, std::span<const int> y,
+                         FitWorkspace& ws, std::size_t begin, std::size_t end,
+                         int level, double total_samples, Rng& rng) {
   depth_ = std::max(depth_, level);
-  const std::size_t n = end - begin;
-  const auto k = static_cast<std::size_t>(num_classes);
-  const std::span<const std::size_t> node(samples.data() + begin, n);
+  const std::size_t u = end - begin;  // distinct rows
+  const auto k = static_cast<std::size_t>(num_classes_);
+  const std::span<const WeightedRow> node(ws.rows.data() + begin, u);
 
-  // The workspace is only read between here and the recursive calls below,
-  // so one workspace serves every node of the tree.
   std::fill(ws.counts.begin(), ws.counts.end(), 0.0);
-  ws.labels.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int cls = y[node[i]];
+  ws.labels.resize(u);
+  std::size_t n = 0;  // samples, counting repeats
+  for (std::size_t i = 0; i < u; ++i) {
+    const int cls = y[node[i].row];
     ws.labels[i] = static_cast<std::uint32_t>(cls);
-    ws.counts[static_cast<std::size_t>(cls)] += 1.0;
+    ws.counts[static_cast<std::size_t>(cls)] += node[i].weight;
+    n += node[i].weight;
   }
   const double node_gini = gini_impurity(ws.counts);
 
   auto make_leaf = [&] {
-    Node leaf;
-    leaf.proba.resize(k);
     for (std::size_t c = 0; c < k; ++c) {
-      leaf.proba[c] = ws.counts[c] / static_cast<double>(n);
+      ws.proba[c] = ws.counts[c] / static_cast<double>(n);
     }
-    nodes_.push_back(std::move(leaf));
-    return static_cast<int>(nodes_.size() - 1);
+    flat_.add_leaf(ws.proba);
   };
 
   const bool depth_capped = params_.max_depth >= 0 && level >= params_.max_depth;
   if (node_gini <= 0.0 || depth_capped ||
       n < static_cast<std::size_t>(params_.min_samples_split)) {
-    return make_leaf();
+    make_leaf();
+    return;
   }
 
   // Maximising  S = sumsq_l/n_l + sumsq_r/n_r  is equivalent to minimising
@@ -225,6 +270,7 @@ int DecisionTree::build(const Matrix& x, const ColumnRanks& ranks,
       static_cast<double>(n) * (1.0 - node_gini);  // parent impurity baseline
   const double score_tol = static_cast<double>(n) * 1e-15;
   std::size_t best_nl = 0;
+  std::uint32_t best_rank = 0;  // rank of the largest value sent left
   double sumsq_l = 0.0;
   double sumsq_r = 0.0;
 
@@ -235,9 +281,11 @@ int DecisionTree::build(const Matrix& x, const ColumnRanks& ranks,
     ws.left[c] += m;
     ws.right[c] -= m;
   };
-  // Score the threshold between adjacent present values lo < hi, with the
-  // nl samples valued <= lo on the left.
-  auto consider = [&](std::size_t f, double lo, double hi, std::size_t nl) {
+  // Score the threshold between adjacent present values lo < hi (lo of
+  // rank lo_rank), with the nl samples valued <= lo on the left.
+  auto consider = [&](std::size_t f, std::span<const double> values,
+                      std::uint32_t lo_rank, std::uint32_t hi_rank,
+                      std::size_t nl) {
     ++ws.split_candidates;
     const auto dl = static_cast<double>(nl);
     const auto dr = static_cast<double>(n - nl);
@@ -246,14 +294,15 @@ int DecisionTree::build(const Matrix& x, const ColumnRanks& ranks,
     if (score > best_score + score_tol) {
       best.found = true;
       best.feature = f;
-      best.threshold = split_threshold(lo, hi);
+      best.threshold = split_threshold(values[lo_rank], values[hi_rank]);
       best_score = score;
       best_nl = nl;
+      best_rank = lo_rank;
       std::copy(ws.left.begin(), ws.left.end(), ws.best_left.begin());
     }
   };
 
-  sample_features_into(x.cols(), params_.max_features, rng, ws.features);
+  sample_features_into(ranks.cols(), params_.max_features, rng, ws.features);
   for (const std::size_t f : ws.features) {
     const std::span<const double> values = ranks.values(f);
     const std::span<const std::uint32_t> rank = ranks.ranks(f);
@@ -264,19 +313,19 @@ int DecisionTree::build(const Matrix& x, const ColumnRanks& ranks,
     for (const double c : ws.counts) sumsq_r += c * c;
     std::size_t nl = 0;
 
-    if (values.size() <= n) {
+    if (values.size() <= u) {
       // Counting pass, then the non-empty bins in ascending value order.
       ws.hist.assign(values.size() * k, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        ++ws.hist[rank[node[i]] * k + ws.labels[i]];
+      for (std::size_t i = 0; i < u; ++i) {
+        ws.hist[rank[node[i].row] * k + ws.labels[i]] += node[i].weight;
       }
-      std::size_t prev = 0;
-      for (std::size_t b = 0; nl < n; ++b) {
-        const std::uint32_t* bin = ws.hist.data() + b * k;
-        std::uint32_t in_bin = 0;
+      std::uint32_t prev = 0;
+      for (std::uint32_t b = 0; nl < n; ++b) {
+        const std::uint32_t* bin = ws.hist.data() + std::size_t{b} * k;
+        std::size_t in_bin = 0;
         for (std::size_t c = 0; c < k; ++c) in_bin += bin[c];
         if (in_bin == 0) continue;
-        if (nl > 0) consider(f, values[prev], values[b], nl);
+        if (nl > 0) consider(f, values, prev, b, nl);
         for (std::size_t c = 0; c < k; ++c) {
           if (bin[c] != 0) shift(c, static_cast<double>(bin[c]));
         }
@@ -284,27 +333,33 @@ int DecisionTree::build(const Matrix& x, const ColumnRanks& ranks,
         prev = b;
       }
     } else {
-      // More distinct values than samples: sort packed keys, so each run of
-      // equal keys is one (value, class) count.
-      ws.keys.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ws.keys[i] = std::uint64_t{rank[node[i]]} << 32 | ws.labels[i];
+      // More distinct values than rows: sort the rows by rank, keyed with
+      // their position in the node; a candidate falls between rank runs.
+      ws.keys.resize(u);
+      for (std::size_t i = 0; i < u; ++i) {
+        ws.keys[i] = std::uint64_t{rank[node[i].row]} << 32 | i;
       }
       std::sort(ws.keys.begin(), ws.keys.end());
-      for (std::size_t i = 0; i < n;) {
-        std::size_t j = i + 1;
-        while (j < n && ws.keys[j] == ws.keys[i]) ++j;
-        shift(static_cast<std::size_t>(ws.keys[i] & 0xffffffffu),
-              static_cast<double>(j - i));
-        nl = j;
-        if (j < n && ws.keys[j] >> 32 != ws.keys[i] >> 32) {
-          consider(f, values[ws.keys[i] >> 32], values[ws.keys[j] >> 32], nl);
+      for (std::size_t i = 0; i < u;) {
+        const auto r = static_cast<std::uint32_t>(ws.keys[i] >> 32);
+        std::size_t j = i;
+        for (; j < u && ws.keys[j] >> 32 == r; ++j) {
+          const auto at = static_cast<std::size_t>(ws.keys[j] & 0xffffffffu);
+          shift(ws.labels[at], static_cast<double>(node[at].weight));
+          nl += node[at].weight;
+        }
+        if (j < u) {
+          consider(f, values, r, static_cast<std::uint32_t>(ws.keys[j] >> 32),
+                   nl);
         }
         i = j;
       }
     }
   }
-  if (!best.found) return make_leaf();
+  if (!best.found) {
+    make_leaf();
+    return;
+  }
 
   // Reference-exact impurity decrease of the winning split, from the
   // snapshotted left histogram (right = counts - left, exact integers).
@@ -324,37 +379,29 @@ int DecisionTree::build(const Matrix& x, const ColumnRanks& ranks,
   importances_[best.feature] +=
       (static_cast<double>(n) / total_samples) * best.decrease;
 
-  // The value test predict() applies. split_threshold() keeps it equal to
-  // the rank split counted above: exactly the rows valued <= lo go left.
+  // The rank test is the value test predict() applies: split_threshold()
+  // puts the threshold in [lo, hi), so exactly the rows valued <= lo, the
+  // rows ranked <= rank(lo), go left.
+  const std::span<const std::uint32_t> rank = ranks.ranks(best.feature);
+  const auto first = ws.rows.begin() + static_cast<long>(begin);
   const auto mid_it = std::partition(
-      samples.begin() + static_cast<long>(begin),
-      samples.begin() + static_cast<long>(end), [&](std::size_t s) {
-        return x.at(s, best.feature) <= best.threshold;
-      });
-  const auto mid =
-      static_cast<std::size_t>(mid_it - samples.begin());
+      first, first + static_cast<long>(u),
+      [&](const WeightedRow& s) { return rank[s.row] <= best_rank; });
+  const auto mid = begin + static_cast<std::size_t>(mid_it - first);
 
-  const int node_id = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[static_cast<std::size_t>(node_id)].feature =
-      static_cast<int>(best.feature);
-  nodes_[static_cast<std::size_t>(node_id)].threshold = best.threshold;
-  const int left_id = build(x, ranks, y, num_classes, samples, begin, mid,
-                            level + 1, total_samples, rng, ws);
-  const int right_id = build(x, ranks, y, num_classes, samples, mid, end,
-                             level + 1, total_samples, rng, ws);
-  nodes_[static_cast<std::size_t>(node_id)].left = left_id;
-  nodes_[static_cast<std::size_t>(node_id)].right = right_id;
-  return node_id;
+  flat_.add_split(static_cast<int>(best.feature), best.threshold);
+  build(ranks, y, ws, begin, mid, level + 1, total_samples, rng);
+  build(ranks, y, ws, mid, end, level + 1, total_samples, rng);
 }
 
-// Pre-optimisation split finder, retained verbatim as the correctness
-// oracle: tests assert the optimised build produces byte-identical JSON.
-int DecisionTree::build_reference(const Matrix& x, std::span<const int> y,
-                                  int num_classes,
-                                  std::vector<std::size_t>& samples,
-                                  std::size_t begin, std::size_t end, int level,
-                                  double total_samples, Rng& rng) {
+// Pre-optimisation split finder, retained as the correctness oracle: tests
+// assert the optimised build produces byte-identical JSON. It emits its
+// nodes through the same FlatForest builder.
+void DecisionTree::build_reference(const Matrix& x, std::span<const int> y,
+                                   int num_classes,
+                                   std::vector<std::size_t>& samples,
+                                   std::size_t begin, std::size_t end,
+                                   int level, double total_samples, Rng& rng) {
   depth_ = std::max(depth_, level);
   const std::size_t n = end - begin;
 
@@ -365,24 +412,24 @@ int DecisionTree::build_reference(const Matrix& x, std::span<const int> y,
   const double node_gini = gini_impurity(counts);
 
   auto make_leaf = [&] {
-    Node leaf;
-    leaf.proba.resize(counts.size());
+    std::vector<double> proba(counts.size());
     for (std::size_t c = 0; c < counts.size(); ++c) {
-      leaf.proba[c] = counts[c] / static_cast<double>(n);
+      proba[c] = counts[c] / static_cast<double>(n);
     }
-    nodes_.push_back(std::move(leaf));
-    return static_cast<int>(nodes_.size() - 1);
+    flat_.add_leaf(proba);
   };
 
   const bool depth_capped = params_.max_depth >= 0 && level >= params_.max_depth;
   if (node_gini <= 0.0 || depth_capped ||
       n < static_cast<std::size_t>(params_.min_samples_split)) {
-    return make_leaf();
+    make_leaf();
+    return;
   }
 
   // Best Gini split over a (possibly random) feature subset.
   SplitResult best;
-  const auto features = sample_features(x.cols(), params_.max_features, rng);
+  std::vector<std::size_t> features;
+  sample_features_into(x.cols(), params_.max_features, rng, features);
   std::vector<std::size_t> order(samples.begin() + static_cast<long>(begin),
                                  samples.begin() + static_cast<long>(end));
   std::vector<double> left(counts.size());
@@ -416,7 +463,10 @@ int DecisionTree::build_reference(const Matrix& x, std::span<const int> y,
       }
     }
   }
-  if (!best.found) return make_leaf();
+  if (!best.found) {
+    make_leaf();
+    return;
+  }
 
   // sklearn-style importance: node share of total samples times decrease.
   importances_[best.feature] +=
@@ -430,63 +480,38 @@ int DecisionTree::build_reference(const Matrix& x, std::span<const int> y,
   const auto mid =
       static_cast<std::size_t>(mid_it - samples.begin());
 
-  const int node_id = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[static_cast<std::size_t>(node_id)].feature =
-      static_cast<int>(best.feature);
-  nodes_[static_cast<std::size_t>(node_id)].threshold = best.threshold;
-  const int left_id = build_reference(x, y, num_classes, samples, begin, mid,
-                                      level + 1, total_samples, rng);
-  const int right_id = build_reference(x, y, num_classes, samples, mid, end,
-                                       level + 1, total_samples, rng);
-  nodes_[static_cast<std::size_t>(node_id)].left = left_id;
-  nodes_[static_cast<std::size_t>(node_id)].right = right_id;
-  return node_id;
+  flat_.add_split(static_cast<int>(best.feature), best.threshold);
+  build_reference(x, y, num_classes, samples, begin, mid, level + 1,
+                  total_samples, rng);
+  build_reference(x, y, num_classes, samples, mid, end, level + 1,
+                  total_samples, rng);
 }
 
-std::span<const double> DecisionTree::leaf_proba_for(
-    std::span<const double> row) const {
-  if (nodes_.empty()) throw MlError("tree: predict before fit");
-  const Node* node = &nodes_[0];
-  while (node->feature >= 0) {
-    const std::size_t f = static_cast<std::size_t>(node->feature);
-    if (f >= row.size()) throw MlError("tree: row has too few features");
-    node = row[f] <= node->threshold
-               ? &nodes_[static_cast<std::size_t>(node->left)]
-               : &nodes_[static_cast<std::size_t>(node->right)];
-  }
-  return node->proba;
+void DecisionTree::require_fitted() const {
+  if (!fitted()) throw MlError("tree: used before fit");
 }
 
 std::vector<double> DecisionTree::predict_proba(
     std::span<const double> row) const {
-  const auto leaf = leaf_proba_for(row);
-  return {leaf.begin(), leaf.end()};
+  require_fitted();
+  std::vector<double> proba(static_cast<std::size_t>(num_classes_));
+  flat_.tree_leaf(0, row, proba);
+  return proba;
 }
 
 int DecisionTree::predict(std::span<const double> row) const {
-  const auto p = leaf_proba_for(row);
+  const auto p = predict_proba(row);
   return static_cast<int>(std::max_element(p.begin(), p.end()) - p.begin());
 }
 
 void DecisionTree::append_flat(FlatForest& flat) const {
-  if (nodes_.empty()) throw MlError("tree: flatten before fit");
-  flat.begin_tree();
-  for (const Node& n : nodes_) {
-    if (n.feature >= 0) {
-      flat.add_split(n.feature, n.threshold);
-    } else {
-      flat.add_leaf(n.proba);
-    }
-  }
+  require_fitted();
+  flat.append_trees(flat_);
 }
 
 Json DecisionTree::to_json() const {
-  // One writer for the tree document: the one-tree flat form's.
-  FlatForest flat;
-  append_flat(flat);
-  flat.finish(num_classes_);
-  return flat.tree_json(0, depth_, importances_);
+  require_fitted();
+  return flat_.tree_json(0, depth_, importances_);
 }
 
 // ---- RegressionTree --------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "ml/dataset.hpp"
+#include "ml/flat_forest.hpp"
 
 namespace pml::ml {
 
@@ -31,9 +32,11 @@ struct TreeParams {
 /// read-only by every tree fit, so no node ever sorts feature values.
 class ColumnRanks {
  public:
-  /// Throws MlError naming the row and column of the first non-finite value
-  /// (a NaN has no rank; the check rides along the ranking pass).
-  explicit ColumnRanks(const Matrix& x);
+  /// Ranks the columns on up to `threads` threads (parallel_for's
+  /// convention: <= 0 = all, 1 = serial); the result does not depend on
+  /// it. Throws MlError naming the row and column of the first non-finite
+  /// value in column-major order (a NaN has no rank).
+  explicit ColumnRanks(const Matrix& x, int threads = 1);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return offsets_.size() - 1; }
@@ -57,16 +60,17 @@ class ColumnRanks {
 /// Gini impurity of a class-count histogram (paper Eq. 1).
 double gini_impurity(std::span<const double> class_counts);
 
-class FlatForest;
-
-/// Binary CART classifier with Gini splits.
+/// Binary CART classifier with Gini splits. A fit writes its nodes in
+/// pre-order straight into a one-tree FlatForest, the form a RandomForest
+/// holds, so appending a fitted tree to a forest is a bulk copy.
 class DecisionTree {
  public:
   explicit DecisionTree(TreeParams params = {}) : params_(params) {}
 
   /// Fit on the rows of `x` selected by `samples` (possibly with
   /// repetitions, enabling bootstrap); empty `samples` means all rows.
-  /// Throws MlError on a non-finite feature value.
+  /// Throws MlError on a non-finite feature value or a sample index
+  /// outside `x`.
   void fit(const Matrix& x, std::span<const int> y, int num_classes, Rng& rng,
            std::span<const std::size_t> samples = {});
 
@@ -77,12 +81,10 @@ class DecisionTree {
   std::vector<double> predict_proba(std::span<const double> row) const;
   int predict(std::span<const double> row) const;
 
-  /// Class distribution of the leaf this row lands in — a span into the
-  /// tree's own storage (valid until the next fit). Allocation-free.
-  std::span<const double> leaf_proba_for(std::span<const double> row) const;
-
-  /// Append this tree to a structure-of-arrays forest (see FlatForest).
+  /// Append this tree to a forest (FlatForest::append_trees).
   void append_flat(FlatForest& flat) const;
+  /// The fitted tree as a one-tree forest.
+  const FlatForest& flat() const noexcept { return flat_; }
 
   /// Unnormalised Gini-decrease importances, one per feature; accumulated
   /// across splits as (n_node/n_total) * impurity decrease.
@@ -90,52 +92,33 @@ class DecisionTree {
     return importances_;
   }
 
-  std::size_t node_count() const noexcept { return nodes_.size(); }
+  std::size_t node_count() const noexcept { return flat_.node_count(); }
   int depth() const noexcept { return depth_; }
-  bool fitted() const noexcept { return !nodes_.empty(); }
+  bool fitted() const noexcept { return !flat_.empty(); }
 
   /// The model file's tree document, written by FlatForest::tree_json
   /// (RandomForest::from_json is its only reader).
   Json to_json() const;
 
  private:
-  struct Node {
-    int feature = -1;       ///< -1 marks a leaf
-    double threshold = 0.0; ///< go left if value <= threshold
-    int left = -1;
-    int right = -1;
-    std::vector<double> proba;  ///< leaf class distribution
-  };
+  struct FitWorkspace;
 
-  /// Per-fit scratch shared by every node of one tree, so build() performs
-  /// no per-node or per-candidate heap allocations.
-  struct FitWorkspace {
-    std::vector<std::size_t> features;  ///< candidate feature subset
-    std::vector<std::uint32_t> labels;  ///< node labels, in sample order
-    std::vector<std::uint32_t> hist;    ///< bins x classes counts
-    std::vector<std::uint64_t> keys;    ///< (rank << 32 | class), sort branch
-    std::vector<double> counts;         ///< node class histogram
-    std::vector<double> left;           ///< running left-child histogram
-    std::vector<double> right;          ///< running right-child histogram
-    std::vector<double> best_left;      ///< left histogram at the best split
-    std::uint64_t split_candidates = 0; ///< thresholds scored this fit
-  };
-
-  int build(const Matrix& x, const ColumnRanks& ranks, std::span<const int> y,
-            int num_classes, std::vector<std::size_t>& samples,
-            std::size_t begin, std::size_t end, int level,
-            double total_samples, Rng& rng, FitWorkspace& ws);
+  void build(const ColumnRanks& ranks, std::span<const int> y,
+             FitWorkspace& ws, std::size_t begin, std::size_t end, int level,
+             double total_samples, Rng& rng);
 
   /// Retained pre-optimisation split finder (re-sorts per feature and scores
   /// every candidate with two full gini_impurity passes). Kept as the
   /// correctness oracle for the rank-histogram path.
-  int build_reference(const Matrix& x, std::span<const int> y, int num_classes,
-                      std::vector<std::size_t>& samples, std::size_t begin,
-                      std::size_t end, int level, double total_samples,
-                      Rng& rng);
+  void build_reference(const Matrix& x, std::span<const int> y,
+                       int num_classes, std::vector<std::size_t>& samples,
+                       std::size_t begin, std::size_t end, int level,
+                       double total_samples, Rng& rng);
+
+  void require_fitted() const;
 
   TreeParams params_;
-  std::vector<Node> nodes_;
+  FlatForest flat_;  ///< one sealed tree once fitted
   std::vector<double> importances_;
   int num_classes_ = 0;
   int depth_ = 0;

@@ -84,6 +84,7 @@ TEST(RandomSplit, PartitionsAllRows) {
   const auto split = random_split(100, 0.7, rng);
   EXPECT_EQ(split.train.size(), 70u);
   EXPECT_EQ(split.test.size(), 30u);
+  EXPECT_TRUE(std::is_sorted(split.test.begin(), split.test.end()));
   std::set<std::size_t> seen(split.train.begin(), split.train.end());
   seen.insert(split.test.begin(), split.test.end());
   EXPECT_EQ(seen.size(), 100u);

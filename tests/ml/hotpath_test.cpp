@@ -325,6 +325,74 @@ TEST(SplitFinder, DuplicatedRowsAndBootstrapRepeatsMatchReference) {
   }
 }
 
+TEST(SplitFinder, MultiplicitiesMatchReferenceUnderEveryLimit) {
+  // The optimised finder fits each distinct row once with its multiplicity
+  // and partitions by rank. Column 0 has 5 levels (the counting pass),
+  // column 1 a distinct value per row (the sort pass at every node), column
+  // 2 both signed zeros and column 3 a pair of adjacent doubles, whose
+  // midpoint rounds up, so the rank partition must match the value test.
+  const std::size_t n = 280;
+  const double signed_values[] = {-1.0, -0.0, 0.0, 2.0};
+  const double adjacent[] = {std::nextafter(1.0, 0.0), 1.0, 4.0};
+  ASSERT_EQ(0.5 * (adjacent[0] + adjacent[1]), adjacent[1]);
+  Dataset d;
+  d.num_classes = 3;
+  d.x = Matrix(n, 4);
+  Rng data_rng(71);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto level = data_rng.uniform_index(5);
+    const auto sign = data_rng.uniform_index(4);
+    const auto pair = data_rng.uniform_index(3);
+    d.x.at(r, 0) = static_cast<double>(level);
+    d.x.at(r, 1) = data_rng.uniform(-3.0, 3.0);
+    d.x.at(r, 2) = signed_values[sign];
+    d.x.at(r, 3) = adjacent[pair];
+    int label = static_cast<int>((level + (sign >= 2) + (pair > 0)) % 3);
+    if (data_rng.uniform_index(8) == 0) label = (label + 1) % 3;  // noise
+    d.y.push_back(label);
+  }
+
+  std::vector<std::vector<std::size_t>> lists;
+  Rng sample_rng(73);
+  for (int trial = 0; trial < 2; ++trial) {
+    std::vector<std::size_t> bootstrap(n);
+    for (auto& s : bootstrap) {
+      s = static_cast<std::size_t>(sample_rng.uniform_index(n));
+    }
+    lists.push_back(std::move(bootstrap));
+  }
+  // Every seventh row, in descending order, so most rows are absent; row
+  // 94 repeats past 2^16 times (a 16-bit packed weight would wrap) and row
+  // 199 a few times, between the other entries.
+  std::vector<std::size_t> hand;
+  for (std::size_t r = n; r-- > 0;) {
+    if (r % 7 == 3) hand.push_back(r);
+  }
+  hand.insert(hand.begin() + 10, 70000, 94);
+  hand.insert(hand.begin() + 5, 3, 199);
+  lists.push_back(std::move(hand));
+
+  const TreeParams grids[] = {
+      {},
+      {.min_samples_leaf = 3},
+      {.min_samples_split = 8},
+      {.max_depth = 4},
+      {.max_features = 2},
+      {.max_depth = 4, .min_samples_leaf = 3, .min_samples_split = 8,
+       .max_features = 2},
+  };
+  for (std::size_t l = 0; l < lists.size(); ++l) {
+    for (const TreeParams& p : grids) {
+      SCOPED_TRACE("list " + std::to_string(l) + " max_depth " +
+                   std::to_string(p.max_depth) + " min_samples_leaf " +
+                   std::to_string(p.min_samples_leaf) + " min_samples_split " +
+                   std::to_string(p.min_samples_split));
+      EXPECT_GT(expect_matches_reference(d.x, d.y, 3, p, lists[l], l + 1),
+                1u);
+    }
+  }
+}
+
 TEST(SplitFinder, RealFeatureMatrixMatchesReference) {
   // The paper's training table: discrete hardware columns, a message-size
   // grid, node and ppn grids — the shape the counting pass targets.
@@ -545,6 +613,28 @@ TEST(ForestThreads, OobAndSerializationIdenticalAt1_2_8Threads) {
     } else {
       EXPECT_EQ(forest.to_json().dump(), json_1) << "threads " << threads;
       EXPECT_DOUBLE_EQ(*forest.oob_score(), oob_1) << "threads " << threads;
+    }
+  }
+}
+
+TEST(ForestThreads, OobSumsOverSeveralRowChunksMatchOneThread) {
+  // 3,000 rows: the out-of-bag votes are summed in twelve row chunks, which
+  // run on different pool threads, next to ranks built column by column.
+  const Dataset d = synthetic(3000, 5, 3, 57);
+  std::string json_1;
+  double oob_1 = 0.0;
+  for (const int threads : {1, 3, 0}) {
+    RandomForest forest(RandomForestParams{
+        .n_trees = 10, .max_features = 2, .threads = threads});
+    Rng rng(23);
+    forest.fit(d, rng);
+    ASSERT_TRUE(forest.oob_score().has_value());
+    if (threads == 1) {
+      json_1 = forest.to_json().dump();
+      oob_1 = *forest.oob_score();
+    } else {
+      EXPECT_EQ(forest.to_json().dump(), json_1) << "threads " << threads;
+      EXPECT_EQ(*forest.oob_score(), oob_1) << "threads " << threads;
     }
   }
 }

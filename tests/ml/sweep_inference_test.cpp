@@ -383,5 +383,91 @@ TEST(FlatForestBuilder, DerivesTheRightChildFromPreOrder) {
   EXPECT_EQ(leaf, (std::vector<double>{0.0, 1.0}));
 }
 
+/// Append the deeper tree of DerivesTheRightChildFromPreOrder:
+/// split(f0) -> [split(f1) -> [leaf a, leaf b], leaf c].
+void add_deep_tree(FlatForest& flat) {
+  flat.begin_tree();
+  flat.add_split(0, 0.5);
+  flat.add_split(1, 0.5);
+  flat.add_leaf(std::vector<double>{1.0, 0.0});
+  flat.add_leaf(std::vector<double>{0.5, 0.5});
+  flat.add_leaf(std::vector<double>{0.0, 1.0});
+}
+
+TEST(FlatForestBuilder, AppendTreesMatchesBuildingInPlace) {
+  // One forest built node by node; the same trees appended in bulk from a
+  // one-tree and a two-tree forest must give the same records and leaves.
+  FlatForest in_place = stump({1.0, 0.0}, {0.0, 1.0});
+  add_deep_tree(in_place);
+  add_deep_tree(in_place);
+  in_place.finish(2);
+
+  FlatForest one = stump({1.0, 0.0}, {0.0, 1.0});
+  one.finish(2);
+  FlatForest two;
+  add_deep_tree(two);
+  add_deep_tree(two);
+  two.finish(2);
+  FlatForest appended;
+  appended.reserve(one.node_count() + two.node_count(),
+                   one.leaf_count() + two.leaf_count(),
+                   one.entry_count() + two.entry_count());
+  appended.append_trees(one);
+  appended.append_trees(two);
+  appended.finish(2);
+
+  ASSERT_EQ(appended.tree_count(), 3u);
+  EXPECT_EQ(appended.node_count(), in_place.node_count());
+  EXPECT_EQ(appended.leaf_count(), 8u);
+  EXPECT_EQ(appended.entry_count(), in_place.entry_count());
+  const std::vector<double> importances = {1.0, 0.5};
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(appended.tree_json(t, 2, importances).dump(),
+              in_place.tree_json(t, 2, importances).dump());
+  }
+  // Leaf ordinals count the leaves tree after tree: the third tree's
+  // leaves are 5, 6 and 7.
+  EXPECT_EQ(appended.leaf_of(2, std::vector<double>{0.0, 1.0}), 6u);
+  std::vector<double> sums = {0.25, 0.0};
+  appended.add_leaf_entries(6, sums);
+  EXPECT_EQ(sums, (std::vector<double>{0.75, 0.5}));
+  EXPECT_THROW(appended.add_leaf_entries(8, sums), MlError);
+  for (const auto& row : {std::vector<double>{0.0, 0.0},
+                          std::vector<double>{0.0, 1.0},
+                          std::vector<double>{1.0, 0.0}}) {
+    std::vector<double> a(2);
+    std::vector<double> b(2);
+    appended.predict_proba_into(row, a);
+    in_place.predict_proba_into(row, b);
+    EXPECT_EQ(a, b);
+  }
+}
+
+TEST(FlatForestBuilder, AppendTreesRejectsAnUnsealedSourceOrTarget) {
+  const std::vector<double> leaf = {1.0, 0.0};
+  FlatForest sealed = stump(leaf, leaf);
+  sealed.finish(2);
+
+  FlatForest unsealed = stump(leaf, leaf);
+  FlatForest target;
+  EXPECT_NE(builder_error([&] { target.append_trees(unsealed); })
+                .find("append of an unsealed forest"),
+            std::string::npos);
+
+  FlatForest finished = stump(leaf, leaf);
+  finished.finish(2);
+  EXPECT_NE(builder_error([&] { finished.append_trees(sealed); })
+                .find("append after finish"),
+            std::string::npos);
+
+  FlatForest open;
+  open.begin_tree();
+  open.add_split(0, 0.5);
+  const std::string open_error =
+      builder_error([&] { open.append_trees(sealed); });
+  EXPECT_NE(open_error.find("tree 0 is truncated"), std::string::npos)
+      << open_error;
+}
+
 }  // namespace
 }  // namespace pml::ml

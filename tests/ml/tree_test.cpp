@@ -117,6 +117,12 @@ TEST(DecisionTree, BadInputsThrow) {
   Matrix empty;
   std::vector<int> y;
   EXPECT_THROW(tree.fit(empty, y, 2, rng), MlError);
+  // A sample index outside the matrix, on both split finders.
+  const Dataset d = blobs(5, 4.0, 9);
+  const std::vector<std::size_t> samples = {0, 3, d.x.rows()};
+  EXPECT_THROW(tree.fit(d.x, d.y, 2, rng, samples), MlError);
+  DecisionTree reference(TreeParams{.reference_splitter = true});
+  EXPECT_THROW(reference.fit(d.x, d.y, 2, rng, samples), MlError);
 }
 
 // The tree document (DecisionTree::to_json) has one reader, the forest
