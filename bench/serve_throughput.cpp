@@ -18,6 +18,8 @@
 // BM_ServeTableHit (pre-serialized table replies). p50_ns/p99_ns
 // counters on the cached-select series record the per-request latency
 // distribution measured over the benchmark's own iterations.
+// BM_ScanSelect and BM_ParseSelect time the request lexer alone: the
+// plain-select scan and Json::parse over the same seeded select lines.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -29,7 +31,9 @@
 #include <vector>
 
 #include "common/artifact.hpp"
+#include "common/rng.hpp"
 #include "core/serve.hpp"
+#include "core/serve_internal.hpp"
 
 // Under a sanitizer the absolute throughput targets are meaningless
 // (TSan alone is a 10-20x slowdown), so the gate downgrades to
@@ -163,6 +167,66 @@ void BM_ServeTableHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServeTableHit);
+
+/// 4096 plain select lines shaped like perfbench's select mix: a builtin
+/// cluster, one of the paper's collectives, that cluster's node and ppn
+/// values, and a size whose power-of-two row is uniform over 2^0..2^20.
+const std::vector<std::string>& select_lines() {
+  static const std::vector<std::string> lines = [] {
+    const auto& clusters = sim::builtin_clusters();
+    const auto& collectives = coll::paper_collectives();
+    std::uint64_t state = 0x5e1ec7ULL;
+    const auto below = [&state](std::size_t n) {
+      return static_cast<std::size_t>(splitmix64(state) % n);
+    };
+    std::vector<std::string> out;
+    for (int i = 0; i < 4096; ++i) {
+      const sim::ClusterSpec& c = clusters[below(clusters.size())];
+      const std::uint64_t e = below(21);
+      const std::uint64_t half = e == 0 ? 0 : std::uint64_t{1} << (e - 1);
+      const std::uint64_t bytes = e == 0 ? 1 : half + 1 + below(half);
+      out.push_back(
+          R"({"op":"select","cluster":")" + c.name + R"(","collective":")" +
+          coll::to_string(collectives[below(collectives.size())]) +
+          R"(","nodes":)" +
+          std::to_string(c.node_counts[below(c.node_counts.size())]) +
+          R"(,"ppn":)" + std::to_string(c.ppn_values[below(c.ppn_values.size())]) +
+          R"(,"msg_bytes":)" + std::to_string(bytes) + "}");
+    }
+    return out;
+  }();
+  return lines;
+}
+
+/// The plain-select scan alone (detail::scan_select): one line per
+/// iteration, every line accepted.
+void BM_ScanSelect(benchmark::State& state) {
+  const std::vector<std::string>& lines = select_lines();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    core::detail::ScannedSelect scanned;
+    if (!core::detail::scan_select(lines[i], scanned)) {
+      state.SkipWithError("a plain select line was not scanned");
+      break;
+    }
+    benchmark::DoNotOptimize(scanned);
+    i = (i + 1) % lines.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ScanSelect);
+
+/// Json::parse of the same lines: the tree every other request gets.
+void BM_ParseSelect(benchmark::State& state) {
+  const std::vector<std::string>& lines = select_lines();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Json::parse(lines[i]));
+    i = (i + 1) % lines.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParseSelect);
 
 /// Median of `rounds` ratios DOM time / scanned time, each over `ops`
 /// requests per path. The two paths alternate which runs first, so both

@@ -143,133 +143,37 @@ struct Dumper {
   }
 };
 
-bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
-
 }  // namespace
 
 // --- JsonReader ---------------------------------------------------------------
 
-void JsonReader::fail(const std::string& what) {
+void JsonReader::fail(const char* what) {
   failed_ = true;
-  throw JsonError(what + " at offset " + std::to_string(pos_));
+  throw JsonError(std::string(what) + " at offset " + std::to_string(pos_));
 }
 
-char JsonReader::peek() {
-  if (pos_ >= text_.size()) fail("unexpected end of input");
-  return text_[pos_];
+void JsonReader::fail_expected(char c) {
+  if (pos_ == text_.size()) fail("unexpected end of input");
+  fail((std::string("expected '") + c + "'").c_str());
 }
 
-void JsonReader::expect(char c) {
-  if (peek() != c) fail(std::string("expected '") + c + "'");
-  ++pos_;
-}
-
-JsonReader::Token JsonReader::next() {
-  switch (state_) {
-    case State::kValue:
-      return value();
-    case State::kArrayFirst:
-      skip_ws();
-      if (peek() != ']') return value();
-      ++pos_;
-      return close(Token::kEndArray);
-    case State::kObjectFirst:
-      skip_ws();
-      if (peek() != '}') return key();
-      ++pos_;
-      return close(Token::kEndObject);
-    case State::kAfterValue: {
-      if (depth_ == 0) {
-        state_ = State::kDone;
-        skip_ws();
-        if (pos_ != text_.size()) fail("trailing characters after document");
-        return Token::kEnd;
-      }
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (in_array_[static_cast<std::size_t>(depth_)]) {
-        if (c == ']') return close(Token::kEndArray);
-        if (c != ',') fail("expected ',' or ']' in array");
-        return value();
-      }
-      if (c == '}') return close(Token::kEndObject);
-      if (c != ',') fail("expected ',' or '}' in object");
-      return key();
-    }
-    case State::kDone:
-      break;
-  }
+JsonReader::Token JsonReader::end() {
+  state_ = State::kDone;
+  if (pos_ != text_.size()) fail("trailing characters after document");
   return Token::kEnd;
 }
 
-JsonReader::Token JsonReader::next_numbers(std::vector<double>& out) {
-  Token token = next();
-  while (token == Token::kNumber) {
-    out.push_back(number_);
-    // A ',' then a digit or '-' starts the next number: what next() reads
-    // there, without its dispatch.
-    if (pos_ + 1 < text_.size() && text_[pos_] == ',' && depth_ < kMaxDepth &&
-        (is_digit(text_[pos_ + 1]) || text_[pos_ + 1] == '-')) {
-      ++pos_;
-      token = read_number();
-    } else {
-      token = next();
-    }
-  }
-  return token;
-}
-
-JsonReader::Token JsonReader::value() {
-  if (depth_ >= kMaxDepth) fail("nesting deeper than 192 levels");
-  skip_ws();
-  const char c = peek();
-  state_ = State::kAfterValue;
-  switch (c) {
-    case '{': return open(false);
-    case '[': return open(true);
-    case '"': read_string(); return Token::kString;
-    case 't': return literal("true", Token::kTrue);
-    case 'f': return literal("false", Token::kFalse);
-    case 'n': return literal("null", Token::kNull);
-    default: return read_number();
-  }
-}
-
-JsonReader::Token JsonReader::key() {
-  skip_ws();
-  read_string();
-  skip_ws();
-  expect(':');
-  state_ = State::kValue;
-  return Token::kKey;
-}
-
-JsonReader::Token JsonReader::open(bool array) {
-  ++pos_;
-  ++depth_;
-  in_array_[static_cast<std::size_t>(depth_)] = array;
-  state_ = array ? State::kArrayFirst : State::kObjectFirst;
-  return array ? Token::kBeginArray : Token::kBeginObject;
-}
-
-JsonReader::Token JsonReader::literal(std::string_view word, Token token) {
+JsonReader::Token JsonReader::literal() {
+  const auto [word, token] =
+      text_[pos_] == 't'   ? std::pair{std::string_view("true"), Token::kTrue}
+      : text_[pos_] == 'f' ? std::pair{std::string_view("false"), Token::kFalse}
+                           : std::pair{std::string_view("null"), Token::kNull};
   if (text_.substr(pos_, word.size()) != word) fail("invalid literal");
   pos_ += word.size();
   return token;
 }
 
-void JsonReader::read_string() {
-  expect('"');
-  // Copy-free when the string has no escapes: string_ views the text.
-  const std::size_t start = pos_;
-  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
-    ++pos_;
-  }
-  if (pos_ < text_.size() && text_[pos_] == '"') {
-    string_ = text_.substr(start, pos_++ - start);
-    return;
-  }
+void JsonReader::read_escaped(std::size_t start) {
   std::string& out = unescaped_;
   out.assign(text_.data() + start, pos_ - start);
   while (true) {
@@ -321,31 +225,16 @@ void JsonReader::read_string() {
     out.append(text_.data() + run, pos_ - run);
   }
   string_ = out;
+  escaped_ = true;
 }
 
-JsonReader::Token JsonReader::read_number() {
-  const std::size_t start = pos_;
+JsonReader::Token JsonReader::read_other_number(std::size_t start) {
+  pos_ = start;
   if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-  const std::size_t digits = pos_;
-  std::uint64_t magnitude = 0;  // wraps past 19 digits; used only for <= 15
-  while (pos_ < text_.size() && is_digit(text_[pos_])) {
-    magnitude = magnitude * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
-    ++pos_;
-  }
-  const std::size_t digit_count = pos_ - digits;
   while (pos_ < text_.size() &&
          (is_digit(text_[pos_]) || text_[pos_] == '.' || text_[pos_] == 'e' ||
           text_[pos_] == 'E' || text_[pos_] == '+' || text_[pos_] == '-')) {
     ++pos_;
-  }
-  // Fast path: the token is an optional '-' and 1 to 15 digits without a
-  // leading zero (a lone "0" included). Such an integer is below 2^53, so
-  // the conversion is exact and equals what from_chars returns.
-  if (pos_ == digits + digit_count && digit_count >= 1 && digit_count <= 15 &&
-      text_[start] != '+' && (digit_count == 1 || text_[digits] != '0')) {
-    const double value = static_cast<double>(magnitude);
-    number_ = digits != start ? -value : value;
-    return Token::kNumber;
   }
   const auto* first = text_.data() + start;
   const auto* last = text_.data() + pos_;
@@ -354,6 +243,7 @@ JsonReader::Token JsonReader::read_number() {
     pos_ = start;
     fail("invalid number");
   }
+  exact_unsigned_ = false;
   return Token::kNumber;
 }
 

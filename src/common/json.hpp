@@ -7,22 +7,21 @@
 // insertion order (stable, diff-able output) and numbers are stored as
 // double (sufficient for every artefact we write).
 //
-// JsonReader is the lexer of every document but one. Json::parse builds
-// its tree from the reader's tokens; the model bundle's pull pass skips
-// the tree for its bulk and pulls the tokens itself, and pull_last_member
-// reads an object's small members with Json::read, so a document's
-// grammar, its number conversion and its error texts are the same
-// whichever reads it. The exception is the serve daemon's plain select
-// line: detail::SelectScanner (src/core/serve.cpp) is a second lexer, kept
-// on purpose. It accepts only the one flat shape every hot select has and
-// hands anything else to Json::parse, so it never reports an error of its
-// own, and on that shape it takes about half the time of a scan built on
-// JsonReader: 108-114 against 212-221 ns per select, and 82-144 against
-// 204-259 ns in a rerun (one million lines, 4-vCPU Xeon, gcc 12.2).
+// JsonReader is the one JSON lexer. Json::parse builds its tree from the
+// reader's tokens; the model bundle's pull pass skips the tree for its
+// bulk and pulls the tokens itself, pull_last_member reads an object's
+// small members with Json::read, and the serve daemon's plain-select scan
+// (detail::scan_select) reads a request line's tokens with no tree at all.
+// So a document's grammar, its number conversion and its error texts are
+// the same whichever reads it. The per-token path is inline for the small
+// documents of the serve protocol; BM_ScanSelect and BM_ParseSelect
+// (bench/serve_throughput.cpp, EXPERIMENTS.md "Select lexer") time it.
 #pragma once
 
+#include <bit>
 #include <bitset>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <map>
 #include <string>
@@ -39,7 +38,10 @@ class Json;
 
 /// Pull tokenizer over JSON text. next() checks the grammar as it goes and
 /// throws JsonError("<what> at offset N") at the first malformed byte, the
-/// error Json::parse reports for the same text.
+/// error Json::parse reports for the same text. The per-token work
+/// (whitespace, punctuation, strings without escapes, integers of 1-15
+/// digits) is inline; literals, escapes, other numbers and every error
+/// are out of line in json.cpp.
 class JsonReader {
  public:
   /// kKey is an object member's key (its value follows); kEnd, that the
@@ -53,18 +55,58 @@ class JsonReader {
   explicit JsonReader(std::string_view text = {}) noexcept : text_(text) {}
 
   /// The next token; kEnd once the value is complete. Throws JsonError on
-  /// malformed input, after which failed() is true.
-  Token next();
-
-  /// After kBeginArray: reads the array's elements while they are numbers,
-  /// appending each to `out`, and returns the token that stopped it
-  /// (kEndArray when all were). The tokens and errors of next(), faster.
-  Token next_numbers(std::vector<double>& out);
+  /// malformed input, after which failed() is true. Inlined into every
+  /// caller with value() and key(), which the compiler's size heuristics
+  /// would not do.
+  [[gnu::always_inline]] Token next() {
+    bool key_next = false;
+    switch (state_) {
+      case State::kValue:
+        break;
+      case State::kArrayFirst:
+        skip_ws();
+        // The text ending here is an early end, not too deep a nesting.
+        if (pos_ == text_.size()) fail("unexpected end of input");
+        if (at(']')) return close(Token::kEndArray);
+        break;
+      case State::kObjectFirst:
+        skip_ws();
+        if (at('}')) return close(Token::kEndObject);
+        key_next = true;
+        break;
+      case State::kAfterValue: {
+        skip_ws();
+        if (depth_ == 0) return end();
+        if (pos_ == text_.size()) fail("unexpected end of input");
+        const char c = text_[pos_++];
+        const bool array = in_array_[static_cast<std::size_t>(depth_)];
+        if (c == (array ? ']' : '}')) {
+          return close(array ? Token::kEndArray : Token::kEndObject);
+        }
+        if (c != ',') {
+          fail(array ? "expected ',' or ']' in array"
+                     : "expected ',' or '}' in object");
+        }
+        key_next = !array;
+        break;
+      }
+      case State::kDone:
+        return Token::kEnd;
+    }
+    return key_next ? key() : value();
+  }
 
   /// Value of the kNumber just read.
   double number() const noexcept { return number_; }
+  /// Whether the kNumber just read was 1 to 15 digits with no sign, no
+  /// leading zero (a lone "0" included), fraction or exponent: an exact
+  /// unsigned integer below 10^15.
+  bool exact_unsigned() const noexcept { return exact_unsigned_; }
   /// The kString or kKey just read, unescaped. Valid until the next call.
   std::string_view string() const noexcept { return string_; }
+  /// Whether the kString or kKey just read had no escapes, so string()
+  /// views the text itself.
+  bool string_views_text() const noexcept { return !escaped_; }
 
   /// Byte offset where the next token's text (or its leading whitespace)
   /// starts: after a kKey, where the member's value starts.
@@ -92,7 +134,8 @@ class JsonReader {
     kValue, kArrayFirst, kObjectFirst, kAfterValue, kDone,
   };
 
-  [[noreturn]] void fail(const std::string& what);
+  static bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+
   void skip_ws() noexcept {
     while (pos_ < text_.size() &&
            (text_[pos_] == ' ' || text_[pos_] == '\t' ||
@@ -100,25 +143,118 @@ class JsonReader {
       ++pos_;
     }
   }
-  char peek();
-  void expect(char c);
-  Token value();
-  Token key();
-  Token open(bool array);
+  /// Consumes `c` if it is the next byte.
+  bool at(char c) noexcept {
+    if (pos_ == text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  [[gnu::always_inline]] Token value() {
+    if (depth_ >= kMaxDepth) fail("nesting deeper than 192 levels");
+    skip_ws();
+    if (pos_ == text_.size()) fail("unexpected end of input");
+    state_ = State::kAfterValue;
+    switch (text_[pos_]) {
+      case '{': return open(false);
+      case '[': return open(true);
+      case '"': read_string(); return Token::kString;
+      case 't': case 'f': case 'n': return literal();
+      default: return read_number();
+    }
+  }
+  [[gnu::always_inline]] Token key() {
+    skip_ws();
+    read_string();
+    skip_ws();
+    if (!at(':')) fail_expected(':');
+    state_ = State::kValue;
+    return Token::kKey;
+  }
+  Token open(bool array) noexcept {
+    ++pos_;
+    ++depth_;
+    in_array_[static_cast<std::size_t>(depth_)] = array;
+    state_ = array ? State::kArrayFirst : State::kObjectFirst;
+    return array ? Token::kBeginArray : Token::kBeginObject;
+  }
   Token close(Token token) noexcept {
     --depth_;
     state_ = State::kAfterValue;
     return token;
   }
-  Token literal(std::string_view word, Token token);
-  void read_string();
-  Token read_number();
+  /// Copy-free when the string has no escapes: string_ views the text.
+  [[gnu::always_inline]] void read_string() {
+    if (!at('"')) fail_expected('"');
+    const std::size_t start = pos_;
+    // Eight bytes at a time while they fit: the lowest byte that is a
+    // quote or a backslash ends the run.
+    if constexpr (std::endian::native == std::endian::little) {
+      constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+      while (pos_ + 8 <= text_.size()) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, text_.data() + pos_, 8);
+        const std::uint64_t quote = word ^ (kOnes * '"');
+        const std::uint64_t slash = word ^ (kOnes * '\\');
+        const std::uint64_t stops = (((quote - kOnes) & ~quote) |
+                                     ((slash - kOnes) & ~slash)) &
+                                    (kOnes << 7);
+        if (stops != 0) {
+          pos_ += static_cast<std::size_t>(std::countr_zero(stops)) / 8;
+          break;
+        }
+        pos_ += 8;
+      }
+    }
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
+    }
+    if (pos_ == text_.size() || text_[pos_] != '"') return read_escaped(start);
+    string_ = std::string_view(text_.data() + start, pos_++ - start);
+    escaped_ = false;
+  }
+  /// An optional '-' and 1 to 15 digits without a leading zero (a lone "0"
+  /// included), not followed by a fraction or exponent: below 2^53, so the
+  /// conversion is exact and equals what from_chars returns. Any other
+  /// token takes read_other_number.
+  [[gnu::always_inline]] Token read_number() {
+    const std::size_t start = pos_;
+    const bool negative = text_[pos_] == '-';
+    std::size_t end = pos_ + (negative ? 1 : 0);
+    const std::size_t digits = end;
+    std::uint64_t magnitude = 0;
+    while (end < text_.size() && end - digits < 16 && is_digit(text_[end])) {
+      magnitude = magnitude * 10 + static_cast<std::uint64_t>(text_[end] - '0');
+      ++end;
+    }
+    const std::size_t count = end - digits;
+    if (count == 0 || count > 15 || (count > 1 && text_[digits] == '0') ||
+        (end < text_.size() &&
+         (text_[end] == '.' || text_[end] == 'e' || text_[end] == 'E' ||
+          text_[end] == '+' || text_[end] == '-'))) {
+      return read_other_number(start);
+    }
+    pos_ = end;
+    const double value = static_cast<double>(magnitude);
+    number_ = negative ? -value : value;
+    exact_unsigned_ = !negative;
+    return Token::kNumber;
+  }
+
+  [[noreturn]] void fail(const char* what);
+  [[noreturn]] void fail_expected(char c);
+  Token end();
+  Token literal();
+  void read_escaped(std::size_t start);
+  Token read_other_number(std::size_t start);
 
   std::string_view text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
   State state_ = State::kValue;
   bool failed_ = false;
+  bool exact_unsigned_ = false;
+  bool escaped_ = false;
   double number_ = 0.0;
   std::string_view string_;
   std::string unescaped_;  ///< string_'s bytes when the token had escapes

@@ -214,70 +214,6 @@ namespace detail {
 
 namespace {
 
-bool json_space(char c) noexcept {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-}
-
-/// Cursor over one line for scan_select; every step skips leading JSON
-/// whitespace and returns false on anything outside the plain-select shape.
-class SelectScanner {
- public:
-  explicit SelectScanner(std::string_view line) : line_(line) {}
-
-  bool take(char c) noexcept {
-    skip_space();
-    if (pos_ == line_.size() || line_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  /// A string without escapes; `out` views its bytes.
-  bool string(std::string_view& out) noexcept {
-    if (!take('"')) return false;
-    const std::size_t start = pos_;
-    while (pos_ < line_.size() && line_[pos_] != '"' && line_[pos_] != '\\') {
-      ++pos_;
-    }
-    if (pos_ == line_.size() || line_[pos_] != '"') return false;
-    out = line_.substr(start, pos_ - start);
-    ++pos_;
-    return true;
-  }
-
-  /// 1-15 digits without a leading zero (a lone "0" included): the tokens
-  /// Json::parse converts exactly. A sign, fraction or exponent fails at
-  /// the ',' or '}' that must follow.
-  bool integer(std::uint64_t& out) noexcept {
-    skip_space();
-    const std::size_t start = pos_;
-    std::uint64_t value = 0;
-    while (pos_ < line_.size() && line_[pos_] >= '0' && line_[pos_] <= '9' &&
-           pos_ - start < 16) {
-      value = value * 10 + static_cast<std::uint64_t>(line_[pos_] - '0');
-      ++pos_;
-    }
-    const std::size_t digits = pos_ - start;
-    if (digits == 0 || digits > 15 || (digits > 1 && line_[start] == '0')) {
-      return false;
-    }
-    out = value;
-    return true;
-  }
-
-  bool at_end() noexcept {
-    skip_space();
-    return pos_ == line_.size();
-  }
-
- private:
-  void skip_space() noexcept {
-    while (pos_ < line_.size() && json_space(line_[pos_])) ++pos_;
-  }
-
-  std::string_view line_;
-  std::size_t pos_ = 0;
-};
-
 /// `"display_name":…,"selection":{…},`: the select reply's members that
 /// depend on the selection alone. No name holds a byte JSON escapes.
 std::string selection_fragment(const coll::Selection& selection) {
@@ -298,42 +234,42 @@ std::uint32_t fragment_key(const coll::Selection& s) {
 }  // namespace
 
 bool scan_select(std::string_view line, ScannedSelect& out) {
+  using Token = JsonReader::Token;
   static constexpr std::string_view kKeys[] = {"op",    "cluster", "collective",
                                                "nodes", "ppn",     "msg_bytes"};
-  SelectScanner scan(line);
-  if (!scan.take('{')) return false;
-  unsigned seen = 0;
-  do {
-    std::string_view key;
-    if (!scan.string(key) || !scan.take(':')) return false;
-    const auto index = static_cast<std::size_t>(
-        std::find(std::begin(kKeys), std::end(kKeys), key) - std::begin(kKeys));
-    if (index == std::size(kKeys) || ((seen >> index) & 1u) != 0) return false;
-    seen |= 1u << index;
-    std::string_view op;
-    switch (index) {
-      case 0:
-        if (!scan.string(op) || op != "select") return false;
-        break;
-      case 1:
-        if (!scan.string(out.cluster)) return false;
-        break;
-      case 2:
-        if (!scan.string(out.collective)) return false;
-        break;
-      case 3:
-        if (!scan.integer(out.nodes)) return false;
-        break;
-      case 4:
-        if (!scan.integer(out.ppn)) return false;
-        break;
-      default:
-        if (!scan.integer(out.msg_bytes)) return false;
-        break;
+  std::uint64_t* const integers[] = {&out.nodes, &out.ppn, &out.msg_bytes};
+  try {
+    JsonReader reader(line);
+    if (reader.next() != Token::kBeginObject) return false;
+    unsigned seen = 0;
+    while (reader.next() == Token::kKey) {
+      if (!reader.string_views_text()) return false;
+      const auto index = static_cast<std::size_t>(
+          std::find(std::begin(kKeys), std::end(kKeys), reader.string()) -
+          std::begin(kKeys));
+      if (index == std::size(kKeys) || ((seen >> index) & 1u) != 0) {
+        return false;
+      }
+      seen |= 1u << index;
+      const Token token = reader.next();
+      if (index >= 3) {
+        if (token != Token::kNumber || !reader.exact_unsigned()) return false;
+        *integers[index - 3] = static_cast<std::uint64_t>(reader.number());
+        continue;
+      }
+      if (token != Token::kString || !reader.string_views_text()) return false;
+      if (index == 0) {
+        if (reader.string() != "select") return false;
+      } else {
+        (index == 1 ? out.cluster : out.collective) = reader.string();
+      }
     }
-  } while (scan.take(','));
-  return seen == (1u << std::size(kKeys)) - 1 && scan.take('}') &&
-         scan.at_end();
+    // The object closed; the line must hold nothing after it.
+    return seen == (1u << std::size(kKeys)) - 1 &&
+           reader.next() == Token::kEnd;
+  } catch (const JsonError&) {
+    return false;  // malformed: Json::parse reports the error
+  }
 }
 
 std::string select_reply(const coll::Selection& selection, const char* cache,
@@ -478,22 +414,34 @@ bool ModelHost::revalidate() {
     }
     return publish(ticket, std::make_shared<const Snapshot>());
   };
-  // With a model loaded, every call hashes every byte of the file (no
-  // size or mtime shortcut: a same-length in-place edit must be caught),
-  // streamed, so the common unchanged case never holds the artifact in
-  // memory. With none loaded nothing can match, so go straight to the read.
-  if (snapshot()->framework != nullptr) {
-    std::string sum;
+  // With a model loaded, or the bytes of a failed load remembered, every
+  // call hashes every byte of the file (no size or mtime shortcut: a
+  // same-length in-place edit must be caught), streamed, so the common
+  // unchanged case never holds the artifact in memory. Otherwise nothing
+  // can match, so go straight to the read.
+  const bool known = [&] {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return snapshot_->framework != nullptr || failed_hash_.has_value();
+  }();
+  if (known) {
+    std::uint64_t hash = 0;
     try {
-      sum = "xxh64:" + hex16(hash_file(path_));
+      hash = hash_file(path_);
     } catch (const Error& err) {
       return unreadable(err);
     }
+    const std::string sum = "xxh64:" + hex16(hash);
     std::lock_guard<std::mutex> lock(mutex_);
     if (ticket < published_ticket_) return snapshot_->framework != nullptr;
     if (snapshot_->framework != nullptr && snapshot_->checksum == sum) {
       published_ticket_ = ticket;  // unchanged: confirm, don't reload
       return true;
+    }
+    if (snapshot_->framework == nullptr && failed_hash_ == hash) {
+      // Still the bytes that failed to load: they would fail again, so
+      // stay degraded without re-reading or warning again.
+      published_ticket_ = ticket;
+      return false;
     }
   }
   // Changed or not yet loaded: read the bytes to parse, and take the
@@ -506,7 +454,8 @@ bool ModelHost::revalidate() {
   } catch (const Error& err) {
     return unreadable(err);
   }
-  std::string sum = "xxh64:" + hex16(xxh64(bytes));
+  const std::uint64_t hash = xxh64(bytes);
+  std::string sum = "xxh64:" + hex16(hash);
   auto next = std::make_shared<Snapshot>();
   try {
     next->framework =
@@ -523,6 +472,8 @@ bool ModelHost::revalidate() {
     unusable.increment();
     warn("serve: model artifact failed to load (" + std::string(err.what()) +
          "); degrading to heuristic serving");
+    std::lock_guard<std::mutex> lock(mutex_);
+    failed_hash_ = hash;
   }
   bytes = std::string();
   const bool loaded = publish(ticket, std::move(next));

@@ -50,6 +50,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -220,7 +221,9 @@ class ModelHost {
 
   /// Re-hash every byte of the artifact; reload if its bytes changed. A
   /// reload ends by handing the heap's free pages back to the system.
-  /// Returns true when a usable model is loaded afterwards.
+  /// Bytes whose load failed are remembered by hash and not read again
+  /// while the file still holds them. Returns true when a usable model is
+  /// loaded afterwards.
   bool revalidate();
 
  private:
@@ -232,9 +235,11 @@ class ModelHost {
   std::string path_;
   /// Handed out before each read, so results publish in read order.
   std::atomic<std::uint64_t> tickets_{0};
-  mutable std::mutex mutex_;  ///< guards snapshot_ and published_ticket_
+  mutable std::mutex mutex_;  ///< guards the three members below
   std::shared_ptr<const Snapshot> snapshot_;
   std::uint64_t published_ticket_ = 0;
+  /// XXH64 of the bytes whose load last failed.
+  std::optional<std::uint64_t> failed_hash_;
 };
 
 /// The transport-independent request handler. Thread-safe: handle_line

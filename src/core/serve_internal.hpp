@@ -1,6 +1,6 @@
-// pml::core serve internals: the plain-select request scanner and the
-// select reply writer, declared here so tests can hold them against the
-// Json DOM they stand in for. Not part of the library's API.
+// pml::core serve internals: the plain-select request scan and the select
+// reply writer, declared here so tests can hold them against the Json DOM
+// they stand in for. Not part of the library's API.
 #pragma once
 
 #include <cstdint>
@@ -23,15 +23,17 @@ struct ScannedSelect {
   std::uint64_t msg_bytes = 0;
 };
 
-/// One pass over `line`. True, with `out` filled, when the line is a flat
-/// JSON object (JSON whitespace allowed anywhere between tokens) with
-/// exactly the keys op, cluster, collective, nodes, ppn and msg_bytes in
-/// any order: "op" is "select", "cluster" and "collective" are strings
-/// without a backslash, and the three integers are unsigned tokens of 1-15
-/// digits without a leading zero. Anything else — "wait", "deadline_ms",
-/// an inline cluster, escapes, unknown or repeated keys, signs, fractions,
-/// exponents, malformed JSON — returns false and takes the DOM path. Every
-/// accepted line parses with Json::parse to the same values.
+/// One pass over the JsonReader tokens of `line`, building no tree. True,
+/// with `out` filled, when the line is a JSON object with exactly the keys
+/// op, cluster, collective, nodes, ppn and msg_bytes in any order: "op" is
+/// "select", "cluster" and "collective" are strings the reader reports as
+/// views of the text (no escapes), and the three integers are numbers it
+/// reports as exact unsigned integers (1-15 digits, no sign, no leading
+/// zero). Anything else — "wait", "deadline_ms", an inline cluster,
+/// escapes, unknown or repeated keys, signs, fractions, exponents,
+/// malformed JSON — returns false and takes the DOM path, which reports
+/// the error. Every accepted line parses with Json::parse to the same
+/// values.
 bool scan_select(std::string_view line, ScannedSelect& out);
 
 /// The select request handle_select() answers, whichever path read it:

@@ -241,9 +241,10 @@ struct Column {
       return;
     }
     kind = Kind::kArray;
-    while ((token = reader.next_numbers(values)) != Token::kEndArray) {
-      if (bad == npos) bad = values.size();
-      values.push_back(0.0);
+    while ((token = reader.next()) != Token::kEndArray) {
+      const bool number = token == Token::kNumber;
+      if (!number && bad == npos) bad = values.size();
+      values.push_back(number ? reader.number() : 0.0);
       reader.skip(token);
     }
   }

@@ -79,19 +79,28 @@ struct ThreadState {
     Registry& r = registry();
     std::lock_guard<std::mutex> reg_lock(r.mutex);
     std::lock_guard<std::mutex> self_lock(mutex);
-    if (r.retired_counters.size() < counters.size()) {
-      r.retired_counters.resize(counters.size(), 0);
+    merge_into(r.retired_counters, r.retired_gauges, r.retired_spans);
+    r.threads.erase(std::find(r.threads.begin(), r.threads.end(), this));
+  }
+
+  /// Folds this thread's data into the totals: counters add, a gauge keeps
+  /// the largest max and the most recently set value, spans append. The
+  /// caller holds `mutex`. The one merge of exited threads (into the
+  /// registry) and of live ones (into a snapshot).
+  void merge_into(std::vector<std::uint64_t>& total_counters,
+                  std::vector<GaugeCell>& total_gauges,
+                  std::vector<SpanSample>& total_spans) const {
+    if (total_counters.size() < counters.size()) {
+      total_counters.resize(counters.size(), 0);
     }
     for (std::size_t i = 0; i < counters.size(); ++i) {
-      r.retired_counters[i] += counters[i];
+      total_counters[i] += counters[i];
     }
-    if (r.retired_gauges.size() < gauges.size()) {
-      r.retired_gauges.resize(gauges.size());
-    }
+    if (total_gauges.size() < gauges.size()) total_gauges.resize(gauges.size());
     for (std::size_t i = 0; i < gauges.size(); ++i) {
       const GaugeCell& cell = gauges[i];
       if (!cell.set) continue;
-      GaugeCell& out = r.retired_gauges[i];
+      GaugeCell& out = total_gauges[i];
       out.max = out.set ? std::max(out.max, cell.max) : cell.max;
       if (!out.set || cell.last_set_ns >= out.last_set_ns) {
         out.value = cell.value;
@@ -100,9 +109,8 @@ struct ThreadState {
       out.set = true;
     }
     for (const SpanEvent& e : spans) {
-      r.retired_spans.push_back(SpanSample{e.name, e.start_ns, e.dur_ns, tid});
+      total_spans.push_back(SpanSample{e.name, e.start_ns, e.dur_ns, tid});
     }
-    r.threads.erase(std::find(r.threads.begin(), r.threads.end(), this));
   }
 };
 
@@ -194,27 +202,7 @@ Snapshot snapshot() {
 
   for (ThreadState* ts : r.threads) {
     std::lock_guard<std::mutex> ts_lock(ts->mutex);
-    if (counters.size() < ts->counters.size()) {
-      counters.resize(ts->counters.size(), 0);
-    }
-    for (std::size_t i = 0; i < ts->counters.size(); ++i) {
-      counters[i] += ts->counters[i];
-    }
-    if (gauges.size() < ts->gauges.size()) gauges.resize(ts->gauges.size());
-    for (std::size_t i = 0; i < ts->gauges.size(); ++i) {
-      const GaugeCell& cell = ts->gauges[i];
-      if (!cell.set) continue;
-      GaugeCell& out = gauges[i];
-      out.max = out.set ? std::max(out.max, cell.max) : cell.max;
-      if (!out.set || cell.last_set_ns >= out.last_set_ns) {
-        out.value = cell.value;
-        out.last_set_ns = cell.last_set_ns;
-      }
-      out.set = true;
-    }
-    for (const SpanEvent& e : ts->spans) {
-      snap.spans.push_back(SpanSample{e.name, e.start_ns, e.dur_ns, ts->tid});
-    }
+    ts->merge_into(counters, gauges, snap.spans);
   }
 
   for (std::size_t i = 0; i < counters.size(); ++i) {

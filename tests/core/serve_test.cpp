@@ -965,6 +965,50 @@ TEST_F(ServeTest, UnloadableModelLeavesTheBreakerClosed) {
   EXPECT_EQ(engine.breaker_state(), BreakerState::kClosed);
 }
 
+TEST_F(ServeTest, CorruptModelLoadsOnceUntilItsBytesChange) {
+  // Every miss revalidates the model. Bytes that failed to load are known
+  // by their hash: while the file still holds them, a miss only hashes it,
+  // with no read, no load and no second warning. Repaired bytes load on
+  // the next miss.
+  const std::string pristine = read_file(model_path());
+  write_file(model_path(), "{\"not\": \"a model\"}\n");
+  const bool was = obs::set_enabled(true);
+  obs::reset();
+  const auto loads = [] {
+    std::map<std::string, std::uint64_t> seen;
+    const obs::Snapshot snap = obs::snapshot();
+    for (const obs::CounterSample& c : snap.counters) seen[c.name] = c.value;
+    for (const obs::SpanSample& s : snap.spans) ++seen[s.name];
+    return std::make_pair(seen["model.read"], seen["serve.model.unusable"]);
+  };
+  {
+    ServeEngine engine(options());
+    ASSERT_FALSE(engine.model_loaded());
+    const std::string tail =
+        R"(","collective":"allgather","nodes":2,"ppn":16,)"
+        R"("msg_bytes":1024,"wait":true})";
+    for (const char* cluster : {"MRI", "RI", "Rome", "Frontera"}) {
+      const Json reply =
+          reply_of(engine, std::string(R"({"op":"select","cluster":")") +
+                               cluster + tail);
+      ASSERT_TRUE(reply.at("ok").as_bool()) << cluster;
+      EXPECT_EQ(reply.at("source").as_string(), "heuristic") << cluster;
+    }
+    // The engine's own load attempt is the only one.
+    EXPECT_EQ(loads(), std::make_pair(std::uint64_t{1}, std::uint64_t{1}));
+
+    write_file(model_path(), pristine);
+    const Json repaired =
+        reply_of(engine, std::string(R"({"op":"select","cluster":"RI2)") + tail);
+    ASSERT_TRUE(repaired.at("ok").as_bool());
+    EXPECT_FALSE(repaired.at("degraded").as_bool());
+    EXPECT_TRUE(engine.model_loaded());
+    EXPECT_EQ(loads(), std::make_pair(std::uint64_t{2}, std::uint64_t{1}));
+  }
+  obs::reset();
+  obs::set_enabled(was);
+}
+
 /// A select reply rendered the way the engine rendered every select reply
 /// before it wrote them without a DOM: one Json DOM, dumped.
 std::string dom_select_reply(const coll::Selection& selection,
