@@ -11,8 +11,10 @@
 //  - percentage / ratio formatting.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -82,6 +84,35 @@ inline double selector_time(core::Selector& selector,
     if (space[a] == choice) return times[a];
   }
   throw ConfigError("selector returned an unknown selection");
+}
+
+/// The random and oracle baselines at one benchmark point, scored from its
+/// shared point_times over the flat prefix of the selection space
+/// (coll::algorithms_for(collective)): the label space of the flat models
+/// the benches train (default_train_options()), so a baseline draws from
+/// the same candidates the model ranks.
+struct FlatBaselines {
+  double random_expected;  ///< mean time of a uniform draw among valid ones
+  double random_worst;     ///< slowest valid candidate (a draw users hit)
+  double oracle;           ///< fastest measured (exhaustive micro-benchmark)
+};
+
+inline FlatBaselines flat_baselines(coll::Collective collective,
+                                    const std::vector<double>& times) {
+  const std::size_t flat = coll::algorithms_for(collective).size();
+  FlatBaselines out{0.0, 0.0, std::numeric_limits<double>::infinity()};
+  int valid = 0;
+  for (std::size_t a = 0; a < flat; ++a) {
+    const double t = times[a];
+    if (!std::isfinite(t)) continue;
+    out.random_expected += t;
+    out.random_worst = std::max(out.random_worst, t);
+    out.oracle = std::min(out.oracle, t);
+    ++valid;
+  }
+  if (valid == 0) throw ConfigError("flat_baselines: no valid algorithm");
+  out.random_expected /= valid;
+  return out;
 }
 
 /// "+36.6%" / "-5.6%" style percentage of baseline vs candidate.

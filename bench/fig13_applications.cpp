@@ -1,12 +1,42 @@
 // Reproduces Fig. 13: end-to-end application runtime of the Gromacs
 // (BenchMEM) and MiniFE proxies on Frontera under three tuning strategies:
 // the proposed framework, the MVAPICH2 2.3.7 default, and random
-// selection, across a strong-scaling process sweep.
+// selection, across a strong-scaling process sweep. Random draws among
+// the flat algorithms, the label space of the flat model trained here.
 #include <cmath>
 #include <cstdio>
 
 #include "apps/proxies.hpp"
 #include "bench_util.hpp"
+
+namespace {
+
+using namespace pml;
+
+/// A uniform draw among the flat algorithms valid at the topology, per
+/// call.
+class FlatRandomSelector final : public core::Selector {
+ public:
+  explicit FlatRandomSelector(std::uint64_t seed) : rng_(seed) {}
+  std::string name() const override { return "Random"; }
+  coll::Selection select(coll::Collective collective,
+                         const sim::ClusterSpec& /*cluster*/,
+                         sim::Topology topo,
+                         std::uint64_t /*msg_bytes*/) override {
+    valid_.clear();
+    for (const coll::Algorithm a : coll::algorithms_for(collective)) {
+      const coll::Selection s = coll::Selection::flat(a);
+      if (coll::selection_supports(s, topo)) valid_.push_back(s);
+    }
+    return valid_[static_cast<std::size_t>(rng_.uniform_index(valid_.size()))];
+  }
+
+ private:
+  Rng rng_;
+  std::vector<coll::Selection> valid_;
+};
+
+}  // namespace
 
 int main() {
   using namespace pml;
@@ -16,7 +46,7 @@ int main() {
   auto fw = core::PmlFramework::train(bench::clusters_except({"Frontera", "MRI"}),
                                       bench::default_train_options());
   core::MvapichDefaultSelector mvapich;
-  core::RandomSelector random_sel(23);
+  FlatRandomSelector random_sel(23);
 
   const struct {
     const char* app;

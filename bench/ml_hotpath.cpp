@@ -318,9 +318,10 @@ void BM_ScalarLoopInferencePml(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarLoopInferencePml)->Arg(1024)->Arg(4096)->ArgName("rows");
 
-// The compile inner kernel: one tuning-table cell's whole message sweep
-// answered by a single select_many (feature assembly + one batched forest
-// sweep + per-size ranking), the unit TuningTable::generate now issues.
+// One tuning-table cell's whole message sweep answered by a single
+// select_many (feature assembly + one forest sweep + per-size ranking).
+// TuningTable::generate issues one select_many per collective over its
+// whole grid instead; BM_GridCompileSweep times that kernel.
 void BM_BatchCompileSweep(benchmark::State& state) {
   auto& fw = framework();
   const auto& frontera = sim::cluster_by_name("Frontera");
@@ -429,6 +430,8 @@ BENCHMARK(BM_GridCompileSweep);
 
 // ---- framework-level headline series --------------------------------------
 
+// One select(): select_many's one-cell, one-size grid, the path a serve
+// table-cache miss takes.
 void BM_SingleInference(benchmark::State& state) {
   auto& fw = framework();
   const auto& frontera = sim::cluster_by_name("Frontera");

@@ -251,12 +251,17 @@ void write_artifact(const std::string& path, const Json& payload,
   // The envelope's compact dump(), spliced by hand: the payload is dumped
   // once (that text is also what the checksum covers) and never
   // deep-copied into an envelope Json.
-  const std::string body = payload.dump();
-  std::string text = envelope_head(std::string(kind), schema_version,
-                                   checksum_of_dump(body));
-  text.reserve(text.size() + body.size() + 2);
-  text += body;
-  text += "}\n";
+  std::string text;
+  {
+    obs::Span span("artifact.dump");
+    const std::string body = payload.dump();
+    text = envelope_head(std::string(kind), schema_version,
+                         checksum_of_dump(body));
+    text.reserve(text.size() + body.size() + 2);
+    text += body;
+    text += "}\n";
+  }
+  obs::Span span("artifact.write");
   write_file_atomic(path, text);
 }
 

@@ -163,9 +163,7 @@ namespace {
 /// power-of-two-only recursive doubling, or a leader schedule on a
 /// single-node job). Classes index coll::selection_space(collective), whose
 /// flat prefix matches the v1 label space — so a v1 bundle's classes map
-/// unchanged. Shared by select() and select_many() so the two paths break
-/// probability ties identically — that is what makes batched table compiles
-/// bit-identical to scalar ones.
+/// unchanged.
 coll::Selection pick_ranked(std::span<const double> proba,
                             std::span<const coll::Selection> space,
                             std::vector<std::size_t>& order,
@@ -193,27 +191,10 @@ coll::Selection PmlFramework::select(Collective collective,
                                      const sim::ClusterSpec& cluster,
                                      sim::Topology topo,
                                      std::uint64_t msg_bytes) {
-  const PerCollective& p = part(collective);
-
-  // Hot path: one select() per uncached serve request. All scratch is
-  // thread_local and only ever grows to num_classes/feature_count, so a
-  // steady-state call performs zero heap allocations (guarded by the
-  // ml_hotpath bench).
-  thread_local std::vector<double> full;
-  thread_local std::vector<double> row;
-  thread_local std::vector<double> proba;
-  thread_local std::vector<std::size_t> order;
-
-  {
-    // Paper Fig. 4 decomposition: feature extraction vs. model inference.
-    obs::Span span("online.feature_extraction");
-    extract_features_into(cluster, topo.nodes, topo.ppn, msg_bytes, full);
-    project_features_into(full, p.columns, row);
-  }
-  obs::Span span("online.inference");
-  proba.resize(static_cast<std::size_t>(p.forest.num_classes()));
-  p.forest.predict_proba_into(row, proba);
-  return pick_ranked(proba, coll::selection_space(collective), order, topo);
+  coll::Selection out;
+  select_many(collective, cluster, topo, std::span(&msg_bytes, 1),
+              std::span(&out, 1));
+  return out;
 }
 
 void PmlFramework::select_many(Collective collective,
@@ -225,9 +206,10 @@ void PmlFramework::select_many(Collective collective,
   if (out.empty()) return;
   const PerCollective& p = part(collective);
 
-  // The compile hot path: one call per collective per compile. Same
-  // thread_local scratch discipline as select() — the buffers only ever
-  // grow, so steady-state grids allocate nothing.
+  // Every model query lands here: one call per collective per compile, and
+  // one one-cell call per select(). All scratch is thread_local and only
+  // ever grows, so a steady-state call allocates nothing (guarded by the
+  // ml_hotpath bench).
   thread_local std::vector<double> full;
   thread_local std::vector<double> row;
   thread_local std::vector<double> sizes;
@@ -273,7 +255,7 @@ TuningTable PmlFramework::compile_for(const sim::ClusterSpec& cluster,
   std::vector<coll::Collective> trained;
   for (const auto& [collective, part] : parts_) trained.push_back(collective);
   const auto start = std::chrono::steady_clock::now();
-  // select() only reads the trained forests, so the sweep can fan out.
+  // select_many() only reads the trained forests, so the sweep can fan out.
   TuningTable table = TuningTable::generate(*this, cluster, sweep.node_counts,
                                             sweep.ppn_values,
                                             sweep.message_sizes, trained,

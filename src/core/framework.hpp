@@ -83,10 +83,10 @@ struct CompileOptions {
 };
 
 // Thread-safety contract: once constructed (train/load), a PmlFramework is
-// immutable. select(), compile_for() and compile_or_cached() are therefore
-// safe to call concurrently from any number of threads on one instance
-// (each caller must own its `cache` argument); the trained parts_ map is
-// only ever read after construction and all select() scratch is
+// immutable. select(), select_many(), compile_for() and compile_or_cached()
+// are therefore safe to call concurrently from any number of threads on one
+// instance (each caller must own its `cache` argument); the trained parts_
+// map is only ever read after construction and all inference scratch is
 // thread_local. Do not move/assign the framework concurrently with queries.
 class PmlFramework final : public Selector {
  public:
@@ -111,25 +111,25 @@ class PmlFramework final : public Selector {
       std::span<const TuningRecord> alltoall_records,
       const TrainOptions& options = {});
 
-  // --- Selector interface: direct single-point inference -------------------
+  // --- Selector interface ----------------------------------------------------
   // The model's classes index coll::selection_space(collective): a bundle
   // trained on the v1 flat label space covers the space's flat prefix and
   // keeps working unchanged; a label-space-v2 bundle ranks hierarchical
-  // selections too.
+  // selections too. Every query runs the grid kernel below; select() is its
+  // one-cell, one-size grid, so a point answer and a compiled table cannot
+  // disagree.
   std::string name() const override { return "PML-MPI"; }
   coll::Selection select(coll::Collective collective,
                          const sim::ClusterSpec& cluster, sim::Topology topo,
                          std::uint64_t msg_bytes) override;
 
-  /// Batched select() over a (topology x message size) grid, the
-  /// tuning-table compile hot path: assembles one fixed feature row per
-  /// topology into a reused thread_local Matrix, runs one FlatForest
-  /// predict_sweep over the message-size column, and ranks each row with
-  /// the same tie-breaking as select() — so out[c * msg_sizes.size() + i]
-  /// is exactly what select() would return for (topos[c], msg_sizes[i]),
-  /// with zero steady-state allocations. Throws TuningError when out does
-  /// not hold topos x sizes slots. Thread-safe under the same contract as
-  /// select().
+  /// The model over a (topology x message size) grid: assembles one fixed
+  /// feature row per topology into a reused thread_local Matrix, runs one
+  /// FlatForest predict_sweep over the message-size column, ranks each
+  /// row's classes by descending probability and takes the first selection
+  /// valid at the row's topology; out[c * msg_sizes.size() + i] answers
+  /// (topos[c], msg_sizes[i]). Zero steady-state allocations. Throws
+  /// TuningError when out does not hold topos x sizes slots.
   void select_many(coll::Collective collective,
                    const sim::ClusterSpec& cluster,
                    std::span<const sim::Topology> topos,

@@ -46,7 +46,8 @@ class Selector {
   /// topos.size() * msg_sizes.size() slots. The default loops select();
   /// model-backed selectors override it to answer the whole grid with one
   /// inference call. Overrides must return exactly what a select() loop
-  /// would (table compilation depends on it).
+  /// would (table compilation depends on it); PmlFramework meets this by
+  /// making select() its one-cell grid.
   virtual void select_many(coll::Collective collective,
                            const sim::ClusterSpec& cluster,
                            std::span<const sim::Topology> topos,

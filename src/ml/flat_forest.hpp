@@ -51,15 +51,16 @@
 //
 // Inference has two kernels, bit-identical to each other and to the
 // per-tree node walk. predict_proba_into() walks one row through all trees
-// (tree 0..T in sequence, one divide at the end); it is the reference and
-// the single-row path. predict_sweep() is the block descent below, and
-// predict_batch() is predict_sweep() over a grid of one placeholder value
-// that no column takes, so a batch's rows are its cells. For a batch the
-// descent tests each split it visits on every row of the block that
-// reached it in one branch-free loop, so the data-dependent branch the row
-// walk mispredicts per (split, row) is taken once per (split, block); and
-// a column that one block's rows share (the hardware columns of rows from
-// one cluster) is tested once.
+// (tree 0..T in sequence, one divide at the end); it is the reference the
+// kernel tests compare against, and it backs the ml::Classifier override.
+// predict_sweep() is the block descent below, which answers every model
+// query, one cell or many, and predict_batch() is predict_sweep() over a
+// grid of one placeholder value that no column takes, so a batch's rows
+// are its cells. For a batch the descent tests each split it visits on
+// every row of the block that reached it in one branch-free loop, so the
+// data-dependent branch the row walk mispredicts per (split, row) is taken
+// once per (split, block); and a column that one block's rows share (the
+// hardware columns of rows from one cluster) is tested once.
 //
 // predict_sweep() answers a grid whose rows differ in one column only: a
 // tuning-table compile asks for every (cell, message size) pair, and 13 of
@@ -162,8 +163,9 @@ class FlatForest {
   // --- Inference -------------------------------------------------------------
 
   /// Mean class distribution over all trees, written into `out` (size
-  /// num_classes()). Allocation-free; bit-identical to averaging the
-  /// node-walk predictions tree by tree.
+  /// num_classes()): the reference row walk (header comment).
+  /// Allocation-free; bit-identical to averaging the node-walk predictions
+  /// tree by tree.
   void predict_proba_into(std::span<const double> row,
                           std::span<double> out) const;
 

@@ -21,6 +21,23 @@ std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted,
   return sorted[rank - 1];
 }
 
+/// Add the snapshot's "counters" and "gauges" members to `doc`, in that
+/// order: the one rendering both exports share.
+void add_counters_and_gauges(const Snapshot& snap, Json& doc) {
+  Json counters = Json::object();
+  for (const CounterSample& c : snap.counters) counters[c.name] = c.value;
+  doc["counters"] = std::move(counters);
+
+  Json gauges = Json::object();
+  for (const GaugeSample& g : snap.gauges) {
+    Json cell = Json::object();
+    cell["value"] = g.value;
+    cell["max"] = g.max;
+    gauges[g.name] = std::move(cell);
+  }
+  doc["gauges"] = std::move(gauges);
+}
+
 }  // namespace
 
 std::vector<SpanStats> span_stats(const Snapshot& snap) {
@@ -58,22 +75,11 @@ Json chrome_trace_json(const Snapshot& snap) {
     events.push_back(std::move(e));
   }
 
-  Json counters = Json::object();
-  for (const CounterSample& c : snap.counters) counters[c.name] = c.value;
-  Json gauges = Json::object();
-  for (const GaugeSample& g : snap.gauges) {
-    Json cell = Json::object();
-    cell["value"] = g.value;
-    cell["max"] = g.max;
-    gauges[g.name] = std::move(cell);
-  }
-
   Json doc = Json::object();
   doc["traceEvents"] = std::move(events);
   doc["displayTimeUnit"] = "ms";
   Json other = Json::object();
-  other["counters"] = std::move(counters);
-  other["gauges"] = std::move(gauges);
+  add_counters_and_gauges(snap, other);
   doc["otherData"] = std::move(other);
   return doc;
 }
@@ -81,19 +87,7 @@ Json chrome_trace_json(const Snapshot& snap) {
 Json metrics_json(const Snapshot& snap) {
   Json doc = Json::object();
   doc["format"] = "pml-metrics-v1";
-
-  Json counters = Json::object();
-  for (const CounterSample& c : snap.counters) counters[c.name] = c.value;
-  doc["counters"] = std::move(counters);
-
-  Json gauges = Json::object();
-  for (const GaugeSample& g : snap.gauges) {
-    Json cell = Json::object();
-    cell["value"] = g.value;
-    cell["max"] = g.max;
-    gauges[g.name] = std::move(cell);
-  }
-  doc["gauges"] = std::move(gauges);
+  add_counters_and_gauges(snap, doc);
 
   Json spans = Json::object();
   for (const SpanStats& st : span_stats(snap)) {

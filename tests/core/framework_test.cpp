@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "coll/cost.hpp"
 #include "common/error.hpp"
+#include "core/features.hpp"
 
 namespace pml::core {
 namespace {
@@ -84,6 +87,53 @@ TEST(Framework, SelectManyAndSelectBatchMatchScalarSelect) {
   EXPECT_THROW(fw.select_many(coll::Collective::kAlltoall, mri,
                               sim::Topology{3, 16}, sizes, wrong),
                TuningError);
+}
+
+TEST(Framework, SelectMatchesTheReferenceRowWalkOnEveryCluster) {
+  // select() is the grid kernel's one-cell grid, so the grid tests below
+  // compare that kernel with itself. This one holds select() against the
+  // reference row walk, ranked from scratch: the full feature row,
+  // projected to the model's columns, through predict_proba_into; classes
+  // in stable descending probability; the first selection valid at the
+  // topology. Every Table-I cluster's default grid, both paper
+  // collectives.
+  auto fw = shared_framework();
+  ASSERT_EQ(sim::builtin_clusters().size(), 18u);
+  for (const sim::ClusterSpec& cluster : sim::builtin_clusters()) {
+    const CompileOptions sweep = resolve_compile_sweep(cluster, {});
+    for (const coll::Collective collective : coll::paper_collectives()) {
+      const ml::RandomForest& forest = fw.model(collective);
+      const auto& columns = fw.selected_columns(collective);
+      const auto& space = coll::selection_space(collective);
+      std::vector<double> proba(
+          static_cast<std::size_t>(forest.num_classes()));
+      std::vector<std::size_t> order(proba.size());
+      for (const int nodes : sweep.node_counts) {
+        for (const int ppn : sweep.ppn_values) {
+          const sim::Topology topo{nodes, ppn};
+          for (const std::uint64_t msg : sweep.message_sizes) {
+            const auto row = project_features(
+                extract_features(cluster, nodes, ppn, msg), columns);
+            forest.predict_proba_into(row, proba);
+            std::iota(order.begin(), order.end(), 0u);
+            std::stable_sort(order.begin(), order.end(),
+                             [&](std::size_t a, std::size_t b) {
+                               return proba[a] > proba[b];
+                             });
+            const auto first = std::ranges::find_if(
+                order, [&](std::size_t c) {
+                  return coll::selection_supports(space[c], topo);
+                });
+            ASSERT_NE(first, order.end());
+            EXPECT_EQ(fw.select(collective, cluster, topo, msg),
+                      space[*first])
+                << cluster.name << " " << coll::to_string(collective) << " "
+                << nodes << "x" << ppn << " msg " << msg;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Framework, BeatsRandomSelectionOnUnseenCluster) {
