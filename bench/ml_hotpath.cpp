@@ -129,7 +129,7 @@ BENCHMARK(BM_TreeFitPml)->Arg(0)->Arg(1)->ArgName("reference")
 // A whole forest fit on pml_allgather() with the `pml train` forest
 // (TrainOptions::forest: 100 trees, 6 features per split), at one thread
 // and at all of them: the ranking, the tree fits, and the merge after the
-// tree barrier (the bulk append and the out-of-bag sums).
+// tree barrier (the bulk append).
 void BM_ForestFitPml(benchmark::State& state) {
   const ml::Dataset& d = pml_allgather();
   ml::RandomForestParams fp = bench::default_train_options().forest;
@@ -138,7 +138,7 @@ void BM_ForestFitPml(benchmark::State& state) {
     ml::RandomForest forest(fp);
     Rng rng(99);
     forest.fit(d, rng);
-    benchmark::DoNotOptimize(forest.oob_score());
+    benchmark::DoNotOptimize(forest.tree_count());
   }
 }
 BENCHMARK(BM_ForestFitPml)->Arg(1)->Arg(0)->ArgName("threads")

@@ -764,8 +764,6 @@ ServeEngine::CacheProbe ServeEngine::probe_cache(
 }
 
 const char* ServeEngine::degrade(Admission admission) {
-  static obs::Counter fallback("online.fallback.heuristic");
-  fallback.increment();
   note(Event::kDegraded);
   return admission == Admission::kShed ? "shed" : "heuristic";
 }

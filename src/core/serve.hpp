@@ -25,7 +25,7 @@
 // PmlFramework::select on the request thread, lock-free against the
 // shared framework), HeuristicSelector for "table". Heuristic answers are
 // marked "degraded" and are never cached, and each one bumps the
-// online.fallback.heuristic counter.
+// serve.degraded counter.
 //
 // The stack is overload-safe by construction (docs/API.md, "Serve
 // protocol > Limits"): the engine sheds misses past a bounded pending-
@@ -369,9 +369,8 @@ class ServeEngine {
                          const sim::ClusterSpec& cluster,
                          const CompileOptions& resolved);
 
-  /// The heuristic rung's accounting (serve.degraded and the batch online
-  /// stage's online.fallback.heuristic); returns the reply `source`:
-  /// "shed" when admission shed the miss, else "heuristic".
+  /// The heuristic rung's accounting (serve.degraded); returns the reply
+  /// `source`: "shed" when admission shed the miss, else "heuristic".
   const char* degrade(Admission admission);
 
   /// Find-or-start the compile job for `key`, subject to admission

@@ -215,6 +215,31 @@ Json TuningTable::to_json() const {
   return j;
 }
 
+namespace {
+
+/// A table's node or ppn count, which lookup() takes the log2 of: an
+/// integer in [1, INT_MAX]. `what` names the member in the error.
+int positive_count(const Json& value, const std::string& what) {
+  const std::int64_t v = value.as_int();
+  if (v < 1 || v > std::numeric_limits<int>::max()) {
+    throw TuningError(what + " must be in [1, " +
+                      std::to_string(std::numeric_limits<int>::max()) +
+                      "], got " + value.dump());
+  }
+  return static_cast<int>(v);
+}
+
+/// A table's message size in bytes: a non-negative integer.
+std::uint64_t byte_count(const Json& value, const std::string& what) {
+  const std::int64_t v = value.as_int();
+  if (v < 0) {
+    throw TuningError(what + " must be non-negative, got " + value.dump());
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+}  // namespace
+
 TuningTable TuningTable::from_json(const Json& j) {
   if (!j.contains("format") ||
       j.at("format").as_string() != "pml-mpi-tuning-table-v2") {
@@ -227,24 +252,34 @@ TuningTable TuningTable::from_json(const Json& j) {
   }
   if (j.contains("sweep")) {  // absent in pre-provenance tables
     const Json& sweep = j.at("sweep");
-    for (const Json& n : sweep.at("nodes").as_array()) {
-      table.sweep_nodes_.push_back(static_cast<int>(n.as_int()));
-    }
-    for (const Json& p : sweep.at("ppn").as_array()) {
-      table.sweep_ppn_.push_back(static_cast<int>(p.as_int()));
-    }
-    for (const Json& m : sweep.at("msg_sizes").as_array()) {
-      table.sweep_msgs_.push_back(static_cast<std::uint64_t>(m.as_int()));
-    }
+    const auto read = [&](const char* name, auto& out, auto convert) {
+      const Json::Array& values = sweep.at(name).as_array();
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        out.push_back(convert(values[i], "tuning table sweep " +
+                                             std::string(name) + "[" +
+                                             std::to_string(i) + "]"));
+      }
+    };
+    read("nodes", table.sweep_nodes_, positive_count);
+    read("ppn", table.sweep_ppn_, positive_count);
+    read("msg_sizes", table.sweep_msgs_, byte_count);
   }
-  for (const Json& jj : j.at("jobs").as_array()) {
+  const Json::Array& jobs = j.at("jobs").as_array();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Json& jj = jobs[i];
     JobTable job;
     job.collective = coll::collective_from_string(jj.at("collective").as_string());
-    job.nodes = static_cast<int>(jj.at("nodes").as_int());
-    job.ppn = static_cast<int>(jj.at("ppn").as_int());
-    for (const Json& ej : jj.at("entries").as_array()) {
+    const std::string name = "tuning table job " + std::to_string(i) + " (" +
+                             coll::to_string(job.collective) + ")";
+    job.nodes = positive_count(jj.at("nodes"), name + " nodes");
+    job.ppn = positive_count(jj.at("ppn"), name + " ppn");
+    const Json::Array& entries = jj.at("entries").as_array();
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      const Json& ej = entries[k];
       TuningEntry e;
-      e.max_bytes = static_cast<std::uint64_t>(ej.at("max_bytes").as_int());
+      e.max_bytes = byte_count(ej.at("max_bytes"), name + " entry " +
+                                                       std::to_string(k) +
+                                                       " max_bytes");
       e.selection = coll::Selection::decode(
           job.collective, ej.at("selection").as_string());
       job.entries.push_back(e);

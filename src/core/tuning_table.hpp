@@ -19,9 +19,9 @@
 namespace pml::core {
 
 /// One size range: applies to message sizes <= max_bytes (entries are
-/// ordered; the last entry of a job table is open-ended). Since table
-/// schema v2 the entry stores a structured coll::Selection; v1 artifacts
-/// (bare algorithm names) decode into flat selections.
+/// ordered; the last entry of a job table is open-ended). The entry stores
+/// a structured coll::Selection, as table schema v2 does; from_json
+/// refuses v1 documents, whose entries held bare algorithm names.
 struct TuningEntry {
   std::uint64_t max_bytes = 0;
   coll::Selection selection = coll::Selection::flat(coll::Algorithm::kAgRing);
@@ -51,8 +51,7 @@ class TuningTable {
 
   bool has(coll::Collective collective, int nodes, int ppn) const;
 
-  /// Registered job tables, in registration order (exposed so the online
-  /// ladder can merge per-collective heuristic jobs into a partial table).
+  /// Registered job tables, in registration order.
   const std::vector<JobTable>& jobs() const noexcept { return jobs_; }
 
   /// Algorithm for the job shape and message size. Exact (nodes, ppn) match
@@ -67,13 +66,13 @@ class TuningTable {
 
   /// Build a table by querying a selector over a sweep (used both for the
   /// ML path and for baking baseline heuristics into table form).
-  /// `collectives` defaults to the two the paper evaluates. With
-  /// threads > 1 the (collective, nodes, ppn) job cells are filled
-  /// concurrently — the selector's select() must then be thread-safe
-  /// (stateless selectors qualify, as does PmlFramework for select() *and*
-  /// compile paths — see the thread-safety contract in core/framework.hpp;
-  /// RandomSelector does not) — and the output ordering is identical to
-  /// the serial sweep.
+  /// `collectives` defaults to the two the paper evaluates. Each collective
+  /// is one select_many() call over every (nodes, ppn) shape of the sweep.
+  /// With threads > 1 the collectives run concurrently, so select_many()
+  /// must then be thread-safe (stateless selectors qualify, as does
+  /// PmlFramework — see the thread-safety contract in core/framework.hpp;
+  /// RandomSelector, which draws from one Rng, does not), and the table is
+  /// identical to the serial sweep's.
   static TuningTable generate(Selector& selector,
                               const sim::ClusterSpec& cluster,
                               std::span<const int> node_counts,
@@ -117,8 +116,8 @@ class TuningTable {
 
   /// True when this table was compiled for `cluster` (name and hardware
   /// fingerprint both match) — the cache-hit precondition alongside
-  /// matches_sweep(). Tables without a fingerprint never match: recompiling
-  /// upgrades them, exactly like pre-envelope cache entries.
+  /// matches_sweep(). Tables without a fingerprint (hand-built, or
+  /// predating the field) never match, so a cache recompiles them.
   bool matches_cluster(const sim::ClusterSpec& cluster) const;
 
   /// Wall-clock seconds of the compile_for sweep that produced this table

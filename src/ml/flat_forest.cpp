@@ -296,26 +296,13 @@ void FlatForest::predict_proba_into(std::span<const double> row,
 
 void FlatForest::tree_leaf(std::size_t tree, std::span<const double> row,
                            std::span<double> out) const {
-  const std::size_t leaf = leaf_of(tree, row);
-  require_classes(out.size());
-  expand_leaf(leaf, out);
-}
-
-std::size_t FlatForest::leaf_of(std::size_t tree,
-                                std::span<const double> row) const {
   if (!sealed_) throw MlError("flat forest: predict before finish");
   if (tree >= roots_.size()) throw MlError("flat forest: tree out of range");
   if (row.size() < min_row_length_) {
     throw MlError("flat forest: row has too few features");
   }
-  return walk(roots_[tree], row);
-}
-
-void FlatForest::add_leaf_entries(std::size_t leaf,
-                                  std::span<double> out) const {
-  if (leaf >= leaf_count()) throw MlError("flat forest: leaf out of range");
   require_classes(out.size());
-  add_leaf_to(leaf, out.data());
+  expand_leaf(walk(roots_[tree], row), out);
 }
 
 void FlatForest::expand_leaf(std::size_t leaf, std::span<double> out) const {

@@ -180,13 +180,6 @@ class FlatForest {
   std::size_t leaf_count() const noexcept { return leaf_begin_.size() - 1; }
   /// Stored leaf entries (the sparse leaves' non-+0.0 values).
   std::size_t entry_count() const noexcept { return leaf_value_.size(); }
-  /// Ordinal of the leaf this row reaches in tree `tree` (tree_leaf's
-  /// checks).
-  std::size_t leaf_of(std::size_t tree, std::span<const double> row) const;
-  /// out[c] += p_c for every stored entry (c, p_c) of leaf `leaf`; `out`
-  /// holds num_classes() values. The entries left out are +0.0, so this
-  /// adds a leaf's distribution with the bits of a dense add.
-  void add_leaf_entries(std::size_t leaf, std::span<double> out) const;
 
   /// predict_proba_into for many rows at once; `out` is row-major
   /// rows.rows() x num_classes(). Checks the batch's shapes once, then runs

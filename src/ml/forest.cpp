@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -13,20 +11,12 @@
 
 namespace pml::ml {
 
-namespace {
-
-/// oob_leaf's mark for a row in a tree's bootstrap sample.
-constexpr std::uint32_t kInBag = std::numeric_limits<std::uint32_t>::max();
-
-}  // namespace
-
 void RandomForest::fit(const Dataset& train, Rng& rng) {
   obs::Span span("ml.forest_fit");
   train.validate();
   if (params_.n_trees < 1) throw MlError("forest: n_trees must be >= 1");
   num_classes_ = train.num_classes;
   n_features_ = train.x.cols();
-  oob_score_.reset();
 
   TreeParams tp;
   tp.max_depth = params_.max_depth;
@@ -51,13 +41,6 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
   // non-finite feature value is rejected.
   const ColumnRanks ranks(train.x, params_.threads);
   std::vector<DecisionTree> trees(n_trees, DecisionTree(tp));
-  // oob_leaf[t * n + i]: the leaf of tree t that out-of-bag row i reaches,
-  // or kInBag. Each worker fills its tree's slice, walking the rows while
-  // the tree is in cache, so the array is not zeroed up front.
-  const std::size_t oob_size = params_.bootstrap ? n_trees * n : 0;
-  const auto oob_leaf =
-      std::make_unique_for_overwrite<std::uint32_t[]>(oob_size);
-
   parallel_for(params_.threads, n_trees, [&](std::size_t t) {
     obs::Span tree_span("ml.tree_fit");
     Rng& tree_rng = tree_rngs[t];
@@ -65,36 +48,25 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
       trees[t].fit(train.x, ranks, train.y, num_classes_, tree_rng, {});
       return;
     }
-    std::uint32_t* leaf = oob_leaf.get() + t * n;
-    std::fill(leaf, leaf + n, 0);
     std::vector<std::size_t> sample(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sample[i] = static_cast<std::size_t>(tree_rng.uniform_index(n));
-      leaf[sample[i]] = kInBag;
+    for (std::size_t& row : sample) {
+      row = static_cast<std::size_t>(tree_rng.uniform_index(n));
     }
     trees[t].fit(train.x, ranks, train.y, num_classes_, tree_rng, sample);
-    const FlatForest& tree = trees[t].flat();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (leaf[i] != kInBag) {
-        leaf[i] = static_cast<std::uint32_t>(tree.leaf_of(0, train.x.row(i)));
-      }
-    }
   });
 
-  // After the barrier: one bulk copy per tree into the reserved forest,
-  // then the out-of-bag vote sums on the pool.
+  // After the barrier: one bulk copy per tree into the reserved forest.
   obs::Span merge_span("ml.forest_merge");
-  std::vector<std::size_t> leaf_base(n_trees + 1, 0);
   std::size_t nodes = 0;
+  std::size_t leaves = 0;
   std::size_t entries = 0;
-  for (std::size_t t = 0; t < n_trees; ++t) {
-    const FlatForest& tree = trees[t].flat();
-    leaf_base[t + 1] = leaf_base[t] + tree.leaf_count();
-    nodes += tree.node_count();
-    entries += tree.entry_count();
+  for (const DecisionTree& tree : trees) {
+    nodes += tree.flat().node_count();
+    leaves += tree.flat().leaf_count();
+    entries += tree.flat().entry_count();
   }
   flat_ = FlatForest{};
-  flat_.reserve(nodes, leaf_base.back(), entries);
+  flat_.reserve(nodes, leaves, entries);
   depths_.clear();
   importances_.clear();
   for (DecisionTree& tree : trees) {
@@ -105,54 +77,6 @@ void RandomForest::fit(const Dataset& train, Rng& rng) {
     tree = DecisionTree(tp);  // its columns now live in flat_
   }
   flat_.finish(num_classes_);
-  if (params_.bootstrap) {
-    oob_score_ = oob_accuracy(train, {oob_leaf.get(), oob_size}, leaf_base);
-  }
-}
-
-std::optional<double> RandomForest::oob_accuracy(
-    const Dataset& train, std::span<const std::uint32_t> oob_leaf,
-    std::span<const std::size_t> leaf_base) const {
-  // Rows are scored in chunks on the pool. Each row's votes are summed over
-  // the trees it was out of bag for, in tree order, as a serial loop adds
-  // them.
-  constexpr std::size_t kChunk = 256;
-  const std::size_t n = train.size();
-  const auto k = static_cast<std::size_t>(num_classes_);
-  const std::size_t chunks = (n + kChunk - 1) / kChunk;
-  std::vector<std::size_t> scored(chunks, 0);
-  std::vector<std::size_t> correct(chunks, 0);
-  parallel_for(params_.threads, chunks, [&](std::size_t chunk) {
-    const std::size_t first = chunk * kChunk;
-    const std::size_t last = std::min(n, first + kChunk);
-    std::vector<double> votes((last - first) * k, 0.0);
-    for (std::size_t t = 0; t < flat_.tree_count(); ++t) {
-      for (std::size_t i = first; i < last; ++i) {
-        const std::uint32_t leaf = oob_leaf[t * n + i];
-        if (leaf == kInBag) continue;
-        flat_.add_leaf_entries(leaf_base[t] + leaf,
-                               {votes.data() + (i - first) * k, k});
-      }
-    }
-    for (std::size_t i = first; i < last; ++i) {
-      const std::span<const double> v(votes.data() + (i - first) * k, k);
-      double total = 0.0;
-      for (const double x : v) total += x;
-      if (total <= 0.0) continue;  // never out of bag
-      ++scored[chunk];
-      const int pred = static_cast<int>(
-          std::max_element(v.begin(), v.end()) - v.begin());
-      if (pred == train.y[i]) ++correct[chunk];
-    }
-  });
-  std::size_t scored_rows = 0;
-  std::size_t correct_rows = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    scored_rows += scored[c];
-    correct_rows += correct[c];
-  }
-  if (scored_rows == 0) return std::nullopt;
-  return static_cast<double>(correct_rows) / static_cast<double>(scored_rows);
 }
 
 std::vector<double> RandomForest::predict_proba(

@@ -58,9 +58,6 @@ class RandomForest final : public Classifier {
   /// paper §V-A.
   std::vector<double> feature_importances() const;
 
-  /// Out-of-bag accuracy estimate (only when bootstrap was enabled).
-  std::optional<double> oob_score() const noexcept { return oob_score_; }
-
   const RandomForestParams& params() const noexcept { return params_; }
   std::size_t tree_count() const noexcept { return flat_.tree_count(); }
   std::size_t n_features() const noexcept { return n_features_; }
@@ -87,13 +84,6 @@ class RandomForest final : public Classifier {
   struct TreeColumns;
 
   Json render(bool columnar) const;
-  /// Out-of-bag accuracy of the fitted flat_ on `train`: oob_leaf[t * n +
-  /// i] is the tree-local leaf row i reaches in tree t, or a mark where the
-  /// row was in tree t's sample, and tree t's leaves start at leaf_base[t].
-  /// nullopt when no row was ever out of bag.
-  std::optional<double> oob_accuracy(
-      const Dataset& train, std::span<const std::uint32_t> oob_leaf,
-      std::span<const std::size_t> leaf_base) const;
   /// A forest with the document's params, classes and features, and no
   /// trees yet; `j` needs only the members besides "trees".
   static RandomForest read_header(const Json& j);
@@ -115,7 +105,6 @@ class RandomForest final : public Classifier {
   std::vector<int> depths_;
   std::vector<std::vector<double>> importances_;
   std::size_t n_features_ = 0;
-  std::optional<double> oob_score_;
 };
 
 }  // namespace pml::ml

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -149,6 +150,44 @@ TEST(TuningTable, FromJsonRejectsWrongFormat) {
   j["format"] = "something-else";
   EXPECT_THROW(TuningTable::from_json(j), TuningError);
   EXPECT_THROW(TuningTable::from_json(Json::object()), TuningError);
+}
+
+TEST(TuningTable, FromJsonRejectsOutOfRangeShapesAndSizes) {
+  // A table file is outside input: a node or ppn count lookup() cannot
+  // take the log2 of, or a size that would wrap to a huge uint64, is
+  // refused with an error naming where it sits.
+  TuningTable t("X");
+  t.set_sweep(std::vector<int>{4}, std::vector<int>{8},
+              std::vector<std::uint64_t>{1024});
+  t.add(simple_job(Collective::kAllgather, 4, 8));
+  const Json good = Json::parse(t.to_json().dump());
+  ASSERT_NO_THROW(TuningTable::from_json(good));
+  const auto expect_refused = [](const Json& doc, const std::string& where) {
+    try {
+      TuningTable::from_json(doc);
+      ADD_FAILURE() << "accepted a table with a bad " << where;
+    } catch (const TuningError& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const double nodes : {0.0, -4.0, 2147483648.0}) {
+    Json doc = good;
+    doc["jobs"].as_array()[0]["nodes"] = nodes;
+    expect_refused(doc, "job 0 (allgather) nodes");
+  }
+  Json bad_ppn = good;
+  bad_ppn["jobs"].as_array()[0]["ppn"] = -1;
+  expect_refused(bad_ppn, "job 0 (allgather) ppn");
+  Json bad_bytes = good;
+  bad_bytes["jobs"].as_array()[0]["entries"].as_array()[0]["max_bytes"] = -1;
+  expect_refused(bad_bytes, "job 0 (allgather) entry 0 max_bytes");
+  Json bad_sweep = good;
+  bad_sweep["sweep"]["msg_sizes"].as_array()[0] = -1;
+  expect_refused(bad_sweep, "sweep msg_sizes[0]");
+  bad_sweep = good;
+  bad_sweep["sweep"]["nodes"].as_array()[0] = 0;
+  expect_refused(bad_sweep, "sweep nodes[0]");
 }
 
 TEST(TuningTable, GenerateCompressesRanges) {

@@ -425,13 +425,6 @@ TEST(FlatForestBuilder, AppendTreesMatchesBuildingInPlace) {
     EXPECT_EQ(appended.tree_json(t, 2, importances).dump(),
               in_place.tree_json(t, 2, importances).dump());
   }
-  // Leaf ordinals count the leaves tree after tree: the third tree's
-  // leaves are 5, 6 and 7.
-  EXPECT_EQ(appended.leaf_of(2, std::vector<double>{0.0, 1.0}), 6u);
-  std::vector<double> sums = {0.25, 0.0};
-  appended.add_leaf_entries(6, sums);
-  EXPECT_EQ(sums, (std::vector<double>{0.75, 0.5}));
-  EXPECT_THROW(appended.add_leaf_entries(8, sums), MlError);
   for (const auto& row : {std::vector<double>{0.0, 0.0},
                           std::vector<double>{0.0, 1.0},
                           std::vector<double>{1.0, 0.0}}) {
